@@ -37,6 +37,7 @@ from .targets import (
     GroundTruthObject,
     LevelRanges,
     RegressionTarget,
+    TargetMaps,
     assign_targets,
     centerness,
     grid_specs,
@@ -47,7 +48,6 @@ from .losses import (
     FitDemoResult,
     LossBreakdown,
     LossWeights,
-    Prediction,
     PredictionBatch,
     TotalLossResult,
     bce,

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -38,7 +39,7 @@ from .evaluation import evaluate
 from .geometry import EncodedBox, HBB, canonicalize, decode, encode, polygon_iou, raster_iou_oracle
 from .inference import rotated_nms
 from .losses import PredictionBatch, fit_demo, grad_check, total_loss
-from .targets import Point2, RegressionTarget, assign_targets, grid_specs
+from .targets import Point2, RegressionTarget, TargetMaps, assign_targets, grid_specs
 
 _USAGE_EXIT = 1
 _DATA_EXIT = 2
@@ -181,8 +182,8 @@ def _cmd_assign(args) -> int:
         specs = grid_specs(width, height, cfg.strides)
         levels = assign_targets(specs, cfg.level_ranges, objects, radius)
         print(f"# image {image_id} size {width}x{height}")
-        for spec, targets in zip(specs, levels):
-            positives = [t for t in targets if t.is_positive]
+        for spec, maps in zip(specs, levels):
+            positives = [maps[i] for i in np.flatnonzero(maps.class_id > 0)]
             for t in positives:
                 values = (*t.ltrb, *t.wh, t.centerness)
                 print(
@@ -190,7 +191,7 @@ def _cmd_assign(args) -> int:
                     + " ".join(dota.format_number(v) for v in values)
                     + f" {int(t.difficult)}"
                 )
-            print(f"# level {spec.level}: {len(positives)} positive of {len(targets)} locations")
+            print(f"# level {spec.level}: {len(positives)} positive of {len(maps)} locations")
     return 0
 
 
@@ -263,50 +264,29 @@ def _read_preds_file(path) -> PredictionBatch:
 def _loss_grad_checks(batch: PredictionBatch, targets, weights) -> dict[str, float]:
     """Finite-difference verification of each prediction block's gradient."""
 
-    def block_fn(build, grad_of):
+    def block_fn(name, grad_name):
         def fn(x):
-            res = total_loss(build(x), targets, weights)
-            return res.breakdown.total, grad_of(res).reshape(-1)
+            moved = dataclasses.replace(batch, **{name: x.reshape(getattr(batch, name).shape)})
+            res = total_loss(moved, targets, weights)
+            return res.breakdown.total, getattr(res, grad_name).reshape(-1)
 
         return fn
 
     blocks = {
-        "class_scores": (
-            lambda x: PredictionBatch(
-                x.reshape(batch.class_scores.shape), batch.centerness, batch.ltrb, batch.wh
-            ),
-            lambda r: r.class_score_grad,
-            batch.class_scores.reshape(-1),
-        ),
-        "centerness": (
-            lambda x: PredictionBatch(batch.class_scores, x, batch.ltrb, batch.wh),
-            lambda r: r.centerness_grad,
-            batch.centerness.reshape(-1),
-        ),
-        "ltrb": (
-            lambda x: PredictionBatch(
-                batch.class_scores, batch.centerness, x.reshape(batch.ltrb.shape), batch.wh
-            ),
-            lambda r: r.ltrb_grad,
-            batch.ltrb.reshape(-1),
-        ),
-        "wh": (
-            lambda x: PredictionBatch(
-                batch.class_scores, batch.centerness, batch.ltrb, x.reshape(batch.wh.shape)
-            ),
-            lambda r: r.wh_grad,
-            batch.wh.reshape(-1),
-        ),
+        "class_scores": "class_score_grad",
+        "centerness": "centerness_grad",
+        "ltrb": "ltrb_grad",
+        "wh": "wh_grad",
     }
     return {
-        name: grad_check(block_fn(build, grad_of), point)
-        for name, (build, grad_of, point) in blocks.items()
+        name: grad_check(block_fn(name, grad_name), getattr(batch, name).reshape(-1))
+        for name, grad_name in blocks.items()
     }
 
 
 def _cmd_loss(args) -> int:
     cfg = _load_config(args)
-    targets = _read_targets_file(args.targets)
+    targets = TargetMaps.from_targets(_read_targets_file(args.targets))
     batch = _read_preds_file(args.preds)
     result = total_loss(batch, targets, cfg.weights)
     b = result.breakdown
@@ -390,8 +370,8 @@ def _cmd_fit_demo(args) -> int:
             width, height = _derive_image_size(objects, cfg.strides)
         specs = grid_specs(width, height, cfg.strides)
         levels = assign_targets(specs, cfg.level_ranges, objects, cfg.center_radius_mult)
-        flat = [t for level in levels for t in level]
-        if not any(t.is_positive for t in flat):
+        flat = TargetMaps.concatenate(levels)
+        if not flat.class_id.any():
             print("no positive locations")
             continue
         result = fit_demo(
@@ -405,7 +385,7 @@ def _cmd_fit_demo(args) -> int:
                 )
         best: dict[int, tuple[float, int]] = {}
         for k, idx in enumerate(result.positive_indices):
-            j = flat[idx].object_index
+            j = int(flat.object_index[idx])
             score = result.fused_scores[k]
             if j not in best or score > best[j][0]:
                 best[j] = (score, k)

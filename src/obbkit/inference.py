@@ -66,8 +66,6 @@ def decode_location(
     y_s: int,
     ltrb: Sequence[float],
     wh: Sequence[float],
-    *,
-    stride_scaled: bool = True,
 ) -> Quad:
     """Decode one grid location's offsets to an oriented quad.
 
@@ -75,7 +73,7 @@ def decode_location(
     surrounding HBB, and (w, h), clamped into the box extents, pin the
     orientation.
     """
-    point = grid_to_image(spec, x_s, y_s, stride_scaled=stride_scaled)
+    point = grid_to_image(spec, x_s, y_s)
     return quad_from_offsets(point, ltrb, wh)
 
 
@@ -103,8 +101,6 @@ def run_inference(
     preds_per_level: Sequence[PredictionBatch],
     specs: Sequence[FeatureGridSpec],
     config: InferenceConfig = InferenceConfig(),
-    *,
-    stride_scaled: bool = True,
 ) -> list[Detection]:
     """Full post-processing over all pyramid levels.
 
@@ -129,9 +125,7 @@ def run_inference(
                 score = fuse_scores(float(batch.class_scores[idx, c]), cent)
                 if score < config.score_threshold:
                     continue
-                quad = decode_location(
-                    spec, x_s, y_s, batch.ltrb[idx], batch.wh[idx], stride_scaled=stride_scaled
-                )
+                quad = decode_location(spec, x_s, y_s, batch.ltrb[idx], batch.wh[idx])
                 candidates.append(Detection(quad, c + 1, score))
     if config.apply_nms:
         candidates = rotated_nms(candidates, config.nms_iou_threshold)

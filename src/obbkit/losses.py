@@ -22,14 +22,14 @@ backtracking gradient descent as an end-to-end check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import Diverged, NonFiniteScore, ShapeMismatch
-from .geometry import Quad, quad_from_offsets
-from .targets import RegressionTarget
+from .geometry import Point2, Quad, quad_from_offsets
+from .targets import RegressionTarget, TargetMaps
 
 _UNION_TINY = 1e-12
 # Raw parameter bound in fit_demo; keeps sigmoids strictly inside (0, 1)
@@ -56,18 +56,10 @@ class LossWeights:
     smooth_l1_delta: float = 1.0
 
     def __post_init__(self):
-        for name in (
-            "reg_weight",
-            "ori_weight",
-            "reg_l1_weight",
-            "ori_l1_weight",
-            "focal_alpha",
-            "focal_beta",
-            "smooth_l1_delta",
-        ):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if not math.isfinite(v) or v < 0:
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
+                raise ValueError(f"{f.name} must be finite and >= 0, got {v}")
 
 
 @dataclass(frozen=True)
@@ -84,25 +76,6 @@ class LossBreakdown:
     ori_loss: float
     num_pos: int
     normalizer: int
-
-
-@dataclass(frozen=True)
-class Prediction:
-    """Raw per-location network outputs (probabilities, offsets)."""
-
-    class_scores: tuple[float, ...]
-    centerness_score: float
-    ltrb: tuple[float, float, float, float]
-    wh: tuple[float, float]
-
-    def __post_init__(self):
-        for s in (*self.class_scores, self.centerness_score):
-            if not (0.0 < s < 1.0):
-                raise ValueError(f"scores must lie strictly in (0, 1), got {s}")
-        if any(v <= 0 for v in self.ltrb):
-            raise ValueError(f"ltrb offsets must be positive, got {self.ltrb}")
-        if any(v < 0 for v in self.wh):
-            raise ValueError(f"wh offsets must be >= 0, got {self.wh}")
 
 
 @dataclass
@@ -141,27 +114,35 @@ class PredictionBatch:
     def num_classes(self) -> int:
         return self.class_scores.shape[1]
 
-    @classmethod
-    def from_predictions(cls, preds: Sequence[Prediction]) -> "PredictionBatch":
-        return cls(
-            np.array([p.class_scores for p in preds], dtype=float).reshape(len(preds), -1),
-            np.array([p.centerness_score for p in preds], dtype=float),
-            np.array([p.ltrb for p in preds], dtype=float),
-            np.array([p.wh for p in preds], dtype=float),
-        )
-
-    def at(self, i: int) -> Prediction:
-        return Prediction(
-            tuple(self.class_scores[i]),
-            float(self.centerness[i]),
-            tuple(self.ltrb[i]),
-            tuple(self.wh[i]),
-        )
-
-
 def _require_open_unit(scores: np.ndarray) -> None:
     if scores.size and (scores.min() <= 0.0 or scores.max() >= 1.0):
         raise NonFiniteScore("scores must lie strictly inside (0, 1)")
+
+
+def _focal_sum(
+    scores: np.ndarray, pos: np.ndarray, alpha: float, beta: float
+) -> tuple[float, np.ndarray]:
+    """Unnormalized focal loss and gradient; pos holds the flat indices of y = 1.
+
+    The background branch is evaluated everywhere, then the positive
+    branch overwrites the entries at pos only. The sum runs in C order
+    whatever the memory layout of scores.
+    """
+    scores = np.ascontiguousarray(scores)
+    om = 1.0 - scores
+    log_om = np.log(om)
+    s_beta = scores**beta
+    branch = alpha * s_beta * log_om
+    # d/ds of -branch, branch by branch
+    grad = -alpha * (beta * scores ** (beta - 1.0) * log_om - s_beta / om)
+    if pos.size:
+        s = scores.flat[pos]
+        om_p = om.flat[pos]
+        log_s = np.log(s)
+        om_beta = om_p**beta
+        branch.flat[pos] = alpha * om_beta * log_s
+        grad.flat[pos] = -alpha * (-beta * om_p ** (beta - 1.0) * log_s + om_beta / s)
+    return -float(branch.sum()), grad
 
 
 def focal_loss(
@@ -183,18 +164,8 @@ def focal_loss(
     if normalizer < 1:
         raise ValueError(f"normalizer must be >= 1, got {normalizer}")
     _require_open_unit(scores)
-
-    pos = targets == 1.0
-    om = 1.0 - scores
-    log_s = np.log(scores)
-    log_om = np.log(om)
-    branch = np.where(pos, alpha * om**beta * log_s, alpha * scores**beta * log_om)
-    loss = -float(branch.sum()) / normalizer
-    # d/ds of -branch, branch by branch
-    grad_pos = -alpha * (-beta * om ** (beta - 1.0) * log_s + om**beta / scores)
-    grad_neg = -alpha * (beta * scores ** (beta - 1.0) * log_om - scores**beta / om)
-    grad = np.where(pos, grad_pos, grad_neg) / normalizer
-    return loss, grad
+    loss, grad = _focal_sum(np.atleast_1d(scores), np.flatnonzero(targets == 1.0), alpha, beta)
+    return loss / normalizer, grad.reshape(scores.shape) / normalizer
 
 
 def bce(pred: float, target: float) -> tuple[float, float]:
@@ -215,24 +186,33 @@ def _bce_batch(pred: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.nda
     return vals, grads
 
 
+def _smooth_l1_batch(e: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise smooth-L1 of errors e and its derivative."""
+    small = np.abs(e) < delta
+    vals = np.where(small, 0.5 * e * e / delta, np.abs(e) - 0.5 * delta)
+    grad = np.where(small, e / delta, np.sign(e))
+    return vals, grad
+
+
 def smooth_l1(pred, target, delta: float = 1.0) -> tuple[float, np.ndarray]:
     """Summed smooth-L1: 0.5 e^2/delta below delta, |e| - 0.5 delta above."""
     pred = np.atleast_1d(np.asarray(pred, dtype=float))
     target = np.atleast_1d(np.asarray(target, dtype=float))
     if pred.shape != target.shape:
         raise ShapeMismatch(f"pred {pred.shape} vs target {target.shape}")
-    e = pred - target
-    small = np.abs(e) < delta
-    vals = np.where(small, 0.5 * e * e / delta, np.abs(e) - 0.5 * delta)
-    grad = np.where(small, e / delta, np.sign(e))
+    vals, grad = _smooth_l1_batch(pred - target, delta)
     return float(vals.sum()), grad
+
+
+def _inner_diff(ltrb: np.ndarray, wh: np.ndarray) -> np.ndarray:
+    """ltrb - [w, h, w, h] (per row); the inner box is its absolute value."""
+    return ltrb - wh[..., [0, 1, 0, 1]]
 
 
 def inner_box(ltrb, wh) -> np.ndarray:
     """Inner-box offsets [|l-w|, |t-h|, |r-w|, |b-h|]."""
-    l, t, r, b = (float(v) for v in ltrb)
-    w, h = (float(v) for v in wh)
-    return np.array([abs(l - w), abs(t - h), abs(r - w), abs(b - h)])
+    ltrb, wh = np.asarray(ltrb, dtype=float).reshape(4), np.asarray(wh, dtype=float).reshape(2)
+    return np.abs(_inner_diff(ltrb, wh))
 
 
 def _offset_iou(
@@ -281,9 +261,24 @@ def iou_hbb_loss(pred_ltrb, target_ltrb) -> tuple[float, np.ndarray]:
     return float(1.0 - iou[0]), -grad[0]
 
 
-def _inner_sign(ltrb: np.ndarray, wh: np.ndarray) -> np.ndarray:
-    """sign(ltrb - [w, h, w, h]); 0 at the kink (chosen subgradient)."""
-    return np.sign(ltrb - wh[:, [0, 1, 0, 1]])
+def _inner_iou(
+    p_ltrb: np.ndarray, p_wh: np.ndarray, t_ltrb: np.ndarray, t_wh: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row IoU of inner boxes with d(1 - IoU)/d p_ltrb (N, 4) and /d p_wh (N, 2).
+
+    Absolute-value kinks contribute a zero subgradient (sign 0).
+    """
+    diff = _inner_diff(p_ltrb, p_wh)
+    iou, d_iou = _offset_iou(np.abs(diff), np.abs(_inner_diff(t_ltrb, t_wh)))
+    sign = np.sign(diff)
+    d_wh = np.stack(
+        [
+            d_iou[:, 0] * sign[:, 0] + d_iou[:, 2] * sign[:, 2],
+            d_iou[:, 1] * sign[:, 1] + d_iou[:, 3] * sign[:, 3],
+        ],
+        axis=1,
+    )
+    return iou, -d_iou * sign, d_wh
 
 
 def iou_obb_loss(pred, target) -> tuple[float, np.ndarray]:
@@ -293,21 +288,10 @@ def iou_obb_loss(pred, target) -> tuple[float, np.ndarray]:
     absolute-value kinks contribute a zero subgradient, degenerate inner
     boxes yield loss 1 with the gradient of the surviving smooth branch.
     """
-    p = np.asarray(pred, dtype=float).reshape(6)
-    t = np.asarray(target, dtype=float).reshape(6)
-    p_ltrb, p_wh = p[:4].reshape(1, 4), p[4:].reshape(1, 2)
-    t_ltrb, t_wh = t[:4].reshape(1, 4), t[4:].reshape(1, 2)
-
-    inner_p = np.abs(p_ltrb - p_wh[:, [0, 1, 0, 1]])
-    inner_t = np.abs(t_ltrb - t_wh[:, [0, 1, 0, 1]])
-    iou, d_iou = _offset_iou(inner_p, inner_t)
-    sign = _inner_sign(p_ltrb, p_wh)
-
-    grad = np.empty(6)
-    grad[:4] = (-d_iou * sign)[0]
-    grad[4] = (d_iou[:, 0] * sign[:, 0] + d_iou[:, 2] * sign[:, 2])[0]
-    grad[5] = (d_iou[:, 1] * sign[:, 1] + d_iou[:, 3] * sign[:, 3])[0]
-    return float(1.0 - iou[0]), grad
+    p = np.asarray(pred, dtype=float).reshape(1, 6)
+    t = np.asarray(target, dtype=float).reshape(1, 6)
+    iou, d_ltrb, d_wh = _inner_iou(p[:, :4], p[:, 4:], t[:, :4], t[:, 4:])
+    return float(1.0 - iou[0]), np.concatenate([d_ltrb[0], d_wh[0]])
 
 
 @dataclass
@@ -323,20 +307,22 @@ class TotalLossResult:
 
 def total_loss(
     preds: PredictionBatch,
-    targets: Sequence[RegressionTarget],
+    targets: TargetMaps | Sequence[RegressionTarget],
     weights: LossWeights,
 ) -> TotalLossResult:
     """Composite loss over aligned prediction and target maps.
 
     Classification is scored on every location; centerness, box and
     orientation terms only on positives. The three sums are divided once
-    by max(num_pos, 1).
+    by max(num_pos, 1). A RegressionTarget sequence is converted with
+    TargetMaps.from_targets.
     """
+    targets = TargetMaps.from_targets(targets)
     n = preds.num_locations
     if len(targets) != n:
         raise ShapeMismatch(f"{n} predictions vs {len(targets)} targets")
     num_classes = preds.num_classes
-    labels = np.array([t.class_id for t in targets], dtype=int)
+    labels = targets.class_id
     if labels.size and labels.max() > num_classes:
         raise ShapeMismatch(
             f"target class id {labels.max()} exceeds {num_classes} prediction classes"
@@ -346,11 +332,10 @@ def total_loss(
     num_pos = int(pos_idx.size)
     norm = max(num_pos, 1)
 
-    onehot = np.zeros((n, num_classes))
-    if num_pos:
-        onehot[pos_idx, labels[pos_idx] - 1] = 1.0
-    cls_sum, cls_grad = focal_loss(
-        preds.class_scores, onehot, weights.focal_alpha, weights.focal_beta, normalizer=1.0
+    _require_open_unit(preds.class_scores)
+    onehot = pos_idx * num_classes + labels[pos_idx] - 1  # flat indices of the y = 1 scores
+    cls_sum, cls_grad = _focal_sum(
+        preds.class_scores, onehot, weights.focal_alpha, weights.focal_beta
     )
 
     centerness_grad = np.zeros(n)
@@ -359,52 +344,25 @@ def total_loss(
     reg_sum = 0.0
     ori_sum = 0.0
     if num_pos:
-        for i in pos_idx:
-            t = targets[i]
-            if t.ltrb is None or t.wh is None or t.centerness is None:
-                raise ValueError(f"positive target at index {i} lacks regression values")
-        t_cent = np.array([targets[i].centerness for i in pos_idx])
-        t_ltrb = np.array([targets[i].ltrb for i in pos_idx])
-        t_wh = np.array([targets[i].wh for i in pos_idx])
-        p_cent = preds.centerness[pos_idx]
+        t_ltrb = targets.ltrb[pos_idx]
         p_ltrb = preds.ltrb[pos_idx]
         p_wh = preds.wh[pos_idx]
 
-        bce_vals, bce_grads = _bce_batch(p_cent, t_cent)
-        e_b = p_ltrb - t_ltrb
-        small_b = np.abs(e_b) < weights.smooth_l1_delta
-        sl1_b = np.where(
-            small_b, 0.5 * e_b * e_b / weights.smooth_l1_delta, np.abs(e_b) - 0.5 * weights.smooth_l1_delta
-        )
-        sl1_b_grad = np.where(small_b, e_b / weights.smooth_l1_delta, np.sign(e_b))
+        bce_vals, bce_grads = _bce_batch(preds.centerness[pos_idx], targets.centerness[pos_idx])
+        sl1_b, sl1_b_grad = _smooth_l1_batch(p_ltrb - t_ltrb, weights.smooth_l1_delta)
         iou_h, d_iou_h = _offset_iou(p_ltrb, t_ltrb)
         reg_sum = float(bce_vals.sum() + weights.reg_l1_weight * sl1_b.sum() + (1.0 - iou_h).sum())
 
-        e_o = p_wh - t_wh
-        small_o = np.abs(e_o) < weights.smooth_l1_delta
-        sl1_o = np.where(
-            small_o, 0.5 * e_o * e_o / weights.smooth_l1_delta, np.abs(e_o) - 0.5 * weights.smooth_l1_delta
-        )
-        sl1_o_grad = np.where(small_o, e_o / weights.smooth_l1_delta, np.sign(e_o))
-        inner_p = np.abs(p_ltrb - p_wh[:, [0, 1, 0, 1]])
-        inner_t = np.abs(t_ltrb - t_wh[:, [0, 1, 0, 1]])
-        iou_o, d_iou_o = _offset_iou(inner_p, inner_t)
-        sign = _inner_sign(p_ltrb, p_wh)
+        t_wh = targets.wh[pos_idx]
+        sl1_o, sl1_o_grad = _smooth_l1_batch(p_wh - t_wh, weights.smooth_l1_delta)
+        iou_o, d_ori_ltrb, d_ori_wh = _inner_iou(p_ltrb, p_wh, t_ltrb, t_wh)
         ori_sum = float(weights.ori_l1_weight * sl1_o.sum() + (1.0 - iou_o).sum())
 
         centerness_grad[pos_idx] = weights.reg_weight * bce_grads / norm
         d_reg_ltrb = weights.reg_l1_weight * sl1_b_grad - d_iou_h
-        d_ori_ltrb = -d_iou_o * sign
         ltrb_grad[pos_idx] = (
             weights.reg_weight * d_reg_ltrb + weights.ori_weight * d_ori_ltrb
         ) / norm
-        d_ori_wh = np.stack(
-            [
-                d_iou_o[:, 0] * sign[:, 0] + d_iou_o[:, 2] * sign[:, 2],
-                d_iou_o[:, 1] * sign[:, 1] + d_iou_o[:, 3] * sign[:, 3],
-            ],
-            axis=1,
-        )
         wh_grad[pos_idx] = (
             weights.ori_weight * (weights.ori_l1_weight * sl1_o_grad + d_ori_wh) / norm
         )
@@ -454,12 +412,8 @@ def grad_check(
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    nonneg = z >= 0
-    out[nonneg] = 1.0 / (1.0 + np.exp(-z[nonneg]))
-    ez = np.exp(z[~nonneg])
-    out[~nonneg] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass
@@ -488,7 +442,7 @@ def _fit_params_to_batch(raw: np.ndarray, num_classes: int) -> PredictionBatch:
 
 
 def fit_demo(
-    targets: Sequence[RegressionTarget],
+    targets: TargetMaps | Sequence[RegressionTarget],
     weights: LossWeights,
     steps: int = 2000,
     lr: float = 0.05,
@@ -506,25 +460,27 @@ def fit_demo(
     independent of how many positives share the normalizer. Returns the
     loss trajectory (steps + 1 entries) and, for every positive
     location, the quad decoded from the final offsets around that
-    location's image point.
+    location's image point. A RegressionTarget sequence is converted
+    with TargetMaps.from_targets.
 
     Raises Diverged if the loss ever becomes non-finite.
     """
+    targets = TargetMaps.from_targets(targets)
     if num_classes is None:
-        num_classes = max((t.class_id for t in targets), default=0)
+        num_classes = int(targets.class_id.max(initial=0))
     if num_classes < 1:
         raise ValueError("at least one class required")
-    pos_indices = [i for i, t in enumerate(targets) if t.is_positive]
-    if not pos_indices:
+    pos = np.flatnonzero(targets.class_id > 0)
+    if not pos.size:
         raise ValueError("fit_demo needs at least one positive target")
 
-    n = len(targets)
-    raw = np.zeros((n, num_classes + 7))
+    raw = np.zeros((len(targets), num_classes + 7))
 
-    def evaluate(params: np.ndarray) -> TotalLossResult:
-        return total_loss(_fit_params_to_batch(params, num_classes), targets, weights)
+    def evaluate(params: np.ndarray) -> tuple[PredictionBatch, TotalLossResult]:
+        batch = _fit_params_to_batch(params, num_classes)
+        return batch, total_loss(batch, targets, weights)
 
-    result = evaluate(raw)
+    batch, result = evaluate(raw)
     if not math.isfinite(result.breakdown.total):
         raise Diverged("loss non-finite at initialization")
     trajectory: list[LossBreakdown] = [result.breakdown]
@@ -532,7 +488,6 @@ def fit_demo(
     step_size = lr
     for _ in range(steps):
         if not frozen:
-            batch = _fit_params_to_batch(raw, num_classes)
             # chain rule through the sigmoid / exp parameterizations
             grad = np.concatenate(
                 [
@@ -547,14 +502,13 @@ def fit_demo(
             accepted = False
             for _try in range(60):
                 candidate = np.clip(raw - trial * grad, -_RAW_BOUND, _RAW_BOUND)
-                cand_result = evaluate(candidate)
+                cand_batch, cand_result = evaluate(candidate)
                 if (
                     math.isfinite(cand_result.breakdown.total)
                     and cand_result.breakdown.total <= result.breakdown.total
                 ):
                     accepted = not np.array_equal(candidate, raw)
-                    raw = candidate
-                    result = cand_result
+                    raw, batch, result = candidate, cand_batch, cand_result
                     step_size = trial
                     break
                 trial *= 0.5
@@ -563,15 +517,9 @@ def fit_demo(
             frozen = not accepted
         trajectory.append(result.breakdown)
 
-    final_batch = _fit_params_to_batch(raw, num_classes)
-    decoded: list[Quad] = []
-    fused: list[float] = []
-    for i in pos_indices:
-        t = targets[i]
-        decoded.append(quad_from_offsets(t.point, final_batch.ltrb[i], final_batch.wh[i]))
-        fused.append(
-            float(
-                final_batch.class_scores[i, t.class_id - 1] * final_batch.centerness[i]
-            )
-        )
-    return FitDemoResult(trajectory, pos_indices, decoded, fused, final_batch)
+    decoded = [
+        quad_from_offsets(Point2(*point), batch.ltrb[i], batch.wh[i])
+        for point, i in zip(targets.points[pos].tolist(), pos)
+    ]
+    fused = (batch.class_scores[pos, targets.class_id[pos] - 1] * batch.centerness[pos]).tolist()
+    return FitDemoResult(trajectory, pos.tolist(), decoded, fused, batch)

@@ -9,12 +9,13 @@ with left/top/right/bottom offsets, orientation offsets and centerness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+import operator
+from collections.abc import Sequence
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .errors import PointOutsideBox
+from .errors import PointOutsideBox, ShapeMismatch
 from .geometry import HBB, Point2, Quad, encode
 
 
@@ -67,6 +68,97 @@ class RegressionTarget:
     @property
     def is_positive(self) -> bool:
         return self.class_id > 0
+
+
+# field name -> (dtype, trailing shape) of the TargetMaps arrays
+_MAP_LAYOUT = dict(
+    class_id=(int, ()), ltrb=(float, (4,)), wh=(float, (2,)), centerness=(float, ()),
+    difficult=(bool, ()), object_index=(int, ()), points=(float, (2,)), grid=(int, (2,)),
+)
+
+
+def _target(class_id, ltrb, wh, centerness, difficult, object_index, point, grid):
+    """One TargetMaps row (plain Python values, _MAP_LAYOUT order) as a RegressionTarget."""
+    regression = {}
+    if class_id > 0:
+        regression = dict(ltrb=tuple(ltrb), wh=tuple(wh), centerness=centerness)
+    return RegressionTarget(
+        *grid,
+        Point2(*point),
+        class_id,
+        difficult=difficult,
+        object_index=object_index if object_index >= 0 else None,
+        **regression,
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class TargetMaps(Sequence):
+    """Training targets for L grid locations, one read-only array per field.
+
+    class_id (L,) is 0 on background; ltrb (L, 4), wh (L, 2) and
+    centerness (L,) hold regression values on positives and 0 elsewhere;
+    difficult (L,); object_index (L,) is -1 where no object is recorded;
+    points (L, 2) are image-plane (x, y) and grid (L, 2) the (x_s, y_s)
+    grid index. As a Sequence it yields one RegressionTarget per location,
+    built only when indexed or iterated.
+    """
+
+    class_id: np.ndarray
+    ltrb: np.ndarray
+    wh: np.ndarray
+    centerness: np.ndarray
+    difficult: np.ndarray
+    object_index: np.ndarray
+    points: np.ndarray
+    grid: np.ndarray
+
+    def __post_init__(self):
+        n = np.shape(self.class_id)[0] if np.ndim(self.class_id) == 1 else -1
+        for name, (dtype, tail) in _MAP_LAYOUT.items():
+            arr = np.array(getattr(self, name), dtype=dtype)
+            if arr.shape != (n, *tail):
+                raise ShapeMismatch(f"{name} has shape {arr.shape}, expected {(n, *tail)}")
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    def __len__(self) -> int:
+        return self.class_id.shape[0]
+
+    def __getitem__(self, i) -> RegressionTarget:
+        i = operator.index(i)  # numpy indexing wraps negatives and raises IndexError
+        return _target(*(getattr(self, name)[i].tolist() for name in _MAP_LAYOUT))
+
+    def __iter__(self):
+        return map(_target, *(getattr(self, name).tolist() for name in _MAP_LAYOUT))
+
+    @classmethod
+    def from_targets(cls, targets: Sequence[RegressionTarget]) -> "TargetMaps":
+        """Arrays of a RegressionTarget sequence; a TargetMaps is returned as is.
+
+        Raises ValueError for a positive target without ltrb, wh or centerness.
+        """
+        if isinstance(targets, TargetMaps):
+            return targets
+        n = len(targets)
+        ltrb, wh, cent = np.zeros((n, 4)), np.zeros((n, 2)), np.zeros(n)
+        for i, t in enumerate(targets):
+            if not t.is_positive:
+                continue
+            if t.ltrb is None or t.wh is None or t.centerness is None:
+                raise ValueError(f"positive target at index {i} lacks regression values")
+            ltrb[i], wh[i], cent[i] = t.ltrb, t.wh, t.centerness
+        return cls(
+            [t.class_id for t in targets], ltrb, wh, cent, [t.difficult for t in targets],
+            [-1 if t.object_index is None else t.object_index for t in targets],
+            np.reshape([(t.point.x, t.point.y) for t in targets], (n, 2)),
+            np.reshape([(t.x_s, t.y_s) for t in targets], (n, 2)),
+        )
+
+    @classmethod
+    def concatenate(cls, maps: Sequence["TargetMaps"]) -> "TargetMaps":
+        """The locations of several maps (for example all levels) in order."""
+        return cls(*(np.concatenate([getattr(m, name) for m in maps]) for name in _MAP_LAYOUT))
 
 
 class LevelRanges:
@@ -134,23 +226,14 @@ def grid_specs(
     return specs
 
 
-def grid_to_image(
-    spec: FeatureGridSpec, x_s: int, y_s: int, *, stride_scaled: bool = True
-) -> Point2:
-    """Map a grid location to its image-plane point.
-
-    x = floor(s/2) + x_s * s (and likewise for y). With stride_scaled
-    False the x_s * s term degrades to plain x_s, an auditing mode that
-    collapses every level onto the image's top-left corner.
-    """
+def grid_to_image(spec: FeatureGridSpec, x_s: int, y_s: int) -> Point2:
+    """Map a grid location to its image-plane point: x = floor(s/2) + x_s * s."""
     if not (0 <= x_s < spec.width and 0 <= y_s < spec.height):
         raise ValueError(
             f"grid index ({x_s}, {y_s}) outside {spec.width}x{spec.height} grid"
         )
     half = spec.stride // 2
-    if stride_scaled:
-        return Point2(half + x_s * spec.stride, half + y_s * spec.stride)
-    return Point2(half + x_s, half + y_s)
+    return Point2(half + x_s * spec.stride, half + y_s * spec.stride)
 
 
 def ltrb_targets(p: Point2, hbb: HBB) -> tuple[float, float, float, float]:
@@ -168,12 +251,17 @@ def ltrb_targets(p: Point2, hbb: HBB) -> tuple[float, float, float, float]:
     return (l, t, r, b)
 
 
+def _centerness(l, t, r, b):
+    """Elementwise centerness of offset scalars or arrays."""
+    return np.sqrt((np.minimum(l, r) / np.maximum(l, r)) * (np.minimum(t, b) / np.maximum(t, b)))
+
+
 def centerness(ltrb: Sequence[float]) -> float:
     """sqrt((min(l,r)/max(l,r)) * (min(t,b)/max(t,b))), in (0, 1]."""
     l, t, r, b = ltrb
     if l <= 0 or t <= 0 or r <= 0 or b <= 0:
         raise ValueError(f"centerness needs strictly positive offsets, got {ltrb}")
-    return math.sqrt((min(l, r) / max(l, r)) * (min(t, b) / max(t, b)))
+    return float(_centerness(l, t, r, b))
 
 
 def assign_targets(
@@ -181,9 +269,7 @@ def assign_targets(
     ranges: LevelRanges,
     objects: Sequence[GroundTruthObject],
     center_radius_mult: float = DEFAULT_CENTER_RADIUS_MULT,
-    *,
-    stride_scaled: bool = True,
-) -> list[list[RegressionTarget]]:
+) -> list[TargetMaps]:
     """Dense per-level training targets for a scene.
 
     A location is positive for an object when its image point is strictly
@@ -192,63 +278,54 @@ def assign_targets(
     falls in the level's range. When several objects claim a location the
     one with the smallest HBB area wins (first in the list on exact ties).
 
-    Returns one row-major list (y_s outer, x_s inner) per level.
+    Returns one row-major TargetMaps (y_s outer, x_s inner) per level.
     """
     if len(specs) != len(ranges):
         raise ValueError(f"{len(specs)} grid specs but {len(ranges)} level ranges")
 
     encoded = [encode(obj.quad) for obj in objects]
-    out: list[list[RegressionTarget]] = []
+    obj_hbb = np.array([astuple(e.hbb) for e in encoded]).reshape(-1, 4)
+    # one row per object plus a trailing background row, which object index -1 selects
+    obj_wh = np.array([(e.w, e.h) for e in encoded] + [(0.0, 0.0)])
+    obj_class = np.array([obj.class_id for obj in objects] + [0])
+    obj_difficult = np.array([obj.difficult for obj in objects] + [False])
+    out: list[TargetMaps] = []
     for spec, (lo, hi) in zip(specs, ranges.pairs):
-        px = np.array(
-            [grid_to_image(spec, x, 0, stride_scaled=stride_scaled).x for x in range(spec.width)]
-        )
-        py = np.array(
-            [grid_to_image(spec, 0, y, stride_scaled=stride_scaled).y for y in range(spec.height)]
-        )
-        gx = np.broadcast_to(px[None, :], (spec.height, spec.width))
-        gy = np.broadcast_to(py[:, None], (spec.height, spec.width))
-
+        px = np.array([grid_to_image(spec, x, 0).x for x in range(spec.width)])
+        py = np.array([grid_to_image(spec, 0, y).y for y in range(spec.height)])
         radius = center_radius_mult * spec.stride
         best_area = np.full((spec.height, spec.width), np.inf)
         best_obj = np.full((spec.height, spec.width), -1, dtype=int)
         for j, enc in enumerate(encoded):
             hbb = enc.hbb
-            inside = (gx > hbb.xmin) & (gx < hbb.xmax) & (gy > hbb.ymin) & (gy < hbb.ymax)
+            # only the rows and columns strictly inside the HBB can claim
+            cols = slice(np.searchsorted(px, hbb.xmin, "right"), np.searchsorted(px, hbb.xmax))
+            rows = slice(np.searchsorted(py, hbb.ymin, "right"), np.searchsorted(py, hbb.ymax))
+            wx, wy = px[None, cols], py[rows, None]
             c = hbb.center
-            near = (np.abs(gx - c.x) <= radius) & (np.abs(gy - c.y) <= radius)
+            near = (np.abs(wx - c.x) <= radius) & (np.abs(wy - c.y) <= radius)
             max_off = np.maximum(
-                np.maximum(gx - hbb.xmin, hbb.xmax - gx),
-                np.maximum(gy - hbb.ymin, hbb.ymax - gy),
+                np.maximum(wx - hbb.xmin, hbb.xmax - wx),
+                np.maximum(wy - hbb.ymin, hbb.ymax - wy),
             )
             in_range = (max_off > lo) & (max_off <= hi)
-            claim = inside & near & in_range & (hbb.area < best_area)
-            best_area[claim] = hbb.area
-            best_obj[claim] = j
+            claim = near & in_range & (hbb.area < best_area[rows, cols])
+            best_area[rows, cols][claim] = hbb.area
+            best_obj[rows, cols][claim] = j
 
-        level_targets: list[RegressionTarget] = []
-        for y_s in range(spec.height):
-            for x_s in range(spec.width):
-                point = Point2(float(gx[y_s, x_s]), float(gy[y_s, x_s]))
-                j = int(best_obj[y_s, x_s])
-                if j < 0:
-                    level_targets.append(RegressionTarget(x_s, y_s, point, 0))
-                    continue
-                obj = objects[j]
-                enc = encoded[j]
-                offs = ltrb_targets(point, enc.hbb)
-                level_targets.append(
-                    RegressionTarget(
-                        x_s,
-                        y_s,
-                        point,
-                        obj.class_id,
-                        ltrb=offs,
-                        wh=(enc.w, enc.h),
-                        centerness=centerness(offs),
-                        difficult=obj.difficult,
-                        object_index=j,
-                    )
-                )
-        out.append(level_targets)
+        obj_index = best_obj.ravel()
+        y_s, x_s = np.divmod(np.arange(obj_index.size), spec.width)
+        points = np.stack([px[x_s], py[y_s]], axis=1).astype(float)
+        pos = np.flatnonzero(obj_index >= 0)
+        box = obj_hbb[obj_index[pos]]
+        ltrb = np.zeros((obj_index.size, 4))
+        ltrb[pos] = np.hstack([points[pos] - box[:, :2], box[:, 2:] - points[pos]])
+        cent = np.zeros(obj_index.size)
+        cent[pos] = _centerness(*ltrb[pos].T)
+        out.append(
+            TargetMaps(
+                obj_class[obj_index], ltrb, obj_wh[obj_index], cent, obj_difficult[obj_index],
+                obj_index, points, np.stack([x_s, y_s], axis=1),
+            )
+        )
     return out

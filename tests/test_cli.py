@@ -367,6 +367,37 @@ class TestFitDemoCommand:
         assert first == second
 
 
+    def test_golden_two_level_scene(self, tmp_path, capsys):
+        # pinned output of the per-cell implementation; object 1 is difficult
+        # and object 2 falls between grid points on both levels
+        gt = tmp_path / "gt"
+        gt.mkdir()
+        gt.joinpath("scene.txt").write_text(
+            "28.251289 58.990381 43.251289 33.009619 91.748711 61.009619 "
+            "76.748711 86.990381 plane 0\n"
+            "134.109908 71.657670 175.248315 22.630826 205.890092 48.342330 "
+            "164.751685 97.369174 ship 1\n"
+            "201 201 203 201 203 203 201 203 harbor 0\n"
+        )
+        code, out, _ = run_cli(
+            capsys, "fit-demo", "--gt", str(gt), "--steps", "40", "--lr", "0.05",
+            "--set", "strides=8,16", "--set", "level_ranges=0:64,64:inf",
+            "--trace-every", "10",
+        )
+        assert code == 0
+        assert out == (
+            "# image scene\n"
+            "step 0 total 42.4073 cls 32.9462 reg 484.054 ori 246.331\n"
+            "step 10 total 35.0415 cls 20.1653 reg 402.796 ori 207.785\n"
+            "step 20 total 1.71039 cls 18.1651 reg 10.5694 ori 2.05252\n"
+            "step 30 total 1.60637 cls 18.1627 reg 10.3068 ori 0.445203\n"
+            "step 40 total 1.605 cls 18.1627 reg 10.3065 ori 0.420854\n"
+            "object 0 plane iou 0.924276 score 0.48827\n"
+            "object 1 ship iou 0.999904 score 0.472581\n"
+            "object 2 harbor unassigned\n"
+        )
+
+
 class TestDotaRoundtrip:
     def test_annotations_roundtrip(self, scene, tmp_path):
         gt = parse_dota_annotations(scene / "gt")

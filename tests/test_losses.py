@@ -7,7 +7,6 @@ from obbkit.errors import Diverged, NonFiniteScore, ShapeMismatch
 from obbkit.geometry import Point2, polygon_iou, quad_from_offsets
 from obbkit.losses import (
     LossWeights,
-    Prediction,
     PredictionBatch,
     bce,
     fit_demo,
@@ -363,24 +362,6 @@ class TestTotalLoss:
 
 
 class TestPredictionTypes:
-    def test_prediction_validation(self):
-        with pytest.raises(ValueError):
-            Prediction((0.5, 1.0), 0.5, (1, 1, 1, 1), (0, 0))
-        with pytest.raises(ValueError):
-            Prediction((0.5,), 0.5, (0, 1, 1, 1), (0, 0))
-        with pytest.raises(ValueError):
-            Prediction((0.5,), 0.5, (1, 1, 1, 1), (-1, 0))
-
-    def test_batch_roundtrip(self):
-        preds = [
-            Prediction((0.2, 0.7), 0.6, (1, 2, 3, 4), (0.5, 1)),
-            Prediction((0.4, 0.1), 0.3, (2, 2, 2, 2), (0, 0)),
-        ]
-        batch = PredictionBatch.from_predictions(preds)
-        assert batch.num_locations == 2
-        assert batch.num_classes == 2
-        assert batch.at(1) == preds[1]
-
     def test_batch_shape_validation(self):
         with pytest.raises(ShapeMismatch):
             PredictionBatch(np.zeros((2, 2)) + 0.5, np.zeros(3), np.ones((2, 4)), np.zeros((2, 2)))

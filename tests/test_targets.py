@@ -35,10 +35,6 @@ class TestGridToImage:
         with pytest.raises(ValueError):
             grid_to_image(FeatureGridSpec(4, 4, 8, 3), 0, -1)
 
-    def test_unscaled_compatibility_mode(self):
-        p = grid_to_image(FeatureGridSpec(4, 4, 8, 3), 2, 1, stride_scaled=False)
-        assert p == Point2(6, 5)
-
 
 class TestLtrbTargets:
     def test_center_point(self):
