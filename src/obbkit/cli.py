@@ -11,19 +11,12 @@ import dataclasses
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import dota
-from .config import (
-    THREADS_ENV_VAR,
-    RunConfig,
-    build_config,
-    parse_metric_mode,
-    read_config_file,
-)
+from .config import RunConfig, build_config, parse_metric_mode, read_config_file
 from .errors import (
     DegenerateQuad,
     Diverged,
@@ -55,14 +48,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _parallel_map(fn, items, threads: int):
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _load_config(args) -> RunConfig:
     file_values = {}
     if getattr(args, "config", None):
@@ -73,10 +58,6 @@ def _load_config(args) -> RunConfig:
         if not sep:
             raise ValueError(f"--set expects key=value, got {item!r}")
         overrides[key.strip()] = value.strip()
-    if getattr(args, "threads", None) is not None:
-        overrides["threads"] = str(args.threads)
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = str(args.seed)
     return build_config(file_values, **overrides)
 
 
@@ -304,14 +285,9 @@ def _cmd_loss(args) -> int:
 
 def _cmd_nms(args) -> int:
     dets, classes = dota.parse_dota_detections(args.dets)
-    threads = args.threads if args.threads is not None else 1
-    image_ids = sorted(dets)
-    kept_lists = _parallel_map(
-        lambda image_id: rotated_nms(dets[image_id], args.iou), image_ids, threads
-    )
-    kept = dict(zip(image_ids, kept_lists))
+    kept = {image_id: rotated_nms(dets[image_id], args.iou) for image_id in sorted(dets)}
     dota.write_dota_detections(kept, classes, args.out)
-    for image_id in image_ids:
+    for image_id in kept:
         print(f"{image_id}: kept {len(kept[image_id])} of {len(dets[image_id])}")
     return 0
 
@@ -324,16 +300,7 @@ def _cmd_eval(args) -> int:
     )
     iou = args.iou if args.iou is not None else cfg.eval_iou_threshold
     mode = parse_metric_mode(args.mode) if args.mode else cfg.metric_mode
-
-    def run(map_fn):
-        return evaluate(dets, gt, iou, mode, map_fn=map_fn)
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            report = run(pool.map)
-    else:
-        report = run(map)
-
+    report = evaluate(dets, gt, iou, mode)
     name_width = max([len(n) for n in gt.classes.names] + [len("class"), len("mAP")])
     print(f"{'class':<{name_width}}  ap")
     for name in gt.classes.names:
@@ -404,7 +371,7 @@ def _cmd_fit_demo(args) -> int:
 # ---------------------------------------------------------------- wiring
 
 
-def _add_config_flags(sub, threads: bool = True):
+def _add_config_flags(sub):
     sub.add_argument("--config", help="flat key=value config file")
     sub.add_argument(
         "--set",
@@ -412,13 +379,8 @@ def _add_config_flags(sub, threads: bool = True):
         metavar="KEY=VALUE",
         help="override any config field (repeatable)",
     )
-    sub.add_argument("--seed", type=int, help="seed for randomized demos")
-    if threads:
-        sub.add_argument(
-            "--threads",
-            type=int,
-            help=f"worker threads (default from ${THREADS_ENV_VAR} or 1)",
-        )
+    sub.add_argument("--seed", type=int, help="accepted for compatibility; has no effect")
+    sub.add_argument("--threads", type=int, help="accepted for compatibility; has no effect")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -458,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dets", required=True, help="detection directory")
     p.add_argument("--iou", type=float, default=0.5, help="suppression IoU threshold")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--threads", type=int, help="worker threads")
+    p.add_argument("--threads", type=int, help="accepted for compatibility; has no effect")
     p.set_defaults(handler=_cmd_nms)
 
     p = commands.add_parser("eval", help="VOC-style AP / mAP over rotated IoU")

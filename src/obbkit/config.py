@@ -1,46 +1,30 @@
 """Run configuration: defaults, flat key=value config files, flag overrides.
 
-Precedence is flags > config file > built-in defaults. The thread count
-additionally falls back to the OBBKIT_THREADS environment variable.
+Precedence is flags > config file > built-in defaults.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ParseError
 from .evaluation import MODE_11POINT, MODE_ALLPOINT
-from .inference import InferenceConfig
 from .losses import LossWeights
 from .targets import DEFAULT_CENTER_RADIUS_MULT, LevelRanges
 
-THREADS_ENV_VAR = "OBBKIT_THREADS"
-
 DEFAULT_STRIDES = (8, 16, 32, 64, 128)
-
-
-def _default_threads() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "")
-    try:
-        return max(int(raw), 1)
-    except ValueError:
-        return 1
 
 
 @dataclass
 class RunConfig:
     weights: LossWeights = field(default_factory=LossWeights)
-    inference: InferenceConfig = field(default_factory=InferenceConfig)
     strides: tuple[int, ...] = DEFAULT_STRIDES
     level_ranges: LevelRanges = field(default_factory=LevelRanges.default_fpn)
     center_radius_mult: float = DEFAULT_CENTER_RADIUS_MULT
     metric_mode: str = MODE_11POINT
     eval_iou_threshold: float = 0.5
-    seed: int = 0
-    threads: int = field(default_factory=_default_threads)
 
     def __post_init__(self):
         if len(self.strides) != len(self.level_ranges):
@@ -49,17 +33,6 @@ class RunConfig:
             )
         if self.metric_mode not in (MODE_11POINT, MODE_ALLPOINT):
             raise ValueError(f"unknown metric mode {self.metric_mode!r}")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
-
-
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
 
 
 def parse_strides(raw: str) -> tuple[int, ...]:
@@ -113,7 +86,6 @@ def build_config(file_values: dict[str, str] | None = None, **overrides) -> RunC
             merged[key] = value if isinstance(value, str) else str(value)
 
     weights_kwargs = {}
-    inference_kwargs = {}
     config_kwargs = {}
     weight_fields = {
         "reg_weight",
@@ -127,14 +99,6 @@ def build_config(file_values: dict[str, str] | None = None, **overrides) -> RunC
     for key, raw in merged.items():
         if key in weight_fields:
             weights_kwargs[key] = float(raw)
-        elif key == "score_threshold":
-            inference_kwargs[key] = float(raw)
-        elif key == "nms_iou_threshold":
-            inference_kwargs[key] = float(raw)
-        elif key == "max_detections":
-            inference_kwargs[key] = int(raw)
-        elif key == "apply_nms":
-            inference_kwargs[key] = _parse_bool(raw)
         elif key == "strides":
             config_kwargs["strides"] = parse_strides(raw)
         elif key == "level_ranges":
@@ -145,14 +109,6 @@ def build_config(file_values: dict[str, str] | None = None, **overrides) -> RunC
             config_kwargs["metric_mode"] = parse_metric_mode(raw)
         elif key == "eval_iou_threshold":
             config_kwargs["eval_iou_threshold"] = float(raw)
-        elif key == "seed":
-            config_kwargs["seed"] = int(raw)
-        elif key == "threads":
-            config_kwargs["threads"] = max(int(raw), 1)
         else:
             raise ValueError(f"unknown config key {key!r}")
-    return RunConfig(
-        weights=LossWeights(**weights_kwargs),
-        inference=InferenceConfig(**inference_kwargs),
-        **config_kwargs,
-    )
+    return RunConfig(weights=LossWeights(**weights_kwargs), **config_kwargs)

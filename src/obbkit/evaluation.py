@@ -68,11 +68,11 @@ class GtIndex:
                         f"image {image_id}: class id {obj.class_id} outside table"
                     )
 
-    def num_ground_truth(self, class_id: int, *, include_difficult: bool = False) -> int:
+    def num_ground_truth(self, class_id: int) -> int:
         total = 0
         for objs in self.images.values():
             for obj in objs:
-                if obj.class_id == class_id and (include_difficult or not obj.difficult):
+                if obj.class_id == class_id and not obj.difficult:
                     total += 1
         return total
 
@@ -146,8 +146,6 @@ def match_detections(
     dets_per_image: Mapping[str, Sequence[Detection]],
     gt: GtIndex,
     iou_thresh: float = 0.5,
-    *,
-    map_fn=map,
 ) -> dict[int, ClassMatches]:
     """Greedy TP/FP matching per class across all images.
 
@@ -156,12 +154,10 @@ def match_detections(
     same-class, same-image ground truth with the highest polygon IoU.
     An IoU at or above the threshold is a TP unless that ground truth is
     difficult, in which case the detection is ignored; anything else is
-    a FP.
-
-    map_fn lets callers run the per-class work in a pool; classes are
-    independent and results are collected in class order, so any ordered
-    map yields identical output.
+    a FP. The threshold must lie in [0, 1].
     """
+    if not 0.0 <= iou_thresh <= 1.0:
+        raise ValueError(f"match IoU threshold must lie in [0, 1], got {iou_thresh}")
     num_classes = len(gt.classes)
     pool: dict[int, list[tuple[float, str, int, Detection]]] = {
         c: [] for c in range(1, num_classes + 1)
@@ -172,10 +168,7 @@ def match_detections(
                 raise UnknownClass(f"detection class id {det.class_id} outside table")
             pool[det.class_id].append((det.score, image_id, i, det))
 
-    results = map_fn(
-        lambda item: _match_class(item[0], item[1], gt, iou_thresh), sorted(pool.items())
-    )
-    return {m.class_id: m for m in results}
+    return {c: _match_class(c, entries, gt, iou_thresh) for c, entries in sorted(pool.items())}
 
 
 def pr_curve(flags: Sequence[int], scores: Sequence[float], num_gt: int) -> PRCurve:
@@ -220,8 +213,7 @@ def average_precision(curve: PRCurve, mode: str = MODE_11POINT) -> float:
     if mode == MODE_ALLPOINT:
         mrec = np.concatenate(([0.0], curve.recalls, [1.0]))
         mpre = np.concatenate(([0.0], curve.precisions, [0.0]))
-        for i in range(mpre.size - 1, 0, -1):
-            mpre[i - 1] = max(mpre[i - 1], mpre[i])
+        mpre = np.maximum.accumulate(mpre[::-1])[::-1]
         changed = np.flatnonzero(mrec[1:] != mrec[:-1])
         return float(np.sum((mrec[changed + 1] - mrec[changed]) * mpre[changed + 1]))
     raise ValueError(f"unknown AP mode {mode!r}")
@@ -232,15 +224,13 @@ def evaluate(
     gt: GtIndex,
     iou_threshold: float = 0.5,
     mode: str = MODE_11POINT,
-    *,
-    map_fn=map,
 ) -> APReport:
     """Per-class AP and mAP at one rotated-IoU threshold.
 
     Classes with no non-difficult ground truth are reported with AP 0
     but excluded from the mAP mean.
     """
-    matches = match_detections(dets_per_image, gt, iou_threshold, map_fn=map_fn)
+    matches = match_detections(dets_per_image, gt, iou_threshold)
     per_class: dict[str, float] = {}
     aps: list[float] = []
     for class_id in range(1, len(gt.classes) + 1):

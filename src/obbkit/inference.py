@@ -36,13 +36,13 @@ class InferenceConfig:
     """Post-processing knobs.
 
     The score threshold applies to the fused class x centerness score.
-    apply_nms turns the suppression step off entirely when False.
+    nms_iou_threshold=1.0 keeps every candidate, since polygon IoU never
+    exceeds 1.
     """
 
     score_threshold: float = 0.05
     nms_iou_threshold: float = 0.5
     max_detections: int = 2000
-    apply_nms: bool = True
 
     def __post_init__(self):
         if not (0.0 <= self.score_threshold <= 1.0):
@@ -82,16 +82,20 @@ def rotated_nms(dets: Sequence[Detection], iou_thresh: float) -> list[Detection]
 
     Detections are visited in descending score (ties broken by input
     index); one is kept iff its IoU with every kept detection of the
-    same class stays at or below the threshold. Output is in visit
-    order, so scores are non-increasing.
+    same class stays at or below the threshold, so a threshold of 1
+    keeps every detection without computing any IoU. Output is in
+    visit order, so scores are non-increasing. The threshold must lie
+    in [0, 1].
     """
+    if not 0.0 <= iou_thresh <= 1.0:
+        raise ValueError(f"NMS IoU threshold must lie in [0, 1], got {iou_thresh}")
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
     kept: list[Detection] = []
     kept_by_class: dict[int, list[Quad]] = {}
     for i in order:
         det = dets[i]
         quads = kept_by_class.setdefault(det.class_id, [])
-        if all(polygon_iou(det.quad, q) <= iou_thresh for q in quads):
+        if iou_thresh == 1.0 or all(polygon_iou(det.quad, q) <= iou_thresh for q in quads):
             quads.append(det.quad)
             kept.append(det)
     return kept
@@ -107,7 +111,7 @@ def run_inference(
     Each batch holds row-major (y_s outer, x_s inner) locations for its
     grid. Every (location, class) pair whose fused score clears the
     threshold decodes to a candidate; candidates then pass through
-    rotated NMS (unless disabled) and the best max_detections survive.
+    rotated NMS and the best max_detections survive.
     """
     if len(preds_per_level) != len(specs):
         raise ShapeMismatch(f"{len(preds_per_level)} batches vs {len(specs)} grid specs")
@@ -127,9 +131,4 @@ def run_inference(
                     continue
                 quad = decode_location(spec, x_s, y_s, batch.ltrb[idx], batch.wh[idx])
                 candidates.append(Detection(quad, c + 1, score))
-    if config.apply_nms:
-        candidates = rotated_nms(candidates, config.nms_iou_threshold)
-    else:
-        order = sorted(range(len(candidates)), key=lambda i: (-candidates[i].score, i))
-        candidates = [candidates[i] for i in order]
-    return candidates[: config.max_detections]
+    return rotated_nms(candidates, config.nms_iou_threshold)[: config.max_detections]

@@ -174,9 +174,8 @@ def bce(pred: float, target: float) -> tuple[float, float]:
         raise NonFiniteScore(f"prediction must lie strictly in (0, 1), got {pred}")
     if not (0.0 <= target <= 1.0):
         raise ValueError(f"target must lie in [0, 1], got {target}")
-    loss = -(target * math.log(pred) + (1.0 - target) * math.log(1.0 - pred))
-    grad = (pred - target) / (pred * (1.0 - pred))
-    return loss, grad
+    loss, grad = _bce_batch(np.float64(pred), np.float64(target))
+    return float(loss), float(grad)
 
 
 def _bce_batch(pred: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

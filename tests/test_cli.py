@@ -300,6 +300,26 @@ class TestEvalCommand:
             outputs.append(out)
         assert outputs[0] == outputs[1] == outputs[2]
 
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("eval", ["--iou", "1.5"]),
+            ("eval", ["--set", "eval_iou_threshold=7"]),
+            ("eval", ["--iou", "nan"]),
+            ("nms", ["--iou", "-0.5"]),
+            ("nms", ["--iou", "nan"]),
+        ],
+    )
+    def test_iou_threshold_outside_unit_interval(self, command, extra, scene, capsys, tmp_path):
+        if command == "eval":
+            argv = ["eval", "--gt", str(scene / "gt"), "--dets", str(scene / "dets")]
+        else:
+            argv = ["nms", "--dets", str(scene / "dets"), "--out", str(tmp_path / "out")]
+        code, out, err = run_cli(capsys, *argv, *extra)
+        assert code == 2
+        assert out == ""
+        assert "must lie in [0, 1]" in err
+
     def test_score_out_of_range_is_data_error(self, scene, capsys):
         bad = scene / "dets" / "plane.txt"
         bad.write_text("P0001 1.5 0 0 10 0 10 10 0 10\n")
@@ -466,22 +486,19 @@ class TestConfig:
         assert cfg.weights.ori_weight == 1.0
         assert cfg.weights.reg_l1_weight == 0.2
         assert cfg.weights.ori_l1_weight == 0.2
-        assert cfg.inference.score_threshold == 0.05
-        assert cfg.inference.nms_iou_threshold == 0.5
-        assert cfg.inference.max_detections == 2000
         assert cfg.center_radius_mult == 1.5
         assert cfg.strides == (8, 16, 32, 64, 128)
         assert len(cfg.level_ranges) == 5
 
     def test_file_and_override_precedence(self, tmp_path):
         f = tmp_path / "run.cfg"
-        f.write_text("# comment\nfocal_alpha = 0.9\nscore_threshold=0.2\n")
+        f.write_text("# comment\nfocal_alpha = 0.9\neval_iou_threshold=0.7\n")
         values = read_config_file(f)
         cfg = build_config(values)
         assert cfg.weights.focal_alpha == 0.9
         cfg = build_config(values, focal_alpha="0.25")
         assert cfg.weights.focal_alpha == 0.25
-        assert cfg.inference.score_threshold == 0.2
+        assert cfg.eval_iou_threshold == 0.7
 
     def test_unknown_key(self):
         with pytest.raises(ValueError):
@@ -498,11 +515,27 @@ class TestConfig:
         assert len(r) == 3
         assert math.isinf(r[2][1])
 
-    def test_threads_env_default(self, monkeypatch):
-        monkeypatch.setenv("OBBKIT_THREADS", "6")
-        assert build_config().threads == 6
-        monkeypatch.setenv("OBBKIT_THREADS", "junk")
-        assert build_config().threads == 1
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("threads", "2"),
+            ("seed", "0"),
+            ("score_threshold", "0.1"),
+            ("nms_iou_threshold", "0.5"),
+            ("max_detections", "10"),
+            ("apply_nms", "false"),
+        ],
+    )
+    def test_removed_key_is_unknown(self, key, value, scene, capsys):
+        with pytest.raises(ValueError, match="unknown config key"):
+            build_config({key: value})
+        code, out, err = run_cli(
+            capsys, "eval", "--gt", str(scene / "gt"), "--dets", str(scene / "dets"),
+            "--set", f"{key}={value}",
+        )
+        assert code == 2
+        assert out == ""
+        assert "unknown config key" in err
 
     def test_strides_ranges_length_mismatch(self):
         with pytest.raises(ValueError):

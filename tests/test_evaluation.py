@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -237,15 +238,11 @@ class TestEvaluate:
         for class_id, matches in m.items():
             assert (matches.flags == TP).sum() <= gt.num_ground_truth(class_id)
 
-    def test_threaded_map_matches_serial(self):
-        from concurrent.futures import ThreadPoolExecutor
-
+    @pytest.mark.parametrize("thresh", [-0.5, 1.5, math.nan])
+    def test_threshold_outside_unit_interval(self, thresh):
         dets, gt = fixture_scene()
-        serial = evaluate(dets, gt, 0.5, MODE_11POINT)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            threaded = evaluate(dets, gt, 0.5, MODE_11POINT, map_fn=pool.map)
-        assert serial.per_class == threaded.per_class
-        assert serial.mean_ap == threaded.mean_ap
+        with pytest.raises(ValueError, match="must lie in"):
+            match_detections(dets, gt, thresh)
 
 
 class TestClassTable:

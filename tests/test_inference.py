@@ -98,6 +98,16 @@ class TestRotatedNms:
         keep = rotated_nms([a, b], 0.5)
         assert keep == [a]
 
+    def test_threshold_one_keeps_everything_in_score_order(self):
+        q = axis_box(0, 0, 2, 2)
+        a, b, c = det(q, 1, 0.5), det(q, 1, 0.9), det(q, 1, 0.5)
+        assert rotated_nms([a, b, c], 1.0) == [b, a, c]
+
+    @pytest.mark.parametrize("thresh", [-0.5, 1.5, math.nan])
+    def test_threshold_outside_unit_interval(self, thresh):
+        with pytest.raises(ValueError, match="must lie in"):
+            rotated_nms([det(axis_box(0, 0, 2, 2))], thresh)
+
 
 def batch_for(spec, entries, num_classes=2):
     """entries: {(x_s, y_s): (class_scores, centerness, ltrb, wh)}"""
@@ -165,7 +175,7 @@ class TestRunInference:
         )
         counts = []
         for thresh in (0.05, 0.2, 0.5, 0.8):
-            cfg = InferenceConfig(score_threshold=thresh, apply_nms=False)
+            cfg = InferenceConfig(score_threshold=thresh, nms_iou_threshold=1.0)
             counts.append(len(run_inference([batch], [spec], cfg)))
         assert counts == sorted(counts, reverse=True)
 
@@ -178,7 +188,7 @@ class TestRunInference:
         }
         batch = batch_for(spec, entries)
         with_nms = run_inference([batch], [spec], InferenceConfig(nms_iou_threshold=0.3))
-        without = run_inference([batch], [spec], InferenceConfig(apply_nms=False))
+        without = run_inference([batch], [spec], InferenceConfig(nms_iou_threshold=1.0))
         assert len(with_nms) == 1
         assert len(without) == 2
 
@@ -190,7 +200,7 @@ class TestRunInference:
             for y in range(3)
         }
         batch = batch_for(spec, entries)
-        cfg = InferenceConfig(max_detections=3, apply_nms=False)
+        cfg = InferenceConfig(max_detections=3, nms_iou_threshold=1.0)
         dets = run_inference([batch], [spec], cfg)
         assert len(dets) == 3
         scores = [d.score for d in dets]

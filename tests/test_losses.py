@@ -91,6 +91,24 @@ class TestBce:
     def test_boundary_rejected(self):
         with pytest.raises(NonFiniteScore):
             bce(1.0, 1.0)
+        with pytest.raises(NonFiniteScore):
+            bce(math.nan, 0.5)
+        with pytest.raises(ValueError):
+            bce(0.5, 1.5)
+
+    def test_matches_scalar_formula(self):
+        # bce runs on numpy's log, which may differ from math.log in the
+        # last bit or two; the gradient uses no log and stays exact
+        rng = np.random.default_rng(17)
+        preds = rng.uniform(1e-6, 1 - 1e-6, 5000)
+        targets = rng.uniform(0.0, 1.0, 5000)
+        targets[::3] = np.round(targets[::3])
+        for p, t in zip(preds.tolist(), targets.tolist()):
+            value, grad = bce(p, t)
+            assert type(value) is float and type(grad) is float
+            expected = -(t * math.log(p) + (1.0 - t) * math.log(1.0 - p))
+            assert value == pytest.approx(expected, rel=1e-15, abs=0.0)
+            assert grad == (p - t) / (p * (1.0 - p))
 
 
 class TestSmoothL1:
