@@ -27,8 +27,12 @@ from .geometry import (
     decode,
     encode,
     hbb_iou,
+    hbb_overlap,
     polygon_area,
     polygon_iou,
+    polygon_iou_block,
+    polygon_iou_pairs,
+    quad_arrays,
     quad_from_offsets,
     raster_iou_oracle,
 )

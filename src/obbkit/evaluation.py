@@ -1,10 +1,14 @@
 """VOC-style AP / mAP over rotated-IoU matching.
 
-Detections are matched per class in descending score order to the
-unmatched ground-truth quad with the highest polygon IoU; matches below
-the threshold are false positives, each ground truth matches at most
-once, and difficult ground truth is ignored on both sides (it neither
-counts toward recall nor turns a detection into a TP or FP).
+Detections are matched per class in descending score order with the
+rule of VOC and the DOTA devkit (``voc_eval``): each detection takes the
+same-class, same-image ground-truth quad with the highest polygon IoU,
+matched or not. An IoU strictly above the threshold on an unmatched
+ground truth is a true positive and claims it; on an already-matched one
+it is a false positive, and so is a best IoU at or below the threshold.
+Difficult ground truth is ignored on both sides: it never counts toward
+recall, and a detection whose best match it is counts as neither TP nor
+FP.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import UnknownCategory, UnknownClass
-from .geometry import polygon_iou
+from .geometry import hbb_overlap, polygon_iou_pairs, quad_arrays
 from .inference import Detection
 from .targets import GroundTruthObject
 
@@ -106,40 +110,59 @@ class APReport:
     mode: str
 
 
-def _match_class(
-    class_id: int,
-    entries: list[tuple[float, str, int, Detection]],
-    gt: GtIndex,
-    iou_thresh: float,
-) -> ClassMatches:
-    entries.sort(key=lambda e: (-e[0], e[1], e[2]))
-    matched: dict[str, set[int]] = {}
-    flags = np.empty(len(entries), dtype=int)
-    scores = np.empty(len(entries), dtype=float)
-    for k, (score, image_id, _i, det) in enumerate(entries):
-        scores[k] = score
-        used = matched.setdefault(image_id, set())
-        best_j = -1
-        best_iou = 0.0
-        best_difficult = False
-        for j, obj in enumerate(gt.images.get(image_id, [])):
-            if obj.class_id != class_id or j in used:
-                continue
-            iou = polygon_iou(det.quad, obj.quad)
-            if iou > best_iou:
-                best_iou = iou
-                best_j = j
-                best_difficult = obj.difficult
-        if best_j >= 0 and best_iou >= iou_thresh:
-            if best_difficult:
-                # difficult ground truth absorbs matches without limit
-                flags[k] = IGNORED
-            else:
-                used.add(best_j)
-                flags[k] = TP
-        else:
-            flags[k] = FP
-    return ClassMatches(class_id, scores, flags, gt.num_ground_truth(class_id))
+def _match_flags(
+    dets_per_image: Mapping[str, Sequence[Detection]], gt: GtIndex, iou_thresh: float
+) -> dict[str, np.ndarray]:
+    """TP / FP / IGNORED of every detection, per image in input order.
+
+    Within one image and class the visit order is descending score, ties
+    by input order. One batched call computes the IoU of every
+    same-class (detection, ground truth) pair whose horizontal boxes
+    overlap; every other pair counts as IoU 0.
+    """
+    orders: dict[str, list[int]] = {}
+    det_quads, gt_quads, pair_det, pair_gt = [], [], [], []
+    difficult: list[bool] = []
+    num_dets = 0
+    for image_id, dets in dets_per_image.items():
+        order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+        objs = gt.images.get(image_id, [])
+        if order and objs:
+            dq = quad_arrays([dets[i].quad for i in order])
+            gq = quad_arrays([obj.quad for obj in objs])
+            det_class = np.array([dets[i].class_id for i in order])
+            same = det_class[:, None] == np.array([obj.class_id for obj in objs])
+            k, g = np.nonzero(hbb_overlap(dq, gq) & same)
+            det_quads.append(dq[k])
+            gt_quads.append(gq[g])
+            pair_det.append(k + num_dets)
+            pair_gt.append(g + len(difficult))
+        orders[image_id] = order
+        num_dets += len(order)
+        difficult.extend(obj.difficult for obj in objs)
+
+    flags = np.full(num_dets, FP)
+    if pair_det:
+        k, g = np.concatenate(pair_det), np.concatenate(pair_gt)
+        iou = polygon_iou_pairs(np.concatenate(det_quads), np.concatenate(gt_quads))
+        # each detection's best ground truth, the first one on a tie
+        best = np.lexsort((g, -iou, k))
+        best = best[np.diff(k[best], prepend=-1) != 0]
+        k, g, hit = k[best], g[best], iou[best] > iou_thresh
+        hard = np.array(difficult)[g]
+        flags[k[hit & hard]] = IGNORED
+        # k ascends in visit order, so the first claim on a ground truth wins
+        claims = np.flatnonzero(hit & ~hard)
+        _, first = np.unique(g[claims], return_index=True)
+        flags[k[claims[first]]] = TP
+
+    out: dict[str, np.ndarray] = {}
+    start = 0
+    for image_id, order in orders.items():
+        out[image_id] = np.empty(len(order), dtype=int)
+        out[image_id][order] = flags[start : start + len(order)]
+        start += len(order)
+    return out
 
 
 def match_detections(
@@ -150,25 +173,35 @@ def match_detections(
     """Greedy TP/FP matching per class across all images.
 
     Within a class, detections are visited in descending score (ties by
-    image id, then input order); each one matches the unmatched
-    same-class, same-image ground truth with the highest polygon IoU.
-    An IoU at or above the threshold is a TP unless that ground truth is
-    difficult, in which case the detection is ignored; anything else is
-    a FP. The threshold must lie in [0, 1].
+    image id, then input order); each one takes the same-class,
+    same-image ground truth with the highest polygon IoU (the first on
+    a tie), whether matched before or not. An IoU strictly above the
+    threshold is a TP if that ground truth is still unmatched, ignored
+    if it is difficult, and a FP if it was matched already; a best IoU
+    at or below the threshold, or no same-class ground truth, is a FP.
+    The threshold must lie in [0, 1].
     """
     if not 0.0 <= iou_thresh <= 1.0:
         raise ValueError(f"match IoU threshold must lie in [0, 1], got {iou_thresh}")
     num_classes = len(gt.classes)
-    pool: dict[int, list[tuple[float, str, int, Detection]]] = {
-        c: [] for c in range(1, num_classes + 1)
-    }
+    pool: dict[int, list[tuple[float, str, int]]] = {c: [] for c in range(1, num_classes + 1)}
     for image_id in sorted(dets_per_image):
         for i, det in enumerate(dets_per_image[image_id]):
             if not 1 <= det.class_id <= num_classes:
                 raise UnknownClass(f"detection class id {det.class_id} outside table")
-            pool[det.class_id].append((det.score, image_id, i, det))
+            pool[det.class_id].append((det.score, image_id, i))
 
-    return {c: _match_class(c, entries, gt, iou_thresh) for c, entries in sorted(pool.items())}
+    flags = _match_flags(dets_per_image, gt, iou_thresh)
+    matches = {}
+    for c, entries in sorted(pool.items()):
+        entries.sort(key=lambda e: (-e[0], e[1], e[2]))
+        matches[c] = ClassMatches(
+            c,
+            np.array([score for score, _, _ in entries], dtype=float),
+            np.array([flags[image_id][i] for _, image_id, i in entries], dtype=int),
+            gt.num_ground_truth(c),
+        )
+    return matches
 
 
 def pr_curve(flags: Sequence[int], scores: Sequence[float], num_gt: int) -> PRCurve:

@@ -10,10 +10,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import ShapeMismatch
-from .geometry import Quad, polygon_iou, quad_from_offsets
+from .geometry import Quad, hbb_overlap, polygon_iou_pairs, quad_arrays, quad_from_offsets
 from .losses import PredictionBatch
 from .targets import FeatureGridSpec, grid_to_image
+
+
+# Upper bound on the quad pairs rotated_nms tests for HBB overlap at once.
+NMS_PAIRS_PER_BAND = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -86,19 +92,35 @@ def rotated_nms(dets: Sequence[Detection], iou_thresh: float) -> list[Detection]
     keeps every detection without computing any IoU. Output is in
     visit order, so scores are non-increasing. The threshold must lie
     in [0, 1].
+
+    The IoU pairs are the lower triangle of one block over the
+    visit-ordered quads, restricted to same-class pairs whose horizontal
+    boxes overlap (all others count as IoU 0 and are never clipped),
+    with the later (lower-scored) detection as the first argument of
+    :func:`polygon_iou`. The block is walked in bands of rows so that
+    memory stays bounded.
     """
     if not 0.0 <= iou_thresh <= 1.0:
         raise ValueError(f"NMS IoU threshold must lie in [0, 1], got {iou_thresh}")
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    kept: list[Detection] = []
-    kept_by_class: dict[int, list[Quad]] = {}
-    for i in order:
-        det = dets[i]
-        quads = kept_by_class.setdefault(det.class_id, [])
-        if iou_thresh == 1.0 or all(polygon_iou(det.quad, q) <= iou_thresh for q in quads):
-            quads.append(det.quad)
-            kept.append(det)
-    return kept
+    if iou_thresh == 1.0:
+        return [dets[i] for i in order]
+    quads = quad_arrays([dets[i].quad for i in order])
+    classes = np.array([dets[i].class_id for i in order])
+    suppressed = [False] * len(order)
+    band = max(1, NMS_PAIRS_PER_BAND // max(len(order), 1))
+    for top in range(0, len(order), band):
+        bottom = min(top + band, len(order))
+        candidates = hbb_overlap(quads[top:bottom], quads[:bottom])
+        candidates &= classes[top:bottom, None] == classes[None, :bottom]
+        rows, cols = np.nonzero(np.tril(candidates, top - 1))
+        rows += top
+        over = polygon_iou_pairs(quads[rows], quads[cols]) > iou_thresh
+        # pairs come row by row, so an earlier row is final before it is read
+        for row, col in zip(rows[over].tolist(), cols[over].tolist()):
+            if not suppressed[col]:
+                suppressed[row] = True
+    return [dets[i] for i, gone in zip(order, suppressed) if not gone]
 
 
 def run_inference(

@@ -115,7 +115,8 @@ class PredictionBatch:
         return self.class_scores.shape[1]
 
 def _require_open_unit(scores: np.ndarray) -> None:
-    if scores.size and (scores.min() <= 0.0 or scores.max() >= 1.0):
+    # written so that NaN fails the test too
+    if not ((scores > 0.0) & (scores < 1.0)).all():
         raise NonFiniteScore("scores must lie strictly inside (0, 1)")
 
 

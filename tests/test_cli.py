@@ -224,6 +224,13 @@ class TestLossCommand:
         assert code == 3
         assert "numeric error" in err
 
+    def test_nan_score_is_numeric_error(self, tmp_path, capsys):
+        targets, preds = self.write_files(tmp_path, centerness="nan")
+        code, out, err = run_cli(capsys, "loss", "--targets", str(targets), "--preds", str(preds))
+        assert code == 3
+        assert "numeric error" in err
+        assert "total" not in out
+
     def test_weight_override_changes_total(self, tmp_path, capsys):
         targets, preds = self.write_files(tmp_path)
         _, base, _ = run_cli(capsys, "loss", "--targets", str(targets), "--preds", str(preds))

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obbkit.errors import UnknownCategory, UnknownClass
 from obbkit.evaluation import (
@@ -22,7 +24,7 @@ from obbkit.geometry import polygon_iou
 from obbkit.inference import Detection
 from obbkit.targets import GroundTruthObject
 
-from helpers import axis_box, random_rect
+from helpers import axis_box, match_flags_oracle, random_rect, rotated_rect
 
 
 def fixture_scene():
@@ -54,6 +56,43 @@ def fixture_scene():
         "P0002": [Detection(axis_box(0, 0, 10, 10), 2, 0.85)],
     }
     return dets, gt
+
+
+@st.composite
+def scenes(draw):
+    """Two images, two classes, clustered boxes, tied scores, some difficult GT."""
+    classes = ClassTable(("plane", "ship"))
+
+    def box():
+        return rotated_rect(
+            draw(st.floats(0, 40)),
+            draw(st.floats(0, 40)),
+            draw(st.floats(4, 30)),
+            draw(st.floats(4, 30)),
+            draw(st.floats(-90, 90)),
+        )
+
+    images = ("A", "B")
+    gt = {
+        image: [
+            GroundTruthObject(box(), draw(st.integers(1, 2)), draw(st.booleans()))
+            for _ in range(draw(st.integers(0, 5)))
+        ]
+        for image in images
+    }
+    dets = {}
+    for image in images:
+        dets[image] = []
+        for _ in range(draw(st.integers(0, 8))):
+            if gt[image] and draw(st.booleans()):
+                # a jittered copy of a ground truth box, often of the right class
+                obj = gt[image][draw(st.integers(0, len(gt[image]) - 1))]
+                quad = obj.quad.translated(draw(st.floats(-4, 4)), draw(st.floats(-4, 4)))
+            else:
+                quad = box()
+            score = draw(st.sampled_from([0.3, 0.6, 0.6, 0.9]))
+            dets[image].append(Detection(quad, draw(st.integers(1, 2)), score))
+    return dets, GtIndex(gt, classes)
 
 
 class TestMatchDetections:
@@ -140,6 +179,62 @@ class TestMatchDetections:
             assert greedy_tp == best
 
 
+    def test_best_match_already_taken_is_fp(self):
+        # VOC / DOTA devkit rule: the second detection's best ground truth
+        # (IoU 0.905) is already matched, so it is a FP even though the
+        # other ground truth (IoU 0.739) is free; "best unmatched" gave AP 1.0
+        classes = ClassTable(("plane",))
+        gt = GtIndex(
+            {
+                "A": [
+                    GroundTruthObject(axis_box(0, 0, 10, 10), 1),
+                    GroundTruthObject(axis_box(2, 0, 12, 10), 1),
+                ]
+            },
+            classes,
+        )
+        dets = {
+            "A": [
+                Detection(axis_box(0, 0, 10, 10), 1, 0.9),
+                Detection(axis_box(0.5, 0, 10.5, 10), 1, 0.8),
+            ]
+        }
+        assert list(match_detections(dets, gt, 0.5)[1].flags) == [TP, FP]
+        assert evaluate(dets, gt, 0.5, MODE_11POINT).mean_ap == pytest.approx(6 / 11, abs=1e-15)
+        assert evaluate(dets, gt, 0.5, MODE_ALLPOINT).mean_ap == pytest.approx(0.5, abs=1e-15)
+
+    def test_iou_equal_to_threshold_is_fp(self):
+        classes = ClassTable(("plane",))
+        gt = GtIndex({"A": [GroundTruthObject(axis_box(0, 0, 10, 10), 1)]}, classes)
+        dets = {"A": [Detection(axis_box(0, 0, 10, 5), 1, 0.9)]}  # IoU exactly 0.5
+        assert list(match_detections(dets, gt, 0.5)[1].flags) == [FP]
+        assert list(match_detections(dets, gt, 0.4999)[1].flags) == [TP]
+
+    def test_difficult_best_match_hides_a_free_ground_truth(self):
+        classes = ClassTable(("plane",))
+        gt = GtIndex(
+            {
+                "A": [
+                    GroundTruthObject(axis_box(2, 0, 12, 10), 1),
+                    GroundTruthObject(axis_box(0, 0, 10, 10), 1, difficult=True),
+                ]
+            },
+            classes,
+        )
+        dets = {"A": [Detection(axis_box(0, 0, 10, 10), 1, 0.9)]}
+        assert list(match_detections(dets, gt, 0.5)[1].flags) == [IGNORED]
+
+    @settings(max_examples=100, deadline=None)
+    @given(scenes(), st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+    def test_matches_scalar_oracle(self, scene, thresh):
+        dets, gt = scene
+        got = match_detections(dets, gt, thresh)
+        for class_id in (1, 2):
+            scores, flags = match_flags_oracle(dets, gt, class_id, thresh)
+            assert got[class_id].scores.tolist() == scores
+            assert got[class_id].flags.tolist() == flags
+
+
 class TestPrCurve:
     def test_single_tp(self):
         curve = pr_curve([TP], [0.9], 1)
@@ -183,6 +278,18 @@ class TestAveragePrecision:
     def test_hand_computed_all_point(self):
         curve = pr_curve([TP, FP, TP], [0.9, 0.8, 0.7], 2)
         assert abs(average_precision(curve, MODE_ALLPOINT) - 5 / 6) < 1e-12
+
+    def test_11_point_tolerance_differs_from_reference(self):
+        # recall 3/10 = 0.29999999999999999 sits just under the grid point
+        # np.arange gives as 0.30000000000000004; the t - 1e-12 tolerance
+        # counts it, the reference rec >= t (VOC, DOTA devkit) does not
+        curve = pr_curve([TP, TP, TP], [0.9, 0.8, 0.7], 10)
+        reference = sum(
+            float(curve.precisions[curve.recalls >= t].max()) if (curve.recalls >= t).any() else 0.0
+            for t in np.arange(0.0, 1.1, 0.1)
+        ) / 11.0
+        assert reference == pytest.approx(3 / 11, abs=1e-15)
+        assert average_precision(curve, MODE_11POINT) == pytest.approx(4 / 11, abs=1e-15)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):

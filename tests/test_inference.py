@@ -1,10 +1,14 @@
+import contextlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from obbkit import inference
 from obbkit.errors import ShapeMismatch
-from obbkit.geometry import polygon_iou
+from obbkit.geometry import polygon_iou, polygon_iou_block, quad_arrays
 from obbkit.inference import (
     Detection,
     InferenceConfig,
@@ -21,7 +25,7 @@ from obbkit.targets import (
     assign_targets,
 )
 
-from helpers import axis_box, random_rect, rotated_rect
+from helpers import axis_box, random_rect, rotated_nms_oracle, rotated_rect
 
 
 class TestFuseScores:
@@ -61,6 +65,34 @@ class TestDecodeLocation:
 
 def det(quad, class_id=1, score=0.5):
     return Detection(quad, class_id, score)
+
+
+clustered_dets = st.lists(
+    st.builds(
+        lambda cx, cy, w, h, angle, class_id, score: Detection(
+            rotated_rect(cx, cy, w, h, angle), class_id, score
+        ),
+        st.floats(0, 60),
+        st.floats(0, 60),
+        st.floats(4, 40),
+        st.floats(4, 40),
+        st.floats(-90, 90),
+        st.integers(1, 3),
+        st.sampled_from([0.2, 0.5, 0.5, 0.9]),  # ties on purpose
+    ),
+    max_size=25,
+)
+
+
+@contextlib.contextmanager
+def nms_band(pairs):
+    """Set rotated_nms's band size for the duration of the block."""
+    saved = inference.NMS_PAIRS_PER_BAND
+    inference.NMS_PAIRS_PER_BAND = pairs
+    try:
+        yield
+    finally:
+        inference.NMS_PAIRS_PER_BAND = saved
 
 
 class TestRotatedNms:
@@ -107,6 +139,30 @@ class TestRotatedNms:
     def test_threshold_outside_unit_interval(self, thresh):
         with pytest.raises(ValueError, match="must lie in"):
             rotated_nms([det(axis_box(0, 0, 2, 2))], thresh)
+
+    @settings(max_examples=150, deadline=None)
+    @given(clustered_dets, st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from([1, 60, 1 << 18]))
+    def test_matches_scalar_oracle(self, dets, thresh, band):
+        # 1 and 60 split the block into bands of one and of several rows
+        with nms_band(band):
+            got = rotated_nms(dets, thresh)
+        want = rotated_nms_oracle(dets, thresh)
+        assert [id(d) for d in got] == [id(d) for d in want]
+
+    def test_2000_scattered_boxes_all_kept_in_score_order(self):
+        # one class on a 50 x 40 grid of 25 px cells: neighbours' HBBs
+        # overlap, their IoU stays far below 0.5 (the scalar loop took 23.7 s)
+        rng = np.random.default_rng(2000)
+        dets = []
+        for k in range(2000):
+            cx = 25.0 * (k % 50) + rng.uniform(-3, 3)
+            cy = 25.0 * (k // 50) + rng.uniform(-3, 3)
+            w, h = rng.uniform(10, 30, 2)
+            dets.append(det(rotated_rect(cx, cy, w, h, rng.uniform(-90, 90)), 1, float(rng.random())))
+        quads = quad_arrays([d.quad for d in dets])
+        assert np.tril(polygon_iou_block(quads, quads) > 0.0, -1).sum() > 500
+        order = sorted(range(2000), key=lambda i: (-dets[i].score, i))
+        assert rotated_nms(dets, 0.5) == [dets[i] for i in order]
 
 
 def batch_for(spec, entries, num_classes=2):

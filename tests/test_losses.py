@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -61,6 +62,12 @@ class TestFocalLoss:
             focal_loss(np.array([1.0]), np.array([1.0]), 0.3, 4.0, 1.0)
         with pytest.raises(NonFiniteScore):
             focal_loss(np.array([0.0]), np.array([0.0]), 0.3, 4.0, 1.0)
+
+    def test_nan_score_rejected(self):
+        with pytest.raises(NonFiniteScore):
+            focal_loss(np.array([0.5, math.nan]), np.array([1.0, 0.0]), 0.3, 4.0, 1.0)
+        with pytest.raises(NonFiniteScore):
+            focal_loss(np.array([[math.nan]]), np.array([[0.0]]), 0.3, 4.0, 1.0)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
@@ -257,6 +264,14 @@ def hand_total_fixture():
 
 
 class TestTotalLoss:
+    @pytest.mark.parametrize("field", ["class_scores", "centerness"])
+    def test_nan_score_rejected(self, field):
+        batch, targets = hand_total_fixture()
+        values = getattr(batch, field).copy()
+        values.flat[0] = math.nan
+        with pytest.raises(NonFiniteScore):
+            total_loss(dataclasses.replace(batch, **{field: values}), targets, DEFAULT_WEIGHTS)
+
     def test_matches_independent_hand_sum(self):
         batch, targets = hand_total_fixture()
         result = total_loss(batch, targets, DEFAULT_WEIGHTS)
