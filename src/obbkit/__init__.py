@@ -34,6 +34,8 @@ from .geometry import (
     polygon_iou_pairs,
     quad_arrays,
     quad_from_offsets,
+    quad_list,
+    quads_from_offsets,
     raster_iou_oracle,
 )
 from .targets import (
@@ -77,8 +79,6 @@ from .ie_attention import (
 from .inference import (
     Detection,
     InferenceConfig,
-    decode_location,
-    fuse_scores,
     rotated_nms,
     run_inference,
 )

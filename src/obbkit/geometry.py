@@ -105,9 +105,7 @@ class Quad:
         return tuple(out)
 
     def bounds(self) -> HBB:
-        xs = [v.x for v in self.vertices]
-        ys = [v.y for v in self.vertices]
-        return HBB(min(xs), min(ys), max(xs), max(ys))
+        return HBB(*_extent(self))
 
     def translated(self, dx: float, dy: float) -> "Quad":
         return Quad(*(Point2(v.x + dx, v.y + dy) for v in self.vertices))
@@ -133,6 +131,13 @@ class EncodedBox:
             raise ValueError(f"negative orientation offsets ({self.w}, {self.h})")
         if self.w > self.hbb.width + EDGE_EPS or self.h > self.hbb.height + EDGE_EPS:
             raise ValueError("orientation offsets exceed box extents")
+
+
+def _extent(q: Quad) -> tuple[float, float, float, float]:
+    """xmin, ymin, xmax, ymax of a quad's vertices."""
+    xs = (q.v1.x, q.v2.x, q.v3.x, q.v4.x)
+    ys = (q.v1.y, q.v2.y, q.v3.y, q.v4.y)
+    return min(xs), min(ys), max(xs), max(ys)
 
 
 def _as_xy_list(points: Iterable) -> list[tuple[float, float]]:
@@ -246,23 +251,55 @@ def decode(e: EncodedBox) -> Quad:
 
 
 def quad_from_offsets(point: Point2, ltrb: Sequence[float], wh: Sequence[float]) -> Quad:
-    """Decode a quad from per-location offsets around an interior point.
+    """Decode one quad from per-location offsets; see :func:`quads_from_offsets`."""
+    verts = quads_from_offsets(
+        np.array([[point.x, point.y]], dtype=float),
+        np.asarray(ltrb, dtype=float).reshape(1, 4),
+        np.asarray(wh, dtype=float).reshape(1, 2),
+    )
+    return quad_list(verts)[0]
 
-    The HBB spans [x-l, x+r] x [y-t, y+b]; (w, h) are clamped into the
+
+def quads_from_offsets(points: np.ndarray, ltrb: np.ndarray, wh: np.ndarray) -> np.ndarray:
+    """Decode (N, 4, 2) quad vertices from offsets around (N, 2) interior points.
+
+    Row k's HBB spans [x-l, x+r] x [y-t, y+b]; (w, h) are clamped into the
     box extents so unconstrained predictions still decode. The two
     degenerate orientation corners, (0, 0) and (width, height), collapse
     to a diagonal segment under the exact decode; both read as "no
-    rotation" and produce the axis-aligned box instead.
+    rotation" and produce the axis-aligned box instead. Every row takes
+    the float operations of :func:`decode` on that HBB and (w, h), so the
+    vertices are those of the scalar path bit for bit.
+
+    Raises ValueError when a row's HBB is non-finite or inverted, or its
+    clamped (w, h) is not finite (NaN wh).
     """
-    l, t, r, b = (float(v) for v in ltrb)
-    hbb = HBB(point.x - l, point.y - t, point.x + r, point.y + b)
-    w = min(max(float(wh[0]), 0.0), hbb.width)
-    h = min(max(float(wh[1]), 0.0), hbb.height)
-    if (w <= EDGE_EPS and h <= EDGE_EPS) or (
-        hbb.width - w <= EDGE_EPS and hbb.height - h <= EDGE_EPS
-    ):
-        w, h = 0.0, hbb.height
-    return decode(EncodedBox(hbb, w, h))
+    px, py = points[:, 0], points[:, 1]
+    xmin, ymin = px - ltrb[:, 0], py - ltrb[:, 1]
+    xmax, ymax = px + ltrb[:, 2], py + ltrb[:, 3]
+    if not np.isfinite([xmin, ymin, xmax, ymax]).all():
+        raise ValueError("non-finite box in decode")
+    if ((xmin > xmax) | (ymin > ymax)).any():
+        raise ValueError("inverted box in decode")
+    width, height = xmax - xmin, ymax - ymin
+    # the scalar min(max(v, 0.0), extent), NaN and signed zeros included
+    w = np.where(wh[:, 0] < 0.0, 0.0, wh[:, 0])
+    w = np.where(width < w, width, w)
+    h = np.where(wh[:, 1] < 0.0, 0.0, wh[:, 1])
+    h = np.where(height < h, height, h)
+    if not np.isfinite([w, h]).all():
+        raise ValueError("non-finite orientation offsets")
+    flat = ((w <= EDGE_EPS) & (h <= EDGE_EPS)) | (
+        (width - w <= EDGE_EPS) & (height - h <= EDGE_EPS)
+    )
+    w = np.where(flat, 0.0, w)
+    h = np.where(flat, height, h)
+    out = np.empty((len(points), 4, 2))
+    out[:, 0, 0], out[:, 0, 1] = xmin, ymax - h
+    out[:, 1, 0], out[:, 1, 1] = xmax - w, ymin
+    out[:, 2, 0], out[:, 2, 1] = xmax, ymin + h
+    out[:, 3, 0], out[:, 3, 1] = xmin + w, ymax
+    return out
 
 
 def _clip_halfplane(
@@ -311,7 +348,20 @@ def convex_intersect(a: Quad, b: Quad) -> list[Point2]:
 
 
 def polygon_iou(a: Quad, b: Quad) -> float:
-    """Exact intersection-over-union of two convex quads, in [0, 1]."""
+    """Exact intersection-over-union of two convex quads, in [0, 1].
+
+    A pair whose horizontal boxes do not overlap with positive area (the
+    test of :func:`hbb_overlap`) is exactly 0 without clipping. Without
+    that test the clip's absolute EDGE_EPS tolerance would give two
+    axis-aligned quads less than EDGE_EPS over the edge length apart a
+    sliver of overlap (IoU 5e-11 for unit squares 1e-10 apart); a gap that
+    narrow between rotated quads whose horizontal boxes overlap still
+    yields one, on every path alike.
+    """
+    ax0, ay0, ax1, ay1 = _extent(a)
+    bx0, by0, bx1, by1 = _extent(b)
+    if not (ax0 < bx1 and bx0 < ax1 and ay0 < by1 and by0 < ay1):
+        return 0.0
     inter_pts = convex_intersect(a, b)
     inter = polygon_area(inter_pts) if len(inter_pts) >= 3 else 0.0
     union = polygon_area(a.vertices) + polygon_area(b.vertices) - inter
@@ -324,6 +374,14 @@ def quad_arrays(quads: Sequence[Quad]) -> np.ndarray:
     """Vertices of many quads as one (N, 4, 2) float array."""
     flat = [(q.v1.x, q.v1.y, q.v2.x, q.v2.y, q.v3.x, q.v3.y, q.v4.x, q.v4.y) for q in quads]
     return np.array(flat, dtype=float).reshape(-1, 4, 2)
+
+
+def quad_list(vertices: np.ndarray) -> list[Quad]:
+    """Quads from an (N, 4, 2) vertex array: the inverse of :func:`quad_arrays`."""
+    return [
+        Quad(Point2(x1, y1), Point2(x2, y2), Point2(x3, y3), Point2(x4, y4))
+        for (x1, y1), (x2, y2), (x3, y3), (x4, y4) in vertices.tolist()
+    ]
 
 
 def _successors(v: np.ndarray, wrap: np.ndarray) -> np.ndarray:
@@ -396,13 +454,18 @@ def _clip_halfplanes(
 def polygon_iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """polygon_iou(a[k], b[k]) for aligned (P, 4, 2) quad arrays, bit for bit.
 
-    The clip of :func:`convex_intersect` runs on up to PAIRS_PER_CLIP
-    pairs at once over fixed-width vertex buffers, with the same inside
-    test, intersection formula, shoelace sums and union guard as the
-    scalar code.
+    Pairs whose horizontal boxes do not overlap are 0, as in the scalar
+    code. The clip of :func:`convex_intersect` runs on the rest, up to
+    PAIRS_PER_CLIP pairs at once over fixed-width vertex buffers, with the
+    same inside test, intersection formula, shoelace sums and union guard
+    as the scalar code.
     """
     iou = np.zeros(len(a))
+    rows = np.flatnonzero(_overlapping(_hbb_bounds(a), _hbb_bounds(b)))
+    if len(rows) < len(a):
+        a, b = a[rows], b[rows]
     for start in range(0, len(a), PAIRS_PER_CLIP):
+        chunk = rows[start : start + PAIRS_PER_CLIP]
         qa = a[start : start + PAIRS_PER_CLIP]
         qb = b[start : start + PAIRS_PER_CLIP]
         four = np.full(len(qa), 4)
@@ -413,32 +476,36 @@ def polygon_iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         union = _shoelace(qa[:, :, 0], qa[:, :, 1], four) + _shoelace(qb[:, :, 0], qb[:, :, 1], four)
         union -= inter
         ok = union >= AREA_TOLERANCE
-        iou[start : start + PAIRS_PER_CLIP][ok] = np.minimum(
-            np.maximum(inter[ok] / union[ok], 0.0), 1.0
-        )
+        iou[chunk[ok]] = np.minimum(np.maximum(inter[ok] / union[ok], 0.0), 1.0)
     return iou
+
+
+def _hbb_bounds(quads: np.ndarray) -> tuple[np.ndarray, ...]:
+    """xmin, ymin, xmax, ymax of the horizontal boxes of (N, 4, 2) quads."""
+    x, y = quads[:, :, 0], quads[:, :, 1]
+    return (
+        np.minimum(np.minimum(x[:, 0], x[:, 1]), np.minimum(x[:, 2], x[:, 3])),
+        np.minimum(np.minimum(y[:, 0], y[:, 1]), np.minimum(y[:, 2], y[:, 3])),
+        np.maximum(np.maximum(x[:, 0], x[:, 1]), np.maximum(x[:, 2], x[:, 3])),
+        np.maximum(np.maximum(y[:, 0], y[:, 1]), np.maximum(y[:, 2], y[:, 3])),
+    )
+
+
+def _overlapping(a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Broadcast test that horizontal boxes (as _hbb_bounds) overlap with positive area."""
+    return (a[0] < b[2]) & (b[0] < a[2]) & (a[1] < b[3]) & (b[1] < a[3])
 
 
 def hbb_overlap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(N, M) mask of quad pairs whose horizontal boxes overlap with positive area."""
-    ax, ay, bx, by = a[:, :, 0], a[:, :, 1], b[:, :, 0], b[:, :, 1]
-    return (
-        (ax.min(axis=1)[:, None] < bx.max(axis=1))
-        & (bx.min(axis=1) < ax.max(axis=1)[:, None])
-        & (ay.min(axis=1)[:, None] < by.max(axis=1))
-        & (by.min(axis=1) < ay.max(axis=1)[:, None])
-    )
+    return _overlapping([v[:, None] for v in _hbb_bounds(a)], _hbb_bounds(b))
 
 
 def polygon_iou_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(N, M) block of polygon_iou(a[i], b[j]) for (N, 4, 2) and (M, 4, 2) quads.
 
-    Pairs outside :func:`hbb_overlap` are set to exactly 0 without
-    clipping; the rest go through :func:`polygon_iou_pairs` and equal the
-    scalar value bit for bit. The scalar clip's absolute EDGE_EPS
-    tolerance gives an HBB-disjoint pair a sliver of overlap when the gap
-    between them is below EDGE_EPS over the edge length (IoU 5e-11 for
-    unit squares 1e-10 apart); the block reads 0 there.
+    Only the pairs in :func:`hbb_overlap` go through
+    :func:`polygon_iou_pairs`; the rest are 0, as in the scalar code.
     """
     ii, jj = np.nonzero(hbb_overlap(a, b))
     out = np.zeros((len(a), len(b)))

@@ -1,8 +1,10 @@
 """Turn raw per-location predictions into final detections.
 
-Class scores are multiplied by centerness, thresholded, decoded to
-oriented quads around their grid locations, and cleaned up by per-class
-greedy rotated NMS.
+Class scores are multiplied by centerness, thresholded, capped to the
+best PRE_NMS_TOP_N candidates per level, decoded to oriented quads around
+their grid locations, and cleaned up by per-class greedy rotated NMS. The
+whole path runs on arrays; Detection objects are built only for the
+detections that survive.
 """
 
 from __future__ import annotations
@@ -13,13 +15,22 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ShapeMismatch
-from .geometry import Quad, hbb_overlap, polygon_iou_pairs, quad_arrays, quad_from_offsets
+from .geometry import (
+    Quad,
+    hbb_overlap,
+    polygon_iou_pairs,
+    quad_arrays,
+    quad_list,
+    quads_from_offsets,
+)
 from .losses import PredictionBatch
-from .targets import FeatureGridSpec, grid_to_image
+from .targets import FeatureGridSpec
 
 
-# Upper bound on the quad pairs rotated_nms tests for HBB overlap at once.
+# Upper bound on the quad pairs rotated NMS tests for HBB overlap at once.
 NMS_PAIRS_PER_BAND = 1 << 18
+# Candidates per pyramid level kept for NMS, best fused scores first (FCOS).
+PRE_NMS_TOP_N = 1000
 
 
 @dataclass(frozen=True)
@@ -59,55 +70,30 @@ class InferenceConfig:
             raise ValueError("max_detections must be >= 0")
 
 
-def fuse_scores(class_score: float, centerness_score: float) -> float:
-    """Final confidence: classification score times centerness."""
-    if not (0.0 <= class_score <= 1.0 and 0.0 <= centerness_score <= 1.0):
-        raise ValueError("scores must lie in [0, 1]")
-    return class_score * centerness_score
+def _nms_keep(
+    quads: np.ndarray, classes: np.ndarray, scores: np.ndarray, iou_thresh: float
+) -> np.ndarray:
+    """Indices that per-class greedy NMS keeps, in visit order.
 
-
-def decode_location(
-    spec: FeatureGridSpec,
-    x_s: int,
-    y_s: int,
-    ltrb: Sequence[float],
-    wh: Sequence[float],
-) -> Quad:
-    """Decode one grid location's offsets to an oriented quad.
-
-    The grid index maps to an image point, the ltrb offsets span the
-    surrounding HBB, and (w, h), clamped into the box extents, pin the
-    orientation.
-    """
-    point = grid_to_image(spec, x_s, y_s)
-    return quad_from_offsets(point, ltrb, wh)
-
-
-def rotated_nms(dets: Sequence[Detection], iou_thresh: float) -> list[Detection]:
-    """Per-class greedy suppression by polygon IoU.
-
-    Detections are visited in descending score (ties broken by input
-    index); one is kept iff its IoU with every kept detection of the
-    same class stays at or below the threshold, so a threshold of 1
-    keeps every detection without computing any IoU. Output is in
-    visit order, so scores are non-increasing. The threshold must lie
-    in [0, 1].
+    Rows are visited in descending score, ties broken by row index; one is
+    kept iff its IoU with every kept row of the same class stays at or
+    below the threshold, so a threshold of 1 keeps every row without
+    computing any IoU.
 
     The IoU pairs are the lower triangle of one block over the
     visit-ordered quads, restricted to same-class pairs whose horizontal
-    boxes overlap (all others count as IoU 0 and are never clipped),
-    with the later (lower-scored) detection as the first argument of
+    boxes overlap (all others count as IoU 0 and are never clipped), with
+    the later (lower-scored) row as the first argument of
     :func:`polygon_iou`. The block is walked in bands of rows so that
     memory stays bounded.
     """
     if not 0.0 <= iou_thresh <= 1.0:
         raise ValueError(f"NMS IoU threshold must lie in [0, 1], got {iou_thresh}")
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    order = np.argsort(-scores, kind="stable")
     if iou_thresh == 1.0:
-        return [dets[i] for i in order]
-    quads = quad_arrays([dets[i].quad for i in order])
-    classes = np.array([dets[i].class_id for i in order])
-    suppressed = [False] * len(order)
+        return order
+    quads, classes = quads[order], classes[order]
+    suppressed = [False] * len(order)  # a list: the loop below reads it once per pair
     band = max(1, NMS_PAIRS_PER_BAND // max(len(order), 1))
     for top in range(0, len(order), band):
         bottom = min(top + band, len(order))
@@ -120,7 +106,30 @@ def rotated_nms(dets: Sequence[Detection], iou_thresh: float) -> list[Detection]
         for row, col in zip(rows[over].tolist(), cols[over].tolist()):
             if not suppressed[col]:
                 suppressed[row] = True
-    return [dets[i] for i, gone in zip(order, suppressed) if not gone]
+    return order[~np.array(suppressed, dtype=bool)]
+
+
+def rotated_nms(dets: Sequence[Detection], iou_thresh: float) -> list[Detection]:
+    """Per-class greedy suppression by polygon IoU.
+
+    Detections are visited in descending score (ties broken by input
+    index); one is kept iff its IoU with every kept detection of the
+    same class stays at or below the threshold, so a threshold of 1
+    keeps every detection. Output is in visit order, so scores are
+    non-increasing. The threshold must lie in [0, 1].
+    """
+    keep = _nms_keep(
+        quad_arrays([d.quad for d in dets]),
+        np.array([d.class_id for d in dets], dtype=int),
+        np.array([d.score for d in dets], dtype=float),
+        iou_thresh,
+    )
+    return [dets[i] for i in keep.tolist()]
+
+
+def _in_unit_interval(values: np.ndarray) -> bool:
+    # written so that NaN fails the test too
+    return bool(((values >= 0.0) & (values <= 1.0)).all())
 
 
 def run_inference(
@@ -131,26 +140,47 @@ def run_inference(
     """Full post-processing over all pyramid levels.
 
     Each batch holds row-major (y_s outer, x_s inner) locations for its
-    grid. Every (location, class) pair whose fused score clears the
-    threshold decodes to a candidate; candidates then pass through
-    rotated NMS and the best max_detections survive.
+    grid; every class score and centerness must lie in [0, 1]. Every
+    (location, class) pair whose fused score (class score x centerness)
+    clears the threshold is a candidate. Per level, the PRE_NMS_TOP_N
+    highest-scored candidates (ties broken by candidate order) are decoded
+    to quads around their grid points; candidates in (level, location,
+    class) order then pass through rotated NMS, and the best
+    max_detections survive. A decode error (an inverted or non-finite box,
+    NaN wh) raises ValueError only at a location that is decoded.
     """
     if len(preds_per_level) != len(specs):
         raise ShapeMismatch(f"{len(preds_per_level)} batches vs {len(specs)} grid specs")
-    candidates: list[Detection] = []
+    quads, classes, scores = [], [], []
     for batch, spec in zip(preds_per_level, specs):
         if batch.num_locations != spec.width * spec.height:
             raise ShapeMismatch(
                 f"batch of {batch.num_locations} locations on a "
                 f"{spec.width}x{spec.height} grid"
             )
-        for idx in range(batch.num_locations):
-            y_s, x_s = divmod(idx, spec.width)
-            cent = float(batch.centerness[idx])
-            for c in range(batch.num_classes):
-                score = fuse_scores(float(batch.class_scores[idx, c]), cent)
-                if score < config.score_threshold:
-                    continue
-                quad = decode_location(spec, x_s, y_s, batch.ltrb[idx], batch.wh[idx])
-                candidates.append(Detection(quad, c + 1, score))
-    return rotated_nms(candidates, config.nms_iou_threshold)[: config.max_detections]
+        if not (_in_unit_interval(batch.class_scores) and _in_unit_interval(batch.centerness)):
+            raise ValueError("scores must lie in [0, 1]")
+        fused = batch.class_scores * batch.centerness[:, None]
+        loc, cls = np.nonzero(fused >= config.score_threshold)
+        score = fused[loc, cls]
+        if len(score) > PRE_NMS_TOP_N:
+            # the best scores, ties to the earlier candidate, back in candidate order
+            top = np.sort(np.argsort(-score, kind="stable")[:PRE_NMS_TOP_N])
+            loc, cls, score = loc[top], cls[top], score[top]
+        y_s, x_s = np.divmod(loc, spec.width)
+        # grid_to_image for every candidate at once
+        points = spec.stride // 2 + np.stack([x_s, y_s], axis=1) * spec.stride
+        quads.append(quads_from_offsets(points.astype(float), batch.ltrb[loc], batch.wh[loc]))
+        classes.append(cls + 1)
+        scores.append(score)
+    if not quads:
+        return []
+    quads_all, classes_all, scores_all = (np.concatenate(x) for x in (quads, classes, scores))
+    keep = _nms_keep(quads_all, classes_all, scores_all, config.nms_iou_threshold)
+    keep = keep[: config.max_detections]
+    return [
+        Detection(quad, class_id, score)
+        for quad, class_id, score in zip(
+            quad_list(quads_all[keep]), classes_all[keep].tolist(), scores_all[keep].tolist()
+        )
+    ]

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import Diverged, NonFiniteScore, ShapeMismatch
-from .geometry import Point2, Quad, quad_from_offsets
+from .geometry import Quad, quad_list, quads_from_offsets
 from .targets import RegressionTarget, TargetMaps
 
 _UNION_TINY = 1e-12
@@ -517,9 +517,6 @@ def fit_demo(
             frozen = not accepted
         trajectory.append(result.breakdown)
 
-    decoded = [
-        quad_from_offsets(Point2(*point), batch.ltrb[i], batch.wh[i])
-        for point, i in zip(targets.points[pos].tolist(), pos)
-    ]
+    decoded = quad_list(quads_from_offsets(targets.points[pos], batch.ltrb[pos], batch.wh[pos]))
     fused = (batch.class_scores[pos, targets.class_id[pos] - 1] * batch.centerness[pos]).tolist()
     return FitDemoResult(trajectory, pos.tolist(), decoded, fused, batch)

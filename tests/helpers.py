@@ -2,8 +2,11 @@
 
 import math
 
+from obbkit.errors import ShapeMismatch
 from obbkit.evaluation import FP, IGNORED, TP
-from obbkit.geometry import Quad, canonicalize, polygon_iou
+from obbkit.geometry import EDGE_EPS, HBB, EncodedBox, Quad, canonicalize, decode, polygon_iou
+from obbkit.inference import Detection, InferenceConfig
+from obbkit.targets import grid_to_image
 
 
 def rotated_rect(cx, cy, width, height, angle_deg) -> Quad:
@@ -39,6 +42,44 @@ def rotated_nms_oracle(dets, iou_thresh):
             quads.append(det.quad)
             kept.append(det)
     return kept
+
+
+def quad_from_offsets_oracle(point, ltrb, wh) -> Quad:
+    """One location's decode through the HBB, EncodedBox and decode chain."""
+    l, t, r, b = (float(v) for v in ltrb)
+    hbb = HBB(point.x - l, point.y - t, point.x + r, point.y + b)
+    w = min(max(float(wh[0]), 0.0), hbb.width)
+    h = min(max(float(wh[1]), 0.0), hbb.height)
+    if (w <= EDGE_EPS and h <= EDGE_EPS) or (
+        hbb.width - w <= EDGE_EPS and hbb.height - h <= EDGE_EPS
+    ):
+        w, h = 0.0, hbb.height
+    return decode(EncodedBox(hbb, w, h))
+
+
+def run_inference_oracle(preds_per_level, specs, config=InferenceConfig()):
+    """Post-processing one (location, class) pair at a time, with no pre-NMS cap."""
+    if len(preds_per_level) != len(specs):
+        raise ShapeMismatch("batch and spec counts differ")
+    candidates = []
+    for batch, spec in zip(preds_per_level, specs):
+        if batch.num_locations != spec.width * spec.height:
+            raise ShapeMismatch("batch does not fit its grid")
+        for idx in range(batch.num_locations):
+            y_s, x_s = divmod(idx, spec.width)
+            cent = float(batch.centerness[idx])
+            for c in range(batch.num_classes):
+                cls = float(batch.class_scores[idx, c])
+                if not (0.0 <= cls <= 1.0 and 0.0 <= cent <= 1.0):
+                    raise ValueError("scores must lie in [0, 1]")
+                score = cls * cent
+                if score < config.score_threshold:
+                    continue
+                point = grid_to_image(spec, x_s, y_s)
+                quad = quad_from_offsets_oracle(point, batch.ltrb[idx], batch.wh[idx])
+                candidates.append(Detection(quad, c + 1, score))
+    kept = rotated_nms_oracle(candidates, config.nms_iou_threshold)
+    return kept[: config.max_detections]
 
 
 def match_flags_oracle(dets_per_image, gt, class_id, iou_thresh):

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obbkit.errors import DegenerateQuad
 from obbkit.geometry import (
@@ -13,11 +17,14 @@ from obbkit.geometry import (
     hbb_iou,
     polygon_area,
     polygon_iou,
+    quad_arrays,
     quad_from_offsets,
+    quad_list,
+    quads_from_offsets,
     raster_iou_oracle,
 )
 
-from helpers import axis_box, random_rect, rotated_rect
+from helpers import axis_box, quad_from_offsets_oracle, random_rect, rotated_rect
 
 
 class TestCanonicalize:
@@ -228,3 +235,105 @@ class TestQuadFromOffsets:
         q = quad_from_offsets(Point2(2, 1), (2, 1, 2, 1), (100, 100))
         b = q.bounds()
         assert (b.xmin, b.ymin, b.xmax, b.ymax) == (0, 0, 4, 2)
+
+
+def decode_rows(points, ltrb, wh):
+    return quads_from_offsets(
+        np.asarray(points, dtype=float), np.asarray(ltrb, dtype=float), np.asarray(wh, dtype=float)
+    )
+
+
+def oracle_rows(points, ltrb, wh):
+    """Per-row scalar decode, or the ValueError the first bad row raises."""
+    try:
+        quads = [quad_from_offsets_oracle(Point2(*p), l, o) for p, l, o in zip(points, ltrb, wh)]
+    except ValueError:
+        return None
+    return quad_arrays(quads)
+
+
+offset_values = st.one_of(
+    st.floats(-5, 40),
+    st.sampled_from([0.0, -0.0, 1e-10, math.inf, -math.inf, math.nan]),
+)
+
+
+class TestQuadsFromOffsets:
+    def test_plain_and_axis_aligned_rows(self):
+        got = decode_rows([(1, 1), (2, 1)], [(1, 1, 1, 1), (2, 1, 2, 1)], [(1, 1), (0, 0)])
+        assert got.shape == (2, 4, 2)
+        assert got.reshape(2, 8).tolist() == [[0, 1, 1, 0, 2, 1, 1, 2], [0, 0, 4, 0, 4, 2, 0, 2]]
+
+    def test_clamps_offsets(self):
+        # above the extents, below zero, and infinite on either side
+        wh = [(100, 100), (-3, 1), (math.inf, math.inf), (-math.inf, -math.inf)]
+        got = decode_rows([(2, 1)] * 4, [(2, 1, 2, 1)] * 4, wh)
+        assert got[1].reshape(8).tolist() == [0, 1, 4, 0, 4, 1, 0, 2]
+        for k in (0, 2, 3):
+            assert got[k].reshape(8).tolist() == [0, 0, 4, 0, 4, 2, 0, 2]
+
+    @pytest.mark.parametrize("wh", [(0, 0), (1e-10, 1e-10), (4, 2), (4 - 1e-10, 2 - 1e-10)])
+    def test_flat_corners_decode_axis_aligned(self, wh):
+        got = decode_rows([(2, 1)], [(2, 1, 2, 1)], [wh])
+        assert got[0].reshape(8).tolist() == [0, 0, 4, 0, 4, 2, 0, 2]
+
+    def test_near_corner_keeps_rotation(self):
+        got = decode_rows([(2, 1)], [(2, 1, 2, 1)], [(1e-6, 1e-6)])
+        assert got[0, 1].tolist() == [4 - 1e-6, 0]
+
+    @pytest.mark.parametrize(
+        "ltrb, wh",
+        [
+            ((-3, 1, 1, 1), (0, 0)),  # inverted horizontally
+            ((1, 1, 1, -3), (0, 0)),  # inverted vertically
+            ((math.inf, 1, 1, 1), (0, 0)),
+            ((1, math.nan, 1, 1), (0, 0)),
+            ((1, 1, 1, 1), (math.nan, 0)),
+            ((1, 1, 1, 1), (0, math.nan)),
+        ],
+    )
+    def test_bad_row_raises(self, ltrb, wh):
+        with pytest.raises(ValueError):
+            decode_rows([(5, 5), (9, 9)], [(1, 1, 1, 1), ltrb], [(0, 0), wh])
+        with pytest.raises(ValueError):
+            quad_from_offsets(Point2(9, 9), ltrb, wh)
+
+    def test_negative_zero_offset_keeps_scalar_bits(self):
+        # Python's max(-0.0, 0.0) is -0.0 (np.clip would give 0.0), which
+        # shows in v4.x = xmin + w when xmin is -0.0
+        args = ([(-0.0, 1.0)], [(0.0, 1.0, 2.0, 1.0)], [(-0.0, 1.0)])
+        got = decode_rows(*args)
+        assert math.copysign(1.0, got[0, 3, 0]) == -1.0
+        assert got.tobytes() == oracle_rows(*args).tobytes()
+
+    def test_empty(self):
+        assert decode_rows(np.zeros((0, 2)), np.zeros((0, 4)), np.zeros((0, 2))).shape == (0, 4, 2)
+
+    def test_quad_list_inverts_quad_arrays(self):
+        quads = [axis_box(0, 0, 4, 2), rotated_rect(5, 5, 4, 2, 30)]
+        assert quad_list(quad_arrays(quads)) == quads
+        assert quad_list(np.zeros((0, 4, 2))) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.tuples(st.integers(0, 64), st.integers(0, 64)),
+                st.tuples(*[offset_values] * 4),
+                st.tuples(offset_values, offset_values),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_matches_scalar_decode_bit_for_bit(self, rows):
+        points, ltrb, wh = (list(col) for col in zip(*rows))
+        want = oracle_rows(points, ltrb, wh)
+        if want is None:
+            with pytest.raises(ValueError):
+                decode_rows(points, ltrb, wh)
+            return
+        got = decode_rows(points, ltrb, wh)
+        assert got.tobytes() == want.tobytes()
+        for p, l, o, q in zip(points, ltrb, wh, quad_list(got)):
+            assert quad_from_offsets(Point2(*p), l, o) == q

@@ -1,5 +1,6 @@
 import contextlib
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,59 +9,97 @@ from hypothesis import strategies as st
 
 from obbkit import inference
 from obbkit.errors import ShapeMismatch
-from obbkit.geometry import polygon_iou, polygon_iou_block, quad_arrays
-from obbkit.inference import (
-    Detection,
-    InferenceConfig,
-    decode_location,
-    fuse_scores,
-    rotated_nms,
-    run_inference,
+from obbkit.geometry import (
+    Point2,
+    polygon_iou,
+    polygon_iou_block,
+    quad_arrays,
+    quad_from_offsets,
+    quad_list,
+    quads_from_offsets,
 )
+from obbkit.inference import Detection, InferenceConfig, rotated_nms, run_inference
 from obbkit.losses import PredictionBatch
 from obbkit.targets import (
     FeatureGridSpec,
     GroundTruthObject,
     LevelRanges,
     assign_targets,
+    grid_specs,
 )
 
-from helpers import axis_box, random_rect, rotated_nms_oracle, rotated_rect
+from helpers import (
+    axis_box,
+    random_rect,
+    rotated_nms_oracle,
+    rotated_rect,
+    run_inference_oracle,
+)
+
+
+def one_location(class_score, centerness, ltrb=(1, 1, 1, 1), wh=(0, 0)):
+    """A prediction batch of one location and one class."""
+    return PredictionBatch([[class_score]], [centerness], [ltrb], [wh])
 
 
 class TestFuseScores:
+    """The fused score run_inference gives: class score x centerness."""
+
+    @staticmethod
+    def fused(class_score, centerness):
+        cfg = InferenceConfig(score_threshold=0.0)
+        (d,) = run_inference([one_location(class_score, centerness)], [FeatureGridSpec(1, 1, 8, 3)], cfg)
+        return d.score
+
     def test_perfect(self):
-        assert fuse_scores(1.0, 1.0) == 1.0
+        assert self.fused(1.0, 1.0) == 1.0
 
     def test_product(self):
-        assert abs(fuse_scores(0.8, 0.5) - 0.4) < 1e-15
+        assert abs(self.fused(0.8, 0.5) - 0.4) < 1e-15
 
     def test_zero_centerness_kills_score(self):
-        assert fuse_scores(0.9, 0.0) == 0.0
+        assert self.fused(0.9, 0.0) == 0.0
+        assert run_inference([one_location(0.9, 0.0)], [FeatureGridSpec(1, 1, 8, 3)]) == []
 
     def test_range_check(self):
-        with pytest.raises(ValueError):
-            fuse_scores(1.5, 0.5)
+        with pytest.raises(ValueError, match="must lie in"):
+            self.fused(1.5, 0.5)
 
 
 class TestDecodeLocation:
+    """run_inference decodes a location's offsets around its grid point."""
+
+    @staticmethod
+    def decode_at(spec, x_s, y_s, ltrb, wh):
+        n = spec.width * spec.height
+        scores = np.zeros((n, 1))
+        scores[y_s * spec.width + x_s] = 1.0
+        batch = PredictionBatch(scores, np.ones(n), np.tile(ltrb, (n, 1)), np.tile(wh, (n, 1)))
+        (d,) = run_inference([batch], [spec])
+        return d.quad
+
     def test_axis_aligned(self):
         spec = FeatureGridSpec(8, 8, 1, 0)
-        quad = decode_location(spec, 2, 1, (2, 1, 2, 1), (0, 0))
+        quad = self.decode_at(spec, 2, 1, (2, 1, 2, 1), (0, 0))
         b = quad.bounds()
         assert (b.xmin, b.ymin, b.xmax, b.ymax) == (0, 0, 4, 2)
         assert quad.as_flat() == (0, 0, 4, 0, 4, 2, 0, 2)
 
     def test_diamond(self):
         spec = FeatureGridSpec(8, 8, 1, 0)
-        quad = decode_location(spec, 1, 1, (1, 1, 1, 1), (1, 1))
+        quad = self.decode_at(spec, 1, 1, (1, 1, 1, 1), (1, 1))
         assert quad.as_flat() == (0, 1, 1, 0, 2, 1, 1, 2)
 
     def test_oversized_orientation_clamped(self):
         spec = FeatureGridSpec(8, 8, 1, 0)
-        quad = decode_location(spec, 2, 1, (2, 1, 2, 1), (50, 50))
+        quad = self.decode_at(spec, 2, 1, (2, 1, 2, 1), (50, 50))
         b = quad.bounds()
         assert (b.xmin, b.ymin, b.xmax, b.ymax) == (0, 0, 4, 2)
+
+    def test_grid_point_uses_half_stride(self):
+        spec = FeatureGridSpec(4, 4, 8, 3)
+        quad = self.decode_at(spec, 2, 1, (4, 4, 4, 4), (0, 0))
+        assert quad.as_flat() == (16, 8, 24, 8, 24, 16, 16, 16)
 
 
 def det(quad, class_id=1, score=0.5):
@@ -194,7 +233,7 @@ class TestRunInference:
         assert len(dets) == 1
         assert dets[0].class_id == 1
         assert abs(dets[0].score - 0.72) < 1e-12
-        expected = decode_location(spec, 1, 1, (4, 4, 4, 4), (2, 2))
+        expected = quad_from_offsets(Point2(12, 12), (4, 4, 4, 4), (2, 2))
         assert polygon_iou(dets[0].quad, expected) == 1.0
 
     def test_two_object_scene_recovered(self):
@@ -276,9 +315,151 @@ class TestTargetDecodeIdentity:
             quad = random_rect(rng, 120, 16, 90)
             obj = GroundTruthObject(quad, 1)
             specs = [FeatureGridSpec(32, 32, 8, 3)]
-            levels = assign_targets(specs, LevelRanges([(0, math.inf)]), [obj])
-            positives = [t for t in levels[0] if t.is_positive]
-            assert positives
-            for t in positives:
-                decoded = decode_location(specs[0], t.x_s, t.y_s, t.ltrb, t.wh)
-                assert polygon_iou(decoded, quad) >= 1 - 1e-9
+            (maps,) = assign_targets(specs, LevelRanges([(0, math.inf)]), [obj])
+            pos = maps.class_id > 0
+            assert pos.any()
+            decoded = quads_from_offsets(maps.points[pos], maps.ltrb[pos], maps.wh[pos])
+            for q in quad_list(decoded):
+                assert polygon_iou(q, quad) >= 1 - 1e-9
+
+
+# few distinct values, so fused scores tie across locations and classes
+unit_scores = st.sampled_from([0.0, 0.25, 0.5, 0.5, 0.8, 1.0])
+
+
+@st.composite
+def prediction_maps(draw):
+    """One to three levels of small grids with shared class count and tied scores."""
+    num_classes = draw(st.integers(1, 3))
+    specs, batches = [], []
+    for level in range(draw(st.integers(1, 3))):
+        stride = draw(st.sampled_from([4, 8, 16]))
+        spec = FeatureGridSpec(draw(st.integers(1, 4)), draw(st.integers(1, 3)), stride, level)
+        n = spec.width * spec.height
+        arr = lambda elems, size: np.array(draw(st.lists(elems, min_size=size, max_size=size)))
+        ltrb = arr(st.floats(0.0, 3.0 * stride), 4 * n).reshape(n, 4)
+        wh = arr(st.floats(-stride, 4.0 * stride), 2 * n).reshape(n, 2)
+        batches.append(PredictionBatch(
+            arr(unit_scores, n * num_classes).reshape(n, num_classes), arr(unit_scores, n), ltrb, wh
+        ))
+        specs.append(spec)
+    return batches, specs
+
+
+def single_level(values, spec=FeatureGridSpec(3, 2, 8, 3)):
+    """A two-class batch on spec: scores 0.5 everywhere except the overrides in values."""
+    n = spec.width * spec.height
+    fields = dict(
+        class_scores=np.full((n, 2), 0.5),
+        centerness=np.full(n, 0.5),
+        ltrb=np.full((n, 4), 6.0),
+        wh=np.full((n, 2), 2.0),
+    )
+    for (name, index), value in values.items():
+        fields[name][index] = value
+    return [PredictionBatch(**fields)], [spec]
+
+
+class TestRunInferenceArrays:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        prediction_maps(),
+        st.sampled_from([0.0, 0.2, 0.25, 1.0]),
+        st.sampled_from([0.0, 0.5, 1.0]),
+        st.sampled_from([0, 3, 2000]),
+    )
+    def test_matches_scalar_oracle(self, maps, score_thresh, nms_thresh, max_dets):
+        batches, specs = maps
+        cfg = InferenceConfig(score_thresh, nms_thresh, max_dets)
+        assert run_inference(batches, specs, cfg) == run_inference_oracle(batches, specs, cfg)
+
+    @pytest.mark.parametrize("field", ["class_scores", "centerness"])
+    @pytest.mark.parametrize("value", [math.nan, -0.1, 1.5])
+    def test_bad_score_anywhere_raises(self, field, value):
+        # location 4's other factor is 0, so its fused score is below any threshold
+        index = (4, 1) if field == "class_scores" else 4
+        other = ("centerness", 4) if field == "class_scores" else ("class_scores", 4)
+        batches, specs = single_level({(field, index): value, other: 0.0})
+        with pytest.raises(ValueError, match="must lie in"):
+            run_inference(batches, specs)
+        with pytest.raises(ValueError, match="must lie in"):
+            run_inference_oracle(batches, specs)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("ltrb", (-7.0, 1.0, 1.0, 1.0)),  # left edge right of the right edge
+            ("ltrb", (1.0, 1.0, 1.0, -7.0)),
+            ("ltrb", (math.inf, 1.0, 1.0, 1.0)),
+            ("ltrb", (1.0, math.nan, 1.0, 1.0)),
+            ("wh", (math.nan, 1.0)),
+            ("wh", (1.0, math.nan)),
+        ],
+    )
+    def test_bad_offsets_raise_only_where_decoded(self, field, value):
+        batches, specs = single_level({(field, 2): value})
+        for run in (run_inference, run_inference_oracle):
+            with pytest.raises(ValueError):
+                run(batches, specs)
+        # the same offsets at a location whose fused score misses the threshold
+        batches, specs = single_level({(field, 2): value, ("centerness", 2): 0.01})
+        assert run_inference(batches, specs) == run_inference_oracle(batches, specs)
+        assert len(run_inference(batches, specs, InferenceConfig(nms_iou_threshold=1.0))) == 10
+
+    def test_infinite_wh_clamps(self):
+        batches, specs = single_level({("wh", 2): (math.inf, -math.inf)})
+        assert run_inference(batches, specs) == run_inference_oracle(batches, specs)
+
+    def test_no_levels(self):
+        assert run_inference([], []) == []
+
+    def test_top_n_breaks_ties_by_candidate_order(self, monkeypatch):
+        # five tied candidates far apart; the cap keeps the first two of the level
+        spec = FeatureGridSpec(5, 1, 64, 6)
+        batches = [PredictionBatch(np.full((5, 1), 0.5), np.ones(5), np.full((5, 4), 4.0), np.zeros((5, 2)))]
+        everything = run_inference(batches, [spec])
+        assert len(everything) == 5
+        monkeypatch.setattr(inference, "PRE_NMS_TOP_N", 2)
+        assert run_inference(batches, [spec]) == everything[:2]
+        # the cap is per level: a second level keeps its own two
+        both = run_inference(batches * 2, [spec, spec], InferenceConfig(nms_iou_threshold=1.0))
+        assert both == [everything[i] for i in (0, 1, 0, 1)]
+
+    def test_top_n_keeps_highest_scores_in_candidate_order(self, monkeypatch):
+        spec = FeatureGridSpec(4, 1, 64, 6)
+        scores = np.array([[0.2, 0.9], [0.7, 0.1], [0.9, 0.3], [0.4, 0.8]])
+        batches = [PredictionBatch(scores, np.ones(4), np.full((4, 4), 4.0), np.zeros((4, 2)))]
+        monkeypatch.setattr(inference, "PRE_NMS_TOP_N", 3)
+        dets = run_inference(batches, [spec], InferenceConfig(nms_iou_threshold=1.0))
+        assert [(d.class_id, d.score) for d in dets] == [(2, 0.9), (1, 0.9), (2, 0.8)]
+
+    def test_dense_map_is_capped(self):
+        # every (location, class) pair of a 1024 x 1024 pyramid clears the
+        # threshold: 327,360 candidates, 1000 per level after the cap (the
+        # uncapped path took 18.5 s on 32,768 candidates)
+        specs = grid_specs(1024, 1024, (8, 16, 32, 64, 128))
+        rng = np.random.default_rng(21824)
+        batches = [
+            PredictionBatch(
+                rng.uniform(0.5, 1.0, (s.width * s.height, 15)),
+                rng.uniform(0.5, 1.0, s.width * s.height),
+                rng.uniform(0.5 * s.stride, 2.0 * s.stride, (s.width * s.height, 4)),
+                rng.uniform(0.0, 2.0 * s.stride, (s.width * s.height, 2)),
+            )
+            for s in specs
+        ]
+        assert sum(b.class_scores.size for b in batches) == 21824 * 15
+        start = time.perf_counter()
+        dets = run_inference(batches, specs, InferenceConfig(nms_iou_threshold=0.5))
+        assert time.perf_counter() - start < 5.0
+        assert 0 < len(dets) <= 4960
+        # the same maps with every pair below its level's 1000th best fused
+        # score zeroed: the cap no longer binds and the result is unchanged
+        thinned = []
+        for b in batches:
+            fused = b.class_scores * b.centerness[:, None]
+            floor = np.sort(fused, axis=None)[-1000] if fused.size > 1000 else 0.0
+            thinned.append(PredictionBatch(
+                np.where(fused >= floor, b.class_scores, 0.0), b.centerness, b.ltrb, b.wh
+            ))
+        assert run_inference(thinned, specs, InferenceConfig(nms_iou_threshold=0.5)) == dets

@@ -23,12 +23,6 @@ from obbkit.geometry import (
 
 from helpers import axis_box, random_rect, rotated_rect
 
-# An HBB-disjoint pair reads 0 in the block. The scalar clip's EDGE_EPS
-# tolerance gives it a sliver of area when the gap is below EDGE_EPS over
-# the edge length; the touching pairs drawn here have gaps of a few ulp.
-DISJOINT_SLIVER = 1e-12
-
-
 def _rect(cx, cy, w, h, angle):
     try:
         return rotated_rect(cx, cy, w, h, angle)
@@ -104,11 +98,20 @@ def _check_block(a_list, b_list):
             if overlap[i, j]:
                 assert block[i, j] == scalar, (a, b)
             else:
-                assert block[i, j] == 0.0
-                assert 0.0 <= scalar <= DISJOINT_SLIVER, (a, b, scalar)
+                assert block[i, j] == 0.0 and scalar == 0.0, (a, b, scalar)
 
 
 class TestPairs:
+    def test_hbb_disjoint_pairs_are_zero_without_clipping(self, monkeypatch):
+        def no_clip(*args):
+            raise AssertionError("clipped an HBB-disjoint pair")
+
+        monkeypatch.setattr(geometry, "_clip_halfplanes", no_clip)
+        a = quad_arrays([axis_box(0, 0, 1, 1), rotated_rect(0, 0, 4, 2, 30)])
+        b = quad_arrays([axis_box(1, 0, 2, 1), rotated_rect(50, 0, 4, 2, 30)])
+        assert polygon_iou_pairs(a, b).tolist() == [0.0, 0.0]
+
+
     @settings(max_examples=400, deadline=None)
     @given(st.lists(pairs(), min_size=1, max_size=6))
     def test_bit_identical_to_scalar_in_both_orders(self, drawn):
@@ -163,12 +166,23 @@ class TestBlock:
         assert np.all(block == 0.0) and not np.signbit(block).any()
 
     def test_sliver_across_a_gap_reads_zero(self):
-        # deliberate difference from the scalar clip, whose absolute EDGE_EPS
-        # lets points 1e-10 outside an edge count as inside
+        # the clip's absolute EDGE_EPS lets points 1e-10 outside an edge count
+        # as inside; the HBB test every path starts with reads the pair as 0
         a, b = axis_box(0, 0, 1, 1), axis_box(1 + 1e-10, 0, 2, 1)
-        assert polygon_iou(a, b) == pytest.approx(5e-11, rel=1e-3)
-        assert polygon_iou_pairs(quad_arrays([a]), quad_arrays([b]))[0] == polygon_iou(a, b)
+        assert polygon_iou(a, b) == 0.0
+        assert polygon_iou_pairs(quad_arrays([a]), quad_arrays([b]))[0] == 0.0
         assert polygon_iou_block(quad_arrays([a]), quad_arrays([b]))[0, 0] == 0.0
+
+    def test_diagonal_sliver_is_the_same_on_every_path(self):
+        # turned 45 degrees, the same gap lies inside overlapping HBBs: the
+        # clip's sliver remains, and all three paths report it alike
+        a = rotated_rect(0, 0, 1, 1, 45)
+        shift = (1 + 1e-10) / math.sqrt(2)
+        b = rotated_rect(shift, shift, 1, 1, 45)
+        scalar = polygon_iou(a, b)
+        assert scalar == pytest.approx(5e-11, rel=1e-3)
+        assert polygon_iou_pairs(quad_arrays([a]), quad_arrays([b]))[0] == scalar
+        assert polygon_iou_block(quad_arrays([a]), quad_arrays([b]))[0, 0] == scalar
 
     def test_touching_hbbs_are_disjoint(self):
         a = axis_box(0, 0, 10, 10)
