@@ -23,14 +23,13 @@ from .geometry import (
     Point2,
     Quad,
     canonicalize,
+    canonicalize_many,
     convex_intersect,
     decode,
     encode,
-    hbb_iou,
     hbb_overlap,
     polygon_area,
     polygon_iou,
-    polygon_iou_block,
     polygon_iou_pairs,
     quad_arrays,
     quad_from_offsets,
@@ -78,7 +77,9 @@ from .ie_attention import (
 )
 from .inference import (
     Detection,
+    DetectionSet,
     InferenceConfig,
+    nms_per_image,
     rotated_nms,
     run_inference,
 )

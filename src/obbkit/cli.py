@@ -30,7 +30,7 @@ from .errors import (
 )
 from .evaluation import evaluate
 from .geometry import EncodedBox, HBB, canonicalize, decode, encode, polygon_iou, raster_iou_oracle
-from .inference import rotated_nms
+from .inference import nms_per_image
 from .losses import PredictionBatch, fit_demo, grad_check, total_loss
 from .targets import Point2, RegressionTarget, TargetMaps, assign_targets, grid_specs
 
@@ -284,20 +284,21 @@ def _cmd_loss(args) -> int:
 
 
 def _cmd_nms(args) -> int:
-    dets, classes = dota.parse_dota_detections(args.dets)
-    kept = {image_id: rotated_nms(dets[image_id], args.iou) for image_id in sorted(dets)}
+    dets, classes = dota.parse_dota_detections(args.dets, bad_quad=args.bad_quad)
+    kept = nms_per_image(dets, args.iou)
     dota.write_dota_detections(kept, classes, args.out)
-    for image_id in kept:
-        print(f"{image_id}: kept {len(kept[image_id])} of {len(dets[image_id])}")
+    counts = np.bincount(dets.image, minlength=len(dets.image_ids)).tolist()
+    kept_counts = np.bincount(kept.image, minlength=len(dets.image_ids)).tolist()
+    for image_id, n, k in zip(dets.image_ids, counts, kept_counts):
+        print(f"{image_id}: kept {k} of {n}")
     return 0
 
 
 def _cmd_eval(args) -> int:
     cfg = _load_config(args)
-    gt = dota.parse_dota_annotations(args.gt, unknown_category=args.unknown_category)
-    dets, _ = dota.parse_dota_detections(
-        args.dets, gt.classes, unknown_category=args.unknown_category
-    )
+    policies = {"unknown_category": args.unknown_category, "bad_quad": args.bad_quad}
+    gt = dota.parse_dota_annotations(args.gt, **policies)
+    dets, _ = dota.parse_dota_detections(args.dets, gt.classes, **policies)
     iou = args.iou if args.iou is not None else cfg.eval_iou_threshold
     mode = parse_metric_mode(args.mode) if args.mode else cfg.metric_mode
     report = evaluate(dets, gt, iou, mode)
@@ -383,6 +384,15 @@ def _add_config_flags(sub):
     sub.add_argument("--threads", type=int, help="accepted for compatibility; has no effect")
 
 
+def _add_bad_quad_flag(sub):
+    sub.add_argument(
+        "--bad-quad",
+        choices=["error", "skip"],
+        default="error",
+        help="how to treat degenerate, concave or non-finite quads",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="obbkit", description=__doc__)
     commands = parser.add_subparsers(dest="command")
@@ -420,6 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dets", required=True, help="detection directory")
     p.add_argument("--iou", type=float, default=0.5, help="suppression IoU threshold")
     p.add_argument("--out", required=True, help="output directory")
+    _add_bad_quad_flag(p)
     p.add_argument("--threads", type=int, help="accepted for compatibility; has no effect")
     p.set_defaults(handler=_cmd_nms)
 
@@ -435,6 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="error",
         help="how to treat categories missing from the class table",
     )
+    _add_bad_quad_flag(p)
     _add_config_flags(p)
     p.set_defaults(handler=_cmd_eval)
 

@@ -19,10 +19,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import ParseError, UnknownCategory
+import numpy as np
+
+from .errors import ObbkitError, ParseError, UnknownCategory
 from .evaluation import ClassTable, GtIndex
-from .geometry import canonicalize
-from .inference import Detection
+from .geometry import canonicalize, canonicalize_many, quad_list
+from .inference import Detection, DetectionSet
 from .targets import GroundTruthObject
 
 _HEADER_PREFIXES = ("imagesource", "gsd")
@@ -51,12 +53,13 @@ def _parse_floats(tokens: Sequence[str], path, line_no: int) -> list[float]:
 def iter_annotation_records(path) -> list[AnnotationRecord]:
     """Parse one per-image annotation file into records."""
     path = Path(path)
+    image_id = path.stem
     records: list[AnnotationRecord] = []
     for line_no, line in enumerate(path.read_text().splitlines(), 1):
         stripped = line.strip()
         if not stripped:
             continue
-        if any(stripped.lower().startswith(p) for p in _HEADER_PREFIXES):
+        if stripped.lower().startswith(_HEADER_PREFIXES):
             continue
         tokens = stripped.split()
         if len(tokens) not in (9, 10):
@@ -70,8 +73,30 @@ def iter_annotation_records(path) -> list[AnnotationRecord]:
             if tokens[9] not in ("0", "1"):
                 raise ParseError(path, line_no, f"difficult flag must be 0 or 1, got {tokens[9]!r}")
             difficult = tokens[9] == "1"
-        records.append(AnnotationRecord(path.stem, tuple(coords), category, difficult))
+        records.append(AnnotationRecord(image_id, tuple(coords), category, difficult))
     return records
+
+
+def _check_policies(unknown_category: str, bad_quad: str) -> None:
+    if unknown_category not in ("error", "skip"):
+        raise ValueError("unknown_category must be 'error' or 'skip'")
+    if bad_quad not in ("error", "skip"):
+        raise ValueError("bad_quad must be 'error' or 'skip'")
+
+
+def _canonical_rows(coords: list, bad_quad: str) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical (N, 4, 2) quads of flat 8-coordinate rows, and the rows to keep.
+
+    A row that :func:`canonicalize` rejects is dropped under "skip"; under
+    "error" the scalar code re-runs on the first such row, so it raises
+    that row's own error and message.
+    """
+    raw = np.array(coords, dtype=float).reshape(-1, 4, 2)
+    quads, bad = canonicalize_many(raw)
+    if bad_quad == "error" and bad.any():
+        canonicalize(raw[np.argmax(bad)])
+        raise AssertionError("canonicalize_many rejected a quad that canonicalize accepts")
+    return quads, ~bad
 
 
 def parse_dota_annotations(
@@ -79,16 +104,18 @@ def parse_dota_annotations(
     classes: ClassTable | None = None,
     *,
     unknown_category: str = "error",
+    bad_quad: str = "error",
 ) -> GtIndex:
     """Read a directory of per-image annotation files into a GtIndex.
 
     Without an explicit class table, ids are assigned densely over the
     sorted category names found in the data. unknown_category chooses
     between raising and silently skipping records whose category is
-    missing from an explicit table.
+    missing from an explicit table; bad_quad does the same for records
+    whose quad is degenerate, concave or non-finite. Every file is parsed
+    before any quad is checked.
     """
-    if unknown_category not in ("error", "skip"):
-        raise ValueError("unknown_category must be 'error' or 'skip'")
+    _check_policies(unknown_category, bad_quad)
     directory = Path(directory)
     files = sorted(directory.glob("*.txt"))
     per_file = {f: iter_annotation_records(f) for f in files}
@@ -97,18 +124,24 @@ def parse_dota_annotations(
         names = sorted({r.category for records in per_file.values() for r in records})
         classes = ClassTable(tuple(names))
 
-    images: dict[str, list[GroundTruthObject]] = {}
-    for f, records in per_file.items():
-        objs = images.setdefault(f.stem, [])
-        for r in records:
-            try:
-                class_id = classes.id_of(r.category)
-            except UnknownCategory:
-                if unknown_category == "skip":
-                    continue
-                raise
-            quad = canonicalize(list(zip(r.coords[0::2], r.coords[1::2])))
-            objs.append(GroundTruthObject(quad, class_id, r.difficult))
+    images: dict[str, list[GroundTruthObject]] = {f.stem: [] for f in files}
+    records: list[tuple[AnnotationRecord, int]] = []
+    try:
+        for file_records in per_file.values():
+            for r in file_records:
+                try:
+                    records.append((r, classes.id_of(r.category)))
+                except UnknownCategory:
+                    if unknown_category == "error":
+                        raise
+    except UnknownCategory:
+        # a bad quad in an earlier record is the first error
+        _canonical_rows([r.coords for r, _ in records], bad_quad)
+        raise
+    quads, keep = _canonical_rows([r.coords for r, _ in records], bad_quad)
+    kept = [record for record, ok in zip(records, keep.tolist()) if ok]
+    for (r, class_id), quad in zip(kept, quad_list(quads[keep])):
+        images[r.image_id].append(GroundTruthObject(quad, class_id, r.difficult))
     return GtIndex(images, classes)
 
 
@@ -122,45 +155,66 @@ def parse_dota_detections(
     classes: ClassTable | None = None,
     *,
     unknown_category: str = "error",
-) -> tuple[dict[str, list[Detection]], ClassTable]:
+    bad_quad: str = "error",
+) -> tuple[DetectionSet, ClassTable]:
     """Read a directory of per-class detection files.
 
-    Returns detections grouped by image id together with the class table
-    (inferred from the filenames when not supplied). Duplicate lines are
-    preserved; suppression is a separate step.
+    Returns the detections of every image as one DetectionSet, rows in
+    file order, together with the class table (inferred from the
+    filenames when not supplied). Duplicate lines are preserved;
+    suppression is a separate step. unknown_category and bad_quad choose
+    between raising and skipping, as in :func:`parse_dota_annotations`;
+    the first error in file order is the one raised.
     """
-    if unknown_category not in ("error", "skip"):
-        raise ValueError("unknown_category must be 'error' or 'skip'")
+    _check_policies(unknown_category, bad_quad)
     directory = Path(directory)
     files = sorted(directory.glob("*.txt"))
     if classes is None:
         classes = ClassTable(tuple(sorted({_class_name_from_filename(f) for f in files})))
 
-    dets: dict[str, list[Detection]] = {}
-    for f in files:
-        name = _class_name_from_filename(f)
-        try:
-            class_id = classes.id_of(name)
-        except UnknownCategory:
-            if unknown_category == "skip":
-                continue
-            raise
-        for line_no, line in enumerate(f.read_text().splitlines(), 1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            tokens = stripped.split()
-            if len(tokens) != 10:
-                raise ParseError(
-                    f, line_no, f"expected image id, score and 8 coordinates, got {len(tokens)} fields"
-                )
-            image_id = tokens[0]
-            values = _parse_floats(tokens[1:], f, line_no)
-            score = values[0]
-            if not 0.0 <= score <= 1.0:
-                raise ParseError(f, line_no, f"score {score} outside [0, 1]")
-            quad = canonicalize(list(zip(values[1::2], values[2::2])))
-            dets.setdefault(image_id, []).append(Detection(quad, class_id, score))
+    names: list[str] = []
+    class_ids: list[int] = []
+    rows: list[list[float]] = []
+    try:
+        for f in files:
+            name = _class_name_from_filename(f)
+            try:
+                class_id = classes.id_of(name)
+            except UnknownCategory:
+                if unknown_category == "skip":
+                    continue
+                raise
+            for line_no, line in enumerate(f.read_text().splitlines(), 1):
+                stripped = line.strip()
+                if not stripped:
+                    continue
+                tokens = stripped.split()
+                if len(tokens) != 10:
+                    raise ParseError(
+                        f, line_no, f"expected image id, score and 8 coordinates, got {len(tokens)} fields"
+                    )
+                values = _parse_floats(tokens[1:], f, line_no)
+                if not 0.0 <= values[0] <= 1.0:
+                    raise ParseError(f, line_no, f"score {values[0]} outside [0, 1]")
+                names.append(tokens[0])
+                class_ids.append(class_id)
+                rows.append(values)
+    except (ObbkitError, OSError, ValueError):
+        # a bad quad on an earlier line is the first error in file order
+        _canonical_rows([r[1:] for r in rows], bad_quad)
+        raise
+    table = np.array(rows, dtype=float).reshape(-1, 9)
+    quads, keep = _canonical_rows(table[:, 1:], bad_quad)
+    kept_names = [n for n, ok in zip(names, keep.tolist()) if ok]
+    image_ids = tuple(sorted(set(kept_names)))
+    index = {image_id: i for i, image_id in enumerate(image_ids)}
+    dets = DetectionSet(
+        image_ids,
+        np.array([index[n] for n in kept_names], dtype=int),
+        quads[keep],
+        np.array(class_ids, dtype=int)[keep],
+        table[keep, 0],
+    )
     return dets, classes
 
 
@@ -185,18 +239,28 @@ def write_dota_annotations(gt: GtIndex, directory) -> None:
 
 
 def write_dota_detections(
-    dets_per_image: Mapping[str, Sequence[Detection]],
+    dets: DetectionSet | Mapping[str, Sequence[Detection]],
     classes: ClassTable,
     directory,
 ) -> None:
-    """Serialize detections to per-class files (every class gets a file)."""
+    """Serialize detections to per-class files (every class gets a file).
+
+    Within a file, lines go by image id, each image's in input order.
+    """
+    if not isinstance(dets, DetectionSet):
+        dets = DetectionSet.from_mapping(dets)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     by_class: dict[int, list[str]] = {c: [] for c in range(1, len(classes) + 1)}
-    for image_id in sorted(dets_per_image):
-        for det in dets_per_image[image_id]:
-            coords = " ".join(format_number(v) for v in det.quad.as_flat())
-            by_class[det.class_id].append(f"{image_id} {format_number(det.score)} {coords}")
+    order = np.argsort(dets.image, kind="stable")
+    for image, class_id, score, coords in zip(
+        dets.image[order].tolist(),
+        dets.class_id[order].tolist(),
+        dets.score[order].tolist(),
+        dets.quads[order].reshape(-1, 8).tolist(),
+    ):
+        text = " ".join(map(format_number, coords))
+        by_class[class_id].append(f"{dets.image_ids[image]} {format_number(score)} {text}")
     for class_id, lines in by_class.items():
         name = classes.name_of(class_id)
         (directory / f"{name}.txt").write_text("\n".join(lines) + ("\n" if lines else ""))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import UnknownCategory, UnknownClass
 from .geometry import hbb_overlap, polygon_iou_pairs, quad_arrays
-from .inference import Detection
+from .inference import Detection, DetectionSet
 from .targets import GroundTruthObject
 
 MODE_11POINT = "11point"
@@ -110,41 +110,36 @@ class APReport:
     mode: str
 
 
-def _match_flags(
-    dets_per_image: Mapping[str, Sequence[Detection]], gt: GtIndex, iou_thresh: float
-) -> dict[str, np.ndarray]:
-    """TP / FP / IGNORED of every detection, per image in input order.
+def _match_flags(dets: DetectionSet, gt: GtIndex, iou_thresh: float) -> np.ndarray:
+    """TP / FP / IGNORED of every detection row.
 
     Within one image and class the visit order is descending score, ties
     by input order. One batched call computes the IoU of every
     same-class (detection, ground truth) pair whose horizontal boxes
     overlap; every other pair counts as IoU 0.
     """
-    orders: dict[str, list[int]] = {}
-    det_quads, gt_quads, pair_det, pair_gt = [], [], [], []
+    visit, gt_quads, pair_det, pair_gt = [], [], [], []
     difficult: list[bool] = []
-    num_dets = 0
-    for image_id, dets in dets_per_image.items():
-        order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    start = 0
+    for image_id, rows in zip(dets.image_ids, dets.image_rows()):
+        rows = rows[np.argsort(-dets.score[rows], kind="stable")]
         objs = gt.images.get(image_id, [])
-        if order and objs:
-            dq = quad_arrays([dets[i].quad for i in order])
+        if len(rows) and objs:
             gq = quad_arrays([obj.quad for obj in objs])
-            det_class = np.array([dets[i].class_id for i in order])
-            same = det_class[:, None] == np.array([obj.class_id for obj in objs])
-            k, g = np.nonzero(hbb_overlap(dq, gq) & same)
-            det_quads.append(dq[k])
+            same = dets.class_id[rows, None] == np.array([obj.class_id for obj in objs])
+            k, g = np.nonzero(hbb_overlap(dets.quads[rows], gq) & same)
             gt_quads.append(gq[g])
-            pair_det.append(k + num_dets)
+            pair_det.append(k + start)
             pair_gt.append(g + len(difficult))
-        orders[image_id] = order
-        num_dets += len(order)
-        difficult.extend(obj.difficult for obj in objs)
+            difficult.extend(obj.difficult for obj in objs)
+        visit.append(rows)
+        start += len(rows)
+    visit = np.concatenate(visit) if visit else np.zeros(0, dtype=int)
 
-    flags = np.full(num_dets, FP)
+    flags = np.full(len(visit), FP)
     if pair_det:
         k, g = np.concatenate(pair_det), np.concatenate(pair_gt)
-        iou = polygon_iou_pairs(np.concatenate(det_quads), np.concatenate(gt_quads))
+        iou = polygon_iou_pairs(dets.quads[visit[k]], np.concatenate(gt_quads))
         # each detection's best ground truth, the first one on a tie
         best = np.lexsort((g, -iou, k))
         best = best[np.diff(k[best], prepend=-1) != 0]
@@ -156,17 +151,13 @@ def _match_flags(
         _, first = np.unique(g[claims], return_index=True)
         flags[k[claims[first]]] = TP
 
-    out: dict[str, np.ndarray] = {}
-    start = 0
-    for image_id, order in orders.items():
-        out[image_id] = np.empty(len(order), dtype=int)
-        out[image_id][order] = flags[start : start + len(order)]
-        start += len(order)
+    out = np.empty(len(dets), dtype=int)
+    out[visit] = flags
     return out
 
 
 def match_detections(
-    dets_per_image: Mapping[str, Sequence[Detection]],
+    dets: DetectionSet | Mapping[str, Sequence[Detection]],
     gt: GtIndex,
     iou_thresh: float = 0.5,
 ) -> dict[int, ClassMatches]:
@@ -183,24 +174,20 @@ def match_detections(
     """
     if not 0.0 <= iou_thresh <= 1.0:
         raise ValueError(f"match IoU threshold must lie in [0, 1], got {iou_thresh}")
+    if not isinstance(dets, DetectionSet):
+        dets = DetectionSet.from_mapping(dets)
     num_classes = len(gt.classes)
-    pool: dict[int, list[tuple[float, str, int]]] = {c: [] for c in range(1, num_classes + 1)}
-    for image_id in sorted(dets_per_image):
-        for i, det in enumerate(dets_per_image[image_id]):
-            if not 1 <= det.class_id <= num_classes:
-                raise UnknownClass(f"detection class id {det.class_id} outside table")
-            pool[det.class_id].append((det.score, image_id, i))
+    outside = np.flatnonzero((dets.class_id < 1) | (dets.class_id > num_classes))
+    if len(outside):
+        first = outside[np.lexsort((outside, dets.image[outside]))[0]]
+        raise UnknownClass(f"detection class id {dets.class_id[first]} outside table")
 
-    flags = _match_flags(dets_per_image, gt, iou_thresh)
+    flags = _match_flags(dets, gt, iou_thresh)
+    ranked = np.lexsort((np.arange(len(dets)), dets.image, -dets.score))
     matches = {}
-    for c, entries in sorted(pool.items()):
-        entries.sort(key=lambda e: (-e[0], e[1], e[2]))
-        matches[c] = ClassMatches(
-            c,
-            np.array([score for score, _, _ in entries], dtype=float),
-            np.array([flags[image_id][i] for _, image_id, i in entries], dtype=int),
-            gt.num_ground_truth(c),
-        )
+    for c in range(1, num_classes + 1):
+        sel = ranked[dets.class_id[ranked] == c]
+        matches[c] = ClassMatches(c, dets.score[sel], flags[sel], gt.num_ground_truth(c))
     return matches
 
 
@@ -253,7 +240,7 @@ def average_precision(curve: PRCurve, mode: str = MODE_11POINT) -> float:
 
 
 def evaluate(
-    dets_per_image: Mapping[str, Sequence[Detection]],
+    dets: DetectionSet | Mapping[str, Sequence[Detection]],
     gt: GtIndex,
     iou_threshold: float = 0.5,
     mode: str = MODE_11POINT,
@@ -263,7 +250,7 @@ def evaluate(
     Classes with no non-difficult ground truth are reported with AP 0
     but excluded from the mAP mean.
     """
-    matches = match_detections(dets_per_image, gt, iou_threshold)
+    matches = match_detections(dets, gt, iou_threshold)
     per_class: dict[str, float] = {}
     aps: list[float] = []
     for class_id in range(1, len(gt.classes) + 1):

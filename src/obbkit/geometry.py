@@ -221,6 +221,51 @@ def canonicalize(points: Iterable) -> Quad:
     return Quad(*(Point2(x, y) for x, y in rotated))
 
 
+def canonicalize_many(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`canonicalize` on every row of an (N, 4, 2) vertex array.
+
+    Returns (canonical, bad). bad[k] is True exactly where
+    canonicalize(vertices[k]) raises: DegenerateQuad, or ValueError for a
+    non-finite vertex. Every other row of canonical is the vertex order
+    of the scalar Quad; each row is a permutation of its input row, so
+    the coordinates are the input floats bit for bit. The centroid sums,
+    the atan2 angles (math.atan2, which np.arctan2 does not match to the
+    last bit on every machine), the stable sort, the shoelace sum, the
+    convexity and left-edge tolerances are those of the scalar code.
+    """
+    v = np.asarray(vertices, dtype=float)
+    if v.ndim != 3 or v.shape[1:] != (4, 2):
+        raise ValueError(f"expected (N, 4, 2) vertices, got shape {v.shape}")
+    rows = np.arange(len(v))[:, None]
+    x, y = v[:, :, 0], v[:, :, 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Python's sum: 0 + x1 + x2 + x3 + x4, left to right
+        cx = (0.0 + x[:, 0] + x[:, 1] + x[:, 2] + x[:, 3]) / 4.0
+        cy = (0.0 + y[:, 0] + y[:, 1] + y[:, 2] + y[:, 3]) / 4.0
+        dy, dx = (y - cy[:, None]).ravel().tolist(), (x - cx[:, None]).ravel().tolist()
+        angle = np.array(list(map(math.atan2, dy, dx))).reshape(-1, 4)
+        order = np.argsort(angle, axis=1, kind="stable")
+        ox, oy = x[rows, order], y[rows, order]
+        nx, ny = np.roll(ox, -1, axis=1), np.roll(oy, -1, axis=1)
+        terms = ox * ny - nx * oy
+        area = (0.0 + terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3]) / 2.0
+        bad = ~np.isfinite(v).all(axis=(1, 2)) | (np.abs(area) < AREA_TOLERANCE)
+        order = np.where((area < 0)[:, None], order[:, ::-1], order)
+        ox, oy = x[rows, order], y[rows, order]
+        extent = np.maximum(ox.max(axis=1) - ox.min(axis=1), oy.max(axis=1) - oy.min(axis=1))
+        convex_eps = np.maximum(extent * extent, 1.0) * 1e-12
+        nx, ny = np.roll(ox, -1, axis=1), np.roll(oy, -1, axis=1)
+        nnx, nny = np.roll(ox, -2, axis=1), np.roll(oy, -2, axis=1)
+        cross = (nx - ox) * (nny - oy) - (ny - oy) * (nnx - ox)
+        bad |= (cross < -convex_eps[:, None]).any(axis=1)
+        tie_eps = np.maximum(extent, 1.0) * 1e-9
+        on_left = ox <= (ox.min(axis=1) + tie_eps)[:, None]
+        # the smaller y starts, then the earlier slot: argmin takes the first minimum
+        start = np.argmin(np.where(on_left, oy, np.inf), axis=1)
+    order = order[rows, (start[:, None] + np.arange(4)) % 4]
+    return v[rows, order], bad
+
+
 def encode(q: Quad) -> EncodedBox:
     """Collapse a canonical quad to its surrounding HBB plus (w, h).
 
@@ -499,31 +544,6 @@ def _overlapping(a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...]) -> np.nda
 def hbb_overlap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(N, M) mask of quad pairs whose horizontal boxes overlap with positive area."""
     return _overlapping([v[:, None] for v in _hbb_bounds(a)], _hbb_bounds(b))
-
-
-def polygon_iou_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(N, M) block of polygon_iou(a[i], b[j]) for (N, 4, 2) and (M, 4, 2) quads.
-
-    Only the pairs in :func:`hbb_overlap` go through
-    :func:`polygon_iou_pairs`; the rest are 0, as in the scalar code.
-    """
-    ii, jj = np.nonzero(hbb_overlap(a, b))
-    out = np.zeros((len(a), len(b)))
-    out[ii, jj] = polygon_iou_pairs(a[ii], b[jj])
-    return out
-
-
-def hbb_iou(a: HBB, b: HBB) -> float:
-    """Intersection-over-union of two axis-aligned boxes, in [0, 1]."""
-    iw = min(a.xmax, b.xmax) - max(a.xmin, b.xmin)
-    ih = min(a.ymax, b.ymax) - max(a.ymin, b.ymin)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    inter = iw * ih
-    union = a.area + b.area - inter
-    if union < AREA_TOLERANCE:
-        return 0.0
-    return min(max(inter / union, 0.0), 1.0)
 
 
 def _row_intervals(

@@ -10,7 +10,7 @@ detections that survive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -46,6 +46,70 @@ class Detection:
             raise ValueError("class_id must be >= 1")
         if not (0.0 <= self.score <= 1.0):
             raise ValueError(f"score must lie in [0, 1], got {self.score}")
+
+
+@dataclass(frozen=True, eq=False)
+class DetectionSet:
+    """Detections of many images as parallel arrays (struct of arrays).
+
+    Row k is one detection: canonical vertices quads[k] (N, 4, 2), 1-based
+    class_id[k], score[k], and image[k], an index into image_ids (sorted,
+    unique). An image's input order is the order of its rows.
+    :meth:`from_mapping` and :meth:`per_image` convert from and to
+    Detection lists per image id.
+    """
+
+    image_ids: tuple[str, ...]
+    image: np.ndarray
+    quads: np.ndarray
+    class_id: np.ndarray
+    score: np.ndarray
+
+    def __post_init__(self):
+        n = len(self.image)
+        if self.quads.shape != (n, 4, 2) or len(self.class_id) != n or len(self.score) != n:
+            raise ShapeMismatch("detection set arrays are not aligned")
+        if list(self.image_ids) != sorted(set(self.image_ids)):
+            raise ValueError("image_ids must be sorted and unique")
+        if n and not 0 <= self.image.min() <= self.image.max() < len(self.image_ids):
+            raise ValueError("image index outside image_ids")
+
+    def __len__(self) -> int:
+        return len(self.image)
+
+    @classmethod
+    def from_mapping(cls, dets_per_image: Mapping[str, Sequence[Detection]]) -> "DetectionSet":
+        image_ids = tuple(sorted(dets_per_image))
+        dets = [d for image_id in image_ids for d in dets_per_image[image_id]]
+        counts = [len(dets_per_image[image_id]) for image_id in image_ids]
+        return cls(
+            image_ids,
+            np.repeat(np.arange(len(image_ids)), counts),
+            quad_arrays([d.quad for d in dets]),
+            np.array([d.class_id for d in dets], dtype=int),
+            np.array([d.score for d in dets], dtype=float),
+        )
+
+    def per_image(self) -> dict[str, list[Detection]]:
+        """Detection lists by image id, each in input order."""
+        out: dict[str, list[Detection]] = {image_id: [] for image_id in self.image_ids}
+        for image, quad, class_id, score in zip(
+            self.image.tolist(), quad_list(self.quads), self.class_id.tolist(), self.score.tolist()
+        ):
+            out[self.image_ids[image]].append(Detection(quad, class_id, score))
+        return out
+
+    def take(self, rows: np.ndarray) -> "DetectionSet":
+        """The given rows, in the given order, over the same image ids."""
+        return DetectionSet(
+            self.image_ids, self.image[rows], self.quads[rows], self.class_id[rows], self.score[rows]
+        )
+
+    def image_rows(self) -> list[np.ndarray]:
+        """Per image id, its row indices in input order."""
+        order = np.argsort(self.image, kind="stable")
+        bounds = np.searchsorted(self.image[order], np.arange(len(self.image_ids) + 1)).tolist()
+        return [order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 @dataclass(frozen=True)
@@ -125,6 +189,19 @@ def rotated_nms(dets: Sequence[Detection], iou_thresh: float) -> list[Detection]
         iou_thresh,
     )
     return [dets[i] for i in keep.tolist()]
+
+
+def nms_per_image(dets: DetectionSet, iou_thresh: float) -> DetectionSet:
+    """:func:`rotated_nms` within each image of a detection set.
+
+    The kept rows come image by image in image_ids order, each image's in
+    visit order (descending score, ties by input order).
+    """
+    keep = [
+        rows[_nms_keep(dets.quads[rows], dets.class_id[rows], dets.score[rows], iou_thresh)]
+        for rows in dets.image_rows()
+    ]
+    return dets.take(np.concatenate(keep) if keep else np.zeros(0, dtype=int))
 
 
 def _in_unit_interval(values: np.ndarray) -> bool:

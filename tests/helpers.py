@@ -1,12 +1,26 @@
 """Shared fixture builders and scalar oracles for the test suite."""
 
 import math
+from pathlib import Path
 
-from obbkit.errors import ShapeMismatch
-from obbkit.evaluation import FP, IGNORED, TP
-from obbkit.geometry import EDGE_EPS, HBB, EncodedBox, Quad, canonicalize, decode, polygon_iou
+import numpy as np
+
+from obbkit.dota import iter_annotation_records
+from obbkit.errors import DegenerateQuad, ParseError, ShapeMismatch, UnknownCategory
+from obbkit.evaluation import FP, IGNORED, TP, ClassTable, GtIndex
+from obbkit.geometry import (
+    EDGE_EPS,
+    HBB,
+    EncodedBox,
+    Quad,
+    canonicalize,
+    decode,
+    hbb_overlap,
+    polygon_iou,
+    polygon_iou_pairs,
+)
 from obbkit.inference import Detection, InferenceConfig
-from obbkit.targets import grid_to_image
+from obbkit.targets import GroundTruthObject, grid_to_image
 
 
 def rotated_rect(cx, cy, width, height, angle_deg) -> Quad:
@@ -28,6 +42,18 @@ def random_rect(rng, center_span=1000.0, size_lo=2.0, size_hi=500.0) -> Quad:
 
 def axis_box(x0, y0, x1, y1) -> Quad:
     return canonicalize([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
+
+
+def polygon_iou_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(N, M) block of polygon_iou(a[i], b[j]) for (N, 4, 2) and (M, 4, 2) quads.
+
+    Only the pairs in hbb_overlap go through polygon_iou_pairs; the rest
+    are 0, as in the scalar code.
+    """
+    ii, jj = np.nonzero(hbb_overlap(a, b))
+    out = np.zeros((len(a), len(b)))
+    out[ii, jj] = polygon_iou_pairs(a[ii], b[jj])
+    return out
 
 
 def rotated_nms_oracle(dets, iou_thresh):
@@ -121,3 +147,81 @@ def match_flags_oracle(dets_per_image, gt, class_id, iou_thresh):
         else:
             flags.append(FP)
     return [e[0] for e in entries], flags
+
+
+def parse_dota_detections_oracle(directory, classes=None, *, unknown_category="error",
+                                 bad_quad="error"):
+    """The detection parser one line at a time, each quad through the scalar canonicalize.
+
+    Returns ({image_id: [Detection]}, class table), or raises the first
+    error in file order.
+    """
+    files = sorted(Path(directory).glob("*.txt"))
+    names = [f.stem[len("Task1_"):] if f.stem.startswith("Task1_") else f.stem for f in files]
+    if classes is None:
+        classes = ClassTable(tuple(sorted(set(names))))
+    dets = {}
+    for f, name in zip(files, names):
+        try:
+            class_id = classes.id_of(name)
+        except UnknownCategory:
+            if unknown_category == "skip":
+                continue
+            raise
+        for line_no, line in enumerate(f.read_text().splitlines(), 1):
+            tokens = line.split()
+            if not tokens:
+                continue
+            if len(tokens) != 10:
+                raise ParseError(
+                    f, line_no, f"expected image id, score and 8 coordinates, got {len(tokens)} fields"
+                )
+            values = _floats_oracle(tokens[1:], f, line_no)
+            if not 0.0 <= values[0] <= 1.0:
+                raise ParseError(f, line_no, f"score {values[0]} outside [0, 1]")
+            quad = _quad_or_skip(values[1:], bad_quad)
+            if quad is not None:
+                dets.setdefault(tokens[0], []).append(Detection(quad, class_id, values[0]))
+    return dets, classes
+
+
+def parse_dota_annotations_oracle(directory, classes=None, *, unknown_category="error",
+                                  bad_quad="error"):
+    """The annotation parser record by record: every file is parsed first, then
+    each kept record's quad goes through the scalar canonicalize."""
+    per_file = {f: iter_annotation_records(f) for f in sorted(Path(directory).glob("*.txt"))}
+    if classes is None:
+        classes = ClassTable(tuple(sorted({r.category for rs in per_file.values() for r in rs})))
+    images = {}
+    for f, records in per_file.items():
+        objs = images.setdefault(f.stem, [])
+        for r in records:
+            try:
+                class_id = classes.id_of(r.category)
+            except UnknownCategory:
+                if unknown_category == "skip":
+                    continue
+                raise
+            quad = _quad_or_skip(r.coords, bad_quad)
+            if quad is not None:
+                objs.append(GroundTruthObject(quad, class_id, r.difficult))
+    return GtIndex(images, classes)
+
+
+def _floats_oracle(tokens, path, line_no):
+    values = []
+    for tok in tokens:
+        try:
+            values.append(float(tok))
+        except ValueError:
+            raise ParseError(path, line_no, f"expected a number, got {tok!r}") from None
+    return values
+
+
+def _quad_or_skip(coords, bad_quad):
+    try:
+        return canonicalize(list(zip(coords[0::2], coords[1::2])))
+    except (DegenerateQuad, ValueError):
+        if bad_quad == "skip":
+            return None
+        raise

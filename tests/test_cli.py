@@ -446,7 +446,8 @@ class TestDotaRoundtrip:
         out_dir = tmp_path / "rt"
         write_dota_detections(dets, classes, out_dir)
         again, _ = parse_dota_detections(out_dir, classes)
-        assert {k: len(v) for k, v in again.items()} == {k: len(v) for k, v in dets.items()}
+        counts = {k: len(v) for k, v in dets.per_image().items()}
+        assert {k: len(v) for k, v in again.per_image().items()} == counts
 
     def test_nine_token_line_defaults_difficult(self, tmp_path):
         d = tmp_path / "gt"
@@ -481,7 +482,7 @@ class TestDotaRoundtrip:
         d.mkdir()
         (d / "plane.txt").write_text("A 0.5 0 0 1 0 1 1 0 1\nA 0.5 0 0 1 0 1 1 0 1\n")
         dets, _ = parse_dota_detections(d)
-        assert len(dets["A"]) == 2
+        assert len(dets.per_image()["A"]) == 2
 
 
 class TestConfig:

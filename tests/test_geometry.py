@@ -14,7 +14,6 @@ from obbkit.geometry import (
     convex_intersect,
     decode,
     encode,
-    hbb_iou,
     polygon_area,
     polygon_iou,
     quad_arrays,
@@ -194,17 +193,6 @@ class TestPolygonIou:
             dx, dy = rng.uniform(-1e4, 1e4, 2)
             moved = polygon_iou(a.translated(dx, dy), b.translated(dx, dy))
             assert abs(base - moved) <= 1e-9
-
-
-class TestHbbIou:
-    def test_identical(self):
-        assert hbb_iou(HBB(0, 0, 2, 2), HBB(0, 0, 2, 2)) == 1.0
-
-    def test_quarter_overlap(self):
-        assert abs(hbb_iou(HBB(0, 0, 2, 2), HBB(1, 1, 3, 3)) - 1 / 7) < 1e-15
-
-    def test_disjoint(self):
-        assert hbb_iou(HBB(0, 0, 1, 1), HBB(5, 5, 6, 6)) == 0.0
 
 
 class TestRasterOracle:

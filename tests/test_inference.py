@@ -12,7 +12,6 @@ from obbkit.errors import ShapeMismatch
 from obbkit.geometry import (
     Point2,
     polygon_iou,
-    polygon_iou_block,
     quad_arrays,
     quad_from_offsets,
     quad_list,
@@ -30,6 +29,7 @@ from obbkit.targets import (
 
 from helpers import (
     axis_box,
+    polygon_iou_block,
     random_rect,
     rotated_nms_oracle,
     rotated_rect,

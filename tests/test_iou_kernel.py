@@ -16,12 +16,11 @@ from obbkit.geometry import (
     canonicalize,
     hbb_overlap,
     polygon_iou,
-    polygon_iou_block,
     polygon_iou_pairs,
     quad_arrays,
 )
 
-from helpers import axis_box, random_rect, rotated_rect
+from helpers import axis_box, polygon_iou_block, random_rect, rotated_rect
 
 def _rect(cx, cy, w, h, angle):
     try:
