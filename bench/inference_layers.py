@@ -8,10 +8,11 @@ Times, as medians over repeated runs on seeded inputs:
   scores stay under the 0.05 threshold;
 - ``run_inference`` on the dense map: the same pyramid with every
   (location, class) pair above the threshold, NMS at 0.5;
-- ``rotated_nms`` on 2000 scattered one-class boxes whose neighbours'
-  horizontal boxes overlap but whose IoU stays low (all are kept);
-- ``rotated_nms`` on 200 clusters of 10 jittered copies of one box
-  (most are suppressed).
+- ``nms_per_image`` on one image of 2000 scattered one-class boxes whose
+  neighbours' horizontal boxes overlap but whose IoU stays low (all are
+  kept);
+- ``nms_per_image`` on one image of 200 clusters of 10 jittered copies
+  of one box (most are suppressed).
 
 Usage, from the root of a checkout (obbkit is imported from PYTHONPATH,
 or from ./src when it is not importable)::
@@ -47,7 +48,13 @@ except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from obbkit.geometry import canonicalize, encode  # noqa: E402
-from obbkit.inference import Detection, InferenceConfig, rotated_nms, run_inference  # noqa: E402
+from obbkit.inference import (  # noqa: E402
+    Detection,
+    DetectionSet,
+    InferenceConfig,
+    nms_per_image,
+    run_inference,
+)
 from obbkit.losses import PredictionBatch  # noqa: E402
 from obbkit.targets import grid_specs  # noqa: E402
 
@@ -123,7 +130,7 @@ def scattered_boxes(rng):
         cy = 25.0 * (k // 50) + rng.uniform(-3, 3)
         w, h = rng.uniform(10, 30, 2)
         dets.append(Detection(rotated_rect(cx, cy, w, h, rng.uniform(-90, 90)), 1, float(rng.random())))
-    return dets
+    return DetectionSet.from_mapping({"scattered": dets})
 
 
 def clustered_boxes(rng):
@@ -137,7 +144,7 @@ def clustered_boxes(rng):
                                 w * rng.uniform(0.9, 1.1), h * rng.uniform(0.9, 1.1),
                                 angle + rng.uniform(-5, 5))
             dets.append(Detection(quad, class_id, float(rng.random())))
-    return dets
+    return DetectionSet.from_mapping({"clustered": dets})
 
 
 def candidates(batches, threshold=InferenceConfig().score_threshold):
@@ -158,9 +165,9 @@ def make_cases():
         lambda: run_inference(dense, dense_specs, InferenceConfig(nms_iou_threshold=0.5)),
     )
     scattered = scattered_boxes(np.random.default_rng(2000))
-    cases["rotated_nms_scattered"] = ("2000 one-class boxes, NMS 0.5", lambda: rotated_nms(scattered, 0.5))
+    cases["nms_scattered"] = ("2000 one-class boxes, NMS 0.5", lambda: nms_per_image(scattered, 0.5))
     clustered = clustered_boxes(np.random.default_rng(200))
-    cases["rotated_nms_clustered"] = ("200 clusters of 10 boxes, NMS 0.5", lambda: rotated_nms(clustered, 0.5))
+    cases["nms_clustered"] = ("200 clusters of 10 boxes, NMS 0.5", lambda: nms_per_image(clustered, 0.5))
     return cases
 
 

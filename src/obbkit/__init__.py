@@ -80,7 +80,6 @@ from .inference import (
     DetectionSet,
     InferenceConfig,
     nms_per_image,
-    rotated_nms,
     run_inference,
 )
 from .evaluation import (

@@ -284,7 +284,7 @@ def _cmd_loss(args) -> int:
 
 
 def _cmd_nms(args) -> int:
-    dets, classes = dota.parse_dota_detections(args.dets, bad_quad=args.bad_quad)
+    dets, classes = dota.parse_dota_detections(args.dets)
     kept = nms_per_image(dets, args.iou)
     dota.write_dota_detections(kept, classes, args.out)
     counts = np.bincount(dets.image, minlength=len(dets.image_ids)).tolist()
@@ -296,9 +296,10 @@ def _cmd_nms(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = _load_config(args)
-    policies = {"unknown_category": args.unknown_category, "bad_quad": args.bad_quad}
-    gt = dota.parse_dota_annotations(args.gt, **policies)
-    dets, _ = dota.parse_dota_detections(args.dets, gt.classes, **policies)
+    gt = dota.parse_dota_annotations(args.gt, unknown_category=args.unknown_category)
+    dets, _ = dota.parse_dota_detections(
+        args.dets, gt.classes, unknown_category=args.unknown_category
+    )
     iou = args.iou if args.iou is not None else cfg.eval_iou_threshold
     mode = parse_metric_mode(args.mode) if args.mode else cfg.metric_mode
     report = evaluate(dets, gt, iou, mode)
@@ -384,15 +385,6 @@ def _add_config_flags(sub):
     sub.add_argument("--threads", type=int, help="accepted for compatibility; has no effect")
 
 
-def _add_bad_quad_flag(sub):
-    sub.add_argument(
-        "--bad-quad",
-        choices=["error", "skip"],
-        default="error",
-        help="how to treat degenerate, concave or non-finite quads",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="obbkit", description=__doc__)
     commands = parser.add_subparsers(dest="command")
@@ -430,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dets", required=True, help="detection directory")
     p.add_argument("--iou", type=float, default=0.5, help="suppression IoU threshold")
     p.add_argument("--out", required=True, help="output directory")
-    _add_bad_quad_flag(p)
     p.add_argument("--threads", type=int, help="accepted for compatibility; has no effect")
     p.set_defaults(handler=_cmd_nms)
 
@@ -446,7 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="error",
         help="how to treat categories missing from the class table",
     )
-    _add_bad_quad_flag(p)
     _add_config_flags(p)
     p.set_defaults(handler=_cmd_eval)
 

@@ -17,15 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ObbkitError, ParseError, UnknownCategory
 from .evaluation import ClassTable, GtIndex
-from .geometry import canonicalize, canonicalize_many, quad_list
-from .inference import Detection, DetectionSet
-from .targets import GroundTruthObject
+from .geometry import canonicalize, canonicalize_many
+from .inference import DetectionSet
 
 _HEADER_PREFIXES = ("imagesource", "gsd")
 
@@ -77,26 +76,18 @@ def iter_annotation_records(path) -> list[AnnotationRecord]:
     return records
 
 
-def _check_policies(unknown_category: str, bad_quad: str) -> None:
-    if unknown_category not in ("error", "skip"):
-        raise ValueError("unknown_category must be 'error' or 'skip'")
-    if bad_quad not in ("error", "skip"):
-        raise ValueError("bad_quad must be 'error' or 'skip'")
+def _canonical_quads(coords: list) -> np.ndarray:
+    """Canonical (N, 4, 2) quads of flat 8-coordinate rows.
 
-
-def _canonical_rows(coords: list, bad_quad: str) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical (N, 4, 2) quads of flat 8-coordinate rows, and the rows to keep.
-
-    A row that :func:`canonicalize` rejects is dropped under "skip"; under
-    "error" the scalar code re-runs on the first such row, so it raises
-    that row's own error and message.
+    When :func:`canonicalize_many` rejects a row, the scalar code re-runs
+    on the first such row, so it raises that row's own error and message.
     """
     raw = np.array(coords, dtype=float).reshape(-1, 4, 2)
     quads, bad = canonicalize_many(raw)
-    if bad_quad == "error" and bad.any():
+    if bad.any():
         canonicalize(raw[np.argmax(bad)])
         raise AssertionError("canonicalize_many rejected a quad that canonicalize accepts")
-    return quads, ~bad
+    return quads
 
 
 def parse_dota_annotations(
@@ -104,18 +95,17 @@ def parse_dota_annotations(
     classes: ClassTable | None = None,
     *,
     unknown_category: str = "error",
-    bad_quad: str = "error",
 ) -> GtIndex:
     """Read a directory of per-image annotation files into a GtIndex.
 
     Without an explicit class table, ids are assigned densely over the
     sorted category names found in the data. unknown_category chooses
     between raising and silently skipping records whose category is
-    missing from an explicit table; bad_quad does the same for records
-    whose quad is degenerate, concave or non-finite. Every file is parsed
-    before any quad is checked.
+    missing from an explicit table. Every file is parsed before any quad
+    is checked.
     """
-    _check_policies(unknown_category, bad_quad)
+    if unknown_category not in ("error", "skip"):
+        raise ValueError("unknown_category must be 'error' or 'skip'")
     directory = Path(directory)
     files = sorted(directory.glob("*.txt"))
     per_file = {f: iter_annotation_records(f) for f in files}
@@ -124,25 +114,32 @@ def parse_dota_annotations(
         names = sorted({r.category for records in per_file.values() for r in records})
         classes = ClassTable(tuple(names))
 
-    images: dict[str, list[GroundTruthObject]] = {f.stem: [] for f in files}
-    records: list[tuple[AnnotationRecord, int]] = []
+    records: list[AnnotationRecord] = []
+    class_ids: list[int] = []
     try:
         for file_records in per_file.values():
             for r in file_records:
                 try:
-                    records.append((r, classes.id_of(r.category)))
+                    class_ids.append(classes.id_of(r.category))
                 except UnknownCategory:
                     if unknown_category == "error":
                         raise
+                    continue
+                records.append(r)
     except UnknownCategory:
         # a bad quad in an earlier record is the first error
-        _canonical_rows([r.coords for r, _ in records], bad_quad)
+        _canonical_quads([r.coords for r in records])
         raise
-    quads, keep = _canonical_rows([r.coords for r, _ in records], bad_quad)
-    kept = [record for record, ok in zip(records, keep.tolist()) if ok]
-    for (r, class_id), quad in zip(kept, quad_list(quads[keep])):
-        images[r.image_id].append(GroundTruthObject(quad, class_id, r.difficult))
-    return GtIndex(images, classes)
+    image_ids = tuple(sorted(f.stem for f in files))
+    index = {image_id: i for i, image_id in enumerate(image_ids)}
+    return GtIndex(
+        image_ids,
+        np.array([index[r.image_id] for r in records], dtype=int),
+        _canonical_quads([r.coords for r in records]),
+        np.array(class_ids, dtype=int),
+        np.array([r.difficult for r in records], dtype=bool),
+        classes,
+    )
 
 
 def _class_name_from_filename(path: Path) -> str:
@@ -155,18 +152,18 @@ def parse_dota_detections(
     classes: ClassTable | None = None,
     *,
     unknown_category: str = "error",
-    bad_quad: str = "error",
 ) -> tuple[DetectionSet, ClassTable]:
     """Read a directory of per-class detection files.
 
     Returns the detections of every image as one DetectionSet, rows in
     file order, together with the class table (inferred from the
     filenames when not supplied). Duplicate lines are preserved;
-    suppression is a separate step. unknown_category and bad_quad choose
-    between raising and skipping, as in :func:`parse_dota_annotations`;
-    the first error in file order is the one raised.
+    suppression is a separate step. unknown_category chooses between
+    raising and skipping, as in :func:`parse_dota_annotations`; the first
+    error in file order is the one raised.
     """
-    _check_policies(unknown_category, bad_quad)
+    if unknown_category not in ("error", "skip"):
+        raise ValueError("unknown_category must be 'error' or 'skip'")
     directory = Path(directory)
     files = sorted(directory.glob("*.txt"))
     if classes is None:
@@ -201,19 +198,17 @@ def parse_dota_detections(
                 rows.append(values)
     except (ObbkitError, OSError, ValueError):
         # a bad quad on an earlier line is the first error in file order
-        _canonical_rows([r[1:] for r in rows], bad_quad)
+        _canonical_quads([r[1:] for r in rows])
         raise
     table = np.array(rows, dtype=float).reshape(-1, 9)
-    quads, keep = _canonical_rows(table[:, 1:], bad_quad)
-    kept_names = [n for n, ok in zip(names, keep.tolist()) if ok]
-    image_ids = tuple(sorted(set(kept_names)))
+    image_ids = tuple(sorted(set(names)))
     index = {image_id: i for i, image_id in enumerate(image_ids)}
     dets = DetectionSet(
         image_ids,
-        np.array([index[n] for n in kept_names], dtype=int),
-        quads[keep],
-        np.array(class_ids, dtype=int)[keep],
-        table[keep, 0],
+        np.array([index[n] for n in names], dtype=int),
+        _canonical_quads(table[:, 1:]),
+        np.array(class_ids, dtype=int),
+        table[:, 0],
     )
     return dets, classes
 
@@ -229,17 +224,19 @@ def write_dota_annotations(gt: GtIndex, directory) -> None:
     """Serialize a GtIndex back to per-image annotation files."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    for image_id in sorted(gt.images):
-        lines = []
-        for obj in gt.images[image_id]:
-            coords = " ".join(format_number(v) for v in obj.quad.as_flat())
-            name = gt.classes.name_of(obj.class_id)
-            lines.append(f"{coords} {name} {int(obj.difficult)}")
+    coords = gt.quads.reshape(-1, 8).tolist()
+    names = [gt.classes.name_of(c) for c in gt.class_id.tolist()]
+    difficult = gt.difficult.tolist()
+    for image_id, rows in zip(gt.image_ids, gt.image_rows()):
+        lines = [
+            f"{' '.join(map(format_number, coords[k]))} {names[k]} {int(difficult[k])}"
+            for k in rows.tolist()
+        ]
         (directory / f"{image_id}.txt").write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
 def write_dota_detections(
-    dets: DetectionSet | Mapping[str, Sequence[Detection]],
+    dets: DetectionSet,
     classes: ClassTable,
     directory,
 ) -> None:
@@ -247,8 +244,6 @@ def write_dota_detections(
 
     Within a file, lines go by image id, each image's in input order.
     """
-    if not isinstance(dets, DetectionSet):
-        dets = DetectionSet.from_mapping(dets)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     by_class: dict[int, list[str]] = {c: [] for c in range(1, len(classes) + 1)}

@@ -14,13 +14,14 @@ FP.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import UnknownCategory, UnknownClass
-from .geometry import hbb_overlap, polygon_iou_pairs, quad_arrays
-from .inference import Detection, DetectionSet
+from .errors import ShapeMismatch, UnknownCategory, UnknownClass
+from .geometry import hbb_overlap, polygon_iou_pairs, quad_arrays, quad_list
+from .inference import DetectionSet, check_image_index, rows_by_image
 from .targets import GroundTruthObject
 
 MODE_11POINT = "11point"
@@ -57,28 +58,66 @@ class ClassTable:
         return len(self.names)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class GtIndex:
-    """Ground-truth objects grouped by image id, plus the class table."""
+    """Ground truth of many images as parallel arrays, plus the class table.
 
-    images: dict[str, list[GroundTruthObject]]
+    Row k is one object: canonical vertices quads[k] (N, 4, 2), 1-based
+    class_id[k], difficult[k], and image[k], an index into image_ids
+    (sorted, unique; an image may have no rows). An image's file order is
+    the order of its rows. :meth:`from_mapping` and :attr:`images` convert
+    from and to GroundTruthObject lists per image id.
+    """
+
+    image_ids: tuple[str, ...]
+    image: np.ndarray
+    quads: np.ndarray
+    class_id: np.ndarray
+    difficult: np.ndarray
     classes: ClassTable
 
     def __post_init__(self):
-        for image_id, objs in self.images.items():
-            for obj in objs:
-                if not 1 <= obj.class_id <= len(self.classes):
-                    raise UnknownClass(
-                        f"image {image_id}: class id {obj.class_id} outside table"
-                    )
+        n = len(self.image)
+        if self.quads.shape != (n, 4, 2) or len(self.class_id) != n or len(self.difficult) != n:
+            raise ShapeMismatch("ground truth arrays are not aligned")
+        check_image_index(self.image_ids, self.image)
+        outside = np.flatnonzero((self.class_id < 1) | (self.class_id > len(self.classes)))
+        if len(outside):
+            first = outside[np.lexsort((outside, self.image[outside]))[0]]
+            image_id = self.image_ids[self.image[first]]
+            raise UnknownClass(f"image {image_id}: class id {self.class_id[first]} outside table")
+
+    @classmethod
+    def from_mapping(
+        cls, images: Mapping[str, Sequence[GroundTruthObject]], classes: ClassTable
+    ) -> "GtIndex":
+        image_ids = tuple(sorted(images))
+        objs = [obj for image_id in image_ids for obj in images[image_id]]
+        return cls(
+            image_ids,
+            np.repeat(np.arange(len(image_ids)), [len(images[i]) for i in image_ids]),
+            quad_arrays([obj.quad for obj in objs]),
+            np.array([obj.class_id for obj in objs], dtype=int),
+            np.array([obj.difficult for obj in objs], dtype=bool),
+            classes,
+        )
+
+    @cached_property
+    def images(self) -> dict[str, list[GroundTruthObject]]:
+        """GroundTruthObject lists by image id, each in file order (built on first use)."""
+        out: dict[str, list[GroundTruthObject]] = {image_id: [] for image_id in self.image_ids}
+        for image, quad, class_id, difficult in zip(
+            self.image.tolist(), quad_list(self.quads), self.class_id.tolist(), self.difficult.tolist()
+        ):
+            out[self.image_ids[image]].append(GroundTruthObject(quad, class_id, difficult))
+        return out
+
+    def image_rows(self) -> list[np.ndarray]:
+        """Per image id, its row indices in file order."""
+        return rows_by_image(self.image, len(self.image_ids))
 
     def num_ground_truth(self, class_id: int) -> int:
-        total = 0
-        for objs in self.images.values():
-            for obj in objs:
-                if obj.class_id == class_id and not obj.difficult:
-                    total += 1
-        return total
+        return int(((self.class_id == class_id) & ~self.difficult).sum())
 
 
 @dataclass
@@ -118,20 +157,17 @@ def _match_flags(dets: DetectionSet, gt: GtIndex, iou_thresh: float) -> np.ndarr
     same-class (detection, ground truth) pair whose horizontal boxes
     overlap; every other pair counts as IoU 0.
     """
-    visit, gt_quads, pair_det, pair_gt = [], [], [], []
-    difficult: list[bool] = []
+    gt_rows = dict(zip(gt.image_ids, gt.image_rows()))
+    visit, pair_det, pair_gt = [], [], []
     start = 0
     for image_id, rows in zip(dets.image_ids, dets.image_rows()):
         rows = rows[np.argsort(-dets.score[rows], kind="stable")]
-        objs = gt.images.get(image_id, [])
-        if len(rows) and objs:
-            gq = quad_arrays([obj.quad for obj in objs])
-            same = dets.class_id[rows, None] == np.array([obj.class_id for obj in objs])
-            k, g = np.nonzero(hbb_overlap(dets.quads[rows], gq) & same)
-            gt_quads.append(gq[g])
+        objs = gt_rows.get(image_id, ())
+        if len(rows) and len(objs):
+            same = dets.class_id[rows, None] == gt.class_id[objs]
+            k, g = np.nonzero(hbb_overlap(dets.quads[rows], gt.quads[objs]) & same)
             pair_det.append(k + start)
-            pair_gt.append(g + len(difficult))
-            difficult.extend(obj.difficult for obj in objs)
+            pair_gt.append(objs[g])
         visit.append(rows)
         start += len(rows)
     visit = np.concatenate(visit) if visit else np.zeros(0, dtype=int)
@@ -139,12 +175,12 @@ def _match_flags(dets: DetectionSet, gt: GtIndex, iou_thresh: float) -> np.ndarr
     flags = np.full(len(visit), FP)
     if pair_det:
         k, g = np.concatenate(pair_det), np.concatenate(pair_gt)
-        iou = polygon_iou_pairs(dets.quads[visit[k]], np.concatenate(gt_quads))
+        iou = polygon_iou_pairs(dets.quads[visit[k]], gt.quads[g])
         # each detection's best ground truth, the first one on a tie
         best = np.lexsort((g, -iou, k))
         best = best[np.diff(k[best], prepend=-1) != 0]
         k, g, hit = k[best], g[best], iou[best] > iou_thresh
-        hard = np.array(difficult)[g]
+        hard = gt.difficult[g]
         flags[k[hit & hard]] = IGNORED
         # k ascends in visit order, so the first claim on a ground truth wins
         claims = np.flatnonzero(hit & ~hard)
@@ -157,7 +193,7 @@ def _match_flags(dets: DetectionSet, gt: GtIndex, iou_thresh: float) -> np.ndarr
 
 
 def match_detections(
-    dets: DetectionSet | Mapping[str, Sequence[Detection]],
+    dets: DetectionSet,
     gt: GtIndex,
     iou_thresh: float = 0.5,
 ) -> dict[int, ClassMatches]:
@@ -174,8 +210,6 @@ def match_detections(
     """
     if not 0.0 <= iou_thresh <= 1.0:
         raise ValueError(f"match IoU threshold must lie in [0, 1], got {iou_thresh}")
-    if not isinstance(dets, DetectionSet):
-        dets = DetectionSet.from_mapping(dets)
     num_classes = len(gt.classes)
     outside = np.flatnonzero((dets.class_id < 1) | (dets.class_id > num_classes))
     if len(outside):
@@ -240,7 +274,7 @@ def average_precision(curve: PRCurve, mode: str = MODE_11POINT) -> float:
 
 
 def evaluate(
-    dets: DetectionSet | Mapping[str, Sequence[Detection]],
+    dets: DetectionSet,
     gt: GtIndex,
     iou_threshold: float = 0.5,
     mode: str = MODE_11POINT,

@@ -48,6 +48,22 @@ class Detection:
             raise ValueError(f"score must lie in [0, 1], got {self.score}")
 
 
+def check_image_index(image_ids: Sequence[str], image: np.ndarray) -> None:
+    """Raise ValueError unless image_ids is sorted and unique and every
+    entry of image indexes into it."""
+    if list(image_ids) != sorted(set(image_ids)):
+        raise ValueError("image_ids must be sorted and unique")
+    if len(image) and not 0 <= image.min() <= image.max() < len(image_ids):
+        raise ValueError("image index outside image_ids")
+
+
+def rows_by_image(image: np.ndarray, num_images: int) -> list[np.ndarray]:
+    """Per image index 0..num_images-1, its row indices in row order."""
+    order = np.argsort(image, kind="stable")
+    bounds = np.searchsorted(image[order], np.arange(num_images + 1)).tolist()
+    return [order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+
 @dataclass(frozen=True, eq=False)
 class DetectionSet:
     """Detections of many images as parallel arrays (struct of arrays).
@@ -69,10 +85,7 @@ class DetectionSet:
         n = len(self.image)
         if self.quads.shape != (n, 4, 2) or len(self.class_id) != n or len(self.score) != n:
             raise ShapeMismatch("detection set arrays are not aligned")
-        if list(self.image_ids) != sorted(set(self.image_ids)):
-            raise ValueError("image_ids must be sorted and unique")
-        if n and not 0 <= self.image.min() <= self.image.max() < len(self.image_ids):
-            raise ValueError("image index outside image_ids")
+        check_image_index(self.image_ids, self.image)
 
     def __len__(self) -> int:
         return len(self.image)
@@ -107,9 +120,7 @@ class DetectionSet:
 
     def image_rows(self) -> list[np.ndarray]:
         """Per image id, its row indices in input order."""
-        order = np.argsort(self.image, kind="stable")
-        bounds = np.searchsorted(self.image[order], np.arange(len(self.image_ids) + 1)).tolist()
-        return [order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+        return rows_by_image(self.image, len(self.image_ids))
 
 
 @dataclass(frozen=True)
@@ -173,29 +184,14 @@ def _nms_keep(
     return order[~np.array(suppressed, dtype=bool)]
 
 
-def rotated_nms(dets: Sequence[Detection], iou_thresh: float) -> list[Detection]:
-    """Per-class greedy suppression by polygon IoU.
-
-    Detections are visited in descending score (ties broken by input
-    index); one is kept iff its IoU with every kept detection of the
-    same class stays at or below the threshold, so a threshold of 1
-    keeps every detection. Output is in visit order, so scores are
-    non-increasing. The threshold must lie in [0, 1].
-    """
-    keep = _nms_keep(
-        quad_arrays([d.quad for d in dets]),
-        np.array([d.class_id for d in dets], dtype=int),
-        np.array([d.score for d in dets], dtype=float),
-        iou_thresh,
-    )
-    return [dets[i] for i in keep.tolist()]
-
-
 def nms_per_image(dets: DetectionSet, iou_thresh: float) -> DetectionSet:
-    """:func:`rotated_nms` within each image of a detection set.
+    """Per-class greedy suppression by polygon IoU within each image.
 
-    The kept rows come image by image in image_ids order, each image's in
-    visit order (descending score, ties by input order).
+    An image's detections are visited in descending score (ties broken by
+    input order); one is kept iff its IoU with every kept detection of the
+    same class stays at or below the threshold, so a threshold of 1 keeps
+    every detection. The kept rows come image by image in image_ids
+    order, each image's in visit order. The threshold must lie in [0, 1].
     """
     keep = [
         rows[_nms_keep(dets.quads[rows], dets.class_id[rows], dets.score[rows], iou_thresh)]

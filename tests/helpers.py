@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 
 from obbkit.dota import iter_annotation_records
-from obbkit.errors import DegenerateQuad, ParseError, ShapeMismatch, UnknownCategory
+from obbkit.errors import ParseError, ShapeMismatch, UnknownCategory
 from obbkit.evaluation import FP, IGNORED, TP, ClassTable, GtIndex
 from obbkit.geometry import (
     EDGE_EPS,
@@ -149,8 +149,7 @@ def match_flags_oracle(dets_per_image, gt, class_id, iou_thresh):
     return [e[0] for e in entries], flags
 
 
-def parse_dota_detections_oracle(directory, classes=None, *, unknown_category="error",
-                                 bad_quad="error"):
+def parse_dota_detections_oracle(directory, classes=None, *, unknown_category="error"):
     """The detection parser one line at a time, each quad through the scalar canonicalize.
 
     Returns ({image_id: [Detection]}, class table), or raises the first
@@ -179,14 +178,12 @@ def parse_dota_detections_oracle(directory, classes=None, *, unknown_category="e
             values = _floats_oracle(tokens[1:], f, line_no)
             if not 0.0 <= values[0] <= 1.0:
                 raise ParseError(f, line_no, f"score {values[0]} outside [0, 1]")
-            quad = _quad_or_skip(values[1:], bad_quad)
-            if quad is not None:
-                dets.setdefault(tokens[0], []).append(Detection(quad, class_id, values[0]))
+            quad = canonicalize(list(zip(values[1::2], values[2::2])))
+            dets.setdefault(tokens[0], []).append(Detection(quad, class_id, values[0]))
     return dets, classes
 
 
-def parse_dota_annotations_oracle(directory, classes=None, *, unknown_category="error",
-                                  bad_quad="error"):
+def parse_dota_annotations_oracle(directory, classes=None, *, unknown_category="error"):
     """The annotation parser record by record: every file is parsed first, then
     each kept record's quad goes through the scalar canonicalize."""
     per_file = {f: iter_annotation_records(f) for f in sorted(Path(directory).glob("*.txt"))}
@@ -202,10 +199,9 @@ def parse_dota_annotations_oracle(directory, classes=None, *, unknown_category="
                 if unknown_category == "skip":
                     continue
                 raise
-            quad = _quad_or_skip(r.coords, bad_quad)
-            if quad is not None:
-                objs.append(GroundTruthObject(quad, class_id, r.difficult))
-    return GtIndex(images, classes)
+            quad = canonicalize(list(zip(r.coords[0::2], r.coords[1::2])))
+            objs.append(GroundTruthObject(quad, class_id, r.difficult))
+    return GtIndex.from_mapping(images, classes)
 
 
 def _floats_oracle(tokens, path, line_no):
@@ -217,11 +213,3 @@ def _floats_oracle(tokens, path, line_no):
             raise ParseError(path, line_no, f"expected a number, got {tok!r}") from None
     return values
 
-
-def _quad_or_skip(coords, bad_quad):
-    try:
-        return canonicalize(list(zip(coords[0::2], coords[1::2])))
-    except (DegenerateQuad, ValueError):
-        if bad_quad == "skip":
-            return None
-        raise

@@ -28,7 +28,7 @@ from obbkit.geometry import (
     raster_iou_oracle,
 )
 from obbkit.ie_attention import AttentionWeights, FeatureMap, attend, attention_map, softmax_rows
-from obbkit.inference import Detection
+from obbkit.inference import Detection, DetectionSet
 from obbkit.losses import (
     LossWeights,
     PredictionBatch,
@@ -356,7 +356,7 @@ def test_07_fit_demo_convergence():
 
 def test_08_evaluation_harness():
     classes = ClassTable(("plane", "ship"))
-    gt = GtIndex(
+    gt = GtIndex.from_mapping(
         {
             "P0001": [
                 GroundTruthObject(axis_box(0, 0, 10, 10), 1),
@@ -376,15 +376,15 @@ def test_08_evaluation_harness():
         ],
         "P0002": [Detection(axis_box(0, 0, 10, 10), 2, 0.85)],
     }
-    err11 = abs(evaluate(dets, gt, 0.5, MODE_11POINT).mean_ap - 23 / 33)
-    err_all = abs(evaluate(dets, gt, 0.5, MODE_ALLPOINT).mean_ap - 2 / 3)
+    err11 = abs(evaluate(DetectionSet.from_mapping(dets), gt, 0.5, MODE_11POINT).mean_ap - 23 / 33)
+    err_all = abs(evaluate(DetectionSet.from_mapping(dets), gt, 0.5, MODE_ALLPOINT).mean_ap - 2 / 3)
     perfect = {
         img: [Detection(o.quad, o.class_id, 1.0) for o in objs]
         for img, objs in gt.images.items()
     }
     perfect_ok = (
-        evaluate(perfect, gt, 0.5, MODE_11POINT).mean_ap == 1.0
-        and evaluate(perfect, gt, 0.5, MODE_ALLPOINT).mean_ap == 1.0
+        evaluate(DetectionSet.from_mapping(perfect), gt, 0.5, MODE_11POINT).mean_ap == 1.0
+        and evaluate(DetectionSet.from_mapping(perfect), gt, 0.5, MODE_ALLPOINT).mean_ap == 1.0
     )
     ok = err11 <= 1e-6 and err_all <= 1e-6 and perfect_ok
     report(

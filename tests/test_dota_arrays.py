@@ -1,4 +1,4 @@
-"""DetectionSet, the array-native DOTA parsers and the --bad-quad policy."""
+"""DetectionSet, GtIndex and the array-native DOTA parsers."""
 
 import contextlib
 import io
@@ -12,15 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obbkit import cli
-from obbkit.dota import parse_dota_annotations, parse_dota_detections, write_dota_detections
-from obbkit.errors import DegenerateQuad, ObbkitError, ParseError, UnknownCategory
-from obbkit.evaluation import ClassTable, evaluate, match_detections
-from obbkit.inference import Detection, DetectionSet, nms_per_image, rotated_nms
+from obbkit.dota import parse_dota_annotations, parse_dota_detections
+from obbkit.errors import DegenerateQuad, ObbkitError, ParseError, UnknownCategory, UnknownClass
+from obbkit.evaluation import ClassTable, GtIndex
+from obbkit.inference import Detection, DetectionSet, nms_per_image
+from obbkit.targets import GroundTruthObject
 
 from helpers import (
     parse_dota_annotations_oracle,
     parse_dota_detections_oracle,
     random_rect,
+    rotated_nms_oracle,
 )
 
 GOOD = "A 0.5 0 0 10 0 10 10 0 10"
@@ -96,33 +98,53 @@ class TestDetectionSet:
             DetectionSet(image_ids, np.array(image), np.zeros((2, 4, 2)), np.ones(2, dtype=int),
                          np.ones(2))
 
-    def test_nms_per_image_equals_rotated_nms(self):
+    def test_nms_per_image_matches_scalar_oracle(self):
         dets = _scene(3, per_image=60)
         kept = nms_per_image(DetectionSet.from_mapping(dets), 0.3).per_image()
-        expected = {image_id: rotated_nms(d, 0.3) for image_id, d in dets.items()}
+        expected = {image_id: rotated_nms_oracle(d, 0.3) for image_id, d in dets.items()}
         assert _as_plain(kept) == _as_plain(expected)
 
-    def test_match_and_evaluate_accept_both_forms(self, tmp_path):
-        dets = _scene(4)
-        ds = DetectionSet.from_mapping(dets)
-        gt = parse_dota_annotations(_write(tmp_path / "gt", {
-            f"img{i}.txt": "".join(
-                " ".join(str(v) for v in d.quad.as_flat()) + f" c{d.class_id} 0\n"
-                for d in dets[f"img{i}"][::3]
-            )
-            for i in range(3)
-        }), ClassTable(("c1", "c2", "c3")))
-        for a, b in zip(match_detections(ds, gt).values(), match_detections(dets, gt).values()):
-            assert a.flags.tolist() == b.flags.tolist() and a.scores.tolist() == b.scores.tolist()
-        assert evaluate(ds, gt).per_class == evaluate(dets, gt).per_class
 
-    def test_write_accepts_both_forms(self, tmp_path):
-        dets = _scene(5)
-        classes = ClassTable(("a", "b", "c"))
-        write_dota_detections(dets, classes, tmp_path / "m")
-        write_dota_detections(DetectionSet.from_mapping(dets), classes, tmp_path / "s")
-        for name in ("a.txt", "b.txt", "c.txt"):
-            assert (tmp_path / "m" / name).read_text() == (tmp_path / "s" / name).read_text()
+def _gt_plain(images):
+    return {
+        image_id: [(o.quad.as_flat(), o.class_id, o.difficult) for o in objs]
+        for image_id, objs in images.items()
+    }
+
+
+class TestGtIndex:
+    def test_mapping_roundtrip(self):
+        rng = np.random.default_rng(6)
+        images = {
+            "B": [GroundTruthObject(random_rect(rng, 300, 5, 60), c, c == 2) for c in (2, 1, 2)],
+            "A": [],
+            "C": [GroundTruthObject(random_rect(rng, 300, 5, 60), 1)],
+        }
+        gt = GtIndex.from_mapping(images, ClassTable(("x", "y")))
+        assert gt.image_ids == ("A", "B", "C") and len(gt.image) == 4
+        assert _gt_plain(gt.images) == _gt_plain(images)
+        assert [gt.num_ground_truth(c) for c in (1, 2)] == [2, 0]
+
+    def test_rows_in_file_order(self, tmp_path):
+        d = _write(tmp_path / "gt", {
+            "B.txt": "0 0 2 0 2 2 0 2 ship 0\n0 0 3 0 3 3 0 3 plane 1\n",
+            "A-1.txt": "0 0 4 0 4 4 0 4 plane 0\n",
+            "A.txt": "",
+        })
+        gt = parse_dota_annotations(d)
+        assert gt.image_ids == ("A", "A-1", "B")
+        assert [rows.tolist() for rows in gt.image_rows()] == [[], [0], [1, 2]]
+        assert _gt_plain(gt.images) == _gt_plain(parse_dota_annotations_oracle(d).images)
+
+    def test_class_id_outside_table(self):
+        with pytest.raises(UnknownClass, match="image B: class id 3"):
+            GtIndex(("A", "B"), np.array([0, 1]), np.zeros((2, 4, 2)), np.array([1, 3]),
+                    np.zeros(2, dtype=bool), ClassTable(("x", "y")))
+
+    def test_misaligned_arrays(self):
+        with pytest.raises(ObbkitError):
+            GtIndex(("A",), np.zeros(2, dtype=int), np.zeros((1, 4, 2)), np.ones(2, dtype=int),
+                    np.zeros(2, dtype=bool), ClassTable(("x",)))
 
 
 class TestErrorOrder:
@@ -146,8 +168,9 @@ class TestErrorOrder:
         d = _write(tmp_path / "dets", {"a.txt": DEGENERATE + "\n", "b.txt": MALFORMED + "\n"})
         with pytest.raises(DegenerateQuad):
             parse_dota_detections(d)
+        d = _write(tmp_path / "dets2", {"a.txt": MALFORMED + "\n", "b.txt": DEGENERATE + "\n"})
         with pytest.raises(ParseError):
-            parse_dota_detections(d, bad_quad="skip")
+            parse_dota_detections(d)
 
     def test_degenerate_before_unknown_detection_class(self, tmp_path):
         d = _write(tmp_path / "dets", {"a.txt": DEGENERATE + "\n", "z.txt": GOOD + "\n"})
@@ -166,46 +189,6 @@ class TestErrorOrder:
         d = _write(tmp_path / "gt3", {"A.txt": bad, "B.txt": "0 0 1 0 1 plane 0\n"})
         with pytest.raises(ParseError):
             parse_dota_annotations(d)
-
-
-class TestBadQuadPolicy:
-    def test_skip_drops_rejected_detection_rows(self, tmp_path):
-        text = "\n".join([GOOD, DEGENERATE, "B 0.4 0 0 1 0 inf 1 0 1", "B 0.3 0 0 4 0 1 1 0 4",
-                          "B 0.2 0 0 2 0 2 2 0 2"]) + "\n"
-        d = _write(tmp_path / "dets", {"plane.txt": text})
-        dets, _ = parse_dota_detections(d, bad_quad="skip")
-        assert [(image_id, len(v)) for image_id, v in dets.per_image().items()] == [("A", 1), ("B", 1)]
-        assert dets.score.tolist() == [0.5, 0.2]
-
-    def test_skip_drops_an_image_with_no_valid_row(self, tmp_path):
-        d = _write(tmp_path / "dets", {"plane.txt": DEGENERATE.replace("A", "C") + "\n" + GOOD + "\n"})
-        dets, _ = parse_dota_detections(d, bad_quad="skip")
-        assert dets.image_ids == ("A",)
-
-    def test_skip_drops_rejected_annotations(self, tmp_path):
-        d = _write(tmp_path / "gt", {"A.txt": "0 0 1 1 2 2 3 3 plane 0\n0 0 1 0 1 1 0 1 plane 1\n",
-                                     "B.txt": "0 0 1 1 2 2 3 3 ship 0\n"})
-        gt = parse_dota_annotations(d, bad_quad="skip")
-        assert gt.classes.names == ("plane", "ship")
-        assert [len(gt.images[k]) for k in ("A", "B")] == [1, 0]
-        assert gt.images["A"][0].difficult
-
-    @pytest.mark.parametrize("parse", [parse_dota_annotations, parse_dota_detections])
-    def test_unknown_policy(self, parse, tmp_path):
-        with pytest.raises(ValueError, match="bad_quad"):
-            parse(tmp_path, bad_quad="drop")
-
-    def test_cli_default_errors_and_skip_drops(self, tmp_path):
-        dets = _write(tmp_path / "dets", {"plane.txt": GOOD + "\n" + DEGENERATE + "\n"})
-        gt = _write(tmp_path / "gt", {"A.txt": "0 0 10 0 10 10 0 10 plane 0\n"})
-        rc, out, err = _run(["nms", "--dets", str(dets), "--out", str(tmp_path / "k")])
-        assert (rc, out) == (2, "") and "area 0 below tolerance" in err
-        rc, out, _ = _run(["nms", "--dets", str(dets), "--out", str(tmp_path / "k"),
-                           "--bad-quad", "skip"])
-        assert (rc, out) == (0, "A: kept 1 of 1\n")
-        assert _run(["eval", "--gt", str(gt), "--dets", str(dets)])[0] == 2
-        rc, out, _ = _run(["eval", "--gt", str(gt), "--dets", str(dets), "--bad-quad", "skip"])
-        assert rc == 0 and out.splitlines()[1].split() == ["plane", "1"]
 
 
 # ------------------------------------------------------------------ fuzzing
@@ -243,20 +226,18 @@ def _outcome(parse, *args, **kwargs):
 @given(
     plane=st.lists(_det_line, max_size=6),
     ship=st.lists(_det_line, max_size=4),
-    bad_quad=st.sampled_from(["error", "skip"]),
 )
-def test_fuzz_detection_parser(plane, ship, bad_quad):
+def test_fuzz_detection_parser(plane, ship):
     with tempfile.TemporaryDirectory() as tmp:
         d = _write(Path(tmp) / "dets", {"plane.txt": "\n".join(plane), "ship.txt": "\n".join(ship)})
-        got = _outcome(parse_dota_detections, d, bad_quad=bad_quad)
-        want = _outcome(parse_dota_detections_oracle, d, bad_quad=bad_quad)
+        got = _outcome(parse_dota_detections, d)
+        want = _outcome(parse_dota_detections_oracle, d)
         if got[0] == "ok":
             assert want[0] == "ok" and got[1][1] == want[1][1]
             assert _as_plain(got[1][0].per_image()) == _as_plain(want[1][0])
         else:
             assert got == want
-        rc, _, _ = _run(["nms", "--dets", str(d), "--out", str(Path(tmp) / "k"),
-                         "--bad-quad", bad_quad])
+        rc, _, _ = _run(["nms", "--dets", str(d), "--out", str(Path(tmp) / "k")])
         assert rc == (0 if got[0] == "ok" else 2)
 
 
@@ -264,29 +245,24 @@ def test_fuzz_detection_parser(plane, ship, bad_quad):
 @given(
     a=st.lists(_gt_line, max_size=6),
     b=st.lists(_gt_line, max_size=4),
-    bad_quad=st.sampled_from(["error", "skip"]),
     unknown=st.sampled_from(["error", "skip"]),
 )
-def test_fuzz_annotation_parser(a, b, bad_quad, unknown):
+def test_fuzz_annotation_parser(a, b, unknown):
     classes = ClassTable(("plane", "ship"))
     with tempfile.TemporaryDirectory() as tmp:
         d = _write(Path(tmp) / "gt", {"A.txt": "\n".join(a), "B.txt": "\n".join(b)})
-        policies = {"bad_quad": bad_quad, "unknown_category": unknown}
         outcomes = []
         for table in (None, classes):
-            got = _outcome(parse_dota_annotations, d, table, **policies)
+            got = _outcome(parse_dota_annotations, d, table, unknown_category=unknown)
             outcomes.append(got)
-            want = _outcome(parse_dota_annotations_oracle, d, table, **policies)
+            want = _outcome(parse_dota_annotations_oracle, d, table, unknown_category=unknown)
             if got[0] == "ok":
                 assert want[0] == "ok" and got[1].classes == want[1].classes
-                plain = {k: [(o.quad.as_flat(), o.class_id, o.difficult) for o in v]
-                         for k, v in got[1].images.items()}
-                assert plain == {k: [(o.quad.as_flat(), o.class_id, o.difficult) for o in v]
-                                 for k, v in want[1].images.items()}
+                assert _gt_plain(got[1].images) == _gt_plain(want[1].images)
             else:
                 assert got == want
         empty = _write(Path(tmp) / "dets", {})
-        rc, _, _ = _run(["eval", "--gt", str(d), "--dets", str(empty), "--bad-quad", bad_quad,
+        rc, _, _ = _run(["eval", "--gt", str(d), "--dets", str(empty),
                          "--unknown-category", unknown])
         # eval infers the class table, as the first parse above did
         assert rc == (0 if outcomes[0][0] == "ok" else 2)

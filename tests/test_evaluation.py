@@ -21,10 +21,15 @@ from obbkit.evaluation import (
     pr_curve,
 )
 from obbkit.geometry import polygon_iou
-from obbkit.inference import Detection
+from obbkit.inference import Detection, DetectionSet
 from obbkit.targets import GroundTruthObject
 
 from helpers import axis_box, match_flags_oracle, random_rect, rotated_rect
+
+
+def _ds(dets_per_image):
+    """The DetectionSet of a {image_id: [Detection]} mapping."""
+    return DetectionSet.from_mapping(dets_per_image)
 
 
 def fixture_scene():
@@ -35,7 +40,7 @@ def fixture_scene():
     all-point mode.
     """
     classes = ClassTable(("plane", "ship"))
-    gt = GtIndex(
+    gt = GtIndex.from_mapping(
         {
             "P0001": [
                 GroundTruthObject(axis_box(0, 0, 10, 10), 1),
@@ -92,39 +97,41 @@ def scenes(draw):
                 quad = box()
             score = draw(st.sampled_from([0.3, 0.6, 0.6, 0.9]))
             dets[image].append(Detection(quad, draw(st.integers(1, 2)), score))
-    return dets, GtIndex(gt, classes)
+    return dets, GtIndex.from_mapping(gt, classes)
 
 
 class TestMatchDetections:
     def test_exact_hit_is_tp(self):
         dets, gt = fixture_scene()
-        m = match_detections(dets, gt, 0.5)
+        m = match_detections(_ds(dets), gt, 0.5)
         assert list(m[1].flags) == [TP, FP, TP]
         assert list(m[2].flags) == [TP, FP]
         assert m[1].num_gt == 2 and m[2].num_gt == 2
 
     def test_double_detection_is_fp(self):
         classes = ClassTable(("plane",))
-        gt = GtIndex({"A": [GroundTruthObject(axis_box(0, 0, 10, 10), 1)]}, classes)
+        gt = GtIndex.from_mapping({"A": [GroundTruthObject(axis_box(0, 0, 10, 10), 1)]},
+                                  classes)
         dets = {
             "A": [
                 Detection(axis_box(0, 0, 10, 10), 1, 0.9),
                 Detection(axis_box(0, 0, 10, 10), 1, 0.8),
             ]
         }
-        m = match_detections(dets, gt, 0.5)
+        m = match_detections(_ds(dets), gt, 0.5)
         assert list(m[1].flags) == [TP, FP]
 
     def test_low_iou_is_fp(self):
         classes = ClassTable(("plane",))
-        gt = GtIndex({"A": [GroundTruthObject(axis_box(0, 0, 10, 10), 1)]}, classes)
+        gt = GtIndex.from_mapping({"A": [GroundTruthObject(axis_box(0, 0, 10, 10), 1)]},
+                                  classes)
         dets = {"A": [Detection(axis_box(6, 0, 16, 10), 1, 0.9)]}  # IoU 4/16
-        m = match_detections(dets, gt, 0.5)
+        m = match_detections(_ds(dets), gt, 0.5)
         assert list(m[1].flags) == [FP]
 
     def test_difficult_ignored_both_ways(self):
         classes = ClassTable(("plane",))
-        gt = GtIndex(
+        gt = GtIndex.from_mapping(
             {"A": [GroundTruthObject(axis_box(0, 0, 10, 10), 1, difficult=True)]}, classes
         )
         dets = {
@@ -133,7 +140,7 @@ class TestMatchDetections:
                 Detection(axis_box(0, 0, 10, 10), 1, 0.8),
             ]
         }
-        m = match_detections(dets, gt, 0.5)
+        m = match_detections(_ds(dets), gt, 0.5)
         assert list(m[1].flags) == [IGNORED, IGNORED]
         assert m[1].num_gt == 0
 
@@ -141,7 +148,7 @@ class TestMatchDetections:
         dets, gt = fixture_scene()
         dets["P0001"].append(Detection(axis_box(0, 0, 1, 1), 7, 0.5))
         with pytest.raises(UnknownClass):
-            match_detections(dets, gt, 0.5)
+            match_detections(_ds(dets), gt, 0.5)
 
     def test_greedy_matches_exhaustive_max_tp(self):
         rng = np.random.default_rng(88)
@@ -153,7 +160,7 @@ class TestMatchDetections:
                 q = random_rect(rng, 80, 10, 40)
                 if all(polygon_iou(q, g.quad) < 0.2 for g in gts):
                     gts.append(GroundTruthObject(q, 1))
-            gt = GtIndex({"A": gts}, classes)
+            gt = GtIndex.from_mapping({"A": gts}, classes)
             dets = []
             for _ in range(int(rng.integers(1, 7))):
                 base = gts[int(rng.integers(0, n_gt))].quad
@@ -164,7 +171,7 @@ class TestMatchDetections:
                         float(rng.random()),
                     )
                 )
-            m = match_detections({"A": dets}, gt, 0.5)
+            m = match_detections(_ds({"A": dets}), gt, 0.5)
             greedy_tp = int((m[1].flags == TP).sum())
 
             ious = [[polygon_iou(d.quad, g.quad) for g in gts] for d in dets]
@@ -184,7 +191,7 @@ class TestMatchDetections:
         # (IoU 0.905) is already matched, so it is a FP even though the
         # other ground truth (IoU 0.739) is free; "best unmatched" gave AP 1.0
         classes = ClassTable(("plane",))
-        gt = GtIndex(
+        gt = GtIndex.from_mapping(
             {
                 "A": [
                     GroundTruthObject(axis_box(0, 0, 10, 10), 1),
@@ -199,20 +206,22 @@ class TestMatchDetections:
                 Detection(axis_box(0.5, 0, 10.5, 10), 1, 0.8),
             ]
         }
-        assert list(match_detections(dets, gt, 0.5)[1].flags) == [TP, FP]
-        assert evaluate(dets, gt, 0.5, MODE_11POINT).mean_ap == pytest.approx(6 / 11, abs=1e-15)
-        assert evaluate(dets, gt, 0.5, MODE_ALLPOINT).mean_ap == pytest.approx(0.5, abs=1e-15)
+        ds = _ds(dets)
+        assert list(match_detections(ds, gt, 0.5)[1].flags) == [TP, FP]
+        assert evaluate(ds, gt, 0.5, MODE_11POINT).mean_ap == pytest.approx(6 / 11, abs=1e-15)
+        assert evaluate(ds, gt, 0.5, MODE_ALLPOINT).mean_ap == pytest.approx(0.5, abs=1e-15)
 
     def test_iou_equal_to_threshold_is_fp(self):
         classes = ClassTable(("plane",))
-        gt = GtIndex({"A": [GroundTruthObject(axis_box(0, 0, 10, 10), 1)]}, classes)
+        gt = GtIndex.from_mapping({"A": [GroundTruthObject(axis_box(0, 0, 10, 10), 1)]},
+                                  classes)
         dets = {"A": [Detection(axis_box(0, 0, 10, 5), 1, 0.9)]}  # IoU exactly 0.5
-        assert list(match_detections(dets, gt, 0.5)[1].flags) == [FP]
-        assert list(match_detections(dets, gt, 0.4999)[1].flags) == [TP]
+        assert list(match_detections(_ds(dets), gt, 0.5)[1].flags) == [FP]
+        assert list(match_detections(_ds(dets), gt, 0.4999)[1].flags) == [TP]
 
     def test_difficult_best_match_hides_a_free_ground_truth(self):
         classes = ClassTable(("plane",))
-        gt = GtIndex(
+        gt = GtIndex.from_mapping(
             {
                 "A": [
                     GroundTruthObject(axis_box(2, 0, 12, 10), 1),
@@ -222,13 +231,13 @@ class TestMatchDetections:
             classes,
         )
         dets = {"A": [Detection(axis_box(0, 0, 10, 10), 1, 0.9)]}
-        assert list(match_detections(dets, gt, 0.5)[1].flags) == [IGNORED]
+        assert list(match_detections(_ds(dets), gt, 0.5)[1].flags) == [IGNORED]
 
     @settings(max_examples=100, deadline=None)
     @given(scenes(), st.sampled_from([0.0, 0.3, 0.5, 1.0]))
     def test_matches_scalar_oracle(self, scene, thresh):
         dets, gt = scene
-        got = match_detections(dets, gt, thresh)
+        got = match_detections(_ds(dets), gt, thresh)
         for class_id in (1, 2):
             scores, flags = match_flags_oracle(dets, gt, class_id, thresh)
             assert got[class_id].scores.tolist() == scores
@@ -299,11 +308,11 @@ class TestAveragePrecision:
 class TestEvaluate:
     def test_fixture_map_both_modes(self):
         dets, gt = fixture_scene()
-        report11 = evaluate(dets, gt, 0.5, MODE_11POINT)
+        report11 = evaluate(_ds(dets), gt, 0.5, MODE_11POINT)
         assert abs(report11.per_class["plane"] - 28 / 33) < 1e-12
         assert abs(report11.per_class["ship"] - 6 / 11) < 1e-12
         assert abs(report11.mean_ap - 23 / 33) < 1e-12
-        report_all = evaluate(dets, gt, 0.5, MODE_ALLPOINT)
+        report_all = evaluate(_ds(dets), gt, 0.5, MODE_ALLPOINT)
         assert abs(report_all.per_class["plane"] - 5 / 6) < 1e-12
         assert abs(report_all.per_class["ship"] - 0.5) < 1e-12
         assert abs(report_all.mean_ap - 2 / 3) < 1e-12
@@ -315,33 +324,35 @@ class TestEvaluate:
             for img, objs in gt.images.items()
         }
         for mode in (MODE_11POINT, MODE_ALLPOINT):
-            report = evaluate(dets, gt, 0.5, mode)
+            report = evaluate(_ds(dets), gt, 0.5, mode)
             assert report.mean_ap == 1.0
             assert all(v == 1.0 for v in report.per_class.values())
 
     def test_zero_gt_class_excluded_from_mean(self):
         classes = ClassTable(("plane", "ghost"))
-        gt = GtIndex({"A": [GroundTruthObject(axis_box(0, 0, 10, 10), 1)]}, classes)
+        gt = GtIndex.from_mapping({"A": [GroundTruthObject(axis_box(0, 0, 10, 10), 1)]},
+                                  classes)
         dets = {"A": [Detection(axis_box(0, 0, 10, 10), 1, 0.9)]}
-        report = evaluate(dets, gt, 0.5, MODE_11POINT)
+        report = evaluate(_ds(dets), gt, 0.5, MODE_11POINT)
         assert report.per_class["ghost"] == 0.0
         assert report.mean_ap == 1.0
 
     def test_duplicating_detections_never_raises_ap(self):
         rng = np.random.default_rng(99)
         dets, gt = fixture_scene()
-        base = evaluate(dets, gt, 0.5, MODE_11POINT).mean_ap
+        base = evaluate(_ds(dets), gt, 0.5, MODE_11POINT).mean_ap
         doubled = {img: list(d) + list(d) for img, d in dets.items()}
-        assert evaluate(doubled, gt, 0.5, MODE_11POINT).mean_ap <= base + 1e-12
+        assert evaluate(_ds(doubled), gt, 0.5, MODE_11POINT).mean_ap <= base + 1e-12
 
     def test_ap_non_increasing_in_iou_threshold(self):
         dets, gt = fixture_scene()
-        maps = [evaluate(dets, gt, t, MODE_11POINT).mean_ap for t in (0.3, 0.5, 0.7, 0.9)]
+        ds = _ds(dets)
+        maps = [evaluate(ds, gt, t, MODE_11POINT).mean_ap for t in (0.3, 0.5, 0.7, 0.9)]
         assert maps == sorted(maps, reverse=True)
 
     def test_tp_bounded_by_gt(self):
         dets, gt = fixture_scene()
-        m = match_detections(dets, gt, 0.1)
+        m = match_detections(_ds(dets), gt, 0.1)
         for class_id, matches in m.items():
             assert (matches.flags == TP).sum() <= gt.num_ground_truth(class_id)
 
@@ -349,7 +360,7 @@ class TestEvaluate:
     def test_threshold_outside_unit_interval(self, thresh):
         dets, gt = fixture_scene()
         with pytest.raises(ValueError, match="must lie in"):
-            match_detections(dets, gt, thresh)
+            match_detections(_ds(dets), gt, thresh)
 
 
 class TestClassTable:
@@ -367,4 +378,5 @@ class TestClassTable:
 
     def test_gt_index_validates_ids(self):
         with pytest.raises(UnknownClass):
-            GtIndex({"A": [GroundTruthObject(axis_box(0, 0, 1, 1), 9)]}, ClassTable(("a",)))
+            GtIndex.from_mapping({"A": [GroundTruthObject(axis_box(0, 0, 1, 1), 9)]},
+                                 ClassTable(("a",)))

@@ -17,7 +17,13 @@ from obbkit.geometry import (
     quad_list,
     quads_from_offsets,
 )
-from obbkit.inference import Detection, InferenceConfig, rotated_nms, run_inference
+from obbkit.inference import (
+    Detection,
+    DetectionSet,
+    InferenceConfig,
+    nms_per_image,
+    run_inference,
+)
 from obbkit.losses import PredictionBatch
 from obbkit.targets import (
     FeatureGridSpec,
@@ -125,7 +131,7 @@ clustered_dets = st.lists(
 
 @contextlib.contextmanager
 def nms_band(pairs):
-    """Set rotated_nms's band size for the duration of the block."""
+    """Set the NMS band size for the duration of the block."""
     saved = inference.NMS_PAIRS_PER_BAND
     inference.NMS_PAIRS_PER_BAND = pairs
     try:
@@ -134,20 +140,25 @@ def nms_band(pairs):
         inference.NMS_PAIRS_PER_BAND = saved
 
 
+def nms_one_image(dets, iou_thresh):
+    """nms_per_image on one image's Detection list: the kept detections in visit order."""
+    return nms_per_image(DetectionSet.from_mapping({"img": dets}), iou_thresh).per_image()["img"]
+
+
 class TestRotatedNms:
     def test_single_detection_kept(self):
         d = det(axis_box(0, 0, 2, 2))
-        assert rotated_nms([d], 0.5) == [d]
+        assert nms_one_image([d], 0.5) == [d]
 
     def test_identical_quads_suppressed(self):
         q = rotated_rect(5, 5, 4, 2, 30)
-        keep = rotated_nms([det(q, 1, 0.9), det(q, 1, 0.8)], 0.5)
+        keep = nms_one_image([det(q, 1, 0.9), det(q, 1, 0.8)], 0.5)
         assert len(keep) == 1
         assert keep[0].score == 0.9
 
     def test_per_class_suppression(self):
         q = axis_box(0, 0, 2, 2)
-        keep = rotated_nms([det(q, 1, 0.9), det(q, 2, 0.8)], 0.5)
+        keep = nms_one_image([det(q, 1, 0.9), det(q, 2, 0.8)], 0.5)
         assert len(keep) == 2
 
     def test_subset_sorted_and_idempotent(self):
@@ -156,37 +167,37 @@ class TestRotatedNms:
             det(random_rect(rng, 40, 4, 30), int(rng.integers(1, 3)), float(rng.random()))
             for _ in range(30)
         ]
-        keep = rotated_nms(dets, 0.4)
+        keep = nms_one_image(dets, 0.4)
         assert all(k in dets for k in keep)
         scores = [k.score for k in keep]
         assert scores == sorted(scores, reverse=True)
-        assert rotated_nms(keep, 0.4) == keep
+        assert nms_one_image(keep, 0.4) == keep
 
     def test_score_tie_broken_by_input_index(self):
         q = axis_box(0, 0, 2, 2)
         a = det(q, 1, 0.5)
         b = det(q.translated(0.1, 0), 1, 0.5)
-        keep = rotated_nms([a, b], 0.5)
+        keep = nms_one_image([a, b], 0.5)
         assert keep == [a]
 
     def test_threshold_one_keeps_everything_in_score_order(self):
         q = axis_box(0, 0, 2, 2)
         a, b, c = det(q, 1, 0.5), det(q, 1, 0.9), det(q, 1, 0.5)
-        assert rotated_nms([a, b, c], 1.0) == [b, a, c]
+        assert nms_one_image([a, b, c], 1.0) == [b, a, c]
 
     @pytest.mark.parametrize("thresh", [-0.5, 1.5, math.nan])
     def test_threshold_outside_unit_interval(self, thresh):
         with pytest.raises(ValueError, match="must lie in"):
-            rotated_nms([det(axis_box(0, 0, 2, 2))], thresh)
+            nms_one_image([det(axis_box(0, 0, 2, 2))], thresh)
 
     @settings(max_examples=150, deadline=None)
     @given(clustered_dets, st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from([1, 60, 1 << 18]))
     def test_matches_scalar_oracle(self, dets, thresh, band):
         # 1 and 60 split the block into bands of one and of several rows
         with nms_band(band):
-            got = rotated_nms(dets, thresh)
+            got = nms_one_image(dets, thresh)
         want = rotated_nms_oracle(dets, thresh)
-        assert [id(d) for d in got] == [id(d) for d in want]
+        assert got == want
 
     def test_2000_scattered_boxes_all_kept_in_score_order(self):
         # one class on a 50 x 40 grid of 25 px cells: neighbours' HBBs
@@ -201,7 +212,7 @@ class TestRotatedNms:
         quads = quad_arrays([d.quad for d in dets])
         assert np.tril(polygon_iou_block(quads, quads) > 0.0, -1).sum() > 500
         order = sorted(range(2000), key=lambda i: (-dets[i].score, i))
-        assert rotated_nms(dets, 0.5) == [dets[i] for i in order]
+        assert nms_one_image(dets, 0.5) == [dets[i] for i in order]
 
 
 def batch_for(spec, entries, num_classes=2):
