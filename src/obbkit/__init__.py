@@ -41,7 +41,6 @@ from .targets import (
     FeatureGridSpec,
     GroundTruthObject,
     LevelRanges,
-    RegressionTarget,
     TargetMaps,
     assign_targets,
     centerness,

@@ -32,7 +32,7 @@ from .evaluation import evaluate
 from .geometry import EncodedBox, HBB, canonicalize, decode, encode, polygon_iou, raster_iou_oracle
 from .inference import nms_per_image
 from .losses import PredictionBatch, fit_demo, grad_check, total_loss
-from .targets import Point2, RegressionTarget, TargetMaps, assign_targets, grid_specs
+from .targets import TargetMaps, assign_targets, grid_specs
 
 _USAGE_EXIT = 1
 _DATA_EXIT = 2
@@ -77,12 +77,7 @@ def _numeric_lines(path, expected: int):
         if not stripped or stripped.startswith("#"):
             continue
         tokens = stripped.split()
-        values = []
-        for tok in tokens[:expected]:
-            try:
-                values.append(float(tok))
-            except ValueError:
-                raise ParseError(path, line_no, f"expected a number, got {tok!r}") from None
+        values = dota.parse_floats(tokens[:expected], path, line_no)
         if len(values) < expected:
             raise ParseError(path, line_no, f"expected {expected} numbers, got {len(values)}")
         yield line_no, values, tokens
@@ -164,50 +159,45 @@ def _cmd_assign(args) -> int:
         levels = assign_targets(specs, cfg.level_ranges, objects, radius)
         print(f"# image {image_id} size {width}x{height}")
         for spec, maps in zip(specs, levels):
-            positives = [maps[i] for i in np.flatnonzero(maps.class_id > 0)]
-            for t in positives:
-                values = (*t.ltrb, *t.wh, t.centerness)
+            pos = np.flatnonzero(maps.class_id > 0)
+            values = np.column_stack([maps.ltrb, maps.wh, maps.centerness])[pos].tolist()
+            for (x_s, y_s), class_id, row, difficult in zip(
+                maps.grid[pos].tolist(), maps.class_id[pos].tolist(), values,
+                maps.difficult[pos].tolist(),
+            ):
                 print(
-                    f"{spec.level} {t.x_s} {t.y_s} {t.class_id} "
-                    + " ".join(dota.format_number(v) for v in values)
-                    + f" {int(t.difficult)}"
+                    f"{spec.level} {x_s} {y_s} {class_id} "
+                    + " ".join(map(dota.format_number, row))
+                    + f" {int(difficult)}"
                 )
-            print(f"# level {spec.level}: {len(positives)} positive of {len(maps)} locations")
+            print(f"# level {spec.level}: {len(pos)} positive of {len(maps)} locations")
     return 0
 
 
-def _read_targets_file(path) -> list[RegressionTarget]:
+def _read_targets_file(path) -> TargetMaps:
+    """One location per line: a bare `0` (background) or `class_id l t r b w h centerness`."""
     path = Path(path)
-    targets: list[RegressionTarget] = []
+    class_ids, rows = [], []
     for line_no, line in enumerate(path.read_text().splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        tokens = stripped.split()
         try:
             class_id = int(tokens[0])
         except ValueError:
             raise ParseError(path, line_no, f"expected a class id, got {tokens[0]!r}") from None
-        if class_id == 0:
-            targets.append(RegressionTarget(len(targets), 0, Point2(0.0, 0.0), 0))
-            continue
-        if len(tokens) != 8:
-            raise ParseError(
-                path, line_no, f"positive targets need class_id l t r b w h centerness"
-            )
-        values = [float(t) for t in tokens[1:]]
-        targets.append(
-            RegressionTarget(
-                len(targets),
-                0,
-                Point2(0.0, 0.0),
-                class_id,
-                ltrb=tuple(values[0:4]),
-                wh=tuple(values[4:6]),
-                centerness=values[6],
-            )
-        )
-    return targets
+        if class_id < 0:
+            raise ParseError(path, line_no, f"class id must be >= 0, got {class_id}")
+        if len(tokens) != (8 if class_id else 1):
+            raise ParseError(path, line_no, "expected 0 or class_id l t r b w h centerness")
+        class_ids.append(class_id)
+        rows.append(dota.parse_floats(tokens[1:], path, line_no) if class_id else [0.0] * 7)
+    n = len(rows)
+    values = np.reshape(rows, (n, 7))
+    return TargetMaps(
+        class_ids, values[:, :4], values[:, 4:6], values[:, 6], np.zeros(n, bool),
+        np.full(n, -1), np.zeros((n, 2)), np.stack([np.arange(n), np.zeros(n, int)], axis=1),
+    )
 
 
 def _read_preds_file(path) -> PredictionBatch:
@@ -227,10 +217,7 @@ def _read_preds_file(path) -> PredictionBatch:
                 )
         elif len(tokens) != width:
             raise ParseError(path, line_no, f"expected {width} fields, got {len(tokens)}")
-        try:
-            rows.append([float(t) for t in tokens])
-        except ValueError:
-            raise ParseError(path, line_no, "expected numbers") from None
+        rows.append(dota.parse_floats(tokens, path, line_no))
     if not rows:
         raise ParseError(path, 1, "no predictions")
     data = np.array(rows)
@@ -267,7 +254,7 @@ def _loss_grad_checks(batch: PredictionBatch, targets, weights) -> dict[str, flo
 
 def _cmd_loss(args) -> int:
     cfg = _load_config(args)
-    targets = TargetMaps.from_targets(_read_targets_file(args.targets))
+    targets = _read_targets_file(args.targets)
     batch = _read_preds_file(args.preds)
     result = total_loss(batch, targets, cfg.weights)
     b = result.breakdown

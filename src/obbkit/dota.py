@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ObbkitError, ParseError, UnknownCategory
-from .evaluation import ClassTable, GtIndex
+from .evaluation import ClassTable, GtIndex, check_detection_classes
 from .geometry import canonicalize, canonicalize_many
 from .inference import DetectionSet
 
@@ -39,7 +39,7 @@ class AnnotationRecord:
     difficult: bool
 
 
-def _parse_floats(tokens: Sequence[str], path, line_no: int) -> list[float]:
+def parse_floats(tokens: Sequence[str], path, line_no: int) -> list[float]:
     values = []
     for tok in tokens:
         try:
@@ -65,7 +65,7 @@ def iter_annotation_records(path) -> list[AnnotationRecord]:
             raise ParseError(
                 path, line_no, f"expected 8 coordinates, category and flag, got {len(tokens)} fields"
             )
-        coords = _parse_floats(tokens[:8], path, line_no)
+        coords = parse_floats(tokens[:8], path, line_no)
         category = tokens[8]
         difficult = False
         if len(tokens) == 10:
@@ -190,7 +190,7 @@ def parse_dota_detections(
                     raise ParseError(
                         f, line_no, f"expected image id, score and 8 coordinates, got {len(tokens)} fields"
                     )
-                values = _parse_floats(tokens[1:], f, line_no)
+                values = parse_floats(tokens[1:], f, line_no)
                 if not 0.0 <= values[0] <= 1.0:
                     raise ParseError(f, line_no, f"score {values[0]} outside [0, 1]")
                 names.append(tokens[0])
@@ -243,7 +243,10 @@ def write_dota_detections(
     """Serialize detections to per-class files (every class gets a file).
 
     Within a file, lines go by image id, each image's in input order.
+    Raises UnknownClass, before any file is written, for a class id
+    outside the table.
     """
+    check_detection_classes(dets, classes)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     by_class: dict[int, list[str]] = {c: [] for c in range(1, len(classes) + 1)}

@@ -192,6 +192,14 @@ def _match_flags(dets: DetectionSet, gt: GtIndex, iou_thresh: float) -> np.ndarr
     return out
 
 
+def check_detection_classes(dets: DetectionSet, classes: ClassTable) -> None:
+    """Raise UnknownClass for the first detection (by image, then row) outside the table."""
+    outside = np.flatnonzero((dets.class_id < 1) | (dets.class_id > len(classes)))
+    if len(outside):
+        first = outside[np.lexsort((outside, dets.image[outside]))[0]]
+        raise UnknownClass(f"detection class id {dets.class_id[first]} outside table")
+
+
 def match_detections(
     dets: DetectionSet,
     gt: GtIndex,
@@ -210,16 +218,12 @@ def match_detections(
     """
     if not 0.0 <= iou_thresh <= 1.0:
         raise ValueError(f"match IoU threshold must lie in [0, 1], got {iou_thresh}")
-    num_classes = len(gt.classes)
-    outside = np.flatnonzero((dets.class_id < 1) | (dets.class_id > num_classes))
-    if len(outside):
-        first = outside[np.lexsort((outside, dets.image[outside]))[0]]
-        raise UnknownClass(f"detection class id {dets.class_id[first]} outside table")
+    check_detection_classes(dets, gt.classes)
 
     flags = _match_flags(dets, gt, iou_thresh)
     ranked = np.lexsort((np.arange(len(dets)), dets.image, -dets.score))
     matches = {}
-    for c in range(1, num_classes + 1):
+    for c in range(1, len(gt.classes) + 1):
         sel = ranked[dets.class_id[ranked] == c]
         matches[c] = ClassMatches(c, dets.score[sel], flags[sel], gt.num_ground_truth(c))
     return matches

@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import Diverged, NonFiniteScore, ShapeMismatch
 from .geometry import Quad, quad_list, quads_from_offsets
-from .targets import RegressionTarget, TargetMaps
+from .targets import TargetMaps
 
 _UNION_TINY = 1e-12
 # Raw parameter bound in fit_demo; keeps sigmoids strictly inside (0, 1)
@@ -307,17 +307,15 @@ class TotalLossResult:
 
 def total_loss(
     preds: PredictionBatch,
-    targets: TargetMaps | Sequence[RegressionTarget],
+    targets: TargetMaps,
     weights: LossWeights,
 ) -> TotalLossResult:
     """Composite loss over aligned prediction and target maps.
 
     Classification is scored on every location; centerness, box and
     orientation terms only on positives. The three sums are divided once
-    by max(num_pos, 1). A RegressionTarget sequence is converted with
-    TargetMaps.from_targets.
+    by max(num_pos, 1).
     """
-    targets = TargetMaps.from_targets(targets)
     n = preds.num_locations
     if len(targets) != n:
         raise ShapeMismatch(f"{n} predictions vs {len(targets)} targets")
@@ -442,7 +440,7 @@ def _fit_params_to_batch(raw: np.ndarray, num_classes: int) -> PredictionBatch:
 
 
 def fit_demo(
-    targets: TargetMaps | Sequence[RegressionTarget],
+    targets: TargetMaps,
     weights: LossWeights,
     steps: int = 2000,
     lr: float = 0.05,
@@ -460,12 +458,10 @@ def fit_demo(
     independent of how many positives share the normalizer. Returns the
     loss trajectory (steps + 1 entries) and, for every positive
     location, the quad decoded from the final offsets around that
-    location's image point. A RegressionTarget sequence is converted
-    with TargetMaps.from_targets.
+    location's image point.
 
     Raises Diverged if the loss ever becomes non-finite.
     """
-    targets = TargetMaps.from_targets(targets)
     if num_classes is None:
         num_classes = int(targets.class_id.max(initial=0))
     if num_classes < 1:

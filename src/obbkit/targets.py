@@ -9,7 +9,6 @@ with left/top/right/bottom offsets, orientation offsets and centerness.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Sequence
 from dataclasses import astuple, dataclass
 
@@ -46,30 +45,6 @@ class GroundTruthObject:
             raise ValueError("class_id must be >= 1 (0 is reserved for background)")
 
 
-@dataclass(frozen=True)
-class RegressionTarget:
-    """Training target for one grid location.
-
-    Background locations carry class_id 0 and no regression values.
-    object_index records which entry of the input object list a positive
-    location was assigned to (bookkeeping for demos and reports).
-    """
-
-    x_s: int
-    y_s: int
-    point: Point2
-    class_id: int
-    ltrb: tuple[float, float, float, float] | None = None
-    wh: tuple[float, float] | None = None
-    centerness: float | None = None
-    difficult: bool = False
-    object_index: int | None = None
-
-    @property
-    def is_positive(self) -> bool:
-        return self.class_id > 0
-
-
 # field name -> (dtype, trailing shape) of the TargetMaps arrays
 _MAP_LAYOUT = dict(
     class_id=(int, ()), ltrb=(float, (4,)), wh=(float, (2,)), centerness=(float, ()),
@@ -77,31 +52,15 @@ _MAP_LAYOUT = dict(
 )
 
 
-def _target(class_id, ltrb, wh, centerness, difficult, object_index, point, grid):
-    """One TargetMaps row (plain Python values, _MAP_LAYOUT order) as a RegressionTarget."""
-    regression = {}
-    if class_id > 0:
-        regression = dict(ltrb=tuple(ltrb), wh=tuple(wh), centerness=centerness)
-    return RegressionTarget(
-        *grid,
-        Point2(*point),
-        class_id,
-        difficult=difficult,
-        object_index=object_index if object_index >= 0 else None,
-        **regression,
-    )
-
-
 @dataclass(frozen=True, eq=False)
-class TargetMaps(Sequence):
+class TargetMaps:
     """Training targets for L grid locations, one read-only array per field.
 
     class_id (L,) is 0 on background; ltrb (L, 4), wh (L, 2) and
     centerness (L,) hold regression values on positives and 0 elsewhere;
     difficult (L,); object_index (L,) is -1 where no object is recorded;
     points (L, 2) are image-plane (x, y) and grid (L, 2) the (x_s, y_s)
-    grid index. As a Sequence it yields one RegressionTarget per location,
-    built only when indexed or iterated.
+    grid index.
     """
 
     class_id: np.ndarray
@@ -124,36 +83,6 @@ class TargetMaps(Sequence):
 
     def __len__(self) -> int:
         return self.class_id.shape[0]
-
-    def __getitem__(self, i) -> RegressionTarget:
-        i = operator.index(i)  # numpy indexing wraps negatives and raises IndexError
-        return _target(*(getattr(self, name)[i].tolist() for name in _MAP_LAYOUT))
-
-    def __iter__(self):
-        return map(_target, *(getattr(self, name).tolist() for name in _MAP_LAYOUT))
-
-    @classmethod
-    def from_targets(cls, targets: Sequence[RegressionTarget]) -> "TargetMaps":
-        """Arrays of a RegressionTarget sequence; a TargetMaps is returned as is.
-
-        Raises ValueError for a positive target without ltrb, wh or centerness.
-        """
-        if isinstance(targets, TargetMaps):
-            return targets
-        n = len(targets)
-        ltrb, wh, cent = np.zeros((n, 4)), np.zeros((n, 2)), np.zeros(n)
-        for i, t in enumerate(targets):
-            if not t.is_positive:
-                continue
-            if t.ltrb is None or t.wh is None or t.centerness is None:
-                raise ValueError(f"positive target at index {i} lacks regression values")
-            ltrb[i], wh[i], cent[i] = t.ltrb, t.wh, t.centerness
-        return cls(
-            [t.class_id for t in targets], ltrb, wh, cent, [t.difficult for t in targets],
-            [-1 if t.object_index is None else t.object_index for t in targets],
-            np.reshape([(t.point.x, t.point.y) for t in targets], (n, 2)),
-            np.reshape([(t.x_s, t.y_s) for t in targets], (n, 2)),
-        )
 
     @classmethod
     def concatenate(cls, maps: Sequence["TargetMaps"]) -> "TargetMaps":

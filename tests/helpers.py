@@ -20,7 +20,7 @@ from obbkit.geometry import (
     polygon_iou_pairs,
 )
 from obbkit.inference import Detection, InferenceConfig
-from obbkit.targets import GroundTruthObject, grid_to_image
+from obbkit.targets import GroundTruthObject, TargetMaps, grid_to_image
 
 
 def rotated_rect(cx, cy, width, height, angle_deg) -> Quad:
@@ -42,6 +42,28 @@ def random_rect(rng, center_span=1000.0, size_lo=2.0, size_hi=500.0) -> Quad:
 
 def axis_box(x0, y0, x1, y1) -> Quad:
     return canonicalize([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
+
+
+def target_maps(class_id, ltrb=None, wh=None, centerness=None, points=None) -> TargetMaps:
+    """TargetMaps for L locations at grid (i, 0) with class ids class_id (L,).
+
+    ltrb (L, 4), wh (L, 2) and points (L, 2) default to zeros; centerness
+    defaults to the centerness of ltrb on positives and 0 on background.
+    object_index is 0 on positives and -1 on background; none is difficult.
+    """
+    class_id = np.asarray(class_id, dtype=int)
+    n = len(class_id)
+    pos = class_id > 0
+    ltrb = np.zeros((n, 4)) if ltrb is None else np.asarray(ltrb, dtype=float)
+    if centerness is None:
+        l, t, r, b = np.where(pos[:, None], ltrb, 1.0).T
+        ratio = (np.minimum(l, r) / np.maximum(l, r)) * (np.minimum(t, b) / np.maximum(t, b))
+        centerness = np.where(pos, np.sqrt(ratio), 0.0)
+    return TargetMaps(
+        class_id, ltrb, np.zeros((n, 2)) if wh is None else wh, centerness, np.zeros(n, bool),
+        np.where(pos, 0, -1), np.zeros((n, 2)) if points is None else points,
+        np.stack([np.arange(n), np.zeros(n, int)], axis=1),
+    )
 
 
 def polygon_iou_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:

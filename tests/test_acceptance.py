@@ -46,11 +46,11 @@ from obbkit.targets import (
     FeatureGridSpec,
     GroundTruthObject,
     LevelRanges,
-    RegressionTarget,
+    TargetMaps,
     assign_targets,
 )
 
-from helpers import axis_box, random_rect, rotated_rect
+from helpers import axis_box, random_rect, rotated_rect, target_maps
 
 
 def report(name: str, ok: bool, detail: str):
@@ -140,14 +140,10 @@ def _iou_obb_points(rng):
 
 def _composite_points(rng):
     """Random two-location scenes with every coordinate clear of kinks."""
-    targets = [
-        RegressionTarget(
-            0, 0, Point2(0, 0), 1,
-            ltrb=(2.0, 1.0, 4.0, 3.0), wh=(1.0, 2.0),
-            centerness=math.sqrt((2 / 4) * (1 / 3)),
-        ),
-        RegressionTarget(1, 0, Point2(0, 0), 0),
-    ]
+    targets = target_maps(
+        [1, 0], ltrb=[(2.0, 1.0, 4.0, 3.0), (0, 0, 0, 0)], wh=[(1.0, 2.0), (0, 0)],
+        centerness=[math.sqrt((2 / 4) * (1 / 3)), 0.0],
+    )
     weights = LossWeights()
     t_ltrb = np.array([2.0, 1.0, 4.0, 3.0])
     t_wh = np.array([1.0, 2.0])
@@ -301,14 +297,12 @@ def test_06_target_assignment_oracle():
         levels = assign_targets(specs, ranges, objects, center_radius_mult=1.5)
         expected = _brute_force_assignment(specs, ranges, objects, 1.5)
         for level, exp in zip(levels, expected):
-            got = [t.object_index if t.is_positive else -1 for t in level]
+            got = np.where(level.class_id > 0, level.object_index, -1).tolist()
             if got != exp:
                 mismatches += 1
-            for t in level:
-                if not t.is_positive:
-                    continue
-                decoded = quad_from_offsets(t.point, t.ltrb, t.wh)
-                deficit = 1.0 - polygon_iou(decoded, objects[t.object_index].quad)
+            for i in np.flatnonzero(level.class_id > 0):
+                decoded = quad_from_offsets(Point2(*level.points[i]), level.ltrb[i], level.wh[i])
+                deficit = 1.0 - polygon_iou(decoded, objects[level.object_index[i]].quad)
                 worst_deficit = max(worst_deficit, deficit)
     ok = mismatches == 0 and worst_deficit <= 1e-9
     report(
@@ -326,7 +320,7 @@ def test_07_fit_demo_convergence():
     ]
     specs = [FeatureGridSpec(28, 28, 8, 3), FeatureGridSpec(14, 14, 16, 4)]
     ranges = LevelRanges([(0, 64), (64, math.inf)])
-    flat = [t for level in assign_targets(specs, ranges, objects) for t in level]
+    flat = TargetMaps.concatenate(assign_targets(specs, ranges, objects))
 
     start = time.perf_counter()
     result = fit_demo(flat, LossWeights(), steps=2000, lr=0.05)
@@ -334,7 +328,7 @@ def test_07_fit_demo_convergence():
 
     best: dict[int, tuple[float, int]] = {}
     for k, idx in enumerate(result.positive_indices):
-        j = flat[idx].object_index
+        j = int(flat.object_index[idx])
         if j not in best or result.fused_scores[k] > best[j][0]:
             best[j] = (result.fused_scores[k], k)
     ious = [

@@ -12,7 +12,12 @@ from obbkit.dota import (
     write_dota_annotations,
     write_dota_detections,
 )
-from obbkit.errors import ParseError
+from obbkit.errors import ParseError, UnknownClass
+from obbkit.evaluation import ClassTable
+from obbkit.geometry import canonicalize
+from obbkit.inference import Detection, DetectionSet
+
+from helpers import target_maps
 
 GT_P0001 = """\
 imagesource:GoogleEarth
@@ -130,6 +135,38 @@ class TestEncodeDecodeCommands:
         assert "quads.txt:1" in err
 
 
+ASSIGN_SCENE_STDOUT = """\
+# image P0001 size 32x32
+3 0 0 1 4 4 6 6 0 10 0.6666666666666666 0
+3 3 0 1 8 4 2 6 0 10 0.408248290463863 0
+3 0 3 2 4 8 6 2 0 10 0.408248290463863 0
+# level 3: 3 positive of 16 locations
+# image P0002 size 16x16
+3 0 0 2 4 4 6 6 0 10 0.6666666666666666 0
+# level 3: 1 positive of 4 locations
+"""
+LOSS_STDOUT = """\
+total      2.19061
+cls_loss   0.00576369
+reg_loss   1.69621
+ori_loss   0.488636
+num_pos    1
+normalizer 1
+"""
+LOSS_KINK_FREE_GRAD_CHECK_STDOUT = """\
+total      2.14773
+cls_loss   0.00576369
+reg_loss   1.61043
+ori_loss   0.53154
+num_pos    1
+normalizer 1
+grad_check class_scores 5.17497e-09
+grad_check centerness 2.98061e-10
+grad_check ltrb 9.34707e-10
+grad_check wh 7.2186e-11
+"""
+
+
 class TestAssignCommand:
     def test_dump_is_stable(self, scene, capsys):
         argv = [
@@ -145,8 +182,7 @@ class TestAssignCommand:
         assert code == 0
         code, second, _ = run_cli(capsys, *argv)
         assert first == second
-        assert "# image P0001" in first
-        assert "# level 3:" in first
+        assert first == ASSIGN_SCENE_STDOUT
 
     def test_radius_flag_shrinks_positives(self, scene, capsys):
         base = ["assign", "--gt", str(scene / "gt"), "--set", "strides=4",
@@ -185,10 +221,9 @@ class TestLossCommand:
         values = dict(line.split() for line in out.splitlines())
         assert values["num_pos"] == "1"
         assert values["normalizer"] == "1"
+        assert out == LOSS_STDOUT
         # match the library on the same fixture
         from obbkit.losses import LossWeights, PredictionBatch, total_loss
-        from obbkit.targets import RegressionTarget
-        from obbkit.geometry import Point2
 
         batch = PredictionBatch(
             np.array([[0.7, 0.2], [0.3, 0.4]]),
@@ -196,13 +231,10 @@ class TestLossCommand:
             np.array([[3.0, 2, 3, 2], [1, 1, 1, 1]]),
             np.array([[0.5, 1], [0, 0]]),
         )
-        t = [
-            RegressionTarget(
-                0, 0, Point2(0, 0), 1, ltrb=(2, 1, 4, 3), wh=(1, 2),
-                centerness=0.40824829046386296,
-            ),
-            RegressionTarget(1, 0, Point2(0, 0), 0),
-        ]
+        t = target_maps(
+            [1, 0], ltrb=[(2, 1, 4, 3), (0, 0, 0, 0)], wh=[(1, 2), (0, 0)],
+            centerness=[0.40824829046386296, 0.0],
+        )
         expected = total_loss(batch, t, LossWeights()).breakdown.total
         # stdout carries 6 significant digits
         assert abs(float(values["total"]) - expected) <= 1e-5 * max(1.0, expected)
@@ -217,6 +249,24 @@ class TestLossCommand:
         assert len(checks) == 4
         for line in checks:
             assert float(line.split()[2]) <= 1e-4
+        assert out == LOSS_KINK_FREE_GRAD_CHECK_STDOUT
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("-1 2 1 4 3 1 2 0.4", "class id must be >= 0"),
+            ("1 2 1 abc 3 1 2 0.4", "expected a number, got 'abc'"),
+            ("0 2 1 4 3 1 2 0.4", "expected 0 or class_id"),
+            ("1 2 1 4 3 1 2", "expected 0 or class_id"),
+        ],
+    )
+    def test_bad_targets_row_is_parse_error(self, row, message, tmp_path, capsys):
+        targets, preds = self.write_files(tmp_path)
+        targets.write_text(f"0\n{row}\n")
+        code, out, err = run_cli(capsys, "loss", "--targets", str(targets), "--preds", str(preds))
+        assert code == 2
+        assert out == ""
+        assert "targets.txt:2" in err and message in err
 
     def test_boundary_score_is_numeric_error(self, tmp_path, capsys):
         targets, preds = self.write_files(tmp_path, centerness="1.0")
@@ -448,6 +498,14 @@ class TestDotaRoundtrip:
         again, _ = parse_dota_detections(out_dir, classes)
         counts = {k: len(v) for k, v in dets.per_image().items()}
         assert {k: len(v) for k, v in again.per_image().items()} == counts
+
+    def test_write_rejects_class_outside_table(self, tmp_path):
+        quad = canonicalize([(0, 0), (10, 0), (10, 10), (0, 10)])
+        dets = DetectionSet.from_mapping({"A": [Detection(quad, 5, 0.5)]})
+        out_dir = tmp_path / "out"
+        with pytest.raises(UnknownClass, match="class id 5"):
+            write_dota_detections(dets, ClassTable(("plane",)), out_dir)
+        assert not out_dir.exists()
 
     def test_nine_token_line_defaults_difficult(self, tmp_path):
         d = tmp_path / "gt"

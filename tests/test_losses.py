@@ -19,28 +19,16 @@ from obbkit.losses import (
     smooth_l1,
     total_loss,
 )
-from obbkit.targets import RegressionTarget
+from obbkit.targets import TargetMaps
+
+from helpers import target_maps
 
 DEFAULT_WEIGHTS = LossWeights()  # alpha 0.3, beta 4.0, unit branch weights, 0.2 L1 scales
 
 
-def positive_target(index, ltrb, wh, class_id=1, point=None):
-    l, t, r, b = ltrb
-    cent = math.sqrt((min(l, r) / max(l, r)) * (min(t, b) / max(t, b)))
-    return RegressionTarget(
-        index,
-        0,
-        point or Point2(0.0, 0.0),
-        class_id,
-        ltrb=tuple(float(v) for v in ltrb),
-        wh=tuple(float(v) for v in wh),
-        centerness=cent,
-        object_index=0,
-    )
-
-
-def background_target(index):
-    return RegressionTarget(index, 0, Point2(0.0, 0.0), 0)
+def rows(maps, index):
+    """The locations maps[index] (a slice or index array) as a TargetMaps."""
+    return TargetMaps(*(getattr(maps, f.name)[index] for f in dataclasses.fields(maps)))
 
 
 class TestFocalLoss:
@@ -250,10 +238,9 @@ class TestGradChecks:
 
 def hand_total_fixture():
     """Two locations, two classes; every term small enough to hand-check."""
-    targets = [
-        positive_target(0, (2.0, 1.0, 4.0, 3.0), (1.0, 2.0), class_id=1),
-        background_target(1),
-    ]
+    targets = target_maps(
+        [1, 0], ltrb=[(2.0, 1.0, 4.0, 3.0), (0, 0, 0, 0)], wh=[(1.0, 2.0), (0, 0)]
+    )
     batch = PredictionBatch(
         class_scores=np.array([[0.7, 0.2], [0.3, 0.4]]),
         centerness=np.array([0.6, 0.5]),
@@ -307,11 +294,7 @@ class TestTotalLoss:
 
     def test_prediction_equal_to_target_leaves_cls_residual(self):
         cent = 1.0
-        targets = [
-            RegressionTarget(
-                0, 0, Point2(0, 0), 1, ltrb=(3.0, 2.0, 3.0, 2.0), wh=(1.0, 1.0), centerness=cent
-            )
-        ]
+        targets = target_maps([1], ltrb=[(3.0, 2.0, 3.0, 2.0)], wh=[(1.0, 1.0)], centerness=[cent])
         eps = 1e-12
         batch = PredictionBatch(
             class_scores=np.array([[1 - eps]]),
@@ -325,7 +308,7 @@ class TestTotalLoss:
         assert result.breakdown.total < 1e-9
 
     def test_zero_positives_clamps_normalizer(self):
-        targets = [background_target(0), background_target(1)]
+        targets = target_maps([0, 0])
         batch = PredictionBatch(
             class_scores=np.array([[0.3], [0.2]]),
             centerness=np.array([0.5, 0.5]),
@@ -348,17 +331,17 @@ class TestTotalLoss:
             batch.ltrb[::-1].copy(),
             batch.wh[::-1].copy(),
         )
-        other = total_loss(swapped, targets[::-1], DEFAULT_WEIGHTS).breakdown
+        other = total_loss(swapped, rows(targets, slice(None, None, -1)), DEFAULT_WEIGHTS).breakdown
         assert abs(base.total - other.total) < 1e-15
 
     def test_misaligned_maps_rejected(self):
         batch, targets = hand_total_fixture()
         with pytest.raises(ShapeMismatch):
-            total_loss(batch, targets[:1], DEFAULT_WEIGHTS)
+            total_loss(batch, rows(targets, slice(1)), DEFAULT_WEIGHTS)
 
     def test_class_id_beyond_scores_rejected(self):
         batch, _ = hand_total_fixture()
-        targets = [positive_target(0, (1, 1, 1, 1), (0, 0), class_id=3), background_target(1)]
+        targets = target_maps([3, 0], ltrb=[(1, 1, 1, 1), (0, 0, 0, 0)])
         with pytest.raises(ShapeMismatch):
             total_loss(batch, targets, DEFAULT_WEIGHTS)
 
@@ -402,28 +385,29 @@ class TestPredictionTypes:
 
 class TestFitDemo:
     def test_zero_learning_rate_constant_trajectory(self):
-        targets = [positive_target(0, (4, 3, 2, 5), (1, 2)), background_target(1)]
+        targets = target_maps([1, 0], ltrb=[(4, 3, 2, 5), (0, 0, 0, 0)], wh=[(1, 2), (0, 0)])
         result = fit_demo(targets, DEFAULT_WEIGHTS, steps=10, lr=0.0)
         totals = {b.total for b in result.trajectory}
         assert len(result.trajectory) == 11
         assert len(totals) == 1
 
     def test_single_positive_converges(self):
-        target = positive_target(0, (12.0, 9.0, 8.0, 5.0), (4.0, 6.0), point=Point2(20, 15))
-        backgrounds = [background_target(i) for i in range(1, 4)]
-        result = fit_demo([target] + backgrounds, DEFAULT_WEIGHTS, steps=2000, lr=0.05)
-        truth = quad_from_offsets(target.point, target.ltrb, target.wh)
+        ltrb, wh = (12.0, 9.0, 8.0, 5.0), (4.0, 6.0)
+        targets = target_maps(
+            [1, 0, 0, 0], ltrb=[ltrb] + [(0, 0, 0, 0)] * 3, wh=[wh] + [(0, 0)] * 3,
+            points=[(20, 15)] + [(0, 0)] * 3,
+        )
+        result = fit_demo(targets, DEFAULT_WEIGHTS, steps=2000, lr=0.05)
+        truth = quad_from_offsets(Point2(20, 15), ltrb, wh)
         assert polygon_iou(result.decoded_quads[0], truth) >= 0.95
         totals = [b.total for b in result.trajectory]
         assert all(b <= a + 1e-15 for a, b in zip(totals, totals[1:]))
 
     def test_requires_a_positive(self):
         with pytest.raises(ValueError):
-            fit_demo([background_target(0)], DEFAULT_WEIGHTS, steps=1, num_classes=1)
+            fit_demo(target_maps([0]), DEFAULT_WEIGHTS, steps=1, num_classes=1)
 
     def test_non_finite_loss_raises(self):
-        bad = RegressionTarget(
-            0, 0, Point2(0, 0), 1, ltrb=(math.nan, 1, 1, 1), wh=(0, 0), centerness=0.5
-        )
+        bad = target_maps([1], ltrb=[(math.nan, 1, 1, 1)], centerness=[0.5])
         with pytest.raises(Diverged):
-            fit_demo([bad], DEFAULT_WEIGHTS, steps=1, lr=0.05)
+            fit_demo(bad, DEFAULT_WEIGHTS, steps=1, lr=0.05)

@@ -132,15 +132,15 @@ class TestAssignTargets:
         obj = GroundTruthObject(axis_box(4, 4, 20, 20), 1)
         spec = FeatureGridSpec(4, 4, 8, 3)
         ranges = LevelRanges([(0, math.inf)])
-        levels = assign_targets([spec], ranges, [obj])
-        positives = [t for t in levels[0] if t.is_positive]
+        (maps,) = assign_targets([spec], ranges, [obj])
+        positives = np.flatnonzero(maps.class_id > 0)
         assert len(positives) == 1
-        t = positives[0]
-        assert (t.x_s, t.y_s) == (1, 1)
-        assert t.centerness == 1.0
-        assert t.class_id == 1
-        assert t.ltrb == (8, 8, 8, 8)
-        assert t.wh == (0, 16)
+        i = positives[0]
+        assert tuple(maps.grid[i]) == (1, 1)
+        assert maps.centerness[i] == 1.0
+        assert maps.class_id[i] == 1
+        assert tuple(maps.ltrb[i]) == (8, 8, 8, 8)
+        assert tuple(maps.wh[i]) == (0, 16)
 
     def test_large_object_goes_to_coarse_level(self):
         # 200 px box: every interior location regresses beyond 64 px
@@ -148,30 +148,30 @@ class TestAssignTargets:
         specs = [FeatureGridSpec(32, 32, 8, 3), FeatureGridSpec(16, 16, 16, 4)]
         ranges = LevelRanges([(0, 64), (64, math.inf)])
         levels = assign_targets(specs, ranges, [obj], center_radius_mult=1.5)
-        assert not any(t.is_positive for t in levels[0])
-        assert any(t.is_positive for t in levels[1])
+        assert not (levels[0].class_id > 0).any()
+        assert (levels[1].class_id > 0).any()
 
     def test_nested_objects_smaller_wins(self):
         big = GroundTruthObject(axis_box(0, 0, 40, 40), 1)
         small = GroundTruthObject(axis_box(12, 12, 28, 28), 2)
         spec = FeatureGridSpec(5, 5, 8, 3)
         ranges = LevelRanges([(0, math.inf)])
-        levels = assign_targets([spec], ranges, [big, small], center_radius_mult=10)
-        center = [t for t in levels[0] if (t.x_s, t.y_s) == (2, 2)][0]
-        assert center.class_id == 2
-        assert center.object_index == 1
+        (maps,) = assign_targets([spec], ranges, [big, small], center_radius_mult=10)
+        center = np.flatnonzero((maps.grid == (2, 2)).all(axis=1))[0]
+        assert maps.class_id[center] == 2
+        assert maps.object_index[center] == 1
 
     def test_empty_scene_all_background(self):
         spec = FeatureGridSpec(3, 3, 8, 3)
         levels = assign_targets([spec], LevelRanges([(0, math.inf)]), [])
-        assert all(not t.is_positive for t in levels[0])
+        assert not (levels[0].class_id > 0).any()
 
     def test_difficult_flag_propagates(self):
         obj = GroundTruthObject(axis_box(4, 4, 20, 20), 1, difficult=True)
         spec = FeatureGridSpec(4, 4, 8, 3)
-        levels = assign_targets([spec], LevelRanges([(0, math.inf)]), [obj])
-        positives = [t for t in levels[0] if t.is_positive]
-        assert positives and all(t.difficult for t in positives)
+        (maps,) = assign_targets([spec], LevelRanges([(0, math.inf)]), [obj])
+        positives = maps.class_id > 0
+        assert positives.any() and maps.difficult[positives].all()
 
     def test_positive_points_strictly_inside(self):
         rng = np.random.default_rng(71)
@@ -182,17 +182,16 @@ class TestAssignTargets:
             ]
             specs = [FeatureGridSpec(32, 32, 8, 3)]
             ranges = LevelRanges([(0, math.inf)])
-            levels = assign_targets(specs, ranges, objects)
-            for t in levels[0]:
-                if not t.is_positive:
-                    continue
-                b = encode(objects[t.object_index].quad).hbb
-                assert b.xmin < t.point.x < b.xmax
-                assert b.ymin < t.point.y < b.ymax
+            (maps,) = assign_targets(specs, ranges, objects)
+            for i in np.flatnonzero(maps.class_id > 0):
+                b = encode(objects[maps.object_index[i]].quad).hbb
+                x, y = maps.points[i]
+                assert b.xmin < x < b.xmax
+                assert b.ymin < y < b.ymax
                 # ltrb reconstructs the box exactly
-                l, tt, r, bb = t.ltrb
+                l, tt, r, bb = maps.ltrb[i]
                 np.testing.assert_allclose(
-                    [t.point.x - l, t.point.y - tt, t.point.x + r, t.point.y + bb],
+                    [x - l, y - tt, x + r, y + bb],
                     [b.xmin, b.ymin, b.xmax, b.ymax],
                     rtol=0,
                     atol=1e-12,
@@ -211,7 +210,7 @@ class TestAssignTargets:
             levels = assign_targets(specs, ranges, objects, center_radius_mult=1.5)
             expected = _brute_force_best_object(specs, ranges, objects, 1.5)
             for lvl, exp in zip(levels, expected):
-                got = [t.object_index if t.is_positive else -1 for t in lvl]
+                got = np.where(lvl.class_id > 0, lvl.object_index, -1).tolist()
                 assert got == exp
 
     def test_shrinking_radius_never_adds_positives(self):
@@ -224,8 +223,8 @@ class TestAssignTargets:
             ]
             wide = assign_targets(specs, ranges, objects, center_radius_mult=2.0)
             narrow = assign_targets(specs, ranges, objects, center_radius_mult=1.0)
-            wide_pos = {(t.x_s, t.y_s) for t in wide[0] if t.is_positive}
-            narrow_pos = {(t.x_s, t.y_s) for t in narrow[0] if t.is_positive}
+            wide_pos = {tuple(g) for g in wide[0].grid[wide[0].class_id > 0].tolist()}
+            narrow_pos = {tuple(g) for g in narrow[0].grid[narrow[0].class_id > 0].tolist()}
             assert narrow_pos <= wide_pos
 
     def test_decode_identity_at_positives(self):
@@ -235,14 +234,13 @@ class TestAssignTargets:
             GroundTruthObject(rotated_rect(140, 80, 36, 20, -60), 2),
         ]
         specs = [FeatureGridSpec(24, 24, 8, 3)]
-        levels = assign_targets(specs, LevelRanges([(0, math.inf)]), objects)
+        (maps,) = assign_targets(specs, LevelRanges([(0, math.inf)]), objects)
         seen = set()
-        for t in levels[0]:
-            if not t.is_positive:
-                continue
-            seen.add(t.object_index)
-            back = quad_from_offsets(t.point, t.ltrb, t.wh)
-            assert polygon_iou(back, objects[t.object_index].quad) >= 1 - 1e-9
+        for i in np.flatnonzero(maps.class_id > 0):
+            j = int(maps.object_index[i])
+            seen.add(j)
+            back = quad_from_offsets(Point2(*maps.points[i]), maps.ltrb[i], maps.wh[i])
+            assert polygon_iou(back, objects[j].quad) >= 1 - 1e-9
         assert seen == {0, 1}
 
     def test_spec_count_mismatch(self):
