@@ -99,8 +99,11 @@ def _derive_image_size(objects, strides) -> tuple[int, int]:
 def _parse_image_size(raw: str) -> tuple[int, int]:
     w, sep, h = raw.lower().partition("x")
     if not sep:
-        raise ValueError(f"expected WxH, got {raw!r}")
-    return int(w), int(h)
+        raise ValueError(f"--image-size expects WxH, got {raw!r}")
+    width, height = int(w), int(h)
+    if width < 1 or height < 1:
+        raise ValueError(f"--image-size needs a positive width and height, got {raw!r}")
+    return width, height
 
 
 def _fmt(value: float) -> str:
@@ -312,27 +315,28 @@ def _cmd_eval(args) -> int:
 
 def _cmd_fit_demo(args) -> int:
     cfg = _load_config(args)
+    if args.trace_every is not None and args.trace_every < 1:
+        raise ValueError(f"--trace-every must be >= 1, got {args.trace_every}")
+    size = _parse_image_size(args.image_size) if args.image_size else None
     gt = dota.parse_dota_annotations(args.gt)
-    trace_every = args.trace_every if args.trace_every else max(args.steps // 10, 1)
+    trace_every = args.trace_every or max(args.steps // 10, 1)
     for image_id in sorted(gt.images):
         objects = gt.images[image_id]
+        result = None
+        if objects:
+            width, height = size or _derive_image_size(objects, cfg.strides)
+            specs = grid_specs(width, height, cfg.strides)
+            levels = assign_targets(specs, cfg.level_ranges, objects, cfg.center_radius_mult)
+            flat = TargetMaps.concatenate(levels)
+            if flat.class_id.any():
+                # fit before the image header, so bad --steps / --lr fail with no output
+                result = fit_demo(
+                    flat, cfg.weights, steps=args.steps, lr=args.lr, num_classes=len(gt.classes)
+                )
         print(f"# image {image_id}")
-        if not objects:
-            print("no objects")
+        if result is None:
+            print("no positive locations" if objects else "no objects")
             continue
-        if args.image_size:
-            width, height = _parse_image_size(args.image_size)
-        else:
-            width, height = _derive_image_size(objects, cfg.strides)
-        specs = grid_specs(width, height, cfg.strides)
-        levels = assign_targets(specs, cfg.level_ranges, objects, cfg.center_radius_mult)
-        flat = TargetMaps.concatenate(levels)
-        if not flat.class_id.any():
-            print("no positive locations")
-            continue
-        result = fit_demo(
-            flat, cfg.weights, steps=args.steps, lr=args.lr, num_classes=len(gt.classes)
-        )
         for step, breakdown in enumerate(result.trajectory):
             if step % trace_every == 0 or step == len(result.trajectory) - 1:
                 print(

@@ -131,14 +131,21 @@ def _focal_sum(
     """
     scores = np.ascontiguousarray(scores)
     om = 1.0 - scores
+    om_p = om.flat[pos]
     log_om = np.log(om)
     s_beta = scores**beta
-    branch = alpha * s_beta * log_om
-    # d/ds of -branch, branch by branch
-    grad = -alpha * (beta * scores ** (beta - 1.0) * log_om - s_beta / om)
+    # d/ds of -branch, branch by branch, in place:
+    # grad = -alpha * (beta * scores ** (beta - 1.0) * log_om - s_beta / om)
+    grad = scores ** (beta - 1.0)
+    grad *= beta
+    grad *= log_om
+    grad -= np.divide(s_beta, om, out=om)
+    grad *= -alpha
+    # branch = alpha * s_beta * log_om, in place
+    branch = np.multiply(s_beta, alpha, out=s_beta)
+    branch *= log_om
     if pos.size:
         s = scores.flat[pos]
-        om_p = om.flat[pos]
         log_s = np.log(s)
         om_beta = om_p**beta
         branch.flat[pos] = alpha * om_beta * log_s
@@ -374,7 +381,8 @@ def total_loss(
         num_pos=num_pos,
         normalizer=norm,
     )
-    return TotalLossResult(breakdown, cls_grad / norm, centerness_grad, ltrb_grad, wh_grad)
+    cls_grad /= norm
+    return TotalLossResult(breakdown, cls_grad, centerness_grad, ltrb_grad, wh_grad)
 
 
 def grad_check(
@@ -410,8 +418,14 @@ def grad_check(
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    """Logistic function: 1 / (1 + e) where z >= 0 and e / (1 + e) elsewhere, e = exp(-|z|)."""
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    d = 1.0 + e
+    np.divide(e, d, out=e)
+    np.divide(1.0, d, out=e, where=z >= 0)
+    return e
 
 
 @dataclass
@@ -423,20 +437,6 @@ class FitDemoResult:
     decoded_quads: list[Quad]
     fused_scores: list[float]
     final_batch: PredictionBatch
-
-
-def _fit_params_to_batch(raw: np.ndarray, num_classes: int) -> PredictionBatch:
-    """Raw (L, C + 7) parameter block -> predictions.
-
-    Columns: class logits (C), centerness logit, log ltrb (4), log wh (2).
-    """
-    c = num_classes
-    return PredictionBatch(
-        _sigmoid(raw[:, :c]),
-        _sigmoid(raw[:, c]),
-        np.exp(raw[:, c + 1 : c + 5]),
-        np.exp(raw[:, c + 5 :]),
-    )
 
 
 def fit_demo(
@@ -460,8 +460,18 @@ def fit_demo(
     location, the quad decoded from the final offsets around that
     location's image point.
 
-    Raises Diverged if the loss ever becomes non-finite.
+    Class logits are kept at every location; the centerness logit, log
+    ltrb and log wh only at the positives. Their gradient is exactly 0
+    on background, so there they would stay 0.0 and predict the
+    constants 0.5 (centerness) and 1.0 (offsets) on every step.
+
+    Raises ValueError unless steps >= 0 and lr is finite and >= 0, and
+    Diverged if the loss ever becomes non-finite.
     """
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    if not (math.isfinite(lr) and lr >= 0.0):
+        raise ValueError(f"lr must be finite and >= 0, got {lr}")
     if num_classes is None:
         num_classes = int(targets.class_id.max(initial=0))
     if num_classes < 1:
@@ -470,41 +480,61 @@ def fit_demo(
     if not pos.size:
         raise ValueError("fit_demo needs at least one positive target")
 
-    raw = np.zeros((len(targets), num_classes + 7))
+    n = len(targets)
+    logits = np.zeros((n, num_classes))
+    # columns: centerness logit, log ltrb (4), log wh (2)
+    reg = np.zeros((pos.size, 7))
 
-    def evaluate(params: np.ndarray) -> tuple[PredictionBatch, TotalLossResult]:
-        batch = _fit_params_to_batch(params, num_classes)
+    def evaluate(logits: np.ndarray, reg: np.ndarray) -> tuple[PredictionBatch, TotalLossResult]:
+        centerness = np.full(n, 0.5)
+        ltrb = np.ones((n, 4))
+        wh = np.ones((n, 2))
+        centerness[pos] = _sigmoid(reg[:, 0])
+        ltrb[pos] = np.exp(reg[:, 1:5])
+        wh[pos] = np.exp(reg[:, 5:])
+        batch = PredictionBatch(_sigmoid(logits), centerness, ltrb, wh)
         return batch, total_loss(batch, targets, weights)
 
-    batch, result = evaluate(raw)
+    batch, result = evaluate(logits, reg)
     if not math.isfinite(result.breakdown.total):
         raise Diverged("loss non-finite at initialization")
     trajectory: list[LossBreakdown] = [result.breakdown]
+    # class-block work buffers: the logit gradient, a temporary, the trial logits
+    cls_grad, scratch, trial_logits = (np.empty_like(logits) for _ in range(3))
     frozen = lr == 0.0
     step_size = lr
     for _ in range(steps):
         if not frozen:
             # chain rule through the sigmoid / exp parameterizations
-            grad = np.concatenate(
+            np.multiply(result.class_score_grad, batch.class_scores, out=cls_grad)
+            np.subtract(1.0, batch.class_scores, out=scratch)
+            cls_grad *= scratch
+            cent = batch.centerness[pos]
+            reg_grad = np.concatenate(
                 [
-                    result.class_score_grad * batch.class_scores * (1.0 - batch.class_scores),
-                    (result.centerness_grad * batch.centerness * (1.0 - batch.centerness))[:, None],
-                    result.ltrb_grad * batch.ltrb,
-                    result.wh_grad * batch.wh,
+                    (result.centerness_grad[pos] * cent * (1.0 - cent))[:, None],
+                    result.ltrb_grad[pos] * batch.ltrb[pos],
+                    result.wh_grad[pos] * batch.wh[pos],
                 ],
                 axis=1,
             )
             trial = min(step_size * 2.0, 1e4)
             accepted = False
             for _try in range(60):
-                candidate = np.clip(raw - trial * grad, -_RAW_BOUND, _RAW_BOUND)
-                cand_batch, cand_result = evaluate(candidate)
+                np.multiply(cls_grad, trial, out=trial_logits)
+                np.subtract(logits, trial_logits, out=trial_logits)
+                np.clip(trial_logits, -_RAW_BOUND, _RAW_BOUND, out=trial_logits)
+                trial_reg = np.clip(reg - trial * reg_grad, -_RAW_BOUND, _RAW_BOUND)
+                cand_batch, cand_result = evaluate(trial_logits, trial_reg)
                 if (
                     math.isfinite(cand_result.breakdown.total)
                     and cand_result.breakdown.total <= result.breakdown.total
                 ):
-                    accepted = not np.array_equal(candidate, raw)
-                    raw, batch, result = candidate, cand_batch, cand_result
+                    accepted = not (
+                        np.array_equal(trial_reg, reg) and np.array_equal(trial_logits, logits)
+                    )
+                    logits, trial_logits = trial_logits, logits
+                    reg, batch, result = trial_reg, cand_batch, cand_result
                     step_size = trial
                     break
                 trial *= 0.5

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -193,6 +193,54 @@ def centerness(ltrb: Sequence[float]) -> float:
     return float(_centerness(l, t, r, b))
 
 
+def _claim(
+    px: np.ndarray, py: np.ndarray, hbb: np.ndarray, radius: float, lo: float, hi: float
+) -> np.ndarray:
+    """Row-major index of the object each grid location is assigned to, -1 for none.
+
+    px (W,) and py (H,) are the grid's image coordinates, hbb (K, 4) the
+    objects' [xmin, ymin, xmax, ymax]. A location is a candidate for an
+    object when it is strictly inside the HBB, within radius of its center
+    on both axes, and its largest offset lies in (lo, hi]; the candidate
+    with the smallest HBB area wins, the first object on exact ties. An
+    object whose area overflows to inf never wins.
+    """
+    xmin, ymin, xmax, ymax = hbb.T
+    # each object's window of grid columns and rows: strictly inside the
+    # HBB, and within the radius plus one pixel of slack, so rounding in
+    # the window bounds cannot drop a location that passes the exact test
+    reach = radius + 1.0
+    with np.errstate(over="ignore"):  # huge boxes overflow to inf, as in float arithmetic
+        cx, cy = (xmin + xmax) / 2.0, (ymin + ymax) / 2.0
+        area = (xmax - xmin) * (ymax - ymin)
+        c0 = np.maximum(np.searchsorted(px, xmin, "right"), np.searchsorted(px, cx - reach))
+        c1 = np.minimum(np.searchsorted(px, xmax), np.searchsorted(px, cx + reach, "right"))
+        r0 = np.maximum(np.searchsorted(py, ymin, "right"), np.searchsorted(py, cy - reach))
+        r1 = np.minimum(np.searchsorted(py, ymax), np.searchsorted(py, cy + reach, "right"))
+    ncols = np.maximum(c1 - c0, 0)
+    count = ncols * np.maximum(r1 - r0, 0)
+    k = np.repeat(np.arange(len(hbb)), count)
+    within = np.arange(k.size) - np.repeat(np.cumsum(count) - count, count)
+    row = r0[k] + within // ncols[k]
+    col = c0[k] + within % ncols[k]
+
+    wx, wy = px[col], py[row]
+    near = (np.abs(wx - cx[k]) <= radius) & (np.abs(wy - cy[k]) <= radius)
+    max_off = np.maximum(
+        np.maximum(wx - xmin[k], xmax[k] - wx), np.maximum(wy - ymin[k], ymax[k] - wy)
+    )
+    keep = near & (max_off > lo) & (max_off <= hi) & (area[k] < np.inf)
+    loc, k = row[keep] * px.size + col[keep], k[keep]
+    # per location: smallest area first, then the lowest object index
+    order = np.lexsort((k, area[k], loc))
+    loc, k = loc[order], k[order]
+    first = np.ones(loc.size, dtype=bool)
+    first[1:] = loc[1:] != loc[:-1]
+    best = np.full(px.size * py.size, -1)
+    best[loc[first]] = k[first]
+    return best
+
+
 def assign_targets(
     specs: Sequence[FeatureGridSpec],
     ranges: LevelRanges,
@@ -213,36 +261,18 @@ def assign_targets(
         raise ValueError(f"{len(specs)} grid specs but {len(ranges)} level ranges")
 
     encoded = [encode(obj.quad) for obj in objects]
-    obj_hbb = np.array([astuple(e.hbb) for e in encoded]).reshape(-1, 4)
+    obj_hbb = np.array(
+        [(e.hbb.xmin, e.hbb.ymin, e.hbb.xmax, e.hbb.ymax) for e in encoded], dtype=float
+    ).reshape(-1, 4)
     # one row per object plus a trailing background row, which object index -1 selects
     obj_wh = np.array([(e.w, e.h) for e in encoded] + [(0.0, 0.0)])
     obj_class = np.array([obj.class_id for obj in objects] + [0])
     obj_difficult = np.array([obj.difficult for obj in objects] + [False])
     out: list[TargetMaps] = []
     for spec, (lo, hi) in zip(specs, ranges.pairs):
-        px = np.array([grid_to_image(spec, x, 0).x for x in range(spec.width)])
-        py = np.array([grid_to_image(spec, 0, y).y for y in range(spec.height)])
-        radius = center_radius_mult * spec.stride
-        best_area = np.full((spec.height, spec.width), np.inf)
-        best_obj = np.full((spec.height, spec.width), -1, dtype=int)
-        for j, enc in enumerate(encoded):
-            hbb = enc.hbb
-            # only the rows and columns strictly inside the HBB can claim
-            cols = slice(np.searchsorted(px, hbb.xmin, "right"), np.searchsorted(px, hbb.xmax))
-            rows = slice(np.searchsorted(py, hbb.ymin, "right"), np.searchsorted(py, hbb.ymax))
-            wx, wy = px[None, cols], py[rows, None]
-            c = hbb.center
-            near = (np.abs(wx - c.x) <= radius) & (np.abs(wy - c.y) <= radius)
-            max_off = np.maximum(
-                np.maximum(wx - hbb.xmin, hbb.xmax - wx),
-                np.maximum(wy - hbb.ymin, hbb.ymax - wy),
-            )
-            in_range = (max_off > lo) & (max_off <= hi)
-            claim = near & in_range & (hbb.area < best_area[rows, cols])
-            best_area[rows, cols][claim] = hbb.area
-            best_obj[rows, cols][claim] = j
-
-        obj_index = best_obj.ravel()
+        px = spec.stride // 2 + np.arange(spec.width) * spec.stride
+        py = spec.stride // 2 + np.arange(spec.height) * spec.stride
+        obj_index = _claim(px, py, obj_hbb, center_radius_mult * spec.stride, lo, hi)
         y_s, x_s = np.divmod(np.arange(obj_index.size), spec.width)
         points = np.stack([px[x_s], py[y_s]], axis=1).astype(float)
         pos = np.flatnonzero(obj_index >= 0)

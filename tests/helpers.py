@@ -1,6 +1,7 @@
 """Shared fixture builders and scalar oracles for the test suite."""
 
 import math
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -15,12 +16,13 @@ from obbkit.geometry import (
     Quad,
     canonicalize,
     decode,
+    encode,
     hbb_overlap,
     polygon_iou,
     polygon_iou_pairs,
 )
 from obbkit.inference import Detection, InferenceConfig
-from obbkit.targets import GroundTruthObject, TargetMaps, grid_to_image
+from obbkit.targets import GroundTruthObject, TargetMaps, _centerness, grid_to_image
 
 
 def rotated_rect(cx, cy, width, height, angle_deg) -> Quad:
@@ -235,3 +237,76 @@ def _floats_oracle(tokens, path, line_no):
             raise ParseError(path, line_no, f"expected a number, got {tok!r}") from None
     return values
 
+
+
+def assign_targets_oracle(specs, ranges, objects, center_radius_mult=1.5):
+    """assign_targets with one claim pass per object over the grid rows and
+    columns strictly inside its HBB; a later object claims a location only
+    with a strictly smaller HBB area."""
+    encoded = [encode(obj.quad) for obj in objects]
+    obj_hbb = np.array([astuple(e.hbb) for e in encoded]).reshape(-1, 4)
+    obj_wh = np.array([(e.w, e.h) for e in encoded] + [(0.0, 0.0)])
+    obj_class = np.array([obj.class_id for obj in objects] + [0])
+    obj_difficult = np.array([obj.difficult for obj in objects] + [False])
+    out = []
+    for spec, (lo, hi) in zip(specs, ranges.pairs):
+        px = np.array([grid_to_image(spec, x, 0).x for x in range(spec.width)])
+        py = np.array([grid_to_image(spec, 0, y).y for y in range(spec.height)])
+        radius = center_radius_mult * spec.stride
+        best_area = np.full((spec.height, spec.width), np.inf)
+        best_obj = np.full((spec.height, spec.width), -1, dtype=int)
+        for j, enc in enumerate(encoded):
+            hbb = enc.hbb
+            cols = slice(np.searchsorted(px, hbb.xmin, "right"), np.searchsorted(px, hbb.xmax))
+            rows = slice(np.searchsorted(py, hbb.ymin, "right"), np.searchsorted(py, hbb.ymax))
+            wx, wy = px[None, cols], py[rows, None]
+            c = hbb.center
+            near = (np.abs(wx - c.x) <= radius) & (np.abs(wy - c.y) <= radius)
+            max_off = np.maximum(
+                np.maximum(wx - hbb.xmin, hbb.xmax - wx),
+                np.maximum(wy - hbb.ymin, hbb.ymax - wy),
+            )
+            in_range = (max_off > lo) & (max_off <= hi)
+            claim = near & in_range & (hbb.area < best_area[rows, cols])
+            best_area[rows, cols][claim] = hbb.area
+            best_obj[rows, cols][claim] = j
+        obj_index = best_obj.ravel()
+        y_s, x_s = np.divmod(np.arange(obj_index.size), spec.width)
+        points = np.stack([px[x_s], py[y_s]], axis=1).astype(float)
+        pos = np.flatnonzero(obj_index >= 0)
+        box = obj_hbb[obj_index[pos]]
+        ltrb = np.zeros((obj_index.size, 4))
+        ltrb[pos] = np.hstack([points[pos] - box[:, :2], box[:, 2:] - points[pos]])
+        cent = np.zeros(obj_index.size)
+        cent[pos] = _centerness(*ltrb[pos].T)
+        out.append(
+            TargetMaps(
+                obj_class[obj_index], ltrb, obj_wh[obj_index], cent, obj_difficult[obj_index],
+                obj_index, points, np.stack([x_s, y_s], axis=1),
+            )
+        )
+    return out
+
+
+def sigmoid_oracle(z):
+    """Logistic function as a select between the two stable branches."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def focal_sum_oracle(scores, pos, alpha, beta):
+    """Unnormalized focal loss and gradient in expression form, one temporary per step."""
+    scores = np.ascontiguousarray(scores)
+    om = 1.0 - scores
+    log_om = np.log(om)
+    s_beta = scores**beta
+    branch = alpha * s_beta * log_om
+    grad = -alpha * (beta * scores ** (beta - 1.0) * log_om - s_beta / om)
+    if pos.size:
+        s = scores.flat[pos]
+        om_p = om.flat[pos]
+        log_s = np.log(s)
+        om_beta = om_p**beta
+        branch.flat[pos] = alpha * om_beta * log_s
+        grad.flat[pos] = -alpha * (-beta * om_p ** (beta - 1.0) * log_s + om_beta / s)
+    return -float(branch.sum()), grad

@@ -23,6 +23,10 @@ ROOT = Path(__file__).resolve().parents[1]
             "inference_layers.py",
             ["run_inference_detect", "run_inference_dense", "nms_scattered", "nms_clustered"],
         ),
+        (
+            "train_layers.py",
+            ["assign_targets", "total_loss", "fit_demo_step", "cli_fit_demo"],
+        ),
     ],
 )
 def test_script_runs_every_case(script, cases, tmp_path):

@@ -474,6 +474,31 @@ class TestFitDemoCommand:
             "object 2 harbor unassigned\n"
         )
 
+    @pytest.mark.parametrize(
+        "extra, flag",
+        [
+            (["--steps", "-3"], "steps"),
+            (["--lr", "nan"], "lr"),
+            (["--lr", "-0.05"], "lr"),
+            (["--lr", "inf"], "lr"),
+            (["--trace-every", "-2"], "--trace-every"),
+            (["--trace-every", "0"], "--trace-every"),
+            (["--image-size", "0x128"], "--image-size"),
+            (["--image-size", "128x-8"], "--image-size"),
+        ],
+    )
+    def test_bad_arguments_are_data_errors(self, extra, flag, tmp_path, capsys):
+        gt = tmp_path / "gt"
+        gt.mkdir()
+        gt.joinpath("scene.txt").write_text("35.75 33.0 60.0 19.0 84.25 61.0 60.0 75.0 plane 0\n")
+        code, out, err = run_cli(
+            capsys, "fit-demo", "--gt", str(gt), "--steps", "8",
+            "--set", "strides=8,16", "--set", "level_ranges=0:64,64:inf", *extra,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and flag in err
+
 
 class TestDotaRoundtrip:
     def test_annotations_roundtrip(self, scene, tmp_path):
