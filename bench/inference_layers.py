@@ -12,7 +12,9 @@ Times, as medians over repeated runs on seeded inputs:
   neighbours' horizontal boxes overlap but whose IoU stays low (all are
   kept);
 - ``nms_per_image`` on one image of 200 clusters of 10 jittered copies
-  of one box (most are suppressed).
+  of one box (most are suppressed);
+- ``ie_fuse`` on detect-shaped features: 5 levels of 64 channels, 128 x
+  128 down to 8 x 8, standard-normal inputs and weights scaled by 0.01.
 
 Usage, from the root of a checkout (obbkit is imported from PYTHONPATH,
 or from ./src when it is not importable)::
@@ -48,6 +50,7 @@ except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from obbkit.geometry import canonicalize, encode  # noqa: E402
+from obbkit.ie_attention import AttentionWeights, FeatureMap, ie_fuse  # noqa: E402
 from obbkit.inference import (  # noqa: E402
     Detection,
     DetectionSet,
@@ -147,6 +150,15 @@ def clustered_boxes(rng):
     return DetectionSet.from_mapping({"clustered": dets})
 
 
+def fusion_maps(rng, channels=64, sides=(128, 64, 32, 16, 8)):
+    """Per level, (cls, reg, ori) feature maps of side x side locations."""
+    return [
+        [FeatureMap(channels, side, side, rng.standard_normal((channels, side * side)))
+         for _ in range(3)]
+        for side in sides
+    ]
+
+
 def candidates(batches, threshold=InferenceConfig().score_threshold):
     return int(sum((b.class_scores * b.centerness[:, None] >= threshold).sum() for b in batches))
 
@@ -168,6 +180,12 @@ def make_cases():
     cases["nms_scattered"] = ("2000 one-class boxes, NMS 0.5", lambda: nms_per_image(scattered, 0.5))
     clustered = clustered_boxes(np.random.default_rng(200))
     cases["nms_clustered"] = ("200 clusters of 10 boxes, NMS 0.5", lambda: nms_per_image(clustered, 0.5))
+    maps = fusion_maps(np.random.default_rng(64))
+    weights = AttentionWeights.seeded(64, 64)
+    cases["ie_fuse_detect"] = (
+        "5 levels x 64 channels, 128^2 down to 8^2",
+        lambda: [ie_fuse(cls, reg, ori, weights) for cls, reg, ori in maps],
+    )
     return cases
 
 

@@ -29,7 +29,9 @@ from .errors import (
     UnknownClass,
 )
 from .evaluation import evaluate
-from .geometry import EncodedBox, HBB, canonicalize, decode, encode, polygon_iou, raster_iou_oracle
+from .geometry import (
+    EncodedBox, HBB, canonicalize, decode, encode, polygon_iou, quad_list, raster_iou_oracle
+)
 from .inference import nms_per_image
 from .losses import PredictionBatch, fit_demo, grad_check, total_loss
 from .targets import TargetMaps, assign_targets, grid_specs
@@ -354,7 +356,7 @@ def _cmd_fit_demo(args) -> int:
                 print(f"object {j} {gt.classes.name_of(obj.class_id)} unassigned")
                 continue
             score, k = best[j]
-            iou = polygon_iou(result.decoded_quads[k], obj.quad)
+            iou = polygon_iou(quad_list(result.decoded_quads[[k]])[0], obj.quad)
             print(
                 f"object {j} {gt.classes.name_of(obj.class_id)} iou {_fmt(iou)} score {_fmt(score)}"
             )

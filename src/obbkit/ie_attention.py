@@ -4,6 +4,14 @@ Classification and box-regression feature maps are summed, passed
 through a channel self-attention block (three 1x1 convolutions over
 channels, a row-normalized N x N attention table, a gamma-weighted
 shortcut) and added onto the orientation branch. Forward pass only.
+
+The block runs in Gram form. With F the (C, HW) features, the channel
+affinities (Wf F)(Wg F)^T equal Wf G Wg^T for the C x C Gram matrix
+G = F F^T, and the output gamma * table (Wh F) + F equals
+(gamma * table Wh) F + F. So the HW-sized data is read twice, once for
+G and once for the product with the C x C mixing matrix, where the
+direct form makes five passes (Wf F, Wg F, Wh F, table @ Wh F and the
+shortcut sum) and holds four (C, HW) temporaries.
 """
 
 from __future__ import annotations
@@ -77,6 +85,8 @@ class AttentionWeights:
                 raise ShapeMismatch(f"{name} must be square of matching size, got {m.shape}")
             if not np.isfinite(m).all():
                 raise ValueError(f"{name} must be finite")
+        if not np.isfinite(self.gamma):
+            raise ValueError("gamma must be finite")
 
     @classmethod
     def seeded(cls, channels: int, seed: int, scale: float = 0.01, gamma: float = 1.0):
@@ -122,12 +132,16 @@ def softmax_rows(matrix: np.ndarray) -> np.ndarray:
 
 
 def attention_logits(feat: FeatureMap, weights: AttentionWeights) -> np.ndarray:
-    """Channel-affinity matrix (Wf F)(Wg F)^T, summing over spatial positions."""
+    """Channel-affinity matrix (Wf F)(Wg F)^T, summing over spatial positions.
+
+    Computed as Wf G Wg^T with the Gram matrix G = F F^T.
+    """
     if weights.wf.shape[0] != feat.channels:
         raise ShapeMismatch(
             f"{weights.wf.shape[0]}-channel weights applied to {feat.channels}-channel features"
         )
-    return (weights.wf @ feat.values) @ (weights.wg @ feat.values).T
+    gram = feat.values @ feat.values.T
+    return weights.wf @ gram @ weights.wg.T
 
 
 def attention_map(feat: FeatureMap, weights: AttentionWeights) -> AttentionMap:
@@ -145,14 +159,15 @@ def attend(feat: FeatureMap, weights: AttentionWeights) -> FeatureMap:
     """Apply channel attention with the gamma-weighted shortcut.
 
     Each output channel q mixes the rows of Wh F with the attention row
-    q, then Y = gamma * mixed + F. gamma = 0 returns F exactly.
+    q, then Y = gamma * mixed + F, computed as (gamma * table Wh) F + F
+    into a fresh array. gamma = 0 returns F exactly.
     """
     table = attention_map(feat, weights).matrix
-    mixed = table @ (weights.wh @ feat.values)
     if weights.gamma == 0.0:
         values = feat.values
     else:
-        values = weights.gamma * mixed + feat.values
+        values = (weights.gamma * table @ weights.wh) @ feat.values
+        values += feat.values
     return FeatureMap(feat.channels, feat.width, feat.height, values)
 
 
@@ -165,7 +180,7 @@ def ie_fuse(
     """Full branch fusion: attend(cls + reg) added onto the orientation branch."""
     if not cls_feat.same_shape(ori_feat):
         raise ShapeMismatch("orientation features must match the merged shape")
-    attended = attend(merge(cls_feat, reg_feat), weights)
-    return FeatureMap(
-        ori_feat.channels, ori_feat.width, ori_feat.height, attended.values + ori_feat.values
-    )
+    # attend's output is fresh: merge made a new array, which the gamma = 0 shortcut returns
+    values = attend(merge(cls_feat, reg_feat), weights).values
+    values += ori_feat.values
+    return FeatureMap(ori_feat.channels, ori_feat.width, ori_feat.height, values)

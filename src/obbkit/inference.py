@@ -17,7 +17,8 @@ import numpy as np
 from .errors import ShapeMismatch
 from .geometry import (
     Quad,
-    hbb_overlap,
+    _hbb_bounds,
+    _overlapping,
     polygon_iou_pairs,
     quad_arrays,
     quad_list,
@@ -160,7 +161,9 @@ def _nms_keep(
     boxes overlap (all others count as IoU 0 and are never clipped), with
     the later (lower-scored) row as the first argument of
     :func:`polygon_iou`. The block is walked in bands of rows so that
-    memory stays bounded.
+    memory stays bounded. Rows of earlier bands are final when a band
+    starts, so pairs with an earlier row that is already suppressed are
+    dropped before they are clipped: they can suppress nothing.
     """
     if not 0.0 <= iou_thresh <= 1.0:
         raise ValueError(f"NMS IoU threshold must lie in [0, 1], got {iou_thresh}")
@@ -168,20 +171,27 @@ def _nms_keep(
     if iou_thresh == 1.0:
         return order
     quads, classes = quads[order], classes[order]
-    suppressed = [False] * len(order)  # a list: the loop below reads it once per pair
+    bounds = _hbb_bounds(quads)
+    kept = np.ones(len(order), dtype=bool)
     band = max(1, NMS_PAIRS_PER_BAND // max(len(order), 1))
     for top in range(0, len(order), band):
         bottom = min(top + band, len(order))
-        candidates = hbb_overlap(quads[top:bottom], quads[:bottom])
+        candidates = _overlapping(
+            [v[top:bottom, None] for v in bounds], [v[:bottom] for v in bounds]
+        )
         candidates &= classes[top:bottom, None] == classes[None, :bottom]
-        rows, cols = np.nonzero(np.tril(candidates, top - 1))
+        candidates[:, :top] &= kept[:top]
+        candidates[:, top:] &= np.tri(bottom - top, k=-1, dtype=bool)
+        rows, cols = np.nonzero(candidates)
         rows += top
         over = polygon_iou_pairs(quads[rows], quads[cols]) > iou_thresh
+        live = kept[:bottom].tolist()  # a list: the loop below reads it once per pair
         # pairs come row by row, so an earlier row is final before it is read
         for row, col in zip(rows[over].tolist(), cols[over].tolist()):
-            if not suppressed[col]:
-                suppressed[row] = True
-    return order[~np.array(suppressed, dtype=bool)]
+            if live[col]:
+                live[row] = False
+        kept[top:bottom] = live[top:]
+    return order[kept]
 
 
 def nms_per_image(dets: DetectionSet, iou_thresh: float) -> DetectionSet:

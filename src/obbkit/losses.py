@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import Diverged, NonFiniteScore, ShapeMismatch
-from .geometry import Quad, quad_list, quads_from_offsets
+from .geometry import quads_from_offsets
 from .targets import TargetMaps
 
 _UNION_TINY = 1e-12
@@ -434,7 +434,7 @@ class FitDemoResult:
 
     trajectory: list[LossBreakdown]
     positive_indices: list[int]
-    decoded_quads: list[Quad]
+    decoded_quads: np.ndarray
     fused_scores: list[float]
     final_batch: PredictionBatch
 
@@ -457,8 +457,8 @@ def fit_demo(
     non-increasing even across the kinks of the L1-style terms and
     independent of how many positives share the normalizer. Returns the
     loss trajectory (steps + 1 entries) and, for every positive
-    location, the quad decoded from the final offsets around that
-    location's image point.
+    location, the (4, 2) vertices decoded from the final offsets around
+    that location's image point, as one (P, 4, 2) array.
 
     Class logits are kept at every location; the centerness logit, log
     ltrb and log wh only at the positives. Their gradient is exactly 0
@@ -543,6 +543,6 @@ def fit_demo(
             frozen = not accepted
         trajectory.append(result.breakdown)
 
-    decoded = quad_list(quads_from_offsets(targets.points[pos], batch.ltrb[pos], batch.wh[pos]))
+    decoded = quads_from_offsets(targets.points[pos], batch.ltrb[pos], batch.wh[pos])
     fused = (batch.class_scores[pos, targets.class_id[pos] - 1] * batch.centerness[pos]).tolist()
     return FitDemoResult(trajectory, pos.tolist(), decoded, fused, batch)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
+from obbkit import inference
 from obbkit.dota import iter_annotation_records
 from obbkit.errors import ParseError, ShapeMismatch, UnknownCategory
 from obbkit.evaluation import FP, IGNORED, TP, ClassTable, GtIndex
@@ -21,6 +22,7 @@ from obbkit.geometry import (
     polygon_iou,
     polygon_iou_pairs,
 )
+from obbkit.ie_attention import softmax_rows
 from obbkit.inference import Detection, InferenceConfig
 from obbkit.targets import GroundTruthObject, TargetMaps, _centerness, grid_to_image
 
@@ -80,6 +82,17 @@ def polygon_iou_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def ie_fuse_oracle(cls_feat, reg_feat, ori_feat, weights) -> np.ndarray:
+    """ie_fuse values in the direct five-pass form: Wf F, Wg F, Wh F,
+    table @ (Wh F) and gamma * mixed + F, each over the (C, HW) data."""
+    f = cls_feat.values + reg_feat.values
+    logits = (weights.wf @ f) @ (weights.wg @ f).T
+    table = softmax_rows(logits.T)
+    mixed = table @ (weights.wh @ f)
+    attended = f if weights.gamma == 0.0 else weights.gamma * mixed + f
+    return attended + ori_feat.values
+
+
 def rotated_nms_oracle(dets, iou_thresh):
     """Greedy per-class NMS with one scalar polygon_iou per pair."""
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
@@ -92,6 +105,30 @@ def rotated_nms_oracle(dets, iou_thresh):
             quads.append(det.quad)
             kept.append(det)
     return kept
+
+
+def nms_keep_oracle(quads, classes, scores, iou_thresh):
+    """inference._nms_keep as a band loop that clips every same-class,
+    HBB-overlapping lower-triangle pair and skips pairs whose earlier row
+    is suppressed only after clipping them. Bands follow
+    inference.NMS_PAIRS_PER_BAND."""
+    order = np.argsort(-scores, kind="stable")
+    if iou_thresh == 1.0:
+        return order
+    quads, classes = quads[order], classes[order]
+    suppressed = [False] * len(order)
+    band = max(1, inference.NMS_PAIRS_PER_BAND // max(len(order), 1))
+    for top in range(0, len(order), band):
+        bottom = min(top + band, len(order))
+        candidates = hbb_overlap(quads[top:bottom], quads[:bottom])
+        candidates &= classes[top:bottom, None] == classes[None, :bottom]
+        rows, cols = np.nonzero(np.tril(candidates, top - 1))
+        rows += top
+        over = polygon_iou_pairs(quads[rows], quads[cols]) > iou_thresh
+        for row, col in zip(rows[over].tolist(), cols[over].tolist()):
+            if not suppressed[col]:
+                suppressed[row] = True
+    return order[~np.array(suppressed, dtype=bool)]
 
 
 def quad_from_offsets_oracle(point, ltrb, wh) -> Quad:

@@ -25,6 +25,7 @@ from obbkit.geometry import (
     encode,
     polygon_iou,
     quad_from_offsets,
+    quad_list,
     raster_iou_oracle,
 )
 from obbkit.ie_attention import AttentionWeights, FeatureMap, attend, attention_map, softmax_rows
@@ -332,7 +333,7 @@ def test_07_fit_demo_convergence():
         if j not in best or result.fused_scores[k] > best[j][0]:
             best[j] = (result.fused_scores[k], k)
     ious = [
-        polygon_iou(result.decoded_quads[best[j][1]], objects[j].quad)
+        polygon_iou(quad_list(result.decoded_quads[[best[j][1]]])[0], objects[j].quad)
         for j in range(len(objects))
     ]
     totals = [b.total for b in result.trajectory]

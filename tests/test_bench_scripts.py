@@ -21,7 +21,8 @@ ROOT = Path(__file__).resolve().parents[1]
         ),
         (
             "inference_layers.py",
-            ["run_inference_detect", "run_inference_dense", "nms_scattered", "nms_clustered"],
+            ["run_inference_detect", "run_inference_dense", "nms_scattered", "nms_clustered",
+             "ie_fuse_detect"],
         ),
         (
             "train_layers.py",

@@ -16,6 +16,8 @@ from obbkit.ie_attention import (
     softmax_rows,
 )
 
+from helpers import ie_fuse_oracle
+
 
 def fmap(values) -> FeatureMap:
     values = np.asarray(values, dtype=float)
@@ -181,6 +183,56 @@ class TestIeFuse:
         weights = AttentionWeights.seeded(3, 23)
         lhs = ie_fuse(a, b, fmap(o1 + o2), weights).values - ie_fuse(a, b, fmap(o2), weights).values
         assert np.allclose(lhs, o1, atol=1e-12)
+
+
+class TestGramForm:
+    """ie_fuse reassociated around the Gram matrix against the direct form."""
+
+    @staticmethod
+    def scene(rng, channels, width, height, scale, gamma):
+        maps = [
+            FeatureMap(channels, width, height, rng.standard_normal((channels, width * height)))
+            for _ in range(3)
+        ]
+        weights = AttentionWeights.seeded(channels, int(rng.integers(1 << 30)), scale, gamma)
+        return maps, weights
+
+    def test_matches_five_pass_oracle(self):
+        # Tolerance per entry: 1e-12 x (|gamma| (|table Wh| @ |F|) + |F| + |ori|),
+        # the scale of the terms whose summation order changed. With unit
+        # features and weights scaled by at most 0.3 the logits stay small,
+        # so the softmax barely amplifies rounding (worst seen: 3e-14).
+        rng = np.random.default_rng(31)
+        for _ in range(100):
+            channels, width, height = (int(v) for v in rng.integers(1, [17, 41, 41]))
+            scale = float(rng.choice([0.01, 0.1, 0.3]))
+            gamma = float(rng.uniform(-2.0, 2.0))
+            (cls, reg, ori), weights = self.scene(rng, channels, width, height, scale, gamma)
+            got = ie_fuse(cls, reg, ori, weights).values
+            want = ie_fuse_oracle(cls, reg, ori, weights)
+            merged = merge(cls, reg)
+            mixing = np.abs(attention_map(merged, weights).matrix @ weights.wh)
+            scale_of = abs(gamma) * (mixing @ np.abs(merged.values))
+            scale_of += np.abs(merged.values) + np.abs(ori.values)
+            assert np.all(np.abs(got - want) <= 1e-12 * scale_of)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.7])
+    def test_inputs_are_not_written(self, gamma):
+        rng = np.random.default_rng(33)
+        maps, weights = self.scene(rng, 5, 6, 4, 0.3, gamma)
+        before = [m.values.copy() for m in maps]
+        attend(maps[0], weights)
+        ie_fuse(*maps, weights)
+        for m, b in zip(maps, before):
+            assert np.array_equal(m.values, b)
+
+
+class TestAttentionWeights:
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_gamma(self, gamma):
+        eye = np.eye(2)
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            AttentionWeights(eye, eye, eye, gamma)
 
 
 class TestFeatureMap:

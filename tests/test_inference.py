@@ -12,6 +12,7 @@ from obbkit.errors import ShapeMismatch
 from obbkit.geometry import (
     Point2,
     polygon_iou,
+    polygon_iou_pairs,
     quad_arrays,
     quad_from_offsets,
     quad_list,
@@ -35,6 +36,7 @@ from obbkit.targets import (
 
 from helpers import (
     axis_box,
+    nms_keep_oracle,
     polygon_iou_block,
     random_rect,
     rotated_nms_oracle,
@@ -213,6 +215,73 @@ class TestRotatedNms:
         assert np.tril(polygon_iou_block(quads, quads) > 0.0, -1).sum() > 500
         order = sorted(range(2000), key=lambda i: (-dets[i].score, i))
         assert nms_one_image(dets, 0.5) == [dets[i] for i in order]
+
+
+@st.composite
+def jittered_clusters(draw):
+    """(quads, classes, scores) arrays: clusters of jittered copies of a
+    rotated box, classes 1-3 interleaved within a cluster, scores from a
+    few values so that ties occur."""
+    quads, classes, scores = [], [], []
+    for _ in range(draw(st.integers(1, 5))):
+        cx, cy = draw(st.floats(0, 80)), draw(st.floats(0, 80))
+        w, h, angle = draw(st.floats(6, 30)), draw(st.floats(4, 20)), draw(st.floats(-90, 90))
+        for _ in range(draw(st.integers(1, 12))):
+            dx, dy, da = (draw(st.floats(-2, 2)) for _ in range(3))
+            quads.append(rotated_rect(cx + dx, cy + dy, w, h, angle + 5 * da))
+            classes.append(draw(st.integers(1, 3)))
+            scores.append(draw(st.sampled_from([0.3, 0.6, 0.6, 0.9])))
+    return quad_arrays(quads), np.array(classes), np.array(scores)
+
+
+class TestNmsKeep:
+    """_nms_keep against the band loop that clips every candidate pair."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(jittered_clusters(), st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from([64, 512]))
+    def test_matches_band_oracle(self, boxes, thresh, band_pairs):
+        # bands of a few rows: pairs reach back to kept and to suppressed
+        # rows of earlier bands as well as to rows of their own band
+        with nms_band(band_pairs):
+            got = inference._nms_keep(*boxes, thresh)
+            want = nms_keep_oracle(*boxes, thresh)
+        assert np.array_equal(got, want)
+
+    def test_pairs_with_a_suppressed_earlier_row_are_not_clipped(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        quads = quad_arrays([
+            rotated_rect(40.0 * (k // 8) + rng.uniform(-1, 1), rng.uniform(-1, 1), 20, 10,
+                         30 + rng.uniform(-3, 3))
+            for k in range(64)
+        ])
+        classes, scores = np.ones(64, dtype=int), rng.random(64)
+        clipped = []
+
+        def counting(a, b):
+            clipped.append(len(a))
+            return polygon_iou_pairs(a, b)
+
+        monkeypatch.setattr(inference, "NMS_PAIRS_PER_BAND", 64 * 4)
+        want = nms_keep_oracle(quads, classes, scores, 0.5)
+        monkeypatch.setattr(inference, "polygon_iou_pairs", counting)
+        got = inference._nms_keep(quads, classes, scores, 0.5)
+        assert np.array_equal(got, want)
+        assert len(want) == 8  # one survivor per cluster
+        # the oracle clips all 8 x 28 same-cluster pairs; the bands of 4
+        # rows clip only those whose earlier row shares the band or is kept
+        rank = np.empty(64, dtype=int)
+        rank[np.argsort(-scores, kind="stable")] = np.arange(64)
+        kept = set(rank[want].tolist())
+        expected = sum(
+            1
+            for i in range(64)
+            for j in range(64)
+            if i // 8 == j // 8
+            and rank[j] < rank[i]
+            and (rank[j] // 4 == rank[i] // 4 or rank[j] in kept)
+        )
+        assert len(clipped) == 16
+        assert sum(clipped) == expected < 8 * 28
 
 
 def batch_for(spec, entries, num_classes=2):
