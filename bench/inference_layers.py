@@ -13,6 +13,10 @@ Times, as medians over repeated runs on seeded inputs:
   kept);
 - ``nms_per_image`` on one image of 200 clusters of 10 jittered copies
   of one box (most are suppressed);
+- ``nms_per_image`` on one image of a chain of 2000 one-class 10 x 10
+  squares 7 px apart, scored in chain order: each overlaps only its
+  neighbours (IoU 0.18, all are kept), but every row waits on the one
+  before it, so NMS resolves most of the chain in its fallback pass;
 - ``ie_fuse`` on detect-shaped features: 5 levels of 64 channels, 128 x
   128 down to 8 x 8, standard-normal inputs and weights scaled by 0.01.
 
@@ -150,6 +154,14 @@ def clustered_boxes(rng):
     return DetectionSet.from_mapping({"clustered": dets})
 
 
+def chained_boxes():
+    dets = [
+        Detection(rotated_rect(7.0 * k, 0.0, 10.0, 10.0, 0.0), 1, 1.0 - k / 2000)
+        for k in range(2000)
+    ]
+    return DetectionSet.from_mapping({"chain": dets})
+
+
 def fusion_maps(rng, channels=64, sides=(128, 64, 32, 16, 8)):
     """Per level, (cls, reg, ori) feature maps of side x side locations."""
     return [
@@ -180,6 +192,8 @@ def make_cases():
     cases["nms_scattered"] = ("2000 one-class boxes, NMS 0.5", lambda: nms_per_image(scattered, 0.5))
     clustered = clustered_boxes(np.random.default_rng(200))
     cases["nms_clustered"] = ("200 clusters of 10 boxes, NMS 0.5", lambda: nms_per_image(clustered, 0.5))
+    chain = chained_boxes()
+    cases["nms_chain"] = ("chain of 2000 one-class boxes, NMS 0.5", lambda: nms_per_image(chain, 0.5))
     maps = fusion_maps(np.random.default_rng(64))
     weights = AttentionWeights.seeded(64, 64)
     cases["ie_fuse_detect"] = (

@@ -160,11 +160,11 @@ def attend(feat: FeatureMap, weights: AttentionWeights) -> FeatureMap:
 
     Each output channel q mixes the rows of Wh F with the attention row
     q, then Y = gamma * mixed + F, computed as (gamma * table Wh) F + F
-    into a fresh array. gamma = 0 returns F exactly.
+    into a fresh array. gamma = 0 returns a copy of F, equal bit for bit.
     """
     table = attention_map(feat, weights).matrix
     if weights.gamma == 0.0:
-        values = feat.values
+        values = feat.values.copy()
     else:
         values = (weights.gamma * table @ weights.wh) @ feat.values
         values += feat.values
@@ -180,7 +180,7 @@ def ie_fuse(
     """Full branch fusion: attend(cls + reg) added onto the orientation branch."""
     if not cls_feat.same_shape(ori_feat):
         raise ShapeMismatch("orientation features must match the merged shape")
-    # attend's output is fresh: merge made a new array, which the gamma = 0 shortcut returns
+    # attend's output is a fresh array, so the sum can go into it in place
     values = attend(merge(cls_feat, reg_feat), weights).values
     values += ori_feat.values
     return FeatureMap(ori_feat.channels, ori_feat.width, ori_feat.height, values)

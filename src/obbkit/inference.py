@@ -28,8 +28,11 @@ from .losses import PredictionBatch
 from .targets import FeatureGridSpec
 
 
-# Upper bound on the quad pairs rotated NMS tests for HBB overlap at once.
+# Upper bound on the candidate pairs rotated NMS expands at once (one band of rows).
 NMS_PAIRS_PER_BAND = 1 << 18
+# Batched clipping rounds per NMS band before the undecided rows fall back
+# to one clip of all their pairs.
+_NMS_ROUNDS = 4
 # Candidates per pyramid level kept for NMS, best fused scores first (FCOS).
 PRE_NMS_TOP_N = 1000
 
@@ -146,6 +149,50 @@ class InferenceConfig:
             raise ValueError("max_detections must be >= 0")
 
 
+def _sweep_ranges(
+    xmin: np.ndarray, xmax: np.ndarray, classes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Candidate partner ranges of a sweep over x, one per row.
+
+    Returns (lo, hi, by_x): by_x lists the rows sorted by (class, xmin),
+    and by_x[lo[i]:hi[i]] holds every row of row i's class whose x extent
+    overlaps row i's with positive length (and possibly more). The bounds
+    are replaced by their exact ranks among all bounds, offset per class,
+    so both ends come from searchsorted without rounding: hi ends where a
+    partner's xmin reaches the row's xmax, and lo starts where the running
+    maximum of xmax over the class passes the row's xmin.
+    """
+    n = len(xmin)
+    _, rank = np.unique(np.concatenate([xmin, xmax]), return_inverse=True)
+    _, cls = np.unique(classes, return_inverse=True)
+    start = cls * (2 * n) + rank[:n]
+    end = cls * (2 * n) + rank[n:]
+    by_x = np.argsort(start, kind="stable")
+    # the class offsets make the running maximum restart at every class
+    reach = np.maximum.accumulate(end[by_x])
+    lo = np.searchsorted(reach, start, side="right")
+    hi = np.searchsorted(start[by_x], end, side="left")
+    return lo, np.maximum(hi, lo), by_x
+
+
+def _band_pairs(
+    top: int, bottom: int, lo: np.ndarray, hi: np.ndarray, by_x: np.ndarray,
+    bounds: tuple[np.ndarray, ...], live: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(later, earlier) visit indices of the pairs NMS may have to clip for
+    rows top..bottom-1: same class, HBB overlap, the earlier row live.
+    Pairs come grouped by their later row, in visit order."""
+    counts = hi[top:bottom] - lo[top:bottom]
+    later = np.repeat(np.arange(top, bottom), counts)
+    shift = lo[top:bottom] - (np.cumsum(counts) - counts)
+    earlier = by_x[np.arange(len(later)) + np.repeat(shift, counts)]
+    ok = earlier < later
+    ok[ok] = live[earlier[ok]]
+    later, earlier = later[ok], earlier[ok]
+    ok = _overlapping([v[later] for v in bounds], [v[earlier] for v in bounds])
+    return later[ok], earlier[ok]
+
+
 def _nms_keep(
     quads: np.ndarray, classes: np.ndarray, scores: np.ndarray, iou_thresh: float
 ) -> np.ndarray:
@@ -154,44 +201,75 @@ def _nms_keep(
     Rows are visited in descending score, ties broken by row index; one is
     kept iff its IoU with every kept row of the same class stays at or
     below the threshold, so a threshold of 1 keeps every row without
-    computing any IoU.
+    computing any IoU. Only same-class pairs whose horizontal boxes
+    overlap can suppress (all others count as IoU 0), and a pair is
+    clipped with the later (lower-scored) row as the first argument of
+    :func:`polygon_iou` only once its earlier row is known to be kept.
 
-    The IoU pairs are the lower triangle of one block over the
-    visit-ordered quads, restricted to same-class pairs whose horizontal
-    boxes overlap (all others count as IoU 0 and are never clipped), with
-    the later (lower-scored) row as the first argument of
-    :func:`polygon_iou`. The block is walked in bands of rows so that
-    memory stays bounded. Rows of earlier bands are final when a band
-    starts, so pairs with an earlier row that is already suppressed are
-    dropped before they are clipped: they can suppress nothing.
+    Candidate pairs come from a sweep over the boxes sorted by (class,
+    xmin) (:func:`_sweep_ranges`). Rows are taken in visit-order bands
+    whose summed range sizes stay within NMS_PAIRS_PER_BAND (a band holds
+    at least one row), so the expanded pairs of a band never exceed
+    max(NMS_PAIRS_PER_BAND, N). Rows of earlier bands are final when a
+    band starts, and pairs with a suppressed earlier row are dropped.
+    Within a band, each of up to _NMS_ROUNDS rounds clips, in one batch,
+    the pairs not yet clipped whose earlier row is kept and whose later
+    row is undecided; a row with an IoU above the threshold is
+    suppressed, then every undecided row left without an undecided
+    earlier partner is kept. Each round decides at least the first
+    undecided row. Rows still undecided after the rounds fall back to one
+    clip of all their remaining pairs and a walk over the pairs above the
+    threshold in visit order, so a band makes at most _NMS_ROUNDS + 1
+    kernel calls.
     """
     if not 0.0 <= iou_thresh <= 1.0:
         raise ValueError(f"NMS IoU threshold must lie in [0, 1], got {iou_thresh}")
     order = np.argsort(-scores, kind="stable")
     if iou_thresh == 1.0:
         return order
-    quads, classes = quads[order], classes[order]
+    quads = quads[order]
     bounds = _hbb_bounds(quads)
-    kept = np.ones(len(order), dtype=bool)
-    band = max(1, NMS_PAIRS_PER_BAND // max(len(order), 1))
-    for top in range(0, len(order), band):
-        bottom = min(top + band, len(order))
-        candidates = _overlapping(
-            [v[top:bottom, None] for v in bounds], [v[:bottom] for v in bounds]
-        )
-        candidates &= classes[top:bottom, None] == classes[None, :bottom]
-        candidates[:, :top] &= kept[:top]
-        candidates[:, top:] &= np.tri(bottom - top, k=-1, dtype=bool)
-        rows, cols = np.nonzero(candidates)
-        rows += top
-        over = polygon_iou_pairs(quads[rows], quads[cols]) > iou_thresh
-        live = kept[:bottom].tolist()  # a list: the loop below reads it once per pair
-        # pairs come row by row, so an earlier row is final before it is read
-        for row, col in zip(rows[over].tolist(), cols[over].tolist()):
-            if live[col]:
-                live[row] = False
-        kept[top:bottom] = live[top:]
+    lo, hi, by_x = _sweep_ranges(bounds[0], bounds[2], classes[order])
+    expanded = np.cumsum(hi - lo)  # pairs expanded for rows 0..i
+    n = len(order)
+    kept = np.zeros(n, dtype=bool)
+    live = np.ones(n, dtype=bool)  # kept or undecided
+    top = 0
+    while top < n:
+        budget = NMS_PAIRS_PER_BAND + (expanded[top - 1] if top else 0)
+        bottom = max(top + 1, int(np.searchsorted(expanded, budget, side="right")))
+        later, earlier = _band_pairs(top, bottom, lo, hi, by_x, bounds, live)
+        _resolve_band(quads, later, earlier, top, bottom, kept, live, iou_thresh)
+        top = bottom
     return order[kept]
+
+
+def _resolve_band(
+    quads: np.ndarray, later: np.ndarray, earlier: np.ndarray, top: int, bottom: int,
+    kept: np.ndarray, live: np.ndarray, iou_thresh: float,
+) -> None:
+    """Decide rows top..bottom-1 in place: kept, or not live (suppressed)."""
+    clipped = np.zeros(len(later), dtype=bool)
+    for _ in range(_NMS_ROUNDS):
+        todo = np.flatnonzero(kept[earlier] & ~kept[later] & live[later] & ~clipped)
+        if len(todo):
+            clipped[todo] = True
+            over = polygon_iou_pairs(quads[later[todo]], quads[earlier[todo]]) > iou_thresh
+            live[later[todo[over]]] = False
+        undecided = live[top:bottom] & ~kept[top:bottom]
+        undecided[later[live[earlier] & ~kept[earlier]] - top] = False  # still waiting
+        kept[top:bottom] |= undecided
+        if not (live[top:bottom] & ~kept[top:bottom]).any():
+            return
+    todo = np.flatnonzero(live[earlier] & live[later] & ~kept[later] & ~clipped)
+    over = todo[polygon_iou_pairs(quads[later[todo]], quads[earlier[todo]]) > iou_thresh]
+    alive = live[:bottom].tolist()  # a list: the loop below reads it once per pair
+    # pairs come row by row, so an earlier row is final before it is read
+    for row, col in zip(later[over].tolist(), earlier[over].tolist()):
+        if alive[col]:
+            alive[row] = False
+    live[top:bottom] = alive[top:]
+    kept[top:bottom] = live[top:bottom]
 
 
 def nms_per_image(dets: DetectionSet, iou_thresh: float) -> DetectionSet:
@@ -202,6 +280,12 @@ def nms_per_image(dets: DetectionSet, iou_thresh: float) -> DetectionSet:
     same class stays at or below the threshold, so a threshold of 1 keeps
     every detection. The kept rows come image by image in image_ids
     order, each image's in visit order. The threshold must lie in [0, 1].
+
+    Each image goes through :func:`_nms_keep`: candidate pairs from a
+    sweep over x, expanded in bands of at most NMS_PAIRS_PER_BAND pairs
+    (or the image's row count, for a band of one row), clipped in a few
+    batched rounds once their earlier row is kept, with a single fallback
+    clip per band for rows the rounds leave undecided.
     """
     keep = [
         rows[_nms_keep(dets.quads[rows], dets.class_id[rows], dets.score[rows], iou_thresh)]

@@ -108,10 +108,14 @@ def rotated_nms_oracle(dets, iou_thresh):
 
 
 def nms_keep_oracle(quads, classes, scores, iou_thresh):
-    """inference._nms_keep as a band loop that clips every same-class,
-    HBB-overlapping lower-triangle pair and skips pairs whose earlier row
-    is suppressed only after clipping them. Bands follow
-    inference.NMS_PAIRS_PER_BAND."""
+    """inference._nms_keep by the plain greedy rule: clip every same-class,
+    HBB-overlapping pair of the visit-ordered quads (the later row first)
+    and walk the pairs above the threshold in visit order, skipping those
+    whose earlier row is already suppressed.
+
+    The pairs come from a lower-triangle block cut into bands of rows
+    (sized from inference.NMS_PAIRS_PER_BAND, so memory stays bounded);
+    band shape never changes the keep list."""
     order = np.argsort(-scores, kind="stable")
     if iou_thresh == 1.0:
         return order

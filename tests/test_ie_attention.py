@@ -115,6 +115,15 @@ class TestAttend:
         out = attend(feat, weights)
         assert np.array_equal(out.values, feat.values)
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.7])
+    def test_writing_the_output_leaves_the_input_alone(self, gamma):
+        rng = np.random.default_rng(9)
+        feat = fmap(rng.standard_normal((4, 5)))
+        before = feat.values.copy()
+        out = attend(feat, AttentionWeights.seeded(4, 7, gamma=gamma))
+        out.values += 1.0
+        assert np.array_equal(feat.values, before)
+
     def test_forced_identity_table(self):
         # a huge diagonal affinity saturates the softmax to an exact
         # identity table, so attend reduces to gamma * Wh F + F

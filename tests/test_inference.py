@@ -1,16 +1,19 @@
 import contextlib
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from obbkit import inference
 from obbkit.errors import ShapeMismatch
 from obbkit.geometry import (
     Point2,
+    _hbb_bounds,
+    hbb_overlap,
     polygon_iou,
     polygon_iou_pairs,
     quad_arrays,
@@ -223,7 +226,7 @@ def jittered_clusters(draw):
     rotated box, classes 1-3 interleaved within a cluster, scores from a
     few values so that ties occur."""
     quads, classes, scores = [], [], []
-    for _ in range(draw(st.integers(1, 5))):
+    for _ in range(draw(st.integers(0, 5))):
         cx, cy = draw(st.floats(0, 80)), draw(st.floats(0, 80))
         w, h, angle = draw(st.floats(6, 30)), draw(st.floats(4, 20)), draw(st.floats(-90, 90))
         for _ in range(draw(st.integers(1, 12))):
@@ -238,16 +241,68 @@ class TestNmsKeep:
     """_nms_keep against the band loop that clips every candidate pair."""
 
     @settings(max_examples=150, deadline=None)
-    @given(jittered_clusters(), st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from([64, 512]))
+    @given(jittered_clusters(), st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from([1, 7, 64, 512]))
+    @example((quad_arrays([]), np.zeros(0, dtype=int), np.zeros(0)), 0.5, 7)
     def test_matches_band_oracle(self, boxes, thresh, band_pairs):
-        # bands of a few rows: pairs reach back to kept and to suppressed
-        # rows of earlier bands as well as to rows of their own band
+        # a budget of 1 pair gives bands of one row, larger ones bands of a
+        # few rows, whose pairs reach back to kept and to suppressed rows
+        # of earlier bands as well as into their own band
         with nms_band(band_pairs):
             got = inference._nms_keep(*boxes, thresh)
             want = nms_keep_oracle(*boxes, thresh)
         assert np.array_equal(got, want)
 
-    def test_pairs_with_a_suppressed_earlier_row_are_not_clipped(self, monkeypatch):
+    @settings(max_examples=100, deadline=None)
+    @given(jittered_clusters(), st.sampled_from([1, 7, 64, 512]))
+    def test_bands_stay_within_the_pair_budget(self, boxes, band_pairs):
+        bands = []
+        real = inference._band_pairs
+
+        def recording(top, bottom, lo, hi, *rest):
+            bands.append((top, bottom, int((hi - lo)[top:bottom].sum())))
+            return real(top, bottom, lo, hi, *rest)
+
+        with nms_band(band_pairs), mock.patch.object(inference, "_band_pairs", recording):
+            inference._nms_keep(*boxes, 0.5)
+        n = len(boxes[0])
+        edges = [0] + [bottom for _, bottom, _ in bands]
+        assert [top for top, _, _ in bands] == edges[:-1] and edges[-1] == n
+        assert all(top < bottom and size <= max(band_pairs, n) for top, bottom, size in bands)
+
+    def test_sweep_ranges_hold_every_overlapping_pair(self):
+        # rounded corners, duplicates and zero-width boxes; a zero-width
+        # box still passes the strict HBB test against a wider box around it
+        rng = np.random.default_rng(11)
+        quads = np.round(quad_arrays([random_rect(rng, 60, 0, 20) for _ in range(150)]))
+        quads[::7, :, 0] = quads[::7, :1, 0]
+        quads[1::9] = quads[::9][: len(quads[1::9])]
+        classes = rng.integers(1, 4, 150)
+        bounds = _hbb_bounds(quads)
+        lo, hi, by_x = inference._sweep_ranges(bounds[0], bounds[2], classes)
+        overlap = hbb_overlap(quads, quads) & (classes[:, None] == classes[None, :])
+        assert overlap[::7].any()
+        for i in range(150):
+            partners = set(by_x[lo[i]:hi[i]].tolist())
+            assert set(np.flatnonzero(overlap[i]).tolist()) <= partners
+            assert (classes[list(partners)] == classes[i]).all()
+
+    @staticmethod
+    def counted_keep(monkeypatch, quads, classes, scores, thresh):
+        """_nms_keep with the sizes of its polygon_iou_pairs calls."""
+        clipped = []
+
+        def counting(a, b):
+            clipped.append(len(a))
+            return polygon_iou_pairs(a, b)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(inference, "polygon_iou_pairs", counting)
+            return inference._nms_keep(quads, classes, scores, thresh), clipped
+
+    def test_clips_one_pair_per_suppressed_row(self, monkeypatch):
+        # 8 clusters of 8 jittered boxes: once each cluster's best row is
+        # kept, its 7 other rows are suppressed by the pair with it, and
+        # their pairs with each other are never clipped
         rng = np.random.default_rng(7)
         quads = quad_arrays([
             rotated_rect(40.0 * (k // 8) + rng.uniform(-1, 1), rng.uniform(-1, 1), 20, 10,
@@ -255,33 +310,29 @@ class TestNmsKeep:
             for k in range(64)
         ])
         classes, scores = np.ones(64, dtype=int), rng.random(64)
-        clipped = []
-
-        def counting(a, b):
-            clipped.append(len(a))
-            return polygon_iou_pairs(a, b)
-
-        monkeypatch.setattr(inference, "NMS_PAIRS_PER_BAND", 64 * 4)
         want = nms_keep_oracle(quads, classes, scores, 0.5)
-        monkeypatch.setattr(inference, "polygon_iou_pairs", counting)
-        got = inference._nms_keep(quads, classes, scores, 0.5)
+        got, clipped = self.counted_keep(monkeypatch, quads, classes, scores, 0.5)
         assert np.array_equal(got, want)
         assert len(want) == 8  # one survivor per cluster
-        # the oracle clips all 8 x 28 same-cluster pairs; the bands of 4
-        # rows clip only those whose earlier row shares the band or is kept
-        rank = np.empty(64, dtype=int)
-        rank[np.argsort(-scores, kind="stable")] = np.arange(64)
-        kept = set(rank[want].tolist())
-        expected = sum(
-            1
-            for i in range(64)
-            for j in range(64)
-            if i // 8 == j // 8
-            and rank[j] < rank[i]
-            and (rank[j] // 4 == rank[i] // 4 or rank[j] in kept)
-        )
-        assert len(clipped) == 16
-        assert sum(clipped) == expected < 8 * 28
+        assert sum(clipped) == 56 < 8 * 28
+        assert len(clipped) <= inference._NMS_ROUNDS
+
+    @pytest.mark.parametrize("step, thresh, survivors", [(7, 0.5, 200), (7, 0.1, 100), (4, 0.5, 200)])
+    def test_chain_falls_back_after_the_rounds(self, monkeypatch, step, thresh, survivors):
+        # 10 px squares `step` px apart, scored along the chain: each waits
+        # on the one before it, so the rounds settle only the head of the
+        # chain. At step 7 a square overlaps its neighbours only (IoU 3/17);
+        # at step 4 also the squares two away (IoU 3/7 and 1/9).
+        quads = quad_arrays([axis_box(step * k, 0.0, step * k + 10, 10.0) for k in range(200)])
+        classes, scores = np.ones(200, dtype=int), np.linspace(1.0, 0.0, 200)
+        want = nms_keep_oracle(quads, classes, scores, thresh)
+        got, clipped = self.counted_keep(monkeypatch, quads, classes, scores, thresh)
+        assert np.array_equal(got, want)
+        assert len(want) == survivors
+        assert len(clipped) <= inference._NMS_ROUNDS + 1
+        # no pair is clipped twice; at 0.1 pairs with a suppressed square are skipped
+        pairs = 199 if step == 7 else 199 + 198
+        assert sum(clipped) == pairs if thresh == 0.5 else sum(clipped) < pairs
 
 
 def batch_for(spec, entries, num_classes=2):
