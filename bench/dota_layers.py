@@ -5,10 +5,8 @@ images of 1024 x 1024 px with 250 rotated objects each in 5 classes;
 every object gets 1-3 jittered detections, plus 40 false positives per
 image and class, written as DOTA text files):
 
-- ``canonicalize_scalar`` / ``canonicalize_many``: every raw detection
-  and ground-truth quad through the scalar ``canonicalize``, one call
-  per quad, and through the batched ``canonicalize_many`` in one call;
-  both are also reported per quad;
+- ``canonicalize_many``: every raw detection and ground-truth quad in one
+  call, also reported per quad;
 - ``parse``: ``parse_dota_detections`` on the raw detections plus
   ``parse_dota_annotations`` on the ground truth;
 - ``nms``: rotated NMS at IoU 0.5 within each image of the parsed raw
@@ -25,8 +23,8 @@ or from ./src when it is not importable)::
 
 The script also runs against releases without ``canonicalize_many`` and
 ``nms_per_image`` (the detection parser then returns per-image Detection
-lists): the batched case is left out and NMS runs ``rotated_nms`` per
-image, so one script gives before and after numbers. BLAS is limited to
+lists): the ``canonicalize_many`` case is left out and NMS runs
+``rotated_nms`` per image, so one script gives before and after numbers. BLAS is limited to
 one thread unless the environment sets otherwise. The JSON output
 records each case's runs, median and input size, plus the Python and
 numpy versions, the machine, and the BLAS thread setting.
@@ -152,14 +150,11 @@ def make_cases(root: Path):
     """name -> (input description, quads or None, zero-argument callable)."""
     n = write_scene(root)
     vertices = scene_vertices(root)
-    points = [list(map(tuple, q)) for q in vertices.tolist()]
     dets, classes = parse_dota_detections(root / "raw")
     gt = parse_dota_annotations(root / "gt", classes)
     kept = nms_stage(dets, 0.5)
     scene = f"{IMAGES} images, {n} quads ({IMAGES * OBJECTS} ground truth)"
-    cases = {
-        "canonicalize_scalar": (scene, n, lambda: [geometry.canonicalize(p) for p in points]),
-    }
+    cases = {}
     if hasattr(geometry, "canonicalize_many"):
         cases["canonicalize_many"] = (scene, n, lambda: geometry.canonicalize_many(vertices))
     cases["parse"] = (scene, None, lambda: (parse_dota_detections(root / "raw"),

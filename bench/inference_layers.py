@@ -53,10 +53,9 @@ try:
 except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from obbkit.geometry import canonicalize, encode  # noqa: E402
+from obbkit.geometry import canonicalize, canonicalize_many, encode  # noqa: E402
 from obbkit.ie_attention import AttentionWeights, FeatureMap, ie_fuse  # noqa: E402
 from obbkit.inference import (  # noqa: E402
-    Detection,
     DetectionSet,
     InferenceConfig,
     nms_per_image,
@@ -70,12 +69,22 @@ STRIDES = (8, 16, 32, 64, 128)
 NUM_CLASSES = 15
 
 
-def rotated_rect(cx, cy, width, height, angle_deg):
+def rect_corners(cx, cy, width, height, angle_deg):
+    """Raw corners of a width x height rectangle rotated around its center."""
     th = math.radians(angle_deg)
     c, s = math.cos(th), math.sin(th)
     corners = [(-width / 2, -height / 2), (width / 2, -height / 2),
                (width / 2, height / 2), (-width / 2, height / 2)]
-    return canonicalize([(cx + c * dx - s * dy, cy + s * dx + c * dy) for dx, dy in corners])
+    return [(cx + c * dx - s * dy, cy + s * dx + c * dy) for dx, dy in corners]
+
+
+def one_image(name, corners, class_id, score):
+    """A DetectionSet of one image from raw corners, canonicalized in one call."""
+    quads, fault = canonicalize_many(np.array(corners, dtype=float))
+    if fault.any():
+        raise ValueError("degenerate rectangle in a seeded scene")
+    n = len(quads)
+    return DetectionSet((name,), np.zeros(n, dtype=int), quads, np.array(class_id), np.array(score))
 
 
 def detect_map(rng):
@@ -96,7 +105,9 @@ def detect_map(rng):
         s = spec.stride
         xc, yc = (int(v) for v in rng.integers(1, spec.width - 1, 2))
         px, py = s // 2 + xc * s, s // 2 + yc * s
-        quad = rotated_rect(px, py, rng.uniform(4, 7) * s, rng.uniform(3.5, 4) * s, rng.uniform(8, 82))
+        quad = canonicalize(
+            rect_corners(px, py, rng.uniform(4, 7) * s, rng.uniform(3.5, 4) * s, rng.uniform(8, 82))
+        )
         box = encode(quad)
         hbb = box.hbb
         primary = int(rng.integers(NUM_CLASSES))
@@ -131,35 +142,34 @@ def dense_map(rng):
 
 
 def scattered_boxes(rng):
-    dets = []
+    corners, scores = [], []
     for k in range(2000):
         cx = 25.0 * (k % 50) + rng.uniform(-3, 3)
         cy = 25.0 * (k // 50) + rng.uniform(-3, 3)
         w, h = rng.uniform(10, 30, 2)
-        dets.append(Detection(rotated_rect(cx, cy, w, h, rng.uniform(-90, 90)), 1, float(rng.random())))
-    return DetectionSet.from_mapping({"scattered": dets})
+        corners.append(rect_corners(cx, cy, w, h, rng.uniform(-90, 90)))
+        scores.append(float(rng.random()))
+    return one_image("scattered", corners, [1] * 2000, scores)
 
 
 def clustered_boxes(rng):
-    dets = []
+    corners, classes, scores = [], [], []
     for k in range(200):
         cx, cy = 60.0 * (k % 20), 60.0 * (k // 20)
         w, h, angle = rng.uniform(15, 40), rng.uniform(10, 25), rng.uniform(-90, 90)
         class_id = int(rng.integers(1, 4))
         for _ in range(10):
-            quad = rotated_rect(cx + rng.uniform(-2, 2), cy + rng.uniform(-2, 2),
-                                w * rng.uniform(0.9, 1.1), h * rng.uniform(0.9, 1.1),
-                                angle + rng.uniform(-5, 5))
-            dets.append(Detection(quad, class_id, float(rng.random())))
-    return DetectionSet.from_mapping({"clustered": dets})
+            corners.append(rect_corners(cx + rng.uniform(-2, 2), cy + rng.uniform(-2, 2),
+                                        w * rng.uniform(0.9, 1.1), h * rng.uniform(0.9, 1.1),
+                                        angle + rng.uniform(-5, 5)))
+            classes.append(class_id)
+            scores.append(float(rng.random()))
+    return one_image("clustered", corners, classes, scores)
 
 
 def chained_boxes():
-    dets = [
-        Detection(rotated_rect(7.0 * k, 0.0, 10.0, 10.0, 0.0), 1, 1.0 - k / 2000)
-        for k in range(2000)
-    ]
-    return DetectionSet.from_mapping({"chain": dets})
+    corners = [rect_corners(7.0 * k, 0.0, 10.0, 10.0, 0.0) for k in range(2000)]
+    return one_image("chain", corners, [1] * 2000, [1.0 - k / 2000 for k in range(2000)])
 
 
 def fusion_maps(rng, channels=64, sides=(128, 64, 32, 16, 8)):

@@ -12,7 +12,6 @@ from .errors import (
     NonFiniteScore,
     ObbkitError,
     ParseError,
-    PointOutsideBox,
     ShapeMismatch,
     UnknownCategory,
     UnknownClass,
@@ -24,11 +23,10 @@ from .geometry import (
     Quad,
     canonicalize,
     canonicalize_many,
-    convex_intersect,
     decode,
     encode,
+    encode_many,
     hbb_overlap,
-    polygon_area,
     polygon_iou,
     polygon_iou_pairs,
     quad_arrays,
@@ -45,8 +43,6 @@ from .targets import (
     assign_targets,
     centerness,
     grid_specs,
-    grid_to_image,
-    ltrb_targets,
 )
 from .losses import (
     FitDemoResult,

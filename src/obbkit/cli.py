@@ -23,14 +23,14 @@ from .errors import (
     NonFiniteScore,
     ObbkitError,
     ParseError,
-    PointOutsideBox,
     ShapeMismatch,
     UnknownCategory,
     UnknownClass,
 )
 from .evaluation import evaluate
 from .geometry import (
-    EncodedBox, HBB, canonicalize, decode, encode, polygon_iou, quad_list, raster_iou_oracle
+    EncodedBox, HBB, canonicalize, canonicalize_many, decode, encode_many, polygon_iou,
+    polygon_iou_pairs, quad_arrays, quad_error, raster_iou_oracle,
 )
 from .inference import nms_per_image
 from .losses import PredictionBatch, fit_demo, grad_check, total_loss
@@ -87,12 +87,8 @@ def _numeric_lines(path, expected: int):
 
 def _derive_image_size(objects, strides) -> tuple[int, int]:
     step = max(strides)
-    xmax = 0.0
-    ymax = 0.0
-    for obj in objects:
-        b = obj.quad.bounds()
-        xmax = max(xmax, b.xmax)
-        ymax = max(ymax, b.ymax)
+    bounds, _ = encode_many(quad_arrays([obj.quad for obj in objects]))
+    xmax, ymax = bounds[:, 2:].max(axis=0, initial=0.0).tolist()
     width = max(int(math.ceil((xmax + 1) / step)) * step, step)
     height = max(int(math.ceil((ymax + 1) / step)) * step, step)
     return width, height
@@ -116,6 +112,8 @@ def _fmt(value: float) -> str:
 
 
 def _cmd_iou(args) -> int:
+    if args.grid < 1:
+        raise ValueError(f"--grid must be >= 1, got {args.grid}")
     quad_a = _parse_quad_flag(args.quad_a)
     quad_b = _parse_quad_flag(args.quad_b)
     value = polygon_iou(quad_a, quad_b)
@@ -128,17 +126,33 @@ def _cmd_iou(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    worst = 1.0
-    count = 0
-    for _line_no, values, _tokens in _numeric_lines(args.file, 8):
-        quad = canonicalize(list(zip(values[0::2], values[1::2])))
-        enc = encode(quad)
-        roundtrip = polygon_iou(decode(enc), quad)
-        worst = min(worst, roundtrip)
-        count += 1
-        fields = (enc.hbb.xmin, enc.hbb.ymin, enc.hbb.xmax, enc.hbb.ymax, enc.w, enc.h)
-        print(" ".join(_fmt(v) for v in fields) + f" roundtrip {_fmt(roundtrip)}")
-    print(f"# {count} boxes, worst roundtrip iou {_fmt(worst if count else 1.0)}")
+    # The lines before the first error in file order are printed, then it is raised.
+    rows, error = [], None
+    try:
+        for _line_no, values, _tokens in _numeric_lines(args.file, 8):
+            rows.append(values)
+    except ParseError as exc:
+        error = exc
+    raw = np.array(rows, dtype=float).reshape(-1, 4, 2)
+    quads, fault = canonicalize_many(raw)
+    bounds, wh = encode_many(quads)
+    decoded = []
+    for k in range(len(raw)):
+        if fault[k]:
+            error = quad_error(raw[k], fault[k])
+            break
+        try:
+            decoded.append(decode(EncodedBox(HBB(*bounds[k].tolist()), *wh[k].tolist())))
+        except ValueError as exc:
+            error = exc
+            break
+    n = len(decoded)
+    ious = polygon_iou_pairs(quad_arrays(decoded), quads[:n]).tolist()
+    for fields, iou in zip(np.hstack([bounds, wh])[:n].tolist(), ious):
+        print(" ".join(_fmt(v) for v in fields) + f" roundtrip {_fmt(iou)}")
+    if error is not None:
+        raise error
+    print(f"# {n} boxes, worst roundtrip iou {_fmt(min([1.0, *ious]))}")
     return 0
 
 
@@ -351,14 +365,18 @@ def _cmd_fit_demo(args) -> int:
             score = result.fused_scores[k]
             if j not in best or score > best[j][0]:
                 best[j] = (score, k)
+        ious = polygon_iou_pairs(
+            result.decoded_quads[[k for _, k in best.values()]],
+            quad_arrays([objects[j].quad for j in best]),
+        )
+        iou_of = dict(zip(best, ious.tolist()))
         for j, obj in enumerate(objects):
             if j not in best:
                 print(f"object {j} {gt.classes.name_of(obj.class_id)} unassigned")
                 continue
-            score, k = best[j]
-            iou = polygon_iou(quad_list(result.decoded_quads[[k]])[0], obj.quad)
             print(
-                f"object {j} {gt.classes.name_of(obj.class_id)} iou {_fmt(iou)} score {_fmt(score)}"
+                f"object {j} {gt.classes.name_of(obj.class_id)} iou {_fmt(iou_of[j])} "
+                f"score {_fmt(best[j][0])}"
             )
     return 0
 
@@ -465,7 +483,6 @@ def main(argv=None) -> int:
         UnknownCategory,
         UnknownClass,
         DegenerateQuad,
-        PointOutsideBox,
         ShapeMismatch,
         ObbkitError,
         FileNotFoundError,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ObbkitError, ParseError, UnknownCategory
 from .evaluation import ClassTable, GtIndex, check_detection_classes
-from .geometry import canonicalize, canonicalize_many
+from .geometry import canonicalize_many, quad_error
 from .inference import DetectionSet
 
 _HEADER_PREFIXES = ("imagesource", "gsd")
@@ -79,14 +79,13 @@ def iter_annotation_records(path) -> list[AnnotationRecord]:
 def _canonical_quads(coords: list) -> np.ndarray:
     """Canonical (N, 4, 2) quads of flat 8-coordinate rows.
 
-    When :func:`canonicalize_many` rejects a row, the scalar code re-runs
-    on the first such row, so it raises that row's own error and message.
+    Raises the error of the first row :func:`canonicalize_many` rejects.
     """
     raw = np.array(coords, dtype=float).reshape(-1, 4, 2)
-    quads, bad = canonicalize_many(raw)
-    if bad.any():
-        canonicalize(raw[np.argmax(bad)])
-        raise AssertionError("canonicalize_many rejected a quad that canonicalize accepts")
+    quads, fault = canonicalize_many(raw)
+    bad = np.flatnonzero(fault)
+    if bad.size:
+        raise quad_error(raw[bad[0]], fault[bad[0]])
     return quads
 
 

@@ -9,10 +9,6 @@ class DegenerateQuad(ObbkitError):
     """Quadrilateral has (near-)zero area or no usable convex ordering."""
 
 
-class PointOutsideBox(ObbkitError):
-    """A regression point does not lie strictly inside its box."""
-
-
 class NonFiniteScore(ObbkitError):
     """A probability sits on {0, 1} where a log would be non-finite."""
 

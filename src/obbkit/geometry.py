@@ -2,9 +2,10 @@
 
 Canonical quadrilaterals, the transform between an oriented box and its
 surrounding horizontal box plus two offset parameters (w, h), and exact
-convex-polygon IoU: the scalar :func:`polygon_iou`, which is the
-reference overlap, and its batched form over many quad pairs, which NMS
-and evaluation use behind a horizontal-box pre-filter.
+convex-polygon IoU over many quad pairs behind a horizontal-box
+pre-filter. Each formula has one array implementation over (N, 4, 2)
+vertex arrays; :func:`canonicalize`, :func:`encode` and
+:func:`polygon_iou` are its one-row views.
 
 Conventions: image coordinates, x to the right, y increasing downward.
 A canonical quad is walked clockwise on screen, starting from the vertex
@@ -105,7 +106,9 @@ class Quad:
         return tuple(out)
 
     def bounds(self) -> HBB:
-        return HBB(*_extent(self))
+        xs = (self.v1.x, self.v2.x, self.v3.x, self.v4.x)
+        ys = (self.v1.y, self.v2.y, self.v3.y, self.v4.y)
+        return HBB(min(xs), min(ys), max(xs), max(ys))
 
     def translated(self, dx: float, dy: float) -> "Quad":
         return Quad(*(Point2(v.x + dx, v.y + dy) for v in self.vertices))
@@ -133,113 +136,21 @@ class EncodedBox:
             raise ValueError("orientation offsets exceed box extents")
 
 
-def _extent(q: Quad) -> tuple[float, float, float, float]:
-    """xmin, ymin, xmax, ymax of a quad's vertices."""
-    xs = (q.v1.x, q.v2.x, q.v3.x, q.v4.x)
-    ys = (q.v1.y, q.v2.y, q.v3.y, q.v4.y)
-    return min(xs), min(ys), max(xs), max(ys)
+# Why canonicalize_many rejects a row, in the order its checks run; 0 accepts it.
+NON_FINITE, SMALL_AREA, NOT_CONVEX = 1, 2, 3
 
 
-def _as_xy_list(points: Iterable) -> list[tuple[float, float]]:
-    out = []
-    for p in points:
-        if isinstance(p, Point2):
-            out.append((p.x, p.y))
-        else:
-            x, y = p
-            out.append((float(x), float(y)))
-    return out
+def _angle_order(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of (N, 4, 2) vertices, the vertex order by angle around the
+    centroid and the signed shoelace area of the vertices in that order.
 
-
-def _signed_area(pts: Sequence[tuple[float, float]]) -> float:
-    """Shoelace sum / 2; positive for clockwise-on-screen polygons."""
-    total = 0.0
-    n = len(pts)
-    for i in range(n):
-        x0, y0 = pts[i]
-        x1, y1 = pts[(i + 1) % n]
-        total += x0 * y1 - x1 * y0
-    return total / 2.0
-
-
-def polygon_area(points: Iterable) -> float:
-    """Absolute area of a simple polygon (>= 3 vertices, shoelace rule)."""
-    pts = _as_xy_list(points)
-    if len(pts) < 3:
-        raise ValueError("polygon needs at least 3 vertices")
-    return abs(_signed_area(pts))
-
-
-def canonicalize(points: Iterable) -> Quad:
-    """Reorder four raw vertices into a canonical :class:`Quad`.
-
-    Vertices are sorted clockwise on screen, then rotated so the quad
-    starts at the vertex touching the left edge of the surrounding HBB.
-    When several vertices tie on the left edge (axis-aligned boxes), the
-    one with the smaller y starts; the clockwise walk then hands the
-    top/right/bottom slots to the remaining vertices.
-
-    Raises DegenerateQuad for collinear input, (near-)zero area, or a
-    vertex ordering that cannot be made convex.
+    The centroid and shoelace sums run left to right from 0, as Python's
+    sum does; the angles come from math.atan2, which np.arctan2 does not
+    match to the last bit on every machine; the sort is stable.
     """
-    pts = _as_xy_list(points)
-    if len(pts) != 4:
-        raise ValueError(f"expected 4 vertices, got {len(pts)}")
-    for x, y in pts:
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValueError(f"non-finite vertex ({x}, {y})")
-
-    cx = sum(p[0] for p in pts) / 4.0
-    cy = sum(p[1] for p in pts) / 4.0
-    order = sorted(range(4), key=lambda i: math.atan2(pts[i][1] - cy, pts[i][0] - cx))
-    ordered = [pts[i] for i in order]
-
-    area = _signed_area(ordered)
-    if abs(area) < AREA_TOLERANCE:
-        raise DegenerateQuad(f"area {abs(area):g} below tolerance {AREA_TOLERANCE:g}")
-    if area < 0:  # angular sort already yields clockwise-on-screen; guard anyway
-        ordered.reverse()
-
-    extent = max(
-        max(p[0] for p in ordered) - min(p[0] for p in ordered),
-        max(p[1] for p in ordered) - min(p[1] for p in ordered),
-    )
-    convex_eps = max(extent * extent, 1.0) * 1e-12
-    for i in range(4):
-        ax, ay = ordered[i]
-        bx, by = ordered[(i + 1) % 4]
-        cx2, cy2 = ordered[(i + 2) % 4]
-        cross = (bx - ax) * (cy2 - ay) - (by - ay) * (cx2 - ax)
-        if cross < -convex_eps:
-            raise DegenerateQuad("vertices do not form a convex quadrilateral")
-
-    xmin = min(p[0] for p in ordered)
-    tie_eps = max(extent, 1.0) * 1e-9
-    candidates = [i for i in range(4) if ordered[i][0] <= xmin + tie_eps]
-    start = min(candidates, key=lambda i: (ordered[i][1], i))
-    rotated = ordered[start:] + ordered[:start]
-    return Quad(*(Point2(x, y) for x, y in rotated))
-
-
-def canonicalize_many(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`canonicalize` on every row of an (N, 4, 2) vertex array.
-
-    Returns (canonical, bad). bad[k] is True exactly where
-    canonicalize(vertices[k]) raises: DegenerateQuad, or ValueError for a
-    non-finite vertex. Every other row of canonical is the vertex order
-    of the scalar Quad; each row is a permutation of its input row, so
-    the coordinates are the input floats bit for bit. The centroid sums,
-    the atan2 angles (math.atan2, which np.arctan2 does not match to the
-    last bit on every machine), the stable sort, the shoelace sum, the
-    convexity and left-edge tolerances are those of the scalar code.
-    """
-    v = np.asarray(vertices, dtype=float)
-    if v.ndim != 3 or v.shape[1:] != (4, 2):
-        raise ValueError(f"expected (N, 4, 2) vertices, got shape {v.shape}")
     rows = np.arange(len(v))[:, None]
     x, y = v[:, :, 0], v[:, :, 1]
     with np.errstate(over="ignore", invalid="ignore"):
-        # Python's sum: 0 + x1 + x2 + x3 + x4, left to right
         cx = (0.0 + x[:, 0] + x[:, 1] + x[:, 2] + x[:, 3]) / 4.0
         cy = (0.0 + y[:, 0] + y[:, 1] + y[:, 2] + y[:, 3]) / 4.0
         dy, dx = (y - cy[:, None]).ravel().tolist(), (x - cx[:, None]).ravel().tolist()
@@ -249,7 +160,33 @@ def canonicalize_many(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         nx, ny = np.roll(ox, -1, axis=1), np.roll(oy, -1, axis=1)
         terms = ox * ny - nx * oy
         area = (0.0 + terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3]) / 2.0
-        bad = ~np.isfinite(v).all(axis=(1, 2)) | (np.abs(area) < AREA_TOLERANCE)
+    return order, area
+
+
+def canonicalize_many(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reorder the raw vertices of every row of an (N, 4, 2) array into canonical quads.
+
+    Vertices are sorted clockwise on screen by their angle around the
+    centroid, then rotated so the quad starts at the vertex touching the
+    left edge of the surrounding HBB. When several vertices tie on the
+    left edge (axis-aligned boxes), the one with the smaller y starts;
+    the clockwise walk then hands the top/right/bottom slots to the
+    remaining vertices. Each row of canonical is a permutation of its
+    input row, so the coordinates are the input floats bit for bit.
+
+    Returns (canonical, fault). fault[k] is 0 for an accepted row and
+    otherwise the first check row k fails: NON_FINITE (a NaN or infinite
+    coordinate), SMALL_AREA (area below AREA_TOLERANCE, collinear input
+    included) or NOT_CONVEX (no convex vertex ordering).
+    :func:`quad_error` builds the error that names why.
+    """
+    v = np.asarray(vertices, dtype=float)
+    if v.ndim != 3 or v.shape[1:] != (4, 2):
+        raise ValueError(f"expected (N, 4, 2) vertices, got shape {v.shape}")
+    rows = np.arange(len(v))[:, None]
+    x, y = v[:, :, 0], v[:, :, 1]
+    order, area = _angle_order(v)
+    with np.errstate(over="ignore", invalid="ignore"):
         order = np.where((area < 0)[:, None], order[:, ::-1], order)
         ox, oy = x[rows, order], y[rows, order]
         extent = np.maximum(ox.max(axis=1) - ox.min(axis=1), oy.max(axis=1) - oy.min(axis=1))
@@ -257,26 +194,71 @@ def canonicalize_many(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         nx, ny = np.roll(ox, -1, axis=1), np.roll(oy, -1, axis=1)
         nnx, nny = np.roll(ox, -2, axis=1), np.roll(oy, -2, axis=1)
         cross = (nx - ox) * (nny - oy) - (ny - oy) * (nnx - ox)
-        bad |= (cross < -convex_eps[:, None]).any(axis=1)
+        concave = (cross < -convex_eps[:, None]).any(axis=1)
+        fault = np.select(
+            [~np.isfinite(v).all(axis=(1, 2)), np.abs(area) < AREA_TOLERANCE, concave],
+            [NON_FINITE, SMALL_AREA, NOT_CONVEX],
+        ).astype(np.int8)
         tie_eps = np.maximum(extent, 1.0) * 1e-9
         on_left = ox <= (ox.min(axis=1) + tie_eps)[:, None]
         # the smaller y starts, then the earlier slot: argmin takes the first minimum
         start = np.argmin(np.where(on_left, oy, np.inf), axis=1)
     order = order[rows, (start[:, None] + np.arange(4)) % 4]
-    return v[rows, order], bad
+    return v[rows, order], fault
+
+
+def quad_error(vertices: np.ndarray, fault: int) -> Exception:
+    """The error for a (4, 2) vertex row that :func:`canonicalize_many` rejects with fault.
+
+    ValueError naming the first non-finite vertex; DegenerateQuad naming
+    the area, or the missing convex ordering.
+    """
+    if fault == NON_FINITE:
+        x, y = next(p for p in vertices.tolist() if not (math.isfinite(p[0]) and math.isfinite(p[1])))
+        return ValueError(f"non-finite vertex ({x}, {y})")
+    if fault == SMALL_AREA:
+        area = abs(float(_angle_order(vertices[None])[1][0]))
+        return DegenerateQuad(f"area {area:g} below tolerance {AREA_TOLERANCE:g}")
+    return DegenerateQuad("vertices do not form a convex quadrilateral")
+
+
+def canonicalize(points: Iterable) -> Quad:
+    """:func:`canonicalize_many` on the four vertices (Point2s or (x, y) pairs) of one quad.
+
+    Raises ValueError for a vertex count other than 4, or the error of
+    :func:`quad_error` when the row is rejected.
+    """
+    v = np.array([(p.x, p.y) if isinstance(p, Point2) else p for p in points], dtype=float)
+    if len(v) != 4:
+        raise ValueError(f"expected 4 vertices, got {len(v)}")
+    quads, fault = canonicalize_many(v[None])
+    if fault[0]:
+        raise quad_error(v, fault[0])
+    return quad_list(quads)[0]
+
+
+def encode_many(quads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Collapse canonical (N, 4, 2) quads to their surrounding HBBs plus (w, h).
+
+    Returns bounds (N, 4) as [xmin, ymin, xmax, ymax] and wh (N, 2), with
+    w = xmax - x2 and h = ymax - y1, where v2 touches the top edge and v1
+    the left edge. Exact inverse of :func:`decode` for rotated
+    rectangles; lossy for other convex quads.
+    """
+    lo, hi = quads[:, 0], quads[:, 0]
+    for k in (1, 2, 3):
+        # the first extreme vertex wins a tie, as in Quad.bounds, so a signed zero keeps its sign
+        lo = np.where(quads[:, k] < lo, quads[:, k], lo)
+        hi = np.where(quads[:, k] > hi, quads[:, k], hi)
+    with np.errstate(over="ignore"):  # offsets of huge quads overflow to inf, as in float arithmetic
+        wh = np.stack([hi[:, 0] - quads[:, 1, 0], hi[:, 1] - quads[:, 0, 1]], axis=1)
+    return np.concatenate([lo, hi], axis=1), wh
 
 
 def encode(q: Quad) -> EncodedBox:
-    """Collapse a canonical quad to its surrounding HBB plus (w, h).
-
-    w = xmax - x2 and h = ymax - y1, where v2 touches the top edge and
-    v1 the left edge. Exact inverse of :func:`decode` for rotated
-    rectangles; lossy for other convex quads.
-    """
-    hbb = q.bounds()
-    w = hbb.xmax - q.v2.x
-    h = hbb.ymax - q.v1.y
-    return EncodedBox(hbb, w, h)
+    """:func:`encode_many` on one canonical quad, as an EncodedBox."""
+    bounds, wh = encode_many(quad_arrays([q]))
+    return EncodedBox(HBB(*bounds[0].tolist()), *wh[0].tolist())
 
 
 def decode(e: EncodedBox) -> Quad:
@@ -347,72 +329,10 @@ def quads_from_offsets(points: np.ndarray, ltrb: np.ndarray, wh: np.ndarray) -> 
     return out
 
 
-def _clip_halfplane(
-    poly: list[tuple[float, float]],
-    ax: float,
-    ay: float,
-    bx: float,
-    by: float,
-) -> list[tuple[float, float]]:
-    """Keep the part of poly on the inner side of the directed edge a->b."""
-    ex = bx - ax
-    ey = by - ay
-    out: list[tuple[float, float]] = []
-    n = len(poly)
-    for i in range(n):
-        cx, cy = poly[i]
-        dx, dy = poly[(i + 1) % n]
-        c_in = ex * (cy - ay) - ey * (cx - ax) >= -EDGE_EPS
-        d_in = ex * (dy - ay) - ey * (dx - ax) >= -EDGE_EPS
-        if c_in:
-            out.append((cx, cy))
-        if c_in != d_in:
-            # segment crosses the edge line; intersect the two lines
-            denom = ex * (dy - cy) - ey * (dx - cx)
-            if denom != 0.0:
-                s = (ex * (ay - cy) - ey * (ax - cx)) / denom
-                out.append((cx + s * (dx - cx), cy + s * (dy - cy)))
-    return out
-
-
-def convex_intersect(a: Quad, b: Quad) -> list[Point2]:
-    """Vertices of the intersection of two convex canonical quads.
-
-    Sequential half-plane clipping of a against the edges of b; returns
-    an empty list when the quads are disjoint.
-    """
-    poly = [(v.x, v.y) for v in a.vertices]
-    bs = [(v.x, v.y) for v in b.vertices]
-    for i in range(4):
-        ax, ay = bs[i]
-        bx, by = bs[(i + 1) % 4]
-        poly = _clip_halfplane(poly, ax, ay, bx, by)
-        if not poly:
-            return []
-    return [Point2(x, y) for x, y in poly]
-
-
 def polygon_iou(a: Quad, b: Quad) -> float:
-    """Exact intersection-over-union of two convex quads, in [0, 1].
-
-    A pair whose horizontal boxes do not overlap with positive area (the
-    test of :func:`hbb_overlap`) is exactly 0 without clipping. Without
-    that test the clip's absolute EDGE_EPS tolerance would give two
-    axis-aligned quads less than EDGE_EPS over the edge length apart a
-    sliver of overlap (IoU 5e-11 for unit squares 1e-10 apart); a gap that
-    narrow between rotated quads whose horizontal boxes overlap still
-    yields one, on every path alike.
-    """
-    ax0, ay0, ax1, ay1 = _extent(a)
-    bx0, by0, bx1, by1 = _extent(b)
-    if not (ax0 < bx1 and bx0 < ax1 and ay0 < by1 and by0 < ay1):
-        return 0.0
-    inter_pts = convex_intersect(a, b)
-    inter = polygon_area(inter_pts) if len(inter_pts) >= 3 else 0.0
-    union = polygon_area(a.vertices) + polygon_area(b.vertices) - inter
-    if union < AREA_TOLERANCE:
-        return 0.0
-    return min(max(inter / union, 0.0), 1.0)
+    """Exact intersection-over-union of two convex quads, in [0, 1]:
+    :func:`polygon_iou_pairs` on one pair."""
+    return float(polygon_iou_pairs(quad_arrays([a]), quad_arrays([b]))[0])
 
 
 def quad_arrays(quads: Sequence[Quad]) -> np.ndarray:
@@ -440,8 +360,7 @@ def _successors(v: np.ndarray, wrap: np.ndarray) -> np.ndarray:
 def _shoelace(xs: np.ndarray, ys: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Absolute shoelace area per row of vertex buffers with n[r] valid entries.
 
-    Terms are summed in the order :func:`polygon_area` sums them, so each
-    row's area equals the scalar one bit for bit.
+    Each row's terms are summed left to right from column 0.
     """
     cols = np.arange(xs.shape[1])
     wrap = cols + 1 >= n[:, None]
@@ -456,10 +375,12 @@ def _shoelace(xs: np.ndarray, ys: np.ndarray, n: np.ndarray) -> np.ndarray:
 def _clip_halfplanes(
     xs: np.ndarray, ys: np.ndarray, n: np.ndarray, a: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_clip_halfplane` on every row at once.
+    """One Sutherland-Hodgman step on every row at once.
 
     Row r holds a polygon in the first n[r] entries of the vertex buffers
-    xs, ys and is clipped against its own directed edge a[r] -> b[r].
+    xs, ys and keeps the part on the inner side of its own directed edge
+    a[r] -> b[r]: a vertex c is inside when
+    (bx-ax)(cy-ay) - (by-ay)(cx-ax) >= -EDGE_EPS.
     The output buffers are as wide as the longest clipped polygon;
     entries past a row's count are 0.
     """
@@ -480,11 +401,10 @@ def _clip_halfplanes(
     cand = np.empty(xs.shape + (2, 2))
     cand[..., 0, 0] = xs
     cand[..., 0, 1] = ys
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # lanes with denom == 0 hold inf or nan and are never emitted
-        s = (ex * (ay - ys) - ey * (ax - xs)) / denom
-        cand[..., 1, 0] = xs + s * (dx - xs)
-        cand[..., 1, 1] = ys + s * (dy - ys)
+    # lanes with denom == 0 hold inf or nan and are never emitted
+    s = (ex * (ay - ys) - ey * (ax - xs)) / denom
+    cand[..., 1, 0] = xs + s * (dx - xs)
+    cand[..., 1, 1] = ys + s * (dy - ys)
     slots = 2 * xs.shape[1]
     emit = emit.reshape(len(xs), slots)
     pos = np.cumsum(emit, axis=1) - 1
@@ -497,14 +417,24 @@ def _clip_halfplanes(
 
 
 def polygon_iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """polygon_iou(a[k], b[k]) for aligned (P, 4, 2) quad arrays, bit for bit.
+    """Exact IoU of each aligned pair a[k], b[k] of convex (P, 4, 2) quads, in [0, 1].
 
-    Pairs whose horizontal boxes do not overlap are 0, as in the scalar
-    code. The clip of :func:`convex_intersect` runs on the rest, up to
-    PAIRS_PER_CLIP pairs at once over fixed-width vertex buffers, with the
-    same inside test, intersection formula, shoelace sums and union guard
-    as the scalar code.
+    A pair whose horizontal boxes do not overlap with positive area (the
+    test of :func:`hbb_overlap`) is exactly 0 without clipping. Without
+    that test the clip's absolute EDGE_EPS tolerance would give two
+    axis-aligned quads less than EDGE_EPS over the edge length apart a
+    sliver of overlap (IoU 5e-11 for unit squares 1e-10 apart); a gap that
+    narrow between rotated quads whose horizontal boxes overlap still
+    yields one. The rest are clipped, a against each edge of b in turn,
+    up to PAIRS_PER_CLIP pairs at once over fixed-width vertex buffers;
+    a union below AREA_TOLERANCE gives 0.
+
+    Raises ValueError unless a and b are both (P, 4, 2) with the same P,
+    and for the first pair whose intersection has a vertex that overflows
+    to a non-finite point.
     """
+    if a.ndim != 3 or a.shape[1:] != (4, 2) or a.shape != b.shape:
+        raise ValueError(f"expected two (P, 4, 2) quad arrays, got shapes {a.shape} and {b.shape}")
     iou = np.zeros(len(a))
     rows = np.flatnonzero(_overlapping(_hbb_bounds(a), _hbb_bounds(b)))
     if len(rows) < len(a):
@@ -515,13 +445,18 @@ def polygon_iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         qb = b[start : start + PAIRS_PER_CLIP]
         four = np.full(len(qa), 4)
         xs, ys, n = qa[:, :, 0], qa[:, :, 1], four
-        for i in range(4):
-            xs, ys, n = _clip_halfplanes(xs, ys, n, qb[:, i], qb[:, (i + 1) % 4])
-        inter = np.where(n >= 3, _shoelace(xs, ys, n), 0.0)
-        union = _shoelace(qa[:, :, 0], qa[:, :, 1], four) + _shoelace(qb[:, :, 0], qb[:, :, 1], four)
-        union -= inter
-        ok = union >= AREA_TOLERANCE
-        iou[chunk[ok]] = np.minimum(np.maximum(inter[ok] / union[ok], 0.0), 1.0)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for i in range(4):
+                xs, ys, n = _clip_halfplanes(xs, ys, n, qb[:, i], qb[:, (i + 1) % 4])
+            bad = np.argwhere(~(np.isfinite(xs) & np.isfinite(ys)) & (np.arange(xs.shape[1]) < n[:, None]))
+            if len(bad):
+                r, c = bad[0]
+                raise ValueError(f"non-finite point ({xs[r, c].item()}, {ys[r, c].item()})")
+            inter = np.where(n >= 3, _shoelace(xs, ys, n), 0.0)
+            union = _shoelace(qa[:, :, 0], qa[:, :, 1], four) + _shoelace(qb[:, :, 0], qb[:, :, 1], four)
+            union -= inter
+            ok = union >= AREA_TOLERANCE
+            iou[chunk[ok]] = np.minimum(np.maximum(inter[ok] / union[ok], 0.0), 1.0)
     return iou
 
 
@@ -587,7 +522,10 @@ def raster_iou_oracle(a: Quad, b: Quad, grid: int = 1000) -> float:
     inside set of a convex quad is an x interval, so rows are counted by
     index arithmetic rather than by materializing every sample point.
     Intended as an independent test oracle, not a production path.
+    Raises ValueError for a grid below 1.
     """
+    if grid < 1:
+        raise ValueError(f"grid must be >= 1, got {grid}")
     av = a.as_array()
     bv = b.as_array()
     xmin = min(av[:, 0].min(), bv[:, 0].min())

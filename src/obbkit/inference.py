@@ -204,7 +204,7 @@ def _nms_keep(
     computing any IoU. Only same-class pairs whose horizontal boxes
     overlap can suppress (all others count as IoU 0), and a pair is
     clipped with the later (lower-scored) row as the first argument of
-    :func:`polygon_iou` only once its earlier row is known to be kept.
+    :func:`polygon_iou_pairs` only once its earlier row is known to be kept.
 
     Candidate pairs come from a sweep over the boxes sorted by (class,
     xmin) (:func:`_sweep_ranges`). Rows are taken in visit-order bands
@@ -335,7 +335,7 @@ def run_inference(
             top = np.sort(np.argsort(-score, kind="stable")[:PRE_NMS_TOP_N])
             loc, cls, score = loc[top], cls[top], score[top]
         y_s, x_s = np.divmod(loc, spec.width)
-        # grid_to_image for every candidate at once
+        # each candidate's image point: floor(s/2) + grid index * s
         points = spec.stride // 2 + np.stack([x_s, y_s], axis=1) * spec.stride
         quads.append(quads_from_offsets(points.astype(float), batch.ltrb[loc], batch.wh[loc]))
         classes.append(cls + 1)

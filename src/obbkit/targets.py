@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PointOutsideBox, ShapeMismatch
-from .geometry import HBB, Point2, Quad, encode
+from .errors import ShapeMismatch
+from .geometry import Quad, encode_many, quad_arrays
 
 
 @dataclass(frozen=True)
@@ -155,31 +155,6 @@ def grid_specs(
     return specs
 
 
-def grid_to_image(spec: FeatureGridSpec, x_s: int, y_s: int) -> Point2:
-    """Map a grid location to its image-plane point: x = floor(s/2) + x_s * s."""
-    if not (0 <= x_s < spec.width and 0 <= y_s < spec.height):
-        raise ValueError(
-            f"grid index ({x_s}, {y_s}) outside {spec.width}x{spec.height} grid"
-        )
-    half = spec.stride // 2
-    return Point2(half + x_s * spec.stride, half + y_s * spec.stride)
-
-
-def ltrb_targets(p: Point2, hbb: HBB) -> tuple[float, float, float, float]:
-    """Distances from an interior point to the four box edges.
-
-    Raises PointOutsideBox unless p is strictly inside hbb (all four
-    offsets must be positive).
-    """
-    l = p.x - hbb.xmin
-    t = p.y - hbb.ymin
-    r = hbb.xmax - p.x
-    b = hbb.ymax - p.y
-    if l <= 0 or t <= 0 or r <= 0 or b <= 0:
-        raise PointOutsideBox(f"point ({p.x}, {p.y}) not strictly inside {hbb}")
-    return (l, t, r, b)
-
-
 def _centerness(l, t, r, b):
     """Elementwise centerness of offset scalars or arrays."""
     return np.sqrt((np.minimum(l, r) / np.maximum(l, r)) * (np.minimum(t, b) / np.maximum(t, b)))
@@ -260,12 +235,11 @@ def assign_targets(
     if len(specs) != len(ranges):
         raise ValueError(f"{len(specs)} grid specs but {len(ranges)} level ranges")
 
-    encoded = [encode(obj.quad) for obj in objects]
-    obj_hbb = np.array(
-        [(e.hbb.xmin, e.hbb.ymin, e.hbb.xmax, e.hbb.ymax) for e in encoded], dtype=float
-    ).reshape(-1, 4)
+    obj_hbb, wh = encode_many(quad_arrays([obj.quad for obj in objects]))
+    if not np.isfinite(wh).all():
+        raise ValueError("non-finite orientation offsets")
     # one row per object plus a trailing background row, which object index -1 selects
-    obj_wh = np.array([(e.w, e.h) for e in encoded] + [(0.0, 0.0)])
+    obj_wh = np.vstack([wh, [0.0, 0.0]])
     obj_class = np.array([obj.class_id for obj in objects] + [0])
     obj_difficult = np.array([obj.difficult for obj in objects] + [False])
     out: list[TargetMaps] = []

@@ -8,23 +8,170 @@ import numpy as np
 
 from obbkit import inference
 from obbkit.dota import iter_annotation_records
-from obbkit.errors import ParseError, ShapeMismatch, UnknownCategory
+from obbkit.errors import DegenerateQuad, ParseError, ShapeMismatch, UnknownCategory
 from obbkit.evaluation import FP, IGNORED, TP, ClassTable, GtIndex
 from obbkit.geometry import (
+    AREA_TOLERANCE,
     EDGE_EPS,
     HBB,
     EncodedBox,
+    Point2,
     Quad,
-    canonicalize,
     decode,
-    encode,
     hbb_overlap,
-    polygon_iou,
     polygon_iou_pairs,
 )
 from obbkit.ie_attention import softmax_rows
 from obbkit.inference import Detection, InferenceConfig
-from obbkit.targets import GroundTruthObject, TargetMaps, _centerness, grid_to_image
+from obbkit.targets import FeatureGridSpec, GroundTruthObject, TargetMaps, _centerness
+
+
+def _xy_list(points) -> list[tuple[float, float]]:
+    out = []
+    for p in points:
+        if isinstance(p, Point2):
+            out.append((p.x, p.y))
+        else:
+            x, y = p
+            out.append((float(x), float(y)))
+    return out
+
+
+def _signed_area(pts) -> float:
+    """Shoelace sum / 2; positive for clockwise-on-screen polygons."""
+    total = 0.0
+    n = len(pts)
+    for i in range(n):
+        x0, y0 = pts[i]
+        x1, y1 = pts[(i + 1) % n]
+        total += x0 * y1 - x1 * y0
+    return total / 2.0
+
+
+def polygon_area_oracle(points) -> float:
+    """Absolute area of a simple polygon (>= 3 vertices, shoelace rule)."""
+    pts = _xy_list(points)
+    if len(pts) < 3:
+        raise ValueError("polygon needs at least 3 vertices")
+    return abs(_signed_area(pts))
+
+
+def canonicalize_oracle(points) -> Quad:
+    """canonicalize one vertex at a time: the rules canonicalize_many follows.
+
+    Vertices are sorted clockwise on screen by their angle around the
+    centroid, then rotated so the quad starts at the vertex touching the
+    left edge of the surrounding HBB; on a tie the one with the smaller y
+    starts. Raises ValueError for a vertex count other than 4 or a
+    non-finite vertex, DegenerateQuad for an area below AREA_TOLERANCE or
+    an ordering that is not convex.
+    """
+    pts = _xy_list(points)
+    if len(pts) != 4:
+        raise ValueError(f"expected 4 vertices, got {len(pts)}")
+    for x, y in pts:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"non-finite vertex ({x}, {y})")
+
+    cx = sum(p[0] for p in pts) / 4.0
+    cy = sum(p[1] for p in pts) / 4.0
+    order = sorted(range(4), key=lambda i: math.atan2(pts[i][1] - cy, pts[i][0] - cx))
+    ordered = [pts[i] for i in order]
+
+    area = _signed_area(ordered)
+    if abs(area) < AREA_TOLERANCE:
+        raise DegenerateQuad(f"area {abs(area):g} below tolerance {AREA_TOLERANCE:g}")
+    if area < 0:
+        ordered.reverse()
+
+    extent = max(
+        max(p[0] for p in ordered) - min(p[0] for p in ordered),
+        max(p[1] for p in ordered) - min(p[1] for p in ordered),
+    )
+    convex_eps = max(extent * extent, 1.0) * 1e-12
+    for i in range(4):
+        ax, ay = ordered[i]
+        bx, by = ordered[(i + 1) % 4]
+        cx2, cy2 = ordered[(i + 2) % 4]
+        cross = (bx - ax) * (cy2 - ay) - (by - ay) * (cx2 - ax)
+        if cross < -convex_eps:
+            raise DegenerateQuad("vertices do not form a convex quadrilateral")
+
+    xmin = min(p[0] for p in ordered)
+    tie_eps = max(extent, 1.0) * 1e-9
+    candidates = [i for i in range(4) if ordered[i][0] <= xmin + tie_eps]
+    start = min(candidates, key=lambda i: (ordered[i][1], i))
+    rotated = ordered[start:] + ordered[:start]
+    return Quad(*(Point2(x, y) for x, y in rotated))
+
+
+def encode_oracle(q: Quad) -> EncodedBox:
+    """encode through the Quad's own bounds: w = xmax - x2, h = ymax - y1."""
+    hbb = q.bounds()
+    return EncodedBox(hbb, hbb.xmax - q.v2.x, hbb.ymax - q.v1.y)
+
+
+def _clip_halfplane(poly, ax, ay, bx, by):
+    """Keep the part of poly on the inner side of the directed edge a->b."""
+    ex = bx - ax
+    ey = by - ay
+    out = []
+    n = len(poly)
+    for i in range(n):
+        cx, cy = poly[i]
+        dx, dy = poly[(i + 1) % n]
+        c_in = ex * (cy - ay) - ey * (cx - ax) >= -EDGE_EPS
+        d_in = ex * (dy - ay) - ey * (dx - ax) >= -EDGE_EPS
+        if c_in:
+            out.append((cx, cy))
+        if c_in != d_in:
+            # segment crosses the edge line; intersect the two lines
+            denom = ex * (dy - cy) - ey * (dx - cx)
+            if denom != 0.0:
+                s = (ex * (ay - cy) - ey * (ax - cx)) / denom
+                out.append((cx + s * (dx - cx), cy + s * (dy - cy)))
+    return out
+
+
+def convex_intersect_oracle(a: Quad, b: Quad) -> list[Point2]:
+    """Vertices of the intersection of two convex canonical quads: a clipped
+    against each edge of b in turn; an empty list when they are disjoint."""
+    poly = [(v.x, v.y) for v in a.vertices]
+    bs = [(v.x, v.y) for v in b.vertices]
+    for i in range(4):
+        ax, ay = bs[i]
+        bx, by = bs[(i + 1) % 4]
+        poly = _clip_halfplane(poly, ax, ay, bx, by)
+        if not poly:
+            return []
+    return [Point2(x, y) for x, y in poly]
+
+
+def polygon_iou_oracle(a: Quad, b: Quad) -> float:
+    """Exact IoU of two convex quads, one pair at a time: the rules
+    polygon_iou_pairs follows. A pair whose horizontal boxes do not overlap
+    with positive area is 0 without clipping; a union below AREA_TOLERANCE
+    is 0."""
+    ax0, ay0, ax1, ay1 = astuple(a.bounds())
+    bx0, by0, bx1, by1 = astuple(b.bounds())
+    if not (ax0 < bx1 and bx0 < ax1 and ay0 < by1 and by0 < ay1):
+        return 0.0
+    inter_pts = convex_intersect_oracle(a, b)
+    inter = polygon_area_oracle(inter_pts) if len(inter_pts) >= 3 else 0.0
+    union = polygon_area_oracle(a.vertices) + polygon_area_oracle(b.vertices) - inter
+    if union < AREA_TOLERANCE:
+        return 0.0
+    return min(max(inter / union, 0.0), 1.0)
+
+
+def grid_to_image(spec: FeatureGridSpec, x_s: int, y_s: int) -> Point2:
+    """Map a grid location to its image-plane point: x = floor(s/2) + x_s * s."""
+    if not (0 <= x_s < spec.width and 0 <= y_s < spec.height):
+        raise ValueError(
+            f"grid index ({x_s}, {y_s}) outside {spec.width}x{spec.height} grid"
+        )
+    half = spec.stride // 2
+    return Point2(half + x_s * spec.stride, half + y_s * spec.stride)
 
 
 def rotated_rect(cx, cy, width, height, angle_deg) -> Quad:
@@ -33,8 +180,8 @@ def rotated_rect(cx, cy, width, height, angle_deg) -> Quad:
     c, s = math.cos(th), math.sin(th)
     corners = [(-width / 2, -height / 2), (width / 2, -height / 2),
                (width / 2, height / 2), (-width / 2, height / 2)]
-    return canonicalize([(cx + c * dx - s * dy, cy + s * dx + c * dy)
-                         for dx, dy in corners])
+    return canonicalize_oracle([(cx + c * dx - s * dy, cy + s * dx + c * dy)
+                                for dx, dy in corners])
 
 
 def random_rect(rng, center_span=1000.0, size_lo=2.0, size_hi=500.0) -> Quad:
@@ -45,7 +192,7 @@ def random_rect(rng, center_span=1000.0, size_lo=2.0, size_hi=500.0) -> Quad:
 
 
 def axis_box(x0, y0, x1, y1) -> Quad:
-    return canonicalize([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
+    return canonicalize_oracle([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
 
 
 def target_maps(class_id, ltrb=None, wh=None, centerness=None, points=None) -> TargetMaps:
@@ -71,10 +218,10 @@ def target_maps(class_id, ltrb=None, wh=None, centerness=None, points=None) -> T
 
 
 def polygon_iou_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(N, M) block of polygon_iou(a[i], b[j]) for (N, 4, 2) and (M, 4, 2) quads.
+    """(N, M) block of polygon_iou_oracle(a[i], b[j]) for (N, 4, 2) and (M, 4, 2) quads.
 
     Only the pairs in hbb_overlap go through polygon_iou_pairs; the rest
-    are 0, as in the scalar code.
+    are 0, as in polygon_iou_oracle.
     """
     ii, jj = np.nonzero(hbb_overlap(a, b))
     out = np.zeros((len(a), len(b)))
@@ -94,14 +241,14 @@ def ie_fuse_oracle(cls_feat, reg_feat, ori_feat, weights) -> np.ndarray:
 
 
 def rotated_nms_oracle(dets, iou_thresh):
-    """Greedy per-class NMS with one scalar polygon_iou per pair."""
+    """Greedy per-class NMS with one polygon_iou_oracle per pair."""
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
     kept = []
     kept_by_class = {}
     for i in order:
         det = dets[i]
         quads = kept_by_class.setdefault(det.class_id, [])
-        if all(polygon_iou(det.quad, q) <= iou_thresh for q in quads):
+        if all(polygon_iou_oracle(det.quad, q) <= iou_thresh for q in quads):
             quads.append(det.quad)
             kept.append(det)
     return kept
@@ -177,8 +324,8 @@ def match_flags_oracle(dets_per_image, gt, class_id, iou_thresh):
     """(scores, flags) of one class under the VOC / DOTA-devkit rule, pair by pair.
 
     Each detection, in descending score (ties by image id, then input
-    order), takes the same-class ground truth with the highest scalar
-    polygon_iou, matched or not; IoU strictly above the threshold gives
+    order), takes the same-class ground truth with the highest
+    polygon_iou_oracle, matched or not; IoU strictly above the threshold gives
     IGNORED on difficult ground truth, FP on an already matched one and
     TP otherwise; anything else is FP.
     """
@@ -197,7 +344,7 @@ def match_flags_oracle(dets_per_image, gt, class_id, iou_thresh):
         for j, obj in enumerate(gt.images.get(image_id, [])):
             if obj.class_id != class_id:
                 continue
-            iou = polygon_iou(det.quad, obj.quad)
+            iou = polygon_iou_oracle(det.quad, obj.quad)
             if iou > ovmax:
                 best_j, ovmax = j, iou
         if best_j >= 0 and ovmax > iou_thresh:
@@ -215,7 +362,7 @@ def match_flags_oracle(dets_per_image, gt, class_id, iou_thresh):
 
 
 def parse_dota_detections_oracle(directory, classes=None, *, unknown_category="error"):
-    """The detection parser one line at a time, each quad through the scalar canonicalize.
+    """The detection parser one line at a time, each quad through canonicalize_oracle.
 
     Returns ({image_id: [Detection]}, class table), or raises the first
     error in file order.
@@ -243,14 +390,14 @@ def parse_dota_detections_oracle(directory, classes=None, *, unknown_category="e
             values = _floats_oracle(tokens[1:], f, line_no)
             if not 0.0 <= values[0] <= 1.0:
                 raise ParseError(f, line_no, f"score {values[0]} outside [0, 1]")
-            quad = canonicalize(list(zip(values[1::2], values[2::2])))
+            quad = canonicalize_oracle(list(zip(values[1::2], values[2::2])))
             dets.setdefault(tokens[0], []).append(Detection(quad, class_id, values[0]))
     return dets, classes
 
 
 def parse_dota_annotations_oracle(directory, classes=None, *, unknown_category="error"):
     """The annotation parser record by record: every file is parsed first, then
-    each kept record's quad goes through the scalar canonicalize."""
+    each kept record's quad goes through canonicalize_oracle."""
     per_file = {f: iter_annotation_records(f) for f in sorted(Path(directory).glob("*.txt"))}
     if classes is None:
         classes = ClassTable(tuple(sorted({r.category for rs in per_file.values() for r in rs})))
@@ -264,7 +411,7 @@ def parse_dota_annotations_oracle(directory, classes=None, *, unknown_category="
                 if unknown_category == "skip":
                     continue
                 raise
-            quad = canonicalize(list(zip(r.coords[0::2], r.coords[1::2])))
+            quad = canonicalize_oracle(list(zip(r.coords[0::2], r.coords[1::2])))
             objs.append(GroundTruthObject(quad, class_id, r.difficult))
     return GtIndex.from_mapping(images, classes)
 
@@ -284,7 +431,7 @@ def assign_targets_oracle(specs, ranges, objects, center_radius_mult=1.5):
     """assign_targets with one claim pass per object over the grid rows and
     columns strictly inside its HBB; a later object claims a location only
     with a strictly smaller HBB area."""
-    encoded = [encode(obj.quad) for obj in objects]
+    encoded = [encode_oracle(obj.quad) for obj in objects]
     obj_hbb = np.array([astuple(e.hbb) for e in encoded]).reshape(-1, 4)
     obj_wh = np.array([(e.w, e.h) for e in encoded] + [(0.0, 0.0)])
     obj_class = np.array([obj.class_id for obj in objects] + [0])

@@ -16,8 +16,7 @@ ROOT = Path(__file__).resolve().parents[1]
     [
         (
             "dota_layers.py",
-            ["canonicalize_scalar", "canonicalize_many", "parse", "nms", "match_ap", "write",
-             "cli_nms_eval"],
+            ["canonicalize_many", "parse", "nms", "match_ap", "write", "cli_nms_eval"],
         ),
         (
             "inference_layers.py",

@@ -1,4 +1,4 @@
-"""The batched canonicalize_many against the scalar canonicalize oracle."""
+"""canonicalize_many, and its one-row view canonicalize, against canonicalize_oracle."""
 
 import math
 
@@ -8,7 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obbkit.errors import DegenerateQuad
-from obbkit.geometry import AREA_TOLERANCE, canonicalize, canonicalize_many
+from obbkit.geometry import (
+    AREA_TOLERANCE,
+    NON_FINITE,
+    NOT_CONVEX,
+    SMALL_AREA,
+    canonicalize,
+    canonicalize_many,
+)
+
+from helpers import canonicalize_oracle
 
 coord = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
 permutation = st.permutations(range(4))
@@ -81,18 +90,18 @@ any_quad = st.one_of(
 
 def _scalar(points):
     try:
-        return np.array(canonicalize(points).as_flat()).reshape(4, 2)
+        return np.array(canonicalize_oracle(points).as_flat()).reshape(4, 2)
     except DegenerateQuad:
         return None
 
 
 def _assert_rowwise_equal(quads):
     raw = np.array(quads, dtype=float).reshape(-1, 4, 2)
-    canon, bad = canonicalize_many(raw)
-    assert canon.shape == raw.shape and bad.shape == (len(raw),)
+    canon, fault = canonicalize_many(raw)
+    assert canon.shape == raw.shape and fault.shape == (len(raw),)
     for k, points in enumerate(quads):
         expected = _scalar(points)
-        assert bad[k] == (expected is None), points
+        assert bool(fault[k]) == (expected is None), points
         if expected is not None:
             # bit for bit, signed zeros included
             assert canon[k].tobytes() == expected.tobytes(), points
@@ -112,20 +121,22 @@ def test_left_edge_ties_match_scalar(quads):
 
 
 def test_empty_input():
-    canon, bad = canonicalize_many(np.zeros((0, 4, 2)))
-    assert canon.shape == (0, 4, 2) and bad.shape == (0,)
+    canon, fault = canonicalize_many(np.zeros((0, 4, 2)))
+    assert canon.shape == (0, 4, 2) and fault.shape == (0,)
+
+
+PINNED_ROWS = [
+    [(4, 0), (4, 2), (0, 2), (0, 0)],  # axis-aligned: the top-left vertex starts
+    [(1, 2), (2, 1), (1, 0), (0, 1)],
+    [(0, 0), (1, 1), (2, 2), (3, 3)],  # collinear
+    [(0, 0), (1, 0), (1, 1e-8), (0, 1e-8)],  # area below tolerance
+    [(0, 0), (4, 0), (1, 1), (0, 4)],  # concave
+]
 
 
 def test_pinned_rows():
-    quads = [
-        [(4, 0), (4, 2), (0, 2), (0, 0)],  # axis-aligned: the top-left vertex starts
-        [(1, 2), (2, 1), (1, 0), (0, 1)],
-        [(0, 0), (1, 1), (2, 2), (3, 3)],  # collinear
-        [(0, 0), (1, 0), (1, 1e-8), (0, 1e-8)],  # area below tolerance
-        [(0, 0), (4, 0), (1, 1), (0, 4)],  # concave
-    ]
-    canon, bad = canonicalize_many(np.array(quads, dtype=float))
-    assert bad.tolist() == [False, False, True, True, True]
+    canon, fault = canonicalize_many(np.array(PINNED_ROWS, dtype=float))
+    assert fault.tolist() == [0, 0, SMALL_AREA, SMALL_AREA, NOT_CONVEX]
     assert canon[0].ravel().tolist() == [0, 0, 4, 0, 4, 2, 0, 2]
     assert canon[1].ravel().tolist() == [0, 1, 1, 0, 2, 1, 1, 2]
 
@@ -134,8 +145,8 @@ def test_pinned_rows():
 def test_non_finite_rows_are_bad(value):
     raw = np.array([[(0, 0), (1, 0), (1, 1), (0, 1)]] * 2, dtype=float)
     raw[1, 2, 1] = value
-    canon, bad = canonicalize_many(raw)
-    assert bad.tolist() == [False, True]
+    canon, fault = canonicalize_many(raw)
+    assert fault.tolist() == [0, NON_FINITE]
     with pytest.raises(ValueError, match="non-finite vertex"):
         canonicalize(raw[1])
 
@@ -151,3 +162,24 @@ def test_huge_coordinates_match_scalar_without_warnings():
 def test_rejects_wrong_shape(shape):
     with pytest.raises(ValueError, match="expected"):
         canonicalize_many(np.zeros(shape))
+
+
+def _outcome(fn, points):
+    """The quad's coordinate bits, or the type and message of the error raised."""
+    try:
+        return [x.hex() for x in fn(points).as_flat()]
+    except (ValueError, DegenerateQuad) as exc:
+        return type(exc), str(exc)
+
+
+non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+non_finite_quads = st.lists(
+    st.tuples(st.one_of(coord, non_finite), st.one_of(coord, non_finite)), min_size=4, max_size=4
+)
+wrong_counts = st.lists(st.tuples(coord, coord), max_size=7).filter(lambda p: len(p) != 4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(any_quad, non_finite_quads, wrong_counts, st.sampled_from(PINNED_ROWS)))
+def test_view_raises_as_oracle(points):
+    assert _outcome(canonicalize, points) == _outcome(canonicalize_oracle, points)

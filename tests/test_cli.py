@@ -81,6 +81,15 @@ class TestIouCommand:
         assert lines[1].startswith("raster 0.33")
         assert float(lines[2].split()[1]) <= 0.01
 
+    @pytest.mark.parametrize("grid", ["0", "-3"])
+    def test_grid_below_one_is_data_error(self, grid, capsys):
+        code, out, err = run_cli(
+            capsys, "iou", "--quad-a", "0 0 2 0 2 2 0 2", "--quad-b", "1 1 3 1 3 3 1 3",
+            "--raster-check", "--grid", grid,
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: --grid must be >= 1, got {grid}\n"
+
     def test_missing_flag_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "iou", "--quad-a", "0,0,1,0,1,1,0,1")
         assert code == 1
@@ -101,6 +110,10 @@ class TestIouCommand:
         code, out, _ = run_cli(capsys)
         assert code == 1
         assert "usage" in out
+
+
+ENCODE_DEGENERATE = "0 0 1 1 2 2 3 3"
+ENCODE_NOT_A_NUMBER = "0 0 4 0 4 x 0 2"
 
 
 class TestEncodeDecodeCommands:
@@ -133,6 +146,22 @@ class TestEncodeDecodeCommands:
         code, _, err = run_cli(capsys, "encode", str(f))
         assert code == 2
         assert "quads.txt:1" in err
+
+    @pytest.mark.parametrize(
+        "lines, error",
+        [
+            ((ENCODE_DEGENERATE, ENCODE_NOT_A_NUMBER), "area 0 below tolerance 1e-06"),
+            ((ENCODE_NOT_A_NUMBER, ENCODE_DEGENERATE), "{path}:2: expected a number, got 'x'"),
+        ],
+    )
+    def test_encode_stops_at_the_first_bad_line(self, lines, error, tmp_path, capsys):
+        # the good lines before the first error in file order are printed
+        f = tmp_path / "quads.txt"
+        f.write_text(f"0 3 3 0 4 1 1 4\n{lines[0]}\n0 0 4 0 4 2 0 2\n{lines[1]}\n")
+        code, out, err = run_cli(capsys, "encode", str(f))
+        assert code == 2
+        assert out == "0 0 4 4 1 1 roundtrip 1\n"
+        assert err == f"error: {error.format(path=f)}\n"
 
 
 ASSIGN_SCENE_STDOUT = """\

@@ -20,11 +20,10 @@ from obbkit.evaluation import (
     match_detections,
     pr_curve,
 )
-from obbkit.geometry import polygon_iou
 from obbkit.inference import Detection, DetectionSet
 from obbkit.targets import GroundTruthObject
 
-from helpers import axis_box, match_flags_oracle, random_rect, rotated_rect
+from helpers import axis_box, match_flags_oracle, polygon_iou_oracle, random_rect, rotated_rect
 
 
 def _ds(dets_per_image):
@@ -158,7 +157,7 @@ class TestMatchDetections:
             gts = []
             while len(gts) < n_gt:
                 q = random_rect(rng, 80, 10, 40)
-                if all(polygon_iou(q, g.quad) < 0.2 for g in gts):
+                if all(polygon_iou_oracle(q, g.quad) < 0.2 for g in gts):
                     gts.append(GroundTruthObject(q, 1))
             gt = GtIndex.from_mapping({"A": gts}, classes)
             dets = []
@@ -174,7 +173,7 @@ class TestMatchDetections:
             m = match_detections(_ds({"A": dets}), gt, 0.5)
             greedy_tp = int((m[1].flags == TP).sum())
 
-            ious = [[polygon_iou(d.quad, g.quad) for g in gts] for d in dets]
+            ious = [[polygon_iou_oracle(d.quad, g.quad) for g in gts] for d in dets]
             best = 0
             for assignment in itertools.product(range(-1, n_gt), repeat=len(dets)):
                 used = [j for j in assignment if j >= 0]

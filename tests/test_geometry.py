@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -11,11 +12,11 @@ from obbkit.geometry import (
     HBB,
     Point2,
     canonicalize,
-    convex_intersect,
     decode,
     encode,
-    polygon_area,
+    encode_many,
     polygon_iou,
+    polygon_iou_pairs,
     quad_arrays,
     quad_from_offsets,
     quad_list,
@@ -23,7 +24,19 @@ from obbkit.geometry import (
     raster_iou_oracle,
 )
 
-from helpers import axis_box, quad_from_offsets_oracle, random_rect, rotated_rect
+from helpers import (
+    axis_box,
+    canonicalize_oracle,
+    convex_intersect_oracle,
+    encode_oracle,
+    polygon_area_oracle,
+    quad_from_offsets_oracle,
+    random_rect,
+    rotated_rect,
+)
+
+
+signed_grid = st.sampled_from([-0.0, 0.0, 1.0, -1.0, 2.0])
 
 
 class TestCanonicalize:
@@ -118,44 +131,69 @@ class TestEncodeDecode:
             assert 0 <= e.w <= e.hbb.width
             assert 0 <= e.h <= e.hbb.height
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.tuples(signed_grid, signed_grid), min_size=4, max_size=4),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_encode_many_matches_oracle_bit_for_bit(self, rows):
+        # small grids of signed zeros: the first extreme vertex gives the bound's sign
+        quads = []
+        for points in rows:
+            try:
+                quads.append(canonicalize_oracle(points))
+            except DegenerateQuad:
+                pass
+        bounds, wh = encode_many(quad_arrays(quads))
+        assert bounds.shape == (len(quads), 4) and wh.shape == (len(quads), 2)
+        for k, q in enumerate(quads):
+            want = encode_oracle(q)
+            got = encode(q)
+            assert got == want
+            bits = [x.hex() for x in (*astuple(want.hbb), want.w, want.h)]
+            assert [x.hex() for x in (*bounds[k].tolist(), *wh[k].tolist())] == bits
+            assert [x.hex() for x in (*astuple(got.hbb), got.w, got.h)] == bits
+
     def test_random_roundtrip(self):
         rng = np.random.default_rng(22)
-        for _ in range(500):
-            q = random_rect(rng)
-            back = decode(encode(q))
-            assert polygon_iou(back, q) >= 1 - 1e-9
-            np.testing.assert_allclose(back.as_array(), q.as_array(), atol=1e-9)
+        quads = [random_rect(rng) for _ in range(500)]
+        back = quad_arrays([decode(encode(q)) for q in quads])
+        assert (polygon_iou_pairs(back, quad_arrays(quads)) >= 1 - 1e-9).all()
+        np.testing.assert_allclose(back, quad_arrays(quads), atol=1e-9)
 
 
 class TestPolygonArea:
     def test_unit_square(self):
-        assert polygon_area([(0, 0), (1, 0), (1, 1), (0, 1)]) == 1.0
+        assert polygon_area_oracle([(0, 0), (1, 0), (1, 1), (0, 1)]) == 1.0
 
     def test_diamond(self):
-        assert polygon_area([(0, 1), (1, 0), (2, 1), (1, 2)]) == 2.0
+        assert polygon_area_oracle([(0, 1), (1, 0), (2, 1), (1, 2)]) == 2.0
 
     def test_triangle(self):
-        assert polygon_area([(0, 0), (1, 0), (0, 1)]) == 0.5
+        assert polygon_area_oracle([(0, 0), (1, 0), (0, 1)]) == 0.5
 
     def test_too_few_vertices(self):
         with pytest.raises(ValueError):
-            polygon_area([(0, 0), (1, 1)])
+            polygon_area_oracle([(0, 0), (1, 1)])
 
 
 class TestConvexIntersect:
     def test_identical(self):
         q = rotated_rect(3, 4, 2, 2, 30)
-        pts = convex_intersect(q, q)
-        assert abs(polygon_area(pts) - polygon_area(q.vertices)) < 1e-12
+        pts = convex_intersect_oracle(q, q)
+        assert abs(polygon_area_oracle(pts) - polygon_area_oracle(q.vertices)) < 1e-12
 
     def test_disjoint(self):
         a = axis_box(0, 0, 1, 1)
-        assert convex_intersect(a, a.translated(5, 5)) == []
+        assert convex_intersect_oracle(a, a.translated(5, 5)) == []
 
     def test_half_shift(self):
         a = axis_box(0, 0, 1, 1)
-        pts = convex_intersect(a, a.translated(0.5, 0))
-        assert abs(polygon_area(pts) - 0.5) < 1e-12
+        pts = convex_intersect_oracle(a, a.translated(0.5, 0))
+        assert abs(polygon_area_oracle(pts) - 0.5) < 1e-12
 
 
 class TestPolygonIou:
@@ -173,12 +211,11 @@ class TestPolygonIou:
 
     def test_symmetry_and_bounds(self):
         rng = np.random.default_rng(31)
-        for _ in range(200):
-            a = random_rect(rng, 100, 2, 60)
-            b = random_rect(rng, 100, 2, 60)
-            iou = polygon_iou(a, b)
-            assert 0.0 <= iou <= 1.0
-            assert abs(iou - polygon_iou(b, a)) < 1e-12
+        pairs = [(random_rect(rng, 100, 2, 60), random_rect(rng, 100, 2, 60)) for _ in range(200)]
+        a, b = (quad_arrays(list(side)) for side in zip(*pairs))
+        iou = polygon_iou_pairs(a, b)
+        assert ((0.0 <= iou) & (iou <= 1.0)).all()
+        assert (np.abs(iou - polygon_iou_pairs(b, a)) < 1e-12).all()
 
     def test_one_only_for_full_overlap(self):
         a = axis_box(0, 0, 2, 2)
@@ -186,16 +223,25 @@ class TestPolygonIou:
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(32)
+        pairs, moved = [], []
         for _ in range(100):
             a = random_rect(rng, 50, 2, 40)
             b = a.translated(rng.uniform(-10, 10), rng.uniform(-10, 10))
-            base = polygon_iou(a, b)
             dx, dy = rng.uniform(-1e4, 1e4, 2)
-            moved = polygon_iou(a.translated(dx, dy), b.translated(dx, dy))
-            assert abs(base - moved) <= 1e-9
+            pairs.append((a, b))
+            moved.append((a.translated(dx, dy), b.translated(dx, dy)))
+        base = polygon_iou_pairs(*(quad_arrays(list(side)) for side in zip(*pairs)))
+        shifted = polygon_iou_pairs(*(quad_arrays(list(side)) for side in zip(*moved)))
+        assert (np.abs(base - shifted) <= 1e-9).all()
 
 
 class TestRasterOracle:
+    @pytest.mark.parametrize("grid", [0, -5])
+    def test_grid_below_one_raises(self, grid):
+        q = axis_box(0, 0, 2, 2)
+        with pytest.raises(ValueError, match="grid must be >= 1"):
+            raster_iou_oracle(q, q, grid)
+
     def test_identical(self):
         q = rotated_rect(5, 5, 4, 2, 33)
         assert raster_iou_oracle(q, q, 500) == 1.0

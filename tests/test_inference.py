@@ -13,6 +13,7 @@ from obbkit.errors import ShapeMismatch
 from obbkit.geometry import (
     Point2,
     _hbb_bounds,
+    encode,
     hbb_overlap,
     polygon_iou,
     polygon_iou_pairs,
@@ -39,6 +40,7 @@ from obbkit.targets import (
 
 from helpers import (
     axis_box,
+    grid_to_image,
     nms_keep_oracle,
     polygon_iou_block,
     random_rect,
@@ -375,12 +377,9 @@ class TestRunInference:
         }
         entries = {}
         for (x_s, y_s), quad in intended.items():
-            from obbkit.geometry import encode
-            from obbkit.targets import grid_to_image, ltrb_targets
-
             enc = encode(quad)
-            point = grid_to_image(spec, x_s, y_s)
-            box = ltrb_targets(point, enc.hbb)
+            point, b = grid_to_image(spec, x_s, y_s), enc.hbb
+            box = (point.x - b.xmin, point.y - b.ymin, b.xmax - point.x, b.ymax - point.y)
             entries[(x_s, y_s)] = ((0.95, 1e-4), 0.9, box, (enc.w, enc.h))
         batch = batch_for(spec, entries)
         dets = run_inference([batch], [spec])

@@ -1,6 +1,7 @@
-"""The batched polygon-IoU kernel against the scalar polygon_iou oracle."""
+"""The batched polygon-IoU kernel against polygon_iou_oracle."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,14 +14,19 @@ from obbkit.geometry import (
     AREA_TOLERANCE,
     Point2,
     Quad,
-    canonicalize,
     hbb_overlap,
-    polygon_iou,
     polygon_iou_pairs,
     quad_arrays,
 )
 
-from helpers import axis_box, polygon_iou_block, random_rect, rotated_rect
+from helpers import (
+    axis_box,
+    canonicalize_oracle,
+    polygon_iou_block,
+    polygon_iou_oracle,
+    random_rect,
+    rotated_rect,
+)
 
 def _rect(cx, cy, w, h, angle):
     try:
@@ -42,7 +48,7 @@ rects = st.builds(
 def _scaled(q: Quad, f: float) -> Quad:
     v = q.as_array()
     c = v.mean(axis=0)
-    return canonicalize(c + f * (v - c))
+    return canonicalize_oracle(c + f * (v - c))
 
 
 def _shifted_by_edge(q: Quad, k: int) -> Quad:
@@ -93,7 +99,7 @@ def _check_block(a_list, b_list):
     assert block.shape == (len(a_list), len(b_list))
     for i, a in enumerate(a_list):
         for j, b in enumerate(b_list):
-            scalar = polygon_iou(a, b)
+            scalar = polygon_iou_oracle(a, b)
             if overlap[i, j]:
                 assert block[i, j] == scalar, (a, b)
             else:
@@ -119,8 +125,24 @@ class TestPairs:
         forward = polygon_iou_pairs(a, b)
         backward = polygon_iou_pairs(b, a)
         for k, (qa, qb) in enumerate(drawn):
-            assert forward[k] == polygon_iou(qa, qb), (qa, qb)
-            assert backward[k] == polygon_iou(qb, qa), (qa, qb)
+            assert forward[k] == polygon_iou_oracle(qa, qb), (qa, qb)
+            assert backward[k] == polygon_iou_oracle(qb, qa), (qa, qb)
+
+    def test_overflowing_intersection_raises_as_oracle(self):
+        # the clip's crossing points overflow to nan
+        a, b = axis_box(0, 0, 1e200, 1e200), axis_box(1e199, 0, 1e200, 1e200)
+        with pytest.raises(ValueError) as want:
+            polygon_iou_oracle(a, b)
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            polygon_iou_pairs(quad_arrays([a]), quad_arrays([b]))
+
+    @pytest.mark.parametrize(
+        "shape_a, shape_b",
+        [((3, 4, 2), (2, 4, 2)), ((2, 4, 2), (1, 4, 2)), ((4, 2), (4, 2)), ((0, 4, 2), (1, 4, 2))],
+    )
+    def test_rejects_mismatched_shapes(self, shape_a, shape_b):
+        with pytest.raises(ValueError, match=re.escape(f"shapes {shape_a} and {shape_b}")):
+            polygon_iou_pairs(np.zeros(shape_a), np.zeros(shape_b))
 
     def test_empty(self):
         empty = quad_arrays([])
@@ -131,7 +153,7 @@ class TestPairs:
     def test_union_below_tolerance_is_zero(self):
         # built directly: canonicalize rejects quads this small
         tiny = Quad(Point2(0, 0), Point2(1e-4, 0), Point2(1e-4, 1e-4), Point2(0, 1e-4))
-        assert polygon_iou(tiny, tiny) == 0.0
+        assert polygon_iou_oracle(tiny, tiny) == 0.0
         arr = quad_arrays([tiny])
         assert polygon_iou_pairs(arr, arr)[0] == 0.0
         assert polygon_iou_block(arr, arr)[0, 0] == 0.0
@@ -144,7 +166,7 @@ class TestPairs:
         a = [random_rect(rng, 300, 2, 200) for _ in range(300)]
         b = [random_rect(rng, 300, 2, 200) for _ in range(300)]
         got = polygon_iou_pairs(quad_arrays(a), quad_arrays(b))
-        want = np.array([polygon_iou(p, q) for p, q in zip(a, b)])
+        want = np.array([polygon_iou_oracle(p, q) for p, q in zip(a, b)])
         assert (got > 0).sum() > 50
         assert np.array_equal(got, want)
 
@@ -168,7 +190,7 @@ class TestBlock:
         # the clip's absolute EDGE_EPS lets points 1e-10 outside an edge count
         # as inside; the HBB test every path starts with reads the pair as 0
         a, b = axis_box(0, 0, 1, 1), axis_box(1 + 1e-10, 0, 2, 1)
-        assert polygon_iou(a, b) == 0.0
+        assert polygon_iou_oracle(a, b) == 0.0
         assert polygon_iou_pairs(quad_arrays([a]), quad_arrays([b]))[0] == 0.0
         assert polygon_iou_block(quad_arrays([a]), quad_arrays([b]))[0, 0] == 0.0
 
@@ -178,7 +200,7 @@ class TestBlock:
         a = rotated_rect(0, 0, 1, 1, 45)
         shift = (1 + 1e-10) / math.sqrt(2)
         b = rotated_rect(shift, shift, 1, 1, 45)
-        scalar = polygon_iou(a, b)
+        scalar = polygon_iou_oracle(a, b)
         assert scalar == pytest.approx(5e-11, rel=1e-3)
         assert polygon_iou_pairs(quad_arrays([a]), quad_arrays([b]))[0] == scalar
         assert polygon_iou_block(quad_arrays([a]), quad_arrays([b]))[0, 0] == scalar

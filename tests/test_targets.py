@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from obbkit.errors import PointOutsideBox
-from obbkit.geometry import HBB, Point2, encode, polygon_iou, quad_from_offsets
+from obbkit.geometry import Point2, Quad, encode, polygon_iou, quad_from_offsets
 from obbkit.targets import (
     FeatureGridSpec,
     GroundTruthObject,
@@ -12,11 +11,9 @@ from obbkit.targets import (
     assign_targets,
     centerness,
     grid_specs,
-    grid_to_image,
-    ltrb_targets,
 )
 
-from helpers import axis_box, random_rect, rotated_rect
+from helpers import axis_box, grid_to_image, random_rect, rotated_rect
 
 
 class TestGridToImage:
@@ -34,22 +31,6 @@ class TestGridToImage:
             grid_to_image(FeatureGridSpec(4, 4, 8, 3), 4, 0)
         with pytest.raises(ValueError):
             grid_to_image(FeatureGridSpec(4, 4, 8, 3), 0, -1)
-
-
-class TestLtrbTargets:
-    def test_center_point(self):
-        assert ltrb_targets(Point2(2, 1), HBB(0, 0, 4, 2)) == (2, 1, 2, 1)
-
-    def test_off_center(self):
-        assert ltrb_targets(Point2(1, 1), HBB(0, 0, 4, 2)) == (1, 1, 3, 1)
-
-    def test_outside_raises(self):
-        with pytest.raises(PointOutsideBox):
-            ltrb_targets(Point2(5, 1), HBB(0, 0, 4, 2))
-
-    def test_boundary_raises(self):
-        with pytest.raises(PointOutsideBox):
-            ltrb_targets(Point2(0, 1), HBB(0, 0, 4, 2))
 
 
 class TestCenterness:
@@ -242,6 +223,14 @@ class TestAssignTargets:
             back = quad_from_offsets(Point2(*maps.points[i]), maps.ltrb[i], maps.wh[i])
             assert polygon_iou(back, objects[j].quad) >= 1 - 1e-9
         assert seen == {0, 1}
+
+    def test_overflowing_offsets_raise(self):
+        # h = ymax - y1 overflows to inf
+        huge = Quad(Point2(-1e308, -1e308), Point2(1e308, -1e308), Point2(1e308, 1e308),
+                    Point2(-1e308, 1e308))
+        with pytest.raises(ValueError, match="non-finite orientation offsets"):
+            assign_targets([FeatureGridSpec(4, 4, 8, 3)], LevelRanges([(0, math.inf)]),
+                           [GroundTruthObject(huge, 1)])
 
     def test_spec_count_mismatch(self):
         with pytest.raises(ValueError):
