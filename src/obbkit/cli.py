@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -30,7 +31,7 @@ from .errors import (
 from .evaluation import evaluate
 from .geometry import (
     EncodedBox, HBB, canonicalize, canonicalize_many, decode, encode_many, polygon_iou,
-    polygon_iou_pairs, quad_arrays, quad_error, raster_iou_oracle,
+    polygon_iou_pairs, quad_arrays, quad_error, quad_list, raster_iou_oracle,
 )
 from .inference import nms_per_image
 from .losses import PredictionBatch, fit_demo, grad_check, total_loss
@@ -87,8 +88,8 @@ def _numeric_lines(path, expected: int):
 
 def _derive_image_size(objects, strides) -> tuple[int, int]:
     step = max(strides)
-    bounds, _ = encode_many(quad_arrays([obj.quad for obj in objects]))
-    xmax, ymax = bounds[:, 2:].max(axis=0, initial=0.0).tolist()
+    corners = quad_arrays([obj.quad for obj in objects]).reshape(-1, 2)
+    xmax, ymax = corners.max(axis=0, initial=0.0).tolist()
     width = max(int(math.ceil((xmax + 1) / step)) * step, step)
     height = max(int(math.ceil((ymax + 1) / step)) * step, step)
     return width, height
@@ -136,23 +137,27 @@ def _cmd_encode(args) -> int:
     raw = np.array(rows, dtype=float).reshape(-1, 4, 2)
     quads, fault = canonicalize_many(raw)
     bounds, wh = encode_many(quads)
-    decoded = []
-    for k in range(len(raw)):
-        if fault[k]:
-            error = quad_error(raw[k], fault[k])
-            break
-        try:
+    decoded, ious = [], []
+    try:
+        for k in range(len(raw)):
+            if fault[k]:
+                raise quad_error(raw[k], fault[k])
             decoded.append(decode(EncodedBox(HBB(*bounds[k].tolist()), *wh[k].tolist())))
-        except ValueError as exc:
-            error = exc
-            break
-    n = len(decoded)
-    ious = polygon_iou_pairs(quad_arrays(decoded), quads[:n]).tolist()
-    for fields, iou in zip(np.hstack([bounds, wh])[:n].tolist(), ious):
+    except (ValueError, DegenerateQuad) as exc:
+        error = exc
+    try:
+        ious = polygon_iou_pairs(quad_arrays(decoded), quads[: len(decoded)]).tolist()
+    except ValueError as exc:
+        # an intersection vertex overflowed: score pair by pair up to it, print those lines
+        error = exc
+        with contextlib.suppress(ValueError):
+            for back, quad in zip(decoded, quad_list(quads)):
+                ious.append(polygon_iou(back, quad))
+    for fields, iou in zip(np.hstack([bounds, wh]).tolist(), ious):
         print(" ".join(_fmt(v) for v in fields) + f" roundtrip {_fmt(iou)}")
     if error is not None:
         raise error
-    print(f"# {n} boxes, worst roundtrip iou {_fmt(min([1.0, *ious]))}")
+    print(f"# {len(ious)} boxes, worst roundtrip iou {_fmt(min([1.0, *ious]))}")
     return 0
 
 

@@ -245,11 +245,9 @@ def encode_many(quads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the left edge. Exact inverse of :func:`decode` for rotated
     rectangles; lossy for other convex quads.
     """
-    lo, hi = quads[:, 0], quads[:, 0]
-    for k in (1, 2, 3):
-        # the first extreme vertex wins a tie, as in Quad.bounds, so a signed zero keeps its sign
-        lo = np.where(quads[:, k] < lo, quads[:, k], lo)
-        hi = np.where(quads[:, k] > hi, quads[:, k], hi)
+    # the first extreme vertex wins a tie, as in Quad.bounds, so a signed zero keeps its sign
+    rows, xy = np.arange(len(quads))[:, None], np.arange(2)
+    lo, hi = quads[rows, quads.argmin(axis=1), xy], quads[rows, quads.argmax(axis=1), xy]
     with np.errstate(over="ignore"):  # offsets of huge quads overflow to inf, as in float arithmetic
         wh = np.stack([hi[:, 0] - quads[:, 1, 0], hi[:, 1] - quads[:, 0, 1]], axis=1)
     return np.concatenate([lo, hi], axis=1), wh
@@ -330,8 +328,8 @@ def quads_from_offsets(points: np.ndarray, ltrb: np.ndarray, wh: np.ndarray) -> 
 
 
 def polygon_iou(a: Quad, b: Quad) -> float:
-    """Exact intersection-over-union of two convex quads, in [0, 1]:
-    :func:`polygon_iou_pairs` on one pair."""
+    """Exact intersection-over-union of two convex quads, in [0, 1] (NaN
+    when their areas overflow): :func:`polygon_iou_pairs` on one pair."""
     return float(polygon_iou_pairs(quad_arrays([a]), quad_arrays([b]))[0])
 
 
@@ -349,71 +347,61 @@ def quad_list(vertices: np.ndarray) -> list[Quad]:
     ]
 
 
-def _successors(v: np.ndarray, wrap: np.ndarray) -> np.ndarray:
-    """Per row, the entry after each vertex: the next column, or column 0 at wrap."""
-    nxt = np.empty_like(v)
-    nxt[:, :-1] = v[:, 1:]
-    nxt[:, -1:] = v[:, :1]
-    return np.where(wrap, v[:, :1], nxt)
+def _shoelace(closed: np.ndarray) -> np.ndarray:
+    """Absolute shoelace area per column of closed (2, W + 1, N) vertex buffers.
 
-
-def _shoelace(xs: np.ndarray, ys: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Absolute shoelace area per row of vertex buffers with n[r] valid entries.
-
-    Each row's terms are summed left to right from column 0.
+    Column k walks its vertices and back to its first; zero entries after
+    that closing vertex add terms of exactly 0. The terms are summed in
+    vertex order, from 0.
     """
-    cols = np.arange(xs.shape[1])
-    wrap = cols + 1 >= n[:, None]
-    terms = xs * _successors(ys, wrap) - _successors(xs, wrap) * ys
-    terms[cols >= n[:, None]] = 0.0
-    total = np.zeros(len(xs))
-    for i in cols:
-        total += terms[:, i]
+    x, y = closed
+    total = np.zeros(closed.shape[2])
+    for term in x[:-1] * y[1:] - x[1:] * y[:-1]:
+        total += term
     return np.abs(total / 2.0)
 
 
 def _clip_halfplanes(
-    xs: np.ndarray, ys: np.ndarray, n: np.ndarray, a: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One Sutherland-Hodgman step on every row at once.
+    closed: np.ndarray, n: np.ndarray, a: np.ndarray, e: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One Sutherland-Hodgman step on every pair at once.
 
-    Row r holds a polygon in the first n[r] entries of the vertex buffers
-    xs, ys and keeps the part on the inner side of its own directed edge
-    a[r] -> b[r]: a vertex c is inside when
-    (bx-ax)(cy-ay) - (by-ay)(cx-ax) >= -EDGE_EPS.
-    The output buffers are as wide as the longest clipped polygon;
-    entries past a row's count are 0.
+    Column k of the closed vertex buffer closed (2, W + 1, N) holds a
+    polygon in its first n[k] vertices, its first vertex again at row
+    n[k] and zeros after that. It keeps the part on the inner side of its
+    own edge from a[:, k] along e[:, k] (both (2, N)): a vertex c is
+    inside when ex (cy - ay) - ey (cx - ax) >= -EDGE_EPS.
+    Returns the clipped polygons in the same closed layout, as long as
+    the longest one needs, and their vertex counts.
     """
-    ax, ay = a[:, 0:1], a[:, 1:2]
-    ex = b[:, 0:1] - ax
-    ey = b[:, 1:2] - ay
-    cols = np.arange(xs.shape[1])
-    wrap = cols + 1 >= n[:, None]
-    dx = _successors(xs, wrap)
-    dy = _successors(ys, wrap)
-    inside = ex * (ys - ay) - ey * (xs - ax) >= -EDGE_EPS
-    denom = ex * (dy - ys) - ey * (dx - xs)
-    # Vertex c emits itself if inside, then the crossing point of c -> next.
-    emit = np.empty(xs.shape + (2,), dtype=bool)
-    emit[..., 0] = inside
-    emit[..., 1] = (inside != _successors(inside, wrap)) & (denom != 0.0)
-    emit &= (cols < n[:, None])[..., None]
-    cand = np.empty(xs.shape + (2, 2))
-    cand[..., 0, 0] = xs
-    cand[..., 0, 1] = ys
+    (ex, ey), a = e, a[:, None]
+    rel = closed - a
+    inside = ex * rel[1] - ey * rel[0] >= -EDGE_EPS
+    valid = np.arange(len(inside) - 1)[:, None] < n
+    if inside[:-1][valid].all():
+        # every vertex is inside: each polygon comes out as it went in
+        return closed, n
+    cur = closed[:, :-1]
+    step = closed[:, 1:] - cur
+    back = a - cur
+    denom = ex * step[1] - ey * step[0]
     # lanes with denom == 0 hold inf or nan and are never emitted
-    s = (ex * (ay - ys) - ey * (ax - xs)) / denom
-    cand[..., 1, 0] = xs + s * (dx - xs)
-    cand[..., 1, 1] = ys + s * (dy - ys)
-    slots = 2 * xs.shape[1]
-    emit = emit.reshape(len(xs), slots)
-    pos = np.cumsum(emit, axis=1) - 1
-    out_n = pos[:, -1] + 1 if slots else np.zeros(len(xs), dtype=np.intp)
-    width = int(out_n.max()) if out_n.size else 0
-    r, c = np.nonzero(emit)
-    out = np.zeros((len(xs), width, 2))
-    out[r, pos[r, c]] = cand.reshape(len(xs), slots, 2)[r, c]
-    return out[..., 0], out[..., 1], out_n
+    s = (ex * back[1] - ey * back[0]) / denom
+    # vertex c emits itself if inside, then the crossing point of c -> next
+    cand = np.concatenate((cur[:, :, None], (cur + s * step)[:, :, None]), axis=2)
+    crossing = (inside[:-1] != inside[1:]) & (denom != 0.0)
+    emit = np.concatenate((inside[:-1, None], crossing[:, None]), axis=1) & valid[:, None]
+    emit = emit.reshape(-1, len(n))
+    pos = emit.cumsum(axis=0)
+    out_n = pos[-1]
+    # the emitted lanes in order, by flat index lane * N + k, and where each lands
+    src = np.flatnonzero(emit)
+    dst = (pos.ravel()[src] - 1) * len(n) + src % len(n)
+    out = np.zeros((2, out_n.max(initial=0) + 1, len(n)))
+    for plane, lanes in zip(out.reshape(2, -1), cand.reshape(2, -1)):
+        plane[dst] = lanes[src]
+    out[:, out_n, np.arange(len(n))] = out[:, 0]
+    return out, out_n
 
 
 def polygon_iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -426,8 +414,9 @@ def polygon_iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     sliver of overlap (IoU 5e-11 for unit squares 1e-10 apart); a gap that
     narrow between rotated quads whose horizontal boxes overlap still
     yields one. The rest are clipped, a against each edge of b in turn,
-    up to PAIRS_PER_CLIP pairs at once over fixed-width vertex buffers;
-    a union below AREA_TOLERANCE gives 0.
+    up to PAIRS_PER_CLIP pairs at once over fixed-length vertex buffers;
+    a union below AREA_TOLERANCE gives 0, and one that overflows to NaN
+    gives NaN.
 
     Raises ValueError unless a and b are both (P, 4, 2) with the same P,
     and for the first pair whose intersection has a vertex that overflows
@@ -440,35 +429,39 @@ def polygon_iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if len(rows) < len(a):
         a, b = a[rows], b[rows]
     for start in range(0, len(a), PAIRS_PER_CLIP):
-        chunk = rows[start : start + PAIRS_PER_CLIP]
-        qa = a[start : start + PAIRS_PER_CLIP]
-        qb = b[start : start + PAIRS_PER_CLIP]
-        four = np.full(len(qa), 4)
-        xs, ys, n = qa[:, :, 0], qa[:, :, 1], four
+        chunk = slice(start, start + PAIRS_PER_CLIP)
+        # (2, 5, 2C): x and y of the four vertices and the first again, of a's quads then b's
+        quads = np.concatenate((a[chunk], b[chunk])).transpose(2, 1, 0)
+        closed = np.concatenate((quads, quads[:, :1]), axis=1)
+        count = closed.shape[2] // 2
+        poly, window = closed[:, :, :count], closed[:, :, count:]
+        n = np.full(count, 4)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            edges = window[:, 1:] - window[:, :-1]
             for i in range(4):
-                xs, ys, n = _clip_halfplanes(xs, ys, n, qb[:, i], qb[:, (i + 1) % 4])
-            bad = np.argwhere(~(np.isfinite(xs) & np.isfinite(ys)) & (np.arange(xs.shape[1]) < n[:, None]))
-            if len(bad):
-                r, c = bad[0]
-                raise ValueError(f"non-finite point ({xs[r, c].item()}, {ys[r, c].item()})")
-            inter = np.where(n >= 3, _shoelace(xs, ys, n), 0.0)
-            union = _shoelace(qa[:, :, 0], qa[:, :, 1], four) + _shoelace(qb[:, :, 0], qb[:, :, 1], four)
+                poly, n = _clip_halfplanes(poly, n, window[:, i], edges[:, i])
+            inter = _shoelace(poly)
+            if not np.isfinite(inter).all():
+                # a non-finite vertex makes its pair's area non-finite
+                finite = np.isfinite(poly[:, :-1]).all(axis=0)
+                bad = ~finite & (np.arange(len(finite))[:, None] < n)
+                if bad.any():
+                    col, row = np.nonzero(bad.T)
+                    x, y = poly[:, row[0], col[0]].tolist()
+                    raise ValueError(f"non-finite point ({x}, {y})")
+            areas = _shoelace(closed)
+            inter = np.where(n >= 3, inter, 0.0)
+            union = areas[:count] + areas[count:]
             union -= inter
-            ok = union >= AREA_TOLERANCE
-            iou[chunk[ok]] = np.minimum(np.maximum(inter[ok] / union[ok], 0.0), 1.0)
+            ratio = np.minimum(np.maximum(inter / union, 0.0), 1.0)
+            iou[rows[chunk]] = np.where(union < AREA_TOLERANCE, 0.0, ratio)
     return iou
 
 
 def _hbb_bounds(quads: np.ndarray) -> tuple[np.ndarray, ...]:
     """xmin, ymin, xmax, ymax of the horizontal boxes of (N, 4, 2) quads."""
-    x, y = quads[:, :, 0], quads[:, :, 1]
-    return (
-        np.minimum(np.minimum(x[:, 0], x[:, 1]), np.minimum(x[:, 2], x[:, 3])),
-        np.minimum(np.minimum(y[:, 0], y[:, 1]), np.minimum(y[:, 2], y[:, 3])),
-        np.maximum(np.maximum(x[:, 0], x[:, 1]), np.maximum(x[:, 2], x[:, 3])),
-        np.maximum(np.maximum(y[:, 0], y[:, 1]), np.maximum(y[:, 2], y[:, 3])),
-    )
+    lo, hi = quads.min(axis=1), quads.max(axis=1)
+    return lo[:, 0], lo[:, 1], hi[:, 0], hi[:, 1]
 
 
 def _overlapping(a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...]) -> np.ndarray:

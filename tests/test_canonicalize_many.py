@@ -78,13 +78,20 @@ def collinear_quads(draw):
     return points
 
 
+@st.composite
+def huge_rects(draw):
+    """Rotated rectangles scaled to coordinates near 1e154-1e304, where the sums overflow."""
+    scale = draw(st.sampled_from([1e150, 1e154, 1e200, 1e300]))
+    return [(x * scale, y * scale) for x, y in draw(rotated_rects())]
+
+
 small_grid = st.sampled_from([-0.0, 0.0, 1.0, -1.0, 2.0, 3.0, 0.5])
 grid_quads = st.lists(st.tuples(small_grid, small_grid), min_size=4, max_size=4)
 free_quads = st.lists(st.tuples(coord, coord), min_size=4, max_size=4)
 
 any_quad = st.one_of(
     rotated_rects(), axis_boxes(), tiny_rects(), concave_quads(), collinear_quads(),
-    grid_quads, free_quads,
+    huge_rects(), grid_quads, free_quads,
 )
 
 

@@ -114,6 +114,23 @@ class TestIouCommand:
 
 ENCODE_DEGENERATE = "0 0 1 1 2 2 3 3"
 ENCODE_NOT_A_NUMBER = "0 0 4 0 4 x 0 2"
+# squares near 1e200 turned by 30 and 45 degrees: the shoelace sums overflow, so the
+# first roundtrip IoU is nan; the second one's clipped vertices overflow too
+ENCODE_HUGE_NAN = (
+    "1.4330127018922193e+200 1.2499999999999999e+200 7.500000000000001e+199 "
+    "1.4330127018922193e+200 5.6698729810778064e+199 7.5e+199 "
+    "1.2499999999999999e+200 5.6698729810778064e+199"
+)
+ENCODE_HUGE_OVERFLOW = (
+    "1.3535533905932738e+200 1.3535533905932738e+200 6.4644660940672625e+199 "
+    "1.3535533905932738e+200 6.464466094067262e+199 6.4644660940672625e+199 "
+    "1.3535533905932738e+200 6.464466094067262e+199"
+)
+ENCODE_HUGE_STDOUT = """\
+0 0 4 4 1 1 roundtrip 1
+5.66987e+199 5.66987e+199 1.43301e+200 1.43301e+200 1.83013e+199 6.83013e+199 roundtrip nan
+0 0 4 2 0 2 roundtrip 1
+"""
 
 
 class TestEncodeDecodeCommands:
@@ -162,6 +179,19 @@ class TestEncodeDecodeCommands:
         assert code == 2
         assert out == "0 0 4 4 1 1 roundtrip 1\n"
         assert err == f"error: {error.format(path=f)}\n"
+
+    @pytest.mark.parametrize("overflow", [False, True])
+    def test_encode_huge_quads(self, overflow, tmp_path, capsys):
+        # a nan roundtrip is printed as nan and does not lower the worst line; an
+        # overflowing intersection stops the run after the lines before it
+        f = tmp_path / "quads.txt"
+        tail = f"{ENCODE_HUGE_OVERFLOW}\n0 0 1 0 1 1 0 1\n" if overflow else ""
+        f.write_text(f"0 3 3 0 4 1 1 4\n{ENCODE_HUGE_NAN}\n0 0 4 0 4 2 0 2\n{tail}")
+        code, out, err = run_cli(capsys, "encode", str(f))
+        if overflow:
+            assert (code, out, err) == (2, ENCODE_HUGE_STDOUT, "error: non-finite point (nan, nan)\n")
+        else:
+            assert (code, out, err) == (0, ENCODE_HUGE_STDOUT + "# 3 boxes, worst roundtrip iou 1\n", "")
 
 
 ASSIGN_SCENE_STDOUT = """\

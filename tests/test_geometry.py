@@ -16,7 +16,6 @@ from obbkit.geometry import (
     encode,
     encode_many,
     polygon_iou,
-    polygon_iou_pairs,
     quad_arrays,
     quad_from_offsets,
     quad_list,
@@ -159,10 +158,11 @@ class TestEncodeDecode:
 
     def test_random_roundtrip(self):
         rng = np.random.default_rng(22)
-        quads = [random_rect(rng) for _ in range(500)]
-        back = quad_arrays([decode(encode(q)) for q in quads])
-        assert (polygon_iou_pairs(back, quad_arrays(quads)) >= 1 - 1e-9).all()
-        np.testing.assert_allclose(back, quad_arrays(quads), atol=1e-9)
+        for _ in range(500):
+            q = random_rect(rng)
+            back = decode(encode(q))
+            assert polygon_iou(back, q) >= 1 - 1e-9
+            np.testing.assert_allclose(back.as_array(), q.as_array(), atol=1e-9)
 
 
 class TestPolygonArea:
@@ -211,11 +211,12 @@ class TestPolygonIou:
 
     def test_symmetry_and_bounds(self):
         rng = np.random.default_rng(31)
-        pairs = [(random_rect(rng, 100, 2, 60), random_rect(rng, 100, 2, 60)) for _ in range(200)]
-        a, b = (quad_arrays(list(side)) for side in zip(*pairs))
-        iou = polygon_iou_pairs(a, b)
-        assert ((0.0 <= iou) & (iou <= 1.0)).all()
-        assert (np.abs(iou - polygon_iou_pairs(b, a)) < 1e-12).all()
+        for _ in range(200):
+            a = random_rect(rng, 100, 2, 60)
+            b = random_rect(rng, 100, 2, 60)
+            iou = polygon_iou(a, b)
+            assert 0.0 <= iou <= 1.0
+            assert abs(iou - polygon_iou(b, a)) < 1e-12
 
     def test_one_only_for_full_overlap(self):
         a = axis_box(0, 0, 2, 2)
@@ -223,16 +224,13 @@ class TestPolygonIou:
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(32)
-        pairs, moved = [], []
         for _ in range(100):
             a = random_rect(rng, 50, 2, 40)
             b = a.translated(rng.uniform(-10, 10), rng.uniform(-10, 10))
+            base = polygon_iou(a, b)
             dx, dy = rng.uniform(-1e4, 1e4, 2)
-            pairs.append((a, b))
-            moved.append((a.translated(dx, dy), b.translated(dx, dy)))
-        base = polygon_iou_pairs(*(quad_arrays(list(side)) for side in zip(*pairs)))
-        shifted = polygon_iou_pairs(*(quad_arrays(list(side)) for side in zip(*moved)))
-        assert (np.abs(base - shifted) <= 1e-9).all()
+            moved = polygon_iou(a.translated(dx, dy), b.translated(dx, dy))
+            assert abs(base - moved) <= 1e-9
 
 
 class TestRasterOracle:

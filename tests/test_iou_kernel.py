@@ -15,6 +15,7 @@ from obbkit.geometry import (
     Point2,
     Quad,
     hbb_overlap,
+    polygon_iou,
     polygon_iou_pairs,
     quad_arrays,
 )
@@ -56,6 +57,21 @@ def _shifted_by_edge(q: Quad, k: int) -> Quad:
     v = q.as_array()
     d = v[(k + 1) % 4] - v[k % 4] if k < 4 else v[(k + 2) % 4] - v[k % 4]
     return q.translated(float(d[0]), float(d[1]))
+
+
+def _scaled_up(q: Quad, scale: float) -> Quad:
+    try:
+        return canonicalize_oracle((q.as_array() * scale).tolist())
+    except DegenerateQuad:
+        assume(False)
+
+
+def _outcome(fn, a, b):
+    """The IoU's bits (nan included), or the type and message of the error raised."""
+    try:
+        return float(fn(a, b)).hex()
+    except ValueError as exc:
+        return type(exc), str(exc)
 
 
 @st.composite
@@ -128,6 +144,23 @@ class TestPairs:
             assert forward[k] == polygon_iou_oracle(qa, qb), (qa, qb)
             assert backward[k] == polygon_iou_oracle(qb, qa), (qa, qb)
 
+    def test_overflowing_union_is_nan_as_oracle(self):
+        # the shoelace sums of a square near 1e200 overflow, so its union with itself is nan
+        q = rotated_rect(1e200, 1e200, 1e200, 1e200, 30)
+        arr = quad_arrays([q])
+        assert math.isnan(polygon_iou_oracle(q, q))
+        assert math.isnan(polygon_iou_pairs(arr, arr)[0])
+        assert math.isnan(polygon_iou(q, q))
+
+    @settings(max_examples=100, deadline=None)
+    @given(pairs(), st.sampled_from([1e150, 1e154, 1e200, 1e300]))
+    def test_huge_pairs_as_oracle(self, pair, scale):
+        # the view and the kernel give the oracle's value, nan included, or raise its error
+        a, b = (_scaled_up(q, scale) for q in pair)
+        want = _outcome(polygon_iou_oracle, a, b)
+        assert _outcome(polygon_iou, a, b) == want
+        assert _outcome(lambda p, q: polygon_iou_pairs(quad_arrays([p]), quad_arrays([q]))[0], a, b) == want
+
     def test_overflowing_intersection_raises_as_oracle(self):
         # the clip's crossing points overflow to nan
         a, b = axis_box(0, 0, 1e200, 1e200), axis_box(1e199, 0, 1e200, 1e200)
@@ -135,6 +168,8 @@ class TestPairs:
             polygon_iou_oracle(a, b)
         with pytest.raises(ValueError, match=re.escape(str(want.value))):
             polygon_iou_pairs(quad_arrays([a]), quad_arrays([b]))
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            polygon_iou(a, b)
 
     @pytest.mark.parametrize(
         "shape_a, shape_b",
