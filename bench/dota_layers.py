@@ -14,20 +14,20 @@ image and class, written as DOTA text files):
 - ``match_ap``: ``evaluate`` (matching at IoU 0.5 and 11-point AP) of
   the kept detections;
 - ``write``: ``write_dota_detections`` of the kept detections;
-- ``cli_nms_eval``: ``obbkit nms`` then ``obbkit eval`` in-process.
+- ``cli_nms_eval``: ``obbkit nms`` then ``obbkit eval`` in-process;
+- ``match_crowded``: ``evaluate`` at IoU 0.5 on one crowded image of
+  small vehicles (one class, 8-24 x 5-12 px), 20,000 detections against
+  2,000 ground-truth objects (built in memory, 9 jittered detections per
+  object plus 2,000 false positives).
 
 Usage, from the root of a checkout (obbkit is imported from PYTHONPATH,
 or from ./src when it is not importable)::
 
     python3 bench/dota_layers.py [--repeats 7] [--cases a,b] [--out BENCH_dota.json]
 
-The script also runs against releases without ``canonicalize_many`` and
-``nms_per_image`` (the detection parser then returns per-image Detection
-lists): the ``canonicalize_many`` case is left out and NMS runs
-``rotated_nms`` per image, so one script gives before and after numbers. BLAS is limited to
-one thread unless the environment sets otherwise. The JSON output
-records each case's runs, median and input size, plus the Python and
-numpy versions, the machine, and the BLAS thread setting.
+BLAS is limited to one thread unless the environment sets otherwise. The
+JSON output records each case's runs, median and input size, plus the
+Python and numpy versions, the machine, and the BLAS thread setting.
 """
 
 from __future__ import annotations
@@ -57,19 +57,23 @@ except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     import obbkit
 
-from obbkit import cli, geometry, inference  # noqa: E402
+from obbkit import cli, geometry  # noqa: E402
 from obbkit.dota import (  # noqa: E402
     parse_dota_annotations,
     parse_dota_detections,
     write_dota_detections,
 )
-from obbkit.evaluation import evaluate  # noqa: E402
+from obbkit.evaluation import ClassTable, GtIndex, evaluate  # noqa: E402
+from obbkit.inference import DetectionSet, nms_per_image  # noqa: E402
 
 IMAGES = 4
 OBJECTS = 250
 CLASSES = ("plane", "ship", "storage-tank", "small-vehicle", "harbor")
 FALSE_POSITIVES = 40  # per image and class
 IMAGE_SIZE = 1024.0
+CROWDED_GT = 2000
+CROWDED_JITTERED = 9  # detections per crowded ground-truth object
+CROWDED_FALSE_POSITIVES = 2000
 
 
 def _rect(rng, cx, cy, length, width, angle):
@@ -133,11 +137,32 @@ def scene_vertices(root: Path) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(-1, 4, 2)
 
 
-def nms_stage(dets, iou: float):
-    nms_per_image = getattr(inference, "nms_per_image", None)
-    if nms_per_image is not None:
-        return nms_per_image(dets, iou)
-    return {image_id: inference.rotated_nms(dets[image_id], iou) for image_id in sorted(dets)}
+def crowded_scene(seed: int = 11):
+    """One image of small vehicles: CROWDED_GT ground truth and their detections, in memory."""
+    rng = np.random.default_rng(seed)
+    gt, raw = [], []
+    for _ in range(CROWDED_GT):
+        cx, cy = rng.uniform(20.0, IMAGE_SIZE - 20.0, 2)
+        length, width = rng.uniform(8.0, 24.0), rng.uniform(5.0, 12.0)
+        angle = rng.uniform(-90.0, 90.0)
+        gt.append(_rect(rng, cx, cy, length, width, angle))
+        for _ in range(CROWDED_JITTERED):
+            raw.append(_rect(rng, cx + rng.normal(0, 1.5), cy + rng.normal(0, 1.5),
+                             length * rng.uniform(0.9, 1.1), width * rng.uniform(0.9, 1.1),
+                             angle + rng.normal(0, 4.0)))
+    for _ in range(CROWDED_FALSE_POSITIVES):
+        cx, cy = rng.uniform(20.0, IMAGE_SIZE - 20.0, 2)
+        raw.append(_rect(rng, cx, cy, rng.uniform(8, 24), rng.uniform(5, 12), rng.uniform(-90, 90)))
+    quads, fault = geometry.canonicalize_many(np.array(gt + raw).reshape(-1, 4, 2))
+    if fault.any():
+        raise RuntimeError("the crowded scene has a quad that canonicalize_many rejects")
+    n_gt, n_det = len(gt), len(raw)
+    dets = DetectionSet(("P0000",), np.zeros(n_det, dtype=int), quads[n_gt:],
+                        np.ones(n_det, dtype=int), rng.uniform(0.05, 1.0, n_det))
+    gt_index = GtIndex(("P0000",), np.zeros(n_gt, dtype=int), quads[:n_gt],
+                       np.ones(n_gt, dtype=int), rng.random(n_gt) < 0.05,
+                       ClassTable(("small-vehicle",)))
+    return dets, gt_index
 
 
 def run_cli(argv) -> None:
@@ -152,15 +177,14 @@ def make_cases(root: Path):
     vertices = scene_vertices(root)
     dets, classes = parse_dota_detections(root / "raw")
     gt = parse_dota_annotations(root / "gt", classes)
-    kept = nms_stage(dets, 0.5)
+    kept = nms_per_image(dets, 0.5)
+    crowded_dets, crowded_gt = crowded_scene()
     scene = f"{IMAGES} images, {n} quads ({IMAGES * OBJECTS} ground truth)"
-    cases = {}
-    if hasattr(geometry, "canonicalize_many"):
-        cases["canonicalize_many"] = (scene, n, lambda: geometry.canonicalize_many(vertices))
+    cases = {"canonicalize_many": (scene, n, lambda: geometry.canonicalize_many(vertices))}
     cases["parse"] = (scene, None, lambda: (parse_dota_detections(root / "raw"),
                                             parse_dota_annotations(root / "gt")))
     cases["nms"] = (f"{n - IMAGES * OBJECTS} raw detections, IoU 0.5", None,
-                    lambda: nms_stage(dets, 0.5))
+                    lambda: nms_per_image(dets, 0.5))
     cases["match_ap"] = ("kept detections vs ground truth, IoU 0.5", None,
                          lambda: evaluate(kept, gt, 0.5))
     cases["write"] = ("kept detections", None,
@@ -170,6 +194,9 @@ def make_cases(root: Path):
         run_cli(["eval", "--gt", str(root / "gt"), "--dets", str(root / "kept"),
                  "--json", str(root / "report.json")]),
     ))
+    cases["match_crowded"] = (
+        f"1 image, {len(crowded_dets)} detections vs {len(crowded_gt.image)} ground truth, "
+        "one class, IoU 0.5", None, lambda: evaluate(crowded_dets, crowded_gt, 0.5))
     return cases
 
 

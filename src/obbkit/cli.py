@@ -18,16 +18,7 @@ import numpy as np
 
 from . import dota
 from .config import RunConfig, build_config, parse_metric_mode, read_config_file
-from .errors import (
-    DegenerateQuad,
-    Diverged,
-    NonFiniteScore,
-    ObbkitError,
-    ParseError,
-    ShapeMismatch,
-    UnknownCategory,
-    UnknownClass,
-)
+from .errors import DegenerateQuad, Diverged, NonFiniteScore, ObbkitError, ParseError
 from .evaluation import evaluate
 from .geometry import (
     EncodedBox, HBB, canonicalize, canonicalize_many, decode, encode_many, polygon_iou,
@@ -483,19 +474,8 @@ def main(argv=None) -> int:
     except (Diverged, NonFiniteScore, FloatingPointError, OverflowError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return _NUMERIC_EXIT
-    except (
-        ParseError,
-        UnknownCategory,
-        UnknownClass,
-        DegenerateQuad,
-        ShapeMismatch,
-        ObbkitError,
-        FileNotFoundError,
-        NotADirectoryError,
-        IsADirectoryError,
-        PermissionError,
-        ValueError,
-    ) as exc:
+    except (ObbkitError, ValueError, FileNotFoundError, NotADirectoryError, IsADirectoryError,
+            PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _DATA_EXIT
 

@@ -20,8 +20,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ShapeMismatch, UnknownCategory, UnknownClass
-from .geometry import hbb_overlap, polygon_iou_pairs, quad_arrays, quad_list
-from .inference import DetectionSet, check_image_index, rows_by_image
+from .geometry import (
+    _hbb_bounds, _overlapping, _range_pairs, _sweep_bands, _sweep_ranges, polygon_iou_pairs,
+    quad_arrays, quad_list,
+)
+from .inference import DetectionSet, check_image_index
 from .targets import GroundTruthObject
 
 MODE_11POINT = "11point"
@@ -31,6 +34,8 @@ MODE_ALLPOINT = "allpoint"
 TP = 1
 FP = 0
 IGNORED = -1
+# Upper bound on the candidate (detection, ground truth) pairs matching expands at once.
+MATCH_PAIRS_PER_BAND = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -58,6 +63,12 @@ class ClassTable:
         return len(self.names)
 
 
+def _first_outside(class_id: np.ndarray, image: np.ndarray, classes: ClassTable) -> int | None:
+    """The first row (by image, then row) whose class id is outside the table, or None."""
+    outside = np.flatnonzero((class_id < 1) | (class_id > len(classes)))
+    return outside[np.argmin(image[outside])] if len(outside) else None
+
+
 @dataclass(frozen=True, eq=False)
 class GtIndex:
     """Ground truth of many images as parallel arrays, plus the class table.
@@ -81,9 +92,8 @@ class GtIndex:
         if self.quads.shape != (n, 4, 2) or len(self.class_id) != n or len(self.difficult) != n:
             raise ShapeMismatch("ground truth arrays are not aligned")
         check_image_index(self.image_ids, self.image)
-        outside = np.flatnonzero((self.class_id < 1) | (self.class_id > len(self.classes)))
-        if len(outside):
-            first = outside[np.lexsort((outside, self.image[outside]))[0]]
+        first = _first_outside(self.class_id, self.image, self.classes)
+        if first is not None:
             image_id = self.image_ids[self.image[first]]
             raise UnknownClass(f"image {image_id}: class id {self.class_id[first]} outside table")
 
@@ -114,7 +124,9 @@ class GtIndex:
 
     def image_rows(self) -> list[np.ndarray]:
         """Per image id, its row indices in file order."""
-        return rows_by_image(self.image, len(self.image_ids))
+        order = np.argsort(self.image, kind="stable")
+        bounds = np.searchsorted(self.image[order], np.arange(len(self.image_ids) + 1)).tolist()
+        return [order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
     def num_ground_truth(self, class_id: int) -> int:
         return int(((self.class_id == class_id) & ~self.difficult).sum())
@@ -152,40 +164,41 @@ class APReport:
 def _match_flags(dets: DetectionSet, gt: GtIndex, iou_thresh: float) -> np.ndarray:
     """TP / FP / IGNORED of every detection row.
 
-    Within one image and class the visit order is descending score, ties
-    by input order. One batched call computes the IoU of every
-    same-class (detection, ground truth) pair whose horizontal boxes
-    overlap; every other pair counts as IoU 0.
+    Detections are visited in descending score, ties by row. One sweep
+    over x, grouped by (image, class), runs over the ground truth (the
+    only partners) and then the detections (image -1 when it has no
+    annotation file), expanded in bands of MATCH_PAIRS_PER_BAND pairs.
+    One batched call computes the IoU of every same-group pair whose
+    horizontal boxes overlap; every other pair counts as IoU 0.
     """
-    gt_rows = dict(zip(gt.image_ids, gt.image_rows()))
-    visit, pair_det, pair_gt = [], [], []
-    start = 0
-    for image_id, rows in zip(dets.image_ids, dets.image_rows()):
-        rows = rows[np.argsort(-dets.score[rows], kind="stable")]
-        objs = gt_rows.get(image_id, ())
-        if len(rows) and len(objs):
-            same = dets.class_id[rows, None] == gt.class_id[objs]
-            k, g = np.nonzero(hbb_overlap(dets.quads[rows], gt.quads[objs]) & same)
-            pair_det.append(k + start)
-            pair_gt.append(objs[g])
-        visit.append(rows)
-        start += len(rows)
-    visit = np.concatenate(visit) if visit else np.zeros(0, dtype=int)
+    visit = np.argsort(-dets.score, kind="stable")
+    gt_image = {image_id: i for i, image_id in enumerate(gt.image_ids)}
+    det_image = np.array([gt_image.get(i, -1) for i in dets.image_ids], dtype=int)
+    ids, rank = np.unique(np.concatenate([gt.class_id, dets.class_id[visit]]), return_inverse=True)
+    groups = np.concatenate([gt.image, det_image[dets.image[visit]]]) * len(ids) + rank
+    det_bounds, gt_bounds = _hbb_bounds(dets.quads[visit]), _hbb_bounds(gt.quads)
+    xmin, xmax = (np.concatenate([gt_bounds[i], det_bounds[i]]) for i in (0, 2))
+    lo, hi, by_x = _sweep_ranges(xmin, xmax, groups, np.arange(len(gt.image)))
+    lo, hi = lo[len(gt.image):], hi[len(gt.image):]
+    pairs = [(np.zeros(0, dtype=int),) * 2]
+    for top, bottom in _sweep_bands(lo, hi, MATCH_PAIRS_PER_BAND):
+        rows, objs = _range_pairs(lo[top:bottom], hi[top:bottom], by_x, top)
+        ok = _overlapping([v[rows] for v in det_bounds], [v[objs] for v in gt_bounds])
+        pairs.append((rows[ok], objs[ok]))
+    k, g = (np.concatenate(x) for x in zip(*pairs))
+    iou = polygon_iou_pairs(dets.quads[visit[k]], gt.quads[g])
 
     flags = np.full(len(visit), FP)
-    if pair_det:
-        k, g = np.concatenate(pair_det), np.concatenate(pair_gt)
-        iou = polygon_iou_pairs(dets.quads[visit[k]], gt.quads[g])
-        # each detection's best ground truth, the first one on a tie
-        best = np.lexsort((g, -iou, k))
-        best = best[np.diff(k[best], prepend=-1) != 0]
-        k, g, hit = k[best], g[best], iou[best] > iou_thresh
-        hard = gt.difficult[g]
-        flags[k[hit & hard]] = IGNORED
-        # k ascends in visit order, so the first claim on a ground truth wins
-        claims = np.flatnonzero(hit & ~hard)
-        _, first = np.unique(g[claims], return_index=True)
-        flags[k[claims[first]]] = TP
+    # each detection's best ground truth, the first one on a tie
+    best = np.lexsort((g, -iou, k))
+    best = best[np.diff(k[best], prepend=-1) != 0]
+    k, g, hit = k[best], g[best], iou[best] > iou_thresh
+    hard = gt.difficult[g]
+    flags[k[hit & hard]] = IGNORED
+    # k ascends in visit order, so the first claim on a ground truth wins
+    claims = np.flatnonzero(hit & ~hard)
+    _, first = np.unique(g[claims], return_index=True)
+    flags[k[claims[first]]] = TP
 
     out = np.empty(len(dets), dtype=int)
     out[visit] = flags
@@ -194,9 +207,8 @@ def _match_flags(dets: DetectionSet, gt: GtIndex, iou_thresh: float) -> np.ndarr
 
 def check_detection_classes(dets: DetectionSet, classes: ClassTable) -> None:
     """Raise UnknownClass for the first detection (by image, then row) outside the table."""
-    outside = np.flatnonzero((dets.class_id < 1) | (dets.class_id > len(classes)))
-    if len(outside):
-        first = outside[np.lexsort((outside, dets.image[outside]))[0]]
+    first = _first_outside(dets.class_id, dets.image, classes)
+    if first is not None:
         raise UnknownClass(f"detection class id {dets.class_id[first]} outside table")
 
 

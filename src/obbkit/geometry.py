@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -472,6 +472,55 @@ def _overlapping(a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...]) -> np.nda
 def hbb_overlap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(N, M) mask of quad pairs whose horizontal boxes overlap with positive area."""
     return _overlapping([v[:, None] for v in _hbb_bounds(a)], _hbb_bounds(b))
+
+
+def _sweep_ranges(
+    xmin: np.ndarray, xmax: np.ndarray, groups: np.ndarray, partners: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Candidate partner ranges of a sweep over x, one per row.
+
+    Returns (lo, hi, by_x): by_x lists the partner rows sorted by (group,
+    xmin), and by_x[lo[i]:hi[i]] holds every partner of row i's group
+    whose x extent overlaps row i's with positive length (and possibly
+    more). Bounds become exact ranks among all bounds, offset per group,
+    so searchsorted finds both ends without rounding: hi where a
+    partner's xmin reaches the row's xmax, lo where the running maximum
+    of the partners' xmax passes the row's xmin.
+    """
+    n = len(xmin)
+    _, rank = np.unique(np.concatenate([xmin, xmax]), return_inverse=True)
+    _, group = np.unique(groups, return_inverse=True)
+    start = group * (2 * n) + rank[:n]
+    end = group * (2 * n) + rank[n:]
+    by_x = partners[np.argsort(start[partners], kind="stable")]
+    # the group offsets make the running maximum restart at every group
+    reach = np.maximum.accumulate(end[by_x])
+    lo = np.searchsorted(reach, start, side="right")
+    hi = np.searchsorted(start[by_x], end, side="left")
+    return lo, np.maximum(hi, lo), by_x
+
+
+def _sweep_bands(lo: np.ndarray, hi: np.ndarray, budget: int) -> Iterator[tuple[int, int]]:
+    """Yield consecutive row bands (top, bottom) whose sweep ranges hold at
+    most budget partners in all; a band holds at least one row."""
+    expanded = np.cumsum(hi - lo)  # partners of rows 0..i
+    top = 0
+    while top < len(lo):
+        end = budget + (expanded[top - 1] if top else 0)
+        bottom = max(top + 1, int(np.searchsorted(expanded, end, side="right")))
+        yield top, bottom
+        top = bottom
+
+
+def _range_pairs(
+    lo: np.ndarray, hi: np.ndarray, by_x: np.ndarray, first: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """(row, partner) arrays pairing row first + i with each entry of
+    by_x[lo[i]:hi[i]]; pairs come grouped by row, rows ascending."""
+    counts = hi - lo
+    rows = np.repeat(np.arange(first, first + len(lo)), counts)
+    shift = lo - (np.cumsum(counts) - counts)
+    return rows, by_x[np.arange(len(rows)) + np.repeat(shift, counts)]
 
 
 def _row_intervals(

@@ -19,6 +19,9 @@ from .geometry import (
     Quad,
     _hbb_bounds,
     _overlapping,
+    _range_pairs,
+    _sweep_bands,
+    _sweep_ranges,
     polygon_iou_pairs,
     quad_arrays,
     quad_list,
@@ -59,13 +62,6 @@ def check_image_index(image_ids: Sequence[str], image: np.ndarray) -> None:
         raise ValueError("image_ids must be sorted and unique")
     if len(image) and not 0 <= image.min() <= image.max() < len(image_ids):
         raise ValueError("image index outside image_ids")
-
-
-def rows_by_image(image: np.ndarray, num_images: int) -> list[np.ndarray]:
-    """Per image index 0..num_images-1, its row indices in row order."""
-    order = np.argsort(image, kind="stable")
-    bounds = np.searchsorted(image[order], np.arange(num_images + 1)).tolist()
-    return [order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,10 +118,6 @@ class DetectionSet:
             self.image_ids, self.image[rows], self.quads[rows], self.class_id[rows], self.score[rows]
         )
 
-    def image_rows(self) -> list[np.ndarray]:
-        """Per image id, its row indices in input order."""
-        return rows_by_image(self.image, len(self.image_ids))
-
 
 @dataclass(frozen=True)
 class InferenceConfig:
@@ -149,43 +141,14 @@ class InferenceConfig:
             raise ValueError("max_detections must be >= 0")
 
 
-def _sweep_ranges(
-    xmin: np.ndarray, xmax: np.ndarray, classes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Candidate partner ranges of a sweep over x, one per row.
-
-    Returns (lo, hi, by_x): by_x lists the rows sorted by (class, xmin),
-    and by_x[lo[i]:hi[i]] holds every row of row i's class whose x extent
-    overlaps row i's with positive length (and possibly more). The bounds
-    are replaced by their exact ranks among all bounds, offset per class,
-    so both ends come from searchsorted without rounding: hi ends where a
-    partner's xmin reaches the row's xmax, and lo starts where the running
-    maximum of xmax over the class passes the row's xmin.
-    """
-    n = len(xmin)
-    _, rank = np.unique(np.concatenate([xmin, xmax]), return_inverse=True)
-    _, cls = np.unique(classes, return_inverse=True)
-    start = cls * (2 * n) + rank[:n]
-    end = cls * (2 * n) + rank[n:]
-    by_x = np.argsort(start, kind="stable")
-    # the class offsets make the running maximum restart at every class
-    reach = np.maximum.accumulate(end[by_x])
-    lo = np.searchsorted(reach, start, side="right")
-    hi = np.searchsorted(start[by_x], end, side="left")
-    return lo, np.maximum(hi, lo), by_x
-
-
 def _band_pairs(
     top: int, bottom: int, lo: np.ndarray, hi: np.ndarray, by_x: np.ndarray,
     bounds: tuple[np.ndarray, ...], live: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(later, earlier) visit indices of the pairs NMS may have to clip for
-    rows top..bottom-1: same class, HBB overlap, the earlier row live.
+    rows top..bottom-1: same group, HBB overlap, the earlier row live.
     Pairs come grouped by their later row, in visit order."""
-    counts = hi[top:bottom] - lo[top:bottom]
-    later = np.repeat(np.arange(top, bottom), counts)
-    shift = lo[top:bottom] - (np.cumsum(counts) - counts)
-    earlier = by_x[np.arange(len(later)) + np.repeat(shift, counts)]
+    later, earlier = _range_pairs(lo[top:bottom], hi[top:bottom], by_x, top)
     ok = earlier < later
     ok[ok] = live[earlier[ok]]
     later, earlier = later[ok], earlier[ok]
@@ -194,28 +157,30 @@ def _band_pairs(
 
 
 def _nms_keep(
-    quads: np.ndarray, classes: np.ndarray, scores: np.ndarray, iou_thresh: float
+    quads: np.ndarray, groups: np.ndarray, scores: np.ndarray, iou_thresh: float
 ) -> np.ndarray:
-    """Indices that per-class greedy NMS keeps, in visit order.
+    """Indices that per-group greedy NMS keeps, in visit order.
 
-    Rows are visited in descending score, ties broken by row index; one is
-    kept iff its IoU with every kept row of the same class stays at or
-    below the threshold, so a threshold of 1 keeps every row without
-    computing any IoU. Only same-class pairs whose horizontal boxes
-    overlap can suppress (all others count as IoU 0), and a pair is
-    clipped with the later (lower-scored) row as the first argument of
-    :func:`polygon_iou_pairs` only once its earlier row is known to be kept.
+    A group is a class for :func:`run_inference` and an (image, class)
+    key for :func:`nms_per_image`. Rows are visited in descending score,
+    ties broken by row index; one is kept iff its IoU with every kept row
+    of the same group stays at or below the threshold, so a threshold of
+    1 keeps every row without computing any IoU. Only same-group pairs
+    whose horizontal boxes overlap can suppress (all others count as IoU
+    0), and a pair is clipped with the later (lower-scored) row as the
+    first argument of :func:`polygon_iou_pairs` only once its earlier row
+    is known to be kept. The threshold must lie in [0, 1], rows or not.
 
-    Candidate pairs come from a sweep over the boxes sorted by (class,
+    Candidate pairs come from a sweep over the boxes sorted by (group,
     xmin) (:func:`_sweep_ranges`). Rows are taken in visit-order bands
     whose summed range sizes stay within NMS_PAIRS_PER_BAND (a band holds
     at least one row), so the expanded pairs of a band never exceed
-    max(NMS_PAIRS_PER_BAND, N). Rows of earlier bands are final when a
-    band starts, and pairs with a suppressed earlier row are dropped.
-    Within a band, each of up to _NMS_ROUNDS rounds clips, in one batch,
-    the pairs not yet clipped whose earlier row is kept and whose later
-    row is undecided; a row with an IoU above the threshold is
-    suppressed, then every undecided row left without an undecided
+    max(NMS_PAIRS_PER_BAND, largest group). Rows of earlier bands are
+    final when a band starts, and pairs with a suppressed earlier row are
+    dropped. Within a band, each of up to _NMS_ROUNDS rounds clips, in
+    one batch, the pairs not yet clipped whose earlier row is kept and
+    whose later row is undecided; a row with an IoU above the threshold
+    is suppressed, then every undecided row left without an undecided
     earlier partner is kept. Each round decides at least the first
     undecided row. Rows still undecided after the rounds fall back to one
     clip of all their remaining pairs and a walk over the pairs above the
@@ -229,18 +194,13 @@ def _nms_keep(
         return order
     quads = quads[order]
     bounds = _hbb_bounds(quads)
-    lo, hi, by_x = _sweep_ranges(bounds[0], bounds[2], classes[order])
-    expanded = np.cumsum(hi - lo)  # pairs expanded for rows 0..i
     n = len(order)
+    lo, hi, by_x = _sweep_ranges(bounds[0], bounds[2], groups[order], np.arange(n))
     kept = np.zeros(n, dtype=bool)
     live = np.ones(n, dtype=bool)  # kept or undecided
-    top = 0
-    while top < n:
-        budget = NMS_PAIRS_PER_BAND + (expanded[top - 1] if top else 0)
-        bottom = max(top + 1, int(np.searchsorted(expanded, budget, side="right")))
+    for top, bottom in _sweep_bands(lo, hi, NMS_PAIRS_PER_BAND):
         later, earlier = _band_pairs(top, bottom, lo, hi, by_x, bounds, live)
         _resolve_band(quads, later, earlier, top, bottom, kept, live, iou_thresh)
-        top = bottom
     return order[kept]
 
 
@@ -281,17 +241,15 @@ def nms_per_image(dets: DetectionSet, iou_thresh: float) -> DetectionSet:
     every detection. The kept rows come image by image in image_ids
     order, each image's in visit order. The threshold must lie in [0, 1].
 
-    Each image goes through :func:`_nms_keep`: candidate pairs from a
-    sweep over x, expanded in bands of at most NMS_PAIRS_PER_BAND pairs
-    (or the image's row count, for a band of one row), clipped in a few
-    batched rounds once their earlier row is kept, with a single fallback
-    clip per band for rows the rounds leave undecided.
+    All images go through one :func:`_nms_keep` call whose groups are
+    (image, class) keys, so boxes of different images never meet: one
+    sweep over x finds the candidate pairs, expanded in bands of at most
+    max(NMS_PAIRS_PER_BAND, largest group) pairs and clipped in a few
+    batched rounds once their earlier row is kept.
     """
-    keep = [
-        rows[_nms_keep(dets.quads[rows], dets.class_id[rows], dets.score[rows], iou_thresh)]
-        for rows in dets.image_rows()
-    ]
-    return dets.take(np.concatenate(keep) if keep else np.zeros(0, dtype=int))
+    classes, rank = np.unique(dets.class_id, return_inverse=True)
+    keep = _nms_keep(dets.quads, dets.image * len(classes) + rank, dets.score, iou_thresh)
+    return dets.take(keep[np.argsort(dets.image[keep], kind="stable")])
 
 
 def _in_unit_interval(values: np.ndarray) -> bool:

@@ -16,7 +16,8 @@ ROOT = Path(__file__).resolve().parents[1]
     [
         (
             "dota_layers.py",
-            ["canonicalize_many", "parse", "nms", "match_ap", "write", "cli_nms_eval"],
+            ["canonicalize_many", "parse", "nms", "match_ap", "write", "cli_nms_eval",
+             "match_crowded"],
         ),
         (
             "inference_layers.py",

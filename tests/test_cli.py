@@ -372,6 +372,16 @@ class TestNmsCommand:
         assert len(ship_lines) == 2
         assert "kept 3 of 4" in out
 
+    def test_threshold_checked_without_detections(self, capsys, tmp_path):
+        empty = tmp_path / "dets"
+        empty.mkdir()
+        code, out, err = run_cli(
+            capsys, "nms", "--dets", str(empty), "--iou", "1.5", "--out", str(tmp_path / "out")
+        )
+        assert code == 2
+        assert out == ""
+        assert "must lie in [0, 1]" in err
+
 
 class TestEvalCommand:
     def test_fixture_map(self, scene, capsys):

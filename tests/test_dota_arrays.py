@@ -74,14 +74,8 @@ class TestDetectionSet:
     def test_empty(self):
         ds = DetectionSet.from_mapping({})
         assert len(ds) == 0 and ds.quads.shape == (0, 4, 2)
-        assert ds.per_image() == {} and ds.image_rows() == []
+        assert ds.per_image() == {}
         assert len(nms_per_image(ds, 0.5)) == 0
-
-    def test_image_rows_keep_input_order(self):
-        ds = DetectionSet.from_mapping(_scene(2))
-        shuffled = ds.take(np.random.default_rng(0).permutation(len(ds)))
-        for rows, image in zip(shuffled.image_rows(), range(3)):
-            assert (np.diff(rows) > 0).all() and (shuffled.image[rows] == image).all()
 
     def test_misaligned_arrays(self):
         with pytest.raises(ObbkitError):
@@ -100,6 +94,7 @@ class TestDetectionSet:
 
     def test_nms_per_image_matches_scalar_oracle(self):
         dets = _scene(3, per_image=60)
+        dets["img0-copy"] = list(dets["img0"])  # suppression across images would show here
         kept = nms_per_image(DetectionSet.from_mapping(dets), 0.3).per_image()
         expected = {image_id: rotated_nms_oracle(d, 0.3) for image_id, d in dets.items()}
         assert _as_plain(kept) == _as_plain(expected)

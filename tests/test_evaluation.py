@@ -1,11 +1,13 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from obbkit import evaluation
 from obbkit.errors import UnknownCategory, UnknownClass
 from obbkit.evaluation import (
     FP,
@@ -64,7 +66,8 @@ def fixture_scene():
 
 @st.composite
 def scenes(draw):
-    """Two images, two classes, clustered boxes, tied scores, some difficult GT."""
+    """Two annotated images and one with detections only, two classes,
+    clustered boxes, tied scores, some difficult GT."""
     classes = ClassTable(("plane", "ship"))
 
     def box():
@@ -85,10 +88,10 @@ def scenes(draw):
         for image in images
     }
     dets = {}
-    for image in images:
+    for image in images + ("no-annotation",):
         dets[image] = []
         for _ in range(draw(st.integers(0, 8))):
-            if gt[image] and draw(st.booleans()):
+            if gt.get(image) and draw(st.booleans()):
                 # a jittered copy of a ground truth box, often of the right class
                 obj = gt[image][draw(st.integers(0, len(gt[image]) - 1))]
                 quad = obj.quad.translated(draw(st.floats(-4, 4)), draw(st.floats(-4, 4)))
@@ -233,10 +236,12 @@ class TestMatchDetections:
         assert list(match_detections(_ds(dets), gt, 0.5)[1].flags) == [IGNORED]
 
     @settings(max_examples=100, deadline=None)
-    @given(scenes(), st.sampled_from([0.0, 0.3, 0.5, 1.0]))
-    def test_matches_scalar_oracle(self, scene, thresh):
+    @given(scenes(), st.sampled_from([0.0, 0.3, 0.5, 1.0]), st.sampled_from([1, 5, 1 << 18]))
+    def test_matches_scalar_oracle(self, scene, thresh, band_pairs):
         dets, gt = scene
-        got = match_detections(_ds(dets), gt, thresh)
+        # small budgets split the sweep's pair expansion into many bands
+        with mock.patch.object(evaluation, "MATCH_PAIRS_PER_BAND", band_pairs):
+            got = match_detections(_ds(dets), gt, thresh)
         for class_id in (1, 2):
             scores, flags = match_flags_oracle(dets, gt, class_id, thresh)
             assert got[class_id].scores.tolist() == scores

@@ -13,6 +13,7 @@ from obbkit.errors import ShapeMismatch
 from obbkit.geometry import (
     Point2,
     _hbb_bounds,
+    _sweep_ranges,
     encode,
     hbb_overlap,
     polygon_iou,
@@ -280,13 +281,16 @@ class TestNmsKeep:
         quads[1::9] = quads[::9][: len(quads[1::9])]
         classes = rng.integers(1, 4, 150)
         bounds = _hbb_bounds(quads)
-        lo, hi, by_x = inference._sweep_ranges(bounds[0], bounds[2], classes)
         overlap = hbb_overlap(quads, quads) & (classes[:, None] == classes[None, :])
         assert overlap[::7].any()
-        for i in range(150):
-            partners = set(by_x[lo[i]:hi[i]].tolist())
-            assert set(np.flatnonzero(overlap[i]).tolist()) <= partners
-            assert (classes[list(partners)] == classes[i]).all()
+        # every row as a partner (NMS), and only some rows (matching)
+        for partners in (np.arange(150), np.flatnonzero(rng.random(150) < 0.4)):
+            lo, hi, by_x = _sweep_ranges(bounds[0], bounds[2], classes, partners)
+            assert sorted(by_x.tolist()) == partners.tolist()
+            for i in range(150):
+                found = set(by_x[lo[i]:hi[i]].tolist())
+                assert set(np.flatnonzero(overlap[i]).tolist()) & set(partners.tolist()) <= found
+                assert (classes[list(found)] == classes[i]).all()
 
     @staticmethod
     def counted_keep(monkeypatch, quads, classes, scores, thresh):
