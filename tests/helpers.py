@@ -7,7 +7,6 @@ from pathlib import Path
 import numpy as np
 
 from obbkit import inference
-from obbkit.dota import iter_annotation_records
 from obbkit.errors import DegenerateQuad, ParseError, ShapeMismatch, UnknownCategory
 from obbkit.evaluation import FP, IGNORED, TP, ClassTable, GtIndex
 from obbkit.geometry import (
@@ -395,25 +394,104 @@ def parse_dota_detections_oracle(directory, classes=None, *, unknown_category="e
     return dets, classes
 
 
+def annotation_records_oracle(path):
+    """(coords, category, difficult) of each object line of one annotation file.
+
+    Written from the README file format: 8 numbers, a category and an
+    optional 0/1 difficult flag per line; blank lines and imagesource/gsd
+    header lines are skipped. Raises the first ParseError in the file.
+    """
+    records = []
+    for line_no, line in enumerate(Path(path).read_text().splitlines(), 1):
+        tokens = line.split()
+        if not tokens or tokens[0].lower().startswith(("imagesource", "gsd")):
+            continue
+        if len(tokens) not in (9, 10):
+            raise ParseError(
+                path, line_no, f"expected 8 coordinates, category and flag, got {len(tokens)} fields"
+            )
+        coords = _floats_oracle(tokens[:8], path, line_no)
+        flag = tokens[9] if len(tokens) == 10 else "0"
+        if flag not in ("0", "1"):
+            raise ParseError(path, line_no, f"difficult flag must be 0 or 1, got {flag!r}")
+        records.append((coords, tokens[8], flag == "1"))
+    return records
+
+
 def parse_dota_annotations_oracle(directory, classes=None, *, unknown_category="error"):
     """The annotation parser record by record: every file is parsed first, then
     each kept record's quad goes through canonicalize_oracle."""
-    per_file = {f: iter_annotation_records(f) for f in sorted(Path(directory).glob("*.txt"))}
+    per_file = {f: annotation_records_oracle(f) for f in sorted(Path(directory).glob("*.txt"))}
     if classes is None:
-        classes = ClassTable(tuple(sorted({r.category for rs in per_file.values() for r in rs})))
+        classes = ClassTable(tuple(sorted({name for rs in per_file.values() for _, name, _ in rs})))
     images = {}
     for f, records in per_file.items():
         objs = images.setdefault(f.stem, [])
-        for r in records:
+        for coords, name, difficult in records:
             try:
-                class_id = classes.id_of(r.category)
+                class_id = classes.id_of(name)
             except UnknownCategory:
                 if unknown_category == "skip":
                     continue
                 raise
-            quad = canonicalize_oracle(list(zip(r.coords[0::2], r.coords[1::2])))
-            objs.append(GroundTruthObject(quad, class_id, r.difficult))
+            quad = canonicalize_oracle(list(zip(coords[0::2], coords[1::2])))
+            objs.append(GroundTruthObject(quad, class_id, difficult))
     return GtIndex.from_mapping(images, classes)
+
+
+def numeric_lines_oracle(path, expected):
+    """Yield (line_no, floats) of each line of an encode/decode file: blank lines
+    and # comments are skipped, the first `expected` fields must be numbers and
+    any further fields are ignored."""
+    for line_no, line in enumerate(Path(path).read_text().splitlines(), 1):
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        values = _floats_oracle(tokens[:expected], path, line_no)
+        if len(values) < expected:
+            raise ParseError(path, line_no, f"expected {expected} numbers, got {len(values)}")
+        yield line_no, values
+
+
+def read_targets_oracle(path):
+    """(class ids, 7-number rows) of a loss targets file, one line at a time."""
+    class_ids, rows = [], []
+    for line_no, line in enumerate(Path(path).read_text().splitlines(), 1):
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        try:
+            class_id = int(tokens[0])
+        except ValueError:
+            raise ParseError(path, line_no, f"expected a class id, got {tokens[0]!r}") from None
+        if class_id < 0:
+            raise ParseError(path, line_no, f"class id must be >= 0, got {class_id}")
+        if len(tokens) != (8 if class_id else 1):
+            raise ParseError(path, line_no, "expected 0 or class_id l t r b w h centerness")
+        class_ids.append(class_id)
+        rows.append(_floats_oracle(tokens[1:], path, line_no) if class_id else [0.0] * 7)
+    return class_ids, rows
+
+
+def read_preds_oracle(path):
+    """Rows of a loss predictions file: the first line fixes the width (at least 8)."""
+    rows, width = [], None
+    for line_no, line in enumerate(Path(path).read_text().splitlines(), 1):
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        if width is None:
+            width = len(tokens)
+            if width < 8:
+                raise ParseError(
+                    path, line_no, "predictions need centerness, l t r b, w h and class scores"
+                )
+        elif len(tokens) != width:
+            raise ParseError(path, line_no, f"expected {width} fields, got {len(tokens)}")
+        rows.append(_floats_oracle(tokens, path, line_no))
+    if not rows:
+        raise ParseError(path, 1, "no predictions")
+    return rows
 
 
 def _floats_oracle(tokens, path, line_no):

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obbkit import cli
 from obbkit.config import build_config, parse_level_ranges, read_config_file
@@ -17,7 +23,12 @@ from obbkit.evaluation import ClassTable
 from obbkit.geometry import canonicalize
 from obbkit.inference import Detection, DetectionSet
 
-from helpers import target_maps
+from helpers import (
+    numeric_lines_oracle,
+    read_preds_oracle,
+    read_targets_oracle,
+    target_maps,
+)
 
 GT_P0001 = """\
 imagesource:GoogleEarth
@@ -700,3 +711,118 @@ class TestConfig:
     def test_strides_ranges_length_mismatch(self):
         with pytest.raises(ValueError):
             build_config({"strides": "8,16"})
+
+
+# ------------------------------------------------------------------ fuzzing
+
+_cell = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-2, 6).map(str),
+    st.sampled_from(["nan", "-inf", "1e400", "-0", "0.5", "1_0", "0x1", ".", "e", "x", "#"]),
+)
+_layout = st.sampled_from(["", "   ", "# note", "#", "\t# 1 2 3", " 1 2 # 3"])
+
+
+def _table_lines(good, size):
+    """Lines of a numeric table file: random cells around `size` fields, blank
+    lines, # comments, and some lines the command accepts."""
+    line = st.one_of(
+        st.lists(_cell, min_size=max(size - 2, 0), max_size=size + 2).map(" ".join),
+        st.lists(_cell, max_size=3).map(" ".join),
+        _layout,
+        st.sampled_from(good),
+    )
+    return st.lists(line, max_size=6).map(lambda lines: "\n".join(lines) + "\n")
+
+
+def _capture(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _clean(path: Path, rows) -> Path:
+    """A file holding exactly the given rows of numbers, one line each."""
+    path.write_text("".join(" ".join(map(repr, row)) + "\n" for row in rows))
+    return path
+
+
+def _expected_table_command(command, path: Path, tmp: Path):
+    """encode/decode on the rows the line oracle reads before its first error.
+
+    Both commands print the lines before the first error in file order; a
+    parse error comes after every earlier line's output (encode's summary
+    line is only printed when nothing failed).
+    """
+    rows, error = [], None
+    try:
+        for _, values in numeric_lines_oracle(path, 8 if command == "encode" else 6):
+            rows.append(values)
+    except ParseError as exc:
+        error = exc
+    code, out, err = _capture([command, str(_clean(tmp / "clean.txt", rows))])
+    if error is None or code != 0:
+        return code, out, err
+    if command == "encode":
+        out = "".join(out.splitlines(keepends=True)[:-1])
+    return 2, out, f"error: {error}\n"
+
+
+def _expected_loss(targets: Path, preds: Path, tmp: Path):
+    try:
+        class_ids, target_rows = read_targets_oracle(targets)
+        pred_rows = read_preds_oracle(preds)
+    except ParseError as exc:
+        return 2, "", f"error: {exc}\n"
+    clean_targets = tmp / "clean_targets.txt"
+    clean_targets.write_text("".join(
+        (f"{c} " + " ".join(map(repr, row)) if c else "0") + "\n"
+        for c, row in zip(class_ids, target_rows)
+    ))
+    clean_preds = _clean(tmp / "clean_preds.txt", pred_rows)
+    return _capture(["loss", "--targets", str(clean_targets), "--preds", str(clean_preds)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    quads=_table_lines(["0 3 3 0 4 1 1 4", "0 0 4 0 4 2 0 2", "0 0 4 0 4 2 0 2 extra"], 8),
+    boxes=_table_lines(["0 0 2 2 1 1", "0 0 4 2 0 2", "0 0 2 2 5 1", "0 0 2 2 1 1 extra"], 6),
+)
+def test_fuzz_table_readers(quads, boxes):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for command, text in (("encode", quads), ("decode", boxes)):
+            path = tmp / f"{command}.txt"
+            path.write_text(text)
+            assert _capture([command, str(path)]) == _expected_table_command(command, path, tmp)
+
+
+_GOOD_TARGETS = ["0", "1 2 1 4 3 1 2 0.4", "2 1 1 1 1 0.5 0.5 0.2"]
+_GOOD_PREDS = ["0.5 1 1 1 1 0.5 0.5 0.3 0.4", "0.6 3 2 3 2 0.5 1 0.7 0.2"]
+
+
+def _cells(size):
+    return st.lists(_cell, min_size=size - 2, max_size=size + 2).map(" ".join)
+
+
+_loss_row = st.one_of(
+    # mostly aligned rows, so that some pairs of files reach the loss
+    st.tuples(st.sampled_from(_GOOD_TARGETS), st.sampled_from(_GOOD_PREDS)),
+    st.tuples(st.sampled_from(_GOOD_TARGETS), st.sampled_from(_GOOD_PREDS)),
+    st.tuples(st.one_of(_cells(8), st.sampled_from(["-1", "a", "1_0", "0 1"])), _cells(9)),
+    st.tuples(st.sampled_from(_GOOD_TARGETS), _cells(9)),
+    st.tuples(_layout, _layout),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(_loss_row, max_size=6))
+def test_fuzz_loss_readers(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        t, p = tmp / "targets.txt", tmp / "preds.txt"
+        t.write_text("".join(f"{target}\n" for target, _ in rows))
+        p.write_text("".join(f"{pred}\n" for _, pred in rows))
+        got = _capture(["loss", "--targets", str(t), "--preds", str(p)])
+        assert got == _expected_loss(t, p, tmp)
