@@ -7,8 +7,8 @@ image and class, written as DOTA text files):
 
 - ``canonicalize_many``: every raw detection and ground-truth quad in one
   call, also reported per quad;
-- ``parse``: ``parse_dota_detections`` on the raw detections plus
-  ``parse_dota_annotations`` on the ground truth;
+- ``parse_detections``: ``parse_dota_detections`` on the raw detections;
+- ``parse_annotations``: ``parse_dota_annotations`` on the ground truth;
 - ``nms``: rotated NMS at IoU 0.5 within each image of the parsed raw
   detections;
 - ``match_ap``: ``evaluate`` (matching at IoU 0.5 and 11-point AP) of
@@ -181,8 +181,10 @@ def make_cases(root: Path):
     crowded_dets, crowded_gt = crowded_scene()
     scene = f"{IMAGES} images, {n} quads ({IMAGES * OBJECTS} ground truth)"
     cases = {"canonicalize_many": (scene, n, lambda: geometry.canonicalize_many(vertices))}
-    cases["parse"] = (scene, None, lambda: (parse_dota_detections(root / "raw"),
-                                            parse_dota_annotations(root / "gt")))
+    cases["parse_detections"] = (f"{n - IMAGES * OBJECTS} raw detection lines", None,
+                                 lambda: parse_dota_detections(root / "raw"))
+    cases["parse_annotations"] = (f"{IMAGES * OBJECTS} annotation lines in {IMAGES} files", None,
+                                  lambda: parse_dota_annotations(root / "gt"))
     cases["nms"] = (f"{n - IMAGES * OBJECTS} raw detections, IoU 0.5", None,
                     lambda: nms_per_image(dets, 0.5))
     cases["match_ap"] = ("kept detections vs ground truth, IoU 0.5", None,

@@ -63,18 +63,21 @@ def _parse_quad_flag(raw: str):
     return canonicalize(list(zip(values[0::2], values[1::2])))
 
 
-def _numeric_lines(path, expected: int):
-    """Yield (line_no, floats) for each non-empty line of a numeric table file."""
+def _number_rows(path, width: int) -> tuple[np.ndarray, ParseError | None]:
+    """The first `width` numbers of each line of an encode/decode file, as an
+    (N, width) array of the lines before the first error, and that error
+    (None when every line reads). Further fields on a line are ignored."""
     path = Path(path)
-    for line_no, line in enumerate(path.read_text().splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        tokens = stripped.split()
-        values = dota.parse_floats(tokens[:expected], path, line_no)
-        if len(values) < expected:
-            raise ParseError(path, line_no, f"expected {expected} numbers, got {len(values)}")
-        yield line_no, values, tokens
+    lines = dota._read_lines(path, comments=True)
+    n = next((k for k, (_, tokens) in enumerate(lines) if len(tokens) < width), len(lines))
+    rows, error = dota._leading_floats(lines[:n], 0, width, path)
+    if error is None and n < len(lines):
+        line_no, tokens = lines[n]
+        # a short line's numbers are read before its length is checked
+        error = dota._leading_floats(lines[n : n + 1], 0, len(tokens), path)[1] or ParseError(
+            path, line_no, f"expected {width} numbers, got {len(tokens)}"
+        )
+    return rows, error
 
 
 def _derive_image_size(objects, strides) -> tuple[int, int]:
@@ -119,13 +122,8 @@ def _cmd_iou(args) -> int:
 
 def _cmd_encode(args) -> int:
     # The lines before the first error in file order are printed, then it is raised.
-    rows, error = [], None
-    try:
-        for _line_no, values, _tokens in _numeric_lines(args.file, 8):
-            rows.append(values)
-    except ParseError as exc:
-        error = exc
-    raw = np.array(rows, dtype=float).reshape(-1, 4, 2)
+    rows, error = _number_rows(args.file, 8)
+    raw = rows.reshape(-1, 4, 2)
     quads, fault = canonicalize_many(raw)
     bounds, wh = encode_many(quads)
     decoded, ious = [], []
@@ -153,10 +151,12 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    for _line_no, values, _tokens in _numeric_lines(args.file, 6):
-        xmin, ymin, xmax, ymax, w, h = values
+    rows, error = _number_rows(args.file, 6)
+    for xmin, ymin, xmax, ymax, w, h in rows.tolist():
         quad = decode(EncodedBox(HBB(xmin, ymin, xmax, ymax), w, h))
         print(" ".join(_fmt(v) for v in quad.as_flat()))
+    if error is not None:
+        raise error
     return 0
 
 
@@ -175,16 +175,12 @@ def _cmd_assign(args) -> int:
         print(f"# image {image_id} size {width}x{height}")
         for spec, maps in zip(specs, levels):
             pos = np.flatnonzero(maps.class_id > 0)
-            values = np.column_stack([maps.ltrb, maps.wh, maps.centerness])[pos].tolist()
-            for (x_s, y_s), class_id, row, difficult in zip(
-                maps.grid[pos].tolist(), maps.class_id[pos].tolist(), values,
+            values = np.column_stack([maps.ltrb, maps.wh, maps.centerness])[pos]
+            for (x_s, y_s), class_id, fields, difficult in zip(
+                maps.grid[pos].tolist(), maps.class_id[pos].tolist(), dota._format_rows(values),
                 maps.difficult[pos].tolist(),
             ):
-                print(
-                    f"{spec.level} {x_s} {y_s} {class_id} "
-                    + " ".join(map(dota.format_number, row))
-                    + f" {int(difficult)}"
-                )
+                print(f"{spec.level} {x_s} {y_s} {class_id} {fields} {int(difficult)}")
             print(f"# level {spec.level}: {len(pos)} positive of {len(maps)} locations")
     return 0
 
@@ -193,10 +189,8 @@ def _read_targets_file(path) -> TargetMaps:
     """One location per line: a bare `0` (background) or `class_id l t r b w h centerness`."""
     path = Path(path)
     class_ids, rows = [], []
-    for line_no, line in enumerate(path.read_text().splitlines(), 1):
-        tokens = line.split()
-        if not tokens or tokens[0].startswith("#"):
-            continue
+    for line in dota._read_lines(path, comments=True):
+        line_no, tokens = line
         try:
             class_id = int(tokens[0])
         except ValueError:
@@ -206,9 +200,9 @@ def _read_targets_file(path) -> TargetMaps:
         if len(tokens) != (8 if class_id else 1):
             raise ParseError(path, line_no, "expected 0 or class_id l t r b w h centerness")
         class_ids.append(class_id)
-        rows.append(dota.parse_floats(tokens[1:], path, line_no) if class_id else [0.0] * 7)
+        rows.append(dota._float_columns([line], 1, 8, path) if class_id else np.zeros((1, 7)))
     n = len(rows)
-    values = np.reshape(rows, (n, 7))
+    values = np.concatenate([np.zeros((0, 7)), *rows])
     return TargetMaps(
         class_ids, values[:, :4], values[:, 4:6], values[:, 6], np.zeros(n, bool),
         np.full(n, -1), np.zeros((n, 2)), np.stack([np.arange(n), np.zeros(n, int)], axis=1),
@@ -217,25 +211,18 @@ def _read_targets_file(path) -> TargetMaps:
 
 def _read_preds_file(path) -> PredictionBatch:
     path = Path(path)
-    rows = []
-    width = None
-    for line_no, line in enumerate(path.read_text().splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        tokens = stripped.split()
-        if width is None:
-            width = len(tokens)
-            if width < 8:
-                raise ParseError(
-                    path, line_no, "predictions need centerness, l t r b, w h and class scores"
-                )
-        elif len(tokens) != width:
-            raise ParseError(path, line_no, f"expected {width} fields, got {len(tokens)}")
-        rows.append(dota.parse_floats(tokens, path, line_no))
-    if not rows:
+    lines = dota._read_lines(path, comments=True)
+    if not lines:
         raise ParseError(path, 1, "no predictions")
-    data = np.array(rows)
+    width = len(lines[0][1])
+    if width < 8:
+        reason = "predictions need centerness, l t r b, w h and class scores"
+        raise ParseError(path, lines[0][0], reason)
+    n = next((k for k, (_, tokens) in enumerate(lines) if len(tokens) != width), len(lines))
+    data = dota._float_columns(lines[:n], 0, width, path)
+    if n < len(lines):
+        line_no, tokens = lines[n]
+        raise ParseError(path, line_no, f"expected {width} fields, got {len(tokens)}")
     return PredictionBatch(
         class_scores=data[:, 7:],
         centerness=data[:, 0],
@@ -388,7 +375,6 @@ def _add_config_flags(sub):
         metavar="KEY=VALUE",
         help="override any config field (repeatable)",
     )
-    sub.add_argument("--seed", type=int, help="accepted for compatibility; has no effect")
     sub.add_argument("--threads", type=int, help="accepted for compatibility; has no effect")
 
 

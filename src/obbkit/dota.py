@@ -11,13 +11,15 @@ Detection results: one file per class ({class}.txt, an optional
 "Task1_" prefix is stripped), one detection per line:
 
     image_id score x1 y1 x2 y2 x3 y3 x4 y4
+
+Every text table obbkit reads, these and the CLI's numeric files, goes
+through :func:`_read_lines` and :func:`_float_columns`; every writer
+formats numbers through :func:`_format_rows`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -29,64 +31,78 @@ from .inference import DetectionSet
 _HEADER_PREFIXES = ("imagesource", "gsd")
 
 
-@dataclass(frozen=True)
-class AnnotationRecord:
-    """One parsed annotation line."""
+def _read_lines(path, *, comments: bool = False, headers: bool = False) -> list:
+    """(line_no, tokens) of every kept line of a text table, numbered from 1.
 
-    image_id: str
-    coords: tuple[float, ...]
-    category: str
-    difficult: bool
-
-
-def parse_floats(tokens: Sequence[str], path, line_no: int) -> list[float]:
-    values = []
-    for tok in tokens:
-        try:
-            values.append(float(tok))
-        except ValueError:
-            raise ParseError(path, line_no, f"expected a number, got {tok!r}") from None
-    return values
+    Blank lines are always skipped; so are lines whose first token starts
+    with "#" when comments is set, and imagesource/gsd header lines when
+    headers is set.
+    """
+    skip = ("#",) * comments + _HEADER_PREFIXES * headers
+    text = Path(path).read_text()
+    return [(n, tokens) for n, tokens in enumerate(map(str.split, text.splitlines()), 1)
+            if tokens and not (skip and tokens[0].lower().startswith(skip))]
 
 
-def iter_annotation_records(path) -> list[AnnotationRecord]:
-    """Parse one per-image annotation file into records."""
-    path = Path(path)
-    image_id = path.stem
-    records: list[AnnotationRecord] = []
-    for line_no, line in enumerate(path.read_text().splitlines(), 1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.lower().startswith(_HEADER_PREFIXES):
-            continue
-        tokens = stripped.split()
-        if len(tokens) not in (9, 10):
-            raise ParseError(
-                path, line_no, f"expected 8 coordinates, category and flag, got {len(tokens)} fields"
-            )
-        coords = parse_floats(tokens[:8], path, line_no)
-        category = tokens[8]
-        difficult = False
-        if len(tokens) == 10:
-            if tokens[9] not in ("0", "1"):
-                raise ParseError(path, line_no, f"difficult flag must be 0 or 1, got {tokens[9]!r}")
-            difficult = tokens[9] == "1"
-        records.append(AnnotationRecord(image_id, tuple(coords), category, difficult))
-    return records
+def _float_columns(lines: list, lo: int, hi: int, path) -> np.ndarray:
+    """Fields lo:hi of every (line_no, tokens) line as an (N, hi - lo) float array.
+
+    One float() map converts them all, so a number reads as Python's
+    float reads it. When that map fails, raises the ParseError of the
+    first token, in file order, that float rejects.
+    """
+    try:
+        values = list(map(float, [tok for _, tokens in lines for tok in tokens[lo:hi]]))
+    except ValueError:
+        for line_no, tokens in lines:
+            for tok in tokens[lo:hi]:
+                try:
+                    float(tok)
+                except ValueError:
+                    raise ParseError(path, line_no, f"expected a number, got {tok!r}") from None
+        raise
+    return np.array(values, dtype=float).reshape(len(lines), hi - lo)
 
 
-def _canonical_quads(coords: list) -> np.ndarray:
+def _leading_floats(lines: list, lo: int, hi: int, path) -> tuple[np.ndarray, ParseError | None]:
+    """:func:`_float_columns` of the lines before the first bad number, and its error (or None)."""
+    try:
+        return _float_columns(lines, lo, hi, path), None
+    except ParseError as exc:
+        before = [line_no for line_no, _ in lines].index(exc.line_no)
+        return _float_columns(lines[:before], lo, hi, path), exc
+
+
+def _canonical_quads(coords) -> np.ndarray:
     """Canonical (N, 4, 2) quads of flat 8-coordinate rows.
 
     Raises the error of the first row :func:`canonicalize_many` rejects.
     """
-    raw = np.array(coords, dtype=float).reshape(-1, 4, 2)
+    raw = np.asarray(coords, dtype=float).reshape(-1, 4, 2)
     quads, fault = canonicalize_many(raw)
     bad = np.flatnonzero(fault)
     if bad.size:
         raise quad_error(raw[bad[0]], fault[bad[0]])
     return quads
+
+
+def _annotation_table(path) -> tuple[np.ndarray, list[str], list[bool]]:
+    """Coordinates (N, 8), categories and difficult flags of one annotation file's lines."""
+    lines = _read_lines(path, headers=True)
+    short = next((k for k, (_, t) in enumerate(lines) if len(t) not in (9, 10)), len(lines))
+    flag = next((k for k, (_, t) in enumerate(lines[:short]) if t[9:] not in ([], ["0"], ["1"])),
+                short)
+    # a line's numbers are read before its flag is checked
+    coords = _float_columns(lines[:min(flag + 1, short)], 0, 8, path)
+    if flag < short:
+        line_no, tokens = lines[flag]
+        raise ParseError(path, line_no, f"difficult flag must be 0 or 1, got {tokens[9]!r}")
+    if short < len(lines):
+        line_no, tokens = lines[short]
+        raise ParseError(
+            path, line_no, f"expected 8 coordinates, category and flag, got {len(tokens)} fields"
+        )
+    return coords, [t[8] for _, t in lines], [t[9:] == ["1"] for _, t in lines]
 
 
 def parse_dota_annotations(
@@ -105,45 +121,54 @@ def parse_dota_annotations(
     """
     if unknown_category not in ("error", "skip"):
         raise ValueError("unknown_category must be 'error' or 'skip'")
-    directory = Path(directory)
-    files = sorted(directory.glob("*.txt"))
-    per_file = {f: iter_annotation_records(f) for f in files}
-
+    files = sorted(Path(directory).glob("*.txt"))
+    tables = [_annotation_table(f) for f in files]
+    categories = [name for _, names, _ in tables for name in names]
     if classes is None:
-        names = sorted({r.category for records in per_file.values() for r in records})
-        classes = ClassTable(tuple(names))
+        classes = ClassTable(tuple(sorted(set(categories))))
 
-    records: list[AnnotationRecord] = []
-    class_ids: list[int] = []
-    try:
-        for file_records in per_file.values():
-            for r in file_records:
-                try:
-                    class_ids.append(classes.id_of(r.category))
-                except UnknownCategory:
-                    if unknown_category == "error":
-                        raise
-                    continue
-                records.append(r)
-    except UnknownCategory:
-        # a bad quad in an earlier record is the first error
-        _canonical_quads([r.coords for r in records])
-        raise
     image_ids = tuple(sorted(f.stem for f in files))
     index = {image_id: i for i, image_id in enumerate(image_ids)}
+    coords = np.concatenate([np.empty((0, 8)), *(c for c, _, _ in tables)])
+    counts = [len(names) for _, names, _ in tables]
+    image = np.repeat(np.array([index[f.stem] for f in files], dtype=int), counts)
+    difficult = np.array([d for _, _, flags in tables for d in flags], dtype=bool)
+    ids = {name: class_id for class_id, name in enumerate(classes.names, 1)}
+    class_id = np.array([ids.get(name, 0) for name in categories], dtype=int)
+    known = class_id > 0
+    if unknown_category == "error" and not known.all():
+        first = int(np.argmin(known))
+        # a bad quad in an earlier record is the first error
+        _canonical_quads(coords[:first])
+        classes.id_of(categories[first])
     return GtIndex(
-        image_ids,
-        np.array([index[r.image_id] for r in records], dtype=int),
-        _canonical_quads([r.coords for r in records]),
-        np.array(class_ids, dtype=int),
-        np.array([r.difficult for r in records], dtype=bool),
-        classes,
+        image_ids, image[known], _canonical_quads(coords[known]), class_id[known],
+        difficult[known], classes,
     )
 
 
 def _class_name_from_filename(path: Path) -> str:
     stem = path.stem
     return stem[len("Task1_"):] if stem.startswith("Task1_") else stem
+
+
+def _detection_table(path) -> tuple[np.ndarray, list[str], ParseError | None]:
+    """Score and 8 coordinates (N, 9) and image ids of one detection file's
+    lines before its first error, and that ParseError (None when every line reads)."""
+    lines = _read_lines(path)
+    n = next((k for k, (_, tokens) in enumerate(lines) if len(tokens) != 10), len(lines))
+    table, error = _leading_floats(lines[:n], 1, 10, path)
+    if error is None and n < len(lines):
+        line_no, tokens = lines[n]
+        error = ParseError(
+            path, line_no, f"expected image id, score and 8 coordinates, got {len(tokens)} fields"
+        )
+    outside = np.flatnonzero(~((table[:, 0] >= 0.0) & (table[:, 0] <= 1.0)))
+    if outside.size:
+        k = int(outside[0])
+        error = ParseError(path, lines[k][0], f"score {float(table[k, 0])} outside [0, 1]")
+        table = table[:k]
+    return table, [tokens[0] for _, tokens in lines[: len(table)]], error
 
 
 def parse_dota_detections(
@@ -163,43 +188,32 @@ def parse_dota_detections(
     """
     if unknown_category not in ("error", "skip"):
         raise ValueError("unknown_category must be 'error' or 'skip'")
-    directory = Path(directory)
-    files = sorted(directory.glob("*.txt"))
+    files = sorted(Path(directory).glob("*.txt"))
     if classes is None:
         classes = ClassTable(tuple(sorted({_class_name_from_filename(f) for f in files})))
 
+    tables: list[np.ndarray] = [np.empty((0, 9))]
     names: list[str] = []
     class_ids: list[int] = []
-    rows: list[list[float]] = []
     try:
         for f in files:
-            name = _class_name_from_filename(f)
             try:
-                class_id = classes.id_of(name)
+                class_id = classes.id_of(_class_name_from_filename(f))
             except UnknownCategory:
                 if unknown_category == "skip":
                     continue
                 raise
-            for line_no, line in enumerate(f.read_text().splitlines(), 1):
-                stripped = line.strip()
-                if not stripped:
-                    continue
-                tokens = stripped.split()
-                if len(tokens) != 10:
-                    raise ParseError(
-                        f, line_no, f"expected image id, score and 8 coordinates, got {len(tokens)} fields"
-                    )
-                values = parse_floats(tokens[1:], f, line_no)
-                if not 0.0 <= values[0] <= 1.0:
-                    raise ParseError(f, line_no, f"score {values[0]} outside [0, 1]")
-                names.append(tokens[0])
-                class_ids.append(class_id)
-                rows.append(values)
+            table, file_names, error = _detection_table(f)
+            tables.append(table)
+            names += file_names
+            class_ids += [class_id] * len(table)
+            if error is not None:
+                raise error
     except (ObbkitError, OSError, ValueError):
         # a bad quad on an earlier line is the first error in file order
-        _canonical_quads([r[1:] for r in rows])
+        _canonical_quads(np.concatenate(tables)[:, 1:])
         raise
-    table = np.array(rows, dtype=float).reshape(-1, 9)
+    table = np.concatenate(tables)
     image_ids = tuple(sorted(set(names)))
     index = {image_id: i for i, image_id in enumerate(image_ids)}
     dets = DetectionSet(
@@ -219,19 +233,31 @@ def format_number(value: float) -> str:
     return repr(float(value))
 
 
-def write_dota_annotations(gt: GtIndex, directory) -> None:
-    """Serialize a GtIndex back to per-image annotation files."""
+def _format_rows(table: np.ndarray) -> list[str]:
+    """Each row of a 2-D number table as its :func:`format_number` fields joined by spaces."""
+    return [" ".join(map(format_number, row)) for row in table.tolist()]
+
+
+def _write_files(directory, names, file_of: list[int], lines: list[str]) -> None:
+    """Write each line, newline-terminated and in order, to directory/{names[file_of]}.txt."""
+    files: list[list[str]] = [[] for _ in names]
+    for k, line in zip(file_of, lines):
+        files[k].append(line)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    coords = gt.quads.reshape(-1, 8).tolist()
-    names = [gt.classes.name_of(c) for c in gt.class_id.tolist()]
-    difficult = gt.difficult.tolist()
-    for image_id, rows in zip(gt.image_ids, gt.image_rows()):
-        lines = [
-            f"{' '.join(map(format_number, coords[k]))} {names[k]} {int(difficult[k])}"
-            for k in rows.tolist()
-        ]
-        (directory / f"{image_id}.txt").write_text("\n".join(lines) + ("\n" if lines else ""))
+    for name, file_lines in zip(names, files):
+        (directory / f"{name}.txt").write_text("".join(line + "\n" for line in file_lines))
+
+
+def write_dota_annotations(gt: GtIndex, directory) -> None:
+    """Serialize a GtIndex back to per-image annotation files."""
+    lines = [
+        f"{coords} {gt.classes.name_of(class_id)} {int(difficult)}"
+        for coords, class_id, difficult in zip(
+            _format_rows(gt.quads.reshape(-1, 8)), gt.class_id.tolist(), gt.difficult.tolist()
+        )
+    ]
+    _write_files(directory, gt.image_ids, gt.image.tolist(), lines)
 
 
 def write_dota_detections(
@@ -246,18 +272,7 @@ def write_dota_detections(
     outside the table.
     """
     check_detection_classes(dets, classes)
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    by_class: dict[int, list[str]] = {c: [] for c in range(1, len(classes) + 1)}
     order = np.argsort(dets.image, kind="stable")
-    for image, class_id, score, coords in zip(
-        dets.image[order].tolist(),
-        dets.class_id[order].tolist(),
-        dets.score[order].tolist(),
-        dets.quads[order].reshape(-1, 8).tolist(),
-    ):
-        text = " ".join(map(format_number, coords))
-        by_class[class_id].append(f"{dets.image_ids[image]} {format_number(score)} {text}")
-    for class_id, lines in by_class.items():
-        name = classes.name_of(class_id)
-        (directory / f"{name}.txt").write_text("\n".join(lines) + ("\n" if lines else ""))
+    fields = _format_rows(np.column_stack([dets.score, dets.quads.reshape(-1, 8)])[order])
+    lines = [f"{dets.image_ids[image]} {f}" for image, f in zip(dets.image[order].tolist(), fields)]
+    _write_files(directory, classes.names, (dets.class_id[order] - 1).tolist(), lines)

@@ -122,12 +122,6 @@ class GtIndex:
             out[self.image_ids[image]].append(GroundTruthObject(quad, class_id, difficult))
         return out
 
-    def image_rows(self) -> list[np.ndarray]:
-        """Per image id, its row indices in file order."""
-        order = np.argsort(self.image, kind="stable")
-        bounds = np.searchsorted(self.image[order], np.arange(len(self.image_ids) + 1)).tolist()
-        return [order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-
     def num_ground_truth(self, class_id: int) -> int:
         return int(((self.class_id == class_id) & ~self.difficult).sum())
 

@@ -4,7 +4,7 @@ Canonical quadrilaterals, the transform between an oriented box and its
 surrounding horizontal box plus two offset parameters (w, h), and exact
 convex-polygon IoU over many quad pairs behind a horizontal-box
 pre-filter. Each formula has one array implementation over (N, 4, 2)
-vertex arrays; :func:`canonicalize`, :func:`encode` and
+vertex arrays; :func:`canonicalize`, :func:`encode`, :func:`decode` and
 :func:`polygon_iou` are its one-row views.
 
 Conventions: image coordinates, x to the right, y increasing downward.
@@ -248,7 +248,7 @@ def encode_many(quads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # the first extreme vertex wins a tie, as in Quad.bounds, so a signed zero keeps its sign
     rows, xy = np.arange(len(quads))[:, None], np.arange(2)
     lo, hi = quads[rows, quads.argmin(axis=1), xy], quads[rows, quads.argmax(axis=1), xy]
-    with np.errstate(over="ignore"):  # offsets of huge quads overflow to inf, as in float arithmetic
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan, as in float arithmetic
         wh = np.stack([hi[:, 0] - quads[:, 1, 0], hi[:, 1] - quads[:, 0, 1]], axis=1)
     return np.concatenate([lo, hi], axis=1), wh
 
@@ -259,20 +259,27 @@ def encode(q: Quad) -> EncodedBox:
     return EncodedBox(HBB(*bounds[0].tolist()), *wh[0].tolist())
 
 
-def decode(e: EncodedBox) -> Quad:
-    """Rebuild the quad from an HBB and its orientation offsets.
+def _decode_vertices(xmin, ymin, xmax, ymax, w, h) -> np.ndarray:
+    """(N, 4, 2) vertices of N HBBs and their orientation offsets (arrays of N).
 
     v1 and v2 follow directly from the offset definitions; v3 and v4 are
     their reflections through the box center (rotated rectangles are
     centrally symmetric, which pins the two remaining vertices).
     """
+    out = np.empty((len(xmin), 4, 2))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow reads inf, as in float arithmetic
+        out[:, 0, 0], out[:, 0, 1] = xmin, ymax - h
+        out[:, 1, 0], out[:, 1, 1] = xmax - w, ymin
+        out[:, 2, 0], out[:, 2, 1] = xmax, ymin + h
+        out[:, 3, 0], out[:, 3, 1] = xmin + w, ymax
+    return out
+
+
+def decode(e: EncodedBox) -> Quad:
+    """:func:`_decode_vertices` on one box; ValueError names the first non-finite vertex."""
     b = e.hbb
-    return Quad(
-        Point2(b.xmin, b.ymax - e.h),
-        Point2(b.xmax - e.w, b.ymin),
-        Point2(b.xmax, b.ymin + e.h),
-        Point2(b.xmin + e.w, b.ymax),
-    )
+    columns = np.array([[b.xmin], [b.ymin], [b.xmax], [b.ymax], [e.w], [e.h]], dtype=float)
+    return quad_list(_decode_vertices(*columns))[0]
 
 
 def quad_from_offsets(point: Point2, ltrb: Sequence[float], wh: Sequence[float]) -> Quad:
@@ -292,9 +299,8 @@ def quads_from_offsets(points: np.ndarray, ltrb: np.ndarray, wh: np.ndarray) -> 
     box extents so unconstrained predictions still decode. The two
     degenerate orientation corners, (0, 0) and (width, height), collapse
     to a diagonal segment under the exact decode; both read as "no
-    rotation" and produce the axis-aligned box instead. Every row takes
-    the float operations of :func:`decode` on that HBB and (w, h), so the
-    vertices are those of the scalar path bit for bit.
+    rotation" and produce the axis-aligned box instead. The vertices come
+    from :func:`_decode_vertices`, the formula :func:`decode` uses too.
 
     Raises ValueError when a row's HBB is non-finite or inverted, or its
     clamped (w, h) is not finite (NaN wh).
@@ -319,12 +325,7 @@ def quads_from_offsets(points: np.ndarray, ltrb: np.ndarray, wh: np.ndarray) -> 
     )
     w = np.where(flat, 0.0, w)
     h = np.where(flat, height, h)
-    out = np.empty((len(points), 4, 2))
-    out[:, 0, 0], out[:, 0, 1] = xmin, ymax - h
-    out[:, 1, 0], out[:, 1, 1] = xmax - w, ymin
-    out[:, 2, 0], out[:, 2, 1] = xmax, ymin + h
-    out[:, 3, 0], out[:, 3, 1] = xmin + w, ymax
-    return out
+    return _decode_vertices(xmin, ymin, xmax, ymax, w, h)
 
 
 def polygon_iou(a: Quad, b: Quad) -> float:

@@ -16,7 +16,6 @@ from obbkit.geometry import (
     EncodedBox,
     Point2,
     Quad,
-    decode,
     hbb_overlap,
     polygon_iou_pairs,
 )
@@ -291,7 +290,18 @@ def quad_from_offsets_oracle(point, ltrb, wh) -> Quad:
         hbb.width - w <= EDGE_EPS and hbb.height - h <= EDGE_EPS
     ):
         w, h = 0.0, hbb.height
-    return decode(EncodedBox(hbb, w, h))
+    return decode_oracle(EncodedBox(hbb, w, h))
+
+
+def decode_oracle(e) -> Quad:
+    """The decode formula in Python floats, one vertex at a time."""
+    b = e.hbb
+    return Quad(
+        Point2(b.xmin, b.ymax - e.h),
+        Point2(b.xmax - e.w, b.ymin),
+        Point2(b.xmax, b.ymin + e.h),
+        Point2(b.xmin + e.w, b.ymax),
+    )
 
 
 def run_inference_oracle(preds_per_level, specs, config=InferenceConfig()):

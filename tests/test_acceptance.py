@@ -426,15 +426,14 @@ def test_09_determinism_across_threads(tmp_path, capsys):
     for threads in ("1", "4", "8"):
         eval_outputs.append(
             run(
-                ["eval", "--gt", str(gt_dir), "--dets", str(det_dir),
-                 "--threads", threads, "--seed", "0"]
+                ["eval", "--gt", str(gt_dir), "--dets", str(det_dir), "--threads", threads]
             )
         )
         fit_outputs.append(
             run(
                 ["fit-demo", "--gt", str(fit_gt), "--steps", "150", "--lr", "0.05",
                  "--set", "strides=8,16", "--set", "level_ranges=0:64,64:inf",
-                 "--threads", threads, "--seed", "0", "--trace-every", "50"]
+                 "--threads", threads, "--trace-every", "50"]
             )
         )
     eval_ok = eval_outputs[0] == eval_outputs[1] == eval_outputs[2]

@@ -16,8 +16,8 @@ ROOT = Path(__file__).resolve().parents[1]
     [
         (
             "dota_layers.py",
-            ["canonicalize_many", "parse", "nms", "match_ap", "write", "cli_nms_eval",
-             "match_crowded"],
+            ["canonicalize_many", "parse_detections", "parse_annotations", "nms", "match_ap",
+             "write", "cli_nms_eval", "match_crowded"],
         ),
         (
             "inference_layers.py",

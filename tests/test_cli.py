@@ -431,7 +431,7 @@ class TestEvalCommand:
         for threads in ("1", "4", "8"):
             code, out, _ = run_cli(
                 capsys, "eval", "--gt", str(scene / "gt"), "--dets", str(scene / "dets"),
-                "--threads", threads, "--seed", "0",
+                "--threads", threads,
             )
             assert code == 0
             outputs.append(out)
@@ -707,6 +707,13 @@ class TestConfig:
         assert code == 2
         assert out == ""
         assert "unknown config key" in err
+
+    def test_seed_flag_is_usage_error(self, scene, capsys):
+        code, out, err = run_cli(
+            capsys, "eval", "--gt", str(scene / "gt"), "--dets", str(scene / "dets"), "--seed", "0"
+        )
+        assert (code, out) == (1, "")
+        assert err == "usage error: unrecognized arguments: --seed 0\n"
 
     def test_strides_ranges_length_mismatch(self):
         with pytest.raises(ValueError):

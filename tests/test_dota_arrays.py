@@ -128,7 +128,7 @@ class TestGtIndex:
         })
         gt = parse_dota_annotations(d)
         assert gt.image_ids == ("A", "A-1", "B")
-        assert [rows.tolist() for rows in gt.image_rows()] == [[], [0], [1, 2]]
+        assert gt.image.tolist() == [1, 2, 2]
         assert _gt_plain(gt.images) == _gt_plain(parse_dota_annotations_oracle(d).images)
 
     def test_class_id_outside_table(self):
@@ -184,6 +184,17 @@ class TestErrorOrder:
         d = _write(tmp_path / "gt3", {"A.txt": bad, "B.txt": "0 0 1 0 1 plane 0\n"})
         with pytest.raises(ParseError):
             parse_dota_annotations(d)
+
+
+@pytest.mark.parametrize("bad", ["A 1.5 0 0 1 0 1 1 0 1", "A 0.5 0 0 1 0 1 x 0 1", "A 0.5 0 0 1"])
+def test_parse_error_beats_a_later_bad_quad(bad, tmp_path):
+    # the lines after the first parse error are never checked
+    d = _write(tmp_path / "dets", {"plane.txt": f"{GOOD}\n{bad}\n{DEGENERATE}\n"})
+    with pytest.raises(ParseError, match=r"plane\.txt:2: ") as got:
+        parse_dota_detections(d)
+    with pytest.raises(ParseError) as want:
+        parse_dota_detections_oracle(d)
+    assert str(got.value) == str(want.value)
 
 
 # ------------------------------------------------------------------ fuzzing

@@ -27,6 +27,7 @@ from helpers import (
     axis_box,
     canonicalize_oracle,
     convex_intersect_oracle,
+    decode_oracle,
     encode_oracle,
     polygon_area_oracle,
     quad_from_offsets_oracle,
@@ -116,6 +117,22 @@ class TestEncodeDecode:
         assert decode(EncodedBox(HBB(0, 0, 2, 2), 1, 1)).as_flat() == (0, 1, 1, 0, 2, 1, 1, 2)
         assert decode(EncodedBox(HBB(0, 0, 4, 2), 0, 2)).as_flat() == (0, 0, 4, 0, 4, 2, 0, 2)
         assert decode(EncodedBox(HBB(0, 0, 4, 4), 1, 1)).as_flat() == (0, 3, 3, 0, 4, 1, 1, 4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        corners=st.lists(st.floats(-1e308, 1e308), min_size=4, max_size=4),
+        fractions=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
+    )
+    def test_decode_matches_scalar_oracle_bit_for_bit(self, corners, fractions):
+        xmin, xmax = sorted(corners[:2])
+        ymin, ymax = sorted(corners[2:])
+        try:
+            e = EncodedBox(HBB(xmin, ymin, xmax, ymax), fractions[0] * (xmax - xmin),
+                           fractions[1] * (ymax - ymin))
+        except ValueError:
+            return  # extents that overflow are no box
+        want = [x.hex() for x in decode_oracle(e).as_flat()]
+        assert [x.hex() for x in decode(e).as_flat()] == want
 
     def test_encoded_box_invariants(self):
         with pytest.raises(ValueError):
