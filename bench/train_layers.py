@@ -9,6 +9,8 @@ Times, as medians over repeated runs on a seeded 1024 x 1024 scene of
 - ``total_loss``: the composite loss and its gradients on seeded
   predictions (class scores and centerness inside (0, 1), positive
   offsets) over all levels;
+- ``focal_sum``: the dense focal pass of ``total_loss`` alone, on the
+  same class scores and positives;
 - ``fit_demo_step``: ``fit_demo`` with one step, that is the initial
   evaluation, the chain rule and the backtracking trials of one step;
 - ``cli_fit_demo``: ``obbkit fit-demo --steps 8`` on the scene written
@@ -21,11 +23,13 @@ or from ./src when it is not importable)::
 
 The script uses only what releases before the lean training path
 already had (``assign_targets``, ``TargetMaps.concatenate``,
-``total_loss``, ``fit_demo`` and the CLI), so one script gives before and
-after numbers. BLAS is limited to one thread unless the environment sets
-otherwise. The JSON output records each case's runs, median and input
-size, plus the Python and numpy versions, the machine, and the BLAS
-thread setting.
+``total_loss``, ``_focal_sum(scores, pos, alpha, beta)``, ``fit_demo``
+and the CLI), so one script gives before and after numbers. BLAS is
+limited to one thread unless the environment sets otherwise. The JSON
+output records each case's runs, median and input size, and the minor
+page faults of each run (``ru_minflt`` of the whole process, so memory
+that is handed back to the OS and touched again shows up), plus the
+Python and numpy versions, the machine, and the BLAS thread setting.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ import json
 import math
 import os
 import platform
+import resource
 import statistics
 import sys
 import tempfile
@@ -58,7 +63,7 @@ except ImportError:
 from obbkit import cli  # noqa: E402
 from obbkit.config import build_config  # noqa: E402
 from obbkit.dota import parse_dota_annotations  # noqa: E402
-from obbkit.losses import PredictionBatch, fit_demo, total_loss  # noqa: E402
+from obbkit.losses import PredictionBatch, _focal_sum, fit_demo, total_loss  # noqa: E402
 from obbkit.targets import TargetMaps, assign_targets, grid_specs  # noqa: E402
 
 IMAGE_SIZE = 1024
@@ -128,12 +133,16 @@ def make_cases(root: Path):
     flat = TargetMaps.concatenate(assign())
     num_classes = len(gt.classes)
     preds = seeded_predictions(len(flat), num_classes)
-    num_pos = int((flat.class_id > 0).sum())
+    pos = np.flatnonzero(flat.class_id > 0)
+    onehot = pos * num_classes + flat.class_id[pos] - 1
+    num_pos = int(pos.size)
     scene = (f"{IMAGE_SIZE}x{IMAGE_SIZE}, {len(objects)} objects, {len(flat)} locations, "
              f"{num_pos} positives, {num_classes} classes")
     return {
         "assign_targets": (scene, assign),
         "total_loss": (scene, lambda: total_loss(preds, flat, cfg.weights)),
+        "focal_sum": (scene, lambda: _focal_sum(preds.class_scores, onehot,
+                                                cfg.weights.focal_alpha, cfg.weights.focal_beta)),
         "fit_demo_step": (scene, lambda: fit_demo(flat, cfg.weights, steps=1,
                                                   num_classes=num_classes)),
         "cli_fit_demo": (f"{scene}, fit-demo --steps {FIT_STEPS}", lambda: run_cli(
@@ -170,15 +179,17 @@ def main(argv=None):
         for name in names:
             description, run = cases[name]
             run()  # untimed warm-up
-            runs = []
+            runs, faults = [], []
             for _ in range(args.repeats):
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                 start = time.perf_counter()
                 run()
                 runs.append(time.perf_counter() - start)
+                faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
             results[name] = {"input": description, "median_s": statistics.median(runs),
-                             "runs_s": runs}
-            print(f"{name:16s} median {results[name]['median_s']:.4f} s  ({description})",
-                  flush=True)
+                             "runs_s": runs, "minor_faults": faults}
+            print(f"{name:16s} median {results[name]['median_s']:.4f} s  "
+                  f"minor faults {statistics.median(faults):g}  ({description})", flush=True)
     report = {"environment": environment(), "repeats": args.repeats, "cases": results}
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
 

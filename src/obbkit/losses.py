@@ -35,6 +35,9 @@ _UNION_TINY = 1e-12
 # Raw parameter bound in fit_demo; keeps sigmoids strictly inside (0, 1)
 # and exponentials finite in float64.
 _RAW_BOUND = 30.0
+# Entries per row block of the dense class passes: 256 KiB per float64
+# operand, so the few operands of one block stay in L2 between passes.
+_BLOCK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -115,41 +118,72 @@ class PredictionBatch:
         return self.class_scores.shape[1]
 
 def _require_open_unit(scores: np.ndarray) -> None:
-    # written so that NaN fails the test too
-    if not ((scores > 0.0) & (scores < 1.0)).all():
+    # min and max propagate NaN, which then fails the test; an empty array passes
+    if scores.size and not (scores.min() > 0.0 and scores.max() < 1.0):
         raise NonFiniteScore("scores must lie strictly inside (0, 1)")
 
 
-def _focal_sum(
-    scores: np.ndarray, pos: np.ndarray, alpha: float, beta: float
-) -> tuple[float, np.ndarray]:
-    """Unnormalized focal loss and gradient; pos holds the flat indices of y = 1.
+def _row_blocks(shape: tuple[int, ...], temps: int = 0):
+    """Cut axis 0 of an array of this shape into blocks of whole rows.
 
-    The background branch is evaluated everywhere, then the positive
-    branch overwrites the entries at pos only. The sum runs in C order
-    whatever the memory layout of scores.
+    Yields (rows, *buffers) per block of about _BLOCK_ENTRIES entries:
+    the block's slice of axis 0 and `temps` float buffers of the block's
+    shape, allocated once per call and reused by every block.
+    """
+    rows = shape[0]
+    step = max(_BLOCK_ENTRIES // max(math.prod(shape[1:]), 1), 1)
+    buffers = [np.empty((min(step, rows), *shape[1:])) for _ in range(temps)]
+    for start in range(0, rows, step):
+        stop = min(start + step, rows)
+        yield (slice(start, stop), *(b[: stop - start] for b in buffers))
+
+
+def _focal_sum(
+    scores: np.ndarray,
+    pos: np.ndarray,
+    alpha: float,
+    beta: float,
+    normalizer: float = 1.0,
+    *,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[float, np.ndarray]:
+    """Unnormalized focal loss and its gradient divided by normalizer.
+
+    pos holds the flat indices of y = 1. The background branch is
+    evaluated everywhere, one row block at a time, then the positive
+    branch overwrites the entries at pos only. out = (branch, grad), two
+    C-contiguous float arrays of the shape of scores, receives the
+    per-entry branch values and the returned gradient; fresh arrays are
+    used without it. The sum runs in C order whatever the memory layout
+    of scores.
     """
     scores = np.ascontiguousarray(scores)
-    om = 1.0 - scores
-    om_p = om.flat[pos]
-    log_om = np.log(om)
-    s_beta = scores**beta
-    # d/ds of -branch, branch by branch, in place:
-    # grad = -alpha * (beta * scores ** (beta - 1.0) * log_om - s_beta / om)
-    grad = scores ** (beta - 1.0)
-    grad *= beta
-    grad *= log_om
-    grad -= np.divide(s_beta, om, out=om)
-    grad *= -alpha
-    # branch = alpha * s_beta * log_om, in place
-    branch = np.multiply(s_beta, alpha, out=s_beta)
-    branch *= log_om
+    branch, grad = out if out is not None else (np.empty(scores.shape), np.empty(scores.shape))
+    for rows, om, log_om in _row_blocks(scores.shape, 2):
+        s, g, s_beta = scores[rows], grad[rows], branch[rows]
+        np.subtract(1.0, s, out=om)
+        np.log(om, out=log_om)
+        np.power(s, beta, out=s_beta)
+        # d/ds of -branch, in place:
+        # grad = -alpha * (beta * s ** (beta - 1.0) * log_om - s_beta / om)
+        np.power(s, beta - 1.0, out=g)
+        g *= beta
+        g *= log_om
+        g -= np.divide(s_beta, om, out=om)
+        g *= -alpha
+        g /= normalizer
+        # branch = alpha * s_beta * log_om, in place
+        s_beta *= alpha
+        s_beta *= log_om
     if pos.size:
         s = scores.flat[pos]
+        om_p = 1.0 - s
         log_s = np.log(s)
         om_beta = om_p**beta
         branch.flat[pos] = alpha * om_beta * log_s
-        grad.flat[pos] = -alpha * (-beta * om_p ** (beta - 1.0) * log_s + om_beta / s)
+        grad.flat[pos] = (
+            -alpha * (-beta * om_p ** (beta - 1.0) * log_s + om_beta / s) / normalizer
+        )
     return -float(branch.sum()), grad
 
 
@@ -172,8 +206,13 @@ def focal_loss(
     if normalizer < 1:
         raise ValueError(f"normalizer must be >= 1, got {normalizer}")
     _require_open_unit(scores)
-    loss, grad = _focal_sum(np.atleast_1d(scores), np.flatnonzero(targets == 1.0), alpha, beta)
-    return loss / normalizer, grad.reshape(scores.shape) / normalizer
+    bad = targets[(targets != 0.0) & (targets != 1.0)]
+    if bad.size:
+        raise ValueError(f"targets must be exactly 0 or 1, got {bad[0]}")
+    loss, grad = _focal_sum(
+        np.atleast_1d(scores), np.flatnonzero(targets == 1.0), alpha, beta, normalizer
+    )
+    return loss / normalizer, grad.reshape(scores.shape)
 
 
 def bce(pred: float, target: float) -> tuple[float, float]:
@@ -316,12 +355,17 @@ def total_loss(
     preds: PredictionBatch,
     targets: TargetMaps,
     weights: LossWeights,
+    *,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> TotalLossResult:
     """Composite loss over aligned prediction and target maps.
 
     Classification is scored on every location; centerness, box and
     orientation terms only on positives. The three sums are divided once
-    by max(num_pos, 1).
+    by max(num_pos, 1). out = (branch, grad), two C-contiguous (L, C)
+    float arrays, receives the focal branch values and the class-score
+    gradient, which is returned as class_score_grad; fresh arrays are
+    used without it.
     """
     n = preds.num_locations
     if len(targets) != n:
@@ -340,7 +384,7 @@ def total_loss(
     _require_open_unit(preds.class_scores)
     onehot = pos_idx * num_classes + labels[pos_idx] - 1  # flat indices of the y = 1 scores
     cls_sum, cls_grad = _focal_sum(
-        preds.class_scores, onehot, weights.focal_alpha, weights.focal_beta
+        preds.class_scores, onehot, weights.focal_alpha, weights.focal_beta, norm, out=out
     )
 
     centerness_grad = np.zeros(n)
@@ -381,7 +425,6 @@ def total_loss(
         num_pos=num_pos,
         normalizer=norm,
     )
-    cls_grad /= norm
     return TotalLossResult(breakdown, cls_grad, centerness_grad, ltrb_grad, wh_grad)
 
 
@@ -417,15 +460,23 @@ def grad_check(
     return worst
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic function: 1 / (1 + e) where z >= 0 and e / (1 + e) elsewhere, e = exp(-|z|)."""
-    e = np.abs(z)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    d = 1.0 + e
-    np.divide(e, d, out=e)
-    np.divide(1.0, d, out=e, where=z >= 0)
-    return e
+def _sigmoid(z: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function: 1 / (1 + e) where z >= 0 and e / (1 + e) elsewhere, e = exp(-|z|).
+
+    Runs one row block of z at a time. out, a C-contiguous float array of
+    the shape of z, receives the result; a fresh array is used without it.
+    """
+    if out is None:
+        out = np.empty(z.shape)
+    for rows, d in _row_blocks(z.shape, 1):
+        nonneg = z[rows] >= 0
+        e = np.abs(z[rows], out=out[rows])
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        np.add(1.0, e, out=d)
+        np.divide(e, d, out=e)
+        np.divide(1.0, d, out=e, where=nonneg)
+    return out
 
 
 @dataclass
@@ -463,7 +514,10 @@ def fit_demo(
     Class logits are kept at every location; the centerness logit, log
     ltrb and log wh only at the positives. Their gradient is exactly 0
     on background, so there they would stay 0.0 and predict the
-    constants 0.5 (centerness) and 1.0 (offsets) on every step.
+    constants 0.5 (centerness) and 1.0 (offsets) on every step. All
+    (L, C) class work runs in one workspace allocated per call, so no
+    evaluation allocates a dense array; final_batch.class_scores is a
+    view of it.
 
     Raises ValueError unless steps >= 0 and lr is finite and >= 0, and
     Diverged if the loss ever becomes non-finite.
@@ -481,34 +535,38 @@ def fit_demo(
         raise ValueError("fit_demo needs at least one positive target")
 
     n = len(targets)
-    logits = np.zeros((n, num_classes))
+    # the dense class work of the whole fit, one (L, C) slot each
+    logits, trial_logits, scores, cand_scores, score_grad, cand_grad, branch, cls_grad = np.zeros(
+        (8, n, num_classes)
+    )
     # columns: centerness logit, log ltrb (4), log wh (2)
     reg = np.zeros((pos.size, 7))
 
-    def evaluate(logits: np.ndarray, reg: np.ndarray) -> tuple[PredictionBatch, TotalLossResult]:
+    def evaluate(
+        logits: np.ndarray, reg: np.ndarray, scores: np.ndarray, score_grad: np.ndarray
+    ) -> tuple[PredictionBatch, TotalLossResult]:
         centerness = np.full(n, 0.5)
         ltrb = np.ones((n, 4))
         wh = np.ones((n, 2))
         centerness[pos] = _sigmoid(reg[:, 0])
         ltrb[pos] = np.exp(reg[:, 1:5])
         wh[pos] = np.exp(reg[:, 5:])
-        batch = PredictionBatch(_sigmoid(logits), centerness, ltrb, wh)
-        return batch, total_loss(batch, targets, weights)
+        batch = PredictionBatch(_sigmoid(logits, out=scores), centerness, ltrb, wh)
+        return batch, total_loss(batch, targets, weights, out=(branch, score_grad))
 
-    batch, result = evaluate(logits, reg)
+    batch, result = evaluate(logits, reg, scores, score_grad)
     if not math.isfinite(result.breakdown.total):
         raise Diverged("loss non-finite at initialization")
     trajectory: list[LossBreakdown] = [result.breakdown]
-    # class-block work buffers: the logit gradient, a temporary, the trial logits
-    cls_grad, scratch, trial_logits = (np.empty_like(logits) for _ in range(3))
     frozen = lr == 0.0
     step_size = lr
     for _ in range(steps):
         if not frozen:
             # chain rule through the sigmoid / exp parameterizations
-            np.multiply(result.class_score_grad, batch.class_scores, out=cls_grad)
-            np.subtract(1.0, batch.class_scores, out=scratch)
-            cls_grad *= scratch
+            for rows, om in _row_blocks(cls_grad.shape, 1):
+                s = batch.class_scores[rows]
+                g = np.multiply(result.class_score_grad[rows], s, out=cls_grad[rows])
+                g *= np.subtract(1.0, s, out=om)
             cent = batch.centerness[pos]
             reg_grad = np.concatenate(
                 [
@@ -521,11 +579,12 @@ def fit_demo(
             trial = min(step_size * 2.0, 1e4)
             accepted = False
             for _try in range(60):
-                np.multiply(cls_grad, trial, out=trial_logits)
-                np.subtract(logits, trial_logits, out=trial_logits)
-                np.clip(trial_logits, -_RAW_BOUND, _RAW_BOUND, out=trial_logits)
+                for (rows,) in _row_blocks(cls_grad.shape):
+                    t = np.multiply(cls_grad[rows], trial, out=trial_logits[rows])
+                    np.subtract(logits[rows], t, out=t)
+                    np.clip(t, -_RAW_BOUND, _RAW_BOUND, out=t)
                 trial_reg = np.clip(reg - trial * reg_grad, -_RAW_BOUND, _RAW_BOUND)
-                cand_batch, cand_result = evaluate(trial_logits, trial_reg)
+                cand_batch, cand_result = evaluate(trial_logits, trial_reg, cand_scores, cand_grad)
                 if (
                     math.isfinite(cand_result.breakdown.total)
                     and cand_result.breakdown.total <= result.breakdown.total
@@ -533,7 +592,9 @@ def fit_demo(
                     accepted = not (
                         np.array_equal(trial_reg, reg) and np.array_equal(trial_logits, logits)
                     )
+                    # the accepted and candidate slots swap roles
                     logits, trial_logits = trial_logits, logits
+                    cand_scores, cand_grad = batch.class_scores, result.class_score_grad
                     reg, batch, result = trial_reg, cand_batch, cand_result
                     step_size = trial
                     break

@@ -26,7 +26,7 @@ ROOT = Path(__file__).resolve().parents[1]
         ),
         (
             "train_layers.py",
-            ["assign_targets", "total_loss", "fit_demo_step", "cli_fit_demo"],
+            ["assign_targets", "total_loss", "focal_sum", "fit_demo_step", "cli_fit_demo"],
         ),
     ],
 )
@@ -42,3 +42,6 @@ def test_script_runs_every_case(script, cases, tmp_path):
     assert list(report["cases"]) == cases
     for result in report["cases"].values():
         assert len(result["runs_s"]) == 1
+        if script == "train_layers.py":
+            (faults,) = result["minor_faults"]
+            assert isinstance(faults, int) and faults >= 0

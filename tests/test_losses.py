@@ -61,6 +61,28 @@ class TestFocalLoss:
         with pytest.raises(ShapeMismatch):
             focal_loss(np.zeros((2, 2)) + 0.5, np.zeros((2, 3)), 0.3, 4.0, 1.0)
 
+    @pytest.mark.parametrize("target", [0.7, 2.0, math.nan, -1.0, 5e-324, math.inf])
+    def test_non_binary_target_rejected(self, target):
+        # such a target used to be scored as background, silently
+        with pytest.raises(ValueError, match="exactly 0 or 1"):
+            focal_loss(np.array([0.5, 0.5]), np.array([1.0, target]), 0.3, 4.0, 1.0)
+        with pytest.raises(ValueError, match="exactly 0 or 1"):
+            focal_loss(np.array([[0.2], [0.5]]), np.array([[target], [0.0]]), 0.3, 4.0, 1.0)
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_empty_score_map(self, shape):
+        value, grad = focal_loss(np.empty(shape), np.empty(shape), 0.3, 4.0, 2.0)
+        assert value == 0.0 and grad.shape == shape
+
+    def test_signed_zero_target_is_background(self):
+        neg, grad = focal_loss(np.array([0.5]), np.array([-0.0]), 0.3, 4.0, 1.0)
+        ref, ref_grad = focal_loss(np.array([0.5]), np.array([0.0]), 0.3, 4.0, 1.0)
+        assert neg == ref and np.array_equal(grad, ref_grad)
+
+    def test_score_checked_before_target(self):
+        with pytest.raises(NonFiniteScore):
+            focal_loss(np.array([1.5]), np.array([0.7]), 0.3, 4.0, 1.0)
+
     def test_beta_zero_alpha_one_is_mean_bce(self):
         rng = np.random.default_rng(8)
         scores = rng.uniform(0.05, 0.95, 25)

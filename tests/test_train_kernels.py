@@ -5,7 +5,10 @@ work than the expression forms kept in helpers.py; every float they
 produce must be identical to the reference. A seeded two-level `fit_demo`
 run is pinned by the float.hex of every loss component at every step and
 by a hash of its final predictions, recorded from the dense (L, C + 7)
-parameterization it replaced.
+parameterization it replaced. The dense class passes run in row blocks of
+`losses._BLOCK_ENTRIES` entries; the same properties and pins are checked
+again with tiny blocks, so that every input spans many blocks and most end
+in a ragged one.
 """
 
 import hashlib
@@ -16,7 +19,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obbkit.losses import LossWeights, _focal_sum, _sigmoid, fit_demo
+from obbkit import losses
+from obbkit.losses import (
+    LossWeights,
+    PredictionBatch,
+    _focal_sum,
+    _sigmoid,
+    fit_demo,
+    total_loss,
+)
 from obbkit.targets import (
     FeatureGridSpec,
     GroundTruthObject,
@@ -108,6 +119,39 @@ class TestFocalSum:
         ref_loss, ref_grad = focal_sum_oracle(scores, pos, 0.3, 4.0)
         assert loss.hex() == ref_loss.hex()
         assert same_bits(grad, ref_grad)
+
+
+@pytest.fixture(scope="class", params=[1, 10])
+def tiny_blocks(request):
+    """Row blocks of 1 or 10 entries for every test of the class."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(losses, "_BLOCK_ENTRIES", request.param)
+        yield request.param
+
+
+@pytest.mark.usefixtures("tiny_blocks")
+class TestSigmoidTinyBlocks(TestSigmoid):
+    pass
+
+
+@pytest.mark.usefixtures("tiny_blocks")
+class TestFocalSumTinyBlocks(TestFocalSum):
+    pass
+
+
+def test_full_size_class_pass_matches_oracles():
+    """The perfbench `train` shape, 21,824 locations x 15 classes, over default blocks."""
+    rng = np.random.default_rng(15)
+    logits = rng.uniform(-30.0, 30.0, (21824, 15))
+    logits[rng.random(logits.shape) < 0.01] = 0.0
+    scores = _sigmoid(logits)
+    assert same_bits(scores, sigmoid_oracle(logits))
+    assert scores.size > 4 * losses._BLOCK_ENTRIES
+    pos = np.flatnonzero(rng.random(scores.size) < 0.003)
+    loss, grad = _focal_sum(scores, pos, 0.3, 4.0)
+    ref_loss, ref_grad = focal_sum_oracle(scores, pos, 0.3, 4.0)
+    assert loss.hex() == ref_loss.hex()
+    assert same_bits(grad, ref_grad)
 
 
 def _box(x0, y0, w, h):
@@ -296,3 +340,54 @@ class TestPinnedFitDemo:
     def test_rejects_bad_arguments(self, steps, lr, match):
         with pytest.raises(ValueError, match=match):
             fit_demo(pinned_scene(), LossWeights(), steps=steps, lr=lr, num_classes=3)
+
+
+@pytest.mark.usefixtures("tiny_blocks")
+class TestPinnedFitDemoTinyBlocks(TestPinnedFitDemo):
+    pass
+
+
+def other_scene(seed: int) -> TargetMaps:
+    """Same grid as pinned_scene, other objects: equal-shaped class blocks."""
+    rng = np.random.default_rng(seed)
+    objects = [
+        GroundTruthObject(rotated_rect(*rng.uniform(24.0, 104.0, 2), *rng.uniform(8.0, 64.0, 2),
+                                       rng.uniform(-90.0, 90.0)), k % 3 + 1)
+        for k in range(3)
+    ]
+    specs = grid_specs(128, 128, (8, 16))
+    return TargetMaps.concatenate(
+        assign_targets(specs, LevelRanges([(0, 24), (24, math.inf)]), objects)
+    )
+
+
+class TestIsolation:
+    """Results own their arrays: later calls on other scenes leave them alone."""
+
+    def test_fit_demo_result_survives_later_fits(self):
+        result = fit_demo(pinned_scene(), LossWeights(), steps=40, lr=0.05, num_classes=3)
+        quads, fused = result.decoded_quads.copy(), list(result.fused_scores)
+        fit_demo(other_scene(3), LossWeights(), steps=12, lr=0.05, num_classes=3)
+        fit_demo(other_scene(4), LossWeights(), steps=5, lr=0.05, num_classes=5)
+        assert [hex_row(b) for b in result.trajectory] == list(PINNED_TRAJECTORY)
+        assert batch_digest(result.final_batch) == PINNED_FINAL_BATCH
+        assert same_bits(result.decoded_quads, quads)
+        assert result.fused_scores == fused
+
+    def test_total_loss_gradients_survive_later_calls(self):
+        targets = pinned_scene()
+        rng = np.random.default_rng(5)
+
+        def preds():
+            n = len(targets)
+            return PredictionBatch(rng.uniform(0.01, 0.99, (n, 3)), rng.uniform(0.01, 0.99, n),
+                                   rng.uniform(1.0, 40.0, (n, 4)), rng.uniform(1.0, 40.0, (n, 2)))
+
+        result = total_loss(preds(), targets, LossWeights())
+        names = ("class_score_grad", "centerness_grad", "ltrb_grad", "wh_grad")
+        before = {name: getattr(result, name).copy() for name in names}
+        total_loss(preds(), targets, LossWeights())
+        total_loss(preds(), other_scene(3), LossWeights())
+        fit_demo(other_scene(3), LossWeights(), steps=3, lr=0.05, num_classes=3)
+        for name in names:
+            assert same_bits(getattr(result, name), before[name]), name
