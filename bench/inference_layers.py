@@ -56,8 +56,9 @@ except ImportError:
 from obbkit.geometry import canonicalize, canonicalize_many, encode  # noqa: E402
 from obbkit.ie_attention import AttentionWeights, FeatureMap, ie_fuse  # noqa: E402
 from obbkit.inference import (  # noqa: E402
+    NMS_IOU_THRESHOLD,
+    SCORE_THRESHOLD,
     DetectionSet,
-    InferenceConfig,
     nms_per_image,
     run_inference,
 )
@@ -181,8 +182,9 @@ def fusion_maps(rng, channels=64, sides=(128, 64, 32, 16, 8)):
     ]
 
 
-def candidates(batches, threshold=InferenceConfig().score_threshold):
-    return int(sum((b.class_scores * b.centerness[:, None] >= threshold).sum() for b in batches))
+def candidates(batches):
+    fused = (b.class_scores * b.centerness[:, None] for b in batches)
+    return int(sum((f >= SCORE_THRESHOLD).sum() for f in fused))
 
 
 def make_cases():
@@ -195,8 +197,8 @@ def make_cases():
     )
     dense, dense_specs = dense_map(np.random.default_rng(21824))
     cases["run_inference_dense"] = (
-        f"21,824 locations x 15 classes, {candidates(dense)} candidates, NMS 0.5",
-        lambda: run_inference(dense, dense_specs, InferenceConfig(nms_iou_threshold=0.5)),
+        f"21,824 locations x 15 classes, {candidates(dense)} candidates, NMS {NMS_IOU_THRESHOLD}",
+        lambda: run_inference(dense, dense_specs),
     )
     scattered = scattered_boxes(np.random.default_rng(2000))
     cases["nms_scattered"] = ("2000 one-class boxes, NMS 0.5", lambda: nms_per_image(scattered, 0.5))

@@ -73,7 +73,6 @@ from .ie_attention import (
 from .inference import (
     Detection,
     DetectionSet,
-    InferenceConfig,
     nms_per_image,
     run_inference,
 )

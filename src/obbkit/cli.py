@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dota
-from .config import RunConfig, build_config, parse_metric_mode, read_config_file
+from .config import RunConfig, build_config, read_config_file
 from .errors import DegenerateQuad, Diverged, NonFiniteScore, ObbkitError, ParseError
 from .evaluation import evaluate
 from .geometry import (
@@ -42,16 +42,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _load_config(args) -> RunConfig:
-    file_values = {}
-    if getattr(args, "config", None):
-        file_values = read_config_file(args.config)
-    overrides: dict[str, str] = {}
-    for item in getattr(args, "set", None) or []:
+def _load_config(args, **flags) -> RunConfig:
+    """The run config of --config, then the --set pairs, then each flag
+    value given as a config key (None: the flag was not given)."""
+    file_values = read_config_file(args.config) if args.config else {}
+    overrides: dict[str, object] = {}
+    for item in args.set or []:
         key, sep, value = item.partition("=")
         if not sep:
             raise ValueError(f"--set expects key=value, got {item!r}")
         overrides[key.strip()] = value.strip()
+    overrides.update((key, value) for key, value in flags.items() if value is not None)
     return build_config(file_values, **overrides)
 
 
@@ -161,17 +162,14 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_assign(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, center_radius_mult=args.radius_mult)
+    size = _parse_image_size(args.image_size) if args.image_size else None
     gt = dota.parse_dota_annotations(args.gt)
-    radius = args.radius_mult if args.radius_mult is not None else cfg.center_radius_mult
     for image_id in sorted(gt.images):
         objects = gt.images[image_id]
-        if args.image_size:
-            width, height = _parse_image_size(args.image_size)
-        else:
-            width, height = _derive_image_size(objects, cfg.strides)
+        width, height = size or _derive_image_size(objects, cfg.strides)
         specs = grid_specs(width, height, cfg.strides)
-        levels = assign_targets(specs, cfg.level_ranges, objects, radius)
+        levels = assign_targets(specs, cfg.level_ranges, objects, cfg.center_radius_mult)
         print(f"# image {image_id} size {width}x{height}")
         for spec, maps in zip(specs, levels):
             pos = np.flatnonzero(maps.class_id > 0)
@@ -284,14 +282,12 @@ def _cmd_nms(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    cfg = _load_config(args)
-    gt = dota.parse_dota_annotations(args.gt, unknown_category=args.unknown_category)
+    cfg = _load_config(args, eval_iou_threshold=args.iou, metric_mode=args.mode)
+    gt = dota.parse_dota_annotations(args.gt)
     dets, _ = dota.parse_dota_detections(
         args.dets, gt.classes, unknown_category=args.unknown_category
     )
-    iou = args.iou if args.iou is not None else cfg.eval_iou_threshold
-    mode = parse_metric_mode(args.mode) if args.mode else cfg.metric_mode
-    report = evaluate(dets, gt, iou, mode)
+    report = evaluate(dets, gt, cfg.eval_iou_threshold, cfg.metric_mode)
     name_width = max([len(n) for n in gt.classes.names] + [len("class"), len("mAP")])
     print(f"{'class':<{name_width}}  ap")
     for name in gt.classes.names:
@@ -428,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--unknown-category",
         choices=["error", "skip"],
         default="error",
-        help="how to treat categories missing from the class table",
+        help="how to treat detection files whose class is not in the annotations",
     )
     _add_config_flags(p)
     p.set_defaults(handler=_cmd_eval)

@@ -1,12 +1,13 @@
 """Run configuration: defaults, flat key=value config files, flag overrides.
 
-Precedence is flags > config file > built-in defaults.
+Precedence is overrides (the CLI's flags, then its --set pairs) > config
+file > built-in defaults.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ParseError
@@ -74,6 +75,18 @@ def read_config_file(path) -> dict[str, str]:
     return out
 
 
+# Config keys: every LossWeights field (a float), and each RunConfig
+# field below with the parser of its value.
+_WEIGHT_KEYS = frozenset(f.name for f in fields(LossWeights))
+_PARSERS = {
+    "strides": parse_strides,
+    "level_ranges": parse_level_ranges,
+    "center_radius_mult": float,
+    "metric_mode": parse_metric_mode,
+    "eval_iou_threshold": float,
+}
+
+
 def build_config(file_values: dict[str, str] | None = None, **overrides) -> RunConfig:
     """Merge defaults, config-file values and keyword overrides.
 
@@ -85,30 +98,12 @@ def build_config(file_values: dict[str, str] | None = None, **overrides) -> RunC
         if value is not None:
             merged[key] = value if isinstance(value, str) else str(value)
 
-    weights_kwargs = {}
-    config_kwargs = {}
-    weight_fields = {
-        "reg_weight",
-        "ori_weight",
-        "reg_l1_weight",
-        "ori_l1_weight",
-        "focal_alpha",
-        "focal_beta",
-        "smooth_l1_delta",
-    }
+    weights, settings = {}, {}
     for key, raw in merged.items():
-        if key in weight_fields:
-            weights_kwargs[key] = float(raw)
-        elif key == "strides":
-            config_kwargs["strides"] = parse_strides(raw)
-        elif key == "level_ranges":
-            config_kwargs["level_ranges"] = parse_level_ranges(raw)
-        elif key == "center_radius_mult":
-            config_kwargs["center_radius_mult"] = float(raw)
-        elif key == "metric_mode":
-            config_kwargs["metric_mode"] = parse_metric_mode(raw)
-        elif key == "eval_iou_threshold":
-            config_kwargs["eval_iou_threshold"] = float(raw)
+        if key in _WEIGHT_KEYS:
+            weights[key] = float(raw)
+        elif key in _PARSERS:
+            settings[key] = _PARSERS[key](raw)
         else:
             raise ValueError(f"unknown config key {key!r}")
-    return RunConfig(weights=LossWeights(**weights_kwargs), **config_kwargs)
+    return RunConfig(weights=LossWeights(**weights), **settings)

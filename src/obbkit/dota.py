@@ -105,23 +105,26 @@ def _annotation_table(path) -> tuple[np.ndarray, list[str], list[bool]]:
     return coords, [t[8] for _, t in lines], [t[9:] == ["1"] for _, t in lines]
 
 
-def parse_dota_annotations(
-    directory,
-    classes: ClassTable | None = None,
-    *,
-    unknown_category: str = "error",
-) -> GtIndex:
+def _txt_files(directory) -> list[Path]:
+    """The sorted *.txt files of a directory; raises FileNotFoundError or
+    NotADirectoryError when the path is missing or is not a directory."""
+    directory = Path(directory)
+    if not directory.is_dir():
+        if directory.exists():
+            raise NotADirectoryError(f"not a directory: {directory}")
+        raise FileNotFoundError(f"no such directory: {directory}")
+    return sorted(directory.glob("*.txt"))
+
+
+def parse_dota_annotations(directory, classes: ClassTable | None = None) -> GtIndex:
     """Read a directory of per-image annotation files into a GtIndex.
 
     Without an explicit class table, ids are assigned densely over the
-    sorted category names found in the data. unknown_category chooses
-    between raising and silently skipping records whose category is
-    missing from an explicit table. Every file is parsed before any quad
-    is checked.
+    sorted category names found in the data; with one, a category missing
+    from it raises UnknownCategory. Every file is parsed before any quad
+    is checked, and a bad quad on an earlier record is the first error.
     """
-    if unknown_category not in ("error", "skip"):
-        raise ValueError("unknown_category must be 'error' or 'skip'")
-    files = sorted(Path(directory).glob("*.txt"))
+    files = _txt_files(directory)
     tables = [_annotation_table(f) for f in files]
     categories = [name for _, names, _ in tables for name in names]
     if classes is None:
@@ -135,16 +138,11 @@ def parse_dota_annotations(
     difficult = np.array([d for _, _, flags in tables for d in flags], dtype=bool)
     ids = {name: class_id for class_id, name in enumerate(classes.names, 1)}
     class_id = np.array([ids.get(name, 0) for name in categories], dtype=int)
-    known = class_id > 0
-    if unknown_category == "error" and not known.all():
-        first = int(np.argmin(known))
-        # a bad quad in an earlier record is the first error
+    if not class_id.all():
+        first = int(np.argmin(class_id))
         _canonical_quads(coords[:first])
         classes.id_of(categories[first])
-    return GtIndex(
-        image_ids, image[known], _canonical_quads(coords[known]), class_id[known],
-        difficult[known], classes,
-    )
+    return GtIndex(image_ids, image, _canonical_quads(coords), class_id, difficult, classes)
 
 
 def _class_name_from_filename(path: Path) -> str:
@@ -183,12 +181,12 @@ def parse_dota_detections(
     file order, together with the class table (inferred from the
     filenames when not supplied). Duplicate lines are preserved;
     suppression is a separate step. unknown_category chooses between
-    raising and skipping, as in :func:`parse_dota_annotations`; the first
-    error in file order is the one raised.
+    raising and skipping a file whose class is missing from the table;
+    the first error in file order is the one raised.
     """
     if unknown_category not in ("error", "skip"):
         raise ValueError("unknown_category must be 'error' or 'skip'")
-    files = sorted(Path(directory).glob("*.txt"))
+    files = _txt_files(directory)
     if classes is None:
         classes = ClassTable(tuple(sorted({_class_name_from_filename(f) for f in files})))
 

@@ -36,8 +36,13 @@ NMS_PAIRS_PER_BAND = 1 << 18
 # Batched clipping rounds per NMS band before the undecided rows fall back
 # to one clip of all their pairs.
 _NMS_ROUNDS = 4
-# Candidates per pyramid level kept for NMS, best fused scores first (FCOS).
+# run_inference's fixed post-processing: the fused score a candidate must
+# reach, the candidates per pyramid level kept for NMS (best fused scores
+# first, as in FCOS), the NMS IoU threshold and the detections returned.
+SCORE_THRESHOLD = 0.05
 PRE_NMS_TOP_N = 1000
+NMS_IOU_THRESHOLD = 0.5
+MAX_DETECTIONS = 2000
 
 
 @dataclass(frozen=True)
@@ -117,28 +122,6 @@ class DetectionSet:
         return DetectionSet(
             self.image_ids, self.image[rows], self.quads[rows], self.class_id[rows], self.score[rows]
         )
-
-
-@dataclass(frozen=True)
-class InferenceConfig:
-    """Post-processing knobs.
-
-    The score threshold applies to the fused class x centerness score.
-    nms_iou_threshold=1.0 keeps every candidate, since polygon IoU never
-    exceeds 1.
-    """
-
-    score_threshold: float = 0.05
-    nms_iou_threshold: float = 0.5
-    max_detections: int = 2000
-
-    def __post_init__(self):
-        if not (0.0 <= self.score_threshold <= 1.0):
-            raise ValueError("score_threshold must lie in [0, 1]")
-        if not (0.0 <= self.nms_iou_threshold <= 1.0):
-            raise ValueError("nms_iou_threshold must lie in [0, 1]")
-        if self.max_detections < 0:
-            raise ValueError("max_detections must be >= 0")
 
 
 def _band_pairs(
@@ -260,19 +243,19 @@ def _in_unit_interval(values: np.ndarray) -> bool:
 def run_inference(
     preds_per_level: Sequence[PredictionBatch],
     specs: Sequence[FeatureGridSpec],
-    config: InferenceConfig = InferenceConfig(),
 ) -> list[Detection]:
     """Full post-processing over all pyramid levels.
 
     Each batch holds row-major (y_s outer, x_s inner) locations for its
     grid; every class score and centerness must lie in [0, 1]. Every
     (location, class) pair whose fused score (class score x centerness)
-    clears the threshold is a candidate. Per level, the PRE_NMS_TOP_N
+    reaches SCORE_THRESHOLD is a candidate. Per level, the PRE_NMS_TOP_N
     highest-scored candidates (ties broken by candidate order) are decoded
     to quads around their grid points; candidates in (level, location,
-    class) order then pass through rotated NMS, and the best
-    max_detections survive. A decode error (an inverted or non-finite box,
-    NaN wh) raises ValueError only at a location that is decoded.
+    class) order then pass through rotated NMS at NMS_IOU_THRESHOLD, and
+    the best MAX_DETECTIONS survive. A decode error (an inverted or
+    non-finite box, NaN wh) raises ValueError only at a location that is
+    decoded.
     """
     if len(preds_per_level) != len(specs):
         raise ShapeMismatch(f"{len(preds_per_level)} batches vs {len(specs)} grid specs")
@@ -286,7 +269,7 @@ def run_inference(
         if not (_in_unit_interval(batch.class_scores) and _in_unit_interval(batch.centerness)):
             raise ValueError("scores must lie in [0, 1]")
         fused = batch.class_scores * batch.centerness[:, None]
-        loc, cls = np.nonzero(fused >= config.score_threshold)
+        loc, cls = np.nonzero(fused >= SCORE_THRESHOLD)
         score = fused[loc, cls]
         if len(score) > PRE_NMS_TOP_N:
             # the best scores, ties to the earlier candidate, back in candidate order
@@ -301,8 +284,7 @@ def run_inference(
     if not quads:
         return []
     quads_all, classes_all, scores_all = (np.concatenate(x) for x in (quads, classes, scores))
-    keep = _nms_keep(quads_all, classes_all, scores_all, config.nms_iou_threshold)
-    keep = keep[: config.max_detections]
+    keep = _nms_keep(quads_all, classes_all, scores_all, NMS_IOU_THRESHOLD)[:MAX_DETECTIONS]
     return [
         Detection(quad, class_id, score)
         for quad, class_id, score in zip(

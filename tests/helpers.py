@@ -20,7 +20,7 @@ from obbkit.geometry import (
     polygon_iou_pairs,
 )
 from obbkit.ie_attention import softmax_rows
-from obbkit.inference import Detection, InferenceConfig
+from obbkit.inference import Detection
 from obbkit.targets import FeatureGridSpec, GroundTruthObject, TargetMaps, _centerness
 
 
@@ -304,8 +304,10 @@ def decode_oracle(e) -> Quad:
     )
 
 
-def run_inference_oracle(preds_per_level, specs, config=InferenceConfig()):
-    """Post-processing one (location, class) pair at a time, with no pre-NMS cap."""
+def run_inference_oracle(preds_per_level, specs):
+    """Post-processing one (location, class) pair at a time, with no pre-NMS cap,
+    under the inference module's current SCORE_THRESHOLD, NMS_IOU_THRESHOLD
+    and MAX_DETECTIONS."""
     if len(preds_per_level) != len(specs):
         raise ShapeMismatch("batch and spec counts differ")
     candidates = []
@@ -320,13 +322,13 @@ def run_inference_oracle(preds_per_level, specs, config=InferenceConfig()):
                 if not (0.0 <= cls <= 1.0 and 0.0 <= cent <= 1.0):
                     raise ValueError("scores must lie in [0, 1]")
                 score = cls * cent
-                if score < config.score_threshold:
+                if score < inference.SCORE_THRESHOLD:
                     continue
                 point = grid_to_image(spec, x_s, y_s)
                 quad = quad_from_offsets_oracle(point, batch.ltrb[idx], batch.wh[idx])
                 candidates.append(Detection(quad, c + 1, score))
-    kept = rotated_nms_oracle(candidates, config.nms_iou_threshold)
-    return kept[: config.max_detections]
+    kept = rotated_nms_oracle(candidates, inference.NMS_IOU_THRESHOLD)
+    return kept[: inference.MAX_DETECTIONS]
 
 
 def match_flags_oracle(dets_per_image, gt, class_id, iou_thresh):
@@ -428,9 +430,9 @@ def annotation_records_oracle(path):
     return records
 
 
-def parse_dota_annotations_oracle(directory, classes=None, *, unknown_category="error"):
+def parse_dota_annotations_oracle(directory, classes=None):
     """The annotation parser record by record: every file is parsed first, then
-    each kept record's quad goes through canonicalize_oracle."""
+    each record's quad goes through canonicalize_oracle."""
     per_file = {f: annotation_records_oracle(f) for f in sorted(Path(directory).glob("*.txt"))}
     if classes is None:
         classes = ClassTable(tuple(sorted({name for rs in per_file.values() for _, name, _ in rs})))
@@ -438,12 +440,7 @@ def parse_dota_annotations_oracle(directory, classes=None, *, unknown_category="
     for f, records in per_file.items():
         objs = images.setdefault(f.stem, [])
         for coords, name, difficult in records:
-            try:
-                class_id = classes.id_of(name)
-            except UnknownCategory:
-                if unknown_category == "skip":
-                    continue
-                raise
+            class_id = classes.id_of(name)
             quad = canonicalize_oracle(list(zip(coords[0::2], coords[1::2])))
             objs.append(GroundTruthObject(quad, class_id, difficult))
     return GtIndex.from_mapping(images, classes)

@@ -265,6 +265,87 @@ class TestAssignCommand:
 
         assert count(narrow) <= count(wide)
 
+    def test_bad_image_size_without_annotations(self, tmp_path, capsys):
+        empty = tmp_path / "gt"
+        empty.mkdir()
+        code, out, err = run_cli(capsys, "assign", "--gt", str(empty), "--image-size", "bogus")
+        assert (code, out) == (2, "")
+        assert err == "error: --image-size expects WxH, got 'bogus'\n"
+
+
+class TestFlagPrecedence:
+    """A flag beats --set, which beats --config, which beats the default."""
+
+    @pytest.mark.parametrize(
+        "command, flag, key, value, other",
+        [
+            ("eval", "--iou", "eval_iou_threshold", "0.7", "0.3"),
+            ("eval", "--mode", "metric_mode", "all", "07"),
+            ("assign", "--radius-mult", "center_radius_mult", "0.5", "2.0"),
+        ],
+    )
+    def test_order(self, command, flag, key, value, other, scene, capsys, tmp_path):
+        if command == "eval":
+            argv = ["eval", "--gt", str(scene / "gt"), "--dets", str(scene / "dets")]
+        else:
+            argv = ["assign", "--gt", str(scene / "gt"), "--set", "strides=4",
+                    "--set", "level_ranges=0:inf"]
+
+        def config(raw):
+            path = tmp_path / f"{raw}.cfg"
+            path.write_text(f"{key}={raw}\n")
+            return str(path)
+
+        def stdout(*extra):
+            code, out, err = run_cli(capsys, *argv, *extra)
+            assert (code, err) == (0, "")
+            return out
+
+        want = stdout(flag, value)
+        assert want != stdout()
+        assert stdout("--set", f"{key}={value}") == want
+        assert stdout("--set", f"{key}={other}", flag, value) == want
+        assert stdout("--config", config(other), "--set", f"{key}={value}") == want
+        assert stdout("--config", config(value)) == want
+
+
+class TestNotADirectory:
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("eval", "--gt"), ("eval", "--dets"), ("nms", "--dets"), ("assign", "--gt"),
+         ("fit-demo", "--gt")],
+    )
+    def test_is_data_error(self, command, flag, kind, scene, capsys, tmp_path):
+        bad = tmp_path / "nope"
+        if kind == "file":
+            bad.write_text("")
+        args = {
+            "eval": {"--gt": scene / "gt", "--dets": scene / "dets"},
+            "nms": {"--dets": scene / "dets", "--out": tmp_path / "out"},
+            "assign": {"--gt": scene / "gt"},
+            "fit-demo": {"--gt": scene / "gt", "--steps": 8},
+        }[command]
+        args[flag] = bad
+        code, out, err = run_cli(capsys, command, *(str(v) for kv in args.items() for v in kv))
+        assert (code, out) == (2, "")
+        reason = "not a directory" if kind == "file" else "no such directory"
+        assert err == f"error: {reason}: {bad}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "nms", "assign", "fit-demo"])
+    def test_empty_directory_is_valid(self, command, capsys, tmp_path):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        extra = {
+            "eval": ["--gt", empty, "--dets", empty],
+            "nms": ["--dets", empty, "--out", tmp_path / "out"],
+            "assign": ["--gt", empty],
+            "fit-demo": ["--gt", empty],
+        }[command]
+        code, _, err = run_cli(capsys, command, *map(str, extra))
+        assert (code, err) == (0, "")
+
 
 class TestLossCommand:
     def write_files(self, tmp_path, centerness="0.6", kink_free=False):

@@ -251,24 +251,22 @@ def test_fuzz_detection_parser(plane, ship):
 @given(
     a=st.lists(_gt_line, max_size=6),
     b=st.lists(_gt_line, max_size=4),
-    unknown=st.sampled_from(["error", "skip"]),
 )
-def test_fuzz_annotation_parser(a, b, unknown):
+def test_fuzz_annotation_parser(a, b):
     classes = ClassTable(("plane", "ship"))
     with tempfile.TemporaryDirectory() as tmp:
         d = _write(Path(tmp) / "gt", {"A.txt": "\n".join(a), "B.txt": "\n".join(b)})
         outcomes = []
         for table in (None, classes):
-            got = _outcome(parse_dota_annotations, d, table, unknown_category=unknown)
+            got = _outcome(parse_dota_annotations, d, table)
             outcomes.append(got)
-            want = _outcome(parse_dota_annotations_oracle, d, table, unknown_category=unknown)
+            want = _outcome(parse_dota_annotations_oracle, d, table)
             if got[0] == "ok":
                 assert want[0] == "ok" and got[1].classes == want[1].classes
                 assert _gt_plain(got[1].images) == _gt_plain(want[1].images)
             else:
                 assert got == want
         empty = _write(Path(tmp) / "dets", {})
-        rc, _, _ = _run(["eval", "--gt", str(d), "--dets", str(empty),
-                         "--unknown-category", unknown])
+        rc, _, _ = _run(["eval", "--gt", str(d), "--dets", str(empty)])
         # eval infers the class table, as the first parse above did
         assert rc == (0 if outcomes[0][0] == "ok" else 2)

@@ -26,7 +26,6 @@ from obbkit.geometry import (
 from obbkit.inference import (
     Detection,
     DetectionSet,
-    InferenceConfig,
     nms_per_image,
     run_inference,
 )
@@ -61,8 +60,11 @@ class TestFuseScores:
 
     @staticmethod
     def fused(class_score, centerness):
-        cfg = InferenceConfig(score_threshold=0.0)
-        (d,) = run_inference([one_location(class_score, centerness)], [FeatureGridSpec(1, 1, 8, 3)], cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(inference, "SCORE_THRESHOLD", 0.0)
+            (d,) = run_inference(
+                [one_location(class_score, centerness)], [FeatureGridSpec(1, 1, 8, 3)]
+            )
         return d.score
 
     def test_perfect(self):
@@ -392,7 +394,7 @@ class TestRunInference:
             best = max(polygon_iou(d.quad, q) for q in intended.values())
             assert best >= 0.99
 
-    def test_raising_threshold_never_adds_detections(self):
+    def test_raising_threshold_never_adds_detections(self, monkeypatch):
         rng = np.random.default_rng(66)
         spec = FeatureGridSpec(6, 6, 8, 3)
         n = spec.width * spec.height
@@ -402,13 +404,14 @@ class TestRunInference:
             rng.uniform(1, 20, (n, 4)),
             rng.uniform(0, 3, (n, 2)),
         )
+        monkeypatch.setattr(inference, "NMS_IOU_THRESHOLD", 1.0)
         counts = []
         for thresh in (0.05, 0.2, 0.5, 0.8):
-            cfg = InferenceConfig(score_threshold=thresh, nms_iou_threshold=1.0)
-            counts.append(len(run_inference([batch], [spec], cfg)))
+            monkeypatch.setattr(inference, "SCORE_THRESHOLD", thresh)
+            counts.append(len(run_inference([batch], [spec])))
         assert counts == sorted(counts, reverse=True)
 
-    def test_nms_can_be_disabled(self):
+    def test_nms_can_be_disabled(self, monkeypatch):
         # two near-duplicate boxes around adjacent locations
         spec = FeatureGridSpec(2, 1, 8, 3)
         entries = {
@@ -416,12 +419,14 @@ class TestRunInference:
             (1, 0): ((0.8, 1e-4), 1 - 1e-9, (11.9, 4.0, -3.9 + 8.0, 4.0), (0, 0)),
         }
         batch = batch_for(spec, entries)
-        with_nms = run_inference([batch], [spec], InferenceConfig(nms_iou_threshold=0.3))
-        without = run_inference([batch], [spec], InferenceConfig(nms_iou_threshold=1.0))
+        monkeypatch.setattr(inference, "NMS_IOU_THRESHOLD", 0.3)
+        with_nms = run_inference([batch], [spec])
+        monkeypatch.setattr(inference, "NMS_IOU_THRESHOLD", 1.0)
+        without = run_inference([batch], [spec])
         assert len(with_nms) == 1
         assert len(without) == 2
 
-    def test_max_detections_truncates(self):
+    def test_max_detections_truncates(self, monkeypatch):
         spec = FeatureGridSpec(3, 3, 8, 3)
         entries = {
             (x, y): ((0.5 + 0.01 * (x + y), 1e-4), 0.9, (4, 4, 4, 4), (0, 0))
@@ -429,8 +434,9 @@ class TestRunInference:
             for y in range(3)
         }
         batch = batch_for(spec, entries)
-        cfg = InferenceConfig(max_detections=3, nms_iou_threshold=1.0)
-        dets = run_inference([batch], [spec], cfg)
+        monkeypatch.setattr(inference, "MAX_DETECTIONS", 3)
+        monkeypatch.setattr(inference, "NMS_IOU_THRESHOLD", 1.0)
+        dets = run_inference([batch], [spec])
         assert len(dets) == 3
         scores = [d.score for d in dets]
         assert scores == sorted(scores, reverse=True)
@@ -504,8 +510,11 @@ class TestRunInferenceArrays:
     )
     def test_matches_scalar_oracle(self, maps, score_thresh, nms_thresh, max_dets):
         batches, specs = maps
-        cfg = InferenceConfig(score_thresh, nms_thresh, max_dets)
-        assert run_inference(batches, specs, cfg) == run_inference_oracle(batches, specs, cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(inference, "SCORE_THRESHOLD", score_thresh)
+            mp.setattr(inference, "NMS_IOU_THRESHOLD", nms_thresh)
+            mp.setattr(inference, "MAX_DETECTIONS", max_dets)
+            assert run_inference(batches, specs) == run_inference_oracle(batches, specs)
 
     @pytest.mark.parametrize("field", ["class_scores", "centerness"])
     @pytest.mark.parametrize("value", [math.nan, -0.1, 1.5])
@@ -530,7 +539,7 @@ class TestRunInferenceArrays:
             ("wh", (1.0, math.nan)),
         ],
     )
-    def test_bad_offsets_raise_only_where_decoded(self, field, value):
+    def test_bad_offsets_raise_only_where_decoded(self, field, value, monkeypatch):
         batches, specs = single_level({(field, 2): value})
         for run in (run_inference, run_inference_oracle):
             with pytest.raises(ValueError):
@@ -538,7 +547,8 @@ class TestRunInferenceArrays:
         # the same offsets at a location whose fused score misses the threshold
         batches, specs = single_level({(field, 2): value, ("centerness", 2): 0.01})
         assert run_inference(batches, specs) == run_inference_oracle(batches, specs)
-        assert len(run_inference(batches, specs, InferenceConfig(nms_iou_threshold=1.0))) == 10
+        monkeypatch.setattr(inference, "NMS_IOU_THRESHOLD", 1.0)
+        assert len(run_inference(batches, specs)) == 10
 
     def test_infinite_wh_clamps(self):
         batches, specs = single_level({("wh", 2): (math.inf, -math.inf)})
@@ -556,7 +566,8 @@ class TestRunInferenceArrays:
         monkeypatch.setattr(inference, "PRE_NMS_TOP_N", 2)
         assert run_inference(batches, [spec]) == everything[:2]
         # the cap is per level: a second level keeps its own two
-        both = run_inference(batches * 2, [spec, spec], InferenceConfig(nms_iou_threshold=1.0))
+        monkeypatch.setattr(inference, "NMS_IOU_THRESHOLD", 1.0)
+        both = run_inference(batches * 2, [spec, spec])
         assert both == [everything[i] for i in (0, 1, 0, 1)]
 
     def test_top_n_keeps_highest_scores_in_candidate_order(self, monkeypatch):
@@ -564,7 +575,8 @@ class TestRunInferenceArrays:
         scores = np.array([[0.2, 0.9], [0.7, 0.1], [0.9, 0.3], [0.4, 0.8]])
         batches = [PredictionBatch(scores, np.ones(4), np.full((4, 4), 4.0), np.zeros((4, 2)))]
         monkeypatch.setattr(inference, "PRE_NMS_TOP_N", 3)
-        dets = run_inference(batches, [spec], InferenceConfig(nms_iou_threshold=1.0))
+        monkeypatch.setattr(inference, "NMS_IOU_THRESHOLD", 1.0)
+        dets = run_inference(batches, [spec])
         assert [(d.class_id, d.score) for d in dets] == [(2, 0.9), (1, 0.9), (2, 0.8)]
 
     def test_dense_map_is_capped(self):
@@ -584,7 +596,7 @@ class TestRunInferenceArrays:
         ]
         assert sum(b.class_scores.size for b in batches) == 21824 * 15
         start = time.perf_counter()
-        dets = run_inference(batches, specs, InferenceConfig(nms_iou_threshold=0.5))
+        dets = run_inference(batches, specs)
         assert time.perf_counter() - start < 5.0
         assert 0 < len(dets) <= 4960
         # the same maps with every pair below its level's 1000th best fused
@@ -596,4 +608,4 @@ class TestRunInferenceArrays:
             thinned.append(PredictionBatch(
                 np.where(fused >= floor, b.class_scores, 0.0), b.centerness, b.ltrb, b.wh
             ))
-        assert run_inference(thinned, specs, InferenceConfig(nms_iou_threshold=0.5)) == dets
+        assert run_inference(thinned, specs) == dets
