@@ -60,16 +60,7 @@ from .losses import (
     smooth_l1,
     total_loss,
 )
-from .ie_attention import (
-    AttentionMap,
-    AttentionWeights,
-    FeatureMap,
-    attend,
-    attention_map,
-    ie_fuse,
-    merge,
-    softmax_rows,
-)
+from .ie_attention import AttentionWeights, FeatureMap, ie_fuse
 from .inference import (
     Detection,
     DetectionSet,

@@ -456,8 +456,7 @@ def main(argv=None) -> int:
     except (Diverged, NonFiniteScore, FloatingPointError, OverflowError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return _NUMERIC_EXIT
-    except (ObbkitError, ValueError, FileNotFoundError, NotADirectoryError, IsADirectoryError,
-            PermissionError) as exc:
+    except (ObbkitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _DATA_EXIT
 

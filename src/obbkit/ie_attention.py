@@ -1,17 +1,18 @@
 """Channel self-attention fusion of the prediction branches.
 
-Classification and box-regression feature maps are summed, passed
-through a channel self-attention block (three 1x1 convolutions over
-channels, a row-normalized N x N attention table, a gamma-weighted
-shortcut) and added onto the orientation branch. Forward pass only.
+ie_fuse sums the classification and box-regression feature maps, passes
+the sum F through a channel self-attention block (three 1x1 convolutions
+over channels, a row-normalized C x C attention table, a gamma-weighted
+shortcut) and adds the result onto the orientation branch:
 
-The block runs in Gram form. With F the (C, HW) features, the channel
-affinities (Wf F)(Wg F)^T equal Wf G Wg^T for the C x C Gram matrix
-G = F F^T, and the output gamma * table (Wh F) + F equals
-(gamma * table Wh) F + F. So the HW-sized data is read twice, once for
-G and once for the product with the C x C mixing matrix, where the
-direct form makes five passes (Wf F, Wg F, Wh F, table @ Wh F and the
-shortcut sum) and holds four (C, HW) temporaries.
+    Y = (gamma * T Wh + I) F + F_ori,   T = softmax_rows((Wf G Wg^T)^T)
+
+Forward pass only. The block runs in Gram form. The channel affinities
+(Wf F)(Wg F)^T equal Wf G Wg^T for the C x C Gram matrix G = F F^T, and
+gamma * T (Wh F) + F equals M F + F for the mixing matrix
+M = gamma * T Wh. So the HW-sized data is read twice, once for G and once
+for M F, where the direct form makes five passes (Wf F, Wg F, Wh F,
+T @ Wh F and the shortcut sum) and holds four (C, HW) temporaries.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatch
-
-ROW_SUM_TOL = 1e-6
 
 
 @dataclass
@@ -48,15 +47,6 @@ class FeatureMap:
             )
         if not np.isfinite(self.values).all():
             raise ValueError("feature values must be finite")
-
-    @classmethod
-    def from_grid(cls, grid: np.ndarray) -> "FeatureMap":
-        """Build from a (channels, height, width) array."""
-        grid = np.asarray(grid, dtype=float)
-        if grid.ndim != 3:
-            raise ShapeMismatch(f"expected (C, H, W) array, got shape {grid.shape}")
-        c, h, w = grid.shape
-        return cls(c, w, h, grid.reshape(c, h * w))
 
     def same_shape(self, other: "FeatureMap") -> bool:
         return (self.channels, self.width, self.height) == (
@@ -96,79 +86,16 @@ class AttentionWeights:
         return cls(wf, wg, wh, gamma)
 
 
-@dataclass
-class AttentionMap:
-    """Row-stochastic N x N channel attention table."""
+def _attention_table(f: np.ndarray, weights: AttentionWeights) -> np.ndarray:
+    """Row-stochastic table T of the (C, HW) features f.
 
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=float)
-        n = self.matrix.shape[0] if self.matrix.ndim == 2 else -1
-        if self.matrix.shape != (n, n):
-            raise ShapeMismatch(f"attention map must be square, got {self.matrix.shape}")
-        row_sums = self.matrix.sum(axis=1)
-        if np.abs(row_sums - 1.0).max() > ROW_SUM_TOL:
-            raise ValueError("attention rows must sum to 1")
-        if self.matrix.min() < 0.0 or self.matrix.max() > 1.0:
-            raise ValueError("attention entries must lie in [0, 1]")
-
-
-def merge(cls_feat: FeatureMap, reg_feat: FeatureMap) -> FeatureMap:
-    """Element-wise sum of the classification and regression features."""
-    if not cls_feat.same_shape(reg_feat):
-        raise ShapeMismatch("merged feature maps must share the same shape")
-    return FeatureMap(
-        cls_feat.channels, cls_feat.width, cls_feat.height, cls_feat.values + reg_feat.values
-    )
-
-
-def softmax_rows(matrix: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction for overflow safety."""
-    matrix = np.asarray(matrix, dtype=float)
-    shifted = matrix - matrix.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
+    Entry (q, p) normalizes exp(logits[p, q]) over p, with logits =
+    Wf G Wg^T, so the softmax runs down the columns of the affinity
+    matrix; the max is subtracted first for overflow safety.
+    """
+    logits = (weights.wf @ (f @ f.T) @ weights.wg.T).T
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
-
-
-def attention_logits(feat: FeatureMap, weights: AttentionWeights) -> np.ndarray:
-    """Channel-affinity matrix (Wf F)(Wg F)^T, summing over spatial positions.
-
-    Computed as Wf G Wg^T with the Gram matrix G = F F^T.
-    """
-    if weights.wf.shape[0] != feat.channels:
-        raise ShapeMismatch(
-            f"{weights.wf.shape[0]}-channel weights applied to {feat.channels}-channel features"
-        )
-    gram = feat.values @ feat.values.T
-    return weights.wf @ gram @ weights.wg.T
-
-
-def attention_map(feat: FeatureMap, weights: AttentionWeights) -> AttentionMap:
-    """Row-stochastic attention table from the channel affinities.
-
-    Entry (q, p) normalizes exp(logits[p, q]) over p, so the softmax runs
-    down the columns of the affinity matrix; equivalently, rows of its
-    transpose.
-    """
-    logits = attention_logits(feat, weights)
-    return AttentionMap(softmax_rows(logits.T))
-
-
-def attend(feat: FeatureMap, weights: AttentionWeights) -> FeatureMap:
-    """Apply channel attention with the gamma-weighted shortcut.
-
-    Each output channel q mixes the rows of Wh F with the attention row
-    q, then Y = gamma * mixed + F, computed as (gamma * table Wh) F + F
-    into a fresh array. gamma = 0 returns a copy of F, equal bit for bit.
-    """
-    table = attention_map(feat, weights).matrix
-    if weights.gamma == 0.0:
-        values = feat.values.copy()
-    else:
-        values = (weights.gamma * table @ weights.wh) @ feat.values
-        values += feat.values
-    return FeatureMap(feat.channels, feat.width, feat.height, values)
 
 
 def ie_fuse(
@@ -177,10 +104,25 @@ def ie_fuse(
     ori_feat: FeatureMap,
     weights: AttentionWeights,
 ) -> FeatureMap:
-    """Full branch fusion: attend(cls + reg) added onto the orientation branch."""
+    """Full branch fusion: (gamma * T Wh + I)(cls + reg) + ori.
+
+    gamma = 0 skips the table and returns cls + reg + ori bit for bit.
+    The inputs are never written.
+    """
     if not cls_feat.same_shape(ori_feat):
         raise ShapeMismatch("orientation features must match the merged shape")
-    # attend's output is a fresh array, so the sum can go into it in place
-    values = attend(merge(cls_feat, reg_feat), weights).values
+    if not cls_feat.same_shape(reg_feat):
+        raise ShapeMismatch("merged feature maps must share the same shape")
+    if weights.wf.shape[0] != cls_feat.channels:
+        raise ShapeMismatch(
+            f"{weights.wf.shape[0]}-channel weights applied to "
+            f"{cls_feat.channels}-channel features"
+        )
+    f = cls_feat.values + reg_feat.values
+    if weights.gamma == 0.0:
+        values = f
+    else:
+        values = (weights.gamma * _attention_table(f, weights) @ weights.wh) @ f
+        values += f
     values += ori_feat.values
     return FeatureMap(ori_feat.channels, ori_feat.width, ori_feat.height, values)

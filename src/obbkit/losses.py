@@ -474,8 +474,8 @@ def _sigmoid(z: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
         np.negative(e, out=e)
         np.exp(e, out=e)
         np.add(1.0, e, out=d)
+        np.maximum(e, nonneg, out=e)  # e <= 1, so 1 where z >= 0
         np.divide(e, d, out=e)
-        np.divide(1.0, d, out=e, where=nonneg)
     return out
 
 

@@ -19,7 +19,6 @@ from obbkit.geometry import (
     hbb_overlap,
     polygon_iou_pairs,
 )
-from obbkit.ie_attention import softmax_rows
 from obbkit.inference import Detection
 from obbkit.targets import FeatureGridSpec, GroundTruthObject, TargetMaps, _centerness
 
@@ -232,7 +231,8 @@ def ie_fuse_oracle(cls_feat, reg_feat, ori_feat, weights) -> np.ndarray:
     table @ (Wh F) and gamma * mixed + F, each over the (C, HW) data."""
     f = cls_feat.values + reg_feat.values
     logits = (weights.wf @ f) @ (weights.wg @ f).T
-    table = softmax_rows(logits.T)
+    e = np.exp(logits.T - logits.T.max(axis=1, keepdims=True))
+    table = e / e.sum(axis=1, keepdims=True)
     mixed = table @ (weights.wh @ f)
     attended = f if weights.gamma == 0.0 else weights.gamma * mixed + f
     return attended + ori_feat.values

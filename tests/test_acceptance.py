@@ -28,7 +28,7 @@ from obbkit.geometry import (
     quad_list,
     raster_iou_oracle,
 )
-from obbkit.ie_attention import AttentionWeights, FeatureMap, attend, attention_map, softmax_rows
+from obbkit.ie_attention import AttentionWeights, FeatureMap, _attention_table, ie_fuse
 from obbkit.inference import Detection, DetectionSet
 from obbkit.losses import (
     LossWeights,
@@ -234,19 +234,27 @@ def test_05_attention_invariants():
         spatial = int(rng.integers(1, 10))
         feat = FeatureMap(channels, spatial, 1, rng.standard_normal((channels, spatial)) * 3)
         weights = AttentionWeights.seeded(channels, int(rng.integers(1 << 30)), scale=0.3)
-        table = attention_map(feat, weights).matrix
+        table = _attention_table(feat.values, weights)
         worst_row = max(worst_row, float(np.abs(table.sum(axis=1) - 1.0).max()))
         if table.min() < 0:
             worst_row = math.inf
         frozen = AttentionWeights(weights.wf, weights.wg, weights.wh, gamma=0.0)
-        if not np.array_equal(attend(feat, frozen).values, feat.values):
+        zero = FeatureMap(channels, spatial, 1, np.zeros((channels, spatial)))
+        if not np.array_equal(ie_fuse(feat, zero, zero, frozen).values, feat.values):
             identity_exact = False
+    # with identity features (G = I) and Wg = I the logits are exactly Wf,
+    # so Wf = m^T puts the rows of m under the table's softmax
+    eye = np.eye(6)
+
+    def softmax_of_rows(m):
+        return _attention_table(eye, AttentionWeights(m.T, eye, eye))
+
     worst_shift = 0.0
     for _ in range(1000):
         m = rng.standard_normal((6, 6)) * 20
         shifted = m + rng.standard_normal((6, 1)) * 50
         worst_shift = max(
-            worst_shift, float(np.abs(softmax_rows(m) - softmax_rows(shifted)).max())
+            worst_shift, float(np.abs(softmax_of_rows(m) - softmax_of_rows(shifted)).max())
         )
     ok = worst_row <= 1e-6 and identity_exact and worst_shift <= 1e-9
     report(

@@ -474,6 +474,17 @@ class TestNmsCommand:
         assert out == ""
         assert "must lie in [0, 1]" in err
 
+    def test_out_naming_a_file_is_data_error(self, scene, capsys, tmp_path):
+        out_file = tmp_path / "taken.txt"
+        out_file.write_text("")
+        code, out, err = run_cli(
+            capsys, "nms", "--dets", str(scene / "dets"), "--iou", "0.5", "--out", str(out_file)
+        )
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert out_file.read_text() == ""
+
 
 class TestEvalCommand:
     def test_fixture_map(self, scene, capsys):

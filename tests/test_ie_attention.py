@@ -4,17 +4,7 @@ import numpy as np
 import pytest
 
 from obbkit.errors import ShapeMismatch
-from obbkit.ie_attention import (
-    AttentionMap,
-    AttentionWeights,
-    FeatureMap,
-    attend,
-    attention_logits,
-    attention_map,
-    ie_fuse,
-    merge,
-    softmax_rows,
-)
+from obbkit.ie_attention import AttentionWeights, FeatureMap, _attention_table, ie_fuse
 
 from helpers import ie_fuse_oracle
 
@@ -24,72 +14,87 @@ def fmap(values) -> FeatureMap:
     return FeatureMap(values.shape[0], values.shape[1], 1, values)
 
 
+def zeros_like(feat: FeatureMap) -> FeatureMap:
+    return FeatureMap(feat.channels, feat.width, feat.height, np.zeros_like(feat.values))
+
+
 def identity_weights(n, gamma=1.0) -> AttentionWeights:
     eye = np.eye(n)
     return AttentionWeights(eye, eye, eye, gamma)
 
 
+def softmax_of_rows(m) -> np.ndarray:
+    """The attention table's softmax applied to the rows of m.
+
+    With identity features G = I and with Wg = I the logits are exactly
+    Wf, so Wf = m^T puts m itself under the row softmax.
+    """
+    n = len(m)
+    return _attention_table(np.eye(n), AttentionWeights(np.transpose(m), np.eye(n), np.eye(n)))
+
+
 class TestMerge:
+    """The branch sum, read off ie_fuse at gamma = 0 with a zero orientation map."""
+
+    @staticmethod
+    def merged(a, b):
+        return ie_fuse(a, b, zeros_like(a), identity_weights(a.channels, gamma=0.0)).values
+
     def test_zero_map_is_identity(self):
         a = fmap([[1.0, 2.0], [3.0, 4.0]])
-        z = fmap(np.zeros((2, 2)))
-        assert np.array_equal(merge(a, z).values, a.values)
+        assert np.array_equal(self.merged(a, zeros_like(a)), a.values)
 
     def test_commutes(self):
         a = fmap([[1.0, 2.0], [3.0, 4.0]])
         b = fmap([[5.0, -1.0], [0.5, 2.0]])
-        assert np.array_equal(merge(a, b).values, merge(b, a).values)
+        ori = fmap([[0.25, -3.0], [7.0, 0.5]])
+        weights = AttentionWeights.seeded(2, 3, scale=1.0, gamma=0.7)
+        assert np.array_equal(
+            ie_fuse(a, b, ori, weights).values, ie_fuse(b, a, ori, weights).values
+        )
 
     def test_elementwise_sum(self):
         a = fmap([[1.0, 2.0], [3.0, 4.0]])
         b = fmap([[10.0, 20.0], [30.0, 40.0]])
-        assert np.array_equal(merge(a, b).values, [[11.0, 22.0], [33.0, 44.0]])
+        assert np.array_equal(self.merged(a, b), [[11.0, 22.0], [33.0, 44.0]])
 
     def test_shape_mismatch(self):
+        a, b = fmap(np.zeros((2, 2))), fmap(np.zeros((2, 3)))
         with pytest.raises(ShapeMismatch):
-            merge(fmap(np.zeros((2, 2))), fmap(np.zeros((2, 3))))
+            ie_fuse(a, b, a, identity_weights(2))
 
 
 class TestAttentionMap:
     def test_constant_features_identity_mixing_is_uniform(self):
-        feat = fmap(np.full((3, 4), 2.5))
-        table = attention_map(feat, identity_weights(3)).matrix
+        table = _attention_table(np.full((3, 4), 2.5), identity_weights(3))
         assert np.allclose(table, 1 / 3, atol=1e-12)
 
     def test_zero_affinities_are_uniform(self):
         rng = np.random.default_rng(0)
-        feat = fmap(rng.standard_normal((4, 6)))
         weights = AttentionWeights(np.zeros((4, 4)), np.zeros((4, 4)), np.eye(4))
-        table = attention_map(feat, weights).matrix
+        table = _attention_table(rng.standard_normal((4, 6)), weights)
         assert np.allclose(table, 0.25, atol=1e-12)
 
     def test_hand_softmax_row(self):
         # single spatial position: affinities factor as (Wf f)(Wg f)^T, so
         # Wf f = [0, ln 3] and Wg f = [1, 1] put [0, ln 3] in every column
-        feat = fmap(np.array([[1.0], [0.0]]))
         weights = AttentionWeights(
             np.array([[0.0, 0.0], [math.log(3.0), 0.0]]),
             np.array([[1.0, 0.0], [1.0, 0.0]]),
             np.eye(2),
         )
-        logits = attention_logits(feat, weights)
-        assert np.allclose(logits, [[0.0, 0.0], [math.log(3.0), math.log(3.0)]])
-        table = attention_map(feat, weights).matrix
+        table = _attention_table(np.array([[1.0], [0.0]]), weights)
         assert np.allclose(table, [[0.25, 0.75], [0.25, 0.75]], atol=1e-12)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             n = int(rng.integers(2, 6))
-            feat = fmap(rng.standard_normal((n, int(rng.integers(1, 8)))))
+            f = rng.standard_normal((n, int(rng.integers(1, 8))))
             weights = AttentionWeights.seeded(n, int(rng.integers(1 << 30)), scale=0.5)
-            table = attention_map(feat, weights).matrix
+            table = _attention_table(f, weights)
             assert np.abs(table.sum(axis=1) - 1.0).max() <= 1e-6
             assert table.min() >= 0.0
-
-    def test_validation_rejects_bad_rows(self):
-        with pytest.raises(ValueError):
-            AttentionMap(np.array([[0.5, 0.4], [0.5, 0.5]]))
 
 
 class TestSoftmaxRows:
@@ -97,22 +102,29 @@ class TestSoftmaxRows:
         rng = np.random.default_rng(2)
         for _ in range(50):
             m = rng.standard_normal((5, 5)) * 10
-            base = softmax_rows(m)
-            shifted = softmax_rows(m + rng.standard_normal((5, 1)) * 100)
+            base = softmax_of_rows(m)
+            shifted = softmax_of_rows(m + rng.standard_normal((5, 1)) * 100)
             assert np.abs(base - shifted).max() <= 1e-9
 
     def test_large_logits_do_not_overflow(self):
-        out = softmax_rows(np.array([[1e6, 0.0], [0.0, -1e6]]))
+        out = softmax_of_rows(np.array([[1e6, 0.0], [0.0, -1e6]]))
         assert np.isfinite(out).all()
         assert np.allclose(out, [[1.0, 0.0], [1.0, 0.0]])
 
 
 class TestAttend:
+    """The attention block alone: ie_fuse(F, 0, 0) = (gamma * T Wh + I) F."""
+
+    @staticmethod
+    def attend(feat, weights):
+        zero = zeros_like(feat)
+        return ie_fuse(feat, zero, zero, weights)
+
     def test_gamma_zero_is_exact_identity(self):
         rng = np.random.default_rng(3)
         feat = fmap(rng.standard_normal((4, 5)))
         weights = AttentionWeights.seeded(4, 7, gamma=0.0)
-        out = attend(feat, weights)
+        out = self.attend(feat, weights)
         assert np.array_equal(out.values, feat.values)
 
     @pytest.mark.parametrize("gamma", [0.0, 0.7])
@@ -120,28 +132,26 @@ class TestAttend:
         rng = np.random.default_rng(9)
         feat = fmap(rng.standard_normal((4, 5)))
         before = feat.values.copy()
-        out = attend(feat, AttentionWeights.seeded(4, 7, gamma=gamma))
+        out = self.attend(feat, AttentionWeights.seeded(4, 7, gamma=gamma))
         out.values += 1.0
         assert np.array_equal(feat.values, before)
 
     def test_forced_identity_table(self):
         # a huge diagonal affinity saturates the softmax to an exact
-        # identity table, so attend reduces to gamma * Wh F + F
+        # identity table, so the block reduces to gamma * Wh F + F
         feat = FeatureMap(2, 2, 1, np.eye(2))
         weights = AttentionWeights(np.diag([1e4, 1e4]), np.eye(2), np.eye(2), gamma=0.5)
-        table = attention_map(feat, weights).matrix
-        assert np.array_equal(table, np.eye(2))
-        out = attend(feat, weights)
+        assert np.array_equal(_attention_table(feat.values, weights), np.eye(2))
+        out = self.attend(feat, weights)
         assert np.allclose(out.values, 0.5 * feat.values + feat.values, atol=1e-15)
 
     def test_matches_matrix_arithmetic(self):
         rng = np.random.default_rng(4)
         feat = fmap(rng.standard_normal((2, 1)))
+        zero = zeros_like(feat)
         weights = AttentionWeights.seeded(2, 11, scale=1.0, gamma=0.7)
-        out = attend(feat, weights)
-        logits = (weights.wf @ feat.values) @ (weights.wg @ feat.values).T
-        table = softmax_rows(logits.T)
-        expected = 0.7 * table @ (weights.wh @ feat.values) + feat.values
+        out = self.attend(feat, weights)
+        expected = ie_fuse_oracle(feat, zero, zero, weights)
         assert np.allclose(out.values, expected, atol=1e-12)
 
     def test_rows_stay_in_convex_hull(self):
@@ -149,7 +159,7 @@ class TestAttend:
         for _ in range(20):
             feat = fmap(rng.standard_normal((4, 6)))
             weights = AttentionWeights.seeded(4, int(rng.integers(1 << 30)), scale=0.3, gamma=1.0)
-            mixed = attention_map(feat, weights).matrix @ (weights.wh @ feat.values)
+            mixed = _attention_table(feat.values, weights) @ (weights.wh @ feat.values)
             basis = weights.wh @ feat.values
             assert np.all(mixed <= basis.max(axis=0) + 1e-9)
             assert np.all(mixed >= basis.min(axis=0) - 1e-9)
@@ -173,15 +183,37 @@ class TestIeFuse:
         out = ie_fuse(a, b, ori, weights)
         assert np.array_equal(out.values, a.values + b.values + ori.values)
 
-    def test_matches_direct_composition(self):
-        rng = np.random.default_rng(8)
-        a = fmap(rng.standard_normal((3, 5)))
-        b = fmap(rng.standard_normal((3, 5)))
-        ori = fmap(rng.standard_normal((3, 5)))
-        weights = AttentionWeights.seeded(3, 19)
-        out = ie_fuse(a, b, ori, weights)
-        expected = attend(merge(a, b), weights).values + ori.values
-        assert np.array_equal(out.values, expected)
+    def test_output_bits_are_pinned(self):
+        # recorded from the step-by-step composition (branch sum, table,
+        # attention with shortcut, orientation sum) that ie_fuse must match
+        pinned = {
+            0.7: ["-0x1.3dda3e4c06462p-2", "-0x1.5a84c886cad4dp+1", "0x1.9c97e8befc82ap-1",
+                  "0x1.08ff382b4bc7ep+0", "-0x1.2f6ded3d075e8p+1", "0x1.04687d0eb7da9p+2"],
+            0.0: ["-0x1.f26f4ba477d24p-3", "-0x1.729f8b3a113dcp+0", "-0x1.e968bd388b489p+0",
+                  "0x1.1fe3196d96891p+0", "-0x1.243cf2785d5aap+0", "0x1.7d709223c5e4cp+0"],
+        }
+        rng = np.random.default_rng(41)
+        maps = [FeatureMap(2, 3, 1, rng.standard_normal((2, 3))) for _ in range(3)]
+        for gamma, bits in pinned.items():
+            weights = AttentionWeights.seeded(2, 43, scale=1.0, gamma=gamma)
+            out = ie_fuse(*maps, weights).values
+            assert [v.hex() for v in out.ravel().tolist()] == bits
+
+    def test_gram_overflow_is_value_error(self):
+        # G = F F^T overflows, the table turns NaN and the output check
+        # rejects it; gamma = 0 never forms G and returns the finite sum
+        big = fmap(np.full((2, 3), 1e200))
+        zero = zeros_like(big)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="feature values must be finite"):
+                ie_fuse(big, zero, zero, identity_weights(2, gamma=0.5))
+        out = ie_fuse(big, zero, zero, identity_weights(2, gamma=0.0))
+        assert np.array_equal(out.values, big.values)
+
+    def test_channel_mismatch(self):
+        a = fmap(np.zeros((2, 3)))
+        with pytest.raises(ShapeMismatch):
+            ie_fuse(a, a, a, identity_weights(3))
 
     def test_linear_in_orientation(self):
         rng = np.random.default_rng(9)
@@ -219,10 +251,10 @@ class TestGramForm:
             (cls, reg, ori), weights = self.scene(rng, channels, width, height, scale, gamma)
             got = ie_fuse(cls, reg, ori, weights).values
             want = ie_fuse_oracle(cls, reg, ori, weights)
-            merged = merge(cls, reg)
-            mixing = np.abs(attention_map(merged, weights).matrix @ weights.wh)
-            scale_of = abs(gamma) * (mixing @ np.abs(merged.values))
-            scale_of += np.abs(merged.values) + np.abs(ori.values)
+            merged = cls.values + reg.values
+            mixing = np.abs(_attention_table(merged, weights) @ weights.wh)
+            scale_of = abs(gamma) * (mixing @ np.abs(merged))
+            scale_of += np.abs(merged) + np.abs(ori.values)
             assert np.all(np.abs(got - want) <= 1e-12 * scale_of)
 
     @pytest.mark.parametrize("gamma", [0.0, 0.7])
@@ -230,7 +262,6 @@ class TestGramForm:
         rng = np.random.default_rng(33)
         maps, weights = self.scene(rng, 5, 6, 4, 0.3, gamma)
         before = [m.values.copy() for m in maps]
-        attend(maps[0], weights)
         ie_fuse(*maps, weights)
         for m, b in zip(maps, before):
             assert np.array_equal(m.values, b)
@@ -245,12 +276,6 @@ class TestAttentionWeights:
 
 
 class TestFeatureMap:
-    def test_from_grid(self):
-        grid = np.arange(24.0).reshape(2, 3, 4)
-        feat = FeatureMap.from_grid(grid)
-        assert (feat.channels, feat.width, feat.height) == (2, 4, 3)
-        assert np.array_equal(feat.values, grid.reshape(2, 12))
-
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             fmap(np.array([[np.nan, 1.0]]))

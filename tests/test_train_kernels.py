@@ -82,6 +82,9 @@ class TestSigmoid:
         assert same_bits(out, sigmoid_oracle(z))
         assert out[0, 0] == out[0, 1] == 0.5
         assert same_bits(z, before)  # the input is left alone
+        # mixed signs around NaNs of either sign, in one row block
+        mixed = np.array([[-1.0, math.nan, 2.0, -math.nan], [0.0, -800.0, -math.inf, 745.0]])
+        assert same_bits(_sigmoid(mixed), sigmoid_oracle(mixed))
 
 
 class TestFocalSum:
