@@ -18,7 +18,11 @@ image and class, written as DOTA text files):
 - ``match_crowded``: ``evaluate`` at IoU 0.5 on one crowded image of
   small vehicles (one class, 8-24 x 5-12 px), 20,000 detections against
   2,000 ground-truth objects (built in memory, 9 jittered detections per
-  object plus 2,000 false positives).
+  object plus 2,000 false positives);
+- ``match_column``: ``evaluate`` at IoU 0.5 on one image whose 400
+  ground-truth objects (5-10 x 3-5 px) and 4,000 detections (9 jittered
+  per object plus 400 false positives) all lie in one strip about 20 px
+  wide, so a sweep over x alone pairs every detection with every object.
 
 Usage, from the root of a checkout (obbkit is imported from PYTHONPATH,
 or from ./src when it is not importable)::
@@ -74,6 +78,8 @@ IMAGE_SIZE = 1024.0
 CROWDED_GT = 2000
 CROWDED_JITTERED = 9  # detections per crowded ground-truth object
 CROWDED_FALSE_POSITIVES = 2000
+COLUMN_GT = 400
+COLUMN_FALSE_POSITIVES = 400
 
 
 def _rect(rng, cx, cy, length, width, angle):
@@ -137,25 +143,29 @@ def scene_vertices(root: Path) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(-1, 4, 2)
 
 
-def crowded_scene(seed: int = 11):
-    """One image of small vehicles: CROWDED_GT ground truth and their detections, in memory."""
+def vehicle_scene(seed, n_gt, false_positives, x_range, length, width):
+    """One image of small vehicles in memory: n_gt ground-truth objects with
+    CROWDED_JITTERED detections each plus false_positives, centres x in
+    x_range, sizes in the length and width ranges; returns (dets, gt)."""
     rng = np.random.default_rng(seed)
+    lo, hi = (x_range[0], 20.0), (x_range[1], IMAGE_SIZE - 20.0)
     gt, raw = [], []
-    for _ in range(CROWDED_GT):
-        cx, cy = rng.uniform(20.0, IMAGE_SIZE - 20.0, 2)
-        length, width = rng.uniform(8.0, 24.0), rng.uniform(5.0, 12.0)
+    for _ in range(n_gt):
+        cx, cy = rng.uniform(lo, hi)
+        size, across = rng.uniform(*length), rng.uniform(*width)
         angle = rng.uniform(-90.0, 90.0)
-        gt.append(_rect(rng, cx, cy, length, width, angle))
+        gt.append(_rect(rng, cx, cy, size, across, angle))
         for _ in range(CROWDED_JITTERED):
             raw.append(_rect(rng, cx + rng.normal(0, 1.5), cy + rng.normal(0, 1.5),
-                             length * rng.uniform(0.9, 1.1), width * rng.uniform(0.9, 1.1),
+                             size * rng.uniform(0.9, 1.1), across * rng.uniform(0.9, 1.1),
                              angle + rng.normal(0, 4.0)))
-    for _ in range(CROWDED_FALSE_POSITIVES):
-        cx, cy = rng.uniform(20.0, IMAGE_SIZE - 20.0, 2)
-        raw.append(_rect(rng, cx, cy, rng.uniform(8, 24), rng.uniform(5, 12), rng.uniform(-90, 90)))
+    for _ in range(false_positives):
+        cx, cy = rng.uniform(lo, hi)
+        raw.append(_rect(rng, cx, cy, rng.uniform(*length), rng.uniform(*width),
+                         rng.uniform(-90, 90)))
     quads, fault = geometry.canonicalize_many(np.array(gt + raw).reshape(-1, 4, 2))
     if fault.any():
-        raise RuntimeError("the crowded scene has a quad that canonicalize_many rejects")
+        raise RuntimeError("a vehicle scene has a quad that canonicalize_many rejects")
     n_gt, n_det = len(gt), len(raw)
     dets = DetectionSet(("P0000",), np.zeros(n_det, dtype=int), quads[n_gt:],
                         np.ones(n_det, dtype=int), rng.uniform(0.05, 1.0, n_det))
@@ -163,6 +173,19 @@ def crowded_scene(seed: int = 11):
                        np.ones(n_gt, dtype=int), rng.random(n_gt) < 0.05,
                        ClassTable(("small-vehicle",)))
     return dets, gt_index
+
+
+def crowded_scene(seed: int = 11):
+    """CROWDED_GT small vehicles (8-24 x 5-12 px) spread over the image."""
+    return vehicle_scene(seed, CROWDED_GT, CROWDED_FALSE_POSITIVES, (20.0, IMAGE_SIZE - 20.0),
+                         (8.0, 24.0), (5.0, 12.0))
+
+
+def column_scene(seed: int = 13):
+    """COLUMN_GT small vehicles (5-10 x 3-5 px) whose centres share one 6 px
+    wide column, so every box lies in one strip about 20 px wide."""
+    return vehicle_scene(seed, COLUMN_GT, COLUMN_FALSE_POSITIVES, (507.0, 513.0),
+                         (5.0, 10.0), (3.0, 5.0))
 
 
 def run_cli(argv) -> None:
@@ -199,6 +222,11 @@ def make_cases(root: Path):
     cases["match_crowded"] = (
         f"1 image, {len(crowded_dets)} detections vs {len(crowded_gt.image)} ground truth, "
         "one class, IoU 0.5", None, lambda: evaluate(crowded_dets, crowded_gt, 0.5))
+    column_dets, column_gt = column_scene()
+    cases["match_column"] = (
+        f"1 image, {len(column_dets)} detections vs {len(column_gt.image)} ground truth "
+        "in one 20 px column, one class, IoU 0.5", None,
+        lambda: evaluate(column_dets, column_gt, 0.5))
     return cases
 
 

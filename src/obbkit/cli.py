@@ -184,23 +184,33 @@ def _cmd_assign(args) -> int:
 
 
 def _read_targets_file(path) -> TargetMaps:
-    """One location per line: a bare `0` (background) or `class_id l t r b w h centerness`."""
+    """One location per line: a bare `0` (background) or `class_id l t r b w h centerness`.
+
+    Raises the first error in file order; a line's numbers are read after
+    its class id and field count are checked.
+    """
     path = Path(path)
-    class_ids, rows = [], []
-    for line in dota._read_lines(path, comments=True):
-        line_no, tokens = line
+    lines = dota._read_lines(path, comments=True)
+    class_ids, error = [], None
+    for line_no, tokens in lines:
         try:
             class_id = int(tokens[0])
         except ValueError:
-            raise ParseError(path, line_no, f"expected a class id, got {tokens[0]!r}") from None
+            error = ParseError(path, line_no, f"expected a class id, got {tokens[0]!r}")
+            break
         if class_id < 0:
-            raise ParseError(path, line_no, f"class id must be >= 0, got {class_id}")
+            error = ParseError(path, line_no, f"class id must be >= 0, got {class_id}")
+            break
         if len(tokens) != (8 if class_id else 1):
-            raise ParseError(path, line_no, "expected 0 or class_id l t r b w h centerness")
+            error = ParseError(path, line_no, "expected 0 or class_id l t r b w h centerness")
+            break
         class_ids.append(class_id)
-        rows.append(dota._float_columns([line], 1, 8, path) if class_id else np.zeros((1, 7)))
-    n = len(rows)
-    values = np.concatenate([np.zeros((0, 7)), *rows])
+    n = len(class_ids)
+    values = np.zeros((n, 7))
+    positive = np.flatnonzero(class_ids)
+    values[positive] = dota._float_columns([lines[k] for k in positive.tolist()], 1, 8, path)
+    if error is not None:
+        raise error
     return TargetMaps(
         class_ids, values[:, :4], values[:, 4:6], values[:, 6], np.zeros(n, bool),
         np.full(n, -1), np.zeros((n, 2)), np.stack([np.arange(n), np.zeros(n, int)], axis=1),

@@ -13,8 +13,10 @@ Detection results: one file per class ({class}.txt, an optional
     image_id score x1 y1 x2 y2 x3 y3 x4 y4
 
 Every text table obbkit reads, these and the CLI's numeric files, goes
-through :func:`_read_lines` and :func:`_float_columns`; every writer
-formats numbers through :func:`_format_rows`.
+through :func:`_read_lines` and :func:`_float_columns`, which convert
+numbers with np.loadtxt where it reads them as float() does (a well-formed
+detection file is read by one loadtxt call, with no split per line);
+every writer formats numbers through :func:`_format_rows`.
 """
 
 from __future__ import annotations
@@ -44,13 +46,36 @@ def _read_lines(path, *, comments: bool = False, headers: bool = False) -> list:
             if tokens and not (skip and tokens[0].lower().startswith(skip))]
 
 
+def _loadtxt(text: str, usecols=None) -> np.ndarray | None:
+    """Columns usecols (all when None) of every non-blank line of a text
+    table as an (N, k) float array, or None when the text is not ASCII, has
+    no non-blank line, or np.loadtxt refuses it (a field that is not a
+    number, a line with too few fields, ragged lines when usecols is None).
+
+    On ASCII text loadtxt splits lines and fields where str.splitlines and
+    str.split do, and converts a field with the C function float() uses,
+    so every number it returns has float()'s bits; float() alone reads
+    underscores (1_0), which loadtxt refuses.
+    """
+    if not text.isascii() or not text.strip():
+        return None
+    try:
+        return np.loadtxt(text.splitlines(), usecols=usecols, comments=None, ndmin=2, dtype=float)
+    except ValueError:
+        return None
+
+
 def _float_columns(lines: list, lo: int, hi: int, path) -> np.ndarray:
     """Fields lo:hi of every (line_no, tokens) line as an (N, hi - lo) float array.
 
-    One float() map converts them all, so a number reads as Python's
-    float reads it. When that map fails, raises the ParseError of the
-    first token, in file order, that float rejects.
+    A number reads as Python's float reads it: through :func:`_loadtxt`,
+    or, when that refuses the fields, one float() map. When that map
+    fails too, raises the ParseError of the first token, in file order,
+    that float rejects.
     """
+    values = _loadtxt("\n".join([" ".join(tokens[lo:hi]) for _, tokens in lines]))
+    if values is not None:
+        return values
     try:
         values = list(map(float, [tok for _, tokens in lines for tok in tokens[lo:hi]]))
     except ValueError:
@@ -153,6 +178,12 @@ def _class_name_from_filename(path: Path) -> str:
 def _detection_table(path) -> tuple[np.ndarray, list[str], ParseError | None]:
     """Score and 8 coordinates (N, 9) and image ids of one detection file's
     lines before its first error, and that ParseError (None when every line reads)."""
+    text = Path(path).read_text()
+    fields = text.split()
+    table = _loadtxt(text, range(1, 10))
+    # loadtxt needs 10 fields on each line, so 10 per line in all means exactly 10 on each
+    if table is not None and len(fields) == 10 * len(table) and _in_unit(table[:, 0]).all():
+        return table, fields[::10], None
     lines = _read_lines(path)
     n = next((k for k, (_, tokens) in enumerate(lines) if len(tokens) != 10), len(lines))
     table, error = _leading_floats(lines[:n], 1, 10, path)
@@ -161,12 +192,17 @@ def _detection_table(path) -> tuple[np.ndarray, list[str], ParseError | None]:
         error = ParseError(
             path, line_no, f"expected image id, score and 8 coordinates, got {len(tokens)} fields"
         )
-    outside = np.flatnonzero(~((table[:, 0] >= 0.0) & (table[:, 0] <= 1.0)))
+    outside = np.flatnonzero(~_in_unit(table[:, 0]))
     if outside.size:
         k = int(outside[0])
         error = ParseError(path, lines[k][0], f"score {float(table[k, 0])} outside [0, 1]")
         table = table[:k]
     return table, [tokens[0] for _, tokens in lines[: len(table)]], error
+
+
+def _in_unit(scores: np.ndarray) -> np.ndarray:
+    """Mask of the scores in [0, 1] (NaN is outside)."""
+    return (scores >= 0.0) & (scores <= 1.0)
 
 
 def parse_dota_detections(
@@ -224,16 +260,18 @@ def parse_dota_detections(
     return dets, classes
 
 
-def format_number(value: float) -> str:
-    """Render a coordinate without trailing zeros (integers stay integers)."""
-    if float(value).is_integer():
-        return str(int(value))
-    return repr(float(value))
-
-
 def _format_rows(table: np.ndarray) -> list[str]:
-    """Each row of a 2-D number table as its :func:`format_number` fields joined by spaces."""
-    return [" ".join(map(format_number, row)) for row in table.tolist()]
+    """Each row of a 2-D float table as its fields joined by spaces: a finite
+    integral value v as str(int(v)) (no decimal point, -0.0 as 0), any
+    other as its repr. Formats a column at a time."""
+    columns = []
+    for column in table.T:
+        values = column.tolist()
+        fields = list(map(repr, values))
+        for k in np.flatnonzero(np.isfinite(column) & (column == np.trunc(column))).tolist():
+            fields[k] = str(int(values[k]))
+        columns.append(fields)
+    return list(map(" ".join, zip(*columns)))
 
 
 def _write_files(directory, names, file_of: list[int], lines: list[str]) -> None:

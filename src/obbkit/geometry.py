@@ -138,6 +138,10 @@ class EncodedBox:
 
 # Why canonicalize_many rejects a row, in the order its checks run; 0 accepts it.
 NON_FINITE, SMALL_AREA, NOT_CONVEX = 1, 2, 3
+# Sorted vertex angles (rad) closer than this are ordered again with math.atan2.
+ORDER_GUARD = 1e-12
+# Each vertex slot's successor, and the successor after that, around a quad.
+_NEXT, _AFTER_NEXT = [1, 2, 3, 0], [2, 3, 0, 1]
 
 
 def _angle_order(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -145,20 +149,27 @@ def _angle_order(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     centroid and the signed shoelace area of the vertices in that order.
 
     The centroid and shoelace sums run left to right from 0, as Python's
-    sum does; the angles come from math.atan2, which np.arctan2 does not
-    match to the last bit on every machine; the sort is stable.
+    sum does; the sort is stable. The angles come from np.arctan2, which
+    may differ from math.atan2 in the last bits on some machines; both lie
+    within a few ulps of the true angle, so where a row's sorted angles
+    are all more than ORDER_GUARD apart the two orders agree. The other
+    rows (ties, nearly collinear vertices, NaN) are sorted again by their
+    math.atan2 angles.
     """
-    rows = np.arange(len(v))[:, None]
     x, y = v[:, :, 0], v[:, :, 1]
     with np.errstate(over="ignore", invalid="ignore"):
         cx = (0.0 + x[:, 0] + x[:, 1] + x[:, 2] + x[:, 3]) / 4.0
         cy = (0.0 + y[:, 0] + y[:, 1] + y[:, 2] + y[:, 3]) / 4.0
-        dy, dx = (y - cy[:, None]).ravel().tolist(), (x - cx[:, None]).ravel().tolist()
-        angle = np.array(list(map(math.atan2, dy, dx))).reshape(-1, 4)
+        dy, dx = y - cy[:, None], x - cx[:, None]
+        angle = np.arctan2(dy, dx)
         order = np.argsort(angle, axis=1, kind="stable")
-        ox, oy = x[rows, order], y[rows, order]
-        nx, ny = np.roll(ox, -1, axis=1), np.roll(oy, -1, axis=1)
-        terms = ox * ny - nx * oy
+        gaps = np.diff(np.take_along_axis(angle, order, axis=1), axis=1)
+        guard = np.flatnonzero(~(gaps > ORDER_GUARD).all(axis=1))
+        if guard.size:
+            exact = map(math.atan2, dy[guard].ravel().tolist(), dx[guard].ravel().tolist())
+            order[guard] = np.argsort(np.reshape(list(exact), (-1, 4)), axis=1, kind="stable")
+        ox, oy = np.take_along_axis(x, order, axis=1), np.take_along_axis(y, order, axis=1)
+        terms = ox * oy[:, _NEXT] - ox[:, _NEXT] * oy
         area = (0.0 + terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3]) / 2.0
     return order, area
 
@@ -183,28 +194,27 @@ def canonicalize_many(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     v = np.asarray(vertices, dtype=float)
     if v.ndim != 3 or v.shape[1:] != (4, 2):
         raise ValueError(f"expected (N, 4, 2) vertices, got shape {v.shape}")
-    rows = np.arange(len(v))[:, None]
-    x, y = v[:, :, 0], v[:, :, 1]
     order, area = _angle_order(v)
+    xmin, ymin, xmax, ymax = _hbb_bounds(v)
     with np.errstate(over="ignore", invalid="ignore"):
         order = np.where((area < 0)[:, None], order[:, ::-1], order)
-        ox, oy = x[rows, order], y[rows, order]
-        extent = np.maximum(ox.max(axis=1) - ox.min(axis=1), oy.max(axis=1) - oy.min(axis=1))
+        ox = np.take_along_axis(v[:, :, 0], order, axis=1)
+        oy = np.take_along_axis(v[:, :, 1], order, axis=1)
+        extent = np.maximum(xmax - xmin, ymax - ymin)
         convex_eps = np.maximum(extent * extent, 1.0) * 1e-12
-        nx, ny = np.roll(ox, -1, axis=1), np.roll(oy, -1, axis=1)
-        nnx, nny = np.roll(ox, -2, axis=1), np.roll(oy, -2, axis=1)
-        cross = (nx - ox) * (nny - oy) - (ny - oy) * (nnx - ox)
+        nx, ny = ox[:, _NEXT], oy[:, _NEXT]
+        cross = (nx - ox) * (oy[:, _AFTER_NEXT] - oy) - (ny - oy) * (ox[:, _AFTER_NEXT] - ox)
         concave = (cross < -convex_eps[:, None]).any(axis=1)
         fault = np.select(
             [~np.isfinite(v).all(axis=(1, 2)), np.abs(area) < AREA_TOLERANCE, concave],
             [NON_FINITE, SMALL_AREA, NOT_CONVEX],
         ).astype(np.int8)
         tie_eps = np.maximum(extent, 1.0) * 1e-9
-        on_left = ox <= (ox.min(axis=1) + tie_eps)[:, None]
+        on_left = ox <= (xmin + tie_eps)[:, None]
         # the smaller y starts, then the earlier slot: argmin takes the first minimum
         start = np.argmin(np.where(on_left, oy, np.inf), axis=1)
-    order = order[rows, (start[:, None] + np.arange(4)) % 4]
-    return v[rows, order], fault
+    order = np.take_along_axis(order, (start[:, None] + np.arange(4)) % 4, axis=1)
+    return np.take_along_axis(v, order[:, :, None], axis=1), fault
 
 
 def quad_error(vertices: np.ndarray, fault: int) -> Exception:
@@ -460,9 +470,15 @@ def polygon_iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _hbb_bounds(quads: np.ndarray) -> tuple[np.ndarray, ...]:
-    """xmin, ymin, xmax, ymax of the horizontal boxes of (N, 4, 2) quads."""
-    lo, hi = quads.min(axis=1), quads.max(axis=1)
-    return lo[:, 0], lo[:, 1], hi[:, 0], hi[:, 1]
+    """xmin, ymin, xmax, ymax of the horizontal boxes of (N, 4, 2) quads (NaN where
+    a vertex is NaN), from the four vertex columns."""
+    x, y = quads[:, :, 0], quads[:, :, 1]
+    return (
+        np.minimum(np.minimum(x[:, 0], x[:, 1]), np.minimum(x[:, 2], x[:, 3])),
+        np.minimum(np.minimum(y[:, 0], y[:, 1]), np.minimum(y[:, 2], y[:, 3])),
+        np.maximum(np.maximum(x[:, 0], x[:, 1]), np.maximum(x[:, 2], x[:, 3])),
+        np.maximum(np.maximum(y[:, 0], y[:, 1]), np.maximum(y[:, 2], y[:, 3])),
+    )
 
 
 def _overlapping(a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...]) -> np.ndarray:

@@ -272,8 +272,11 @@ def run_inference(
         loc, cls = np.nonzero(fused >= SCORE_THRESHOLD)
         score = fused[loc, cls]
         if len(score) > PRE_NMS_TOP_N:
-            # the best scores, ties to the earlier candidate, back in candidate order
-            top = np.sort(np.argsort(-score, kind="stable")[:PRE_NMS_TOP_N])
+            # the best scores, ties at the cut to the earlier candidates, in candidate order
+            kth = np.partition(score, -PRE_NMS_TOP_N)[-PRE_NMS_TOP_N]
+            better, tied = score > kth, score == kth
+            room = PRE_NMS_TOP_N - np.count_nonzero(better)
+            top = np.flatnonzero(better | (tied & (np.cumsum(tied) <= room)))
             loc, cls, score = loc[top], cls[top], score[top]
         y_s, x_s = np.divmod(loc, spec.width)
         # each candidate's image point: floor(s/2) + grid index * s

@@ -501,6 +501,13 @@ def read_preds_oracle(path):
     return rows
 
 
+def format_number_oracle(value: float) -> str:
+    """One number as the writers print it: integers stay integers, others are repr'd."""
+    if float(value).is_integer():
+        return str(int(value))
+    return repr(float(value))
+
+
 def _floats_oracle(tokens, path, line_no):
     values = []
     for tok in tokens:

@@ -17,7 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
         (
             "dota_layers.py",
             ["canonicalize_many", "parse_detections", "parse_annotations", "nms", "match_ap",
-             "write", "cli_nms_eval", "match_crowded"],
+             "write", "cli_nms_eval", "match_crowded", "match_column"],
         ),
         (
             "inference_layers.py",

@@ -85,13 +85,27 @@ def huge_rects(draw):
     return [(x * scale, y * scale) for x, y in draw(rotated_rects())]
 
 
+# Rows whose vertex order turns on signed zeros, ties or angles closer than the order guard.
+ORDER_GUARD_ROWS = [
+    [(-1.0, 0.0), (0.0, -1.0), (1.0, 0.0), (0.0, 1.0)],  # left vertex at dy = +0.0: atan2 is +pi
+    [(-1.0, -0.0), (0.0, -1.0), (1.0, 0.0), (0.0, 1.0)],  # left vertex at dy = -0.0: atan2 is -pi
+    [(0.0, 0.0), (4.0, 0.0), (4.0, 0.0), (0.0, 3.0)],  # a duplicated vertex
+    [(3.0, 0.0), (-3.0, 3.0), (0.0, -3.0), (-0.0, -0.0)],  # a vertex at the centroid
+    [(1e6, 0.0), (-1e6, 1e-7), (1e6, 1e-7), (-1e6, 0.0)],  # a needle: angles 1e-13 apart
+    # a needle whose angles are an ulp or two apart, where np.arctan2 and
+    # math.atan2 can disagree on the order (they do on AVX-512 hosts)
+    [(1624968.0341870708, 2931182.585589278), (-1624973.1198048235, -2931184.871527408),
+     (-1624973.1198048245, -2931184.871527407), (1624968.0341870699, 2931182.585589279)],
+]
+order_guard_rows = st.builds(_permuted, st.sampled_from(ORDER_GUARD_ROWS), permutation)
+
 small_grid = st.sampled_from([-0.0, 0.0, 1.0, -1.0, 2.0, 3.0, 0.5])
 grid_quads = st.lists(st.tuples(small_grid, small_grid), min_size=4, max_size=4)
 free_quads = st.lists(st.tuples(coord, coord), min_size=4, max_size=4)
 
 any_quad = st.one_of(
     rotated_rects(), axis_boxes(), tiny_rects(), concave_quads(), collinear_quads(),
-    huge_rects(), grid_quads, free_quads,
+    huge_rects(), grid_quads, free_quads, order_guard_rows,
 )
 
 

@@ -818,6 +818,9 @@ _cell = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.integers(-2, 6).map(str),
     st.sampled_from(["nan", "-inf", "1e400", "-0", "0.5", "1_0", "0x1", ".", "e", "x", "#"]),
+    st.sampled_from(["\u0661\u0662", "+.5e-3", "-nan", "4.9406564584124654e-324"]),
+    # whitespace-only cells put other separators between the spaces of a line
+    st.sampled_from(["\t", "\x1f", "\xa0"]),
 )
 _layout = st.sampled_from(["", "   ", "# note", "#", "\t# 1 2 3", " 1 2 # 3"])
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import math
 import string
 import tempfile
 from pathlib import Path
@@ -12,13 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obbkit import cli
-from obbkit.dota import parse_dota_annotations, parse_dota_detections
+from obbkit.dota import _format_rows, parse_dota_annotations, parse_dota_detections
 from obbkit.errors import DegenerateQuad, ObbkitError, ParseError, UnknownCategory, UnknownClass
 from obbkit.evaluation import ClassTable, GtIndex
 from obbkit.inference import Detection, DetectionSet, nms_per_image
 from obbkit.targets import GroundTruthObject
 
 from helpers import (
+    format_number_oracle,
     parse_dota_annotations_oracle,
     parse_dota_detections_oracle,
     random_rect,
@@ -197,20 +199,38 @@ def test_parse_error_beats_a_later_bad_quad(bad, tmp_path):
     assert str(got.value) == str(want.value)
 
 
+def test_format_rows_matches_format_number_oracle_value_by_value():
+    values = [-0.0, 2.0**53, 1e300, 0.1, 1 / 3, math.inf, -math.inf, math.nan, 0.0, -7.0, 2.5]
+    table = np.array([values, values[::-1]])
+    expected = [[format_number_oracle(v) for v in row] for row in table.tolist()]
+    assert [row.split(" ") for row in _format_rows(table)] == expected
+    assert _format_rows(table[:, :1]) == [expected[0][0], expected[1][0]]
+    assert _format_rows(np.empty((0, 9))) == []
+
+
 # ------------------------------------------------------------------ fuzzing
 
 _number = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.integers(-3, 12).map(str),
     st.sampled_from(["nan", "-inf", "1e400", "-0", "0.5", "1_0", "0x1", "1e-400", ".", "e"]),
+    st.sampled_from(["\u0661\u0662", "+.5e-3", "-nan", "4.9406564584124654e-324"]),
 )
 _word = st.text(alphabet=string.ascii_letters + string.digits + "._-:", min_size=1, max_size=5)
-_token = st.one_of(_number, _number, _word, st.sampled_from(["plane", "ship", "0", "1", "2"]))
+# whitespace-only tokens put other separators between the spaces of a line
+_token = st.one_of(_number, _number, _word, st.sampled_from(["plane", "ship", "0", "1", "2"]),
+                   st.sampled_from(["\t", "\x1f", "\xa0"]))
+_separator = st.sampled_from([" ", "\t", " \x1f", "\xa0", "\t\x0c"])
 _grid = st.sampled_from(["0", "1", "2", "3", "10", "-0"])
 _det_line = st.one_of(
     st.lists(_token, max_size=11).map(" ".join),
     st.tuples(st.sampled_from(["A", "B", "c"]), st.sampled_from(["0", "0.5", "1", "0.25"]),
               st.lists(_grid, min_size=8, max_size=8)).map(lambda t: " ".join([t[0], t[1], *t[2]])),
+    # well formed but for the separators, the coordinates and a possible 11th field
+    st.tuples(_separator, st.sampled_from(["A", "B"]), st.sampled_from(["0.5", "+.5e-3", "1"]),
+              st.lists(st.one_of(_grid, _grid, _number), min_size=8, max_size=8),
+              st.lists(_token, max_size=1))
+    .map(lambda t: t[0].join(t[1:3] + tuple(t[3]) + tuple(t[4]))),
 )
 _gt_line = st.one_of(
     st.lists(_token, max_size=11).map(" ".join),

@@ -570,6 +570,23 @@ class TestRunInferenceArrays:
         both = run_inference(batches * 2, [spec, spec])
         assert both == [everything[i] for i in (0, 1, 0, 1)]
 
+    @pytest.mark.parametrize("counts", [(500, 700, 400), (0, 1600, 0), (999, 3, 598), (1000, 1, 599)])
+    def test_top_n_cut_through_ties_keeps_the_earliest(self, counts, monkeypatch):
+        # 1,600 candidates scored 0.9, 0.6 and 0.3 (counts of each) in shuffled
+        # order; the capped run must return the first PRE_NMS_TOP_N detections
+        # of the uncapped one, which a stable sort by score lists
+        spec = FeatureGridSpec(400, 2, 8, 3)
+        rng = np.random.default_rng(sum(counts[:2]))
+        values = rng.permutation(np.repeat([0.9, 0.6, 0.3], counts)).reshape(800, 2)
+        ltrb = rng.uniform(2.0, 6.0, (800, 4))
+        batches = [PredictionBatch(values, np.ones(800), ltrb, np.zeros((800, 2)))]
+        monkeypatch.setattr(inference, "NMS_IOU_THRESHOLD", 1.0)
+        monkeypatch.setattr(inference, "MAX_DETECTIONS", 1600)
+        capped = run_inference(batches, [spec])
+        assert len(capped) == inference.PRE_NMS_TOP_N < 1600
+        monkeypatch.setattr(inference, "PRE_NMS_TOP_N", 1600)
+        assert capped == run_inference(batches, [spec])[: len(capped)]
+
     def test_top_n_keeps_highest_scores_in_candidate_order(self, monkeypatch):
         spec = FeatureGridSpec(4, 1, 64, 6)
         scores = np.array([[0.2, 0.9], [0.7, 0.1], [0.9, 0.3], [0.4, 0.8]])
