@@ -11,6 +11,8 @@ image and class, written as DOTA text files):
 - ``parse_annotations``: ``parse_dota_annotations`` on the ground truth;
 - ``nms``: rotated NMS at IoU 0.5 within each image of the parsed raw
   detections;
+- ``iou_pairs``: ``polygon_iou_pairs`` on the quad pairs that ``nms``
+  sends to it (recorded from one NMS run), also reported per pair;
 - ``match_ap``: ``evaluate`` (matching at IoU 0.5 and 11-point AP) of
   the kept detections;
 - ``write``: ``write_dota_detections`` of the kept detections;
@@ -61,7 +63,7 @@ except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     import obbkit
 
-from obbkit import cli, geometry  # noqa: E402
+from obbkit import cli, geometry, inference  # noqa: E402
 from obbkit.dota import (  # noqa: E402
     parse_dota_annotations,
     parse_dota_detections,
@@ -188,6 +190,24 @@ def column_scene(seed: int = 13):
                          (5.0, 10.0), (3.0, 5.0))
 
 
+def nms_sweep_pairs(dets) -> tuple[np.ndarray, np.ndarray]:
+    """The quad pairs, as two (P, 4, 2) arrays, that nms_per_image at IoU 0.5
+    sends to polygon_iou_pairs on dets."""
+    recorded = []
+
+    def recording(a, b):
+        recorded.append((a, b))
+        return geometry.polygon_iou_pairs(a, b)
+
+    inference.polygon_iou_pairs = recording
+    try:
+        nms_per_image(dets, 0.5)
+    finally:
+        inference.polygon_iou_pairs = geometry.polygon_iou_pairs
+    a, b = zip(*recorded)
+    return np.concatenate(a), np.concatenate(b)
+
+
 def run_cli(argv) -> None:
     with contextlib.redirect_stdout(io.StringIO()):
         if cli.main(argv) != 0:
@@ -195,7 +215,8 @@ def run_cli(argv) -> None:
 
 
 def make_cases(root: Path):
-    """name -> (input description, quads or None, zero-argument callable)."""
+    """name -> (input description, (count, unit) to report per item or None,
+    zero-argument callable)."""
     n = write_scene(root)
     vertices = scene_vertices(root)
     dets, classes = parse_dota_detections(root / "raw")
@@ -203,13 +224,17 @@ def make_cases(root: Path):
     kept = nms_per_image(dets, 0.5)
     crowded_dets, crowded_gt = crowded_scene()
     scene = f"{IMAGES} images, {n} quads ({IMAGES * OBJECTS} ground truth)"
-    cases = {"canonicalize_many": (scene, n, lambda: geometry.canonicalize_many(vertices))}
+    cases = {"canonicalize_many": (scene, (n, "quad"),
+                                   lambda: geometry.canonicalize_many(vertices))}
     cases["parse_detections"] = (f"{n - IMAGES * OBJECTS} raw detection lines", None,
                                  lambda: parse_dota_detections(root / "raw"))
     cases["parse_annotations"] = (f"{IMAGES * OBJECTS} annotation lines in {IMAGES} files", None,
                                   lambda: parse_dota_annotations(root / "gt"))
     cases["nms"] = (f"{n - IMAGES * OBJECTS} raw detections, IoU 0.5", None,
                     lambda: nms_per_image(dets, 0.5))
+    pair_a, pair_b = nms_sweep_pairs(dets)
+    cases["iou_pairs"] = (f"{len(pair_a)} NMS pairs of the raw detections", (len(pair_a), "pair"),
+                          lambda: geometry.polygon_iou_pairs(pair_a, pair_b))
     cases["match_ap"] = ("kept detections vs ground truth, IoU 0.5", None,
                          lambda: evaluate(kept, gt, 0.5))
     cases["write"] = ("kept detections", None,
@@ -256,7 +281,7 @@ def main(argv=None):
             parser.error(f"unknown cases {unknown}; choose from {sorted(cases)}")
         results = {}
         for name in names:
-            description, quads, run = cases[name]
+            description, per_item, run = cases[name]
             run()  # untimed warm-up
             runs = []
             for _ in range(args.repeats):
@@ -265,11 +290,12 @@ def main(argv=None):
                 runs.append(time.perf_counter() - start)
             median = statistics.median(runs)
             results[name] = {"input": description, "median_s": median, "runs_s": runs}
-            per_quad = ""
-            if quads:
-                results[name]["per_quad_us"] = median / quads * 1e6
-                per_quad = f", {results[name]['per_quad_us']:.2f} us per quad"
-            print(f"{name:20s} median {median:.4f} s  ({description}{per_quad})", flush=True)
+            per = ""
+            if per_item:
+                count, unit = per_item
+                results[name][f"per_{unit}_us"] = median / count * 1e6
+                per = f", {median / count * 1e6:.2f} us per {unit}"
+            print(f"{name:20s} median {median:.4f} s  ({description}{per})", flush=True)
     report = {"environment": environment(), "repeats": args.repeats, "cases": results}
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
 

@@ -385,6 +385,7 @@ def _add_config_flags(sub):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser of every subcommand (:func:`main` builds one per process)."""
     parser = _Parser(prog="obbkit", description=__doc__)
     commands = parser.add_subparsers(dest="command")
 
@@ -451,8 +452,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built on its first call; parsing leaves no state in it
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    parser = _parser
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

@@ -15,7 +15,8 @@ Detection results: one file per class ({class}.txt, an optional
 Every text table obbkit reads, these and the CLI's numeric files, goes
 through :func:`_read_lines` and :func:`_float_columns`, which convert
 numbers with np.loadtxt where it reads them as float() does (a well-formed
-detection file is read by one loadtxt call, with no split per line);
+detection or annotation file is read by one loadtxt call, with no split
+per line);
 every writer formats numbers through :func:`_format_rows`.
 """
 
@@ -46,11 +47,12 @@ def _read_lines(path, *, comments: bool = False, headers: bool = False) -> list:
             if tokens and not (skip and tokens[0].lower().startswith(skip))]
 
 
-def _loadtxt(text: str, usecols=None) -> np.ndarray | None:
+def _loadtxt(text: str, usecols=None, **options) -> np.ndarray | None:
     """Columns usecols (all when None) of every non-blank line of a text
     table as an (N, k) float array, or None when the text is not ASCII, has
     no non-blank line, or np.loadtxt refuses it (a field that is not a
     number, a line with too few fields, ragged lines when usecols is None).
+    Further options (skiprows, converters) go to np.loadtxt.
 
     On ASCII text loadtxt splits lines and fields where str.splitlines and
     str.split do, and converts a field with the C function float() uses,
@@ -60,7 +62,9 @@ def _loadtxt(text: str, usecols=None) -> np.ndarray | None:
     if not text.isascii() or not text.strip():
         return None
     try:
-        return np.loadtxt(text.splitlines(), usecols=usecols, comments=None, ndmin=2, dtype=float)
+        return np.loadtxt(
+            text.splitlines(), usecols=usecols, comments=None, ndmin=2, dtype=float, **options
+        )
     except ValueError:
         return None
 
@@ -112,7 +116,14 @@ def _canonical_quads(coords) -> np.ndarray:
 
 
 def _annotation_table(path) -> tuple[np.ndarray, list[str], list[bool]]:
-    """Coordinates (N, 8), categories and difficult flags of one annotation file's lines."""
+    """Coordinates (N, 8), categories and difficult flags of one annotation file's lines.
+
+    A well-formed file is read by :func:`_well_formed_annotations`; any
+    other line by line, which raises the first ParseError in file order.
+    """
+    table = _well_formed_annotations(Path(path).read_text())
+    if table is not None:
+        return table
     lines = _read_lines(path, headers=True)
     short = next((k for k, (_, t) in enumerate(lines) if len(t) not in (9, 10)), len(lines))
     flag = next((k for k, (_, t) in enumerate(lines[:short]) if t[9:] not in ([], ["0"], ["1"])),
@@ -128,6 +139,31 @@ def _annotation_table(path) -> tuple[np.ndarray, list[str], list[bool]]:
             path, line_no, f"expected 8 coordinates, category and flag, got {len(tokens)} fields"
         )
     return coords, [t[8] for _, t in lines], [t[9:] == ["1"] for _, t in lines]
+
+
+def _well_formed_annotations(text: str) -> tuple[np.ndarray, list[str], list[bool]] | None:
+    """The table of :func:`_annotation_table` from one loadtxt call and one
+    split, or None unless the text is ASCII and, after its leading
+    imagesource/gsd header lines, every line has 10 fields with a 0/1 flag
+    last, or every line has 9."""
+    lines = text.splitlines()
+    head = next((k for k, line in enumerate(lines)
+                 if not line.lstrip().lower().startswith(_HEADER_PREFIXES)), len(lines))
+    width = len(lines[head].split()) if head < len(lines) else 0
+    if width not in (9, 10):
+        return None
+    # usecols reaches column width - 1, so loadtxt refuses a shorter line; a category passes len
+    if width == 10:
+        table = _loadtxt(text, [*range(8), 9], skiprows=head)
+    else:
+        table = _loadtxt(text, range(9), skiprows=head, converters={8: len})
+    fields = text.split()[sum(len(line.split()) for line in lines[:head]):]
+    if table is None or len(fields) != width * len(table):
+        return None
+    flags = fields[9::10] if width == 10 else ["0"] * len(table)
+    if not {"0", "1"}.issuperset(flags):
+        return None
+    return table[:, :8], fields[8::width], [flag == "1" for flag in flags]
 
 
 def _txt_files(directory) -> list[Path]:

@@ -264,15 +264,18 @@ def average_precision(curve: PRCurve, mode: str = MODE_11POINT) -> float:
 
     11-point mode averages the maximum precision at recall >= 0, 0.1,
     ..., 1.0; all-point mode integrates the precision envelope over
-    recall.
+    recall. The recalls never decrease (as :func:`pr_curve` makes them),
+    so the points at recall >= t are a suffix of the curve.
     """
     if curve.recalls.size == 0:
         return 0.0
     if mode == MODE_11POINT:
+        # the maximum precision of every suffix, and 0 for the empty one
+        suffix_max = np.append(np.maximum.accumulate(curve.precisions[::-1])[::-1], 0.0)
+        first = np.searchsorted(curve.recalls, np.arange(0.0, 1.1, 0.1) - 1e-12)
         ap = 0.0
-        for t in np.arange(0.0, 1.1, 0.1):
-            mask = curve.recalls >= t - 1e-12
-            ap += float(curve.precisions[mask].max()) if mask.any() else 0.0
+        for precision in suffix_max[first].tolist():
+            ap += precision
         return ap / 11.0
     if mode == MODE_ALLPOINT:
         mrec = np.concatenate(([0.0], curve.recalls, [1.0]))

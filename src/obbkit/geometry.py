@@ -385,34 +385,48 @@ def _clip_halfplanes(
     Returns the clipped polygons in the same closed layout, as long as
     the longest one needs, and their vertex counts.
     """
-    (ex, ey), a = e, a[:, None]
-    rel = closed - a
+    (ex, ey), count = e, len(n)
+    rel = closed - a[:, None]
     inside = ex * rel[1] - ey * rel[0] >= -EDGE_EPS
     valid = np.arange(len(inside) - 1)[:, None] < n
-    if inside[:-1][valid].all():
+    kept = inside[:-1] & valid
+    if np.count_nonzero(kept) == n.sum():
         # every vertex is inside: each polygon comes out as it went in
         return closed, n
-    cur = closed[:, :-1]
-    step = closed[:, 1:] - cur
-    back = a - cur
-    denom = ex * step[1] - ey * step[0]
-    # lanes with denom == 0 hold inf or nan and are never emitted
-    s = (ex * back[1] - ey * back[0]) / denom
-    # vertex c emits itself if inside, then the crossing point of c -> next
-    cand = np.concatenate((cur[:, :, None], (cur + s * step)[:, :, None]), axis=2)
-    crossing = (inside[:-1] != inside[1:]) & (denom != 0.0)
-    emit = np.concatenate((inside[:-1, None], crossing[:, None]), axis=1) & valid[:, None]
-    emit = emit.reshape(-1, len(n))
-    pos = emit.cumsum(axis=0)
-    out_n = pos[-1]
-    # the emitted lanes in order, by flat index lane * N + k, and where each lands
-    src = np.flatnonzero(emit)
-    dst = (pos.ravel()[src] - 1) * len(n) + src % len(n)
-    out = np.zeros((2, out_n.max(initial=0) + 1, len(n)))
-    for plane, lanes in zip(out.reshape(2, -1), cand.reshape(2, -1)):
-        plane[dst] = lanes[src]
-    out[:, out_n, np.arange(len(n))] = out[:, 0]
-    return out, out_n
+    # lane j of column k (vertex j and its edge to vertex j + 1) is flat index j * N + k
+    x, y = closed.reshape(2, -1)
+    lanes = np.flatnonzero((inside[:-1] != inside[1:]) & valid)
+    col = lanes % count
+    ecx, ecy = ex[col], ey[col]
+    cx, cy = x[lanes], y[lanes]
+    sx, sy = x[lanes + count] - cx, y[lanes + count] - cy
+    denom = ecx * sy - ecy * sx
+    s = (ecx * (a[1][col] - cy) - ecy * (a[0][col] - cx)) / denom
+    px, py = cx + s * sx, cy + s * sy
+    crossing = denom != 0.0
+    if not crossing.all():
+        # an edge parallel to the clip line emits no crossing point
+        lanes, col, px, py = lanes[crossing], col[crossing], px[crossing], py[crossing]
+    # lane j emits its vertex if inside, then the crossing point of its edge
+    emitted = kept.astype(np.intp)
+    emitted.reshape(-1)[lanes] += 1
+    slot = np.zeros_like(emitted)  # rows emitted before lane j, row by row:
+    for j in range(1, len(slot)):  # numpy's cumsum along axis 0 is several times slower
+        np.add(slot[j - 1], emitted[j - 1], out=slot[j])
+    out_n = slot[-1] + emitted[-1]
+    # as flat indices into an output plane, row * N + k; lanes not kept write to a spare slot
+    slot *= count
+    slot += np.arange(count)
+    cross_dst = slot.reshape(-1)[lanes] + kept.reshape(-1)[lanes] * count
+    size = (out_n.max(initial=0) + 1) * count
+    np.putmask(slot, ~kept, size)
+    close = out_n * count + np.arange(count)
+    planes = np.zeros((2, size + 1))
+    for plane, source, point in zip(planes, (x, y), (px, py)):
+        plane[slot.reshape(-1)] = source[: slot.size]
+        plane[cross_dst] = point
+        plane[close] = plane[:count]
+    return planes[:, :size].reshape(2, -1, count), out_n
 
 
 def polygon_iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:

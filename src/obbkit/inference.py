@@ -236,8 +236,8 @@ def nms_per_image(dets: DetectionSet, iou_thresh: float) -> DetectionSet:
 
 
 def _in_unit_interval(values: np.ndarray) -> bool:
-    # written so that NaN fails the test too
-    return bool(((values >= 0.0) & (values <= 1.0)).all())
+    # min and max propagate NaN, so NaN fails the test too
+    return values.size == 0 or bool(values.min() >= 0.0 and values.max() <= 1.0)
 
 
 def run_inference(

@@ -161,6 +161,19 @@ def polygon_iou_oracle(a: Quad, b: Quad) -> float:
     return min(max(inter / union, 0.0), 1.0)
 
 
+def average_precision_11_oracle(curve) -> float:
+    """11-point AP of a PRCurve with one recall mask per threshold: the maximum
+    precision at recall >= t - 1e-12 for t in np.arange(0.0, 1.1, 0.1) (0
+    where no point qualifies), summed left to right and divided by 11."""
+    if curve.recalls.size == 0:
+        return 0.0
+    ap = 0.0
+    for t in np.arange(0.0, 1.1, 0.1):
+        mask = curve.recalls >= t - 1e-12
+        ap += float(curve.precisions[mask].max()) if mask.any() else 0.0
+    return ap / 11.0
+
+
 def grid_to_image(spec: FeatureGridSpec, x_s: int, y_s: int) -> Point2:
     """Map a grid location to its image-plane point: x = floor(s/2) + x_s * s."""
     if not (0 <= x_s < spec.width and 0 <= y_s < spec.height):

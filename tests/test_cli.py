@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -738,6 +741,87 @@ class TestDotaRoundtrip:
         (d / "plane.txt").write_text("A 0.5 0 0 1 0 1 1 0 1\nA 0.5 0 0 1 0 1 1 0 1\n")
         dets, _ = parse_dota_detections(d)
         assert len(dets.per_image()["A"]) == 2
+
+
+class TestParserReuse:
+    """main parses every call with one parser per process; build_parser() stays fresh."""
+
+    QUAD = "0,1,1,0,2,1,1,2"
+
+    @staticmethod
+    def fresh(capsys, monkeypatch, *argv):
+        # main's output when it builds its parser for this call
+        monkeypatch.setattr(cli, "_parser", None)
+        return run_cli(capsys, *argv)
+
+    def test_set_values_do_not_accumulate(self, scene, capsys, monkeypatch):
+        seen = []
+        load = cli._load_config
+
+        def recording(args, **flags):
+            seen.append(args.set)
+            return load(args, **flags)
+
+        monkeypatch.setattr(cli, "_load_config", recording)
+        base = ("eval", "--gt", str(scene / "gt"), "--dets", str(scene / "dets"))
+        want = self.fresh(capsys, monkeypatch, *base, "--set", "eval_iou_threshold=0.7")
+        run_cli(capsys, *base, "--set", "metric_mode=all")
+        got = run_cli(capsys, *base, "--set", "eval_iou_threshold=0.7")
+        assert seen == [["eval_iou_threshold=0.7"], ["metric_mode=all"], ["eval_iou_threshold=0.7"]]
+        assert got == want and json.loads(got[1].splitlines()[-1])["mode"] == "11point"
+
+    @pytest.mark.parametrize(
+        "bad",
+        [("iou", "--quad-a", QUAD), ("iou", "--quad-a", QUAD, "--quad-b", QUAD, "--grid", "x"),
+         ("eval", "--bogus"), ("nope",), ()],
+    )
+    def test_usage_error_then_good_call(self, bad, capsys, monkeypatch):
+        good = ("iou", "--quad-a", self.QUAD, "--quad-b", self.QUAD, "--raster-check")
+        want_bad = self.fresh(capsys, monkeypatch, *bad)
+        want_good = self.fresh(capsys, monkeypatch, *good)
+        parser = cli._parser
+        assert run_cli(capsys, *bad) == want_bad and want_bad[0] == 1
+        assert run_cli(capsys, *good) == want_good and want_good[0] == 0
+        assert run_cli(capsys, *bad) == want_bad
+        assert cli._parser is parser
+
+    def test_build_parser_returns_a_new_parser(self, capsys):
+        run_cli(capsys, "iou", "--quad-a", self.QUAD, "--quad-b", self.QUAD)
+        first, second = cli.build_parser(), cli.build_parser()
+        assert first is not second
+        assert cli._parser is not None and cli._parser is not first and cli._parser is not second
+
+    def test_main_builds_one_parser_per_process(self, capsys, monkeypatch):
+        built = []
+        build = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        monkeypatch.setattr(cli, "_parser", None)
+        for argv in ((), ("iou", "--quad-a", self.QUAD), ("iou", "--quad-a", self.QUAD,
+                                                           "--quad-b", self.QUAD)):
+            run_cli(capsys, *argv)
+        assert len(built) == 1
+
+    def test_import_builds_no_parser(self):
+        code = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import obbkit.cli\n"
+            "print(len(built), obbkit.cli._parser)\n"
+        )
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (0, "0 None\n"), proc.stderr
 
 
 class TestConfig:

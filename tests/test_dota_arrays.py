@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obbkit import cli
+from obbkit import cli, dota
 from obbkit.dota import _format_rows, parse_dota_annotations, parse_dota_detections
 from obbkit.errors import DegenerateQuad, ObbkitError, ParseError, UnknownCategory, UnknownClass
 from obbkit.evaluation import ClassTable, GtIndex
@@ -20,6 +20,7 @@ from obbkit.inference import Detection, DetectionSet, nms_per_image
 from obbkit.targets import GroundTruthObject
 
 from helpers import (
+    annotation_records_oracle,
     format_number_oracle,
     parse_dota_annotations_oracle,
     parse_dota_detections_oracle,
@@ -290,3 +291,48 @@ def test_fuzz_annotation_parser(a, b):
         rc, _, _ = _run(["eval", "--gt", str(d), "--dets", str(empty)])
         # eval infers the class table, as the first parse above did
         assert rc == (0 if outcomes[0][0] == "ok" else 2)
+
+
+_BOX, _SMALL = "0 0 10 0 10 10 0 10", "5 5 9 5 9 9 5 9"
+
+
+@pytest.mark.parametrize(
+    "text, one_loadtxt",
+    [
+        (f"imagesource:GoogleEarth\ngsd:0.146\n{_BOX} plane 0\n{_SMALL} ship 1\n", True),
+        (f"  GSD: 0.1 m\n{_BOX} plane 1\r\n\n{_SMALL} ship 0\n  \n", True),
+        (f"{_BOX} plane\n{_SMALL} ship", True),
+        (f"{_BOX}\tplane\x0c{_SMALL} 1_0", True),
+        (f"\n{_BOX} plane 0\n", False),
+        (f"{_BOX} plane 0\ngsd:0.1\n{_SMALL} ship 1\n", False),
+        (f"{_BOX} plane 0\n{_SMALL} ship\n", False),
+        (f"{_BOX} plane\n{_SMALL} ship 1\n", False),
+        (f"{_BOX} plane 0 extra\n", False),
+        (f"{_BOX} plane 2\n", False),
+        (f"{_BOX} plane 0.0\n", False),
+        (f"{_BOX} plane -0\n", False),
+        (f"{_BOX} plane x\n", False),
+        (f"1_0 {_BOX[2:]} plane 0\n", False),
+        (f"{_BOX} plané 0\n", False),
+        (f"#{_BOX} plane 0\n", False),
+        (f"{_BOX} plane 0\n0 0 10 0 10 10 0 x ship 0\n", False),
+        ("imagesource:GoogleEarth\ngsd:0.146\n", False),
+        ("", False),
+    ],
+)
+def test_annotation_table_fast_path(text, one_loadtxt, tmp_path):
+    # one loadtxt call reads a well-formed file; every other file reads line by
+    # line; both give the records, or the first error, of the per-line oracle
+    f = tmp_path / "A.txt"
+    f.write_bytes(text.encode())
+    assert (dota._well_formed_annotations(f.read_text()) is not None) == one_loadtxt
+    got = _outcome(dota._annotation_table, f)
+    want = _outcome(annotation_records_oracle, f)
+    if want[0] == "ok":
+        coords, names, flags = got[1]
+        assert [[v.hex() for v in row] for row in coords.tolist()] == [
+            [v.hex() for v in c] for c, _, _ in want[1]
+        ]
+        assert (names, flags) == ([n for _, n, _ in want[1]], [d for _, _, d in want[1]])
+    else:
+        assert got == want

@@ -25,7 +25,14 @@ from obbkit.evaluation import (
 from obbkit.inference import Detection, DetectionSet
 from obbkit.targets import GroundTruthObject
 
-from helpers import axis_box, match_flags_oracle, polygon_iou_oracle, random_rect, rotated_rect
+from helpers import (
+    average_precision_11_oracle,
+    axis_box,
+    match_flags_oracle,
+    polygon_iou_oracle,
+    random_rect,
+    rotated_rect,
+)
 
 
 def _ds(dets_per_image):
@@ -291,6 +298,22 @@ class TestAveragePrecision:
     def test_hand_computed_all_point(self):
         curve = pr_curve([TP, FP, TP], [0.9, 0.8, 0.7], 2)
         assert abs(average_precision(curve, MODE_ALLPOINT) - 5 / 6) < 1e-12
+
+    def test_11_point_matches_mask_oracle_bits(self):
+        # seeded curves: empty, all false positives, ground truth counts whose
+        # recalls k / num_gt tie with grid points, and ignored rows mixed in
+        rng = np.random.default_rng(29)
+        curves = [pr_curve([], [], 4), pr_curve([FP] * 5, rng.random(5), 3)]
+        curves += [pr_curve([TP] * k + [FP] * 3, rng.random(k + 3), 10) for k in range(11)]
+        for _ in range(200):
+            n = int(rng.integers(0, 40))
+            flags = rng.choice([TP, FP, IGNORED], n, p=[0.45, 0.45, 0.1])
+            scores = rng.choice([0.2, 0.5, 0.9], n) if rng.random() < 0.3 else rng.random(n)
+            curves.append(pr_curve(flags, scores, int(rng.integers(0, 30))))
+        got = [average_precision(c, MODE_11POINT).hex() for c in curves]
+        assert got == [average_precision_11_oracle(c).hex() for c in curves]
+        assert got[0] == got[1] == (0.0).hex()
+        assert len(set(got)) > 50
 
     def test_11_point_tolerance_differs_from_reference(self):
         # recall 3/10 = 0.29999999999999999 sits just under the grid point

@@ -557,6 +557,25 @@ class TestRunInferenceArrays:
     def test_no_levels(self):
         assert run_inference([], []) == []
 
+    @pytest.mark.parametrize("field", ["class_scores", "centerness"])
+    @pytest.mark.parametrize(
+        "value, ok", [(-0.0, True), (1.0, True), (math.nextafter(1.0, 2.0), False), (math.nan, False)]
+    )
+    def test_score_range_edges(self, field, value, ok):
+        # a level with no classes has no scores to check; the edge value sits last
+        spec = FeatureGridSpec(4, 1, 64, 6)
+        empty = PredictionBatch(np.zeros((4, 0)), np.ones(4), np.full((4, 4), 4.0), np.zeros((4, 2)))
+        fields = dict(class_scores=np.full((4, 2), 0.5), centerness=np.ones(4),
+                      ltrb=np.full((4, 4), 4.0), wh=np.zeros((4, 2)))
+        fields[field].reshape(-1)[-1] = value
+        batches = [empty, PredictionBatch(**fields), empty]
+        if ok:
+            assert len(run_inference(batches, [spec] * 3)) > 0
+        else:
+            with pytest.raises(ValueError, match=r"scores must lie in \[0, 1\]"):
+                run_inference(batches, [spec] * 3)
+        assert run_inference([empty], [spec]) == []
+
     def test_top_n_breaks_ties_by_candidate_order(self, monkeypatch):
         # five tied candidates far apart; the cap keeps the first two of the level
         spec = FeatureGridSpec(5, 1, 64, 6)

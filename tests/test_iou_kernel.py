@@ -262,3 +262,72 @@ class TestBlock:
         # any RuntimeWarning into an error
         quads = [axis_box(0, 0, 10, 10), axis_box(0, 0, 10, 10), axis_box(0, 5, 10, 15)]
         _check_block(quads, quads)
+
+
+# an edge of a at the -EDGE_EPS tolerance and parallel to b's first edge, from
+# (0, 3) along (1, -3): its two ends round to opposite sides of the inside test
+# while their denom is exactly 0, so the clip emits no crossing point for it
+_PARALLEL_END = (0.10100954615319713, 2.6969713605404086)
+
+
+def _parallel_edge_quad() -> Quad:
+    cx, cy = _PARALLEL_END
+    return canonicalize_oracle(
+        [(cx, cy), (cx + 0.25, cy - 0.75), (cx + 1.75, cy - 0.25), (cx + 1.5, cy + 0.5)]
+    )
+
+
+def _clip_case_pairs() -> list[tuple[Quad, Quad, str]]:
+    """Pairs that take every path of one clip step, with the kind each shows."""
+    diamond = canonicalize_oracle([(0, 5), (5, 0), (10, 5), (5, 10)])
+    square = canonicalize_oracle([(0, 3), (1, 0), (4, 1), (3, 4)])
+    unit = axis_box(0, 0, 1, 1)
+    return [
+        (axis_box(4, 4, 6, 6), diamond, "inside"),
+        (axis_box(0.5, 0.5, 1.5, 1.5), diamond, "outside"),
+        (axis_box(3, 3, 8, 8), diamond, "crossing"),
+        (rotated_rect(5, 5, 4, 12, 30), diamond, "crossing"),
+        (axis_box(2.5, 2.5, 4, 4), diamond, "on edge"),
+        (axis_box(0.5, 0, 2, 1), unit, "on edge"),
+        (axis_box(0.5, 0.25, 1 + 5e-10, 0.75), unit, "within EDGE_EPS"),
+        (axis_box(0.5, 0.25, 1 + 2e-9, 0.75), unit, "just outside"),
+        (axis_box(0, 0.5, 1, 2), unit, "parallel"),
+        (_parallel_edge_quad(), square, "parallel at the tolerance"),
+    ]
+
+
+class TestClipStep:
+    """One batch mixes every kind of column, so no step of the clip returns early."""
+
+    @pytest.mark.parametrize("chunk", [7, geometry.PAIRS_PER_CLIP])
+    def test_mixed_batch_matches_oracle_bits(self, chunk, monkeypatch):
+        monkeypatch.setattr(geometry, "PAIRS_PER_CLIP", chunk)
+        rng = np.random.default_rng(19)
+        cases = [(a, b) for a, b, _ in _clip_case_pairs()] * 3
+        cases += [(random_rect(rng, 60, 2, 40), random_rect(rng, 60, 2, 40)) for _ in range(60)]
+        cases = [cases[k] for k in rng.permutation(len(cases))]
+        a, b = (quad_arrays(side) for side in zip(*cases))
+        got = [v.hex() for v in polygon_iou_pairs(a, b).tolist()]
+        assert got == [polygon_iou_oracle(p, q).hex() for p, q in cases]
+
+    def test_each_kind_reads_as_named(self):
+        ious = {}
+        for a, b, kind in _clip_case_pairs():
+            ious.setdefault(kind, []).append(polygon_iou(a, b))
+        assert ious["inside"] == [4 / 50] and ious["outside"] == [0.0]
+        assert all(0.0 < v < 1.0 for v in ious["crossing"] + ious["parallel at the tolerance"])
+        assert ious["on edge"][1] == ious["parallel"][0] == 0.25
+
+    def test_overflowing_vertex_message(self):
+        # a square near 1e200 against itself with one coordinate an ulp away: the
+        # clipped vertices overflow and the first of them is named
+        big, ulp_below = 1.3535533905932738e+200, 6.4644660940672625e+199
+        small = 6.464466094067262e+199
+        a = np.array([[[small, ulp_below], [big, small], [big, big], [small, big]]])
+        b = np.array([[[small, ulp_below], [big, small], [big, big], [ulp_below, big]]])
+        rng = np.random.default_rng(3)
+        good = quad_arrays([random_rect(rng, 60, 2, 40) for _ in range(6)])
+        for pa, pb in ((a, b), (b, a)):
+            with pytest.raises(ValueError) as err:
+                polygon_iou_pairs(np.concatenate([good, pa]), np.concatenate([good[::-1], pb]))
+            assert str(err.value) == "non-finite point (nan, nan)"
