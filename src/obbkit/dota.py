@@ -47,12 +47,12 @@ def _read_lines(path, *, comments: bool = False, headers: bool = False) -> list:
             if tokens and not (skip and tokens[0].lower().startswith(skip))]
 
 
-def _loadtxt(text: str, usecols=None, **options) -> np.ndarray | None:
+def _loadtxt(text: str, usecols=None, skiprows: int = 0) -> np.ndarray | None:
     """Columns usecols (all when None) of every non-blank line of a text
     table as an (N, k) float array, or None when the text is not ASCII, has
     no non-blank line, or np.loadtxt refuses it (a field that is not a
     number, a line with too few fields, ragged lines when usecols is None).
-    Further options (skiprows, converters) go to np.loadtxt.
+    The first skiprows lines are left out.
 
     On ASCII text loadtxt splits lines and fields where str.splitlines and
     str.split do, and converts a field with the C function float() uses,
@@ -63,7 +63,8 @@ def _loadtxt(text: str, usecols=None, **options) -> np.ndarray | None:
         return None
     try:
         return np.loadtxt(
-            text.splitlines(), usecols=usecols, comments=None, ndmin=2, dtype=float, **options
+            text.splitlines(), usecols=usecols, comments=None, ndmin=2, dtype=float,
+            skiprows=skiprows,
         )
     except ValueError:
         return None
@@ -145,25 +146,21 @@ def _well_formed_annotations(text: str) -> tuple[np.ndarray, list[str], list[boo
     """The table of :func:`_annotation_table` from one loadtxt call and one
     split, or None unless the text is ASCII and, after its leading
     imagesource/gsd header lines, every line has 10 fields with a 0/1 flag
-    last, or every line has 9."""
+    last."""
     lines = text.splitlines()
     head = next((k for k, line in enumerate(lines)
                  if not line.lstrip().lower().startswith(_HEADER_PREFIXES)), len(lines))
-    width = len(lines[head].split()) if head < len(lines) else 0
-    if width not in (9, 10):
+    if head == len(lines) or len(lines[head].split()) != 10:
         return None
-    # usecols reaches column width - 1, so loadtxt refuses a shorter line; a category passes len
-    if width == 10:
-        table = _loadtxt(text, [*range(8), 9], skiprows=head)
-    else:
-        table = _loadtxt(text, range(9), skiprows=head, converters={8: len})
+    # usecols reaches column 9, so loadtxt refuses a shorter line
+    table = _loadtxt(text, [*range(8), 9], skiprows=head)
     fields = text.split()[sum(len(line.split()) for line in lines[:head]):]
-    if table is None or len(fields) != width * len(table):
+    if table is None or len(fields) != 10 * len(table):
         return None
-    flags = fields[9::10] if width == 10 else ["0"] * len(table)
+    flags = fields[9::10]
     if not {"0", "1"}.issuperset(flags):
         return None
-    return table[:, :8], fields[8::width], [flag == "1" for flag in flags]
+    return table[:, :8], fields[8::10], [flag == "1" for flag in flags]
 
 
 def _txt_files(directory) -> list[Path]:

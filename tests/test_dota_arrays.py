@@ -301,8 +301,8 @@ _BOX, _SMALL = "0 0 10 0 10 10 0 10", "5 5 9 5 9 9 5 9"
     [
         (f"imagesource:GoogleEarth\ngsd:0.146\n{_BOX} plane 0\n{_SMALL} ship 1\n", True),
         (f"  GSD: 0.1 m\n{_BOX} plane 1\r\n\n{_SMALL} ship 0\n  \n", True),
-        (f"{_BOX} plane\n{_SMALL} ship", True),
-        (f"{_BOX}\tplane\x0c{_SMALL} 1_0", True),
+        (f"{_BOX} plane\n{_SMALL} ship", False),
+        (f"{_BOX}\tplane\x0c{_SMALL} 1_0", False),
         (f"\n{_BOX} plane 0\n", False),
         (f"{_BOX} plane 0\ngsd:0.1\n{_SMALL} ship 1\n", False),
         (f"{_BOX} plane 0\n{_SMALL} ship\n", False),
