@@ -103,16 +103,26 @@ def _leading_floats(lines: list, lo: int, hi: int, path) -> tuple[np.ndarray, Pa
         return _float_columns(lines[:before], lo, hi, path), exc
 
 
-def _canonical_quads(coords) -> np.ndarray:
-    """Canonical (N, 4, 2) quads of flat 8-coordinate rows.
+def _canonical_quads(
+    files: list, coords: list, stop: int | None = None, *, headers: bool = False
+) -> np.ndarray:
+    """Canonical (N, 4, 2) quads of the 8-coordinate rows coords[i] read from files[i].
 
-    Raises the error of the first row :func:`canonicalize_many` rejects.
+    Raises the error of the first row before stop that
+    :func:`canonicalize_many` rejects, with "path:line: " in front as
+    ParseError has; the line is found by reading that file again with
+    :func:`_read_lines` (headers as the file was read).
     """
-    raw = np.asarray(coords, dtype=float).reshape(-1, 4, 2)
+    raw = np.concatenate([np.empty((0, 8)), *coords]).reshape(-1, 4, 2)
     quads, fault = canonicalize_many(raw)
-    bad = np.flatnonzero(fault)
+    bad = np.flatnonzero(fault[:stop])
     if bad.size:
-        raise quad_error(raw[bad[0]], fault[bad[0]])
+        k = int(bad[0])
+        error = quad_error(raw[k], fault[k])
+        ends = np.cumsum([len(c) for c in coords])
+        i = int(np.searchsorted(ends, k, side="right"))
+        line_no, _ = _read_lines(files[i], headers=headers)[k - ends[i] + len(coords[i])]
+        raise type(error)(f"{files[i]}:{line_no}: {error}")
     return quads
 
 
@@ -190,17 +200,17 @@ def parse_dota_annotations(directory, classes: ClassTable | None = None) -> GtIn
 
     image_ids = tuple(sorted(f.stem for f in files))
     index = {image_id: i for i, image_id in enumerate(image_ids)}
-    coords = np.concatenate([np.empty((0, 8)), *(c for c, _, _ in tables)])
     counts = [len(names) for _, names, _ in tables]
     image = np.repeat(np.array([index[f.stem] for f in files], dtype=int), counts)
     difficult = np.array([d for _, _, flags in tables for d in flags], dtype=bool)
     ids = {name: class_id for class_id, name in enumerate(classes.names, 1)}
     class_id = np.array([ids.get(name, 0) for name in categories], dtype=int)
-    if not class_id.all():
-        first = int(np.argmin(class_id))
-        _canonical_quads(coords[:first])
+    # the first unknown category, after any bad quad on an earlier record
+    first = int(np.argmin(class_id)) if not class_id.all() else None
+    quads = _canonical_quads(files, [c for c, _, _ in tables], first, headers=True)
+    if first is not None:
         classes.id_of(categories[first])
-    return GtIndex(image_ids, image, _canonical_quads(coords), class_id, difficult, classes)
+    return GtIndex(image_ids, image, quads, class_id, difficult, classes)
 
 
 def _class_name_from_filename(path: Path) -> str:
@@ -259,7 +269,8 @@ def parse_dota_detections(
     if classes is None:
         classes = ClassTable(tuple(sorted({_class_name_from_filename(f) for f in files})))
 
-    tables: list[np.ndarray] = [np.empty((0, 9))]
+    tables: list[np.ndarray] = []
+    read: list[Path] = []
     names: list[str] = []
     class_ids: list[int] = []
     try:
@@ -272,23 +283,23 @@ def parse_dota_detections(
                 raise
             table, file_names, error = _detection_table(f)
             tables.append(table)
+            read.append(f)
             names += file_names
             class_ids += [class_id] * len(table)
             if error is not None:
                 raise error
     except (ObbkitError, OSError, ValueError):
         # a bad quad on an earlier line is the first error in file order
-        _canonical_quads(np.concatenate(tables)[:, 1:])
+        _canonical_quads(read, [t[:, 1:] for t in tables])
         raise
-    table = np.concatenate(tables)
     image_ids = tuple(sorted(set(names)))
     index = {image_id: i for i, image_id in enumerate(image_ids)}
     dets = DetectionSet(
         image_ids,
         np.array([index[n] for n in names], dtype=int),
-        _canonical_quads(table[:, 1:]),
+        _canonical_quads(read, [t[:, 1:] for t in tables]),
         np.array(class_ids, dtype=int),
-        table[:, 0],
+        np.concatenate([np.empty(0), *(t[:, 0] for t in tables)]),
     )
     return dets, classes
 
@@ -316,17 +327,6 @@ def _write_files(directory, names, file_of: list[int], lines: list[str]) -> None
     directory.mkdir(parents=True, exist_ok=True)
     for name, file_lines in zip(names, files):
         (directory / f"{name}.txt").write_text("".join(line + "\n" for line in file_lines))
-
-
-def write_dota_annotations(gt: GtIndex, directory) -> None:
-    """Serialize a GtIndex back to per-image annotation files."""
-    lines = [
-        f"{coords} {gt.classes.name_of(class_id)} {int(difficult)}"
-        for coords, class_id, difficult in zip(
-            _format_rows(gt.quads.reshape(-1, 8)), gt.class_id.tolist(), gt.difficult.tolist()
-        )
-    ]
-    _write_files(directory, gt.image_ids, gt.image.tolist(), lines)
 
 
 def write_dota_detections(

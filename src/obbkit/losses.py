@@ -32,10 +32,10 @@ from .geometry import quads_from_offsets
 from .targets import TargetMaps
 
 _UNION_TINY = 1e-12
-# Raw parameter bound in fit_demo; keeps sigmoids strictly inside (0, 1)
-# and exponentials finite in float64.
+# Bound on fit_demo's raw parameters (group logits, log offsets); keeps
+# sigmoids strictly inside (0, 1) and exponentials finite in float64.
 _RAW_BOUND = 30.0
-# Entries per row block of the dense class passes: 256 KiB per float64
+# Entries per row block of the dense focal pass: 256 KiB per float64
 # operand, so the few operands of one block stay in L2 between passes.
 _BLOCK_ENTRIES = 1 << 15
 
@@ -80,6 +80,14 @@ class LossBreakdown:
     num_pos: int
     normalizer: int
 
+    @classmethod
+    def of(
+        cls, cls_sum: float, reg_sum: float, ori_sum: float, num_pos: int, weights: "LossWeights"
+    ) -> "LossBreakdown":
+        norm = max(num_pos, 1)
+        total = (cls_sum + weights.reg_weight * reg_sum + weights.ori_weight * ori_sum) / norm
+        return cls(float(total), float(cls_sum), reg_sum, ori_sum, num_pos, norm)
+
 
 @dataclass
 class PredictionBatch:
@@ -123,7 +131,7 @@ def _require_open_unit(scores: np.ndarray) -> None:
         raise NonFiniteScore("scores must lie strictly inside (0, 1)")
 
 
-def _row_blocks(shape: tuple[int, ...], temps: int = 0):
+def _row_blocks(shape: tuple[int, ...], temps: int):
     """Cut axis 0 of an array of this shape into blocks of whole rows.
 
     Yields (rows, *buffers) per block of about _BLOCK_ENTRIES entries:
@@ -351,80 +359,79 @@ class TotalLossResult:
     wh_grad: np.ndarray
 
 
-def total_loss(
-    preds: PredictionBatch,
-    targets: TargetMaps,
+def _label_positions(class_id: np.ndarray, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positive rows and the flat (L, C) indices of their y = 1 entries; raises
+    ShapeMismatch for a class id above num_classes."""
+    if class_id.size and class_id.max() > num_classes:
+        raise ShapeMismatch(
+            f"target class id {class_id.max()} exceeds {num_classes} prediction classes"
+        )
+    pos = np.flatnonzero(class_id > 0)
+    return pos, pos * num_classes + class_id[pos] - 1
+
+
+def _positive_terms(
+    centerness: np.ndarray,
+    ltrb: np.ndarray,
+    wh: np.ndarray,
+    truth: tuple[np.ndarray, np.ndarray, np.ndarray],
     weights: LossWeights,
-    *,
-    out: tuple[np.ndarray, np.ndarray] | None = None,
+    norm: int,
+) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray]:
+    """reg_sum, ori_sum and the composite's gradients (divided by norm) with
+    respect to the predicted centerness (P,), ltrb (P, 4) and wh (P, 2)
+    of P positive rows; truth holds the rows' target centerness, ltrb, wh."""
+    t_centerness, t_ltrb, t_wh = truth
+    bce_vals, bce_grads = _bce_batch(centerness, t_centerness)
+    sl1_b, sl1_b_grad = _smooth_l1_batch(ltrb - t_ltrb, weights.smooth_l1_delta)
+    iou_h, d_iou_h = _offset_iou(ltrb, t_ltrb)
+    reg_sum = float(bce_vals.sum() + weights.reg_l1_weight * sl1_b.sum() + (1.0 - iou_h).sum())
+
+    sl1_o, sl1_o_grad = _smooth_l1_batch(wh - t_wh, weights.smooth_l1_delta)
+    iou_o, d_ori_ltrb, d_ori_wh = _inner_iou(ltrb, wh, t_ltrb, t_wh)
+    ori_sum = float(weights.ori_l1_weight * sl1_o.sum() + (1.0 - iou_o).sum())
+
+    d_reg_ltrb = weights.reg_l1_weight * sl1_b_grad - d_iou_h
+    return (
+        reg_sum,
+        ori_sum,
+        weights.reg_weight * bce_grads / norm,
+        (weights.reg_weight * d_reg_ltrb + weights.ori_weight * d_ori_ltrb) / norm,
+        weights.ori_weight * (weights.ori_l1_weight * sl1_o_grad + d_ori_wh) / norm,
+    )
+
+
+def total_loss(
+    preds: PredictionBatch, targets: TargetMaps, weights: LossWeights
 ) -> TotalLossResult:
     """Composite loss over aligned prediction and target maps.
 
     Classification is scored on every location; centerness, box and
     orientation terms only on positives. The three sums are divided once
-    by max(num_pos, 1). out = (branch, grad), two C-contiguous (L, C)
-    float arrays, receives the focal branch values and the class-score
-    gradient, which is returned as class_score_grad; fresh arrays are
-    used without it.
+    by max(num_pos, 1).
     """
     n = preds.num_locations
     if len(targets) != n:
         raise ShapeMismatch(f"{n} predictions vs {len(targets)} targets")
-    num_classes = preds.num_classes
-    labels = targets.class_id
-    if labels.size and labels.max() > num_classes:
-        raise ShapeMismatch(
-            f"target class id {labels.max()} exceeds {num_classes} prediction classes"
-        )
-
-    pos_idx = np.flatnonzero(labels > 0)
-    num_pos = int(pos_idx.size)
+    pos, onehot = _label_positions(targets.class_id, preds.num_classes)
+    num_pos = int(pos.size)
     norm = max(num_pos, 1)
 
     _require_open_unit(preds.class_scores)
-    onehot = pos_idx * num_classes + labels[pos_idx] - 1  # flat indices of the y = 1 scores
     cls_sum, cls_grad = _focal_sum(
-        preds.class_scores, onehot, weights.focal_alpha, weights.focal_beta, norm, out=out
+        preds.class_scores, onehot, weights.focal_alpha, weights.focal_beta, norm
     )
 
     centerness_grad = np.zeros(n)
     ltrb_grad = np.zeros((n, 4))
     wh_grad = np.zeros((n, 2))
-    reg_sum = 0.0
-    ori_sum = 0.0
+    reg_sum = ori_sum = 0.0
     if num_pos:
-        t_ltrb = targets.ltrb[pos_idx]
-        p_ltrb = preds.ltrb[pos_idx]
-        p_wh = preds.wh[pos_idx]
-
-        bce_vals, bce_grads = _bce_batch(preds.centerness[pos_idx], targets.centerness[pos_idx])
-        sl1_b, sl1_b_grad = _smooth_l1_batch(p_ltrb - t_ltrb, weights.smooth_l1_delta)
-        iou_h, d_iou_h = _offset_iou(p_ltrb, t_ltrb)
-        reg_sum = float(bce_vals.sum() + weights.reg_l1_weight * sl1_b.sum() + (1.0 - iou_h).sum())
-
-        t_wh = targets.wh[pos_idx]
-        sl1_o, sl1_o_grad = _smooth_l1_batch(p_wh - t_wh, weights.smooth_l1_delta)
-        iou_o, d_ori_ltrb, d_ori_wh = _inner_iou(p_ltrb, p_wh, t_ltrb, t_wh)
-        ori_sum = float(weights.ori_l1_weight * sl1_o.sum() + (1.0 - iou_o).sum())
-
-        centerness_grad[pos_idx] = weights.reg_weight * bce_grads / norm
-        d_reg_ltrb = weights.reg_l1_weight * sl1_b_grad - d_iou_h
-        ltrb_grad[pos_idx] = (
-            weights.reg_weight * d_reg_ltrb + weights.ori_weight * d_ori_ltrb
-        ) / norm
-        wh_grad[pos_idx] = (
-            weights.ori_weight * (weights.ori_l1_weight * sl1_o_grad + d_ori_wh) / norm
+        truth = (targets.centerness[pos], targets.ltrb[pos], targets.wh[pos])
+        reg_sum, ori_sum, centerness_grad[pos], ltrb_grad[pos], wh_grad[pos] = _positive_terms(
+            preds.centerness[pos], preds.ltrb[pos], preds.wh[pos], truth, weights, norm
         )
-
-    total = (cls_sum + weights.reg_weight * reg_sum + weights.ori_weight * ori_sum) / norm
-    breakdown = LossBreakdown(
-        total=float(total),
-        cls_loss=float(cls_sum),
-        reg_loss=reg_sum,
-        ori_loss=ori_sum,
-        num_pos=num_pos,
-        normalizer=norm,
-    )
+    breakdown = LossBreakdown.of(cls_sum, reg_sum, ori_sum, num_pos, weights)
     return TotalLossResult(breakdown, cls_grad, centerness_grad, ltrb_grad, wh_grad)
 
 
@@ -460,23 +467,10 @@ def grad_check(
     return worst
 
 
-def _sigmoid(z: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
-    """Logistic function: 1 / (1 + e) where z >= 0 and e / (1 + e) elsewhere, e = exp(-|z|).
-
-    Runs one row block of z at a time. out, a C-contiguous float array of
-    the shape of z, receives the result; a fresh array is used without it.
-    """
-    if out is None:
-        out = np.empty(z.shape)
-    for rows, d in _row_blocks(z.shape, 1):
-        nonneg = z[rows] >= 0
-        e = np.abs(z[rows], out=out[rows])
-        np.negative(e, out=e)
-        np.exp(e, out=e)
-        np.add(1.0, e, out=d)
-        np.maximum(e, nonneg, out=e)  # e <= 1, so 1 where z >= 0
-        np.divide(e, d, out=e)
-    return out
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function: 1 / (1 + e) where z >= 0 and e / (1 + e) elsewhere, e = exp(-|z|)."""
+    e = np.exp(-np.abs(z))
+    return np.maximum(e, z >= 0) / (1.0 + e)  # e <= 1, so 1 where z >= 0
 
 
 @dataclass
@@ -511,13 +505,15 @@ def fit_demo(
     location, the (4, 2) vertices decoded from the final offsets around
     that location's image point, as one (P, 4, 2) array.
 
-    Class logits are kept at every location; the centerness logit, log
-    ltrb and log wh only at the positives. Their gradient is exactly 0
-    on background, so there they would stay 0.0 and predict the
-    constants 0.5 (centerness) and 1.0 (offsets) on every step. All
-    (L, C) class work runs in one workspace allocated per call, so no
-    evaluation allocates a dense array; final_batch.class_scores is a
-    view of it.
+    Every class logit starts at 0 and each step treats an entry by its
+    logit and label alone, so all y = 0 entries share one logit and all
+    y = 1 entries another: the fit keeps these two group logits (a group
+    with no entry does not count when telling whether a step moved). The
+    focal sum is still one .sum() over an (L, C) buffer of per-entry
+    branch values, so it adds in the dense order and every float is that
+    of the dense fit. The centerness logit, log ltrb and log wh are kept
+    only at the positives; their gradient is 0 on background, where the
+    predictions stay at the constants 0.5 and 1.0 of a zero parameter.
 
     Raises ValueError unless steps >= 0 and lr is finite and >= 0, and
     Diverged if the loss ever becomes non-finite.
@@ -530,80 +526,74 @@ def fit_demo(
         num_classes = int(targets.class_id.max(initial=0))
     if num_classes < 1:
         raise ValueError("at least one class required")
-    pos = np.flatnonzero(targets.class_id > 0)
+    pos, onehot = _label_positions(targets.class_id, num_classes)
     if not pos.size:
         raise ValueError("fit_demo needs at least one positive target")
 
     n = len(targets)
-    # the dense class work of the whole fit, one (L, C) slot each
-    logits, trial_logits, scores, cand_scores, score_grad, cand_grad, branch, cls_grad = np.zeros(
-        (8, n, num_classes)
-    )
-    # columns: centerness logit, log ltrb (4), log wh (2)
-    reg = np.zeros((pos.size, 7))
+    norm = int(pos.size)
+    truth = (targets.centerness[pos], targets.ltrb[pos], targets.wh[pos])
+    # the group logits that have entries: both, or only y = 1
+    live = slice(0 if n * num_classes > norm else 1, 2)
+    dense = np.empty((n, num_classes))
 
-    def evaluate(
-        logits: np.ndarray, reg: np.ndarray, scores: np.ndarray, score_grad: np.ndarray
-    ) -> tuple[PredictionBatch, TotalLossResult]:
-        centerness = np.full(n, 0.5)
-        ltrb = np.ones((n, 4))
-        wh = np.ones((n, 2))
-        centerness[pos] = _sigmoid(reg[:, 0])
-        ltrb[pos] = np.exp(reg[:, 1:5])
-        wh[pos] = np.exp(reg[:, 5:])
-        batch = PredictionBatch(_sigmoid(logits, out=scores), centerness, ltrb, wh)
-        return batch, total_loss(batch, targets, weights, out=(branch, score_grad))
+    def spread(pair: np.ndarray) -> np.ndarray:
+        """dense holding pair[0] at every y = 0 entry and pair[1] at every y = 1 entry."""
+        dense.fill(pair[0])
+        dense.flat[onehot] = pair[1]
+        return dense
 
-    batch, result = evaluate(logits, reg, scores, score_grad)
-    if not math.isfinite(result.breakdown.total):
+    def evaluate(logits: np.ndarray, reg: np.ndarray):
+        """Loss breakdown, parameter gradients and predictions at one point."""
+        scores = _sigmoid(logits)
+        branch, score_grad = np.empty(2), np.empty(2)
+        _focal_sum(scores, np.array([1]), weights.focal_alpha, weights.focal_beta, norm,
+                   out=(branch, score_grad))
+        cent, ltrb, wh = preds = (_sigmoid(reg[:, 0]), np.exp(reg[:, 1:5]), np.exp(reg[:, 5:]))
+        reg_sum, ori_sum, cent_grad, ltrb_grad, wh_grad = _positive_terms(
+            *preds, truth, weights, norm
+        )
+        # chain rule through the sigmoid / exp parameterizations
+        grads = (score_grad * scores * (1.0 - scores), np.concatenate(
+            [(cent_grad * cent * (1.0 - cent))[:, None], ltrb_grad * ltrb, wh_grad * wh], axis=1))
+        breakdown = LossBreakdown.of(-float(spread(branch).sum()), reg_sum, ori_sum, norm, weights)
+        return breakdown, grads, (scores, *preds)
+
+    # y = 0 and y = 1 group logits; positives' centerness logit, log ltrb, log wh
+    params = (np.zeros(2), np.zeros((norm, 7)))
+    breakdown, grads, preds = evaluate(*params)
+    if not math.isfinite(breakdown.total):
         raise Diverged("loss non-finite at initialization")
-    trajectory: list[LossBreakdown] = [result.breakdown]
+    trajectory: list[LossBreakdown] = [breakdown]
     frozen = lr == 0.0
     step_size = lr
     for _ in range(steps):
         if not frozen:
-            # chain rule through the sigmoid / exp parameterizations
-            for rows, om in _row_blocks(cls_grad.shape, 1):
-                s = batch.class_scores[rows]
-                g = np.multiply(result.class_score_grad[rows], s, out=cls_grad[rows])
-                g *= np.subtract(1.0, s, out=om)
-            cent = batch.centerness[pos]
-            reg_grad = np.concatenate(
-                [
-                    (result.centerness_grad[pos] * cent * (1.0 - cent))[:, None],
-                    result.ltrb_grad[pos] * batch.ltrb[pos],
-                    result.wh_grad[pos] * batch.wh[pos],
-                ],
-                axis=1,
-            )
             trial = min(step_size * 2.0, 1e4)
             accepted = False
             for _try in range(60):
-                for (rows,) in _row_blocks(cls_grad.shape):
-                    t = np.multiply(cls_grad[rows], trial, out=trial_logits[rows])
-                    np.subtract(logits[rows], t, out=t)
-                    np.clip(t, -_RAW_BOUND, _RAW_BOUND, out=t)
-                trial_reg = np.clip(reg - trial * reg_grad, -_RAW_BOUND, _RAW_BOUND)
-                cand_batch, cand_result = evaluate(trial_logits, trial_reg, cand_scores, cand_grad)
-                if (
-                    math.isfinite(cand_result.breakdown.total)
-                    and cand_result.breakdown.total <= result.breakdown.total
-                ):
+                cand = tuple(
+                    np.clip(p - g * trial, -_RAW_BOUND, _RAW_BOUND) for p, g in zip(params, grads)
+                )
+                result = evaluate(*cand)
+                if math.isfinite(result[0].total) and result[0].total <= breakdown.total:
                     accepted = not (
-                        np.array_equal(trial_reg, reg) and np.array_equal(trial_logits, logits)
+                        np.array_equal(cand[0][live], params[0][live])
+                        and np.array_equal(cand[1], params[1])
                     )
-                    # the accepted and candidate slots swap roles
-                    logits, trial_logits = trial_logits, logits
-                    cand_scores, cand_grad = batch.class_scores, result.class_score_grad
-                    reg, batch, result = trial_reg, cand_batch, cand_result
+                    params, (breakdown, grads, preds) = cand, result
                     step_size = trial
                     break
                 trial *= 0.5
             # no step along the subgradient improves: the iteration is a
             # fixed point, so later steps would reproduce it exactly
             frozen = not accepted
-        trajectory.append(result.breakdown)
+        trajectory.append(breakdown)
 
-    decoded = quads_from_offsets(targets.points[pos], batch.ltrb[pos], batch.wh[pos])
-    fused = (batch.class_scores[pos, targets.class_id[pos] - 1] * batch.centerness[pos]).tolist()
-    return FitDemoResult(trajectory, pos.tolist(), decoded, fused, batch)
+    scores, cent, ltrb, wh = preds
+    centerness, full_ltrb, full_wh = np.full(n, 0.5), np.ones((n, 4)), np.ones((n, 2))
+    centerness[pos], full_ltrb[pos], full_wh[pos] = cent, ltrb, wh
+    # the branch buffer is done with, so it becomes the final class scores
+    batch = PredictionBatch(spread(scores), centerness, full_ltrb, full_wh)
+    decoded = quads_from_offsets(targets.points[pos], ltrb, wh)
+    return FitDemoResult(trajectory, pos.tolist(), decoded, (scores[1] * cent).tolist(), batch)

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 
 from obbkit import inference
-from obbkit.errors import DegenerateQuad, ParseError, ShapeMismatch, UnknownCategory
+from obbkit.dota import _format_rows, _write_files
+from obbkit.errors import DegenerateQuad, Diverged, ParseError, ShapeMismatch, UnknownCategory
 from obbkit.evaluation import FP, IGNORED, TP, ClassTable, GtIndex
 from obbkit.geometry import (
     AREA_TOLERANCE,
@@ -18,8 +19,20 @@ from obbkit.geometry import (
     Quad,
     hbb_overlap,
     polygon_iou_pairs,
+    quads_from_offsets,
 )
 from obbkit.inference import Detection
+from obbkit.losses import (
+    _RAW_BOUND,
+    FitDemoResult,
+    LossBreakdown,
+    LossWeights,
+    PredictionBatch,
+    TotalLossResult,
+    _row_blocks,
+    _sigmoid,
+    total_loss,
+)
 from obbkit.targets import FeatureGridSpec, GroundTruthObject, TargetMaps, _centerness
 
 
@@ -100,6 +113,14 @@ def canonicalize_oracle(points) -> Quad:
     start = min(candidates, key=lambda i: (ordered[i][1], i))
     rotated = ordered[start:] + ordered[:start]
     return Quad(*(Point2(x, y) for x, y in rotated))
+
+
+def located_canonicalize_oracle(points, path, line_no) -> Quad:
+    """canonicalize_oracle, its error led by "path:line_no: " as the DOTA readers raise it."""
+    try:
+        return canonicalize_oracle(points)
+    except (DegenerateQuad, ValueError) as exc:
+        raise type(exc)(f"{path}:{line_no}: {exc}") from None
 
 
 def encode_oracle(q: Quad) -> EncodedBox:
@@ -414,13 +435,13 @@ def parse_dota_detections_oracle(directory, classes=None, *, unknown_category="e
             values = _floats_oracle(tokens[1:], f, line_no)
             if not 0.0 <= values[0] <= 1.0:
                 raise ParseError(f, line_no, f"score {values[0]} outside [0, 1]")
-            quad = canonicalize_oracle(list(zip(values[1::2], values[2::2])))
+            quad = located_canonicalize_oracle(list(zip(values[1::2], values[2::2])), f, line_no)
             dets.setdefault(tokens[0], []).append(Detection(quad, class_id, values[0]))
     return dets, classes
 
 
 def annotation_records_oracle(path):
-    """(coords, category, difficult) of each object line of one annotation file.
+    """(coords, category, difficult, line_no) of each object line of one annotation file.
 
     Written from the README file format: 8 numbers, a category and an
     optional 0/1 difficult flag per line; blank lines and imagesource/gsd
@@ -439,7 +460,7 @@ def annotation_records_oracle(path):
         flag = tokens[9] if len(tokens) == 10 else "0"
         if flag not in ("0", "1"):
             raise ParseError(path, line_no, f"difficult flag must be 0 or 1, got {flag!r}")
-        records.append((coords, tokens[8], flag == "1"))
+        records.append((coords, tokens[8], flag == "1", line_no))
     return records
 
 
@@ -448,13 +469,13 @@ def parse_dota_annotations_oracle(directory, classes=None):
     each record's quad goes through canonicalize_oracle."""
     per_file = {f: annotation_records_oracle(f) for f in sorted(Path(directory).glob("*.txt"))}
     if classes is None:
-        classes = ClassTable(tuple(sorted({name for rs in per_file.values() for _, name, _ in rs})))
+        classes = ClassTable(tuple(sorted({r[1] for rs in per_file.values() for r in rs})))
     images = {}
     for f, records in per_file.items():
         objs = images.setdefault(f.stem, [])
-        for coords, name, difficult in records:
+        for coords, name, difficult, line_no in records:
             class_id = classes.id_of(name)
-            quad = canonicalize_oracle(list(zip(coords[0::2], coords[1::2])))
+            quad = located_canonicalize_oracle(list(zip(coords[0::2], coords[1::2])), f, line_no)
             objs.append(GroundTruthObject(quad, class_id, difficult))
     return GtIndex.from_mapping(images, classes)
 
@@ -603,3 +624,111 @@ def focal_sum_oracle(scores, pos, alpha, beta):
         branch.flat[pos] = alpha * om_beta * log_s
         grad.flat[pos] = -alpha * (-beta * om_p ** (beta - 1.0) * log_s + om_beta / s)
     return -float(branch.sum()), grad
+
+
+def write_dota_annotations(gt: GtIndex, directory) -> None:
+    """Serialize a GtIndex back to per-image annotation files."""
+    lines = [
+        f"{coords} {gt.classes.name_of(class_id)} {int(difficult)}"
+        for coords, class_id, difficult in zip(
+            _format_rows(gt.quads.reshape(-1, 8)), gt.class_id.tolist(), gt.difficult.tolist()
+        )
+    ]
+    _write_files(directory, gt.image_ids, gt.image.tolist(), lines)
+
+
+def fit_demo_dense_oracle(
+    targets: TargetMaps,
+    weights: LossWeights,
+    steps: int = 2000,
+    lr: float = 0.05,
+    num_classes: int | None = None,
+) -> FitDemoResult:
+    """fit_demo with a logit for every (location, class) entry: the dense
+    reference that fit_demo's two group logits must match bit for bit.
+
+    The dense class passes run over row blocks in a per-call workspace of
+    logits, trial logits and logit gradients; the scores and their
+    gradients come fresh from _sigmoid and total_loss on every evaluation.
+    """
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    if not (math.isfinite(lr) and lr >= 0.0):
+        raise ValueError(f"lr must be finite and >= 0, got {lr}")
+    if num_classes is None:
+        num_classes = int(targets.class_id.max(initial=0))
+    if num_classes < 1:
+        raise ValueError("at least one class required")
+    pos = np.flatnonzero(targets.class_id > 0)
+    if not pos.size:
+        raise ValueError("fit_demo needs at least one positive target")
+
+    n = len(targets)
+    logits, trial_logits, cls_grad = np.zeros((3, n, num_classes))
+    # columns: centerness logit, log ltrb (4), log wh (2)
+    reg = np.zeros((pos.size, 7))
+
+    def evaluate(
+        logits: np.ndarray, reg: np.ndarray
+    ) -> tuple[PredictionBatch, TotalLossResult]:
+        centerness = np.full(n, 0.5)
+        ltrb = np.ones((n, 4))
+        wh = np.ones((n, 2))
+        centerness[pos] = _sigmoid(reg[:, 0])
+        ltrb[pos] = np.exp(reg[:, 1:5])
+        wh[pos] = np.exp(reg[:, 5:])
+        batch = PredictionBatch(_sigmoid(logits), centerness, ltrb, wh)
+        return batch, total_loss(batch, targets, weights)
+
+    batch, result = evaluate(logits, reg)
+    if not math.isfinite(result.breakdown.total):
+        raise Diverged("loss non-finite at initialization")
+    trajectory: list[LossBreakdown] = [result.breakdown]
+    frozen = lr == 0.0
+    step_size = lr
+    for _ in range(steps):
+        if not frozen:
+            # chain rule through the sigmoid / exp parameterizations
+            for rows, om in _row_blocks(cls_grad.shape, 1):
+                s = batch.class_scores[rows]
+                g = np.multiply(result.class_score_grad[rows], s, out=cls_grad[rows])
+                g *= np.subtract(1.0, s, out=om)
+            cent = batch.centerness[pos]
+            reg_grad = np.concatenate(
+                [
+                    (result.centerness_grad[pos] * cent * (1.0 - cent))[:, None],
+                    result.ltrb_grad[pos] * batch.ltrb[pos],
+                    result.wh_grad[pos] * batch.wh[pos],
+                ],
+                axis=1,
+            )
+            trial = min(step_size * 2.0, 1e4)
+            accepted = False
+            for _try in range(60):
+                for (rows,) in _row_blocks(cls_grad.shape, 0):
+                    t = np.multiply(cls_grad[rows], trial, out=trial_logits[rows])
+                    np.subtract(logits[rows], t, out=t)
+                    np.clip(t, -_RAW_BOUND, _RAW_BOUND, out=t)
+                trial_reg = np.clip(reg - trial * reg_grad, -_RAW_BOUND, _RAW_BOUND)
+                cand_batch, cand_result = evaluate(trial_logits, trial_reg)
+                if (
+                    math.isfinite(cand_result.breakdown.total)
+                    and cand_result.breakdown.total <= result.breakdown.total
+                ):
+                    accepted = not (
+                        np.array_equal(trial_reg, reg) and np.array_equal(trial_logits, logits)
+                    )
+                    # the accepted and trial slots swap roles
+                    logits, trial_logits = trial_logits, logits
+                    reg, batch, result = trial_reg, cand_batch, cand_result
+                    step_size = trial
+                    break
+                trial *= 0.5
+            # no step along the subgradient improves: the iteration is a
+            # fixed point, so later steps would reproduce it exactly
+            frozen = not accepted
+        trajectory.append(result.breakdown)
+
+    decoded = quads_from_offsets(targets.points[pos], batch.ltrb[pos], batch.wh[pos])
+    fused = (batch.class_scores[pos, targets.class_id[pos] - 1] * batch.centerness[pos]).tolist()
+    return FitDemoResult(trajectory, pos.tolist(), decoded, fused, batch)

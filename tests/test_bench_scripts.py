@@ -1,4 +1,5 @@
-"""Smoke test of the layer-timing scripts under bench/: one repeat of every case."""
+"""Smoke tests of the scripts under bench/: one repeat of every layer-timing case, and the
+A/B runner on stub trees and on one tiny real pair."""
 
 import json
 import os
@@ -45,3 +46,78 @@ def test_script_runs_every_case(script, cases, tmp_path):
         if script == "train_layers.py":
             (faults,) = result["minor_faults"]
             assert isinstance(faults, int) and faults >= 0
+
+
+def _stub_tree(root: Path, images_per_s: float, log: Path, correct: bool = True) -> Path:
+    """A source tree whose perfbench/run.py logs its call and reports fixed metrics."""
+    (root / "perfbench").mkdir(parents=True)
+    (root / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    metrics = {"images_per_s": {"value": images_per_s, "unit": "1/s"},
+               "peak_rss_mb": {"value": 50.0, "unit": "MB"},
+               "setup_s": {"value": 0.3, "unit": "s"}}
+    result = {"correct": correct, "attempted": 4, "failed": 0 if correct else 1, "metrics": metrics}
+    (root / "perfbench" / "run.py").write_text(
+        "import sys\n"
+        f"with open({str(log)!r}, 'a') as f:\n"
+        f"    f.write({root.name!r} + ' ' + ' '.join(sys.argv[1:]) + '\\n')\n"
+        f"print({json.dumps(result)!r})\n"
+    )
+    return root
+
+
+def _ab(tmp_path, *args):
+    out = tmp_path / "ab.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "ab.py"), *map(str, args), "--out", str(out)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    return proc, out
+
+
+def test_ab_alternates_the_first_side_and_summarizes(tmp_path):
+    log = tmp_path / "calls.log"
+    base = _stub_tree(tmp_path / "base", 10.0, log)
+    head = _stub_tree(tmp_path / "head", 25.0, log)
+    proc, out = _ab(tmp_path, "--base", base, "--head", head, "--workload", "train",
+                    "--seeds", "5-8", "--seconds", "2")
+    assert proc.returncode == 0, proc.stderr
+    calls = [line.split() for line in log.read_text().splitlines()]
+    assert [c[0] for c in calls] == ["base", "head", "head", "base", "base", "head", "head", "base"]
+    assert [c[c.index("--seed") + 1] for c in calls] == ["5", "5", "6", "6", "7", "7", "8", "8"]
+    assert all(c[c.index("--trace") + 1] == "0" and c[c.index("--seconds") + 1] == "2.0"
+               for c in calls)
+    report = json.loads(out.read_text())
+    assert [p["first"] for p in report["pairs"]] == ["base", "head", "base", "head"]
+    speed = report["summary"]["images_per_s"]
+    assert (speed["head_wins"], speed["pairs"], speed["median_ratio"]) == (4, 4, 2.5)
+    assert speed["base"] == {"median": 10.0, "q1": 10.0, "q3": 10.0}
+    # equal values are no win in either direction
+    assert report["summary"]["peak_rss_mb"]["head_wins"] == 0
+    assert "head wins 4 of 4" in proc.stdout
+
+
+def test_ab_stops_on_a_failed_check(tmp_path):
+    log = tmp_path / "calls.log"
+    base = _stub_tree(tmp_path / "base", 10.0, log)
+    head = _stub_tree(tmp_path / "head", 25.0, log, correct=False)
+    proc, out = _ab(tmp_path, "--base", base, "--head", head, "--workload", "train",
+                    "--seeds", "1,2", "--seconds", "1")
+    assert proc.returncode == 1
+    assert "seed 1" in proc.stderr and "1 of 4 operations failed" in proc.stderr
+    assert not out.exists()
+
+
+def test_ab_runs_perfbench_on_two_trees(tmp_path):
+    # one tiny real pair, both sides this checkout's sources
+    for side in ("base", "head"):
+        tree = tmp_path / side
+        tree.mkdir()
+        for name in ("src", "perfbench", "BENCHMARK.json"):
+            (tree / name).symlink_to(ROOT / name)
+    proc, out = _ab(tmp_path, "--base", tmp_path / "base", "--head", tmp_path / "head",
+                    "--workload", "dota_eval", "--seeds", "3", "--seconds", "0.05")
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(out.read_text())
+    (pair,) = report["pairs"]
+    assert set(report["summary"]) == {"images_per_s", "peak_rss_mb", "setup_s"}
+    assert all(pair[side]["images_per_s"] > 0 for side in ("base", "head"))

@@ -15,12 +15,7 @@ from hypothesis import strategies as st
 
 from obbkit import cli
 from obbkit.config import build_config, parse_level_ranges, read_config_file
-from obbkit.dota import (
-    parse_dota_annotations,
-    parse_dota_detections,
-    write_dota_annotations,
-    write_dota_detections,
-)
+from obbkit.dota import parse_dota_annotations, parse_dota_detections, write_dota_detections
 from obbkit.errors import ParseError, UnknownClass
 from obbkit.evaluation import ClassTable
 from obbkit.geometry import canonicalize
@@ -31,6 +26,7 @@ from helpers import (
     read_preds_oracle,
     read_targets_oracle,
     target_maps,
+    write_dota_annotations,
 )
 
 GT_P0001 = """\

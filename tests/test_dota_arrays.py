@@ -200,6 +200,69 @@ def test_parse_error_beats_a_later_bad_quad(bad, tmp_path):
     assert str(got.value) == str(want.value)
 
 
+REFUSED_QUADS = [
+    ("50 50 60 50 52 52 50 60", DegenerateQuad, "vertices do not form a convex quadrilateral"),
+    ("0 0 1 1 2 2 3 3", DegenerateQuad, "area 0 below tolerance 1e-06"),
+    ("0 0 1 0 nan 1 0 1", ValueError, "non-finite vertex (nan, 1.0)"),
+]
+
+
+class TestRefusedQuadLocation:
+    """A refused quad's error names its file and line, on either read path."""
+
+    @pytest.mark.parametrize("coords, error, reason", REFUSED_QUADS)
+    @pytest.mark.parametrize("before, line_no", [
+        ([], 1),
+        (["imagesource:GoogleEarth", "gsd:0.146", "0 0 10 0 10 10 0 10 plane 0", ""], 5),
+    ])
+    @pytest.mark.parametrize("flag, one_loadtxt", [(" 0", True), ("", False)])
+    def test_annotation_file(self, tmp_path, coords, error, reason, before, line_no, flag,
+                             one_loadtxt):
+        text = "\n".join([*before, f"{coords} plane{flag}", f"5 5 9 5 9 9 5 9 ship{flag}"])
+        d = _write(tmp_path / "gt", {"A.txt": "0 0 10 0 10 10 0 10 ship 1\n", "B.txt": text})
+        assert (dota._well_formed_annotations(text) is not None) == one_loadtxt
+        message = f"{d / 'B.txt'}:{line_no}: {reason}"
+        with pytest.raises(error) as got:
+            parse_dota_annotations(d)
+        assert type(got.value) is error and str(got.value) == message
+        empty = _write(tmp_path / "dets", {})
+        assert _run(["eval", "--gt", str(d), "--dets", str(empty)]) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("coords, error, reason", REFUSED_QUADS)
+    @pytest.mark.parametrize("before, line_no", [([], 1), ([GOOD, "", GOOD], 4)])
+    @pytest.mark.parametrize("image, one_loadtxt", [("A", True), ("Å", False)])
+    def test_detection_file(self, tmp_path, coords, error, reason, before, line_no, image,
+                            one_loadtxt):
+        text = "\n".join([*before, f"{image} 0.5 {coords}", GOOD])
+        d = _write(tmp_path / "dets", {"a.txt": GOOD + "\n", "b.txt": text})
+        assert (dota._loadtxt(text, range(1, 10)) is not None) == one_loadtxt
+        message = f"{d / 'b.txt'}:{line_no}: {reason}"
+        with pytest.raises(error) as got:
+            parse_dota_detections(d)
+        assert type(got.value) is error and str(got.value) == message
+        out = tmp_path / "kept"
+        assert _run(["nms", "--dets", str(d), "--out", str(out)]) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("coords, error, reason", REFUSED_QUADS)
+    def test_wins_over_a_later_parse_error(self, tmp_path, coords, error, reason):
+        d = _write(tmp_path / "dets", {"plane.txt": f"{GOOD}\nA 0.5 {coords}\n{MALFORMED}\n"})
+        with pytest.raises(error) as got:
+            parse_dota_detections(d)
+        assert str(got.value) == f"{d / 'plane.txt'}:2: {reason}"
+        # across files too
+        d = _write(tmp_path / "dets2", {"a.txt": f"{GOOD}\nA 0.5 {coords}\n", "b.txt": MALFORMED})
+        with pytest.raises(error) as got:
+            parse_dota_detections(d)
+        assert str(got.value) == f"{d / 'a.txt'}:2: {reason}"
+
+    def test_wins_over_a_later_unknown_category(self, tmp_path):
+        d = _write(tmp_path / "gt", {"A.txt": "0 0 10 0 10 10 0 10 plane 0\n0 0 1 1 2 2 3 3 plane 0\n",
+                                     "B.txt": "0 0 1 0 1 1 0 1 tank 0\n"})
+        with pytest.raises(DegenerateQuad) as got:
+            parse_dota_annotations(d, ClassTable(("plane",)))
+        assert str(got.value) == f"{d / 'A.txt'}:2: area 0 below tolerance 1e-06"
+
+
 def test_format_rows_matches_format_number_oracle_value_by_value():
     values = [-0.0, 2.0**53, 1e300, 0.1, 1 / 3, math.inf, -math.inf, math.nan, 0.0, -7.0, 2.5]
     table = np.array([values, values[::-1]])
@@ -331,8 +394,8 @@ def test_annotation_table_fast_path(text, one_loadtxt, tmp_path):
     if want[0] == "ok":
         coords, names, flags = got[1]
         assert [[v.hex() for v in row] for row in coords.tolist()] == [
-            [v.hex() for v in c] for c, _, _ in want[1]
+            [v.hex() for v in c] for c, *_ in want[1]
         ]
-        assert (names, flags) == ([n for _, n, _ in want[1]], [d for _, _, d in want[1]])
+        assert (names, flags) == ([r[1] for r in want[1]], [r[2] for r in want[1]])
     else:
         assert got == want

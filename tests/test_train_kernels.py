@@ -5,7 +5,9 @@ work than the expression forms kept in helpers.py; every float they
 produce must be identical to the reference. A seeded two-level `fit_demo`
 run is pinned by the float.hex of every loss component at every step and
 by a hash of its final predictions, recorded from the dense (L, C + 7)
-parameterization it replaced. The dense class passes run in row blocks of
+parameterization it replaced; `fit_demo`, which keeps one class logit per
+label group, is also checked against that dense fit (`fit_demo_dense_oracle`)
+on drawn scenes. The dense focal pass runs in row blocks of
 `losses._BLOCK_ENTRIES` entries; the same properties and pins are checked
 again with tiny blocks, so that every input spans many blocks and most end
 in a ragged one.
@@ -40,9 +42,11 @@ from obbkit.targets import (
 from helpers import (
     assign_targets_oracle,
     axis_box,
+    fit_demo_dense_oracle,
     focal_sum_oracle,
     rotated_rect,
     sigmoid_oracle,
+    target_maps,
 )
 
 
@@ -394,3 +398,94 @@ class TestIsolation:
         fit_demo(other_scene(3), LossWeights(), steps=3, lr=0.05, num_classes=3)
         for name in names:
             assert same_bits(getattr(result, name), before[name]), name
+
+
+@st.composite
+def fit_scenes(draw):
+    """Targets, num_classes, steps and lr for fit_demo on a few free locations.
+
+    num_classes may exceed the largest class id; "one_class" scenes make
+    every location a positive of the only class, so no entry has y = 0;
+    long runs on few positives reach the frozen fixed point.
+    """
+    n = draw(st.integers(1, 10))
+    if draw(st.sampled_from(["mixed", "one_class"])) == "one_class":
+        labels, num_classes = [1] * n, draw(st.sampled_from([None, 1]))
+    else:
+        labels = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(any))
+        extra = draw(st.sampled_from([None, 0, 1, 3]))
+        num_classes = None if extra is None else max(labels) + extra
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    targets = target_maps(labels, ltrb=rng.uniform(0.5, 40.0, (n, 4)),
+                          wh=rng.uniform(0.5, 40.0, (n, 2)), points=rng.uniform(0.0, 64.0, (n, 2)))
+    steps = draw(st.one_of(st.integers(0, 30), st.just(200)))
+    lr = draw(st.sampled_from([0.0, 0.05, 1e-3, 0.7, 20.0]))
+    return targets, num_classes, steps, lr
+
+
+def counted_fit(fit, targets, num_classes, steps, lr, weights=LossWeights(), kernel=_focal_sum):
+    """fit's result and how many loss evaluations it made (one focal pass each).
+
+    kernel stands in for _focal_sum during the fit.
+    """
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return kernel(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(losses, "_focal_sum", counting)
+        result = fit(targets, weights, steps=steps, lr=lr, num_classes=num_classes)
+    return result, len(calls)
+
+
+class TestGroupedFitDemo:
+    """fit_demo's two group logits against a logit per (location, class) entry."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(fit_scenes())
+    def test_matches_dense_fit(self, scene):
+        got, got_evals = counted_fit(fit_demo, *scene)
+        want, want_evals = counted_fit(fit_demo_dense_oracle, *scene)
+        assert [hex_row(b) for b in got.trajectory] == [hex_row(b) for b in want.trajectory]
+        assert [(b.num_pos, b.normalizer) for b in got.trajectory] == [
+            (b.num_pos, b.normalizer) for b in want.trajectory
+        ]
+        assert batch_digest(got.final_batch) == batch_digest(want.final_batch)
+        assert same_bits(got.decoded_quads, want.decoded_quads)
+        assert [v.hex() for v in got.fused_scores] == [v.hex() for v in want.fused_scores]
+        assert got.positive_indices == want.positive_indices
+        # the same evaluations: both stop trying at the same fixed point
+        assert got_evals == want_evals
+
+    def test_one_class_scene_freezes_as_the_dense_fit_does(self):
+        rng = np.random.default_rng(4)
+        targets = target_maps([1] * 4, ltrb=rng.uniform(1.0, 30.0, (4, 4)),
+                              wh=rng.uniform(0.5, 30.0, (4, 2)))
+        got, got_evals = counted_fit(fit_demo, targets, 1, 200, 0.05)
+        want, want_evals = counted_fit(fit_demo_dense_oracle, targets, 1, 200, 0.05)
+        assert [hex_row(b) for b in got.trajectory] == [hex_row(b) for b in want.trajectory]
+        assert got.trajectory[-100:] == [got.trajectory[-1]] * 100  # frozen
+        assert got_evals == want_evals
+
+    def test_a_group_with_no_entry_is_not_a_move(self):
+        # With no pull on y = 1 entries and no regression weight, only the
+        # y = 0 logit has a gradient. When every location is a positive of
+        # the only class, no entry has y = 0, so the first step moves
+        # nothing and the fit is at its fixed point.
+        def no_pull_on_positives(scores, pos, *args, **kwargs):
+            loss, grad = _focal_sum(scores, pos, *args, **kwargs)
+            grad.flat[pos] = 0.0
+            return loss, grad
+
+        targets = target_maps([1] * 3, ltrb=np.full((3, 4), 5.0), wh=np.full((3, 2), 2.0))
+        weights = LossWeights(reg_weight=0.0, ori_weight=0.0)
+        for fit in (fit_demo, fit_demo_dense_oracle):
+            result, evals = counted_fit(fit, targets, 1, 20, 0.05, weights, no_pull_on_positives)
+            assert evals == 2, fit.__name__  # the start and one trial
+            assert result.trajectory == [result.trajectory[0]] * 21
+        # with a y = 0 entry, that logit moves on every step
+        targets = target_maps([1, 1, 0], ltrb=np.full((3, 4), 5.0), wh=np.full((3, 2), 2.0))
+        _, evals = counted_fit(fit_demo, targets, 1, 20, 0.05, weights, no_pull_on_positives)
+        assert evals > 2
