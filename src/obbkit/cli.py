@@ -19,14 +19,14 @@ import numpy as np
 from . import dota
 from .config import RunConfig, build_config, read_config_file
 from .errors import DegenerateQuad, Diverged, NonFiniteScore, ObbkitError, ParseError
-from .evaluation import evaluate
+from .evaluation import GtIndex, evaluate
 from .geometry import (
     EncodedBox, HBB, canonicalize, canonicalize_many, decode, encode_many, polygon_iou,
     polygon_iou_pairs, quad_arrays, quad_error, quad_list, raster_iou_oracle,
 )
 from .inference import nms_per_image
 from .losses import PredictionBatch, fit_demo, grad_check, total_loss
-from .targets import TargetMaps, assign_targets, grid_specs
+from .targets import FeatureGridSpec, TargetMaps, _assign_arrays, grid_specs
 
 _USAGE_EXIT = 1
 _DATA_EXIT = 2
@@ -81,9 +81,11 @@ def _number_rows(path, width: int) -> tuple[np.ndarray, ParseError | None]:
     return rows, error
 
 
-def _derive_image_size(objects, strides) -> tuple[int, int]:
+def _derive_image_size(quads: np.ndarray, strides) -> tuple[int, int]:
+    """The smallest multiple of the largest stride, on each axis, beyond
+    every vertex of the (K, 4, 2) quads (and at least one stride)."""
     step = max(strides)
-    corners = quad_arrays([obj.quad for obj in objects]).reshape(-1, 2)
+    corners = quads.reshape(-1, 2)
     xmax, ymax = corners.max(axis=0, initial=0.0).tolist()
     width = max(int(math.ceil((xmax + 1) / step)) * step, step)
     height = max(int(math.ceil((ymax + 1) / step)) * step, step)
@@ -102,6 +104,40 @@ def _parse_image_size(raw: str) -> tuple[int, int]:
 
 def _fmt(value: float) -> str:
     return f"{value:.6g}"
+
+
+def _image_rows(gt: GtIndex) -> list[np.ndarray]:
+    """The rows of each image of gt, in image_ids order, each in file order
+    (one stable sort for the whole index)."""
+    order = np.argsort(gt.image, kind="stable")
+    bounds = np.searchsorted(gt.image[order], np.arange(len(gt.image_ids) + 1)).tolist()
+    return [order[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _image_targets(
+    gt: GtIndex, rows: np.ndarray, cfg: RunConfig, size: tuple[int, int] | None
+) -> tuple[int, int, list[FeatureGridSpec], list[TargetMaps]]:
+    """Width, height, grid specs and per-level targets of the objects in
+    rows; the size is derived from their quads when size is None."""
+    quads = gt.quads[rows]
+    width, height = size or _derive_image_size(quads, cfg.strides)
+    specs = grid_specs(width, height, cfg.strides)
+    levels = _assign_arrays(
+        specs, cfg.level_ranges, quads, gt.class_id[rows], gt.difficult[rows],
+        cfg.center_radius_mult,
+    )
+    return width, height, specs, levels
+
+
+def _best_positives(object_index: np.ndarray, fused: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(objects, positives): each object that owns a positive, ascending, and
+    the index of its positive with the highest fused score, the first on ties."""
+    # lexsort is stable: among equal keys the earlier positive comes first
+    order = np.lexsort((-fused, object_index))
+    obj = object_index[order]
+    first = np.ones(obj.size, dtype=bool)
+    first[1:] = obj[1:] != obj[:-1]
+    return obj[first], order[first]
 
 
 # ---------------------------------------------------------------- commands
@@ -165,11 +201,8 @@ def _cmd_assign(args) -> int:
     cfg = _load_config(args, center_radius_mult=args.radius_mult)
     size = _parse_image_size(args.image_size) if args.image_size else None
     gt = dota.parse_dota_annotations(args.gt)
-    for image_id in sorted(gt.images):
-        objects = gt.images[image_id]
-        width, height = size or _derive_image_size(objects, cfg.strides)
-        specs = grid_specs(width, height, cfg.strides)
-        levels = assign_targets(specs, cfg.level_ranges, objects, cfg.center_radius_mult)
+    for image_id, rows in zip(gt.image_ids, _image_rows(gt)):
+        width, height, specs, levels = _image_targets(gt, rows, cfg, size)
         print(f"# image {image_id} size {width}x{height}")
         for spec, maps in zip(specs, levels):
             pos = np.flatnonzero(maps.class_id > 0)
@@ -325,13 +358,10 @@ def _cmd_fit_demo(args) -> int:
     size = _parse_image_size(args.image_size) if args.image_size else None
     gt = dota.parse_dota_annotations(args.gt)
     trace_every = args.trace_every or max(args.steps // 10, 1)
-    for image_id in sorted(gt.images):
-        objects = gt.images[image_id]
+    for image_id, rows in zip(gt.image_ids, _image_rows(gt)):
         result = None
-        if objects:
-            width, height = size or _derive_image_size(objects, cfg.strides)
-            specs = grid_specs(width, height, cfg.strides)
-            levels = assign_targets(specs, cfg.level_ranges, objects, cfg.center_radius_mult)
+        if rows.size:
+            *_, levels = _image_targets(gt, rows, cfg, size)
             flat = TargetMaps.concatenate(levels)
             if flat.class_id.any():
                 # fit before the image header, so bad --steps / --lr fail with no output
@@ -340,7 +370,7 @@ def _cmd_fit_demo(args) -> int:
                 )
         print(f"# image {image_id}")
         if result is None:
-            print("no positive locations" if objects else "no objects")
+            print("no positive locations" if rows.size else "no objects")
             continue
         for step, breakdown in enumerate(result.trajectory):
             if step % trace_every == 0 or step == len(result.trajectory) - 1:
@@ -348,25 +378,17 @@ def _cmd_fit_demo(args) -> int:
                     f"step {step} total {_fmt(breakdown.total)} cls {_fmt(breakdown.cls_loss)} "
                     f"reg {_fmt(breakdown.reg_loss)} ori {_fmt(breakdown.ori_loss)}"
                 )
-        best: dict[int, tuple[float, int]] = {}
-        for k, idx in enumerate(result.positive_indices):
-            j = int(flat.object_index[idx])
-            score = result.fused_scores[k]
-            if j not in best or score > best[j][0]:
-                best[j] = (score, k)
-        ious = polygon_iou_pairs(
-            result.decoded_quads[[k for _, k in best.values()]],
-            quad_arrays([objects[j].quad for j in best]),
-        )
-        iou_of = dict(zip(best, ious.tolist()))
-        for j, obj in enumerate(objects):
+        fused = np.array(result.fused_scores)
+        objs, picks = _best_positives(flat.object_index[result.positive_indices], fused)
+        ious = polygon_iou_pairs(result.decoded_quads[picks], gt.quads[rows[objs]])
+        best = dict(zip(objs.tolist(), zip(ious.tolist(), fused[picks].tolist())))
+        for j, class_id in enumerate(gt.class_id[rows].tolist()):
+            name = gt.classes.name_of(class_id)
             if j not in best:
-                print(f"object {j} {gt.classes.name_of(obj.class_id)} unassigned")
+                print(f"object {j} {name} unassigned")
                 continue
-            print(
-                f"object {j} {gt.classes.name_of(obj.class_id)} iou {_fmt(iou_of[j])} "
-                f"score {_fmt(best[j][0])}"
-            )
+            iou, score = best[j]
+            print(f"object {j} {name} iou {_fmt(iou)} score {_fmt(score)}")
     return 0
 
 

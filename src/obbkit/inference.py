@@ -269,8 +269,10 @@ def run_inference(
         if not (_in_unit_interval(batch.class_scores) and _in_unit_interval(batch.centerness)):
             raise ValueError("scores must lie in [0, 1]")
         fused = batch.class_scores * batch.centerness[:, None]
-        loc, cls = np.nonzero(fused >= SCORE_THRESHOLD)
-        score = fused[loc, cls]
+        # flat (location, class) indices of the candidates, in C order
+        hit = np.flatnonzero(fused >= SCORE_THRESHOLD)
+        loc, cls = np.divmod(hit, batch.num_classes)
+        score = fused.ravel()[hit]
         if len(score) > PRE_NMS_TOP_N:
             # the best scores, ties at the cut to the earlier candidates, in candidate order
             kth = np.partition(score, -PRE_NMS_TOP_N)[-PRE_NMS_TOP_N]

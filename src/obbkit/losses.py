@@ -467,6 +467,16 @@ def grad_check(
     return worst
 
 
+def _count_sum(counts: tuple[int, ...], values: np.ndarray) -> float:
+    """The sum of counts[i] copies of values[i], exact and rounded once: the
+    math.fsum of those copies, without forming them. values must be finite."""
+    num, den = 0, 1
+    for n, v in zip(counts, values.tolist()):
+        p, q = v.as_integer_ratio()
+        num, den = num * q + n * p * den, den * q
+    return num / den  # int true division rounds correctly
+
+
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """Logistic function: 1 / (1 + e) where z >= 0 and e / (1 + e) elsewhere, e = exp(-|z|)."""
     e = np.exp(-np.abs(z))
@@ -509,11 +519,14 @@ def fit_demo(
     logit and label alone, so all y = 0 entries share one logit and all
     y = 1 entries another: the fit keeps these two group logits (a group
     with no entry does not count when telling whether a step moved). The
-    focal sum is still one .sum() over an (L, C) buffer of per-entry
-    branch values, so it adds in the dense order and every float is that
-    of the dense fit. The centerness logit, log ltrb and log wh are kept
-    only at the positives; their gradient is 0 on background, where the
-    predictions stay at the constants 0.5 and 1.0 of a zero parameter.
+    focal sum is n0 * b0 + n1 * b1, each group's entry count times its
+    branch value, added exactly and rounded once. That is the math.fsum
+    of the (L, C) per-entry values (a group with no entry adds exactly 0);
+    numpy's pairwise .sum() of them can differ in the last bits. The
+    centerness logit, log ltrb and log wh are kept only at the positives;
+    their gradient is 0 on background, where the predictions stay at the
+    constants 0.5 and 1.0 of a zero parameter. The (L, C) class scores
+    are formed once, for final_batch.
 
     Raises ValueError unless steps >= 0 and lr is finite and >= 0, and
     Diverged if the loss ever becomes non-finite.
@@ -533,15 +546,10 @@ def fit_demo(
     n = len(targets)
     norm = int(pos.size)
     truth = (targets.centerness[pos], targets.ltrb[pos], targets.wh[pos])
+    # entries per label group: y = 0, y = 1
+    counts = (n * num_classes - norm, norm)
     # the group logits that have entries: both, or only y = 1
-    live = slice(0 if n * num_classes > norm else 1, 2)
-    dense = np.empty((n, num_classes))
-
-    def spread(pair: np.ndarray) -> np.ndarray:
-        """dense holding pair[0] at every y = 0 entry and pair[1] at every y = 1 entry."""
-        dense.fill(pair[0])
-        dense.flat[onehot] = pair[1]
-        return dense
+    live = slice(0 if counts[0] else 1, 2)
 
     def evaluate(logits: np.ndarray, reg: np.ndarray):
         """Loss breakdown, parameter gradients and predictions at one point."""
@@ -556,7 +564,7 @@ def fit_demo(
         # chain rule through the sigmoid / exp parameterizations
         grads = (score_grad * scores * (1.0 - scores), np.concatenate(
             [(cent_grad * cent * (1.0 - cent))[:, None], ltrb_grad * ltrb, wh_grad * wh], axis=1))
-        breakdown = LossBreakdown.of(-float(spread(branch).sum()), reg_sum, ori_sum, norm, weights)
+        breakdown = LossBreakdown.of(-_count_sum(counts, branch), reg_sum, ori_sum, norm, weights)
         return breakdown, grads, (scores, *preds)
 
     # y = 0 and y = 1 group logits; positives' centerness logit, log ltrb, log wh
@@ -593,7 +601,8 @@ def fit_demo(
     scores, cent, ltrb, wh = preds
     centerness, full_ltrb, full_wh = np.full(n, 0.5), np.ones((n, 4)), np.ones((n, 2))
     centerness[pos], full_ltrb[pos], full_wh[pos] = cent, ltrb, wh
-    # the branch buffer is done with, so it becomes the final class scores
-    batch = PredictionBatch(spread(scores), centerness, full_ltrb, full_wh)
+    class_scores = np.full((n, num_classes), scores[0])
+    class_scores.flat[onehot] = scores[1]
+    batch = PredictionBatch(class_scores, centerness, full_ltrb, full_wh)
     decoded = quads_from_offsets(targets.points[pos], ltrb, wh)
     return FitDemoResult(trajectory, pos.tolist(), decoded, (scores[1] * cent).tolist(), batch)

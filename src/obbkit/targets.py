@@ -73,13 +73,33 @@ class TargetMaps:
     grid: np.ndarray
 
     def __post_init__(self):
+        self._seal(copy=True)
+
+    def _seal(self, copy: bool) -> None:
+        """Check every field's shape and make it read-only. With copy, each
+        field becomes a fresh array of its dtype; without, each must already
+        have that dtype and is used as it is."""
         n = np.shape(self.class_id)[0] if np.ndim(self.class_id) == 1 else -1
         for name, (dtype, tail) in _MAP_LAYOUT.items():
-            arr = np.array(getattr(self, name), dtype=dtype)
+            arr = getattr(self, name)
+            if copy:
+                arr = np.array(arr, dtype=dtype)
+            elif arr.dtype != dtype:
+                raise TypeError(f"{name} has dtype {arr.dtype}, expected {np.dtype(dtype)}")
             if arr.shape != (n, *tail):
                 raise ShapeMismatch(f"{name} has shape {arr.shape}, expected {(n, *tail)}")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+
+    @classmethod
+    def _adopt(cls, *arrays: np.ndarray) -> "TargetMaps":
+        """Maps over arrays that nothing else refers to (just built by this
+        module), checked and made read-only but not copied."""
+        maps = object.__new__(cls)
+        for name, arr in zip(_MAP_LAYOUT, arrays, strict=True):
+            object.__setattr__(maps, name, arr)
+        maps._seal(copy=False)
+        return maps
 
     def __len__(self) -> int:
         return self.class_id.shape[0]
@@ -87,7 +107,9 @@ class TargetMaps:
     @classmethod
     def concatenate(cls, maps: Sequence["TargetMaps"]) -> "TargetMaps":
         """The locations of several maps (for example all levels) in order."""
-        return cls(*(np.concatenate([getattr(m, name) for m in maps]) for name in _MAP_LAYOUT))
+        return cls._adopt(
+            *(np.concatenate([getattr(m, name) for m in maps]) for name in _MAP_LAYOUT)
+        )
 
 
 class LevelRanges:
@@ -232,16 +254,36 @@ def assign_targets(
 
     Returns one row-major TargetMaps (y_s outer, x_s inner) per level.
     """
+    return _assign_arrays(
+        specs,
+        ranges,
+        quad_arrays([obj.quad for obj in objects]),
+        np.array([obj.class_id for obj in objects], dtype=int),
+        np.array([obj.difficult for obj in objects], dtype=bool),
+        center_radius_mult,
+    )
+
+
+def _assign_arrays(
+    specs: Sequence[FeatureGridSpec],
+    ranges: LevelRanges,
+    quads: np.ndarray,
+    class_id: np.ndarray,
+    difficult: np.ndarray,
+    center_radius_mult: float = DEFAULT_CENTER_RADIUS_MULT,
+) -> list[TargetMaps]:
+    """:func:`assign_targets` over K objects as arrays: canonical vertices
+    quads (K, 4, 2), 1-based class_id (K,) and difficult (K,)."""
     if len(specs) != len(ranges):
         raise ValueError(f"{len(specs)} grid specs but {len(ranges)} level ranges")
 
-    obj_hbb, wh = encode_many(quad_arrays([obj.quad for obj in objects]))
+    obj_hbb, wh = encode_many(quads)
     if not np.isfinite(wh).all():
         raise ValueError("non-finite orientation offsets")
     # one row per object plus a trailing background row, which object index -1 selects
     obj_wh = np.vstack([wh, [0.0, 0.0]])
-    obj_class = np.array([obj.class_id for obj in objects] + [0])
-    obj_difficult = np.array([obj.difficult for obj in objects] + [False])
+    obj_class = np.append(np.asarray(class_id, dtype=int), 0)
+    obj_difficult = np.append(np.asarray(difficult, dtype=bool), False)
     out: list[TargetMaps] = []
     for spec, (lo, hi) in zip(specs, ranges.pairs):
         px = spec.stride // 2 + np.arange(spec.width) * spec.stride
@@ -256,7 +298,7 @@ def assign_targets(
         cent = np.zeros(obj_index.size)
         cent[pos] = _centerness(*ltrb[pos].T)
         out.append(
-            TargetMaps(
+            TargetMaps._adopt(
                 obj_class[obj_index], ltrb, obj_wh[obj_index], cent, obj_difficult[obj_index],
                 obj_index, points, np.stack([x_s, y_s], axis=1),
             )

@@ -1,7 +1,7 @@
 """Shared fixture builders and scalar oracles for the test suite."""
 
 import math
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -608,8 +608,9 @@ def sigmoid_oracle(z):
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def focal_sum_oracle(scores, pos, alpha, beta):
-    """Unnormalized focal loss and gradient in expression form, one temporary per step."""
+def focal_branch_oracle(scores, pos, alpha, beta):
+    """Per-entry focal branch values (the loss is minus their sum) and the
+    gradient, in expression form, one temporary per step."""
     scores = np.ascontiguousarray(scores)
     om = 1.0 - scores
     log_om = np.log(om)
@@ -623,6 +624,12 @@ def focal_sum_oracle(scores, pos, alpha, beta):
         om_beta = om_p**beta
         branch.flat[pos] = alpha * om_beta * log_s
         grad.flat[pos] = -alpha * (-beta * om_p ** (beta - 1.0) * log_s + om_beta / s)
+    return branch, grad
+
+
+def focal_sum_oracle(scores, pos, alpha, beta):
+    """Unnormalized focal loss and gradient in expression form, summed as numpy sums."""
+    branch, grad = focal_branch_oracle(scores, pos, alpha, beta)
     return -float(branch.sum()), grad
 
 
@@ -650,6 +657,10 @@ def fit_demo_dense_oracle(
     The dense class passes run over row blocks in a per-call workspace of
     logits, trial logits and logit gradients; the scores and their
     gradients come fresh from _sigmoid and total_loss on every evaluation.
+    The class sum is the math.fsum of the per-entry branch values (exact,
+    rounded once), not total_loss's pairwise sum: fit_demo's count x value
+    sum is exact too, and a sum rounded another way can flip a
+    backtracking test whose two totals differ in the last bit.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
@@ -664,6 +675,7 @@ def fit_demo_dense_oracle(
         raise ValueError("fit_demo needs at least one positive target")
 
     n = len(targets)
+    onehot = pos * num_classes + targets.class_id[pos] - 1
     logits, trial_logits, cls_grad = np.zeros((3, n, num_classes))
     # columns: centerness logit, log ltrb (4), log wh (2)
     reg = np.zeros((pos.size, 7))
@@ -678,7 +690,15 @@ def fit_demo_dense_oracle(
         ltrb[pos] = np.exp(reg[:, 1:5])
         wh[pos] = np.exp(reg[:, 5:])
         batch = PredictionBatch(_sigmoid(logits), centerness, ltrb, wh)
-        return batch, total_loss(batch, targets, weights)
+        result = total_loss(batch, targets, weights)
+        branch, _ = focal_branch_oracle(
+            batch.class_scores, onehot, weights.focal_alpha, weights.focal_beta
+        )
+        b = result.breakdown
+        exact = LossBreakdown.of(
+            -math.fsum(branch.ravel().tolist()), b.reg_loss, b.ori_loss, b.num_pos, weights
+        )
+        return batch, replace(result, breakdown=exact)
 
     batch, result = evaluate(logits, reg)
     if not math.isfinite(result.breakdown.total):

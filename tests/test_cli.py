@@ -17,9 +17,11 @@ from obbkit import cli
 from obbkit.config import build_config, parse_level_ranges, read_config_file
 from obbkit.dota import parse_dota_annotations, parse_dota_detections, write_dota_detections
 from obbkit.errors import ParseError, UnknownClass
-from obbkit.evaluation import ClassTable
+from obbkit.evaluation import ClassTable, GtIndex
 from obbkit.geometry import canonicalize
 from obbkit.inference import Detection, DetectionSet
+from obbkit.losses import LossWeights, fit_demo
+from obbkit.targets import LevelRanges, TargetMaps, assign_targets, grid_specs
 
 from helpers import (
     numeric_lines_oracle,
@@ -669,6 +671,172 @@ class TestFitDemoCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and flag in err
+
+
+# Three images for the golden fit-demo and assign runs: in A a harbor with no
+# grid point strictly inside it, so no positive location; B an empty file; in
+# C a square ship whose four central positives have bit-equal fused scores, and
+# a plane that lies outside a 128 x 128 image.
+GOLDEN_GT = {
+    "A.txt": (
+        "28.251289 58.990381 43.251289 33.009619 91.748711 61.009619 "
+        "76.748711 86.990381 plane 0\n"
+        "101 101 103 101 103 103 101 103 harbor 0\n"
+    ),
+    "B.txt": "",
+    "C.txt": (
+        "40 40 72 40 72 72 40 72 ship 0\n"
+        "134.109908 71.657670 175.248315 22.630826 205.890092 48.342330 "
+        "164.751685 97.369174 plane 1\n"
+    ),
+}
+GOLDEN_CONFIG = ("--set", "strides=8,16", "--set", "level_ranges=0:64,64:inf")
+GOLDEN_FIT_DEMO_DERIVED_SIZE = """\
+# image A
+step 0 total 40.7485 cls 9.55243 reg 215.889 ori 141.295
+step 10 total 15.968 cls 5.30683 reg 95.1513 ori 43.2538
+step 20 total 1.80412 cls 5.19139 reg 7.22653 ori 3.81913
+object 0 plane iou 0.941728 score 0.490798
+object 1 harbor unassigned
+# image B
+no objects
+# image C
+step 0 total 28.7508 cls 17.7402 reg 480.793 ori 220.236
+step 10 total 26.0659 cls 12.3261 reg 434.287 ori 205.033
+step 20 total 2.23955 cls 8.90607 reg 41.8825 ori 5.20029
+object 0 ship iou 0.947294 score 0.335866
+object 1 plane iou 0.968622 score 0.491567
+"""
+GOLDEN_FIT_DEMO_128 = """\
+# image A
+step 0 total 41.0734 cls 12.4766 reg 215.889 ori 141.295
+step 10 total 16.1485 cls 6.93137 reg 95.1513 ori 43.2538
+step 20 total 1.98069 cls 6.78059 reg 7.22653 ori 3.81913
+object 0 plane iou 0.941728 score 0.490798
+object 1 harbor unassigned
+# image B
+no objects
+# image C
+step 0 total 21.269 cls 12.4766 reg 212.628 ori 115.2
+step 10 total 13.8824 cls 7.23379 reg 127.172 ori 87.713
+step 20 total 1.06488 cls 6.88233 reg 9.31212 ori 0.843606
+object 0 ship iou 0.985577 score 0.327359
+object 1 plane unassigned
+"""
+GOLDEN_ASSIGN_DERIVED_SIZE = """\
+# image A size 112x112
+3 6 6 2 23.748711 18.990381 39.748711 34.990381 48.497422 28 0.5694439717242815 0
+3 7 6 2 31.748711 18.990381 31.748711 34.990381 48.497422 28 0.7367031100795921 0
+3 8 6 2 39.748711 18.990381 23.748711 34.990381 48.497422 28 0.5694439717242815 0
+3 6 7 2 23.748711 26.990381 39.748711 26.990381 48.497422 28 0.7729626275946627 0
+3 7 7 2 31.748711 26.990381 31.748711 26.990381 48.497422 28 1 0
+3 8 7 2 39.748711 26.990381 23.748711 26.990381 48.497422 28 0.7729626275946627 0
+3 6 8 2 23.748711 34.990381 39.748711 18.990381 48.497422 28 0.5694439717242815 0
+3 7 8 2 31.748711 34.990381 31.748711 18.990381 48.497422 28 0.7367031100795921 0
+3 8 8 2 39.748711 34.990381 23.748711 18.990381 48.497422 28 0.5694439717242815 0
+# level 3: 9 positive of 196 locations
+# level 4: 0 positive of 49 locations
+# image B size 16x16
+# level 3: 0 positive of 4 locations
+# level 4: 0 positive of 1 locations
+# image C size 208x112
+3 5 5 3 4 4 28 28 0 32 0.14285714285714285 0
+3 6 5 3 12 4 20 28 0 32 0.2927700218845599 0
+3 7 5 3 20 4 12 28 0 32 0.2927700218845599 0
+3 8 5 3 28 4 4 28 0 32 0.14285714285714285 0
+3 5 6 3 4 12 28 20 0 32 0.2927700218845599 0
+3 6 6 3 12 12 20 20 0 32 0.6 0
+3 7 6 3 20 12 12 20 0 32 0.6 0
+3 8 6 3 28 12 4 20 0 32 0.2927700218845599 0
+3 20 6 2 29.89009200000001 29.369174 41.89009200000001 45.369174 30.64177700000002 25.711504000000005 0.679631342059961 1
+3 21 6 2 37.89009200000001 29.369174 33.89009200000001 45.369174 30.64177700000002 25.711504000000005 0.7609199556260867 1
+3 22 6 2 45.89009200000001 29.369174 25.89009200000001 45.369174 30.64177700000002 25.711504000000005 0.6043280638949202 1
+3 5 7 3 4 20 28 12 0 32 0.2927700218845599 0
+3 6 7 3 12 20 20 12 0 32 0.6 0
+3 7 7 3 20 20 12 12 0 32 0.6 0
+3 8 7 3 28 20 4 12 0 32 0.2927700218845599 0
+3 20 7 2 29.89009200000001 37.369174 41.89009200000001 37.369174 30.64177700000002 25.711504000000005 0.844710648167886 1
+3 21 7 2 37.89009200000001 37.369174 33.89009200000001 37.369174 30.64177700000002 25.711504000000005 0.9457438895807767 1
+3 22 7 2 45.89009200000001 37.369174 25.89009200000001 37.369174 30.64177700000002 25.711504000000005 0.7511165524112688 1
+3 5 8 3 4 28 28 4 0 32 0.14285714285714285 0
+3 6 8 3 12 28 20 4 0 32 0.2927700218845599 0
+3 7 8 3 20 28 12 4 0 32 0.2927700218845599 0
+3 8 8 3 28 28 4 4 0 32 0.14285714285714285 0
+3 20 8 2 29.89009200000001 45.369174 41.89009200000001 29.369174 30.64177700000002 25.711504000000005 0.679631342059961 1
+3 21 8 2 37.89009200000001 45.369174 33.89009200000001 29.369174 30.64177700000002 25.711504000000005 0.7609199556260867 1
+3 22 8 2 45.89009200000001 45.369174 25.89009200000001 29.369174 30.64177700000002 25.711504000000005 0.6043280638949202 1
+# level 3: 25 positive of 364 locations
+# level 4: 0 positive of 91 locations
+"""
+
+
+@pytest.fixture
+def golden_gt(tmp_path):
+    gt = tmp_path / "gt"
+    gt.mkdir()
+    for name, text in GOLDEN_GT.items():
+        (gt / name).write_text(text)
+    return gt
+
+
+class TestArrayPathGoldens:
+    """fit-demo and assign stdout, recorded from the per-object implementation."""
+
+    @pytest.mark.parametrize("size, expected", [
+        ([], GOLDEN_FIT_DEMO_DERIVED_SIZE),
+        (["--image-size", "128x128"], GOLDEN_FIT_DEMO_128),
+    ])
+    def test_fit_demo(self, golden_gt, capsys, size, expected):
+        code, out, err = run_cli(capsys, "fit-demo", "--gt", str(golden_gt), "--steps", "20",
+                                 "--trace-every", "10", *size, *GOLDEN_CONFIG)
+        assert (code, err) == (0, "")
+        assert out == expected
+
+    def test_assign(self, golden_gt, capsys):
+        code, out, err = run_cli(capsys, "assign", "--gt", str(golden_gt), *GOLDEN_CONFIG)
+        assert (code, err) == (0, "")
+        assert out == GOLDEN_ASSIGN_DERIVED_SIZE
+
+    def test_ship_has_tied_best_positives(self, golden_gt):
+        # the tie that the golden output breaks toward the first positive
+        gt = parse_dota_annotations(golden_gt)
+        specs = grid_specs(208, 112, (8, 16))
+        levels = assign_targets(specs, LevelRanges([(0, 64), (64, math.inf)]), gt.images["C"])
+        flat = TargetMaps.concatenate(levels)
+        result = fit_demo(flat, LossWeights(), steps=20, lr=0.05, num_classes=len(gt.classes))
+        fused = np.array(result.fused_scores)
+        ship = flat.object_index[result.positive_indices] == 0
+        assert np.count_nonzero(fused[ship] == fused[ship].max()) == 4
+
+
+class TestImageRows:
+    def test_groups_unsorted_rows_in_file_order(self):
+        image = np.array([1, 0, 1, 0, 3])
+        n = len(image)
+        gt = GtIndex(("a", "b", "c", "d"), image, np.zeros((n, 4, 2)), np.ones(n, dtype=int),
+                     np.zeros(n, dtype=bool), ClassTable(("plane",)))
+        assert [rows.tolist() for rows in cli._image_rows(gt)] == [[1, 3], [0, 2], [], [4]]
+
+
+class TestBestPositives:
+    def test_highest_fused_score_first_on_ties(self):
+        object_index = np.array([2, 0, 2, 0, 2, 5, 0])
+        fused = np.array([0.3, 0.7, 0.9, 0.7, 0.9, 0.1, 0.2])
+        objects, picks = cli._best_positives(object_index, fused)
+        assert objects.tolist() == [0, 2, 5]
+        assert picks.tolist() == [1, 2, 5]
+
+    def test_matches_a_scan_over_the_positives(self):
+        rng = np.random.default_rng(9)
+        object_index = rng.integers(0, 30, 400)
+        fused = rng.choice([0.1, 0.25, 0.5, 0.75], 400)
+        best = {}
+        for k, (j, score) in enumerate(zip(object_index.tolist(), fused.tolist())):
+            if j not in best or score > best[j][0]:
+                best[j] = (score, k)
+        objects, picks = cli._best_positives(object_index, fused)
+        assert dict(zip(objects.tolist(), picks.tolist())) == {j: k for j, (_, k) in best.items()}
+        assert objects.tolist() == sorted(best)
 
 
 class TestDotaRoundtrip:

@@ -44,3 +44,61 @@ def test_mismatched_field_lengths_rejected():
     with pytest.raises(ShapeMismatch):
         TargetMaps(maps.class_id, maps.ltrb, maps.wh, maps.centerness, maps.difficult,
                    maps.object_index, np.zeros((2, 2)), maps.grid)
+
+
+FIELDS = ("class_id", "ltrb", "wh", "centerness", "difficult", "object_index", "points", "grid")
+
+
+def _scene_levels():
+    objects = [GroundTruthObject(axis_box(4, 4, 20, 20), 2),
+               GroundTruthObject(axis_box(8, 2, 30, 14), 1)]
+    specs = [FeatureGridSpec(4, 4, 8, 3), FeatureGridSpec(2, 2, 16, 4)]
+    return assign_targets(specs, LevelRanges([(0, 12), (12, math.inf)]), objects)
+
+
+class TestOwnership:
+    """The constructor copies a caller's arrays; maps built by obbkit adopt theirs."""
+
+    def test_caller_arrays_are_copied(self):
+        ref = target_maps([0, 2, 1], ltrb=np.full((3, 4), 3.0), wh=np.ones((3, 2)))
+        arrays = [np.array(getattr(ref, name)) for name in FIELDS]
+        maps = TargetMaps(*arrays)
+        for arr in arrays:
+            arr[...] = 7
+        for name in FIELDS:
+            assert np.array_equal(getattr(maps, name), getattr(ref, name)), name
+
+    def test_built_maps_are_read_only(self):
+        levels = _scene_levels()
+        for maps in (*levels, TargetMaps.concatenate(levels)):
+            for name in FIELDS:
+                arr = getattr(maps, name)
+                assert not arr.flags.writeable, name
+                with pytest.raises(ValueError):
+                    arr.reshape(-1)[0] = 1
+
+    def test_concatenate_hands_over_the_arrays_it_built(self, monkeypatch):
+        levels = _scene_levels()
+        built = []
+
+        def recording(*args, **kwargs):
+            built.append(concatenate(*args, **kwargs))
+            return built[-1]
+
+        concatenate = np.concatenate
+        monkeypatch.setattr(np, "concatenate", recording)
+        flat = TargetMaps.concatenate(levels)
+        monkeypatch.undo()
+        assert len(built) == len(FIELDS)
+        for name, arr in zip(FIELDS, built):
+            assert getattr(flat, name) is arr, name
+            assert arr.flags.owndata, name
+            assert np.array_equal(arr, np.concatenate([getattr(m, name) for m in levels]))
+
+    def test_adopting_checks_dtype_and_shape(self):
+        ref = target_maps([0, 1], ltrb=np.full((2, 4), 2.0))
+        arrays = [np.array(getattr(ref, name)) for name in FIELDS]
+        with pytest.raises(TypeError, match="class_id"):
+            TargetMaps._adopt(arrays[0].astype(np.int32), *arrays[1:])
+        with pytest.raises(ShapeMismatch, match="points"):
+            TargetMaps._adopt(*arrays[:6], np.zeros((3, 2)), arrays[7])

@@ -4,13 +4,15 @@
 work than the expression forms kept in helpers.py; every float they
 produce must be identical to the reference. A seeded two-level `fit_demo`
 run is pinned by the float.hex of every loss component at every step and
-by a hash of its final predictions, recorded from the dense (L, C + 7)
-parameterization it replaced; `fit_demo`, which keeps one class logit per
-label group, is also checked against that dense fit (`fit_demo_dense_oracle`)
-on drawn scenes. The dense focal pass runs in row blocks of
-`losses._BLOCK_ENTRIES` entries; the same properties and pins are checked
-again with tiny blocks, so that every input spans many blocks and most end
-in a ragged one.
+by a hash of its final predictions. `fit_demo` keeps one class logit per
+label group and adds the focal term as count x value per group, exactly
+and rounded once. It is checked on drawn scenes against the dense
+(L, C + 7) fit it replaced (`fit_demo_dense_oracle`), whose class sum is
+the math.fsum of its per-entry values, and its class sum against the
+math.fsum of the dense kernel's branch buffer. The dense focal pass runs
+in row blocks of `losses._BLOCK_ENTRIES` entries; the same properties and
+pins are checked again with tiny blocks, so that every input spans many
+blocks and most end in a ragged one.
 """
 
 import hashlib
@@ -260,49 +262,52 @@ def pinned_scene() -> TargetMaps:
     return TargetMaps.concatenate(levels)
 
 
-# float.hex of total, cls_loss, reg_loss and ori_loss at steps 0..40 (lr 0.05)
+# float.hex of total, cls_loss, reg_loss and ori_loss at steps 0..40 (lr 0.05),
+# with the class sum added exactly; numpy's pairwise sum of the dense entries
+# gives a cls_loss a few ulp away from step 3 on, and another total at steps
+# 20 and 32
 PINNED_TRAJECTORY = (
     "0x1.a0bc6438e65a1p+4 0x1.8f40b5ed9812dp+3 0x1.0550ffb9ed4d5p+9 0x1.1050fd0af6f35p+8",
     "0x1.a0b7eaa5c217ep+4 0x1.8f20fb28ebe7bp+3 0x1.054e2f18f9c8dp+9 0x1.104ef095ed1d5p+8",
     "0x1.a0aef5ec8ce13p+4 0x1.8ee1904128774p+3 0x1.05488cfecfb1ap+9 0x1.104ad5faa84d4p+8",
-    "0x1.a09d062307b57p+4 0x1.8e62e4ea9bbc4p+3 0x1.053d456180e56p+9 0x1.104299f98846dp+8",
-    "0x1.a0790cd7e024ap+4 0x1.8d6637b6dc111p+3 0x1.0526a8433d648p+9 0x1.1032069e109d7p+8",
-    "0x1.a030b07c49086p+4 0x1.8b6f7fe413df4p+3 0x1.04f93475affd5p+9 0x1.101071064ce6ap+8",
-    "0x1.9f9e39122dfe7p+4 0x1.878c8047ccdeep+3 0x1.049d5637d8cdbp+9 0x1.0fcb7e21491abp+8",
-    "0x1.9e718ab9cef15p+4 0x1.7fef72979f454p+3 0x1.03e137592dbb2p+9 0x1.0f3a1280e8831p+8",
+    "0x1.a09d062307b57p+4 0x1.8e62e4ea9bbc5p+3 0x1.053d456180e56p+9 0x1.104299f98846dp+8",
+    "0x1.a0790cd7e024ap+4 0x1.8d6637b6dc10ep+3 0x1.0526a8433d648p+9 0x1.1032069e109d7p+8",
+    "0x1.a030b07c49086p+4 0x1.8b6f7fe413df1p+3 0x1.04f93475affd5p+9 0x1.101071064ce6ap+8",
+    "0x1.9f9e39122dfe7p+4 0x1.878c8047ccdf2p+3 0x1.049d5637d8cdbp+9 0x1.0fcb7e21491abp+8",
+    "0x1.9e718ab9cef15p+4 0x1.7fef72979f453p+3 0x1.03e137592dbb2p+9 0x1.0f3a1280e8831p+8",
     "0x1.9bf2f2ae73e21p+4 0x1.7152e19d5904ep+3 0x1.02534a0cc86f3p+9 0x1.0df58b0b84df9p+8",
-    "0x1.9623990e9f96ap+4 0x1.566166da67db4p+3 0x1.fd7091124c270p+8 0x1.0ac15c4335ce0p+8",
-    "0x1.840fc9506e9dep+4 0x1.28588049273c4p+3 0x1.e6dc6af0de913p+8 0x1.ff7ece315d0dap+7",
+    "0x1.9623990e9f96ap+4 0x1.566166da67db6p+3 0x1.fd7091124c270p+8 0x1.0ac15c4335ce0p+8",
+    "0x1.840fc9506e9dep+4 0x1.28588049273c5p+3 0x1.e6dc6af0de913p+8 0x1.ff7ece315d0dap+7",
     "0x1.010b7be6b3df2p+4 0x1.c7c496f7d3fc4p+2 0x1.3efb638c39bc8p+8 0x1.57d7944dc6e7bp+7",
-    "0x1.8b0e560720d25p+3 0x1.bbc397514d3d8p+2 0x1.0091913322e1fp+8 0x1.dcd50f19fed36p+6",
-    "0x1.11e9fd153ef5dp+3 0x1.b8dfbddc9795cp+2 0x1.9193bb86d4626p+7 0x1.cd6a838dc3748p+5",
-    "0x1.b003413148e82p+2 0x1.b77179cbdaea6p+2 0x1.d57c081ba67a9p+6 0x1.54132e971918ap+6",
-    "0x1.442a26beaa042p+2 0x1.b605463e03bcep+2 0x1.59a34057d7472p+6 0x1.fe1c2cab63ca0p+5",
-    "0x1.e4478f64e761fp+1 0x1.b55012041a8e2p+2 0x1.1367689eb01f1p+6 0x1.4cd1d2559cbdep+5",
-    "0x1.84c9f133bffc2p+1 0x1.b49b6023ea37cp+2 0x1.e6ca0169f1149p+5 0x1.a7d3abcbab3a0p+4",
-    "0x1.205c8fbd2fbe0p+1 0x1.b441400660dd1p+2 0x1.4d9a86d8a00e0p+5 0x1.55214f4a40ad0p+4",
-    "0x1.bd6cb9a98535cp+0 0x1.b4143e2176420p+2 0x1.073337c4546d0p+5 0x1.c72e514ed75b5p+3",
-    "0x1.964efbd30a0c7p+0 0x1.b3fdc0b81f66ep+2 0x1.e4f28a2349fdep+4 0x1.828e1b2f23410p+3",
-    "0x1.93d04e7200b9fp+0 0x1.b3e7455397115p+2 0x1.dcd46e2d171c3p+4 0x1.892ab0f5c90f9p+3",
-    "0x1.9036bfe598f04p+0 0x1.b3d0cbf39c563p+2 0x1.d9dd8df525efcp+4 0x1.8130a5b596986p+3",
-    "0x1.831b5ffb9c66bp+0 0x1.b3c5902582d9cp+2 0x1.d30213f93cc94p+4 0x1.5c2323e9c30e6p+3",
-    "0x1.82095880f4e67p+0 0x1.b3bff276e9b8cp+2 0x1.d26a3a28571b8p+4 0x1.592fc96791e9ap+3",
+    "0x1.8b0e560720d25p+3 0x1.bbc397514d3d5p+2 0x1.0091913322e1fp+8 0x1.dcd50f19fed36p+6",
+    "0x1.11e9fd153ef5dp+3 0x1.b8dfbddc97960p+2 0x1.9193bb86d4626p+7 0x1.cd6a838dc3748p+5",
+    "0x1.b003413148e82p+2 0x1.b77179cbdaea5p+2 0x1.d57c081ba67a9p+6 0x1.54132e971918ap+6",
+    "0x1.442a26beaa042p+2 0x1.b605463e03bcfp+2 0x1.59a34057d7472p+6 0x1.fe1c2cab63ca0p+5",
+    "0x1.e4478f64e761fp+1 0x1.b55012041a8e3p+2 0x1.1367689eb01f1p+6 0x1.4cd1d2559cbdep+5",
+    "0x1.84c9f133bffc2p+1 0x1.b49b6023ea37ep+2 0x1.e6ca0169f1149p+5 0x1.a7d3abcbab3a0p+4",
+    "0x1.205c8fbd2fbe0p+1 0x1.b441400660dd3p+2 0x1.4d9a86d8a00e0p+5 0x1.55214f4a40ad0p+4",
+    "0x1.bd6cb9a98535cp+0 0x1.b4143e217641ep+2 0x1.073337c4546d0p+5 0x1.c72e514ed75b5p+3",
+    "0x1.964efbd30a0c6p+0 0x1.b3fdc0b81f66bp+2 0x1.e4f28a2349fdep+4 0x1.828e1b2f23410p+3",
+    "0x1.93d04e7200b9fp+0 0x1.b3e7455397117p+2 0x1.dcd46e2d171c3p+4 0x1.892ab0f5c90f9p+3",
+    "0x1.9036bfe598f04p+0 0x1.b3d0cbf39c562p+2 0x1.d9dd8df525efcp+4 0x1.8130a5b596986p+3",
+    "0x1.831b5ffb9c66bp+0 0x1.b3c5902582d9ep+2 0x1.d30213f93cc94p+4 0x1.5c2323e9c30e6p+3",
+    "0x1.82095880f4e67p+0 0x1.b3bff276e9b8dp+2 0x1.d26a3a28571b8p+4 0x1.592fc96791e9ap+3",
     "0x1.819658156c548p+0 0x1.b3ba54e8910c0p+2 0x1.d190e96482589p+4 0x1.59279815b6906p+3",
-    "0x1.80f01f9e2384cp+0 0x1.b3b4b77a77cf2p+2 0x1.d0f759b8ac58dp+4 0x1.57d96b5635092p+3",
+    "0x1.80f01f9e2384cp+0 0x1.b3b4b77a77cf4p+2 0x1.d0f759b8ac58dp+4 0x1.57d96b5635092p+3",
     "0x1.8096052eab438p+0 0x1.b3af1a2c9d004p+2 0x1.d03d09180a9c1p+4 0x1.57f3b4ce73ed4p+3",
-    "0x1.7fd19d8bc5f8ep+0 0x1.b3a97cfeff9b8p+2 0x1.cf8278a15eecep+4 0x1.567292bb617d2p+3",
-    "0x1.7fa775427f7ccp+0 0x1.b3a3dff19e9e3p+2 0x1.ceccc55f0e163p+4 0x1.573d6baac2881p+3",
-    "0x1.7ed61734a5553p+0 0x1.b39e430479052p+2 0x1.ce2f7efcf4be8p+4 0x1.554f7a6fdaaa8p+3",
-    "0x1.7e977f57df7f2p+0 0x1.b398a6378dccdp+2 0x1.cd7b122bd399dp+4 0x1.55c8960113f27p+3",
-    "0x1.7dc58d4ef5f6ep+0 0x1.b393098adbf2bp+2 0x1.ccba284d82e86p+4 0x1.541fae318552cp+3",
-    "0x1.7da44a55a8221p+0 0x1.b38d6cfe62738p+2 0x1.cc19f1c7d168ep+4 0x1.54e205fd17786p+3",
-    "0x1.7cc8eec510519p+0 0x1.b387d092204c4p+2 0x1.cb70b9155bc5ep+4 0x1.52e542c7d78a0p+3",
-    "0x1.7c9dcf073024dp+0 0x1.b3823446147b6p+2 0x1.cab6e6eb7a7e8p+4 0x1.53b49a41db540p+3",
-    "0x1.7bbe0e947ca66p+0 0x1.b37c981a3dfc1p+2 0x1.c9fd76e5f0b81p+4 0x1.51c73ea662968p+3",
-    "0x1.7ba931ee5ea8ep+0 0x1.b376fc0e9bcd2p+2 0x1.c96fa473bc38ep+4 0x1.5294da8ce8764p+3",
-    "0x1.7ad0e0ec81cd3p+0 0x1.b37160232ceb2p+2 0x1.c8c20dc5bdbf4p+4 0x1.50ac9bf765070p+3",
-    "0x1.7aa073fdbf4a3p+0 0x1.b36bc457f0536p+2 0x1.c8105052b22dap+4 0x1.51573ea5e8baap+3",
-    "0x1.79bec88f0e187p+0 0x1.b36628ace5028p+2 0x1.c744cd2da3e40p+4 0x1.4f869a789c559p+3",
+    "0x1.7fd19d8bc5f8ep+0 0x1.b3a97cfeff9bap+2 0x1.cf8278a15eecep+4 0x1.567292bb617d2p+3",
+    "0x1.7fa775427f7ccp+0 0x1.b3a3dff19e9e5p+2 0x1.ceccc55f0e163p+4 0x1.573d6baac2881p+3",
+    "0x1.7ed61734a5553p+0 0x1.b39e430479050p+2 0x1.ce2f7efcf4be8p+4 0x1.554f7a6fdaaa8p+3",
+    "0x1.7e977f57df7f2p+0 0x1.b398a6378dccbp+2 0x1.cd7b122bd399dp+4 0x1.55c8960113f27p+3",
+    "0x1.7dc58d4ef5f6fp+0 0x1.b393098adbf2dp+2 0x1.ccba284d82e86p+4 0x1.541fae318552cp+3",
+    "0x1.7da44a55a8221p+0 0x1.b38d6cfe6273cp+2 0x1.cc19f1c7d168ep+4 0x1.54e205fd17786p+3",
+    "0x1.7cc8eec510519p+0 0x1.b387d092204c6p+2 0x1.cb70b9155bc5ep+4 0x1.52e542c7d78a0p+3",
+    "0x1.7c9dcf073024dp+0 0x1.b3823446147b5p+2 0x1.cab6e6eb7a7e8p+4 0x1.53b49a41db540p+3",
+    "0x1.7bbe0e947ca66p+0 0x1.b37c981a3dfc3p+2 0x1.c9fd76e5f0b81p+4 0x1.51c73ea662968p+3",
+    "0x1.7ba931ee5ea8ep+0 0x1.b376fc0e9bcd0p+2 0x1.c96fa473bc38ep+4 0x1.5294da8ce8764p+3",
+    "0x1.7ad0e0ec81cd3p+0 0x1.b37160232ceb0p+2 0x1.c8c20dc5bdbf4p+4 0x1.50ac9bf765070p+3",
+    "0x1.7aa073fdbf4a3p+0 0x1.b36bc457f0533p+2 0x1.c8105052b22dap+4 0x1.51573ea5e8baap+3",
+    "0x1.79bec88f0e187p+0 0x1.b36628ace5029p+2 0x1.c744cd2da3e40p+4 0x1.4f869a789c559p+3",
 )
 PINNED_FINAL_BATCH = "42e1aea739d803c65fa045956859ba49e320c7afccbd49656a43bb420de56107"
 PINNED_FROZEN_BATCH = "440d7e9c6f1cd55587182b6e16954ee855a3a0e6e57573cca727dc9535c25e17"
@@ -440,6 +445,18 @@ def counted_fit(fit, targets, num_classes, steps, lr, weights=LossWeights(), ker
     return result, len(calls)
 
 
+def dense_class_sum(batch: PredictionBatch, targets: TargetMaps) -> float:
+    """The focal class sum of batch under the default weights, added exactly
+    (math.fsum) over the per-entry branch values of the dense kernel."""
+    scores = batch.class_scores
+    _, onehot = losses._label_positions(targets.class_id, scores.shape[1])
+    branch = np.empty(scores.shape)
+    weights = LossWeights()
+    _focal_sum(scores, onehot, weights.focal_alpha, weights.focal_beta,
+               out=(branch, np.empty(scores.shape)))
+    return -math.fsum(branch.ravel().tolist())
+
+
 class TestGroupedFitDemo:
     """fit_demo's two group logits against a logit per (location, class) entry."""
 
@@ -468,6 +485,22 @@ class TestGroupedFitDemo:
         assert [hex_row(b) for b in got.trajectory] == [hex_row(b) for b in want.trajectory]
         assert got.trajectory[-100:] == [got.trajectory[-1]] * 100  # frozen
         assert got_evals == want_evals
+
+    def test_class_sum_is_the_exact_sum_on_the_pinned_scene(self):
+        # a run of k steps ends at the trajectory's row k, so every row is checked
+        targets = pinned_scene()
+        for steps in range(len(PINNED_TRAJECTORY)):
+            result = fit_demo(targets, LossWeights(), steps=steps, lr=0.05, num_classes=3)
+            exact = dense_class_sum(result.final_batch, targets)
+            assert result.trajectory[-1].cls_loss.hex() == exact.hex(), steps
+
+    @settings(max_examples=40, deadline=None)
+    @given(fit_scenes())
+    def test_class_sum_is_the_exact_sum(self, scene):
+        targets, num_classes, steps, lr = scene
+        result = fit_demo(targets, LossWeights(), steps=steps, lr=lr, num_classes=num_classes)
+        exact = dense_class_sum(result.final_batch, targets)
+        assert result.trajectory[-1].cls_loss.hex() == exact.hex()
 
     def test_a_group_with_no_entry_is_not_a_move(self):
         # With no pull on y = 1 entries and no regression weight, only the
