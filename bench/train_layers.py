@@ -14,7 +14,10 @@ Times, as medians over repeated runs on a seeded 1024 x 1024 scene of
 - ``fit_demo_step``: ``fit_demo`` with one step, that is the initial
   evaluation, the chain rule and the backtracking trials of one step;
 - ``cli_fit_demo``: ``obbkit fit-demo --steps 8`` on the scene written
-  as a DOTA annotation file, in-process.
+  as a DOTA annotation file, in-process;
+- ``cli_assign``: ``obbkit assign`` on the same file at the same image
+  size, in-process (the per-level target dump, with its number
+  formatting).
 
 Usage, from the root of a checkout (obbkit is imported from PYTHONPATH,
 or from ./src when it is not importable)::
@@ -24,7 +27,8 @@ or from ./src when it is not importable)::
 The script uses only what releases before the lean training path
 already had (``assign_targets``, ``TargetMaps.concatenate``,
 ``total_loss``, ``_focal_sum(scores, pos, alpha, beta)``, ``fit_demo``
-and the CLI), so one script gives before and after numbers. BLAS is
+and the ``fit-demo`` and ``assign`` commands), so one script gives
+before and after numbers. BLAS is
 limited to one thread unless the environment sets otherwise. The JSON
 output records each case's runs, median and input size, and the minor
 page faults of each run (``ru_minflt`` of the whole process, so memory
@@ -148,6 +152,8 @@ def make_cases(root: Path):
         "cli_fit_demo": (f"{scene}, fit-demo --steps {FIT_STEPS}", lambda: run_cli(
             ["fit-demo", "--gt", str(gt_dir), "--image-size", f"{IMAGE_SIZE}x{IMAGE_SIZE}",
              "--steps", str(FIT_STEPS)])),
+        "cli_assign": (f"{scene}, assign", lambda: run_cli(
+            ["assign", "--gt", str(gt_dir), "--image-size", f"{IMAGE_SIZE}x{IMAGE_SIZE}"])),
     }
 
 

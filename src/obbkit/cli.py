@@ -25,8 +25,10 @@ from .geometry import (
     polygon_iou_pairs, quad_arrays, quad_error, quad_list, raster_iou_oracle,
 )
 from .inference import nms_per_image
-from .losses import PredictionBatch, fit_demo, grad_check, total_loss
-from .targets import FeatureGridSpec, TargetMaps, _assign_arrays, grid_specs
+from .losses import PredictionBatch, _check_fit_args, _fit_positives, grad_check, total_loss
+from .targets import (
+    FeatureGridSpec, TargetMaps, _assign_positives, _flat_positives, _Positives, grid_specs,
+)
 
 _USAGE_EXIT = 1
 _DATA_EXIT = 2
@@ -114,15 +116,15 @@ def _image_rows(gt: GtIndex) -> list[np.ndarray]:
     return [order[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _image_targets(
+def _image_positives(
     gt: GtIndex, rows: np.ndarray, cfg: RunConfig, size: tuple[int, int] | None
-) -> tuple[int, int, list[FeatureGridSpec], list[TargetMaps]]:
-    """Width, height, grid specs and per-level targets of the objects in
-    rows; the size is derived from their quads when size is None."""
+) -> tuple[int, int, list[FeatureGridSpec], list[_Positives]]:
+    """Width, height, grid specs and per-level positive targets of the
+    objects in rows; the size is derived from their quads when size is None."""
     quads = gt.quads[rows]
     width, height = size or _derive_image_size(quads, cfg.strides)
     specs = grid_specs(width, height, cfg.strides)
-    levels = _assign_arrays(
+    levels = _assign_positives(
         specs, cfg.level_ranges, quads, gt.class_id[rows], gt.difficult[rows],
         cfg.center_radius_mult,
     )
@@ -202,17 +204,18 @@ def _cmd_assign(args) -> int:
     size = _parse_image_size(args.image_size) if args.image_size else None
     gt = dota.parse_dota_annotations(args.gt)
     for image_id, rows in zip(gt.image_ids, _image_rows(gt)):
-        width, height, specs, levels = _image_targets(gt, rows, cfg, size)
+        width, height, specs, levels = _image_positives(gt, rows, cfg, size)
         print(f"# image {image_id} size {width}x{height}")
-        for spec, maps in zip(specs, levels):
-            pos = np.flatnonzero(maps.class_id > 0)
-            values = np.column_stack([maps.ltrb, maps.wh, maps.centerness])[pos]
-            for (x_s, y_s), class_id, fields, difficult in zip(
-                maps.grid[pos].tolist(), maps.class_id[pos].tolist(), dota._format_rows(values),
-                maps.difficult[pos].tolist(),
+        for spec, pos in zip(specs, levels):
+            y_s, x_s = np.divmod(pos.loc, spec.width)
+            values = np.column_stack([pos.ltrb, pos.wh, pos.centerness])
+            for x, y, class_id, fields, difficult in zip(
+                x_s.tolist(), y_s.tolist(), pos.class_id.tolist(), dota._format_rows(values),
+                pos.difficult.tolist(),
             ):
-                print(f"{spec.level} {x_s} {y_s} {class_id} {fields} {int(difficult)}")
-            print(f"# level {spec.level}: {len(pos)} positive of {len(maps)} locations")
+                print(f"{spec.level} {x} {y} {class_id} {fields} {int(difficult)}")
+            print(f"# level {spec.level}: {pos.loc.size} positive of "
+                  f"{spec.width * spec.height} locations")
     return 0
 
 
@@ -353,34 +356,36 @@ def _cmd_eval(args) -> int:
 
 def _cmd_fit_demo(args) -> int:
     cfg = _load_config(args)
+    _check_fit_args(args.steps, args.lr)
     if args.trace_every is not None and args.trace_every < 1:
         raise ValueError(f"--trace-every must be >= 1, got {args.trace_every}")
     size = _parse_image_size(args.image_size) if args.image_size else None
     gt = dota.parse_dota_annotations(args.gt)
     trace_every = args.trace_every or max(args.steps // 10, 1)
     for image_id, rows in zip(gt.image_ids, _image_rows(gt)):
-        result = None
+        fit = None
         if rows.size:
-            *_, levels = _image_targets(gt, rows, cfg, size)
-            flat = TargetMaps.concatenate(levels)
-            if flat.class_id.any():
-                # fit before the image header, so bad --steps / --lr fail with no output
-                result = fit_demo(
-                    flat, cfg.weights, steps=args.steps, lr=args.lr, num_classes=len(gt.classes)
+            _, _, specs, levels = _image_positives(gt, rows, cfg, size)
+            n, pos = _flat_positives(specs, levels)
+            if pos.loc.size:
+                # fit before the image header, so a numeric failure leaves no header
+                fit = _fit_positives(
+                    n, pos.class_id, (pos.centerness, pos.ltrb, pos.wh), pos.points,
+                    cfg.weights, args.steps, args.lr, len(gt.classes),
                 )
         print(f"# image {image_id}")
-        if result is None:
+        if fit is None:
             print("no positive locations" if rows.size else "no objects")
             continue
-        for step, breakdown in enumerate(result.trajectory):
-            if step % trace_every == 0 or step == len(result.trajectory) - 1:
+        trajectory, _, _, decoded, fused = fit
+        for step, breakdown in enumerate(trajectory):
+            if step % trace_every == 0 or step == len(trajectory) - 1:
                 print(
                     f"step {step} total {_fmt(breakdown.total)} cls {_fmt(breakdown.cls_loss)} "
                     f"reg {_fmt(breakdown.reg_loss)} ori {_fmt(breakdown.ori_loss)}"
                 )
-        fused = np.array(result.fused_scores)
-        objs, picks = _best_positives(flat.object_index[result.positive_indices], fused)
-        ious = polygon_iou_pairs(result.decoded_quads[picks], gt.quads[rows[objs]])
+        objs, picks = _best_positives(pos.object_index, fused)
+        ious = polygon_iou_pairs(decoded[picks], gt.quads[rows[objs]])
         best = dict(zip(objs.tolist(), zip(ious.tolist(), fused[picks].tolist())))
         for j, class_id in enumerate(gt.class_id[rows].tolist()):
             name = gt.classes.name_of(class_id)

@@ -359,13 +359,18 @@ class TotalLossResult:
     wh_grad: np.ndarray
 
 
-def _label_positions(class_id: np.ndarray, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Positive rows and the flat (L, C) indices of their y = 1 entries; raises
-    ShapeMismatch for a class id above num_classes."""
+def _require_classes(class_id: np.ndarray, num_classes: int) -> None:
+    """Raise ShapeMismatch for a class id above num_classes."""
     if class_id.size and class_id.max() > num_classes:
         raise ShapeMismatch(
             f"target class id {class_id.max()} exceeds {num_classes} prediction classes"
         )
+
+
+def _label_positions(class_id: np.ndarray, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positive rows and the flat (L, C) indices of their y = 1 entries; raises
+    ShapeMismatch for a class id above num_classes."""
+    _require_classes(class_id, num_classes)
     pos = np.flatnonzero(class_id > 0)
     return pos, pos * num_classes + class_id[pos] - 1
 
@@ -494,6 +499,14 @@ class FitDemoResult:
     final_batch: PredictionBatch
 
 
+def _check_fit_args(steps: int, lr: float) -> None:
+    """Raise ValueError unless steps >= 0 and lr is finite and >= 0."""
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    if not (math.isfinite(lr) and lr >= 0.0):
+        raise ValueError(f"lr must be finite and >= 0, got {lr}")
+
+
 def fit_demo(
     targets: TargetMaps,
     weights: LossWeights,
@@ -525,27 +538,55 @@ def fit_demo(
     numpy's pairwise .sum() of them can differ in the last bits. The
     centerness logit, log ltrb and log wh are kept only at the positives;
     their gradient is 0 on background, where the predictions stay at the
-    constants 0.5 and 1.0 of a zero parameter. The (L, C) class scores
-    are formed once, for final_batch.
+    constants 0.5 and 1.0 of a zero parameter. The fit itself reads only
+    the positive rows; the (L, C) class scores are formed once, for
+    final_batch.
 
     Raises ValueError unless steps >= 0 and lr is finite and >= 0, and
     Diverged if the loss ever becomes non-finite.
     """
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    if not (math.isfinite(lr) and lr >= 0.0):
-        raise ValueError(f"lr must be finite and >= 0, got {lr}")
+    _check_fit_args(steps, lr)
     if num_classes is None:
         num_classes = int(targets.class_id.max(initial=0))
+    n = len(targets)
+    pos = np.flatnonzero(targets.class_id > 0)
+    class_id = targets.class_id[pos]
+    truth = (targets.centerness[pos], targets.ltrb[pos], targets.wh[pos])
+    trajectory, scores, (cent, ltrb, wh), decoded, fused = _fit_positives(
+        n, class_id, truth, targets.points[pos], weights, steps, lr, num_classes
+    )
+    centerness, full_ltrb, full_wh = np.full(n, 0.5), np.ones((n, 4)), np.ones((n, 2))
+    centerness[pos], full_ltrb[pos], full_wh[pos] = cent, ltrb, wh
+    class_scores = np.full((n, num_classes), scores[0])
+    class_scores[pos, class_id - 1] = scores[1]
+    batch = PredictionBatch(class_scores, centerness, full_ltrb, full_wh)
+    return FitDemoResult(trajectory, pos.tolist(), decoded, fused.tolist(), batch)
+
+
+def _fit_positives(
+    n: int,
+    class_id: np.ndarray,
+    truth: tuple[np.ndarray, np.ndarray, np.ndarray],
+    points: np.ndarray,
+    weights: LossWeights,
+    steps: int,
+    lr: float,
+    num_classes: int,
+):
+    """The fit of :func:`fit_demo` on the P positives of n locations, from
+    their 1-based class_id (P,), truth (target centerness (P,), ltrb (P, 4),
+    wh (P, 2)) and image points (P, 2); steps and lr are not checked.
+
+    Returns the trajectory, the final scores of the y = 0 and y = 1 groups
+    (2,), the positives' final centerness, ltrb and wh, their decoded
+    quads (P, 4, 2) and their fused scores (P,).
+    """
     if num_classes < 1:
         raise ValueError("at least one class required")
-    pos, onehot = _label_positions(targets.class_id, num_classes)
-    if not pos.size:
+    _require_classes(class_id, num_classes)
+    norm = class_id.size
+    if not norm:
         raise ValueError("fit_demo needs at least one positive target")
-
-    n = len(targets)
-    norm = int(pos.size)
-    truth = (targets.centerness[pos], targets.ltrb[pos], targets.wh[pos])
     # entries per label group: y = 0, y = 1
     counts = (n * num_classes - norm, norm)
     # the group logits that have entries: both, or only y = 1
@@ -565,7 +606,7 @@ def fit_demo(
         grads = (score_grad * scores * (1.0 - scores), np.concatenate(
             [(cent_grad * cent * (1.0 - cent))[:, None], ltrb_grad * ltrb, wh_grad * wh], axis=1))
         breakdown = LossBreakdown.of(-_count_sum(counts, branch), reg_sum, ori_sum, norm, weights)
-        return breakdown, grads, (scores, *preds)
+        return breakdown, grads, (scores, preds)
 
     # y = 0 and y = 1 group logits; positives' centerness logit, log ltrb, log wh
     params = (np.zeros(2), np.zeros((norm, 7)))
@@ -598,11 +639,6 @@ def fit_demo(
             frozen = not accepted
         trajectory.append(breakdown)
 
-    scores, cent, ltrb, wh = preds
-    centerness, full_ltrb, full_wh = np.full(n, 0.5), np.ones((n, 4)), np.ones((n, 2))
-    centerness[pos], full_ltrb[pos], full_wh[pos] = cent, ltrb, wh
-    class_scores = np.full((n, num_classes), scores[0])
-    class_scores.flat[onehot] = scores[1]
-    batch = PredictionBatch(class_scores, centerness, full_ltrb, full_wh)
-    decoded = quads_from_offsets(targets.points[pos], ltrb, wh)
-    return FitDemoResult(trajectory, pos.tolist(), decoded, (scores[1] * cent).tolist(), batch)
+    scores, (cent, ltrb, wh) = preds
+    decoded = quads_from_offsets(points, ltrb, wh)
+    return trajectory, scores, (cent, ltrb, wh), decoded, scores[1] * cent

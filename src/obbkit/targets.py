@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -190,10 +191,17 @@ def centerness(ltrb: Sequence[float]) -> float:
     return float(_centerness(l, t, r, b))
 
 
+def _grid_coords(spec: FeatureGridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Image x of each grid column and image y of each grid row: floor(s/2) + index * s."""
+    half = spec.stride // 2
+    return half + np.arange(spec.width) * spec.stride, half + np.arange(spec.height) * spec.stride
+
+
 def _claim(
     px: np.ndarray, py: np.ndarray, hbb: np.ndarray, radius: float, lo: float, hi: float
-) -> np.ndarray:
-    """Row-major index of the object each grid location is assigned to, -1 for none.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major indices of the claimed grid locations, ascending, and the
+    index of the object each is assigned to.
 
     px (W,) and py (H,) are the grid's image coordinates, hbb (K, 4) the
     objects' [xmin, ymin, xmax, ymax]. A location is a candidate for an
@@ -233,9 +241,81 @@ def _claim(
     loc, k = loc[order], k[order]
     first = np.ones(loc.size, dtype=bool)
     first[1:] = loc[1:] != loc[:-1]
-    best = np.full(px.size * py.size, -1)
-    best[loc[first]] = k[first]
-    return best
+    return loc[first], k[first]
+
+
+class _Positives(NamedTuple):
+    """The positive locations of one level, by ascending row-major index loc
+    (P,), with the :class:`TargetMaps` fields other than grid at each
+    (or of all levels, as :func:`_flat_positives` joins them)."""
+
+    loc: np.ndarray
+    class_id: np.ndarray
+    ltrb: np.ndarray
+    wh: np.ndarray
+    centerness: np.ndarray
+    difficult: np.ndarray
+    object_index: np.ndarray
+    points: np.ndarray
+
+
+def _assign_positives(
+    specs: Sequence[FeatureGridSpec],
+    ranges: LevelRanges,
+    quads: np.ndarray,
+    class_id: np.ndarray,
+    difficult: np.ndarray,
+    center_radius_mult: float,
+) -> list[_Positives]:
+    """The positives of :func:`assign_targets`, per level, of K objects
+    given as arrays: canonical vertices quads (K, 4, 2), 1-based class_id
+    (K,) and difficult (K,). Every location not listed is background."""
+    if len(specs) != len(ranges):
+        raise ValueError(f"{len(specs)} grid specs but {len(ranges)} level ranges")
+
+    obj_hbb, obj_wh = encode_many(quads)
+    if not np.isfinite(obj_wh).all():
+        raise ValueError("non-finite orientation offsets")
+    obj_class = np.asarray(class_id, dtype=int)
+    obj_difficult = np.asarray(difficult, dtype=bool)
+    out: list[_Positives] = []
+    for spec, (lo, hi) in zip(specs, ranges.pairs):
+        px, py = _grid_coords(spec)
+        loc, k = _claim(px, py, obj_hbb, center_radius_mult * spec.stride, lo, hi)
+        y_s, x_s = np.divmod(loc, spec.width)
+        points = np.stack([px[x_s], py[y_s]], axis=1).astype(float)
+        box = obj_hbb[k]
+        ltrb = np.hstack([points - box[:, :2], box[:, 2:] - points])
+        out.append(_Positives(loc, obj_class[k], ltrb, obj_wh[k], _centerness(*ltrb.T),
+                              obj_difficult[k], k, points))
+    return out
+
+
+def _flat_positives(
+    specs: Sequence[FeatureGridSpec], levels: Sequence[_Positives]
+) -> tuple[int, _Positives]:
+    """The location count of all levels, and their positives as one set
+    whose loc counts the locations of the levels in order (the rows of
+    :meth:`TargetMaps.concatenate` of the dense levels)."""
+    n, parts = 0, []
+    for spec, level in zip(specs, levels, strict=True):
+        parts.append(level._replace(loc=level.loc + n))
+        n += spec.width * spec.height
+    return n, _Positives(*(np.concatenate(field) for field in zip(*parts)))
+
+
+def _dense(spec: FeatureGridSpec, positives: _Positives) -> TargetMaps:
+    """One level's row-major TargetMaps: the positives scattered into
+    background rows (class 0, object -1, zero regression values)."""
+    px, py = _grid_coords(spec)
+    y_s, x_s = np.divmod(np.arange(spec.width * spec.height), spec.width)
+    fields = dict(points=np.stack([px[x_s], py[y_s]], axis=1).astype(float),
+                  grid=np.stack([x_s, y_s], axis=1))
+    for name in ("class_id", "ltrb", "wh", "centerness", "difficult", "object_index"):
+        dtype, tail = _MAP_LAYOUT[name]
+        fields[name] = np.full((x_s.size, *tail), -1 if name == "object_index" else 0, dtype)
+        fields[name][positives.loc] = getattr(positives, name)
+    return TargetMaps._adopt(*(fields[name] for name in _MAP_LAYOUT))
 
 
 def assign_targets(
@@ -254,7 +334,7 @@ def assign_targets(
 
     Returns one row-major TargetMaps (y_s outer, x_s inner) per level.
     """
-    return _assign_arrays(
+    levels = _assign_positives(
         specs,
         ranges,
         quad_arrays([obj.quad for obj in objects]),
@@ -262,45 +342,4 @@ def assign_targets(
         np.array([obj.difficult for obj in objects], dtype=bool),
         center_radius_mult,
     )
-
-
-def _assign_arrays(
-    specs: Sequence[FeatureGridSpec],
-    ranges: LevelRanges,
-    quads: np.ndarray,
-    class_id: np.ndarray,
-    difficult: np.ndarray,
-    center_radius_mult: float = DEFAULT_CENTER_RADIUS_MULT,
-) -> list[TargetMaps]:
-    """:func:`assign_targets` over K objects as arrays: canonical vertices
-    quads (K, 4, 2), 1-based class_id (K,) and difficult (K,)."""
-    if len(specs) != len(ranges):
-        raise ValueError(f"{len(specs)} grid specs but {len(ranges)} level ranges")
-
-    obj_hbb, wh = encode_many(quads)
-    if not np.isfinite(wh).all():
-        raise ValueError("non-finite orientation offsets")
-    # one row per object plus a trailing background row, which object index -1 selects
-    obj_wh = np.vstack([wh, [0.0, 0.0]])
-    obj_class = np.append(np.asarray(class_id, dtype=int), 0)
-    obj_difficult = np.append(np.asarray(difficult, dtype=bool), False)
-    out: list[TargetMaps] = []
-    for spec, (lo, hi) in zip(specs, ranges.pairs):
-        px = spec.stride // 2 + np.arange(spec.width) * spec.stride
-        py = spec.stride // 2 + np.arange(spec.height) * spec.stride
-        obj_index = _claim(px, py, obj_hbb, center_radius_mult * spec.stride, lo, hi)
-        y_s, x_s = np.divmod(np.arange(obj_index.size), spec.width)
-        points = np.stack([px[x_s], py[y_s]], axis=1).astype(float)
-        pos = np.flatnonzero(obj_index >= 0)
-        box = obj_hbb[obj_index[pos]]
-        ltrb = np.zeros((obj_index.size, 4))
-        ltrb[pos] = np.hstack([points[pos] - box[:, :2], box[:, 2:] - points[pos]])
-        cent = np.zeros(obj_index.size)
-        cent[pos] = _centerness(*ltrb[pos].T)
-        out.append(
-            TargetMaps._adopt(
-                obj_class[obj_index], ltrb, obj_wh[obj_index], cent, obj_difficult[obj_index],
-                obj_index, points, np.stack([x_s, y_s], axis=1),
-            )
-        )
-    return out
+    return [_dense(spec, positives) for spec, positives in zip(specs, levels)]

@@ -17,6 +17,7 @@ from obbkit.geometry import (
     EncodedBox,
     Point2,
     Quad,
+    encode_many,
     hbb_overlap,
     polygon_iou_pairs,
     quads_from_offsets,
@@ -595,6 +596,74 @@ def assign_targets_oracle(specs, ranges, objects, center_radius_mult=1.5):
         cent[pos] = _centerness(*ltrb[pos].T)
         out.append(
             TargetMaps(
+                obj_class[obj_index], ltrb, obj_wh[obj_index], cent, obj_difficult[obj_index],
+                obj_index, points, np.stack([x_s, y_s], axis=1),
+            )
+        )
+    return out
+
+
+def _claim_dense_oracle(px, py, hbb, radius, lo, hi):
+    """Row-major index of the object each grid location is assigned to, -1
+    for none: the claim of dense_assign_oracle, over one level's grid."""
+    xmin, ymin, xmax, ymax = hbb.T
+    reach = radius + 1.0
+    with np.errstate(over="ignore"):
+        cx, cy = (xmin + xmax) / 2.0, (ymin + ymax) / 2.0
+        area = (xmax - xmin) * (ymax - ymin)
+        c0 = np.maximum(np.searchsorted(px, xmin, "right"), np.searchsorted(px, cx - reach))
+        c1 = np.minimum(np.searchsorted(px, xmax), np.searchsorted(px, cx + reach, "right"))
+        r0 = np.maximum(np.searchsorted(py, ymin, "right"), np.searchsorted(py, cy - reach))
+        r1 = np.minimum(np.searchsorted(py, ymax), np.searchsorted(py, cy + reach, "right"))
+    ncols = np.maximum(c1 - c0, 0)
+    count = ncols * np.maximum(r1 - r0, 0)
+    k = np.repeat(np.arange(len(hbb)), count)
+    within = np.arange(k.size) - np.repeat(np.cumsum(count) - count, count)
+    row = r0[k] + within // ncols[k]
+    col = c0[k] + within % ncols[k]
+    wx, wy = px[col], py[row]
+    near = (np.abs(wx - cx[k]) <= radius) & (np.abs(wy - cy[k]) <= radius)
+    max_off = np.maximum(
+        np.maximum(wx - xmin[k], xmax[k] - wx), np.maximum(wy - ymin[k], ymax[k] - wy)
+    )
+    keep = near & (max_off > lo) & (max_off <= hi) & (area[k] < np.inf)
+    loc, k = row[keep] * px.size + col[keep], k[keep]
+    order = np.lexsort((k, area[k], loc))
+    loc, k = loc[order], k[order]
+    first = np.ones(loc.size, dtype=bool)
+    first[1:] = loc[1:] != loc[:-1]
+    best = np.full(px.size * py.size, -1)
+    best[loc[first]] = k[first]
+    return best
+
+
+def dense_assign_oracle(specs, ranges, quads, class_id, difficult, center_radius_mult=1.5):
+    """assign_targets over objects as arrays, building each level's dense
+    fields directly: an object index per location (-1 for none) selects a
+    row of per-object tables that end in a background row."""
+    if len(specs) != len(ranges):
+        raise ValueError(f"{len(specs)} grid specs but {len(ranges)} level ranges")
+    obj_hbb, wh = encode_many(quads)
+    if not np.isfinite(wh).all():
+        raise ValueError("non-finite orientation offsets")
+    obj_wh = np.vstack([wh, [0.0, 0.0]])
+    obj_class = np.append(np.asarray(class_id, dtype=int), 0)
+    obj_difficult = np.append(np.asarray(difficult, dtype=bool), False)
+    out = []
+    for spec, (lo, hi) in zip(specs, ranges.pairs):
+        px = spec.stride // 2 + np.arange(spec.width) * spec.stride
+        py = spec.stride // 2 + np.arange(spec.height) * spec.stride
+        obj_index = _claim_dense_oracle(px, py, obj_hbb, center_radius_mult * spec.stride, lo, hi)
+        y_s, x_s = np.divmod(np.arange(obj_index.size), spec.width)
+        points = np.stack([px[x_s], py[y_s]], axis=1).astype(float)
+        pos = np.flatnonzero(obj_index >= 0)
+        box = obj_hbb[obj_index[pos]]
+        ltrb = np.zeros((obj_index.size, 4))
+        ltrb[pos] = np.hstack([points[pos] - box[:, :2], box[:, 2:] - points[pos]])
+        cent = np.zeros(obj_index.size)
+        cent[pos] = _centerness(*ltrb[pos].T)
+        out.append(
+            TargetMaps._adopt(
                 obj_class[obj_index], ltrb, obj_wh[obj_index], cent, obj_difficult[obj_index],
                 obj_index, points, np.stack([x_s, y_s], axis=1),
             )

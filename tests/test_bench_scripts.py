@@ -27,7 +27,8 @@ ROOT = Path(__file__).resolve().parents[1]
         ),
         (
             "train_layers.py",
-            ["assign_targets", "total_loss", "focal_sum", "fit_demo_step", "cli_fit_demo"],
+            ["assign_targets", "total_loss", "focal_sum", "fit_demo_step", "cli_fit_demo",
+             "cli_assign"],
         ),
     ],
 )

@@ -673,6 +673,29 @@ class TestFitDemoCommand:
         assert err.startswith("error: ") and flag in err
 
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--steps", "-1"], "error: steps must be >= 0, got -1\n"),
+        (["--steps", "-1", "--lr", "nan"], "error: steps must be >= 0, got -1\n"),
+        (["--lr", "nan"], "error: lr must be finite and >= 0, got nan\n"),
+    ], ids=["steps", "steps-and-lr", "lr"])
+    @pytest.mark.parametrize("files", [
+        # an empty first file, then an image with positives
+        {"A.txt": "", "B.txt": "35.75 33.0 60.0 19.0 84.25 61.0 60.0 75.0 plane 0\n"},
+        # no image with a positive location: a harbor between grid points
+        {"A.txt": "101 101 103 101 103 103 101 103 harbor 0\n", "B.txt": ""},
+    ], ids=["empty-first-file", "no-positives"])
+    def test_bad_steps_or_lr_fail_before_any_image(self, files, extra, message, tmp_path, capsys):
+        gt = tmp_path / "gt"
+        gt.mkdir()
+        for name, text in files.items():
+            gt.joinpath(name).write_text(text)
+        code, out, err = run_cli(
+            capsys, "fit-demo", "--gt", str(gt), "--steps", "8",
+            "--set", "strides=8,16", "--set", "level_ranges=0:64,64:inf", *extra,
+        )
+        assert (code, out, err) == (2, "", message)
+
+
 # Three images for the golden fit-demo and assign runs: in A a harbor with no
 # grid point strictly inside it, so no positive location; B an empty file; in
 # C a square ship whose four central positives have bit-equal fused scores, and

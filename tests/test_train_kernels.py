@@ -12,7 +12,11 @@ the math.fsum of its per-entry values, and its class sum against the
 math.fsum of the dense kernel's branch buffer. The dense focal pass runs
 in row blocks of `losses._BLOCK_ENTRIES` entries; the same properties and
 pins are checked again with tiny blocks, so that every input spans many
-blocks and most end in a ragged one.
+blocks and most end in a ragged one. `assign_targets` scatters each
+level's positives into background maps; it is checked against a build of
+every dense field (`dense_assign_oracle`). The fit-demo command fits
+from the positives alone, with no dense map; it is checked against the
+public `fit_demo` on the concatenated dense maps.
 """
 
 import hashlib
@@ -20,13 +24,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from obbkit import losses
+from obbkit.errors import ShapeMismatch
+from obbkit.geometry import quad_arrays
 from obbkit.losses import (
     LossWeights,
     PredictionBatch,
+    _fit_positives,
     _focal_sum,
     _sigmoid,
     fit_demo,
@@ -37,6 +44,8 @@ from obbkit.targets import (
     GroundTruthObject,
     LevelRanges,
     TargetMaps,
+    _assign_positives,
+    _flat_positives,
     assign_targets,
     grid_specs,
 )
@@ -44,6 +53,7 @@ from obbkit.targets import (
 from helpers import (
     assign_targets_oracle,
     axis_box,
+    dense_assign_oracle,
     fit_demo_dense_oracle,
     focal_sum_oracle,
     rotated_rect,
@@ -247,9 +257,67 @@ class TestAssignTargets:
         assert 0 not in got[0].object_index
 
 
+FIELDS = ("class_id", "ltrb", "wh", "centerness", "difficult", "object_index", "points", "grid")
+
+
+@st.composite
+def dense_scenes(draw):
+    """scenes() plus objects wholly outside the grid, boxes whose area
+    overflows to inf, and single-level ranges."""
+    specs, ranges, objects, radius_mult = draw(scenes())
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            quad = _box(draw(st.sampled_from([-300, 400])), draw(st.integers(-300, 400)), 30, 30)
+        else:
+            quad = _box(-1e200, -1e200, 2e200, 2e200)
+        objects.insert(draw(st.integers(0, len(objects))),
+                       GroundTruthObject(quad, draw(st.integers(1, 3))))
+    if draw(st.booleans()):
+        specs, ranges = specs[:1], LevelRanges([(0, math.inf)])
+    return specs, ranges, objects, radius_mult
+
+
+def object_arrays(objects):
+    """quads (K, 4, 2), class ids (K,) and difficult flags (K,) of objects."""
+    return (quad_arrays([obj.quad for obj in objects]),
+            np.array([obj.class_id for obj in objects], dtype=int),
+            np.array([obj.difficult for obj in objects], dtype=bool))
+
+
+class TestDenseAssignment:
+    """assign_targets scatters the positives into background maps; building
+    every dense field directly, as dense_assign_oracle does, is the oracle."""
+
+    @staticmethod
+    def check(specs, ranges, objects, *radius_mult):
+        got = assign_targets(specs, ranges, objects, *radius_mult)
+        want = dense_assign_oracle(specs, ranges, *object_arrays(objects), *radius_mult)
+        assert len(got) == len(want) == len(specs)
+        for level, ref in zip(got, want):
+            for name in FIELDS:
+                assert same_bits(getattr(level, name), getattr(ref, name)), name
+
+    @settings(max_examples=300, deadline=None)
+    @given(dense_scenes())
+    def test_matches_the_dense_build(self, scene):
+        self.check(*scene)
+
+    @pytest.mark.parametrize("objects", [
+        [],
+        [GroundTruthObject(_box(-1e200, -1e200, 2e200, 2e200), 1)],
+        [GroundTruthObject(_box(500, 500, 30, 30), 2), GroundTruthObject(_box(4, 4, 16, 16), 1)],
+    ])
+    def test_default_radius_and_edge_scenes(self, objects):
+        self.check(grid_specs(32, 24, (4, 8)), LevelRanges([(0, 8), (8, math.inf)]), objects)
+
+
 # A seeded two-level scene: 4 objects (object 1 difficult), 9 positives on
 # the stride-8 level and 22 on the stride-16 level, 3 classes.
-def pinned_scene() -> TargetMaps:
+PINNED_SPECS = grid_specs(128, 128, (8, 16))
+PINNED_RANGES = LevelRanges([(0, 24), (24, math.inf)])
+
+
+def pinned_objects() -> list[GroundTruthObject]:
     rng = np.random.default_rng(2)
     objects = []
     for k in range(4):
@@ -257,9 +325,11 @@ def pinned_scene() -> TargetMaps:
         w, h = rng.uniform(8.0, 64.0, 2)
         quad = rotated_rect(cx, cy, w, h, rng.uniform(-90.0, 90.0))
         objects.append(GroundTruthObject(quad, k % 3 + 1, difficult=k == 1))
-    specs = grid_specs(128, 128, (8, 16))
-    levels = assign_targets(specs, LevelRanges([(0, 24), (24, math.inf)]), objects)
-    return TargetMaps.concatenate(levels)
+    return objects
+
+
+def pinned_scene() -> TargetMaps:
+    return TargetMaps.concatenate(assign_targets(PINNED_SPECS, PINNED_RANGES, pinned_objects()))
 
 
 # float.hex of total, cls_loss, reg_loss and ori_loss at steps 0..40 (lr 0.05),
@@ -428,11 +498,9 @@ def fit_scenes(draw):
     return targets, num_classes, steps, lr
 
 
-def counted_fit(fit, targets, num_classes, steps, lr, weights=LossWeights(), kernel=_focal_sum):
-    """fit's result and how many loss evaluations it made (one focal pass each).
-
-    kernel stands in for _focal_sum during the fit.
-    """
+def counted(run, kernel=_focal_sum):
+    """run()'s result and how many loss evaluations it made (one focal pass
+    each); kernel stands in for _focal_sum during the run."""
     calls = []
 
     def counting(*args, **kwargs):
@@ -441,8 +509,15 @@ def counted_fit(fit, targets, num_classes, steps, lr, weights=LossWeights(), ker
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(losses, "_focal_sum", counting)
-        result = fit(targets, weights, steps=steps, lr=lr, num_classes=num_classes)
+        result = run()
     return result, len(calls)
+
+
+def counted_fit(fit, targets, num_classes, steps, lr, weights=LossWeights(), kernel=_focal_sum):
+    """fit's result and how many loss evaluations it made."""
+    return counted(
+        lambda: fit(targets, weights, steps=steps, lr=lr, num_classes=num_classes), kernel
+    )
 
 
 def dense_class_sum(batch: PredictionBatch, targets: TargetMaps) -> float:
@@ -522,3 +597,64 @@ class TestGroupedFitDemo:
         targets = target_maps([1, 1, 0], ltrb=np.full((3, 4), 5.0), wh=np.full((3, 2), 2.0))
         _, evals = counted_fit(fit_demo, targets, 1, 20, 0.05, weights, no_pull_on_positives)
         assert evals > 2
+
+
+def positives_fit(specs, ranges, objects, radius_mult, num_classes, steps, lr):
+    """The fit-demo command's path: per-level positives, flattened over the
+    levels and fitted with no dense map. Returns the flat positives and the
+    fit (trajectory, group scores, predictions, decoded quads, fused scores)."""
+    levels = _assign_positives(specs, ranges, *object_arrays(objects), radius_mult)
+    n, pos = _flat_positives(specs, levels)
+    return pos, _fit_positives(n, pos.class_id, (pos.centerness, pos.ltrb, pos.wh), pos.points,
+                               LossWeights(), steps, lr, num_classes)
+
+
+@st.composite
+def positive_fit_scenes(draw):
+    """A scene with positives, num_classes, steps and lr."""
+    specs, ranges, objects, radius_mult = draw(scenes())
+    levels = assign_targets(specs, ranges, objects, radius_mult)
+    assume(any(level.class_id.any() for level in levels))
+    num_classes = draw(st.integers(3, 5))
+    steps = draw(st.one_of(st.integers(0, 20), st.just(120)))
+    lr = draw(st.sampled_from([0.0, 0.05, 0.7, 20.0]))
+    return specs, ranges, objects, radius_mult, num_classes, steps, lr
+
+
+class TestPositivesOnlyFit:
+    """fit-demo's fit from the positives alone against the public fit_demo on
+    the concatenated dense maps: the same floats and the same evaluations."""
+
+    def check(self, specs, ranges, objects, radius_mult, num_classes, steps, lr):
+        flat = TargetMaps.concatenate(assign_targets(specs, ranges, objects, radius_mult))
+        want, want_evals = counted(lambda: fit_demo(
+            flat, LossWeights(), steps=steps, lr=lr, num_classes=num_classes))
+        (pos, fit), got_evals = counted(lambda: positives_fit(
+            specs, ranges, objects, radius_mult, num_classes, steps, lr))
+        trajectory, _, _, decoded, fused = fit
+        assert [hex_row(b) for b in trajectory] == [hex_row(b) for b in want.trajectory]
+        assert [(b.num_pos, b.normalizer) for b in trajectory] == [
+            (b.num_pos, b.normalizer) for b in want.trajectory
+        ]
+        assert pos.loc.tolist() == want.positive_indices
+        assert same_bits(pos.object_index, flat.object_index[want.positive_indices])
+        assert same_bits(decoded, want.decoded_quads)
+        assert [v.hex() for v in fused.tolist()] == [v.hex() for v in want.fused_scores]
+        assert got_evals == want_evals
+
+    def test_pinned_scene(self):
+        self.check(PINNED_SPECS, PINNED_RANGES, pinned_objects(), 1.5, 3, 40, 0.05)
+
+    @settings(max_examples=60, deadline=None)
+    @given(positive_fit_scenes())
+    def test_drawn_scenes(self, scene):
+        self.check(*scene)
+
+    def test_class_id_above_num_classes_raises_the_same_error(self):
+        flat = pinned_scene()
+        with pytest.raises(ShapeMismatch) as dense:
+            fit_demo(flat, LossWeights(), steps=4, lr=0.05, num_classes=2)
+        with pytest.raises(ShapeMismatch) as positives:
+            positives_fit(PINNED_SPECS, PINNED_RANGES, pinned_objects(), 1.5, 2, 4, 0.05)
+        assert str(positives.value) == str(dense.value)
+        assert str(dense.value) == "target class id 3 exceeds 2 prediction classes"
