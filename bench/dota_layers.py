@@ -24,7 +24,11 @@ image and class, written as DOTA text files):
 - ``match_column``: ``evaluate`` at IoU 0.5 on one image whose 400
   ground-truth objects (5-10 x 3-5 px) and 4,000 detections (9 jittered
   per object plus 400 false positives) all lie in one strip about 20 px
-  wide, so a sweep over x alone pairs every detection with every object.
+  wide, so a sweep over x alone pairs every detection with every object;
+- ``match_stacked``: ``evaluate`` at IoU 0.5 on one image whose 300
+  ground-truth objects and 3,000 detections (one class, 40 x 20 px at
+  random angles) all lie within 3 px of one centre, so every detection's
+  horizontal box overlaps every object's.
 
 Usage, from the root of a checkout (obbkit is imported from PYTHONPATH,
 or from ./src when it is not importable)::
@@ -32,8 +36,11 @@ or from ./src when it is not importable)::
     python3 bench/dota_layers.py [--repeats 7] [--cases a,b] [--out BENCH_dota.json]
 
 BLAS is limited to one thread unless the environment sets otherwise. The
-JSON output records each case's runs, median and input size, plus the
-Python and numpy versions, the machine, and the BLAS thread setting.
+untimed warm-up run of each case runs under tracemalloc, whose peak (the
+most memory Python and numpy held at once above the case's start) is
+reported as peak_mb. The JSON output records each case's runs, median,
+peak_mb and input size, plus the Python and numpy versions, the machine,
+and the BLAS thread setting.
 """
 
 from __future__ import annotations
@@ -49,6 +56,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -82,6 +90,8 @@ CROWDED_JITTERED = 9  # detections per crowded ground-truth object
 CROWDED_FALSE_POSITIVES = 2000
 COLUMN_GT = 400
 COLUMN_FALSE_POSITIVES = 400
+STACKED_GT = 300
+STACKED_DETS = 3000
 
 
 def _rect(rng, cx, cy, length, width, angle):
@@ -190,6 +200,24 @@ def column_scene(seed: int = 13):
                          (5.0, 10.0), (3.0, 5.0))
 
 
+def stacked_scene(seed: int = 17):
+    """STACKED_GT objects and STACKED_DETS detections of one class, each
+    40 x 20 px at a random angle, centred within 3 px of the image centre;
+    returns (dets, gt)."""
+    rng = np.random.default_rng(seed)
+    n_gt, n_det = STACKED_GT, STACKED_DETS
+    raw = [_rect(rng, *rng.uniform(509.0, 515.0, 2), 40.0, 20.0, rng.uniform(-90.0, 90.0))
+           for _ in range(n_gt + n_det)]
+    quads, fault = geometry.canonicalize_many(np.array(raw).reshape(-1, 4, 2))
+    if fault.any():
+        raise RuntimeError("the stacked scene has a quad that canonicalize_many rejects")
+    dets = DetectionSet(("P0000",), np.zeros(n_det, dtype=int), quads[n_gt:],
+                        np.ones(n_det, dtype=int), rng.uniform(0.05, 1.0, n_det))
+    gt = GtIndex(("P0000",), np.zeros(n_gt, dtype=int), quads[:n_gt], np.ones(n_gt, dtype=int),
+                 rng.random(n_gt) < 0.05, ClassTable(("small-vehicle",)))
+    return dets, gt
+
+
 def nms_sweep_pairs(dets) -> tuple[np.ndarray, np.ndarray]:
     """The quad pairs, as two (P, 4, 2) arrays, that nms_per_image at IoU 0.5
     sends to polygon_iou_pairs on dets."""
@@ -252,6 +280,11 @@ def make_cases(root: Path):
         f"1 image, {len(column_dets)} detections vs {len(column_gt.image)} ground truth "
         "in one 20 px column, one class, IoU 0.5", None,
         lambda: evaluate(column_dets, column_gt, 0.5))
+    stacked_dets, stacked_gt = stacked_scene()
+    cases["match_stacked"] = (
+        f"1 image, {len(stacked_dets)} detections vs {len(stacked_gt.image)} ground truth "
+        "within 3 px of one centre, one class, IoU 0.5", None,
+        lambda: evaluate(stacked_dets, stacked_gt, 0.5))
     return cases
 
 
@@ -282,20 +315,25 @@ def main(argv=None):
         results = {}
         for name in names:
             description, per_item, run = cases[name]
+            tracemalloc.start()
             run()  # untimed warm-up
+            peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+            tracemalloc.stop()
             runs = []
             for _ in range(args.repeats):
                 start = time.perf_counter()
                 run()
                 runs.append(time.perf_counter() - start)
             median = statistics.median(runs)
-            results[name] = {"input": description, "median_s": median, "runs_s": runs}
+            results[name] = {"input": description, "median_s": median, "runs_s": runs,
+                             "peak_mb": peak_mb}
             per = ""
             if per_item:
                 count, unit = per_item
                 results[name][f"per_{unit}_us"] = median / count * 1e6
                 per = f", {median / count * 1e6:.2f} us per {unit}"
-            print(f"{name:20s} median {median:.4f} s  ({description}{per})", flush=True)
+            print(f"{name:20s} median {median:.4f} s  peak {peak_mb:.1f} MB  ({description}{per})",
+                  flush=True)
     report = {"environment": environment(), "repeats": args.repeats, "cases": results}
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
 

@@ -20,10 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ShapeMismatch, UnknownCategory, UnknownClass
-from .geometry import (
-    _hbb_bounds, _overlapping, _range_pairs, _sweep_bands, _sweep_ranges, polygon_iou_pairs,
-    quad_arrays, quad_list,
-)
+from .geometry import _band_pairs, polygon_iou_pairs, quad_arrays, quad_list
 from .inference import DetectionSet, check_image_index
 from .targets import GroundTruthObject
 
@@ -34,8 +31,6 @@ MODE_ALLPOINT = "allpoint"
 TP = 1
 FP = 0
 IGNORED = -1
-# Upper bound on the candidate (detection, ground truth) pairs matching expands at once.
-MATCH_PAIRS_PER_BAND = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -158,29 +153,23 @@ class APReport:
 def _match_flags(dets: DetectionSet, gt: GtIndex, iou_thresh: float) -> np.ndarray:
     """TP / FP / IGNORED of every detection row.
 
-    Detections are visited in descending score, ties by row. One sweep
-    over x, grouped by (image, class), runs over the ground truth (the
-    only partners) and then the detections (image -1 when it has no
-    annotation file), expanded in bands of MATCH_PAIRS_PER_BAND pairs.
-    One batched call computes the IoU of every same-group pair whose
-    horizontal boxes overlap; every other pair counts as IoU 0.
+    Detections are visited in descending score, ties by row. The
+    candidate pairs come from :func:`geometry._band_pairs`, with the
+    ground truth as partners and (image, class) keys as groups (image -1
+    for a detection whose image has no annotation file). One batched call
+    computes the IoU of every pair of every band; every other pair counts
+    as IoU 0.
     """
     visit = np.argsort(-dets.score, kind="stable")
     gt_image = {image_id: i for i, image_id in enumerate(gt.image_ids)}
     det_image = np.array([gt_image.get(i, -1) for i in dets.image_ids], dtype=int)
     ids, rank = np.unique(np.concatenate([gt.class_id, dets.class_id[visit]]), return_inverse=True)
     groups = np.concatenate([gt.image, det_image[dets.image[visit]]]) * len(ids) + rank
-    det_bounds, gt_bounds = _hbb_bounds(dets.quads[visit]), _hbb_bounds(gt.quads)
-    xmin, xmax = (np.concatenate([gt_bounds[i], det_bounds[i]]) for i in (0, 2))
-    lo, hi, by_x = _sweep_ranges(xmin, xmax, groups, np.arange(len(gt.image)))
-    lo, hi = lo[len(gt.image):], hi[len(gt.image):]
-    pairs = [(np.zeros(0, dtype=int),) * 2]
-    for top, bottom in _sweep_bands(lo, hi, MATCH_PAIRS_PER_BAND):
-        rows, objs = _range_pairs(lo[top:bottom], hi[top:bottom], by_x, top)
-        ok = _overlapping([v[rows] for v in det_bounds], [v[objs] for v in gt_bounds])
-        pairs.append((rows[ok], objs[ok]))
+    n_gt, quads = len(gt.image), dets.quads[visit]
+    bands = _band_pairs(quads, groups[n_gt:], (gt.quads, groups[:n_gt]))
+    pairs = [(np.zeros(0, dtype=int),) * 2] + [band[2:] for band in bands]
     k, g = (np.concatenate(x) for x in zip(*pairs))
-    iou = polygon_iou_pairs(dets.quads[visit[k]], gt.quads[g])
+    iou = polygon_iou_pairs(quads[k], gt.quads[g])
 
     flags = np.full(len(visit), FP)
     # each detection's best ground truth, the first one on a tie

@@ -1,11 +1,13 @@
 """Oriented-box geometry.
 
 Canonical quadrilaterals, the transform between an oriented box and its
-surrounding horizontal box plus two offset parameters (w, h), and exact
+surrounding horizontal box plus two offset parameters (w, h), exact
 convex-polygon IoU over many quad pairs behind a horizontal-box
-pre-filter. Each formula has one array implementation over (N, 4, 2)
-vertex arrays; :func:`canonicalize`, :func:`encode`, :func:`decode` and
-:func:`polygon_iou` are its one-row views.
+pre-filter, and the finder of the candidate pairs that rotated NMS and
+DOTA matching clip (:func:`_band_pairs`). Each formula has one array
+implementation over (N, 4, 2) vertex arrays; :func:`canonicalize`,
+:func:`encode`, :func:`decode` and :func:`polygon_iou` are its one-row
+views.
 
 Conventions: image coordinates, x to the right, y increasing downward.
 A canonical quad is walked clockwise on screen, starting from the vertex
@@ -28,6 +30,8 @@ AREA_TOLERANCE = 1e-6
 EDGE_EPS = 1e-9
 # Pairs clipped at once by polygon_iou_pairs; bounds its temporaries.
 PAIRS_PER_CLIP = 1 << 13
+# Upper bound on the candidate pairs _band_pairs expands at once (one band of rows).
+PAIRS_PER_BAND = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -531,27 +535,51 @@ def _sweep_ranges(
     return lo, np.maximum(hi, lo), by_x
 
 
-def _sweep_bands(lo: np.ndarray, hi: np.ndarray, budget: int) -> Iterator[tuple[int, int]]:
-    """Yield consecutive row bands (top, bottom) whose sweep ranges hold at
-    most budget partners in all; a band holds at least one row."""
-    expanded = np.cumsum(hi - lo)  # partners of rows 0..i
+def _band_pairs(
+    quads: np.ndarray, groups: np.ndarray, partners: tuple[np.ndarray, np.ndarray] | None = None
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """Candidate pairs of (N, 4, 2) quads: same group, horizontal boxes
+    overlapping with positive area (the test of :func:`hbb_overlap`).
+
+    partners is (partner_quads, partner_groups), or None to pair the rows
+    with each other, each row only with earlier rows. Yields (top, bottom,
+    row, partner) for consecutive row bands: row and partner index the
+    pairs of rows top..bottom-1, grouped by row in ascending order. A band
+    holds at least one row, and the ranges of its rows hold at most
+    PAIRS_PER_BAND partners in all, so a band expands at most
+    max(PAIRS_PER_BAND, largest group) pairs. The ranges come from one
+    exact-rank sweep over x (:func:`_sweep_ranges`); the earlier-row
+    filter runs before the HBB test, which gathers row and partner bounds
+    from their own tables.
+    """
+    bounds = _hbb_bounds(quads)
+    if partners is None:
+        other = bounds
+        lo, hi, by_x = _sweep_ranges(bounds[0], bounds[2], groups, np.arange(len(quads)))
+    else:
+        other, n = _hbb_bounds(partners[0]), len(partners[0])
+        xmin, xmax = (np.concatenate([other[i], bounds[i]]) for i in (0, 2))
+        keys = np.concatenate([partners[1], groups])
+        lo, hi, by_x = _sweep_ranges(xmin, xmax, keys, np.arange(n))
+        lo, hi = lo[n:], hi[n:]
+    counts = hi - lo
+    ends = np.cumsum(counts)  # partners of rows 0..i
     top = 0
     while top < len(lo):
-        end = budget + (expanded[top - 1] if top else 0)
-        bottom = max(top + 1, int(np.searchsorted(expanded, end, side="right")))
-        yield top, bottom
+        before = ends[top] - counts[top]
+        bottom = max(top + 1, int(np.searchsorted(ends, before + PAIRS_PER_BAND, side="right")))
+        size = counts[top:bottom]
+        row = np.repeat(np.arange(top, bottom), size)
+        shift = lo[top:bottom] - (ends[top:bottom] - size - before)
+        partner = by_x[np.arange(len(row)) + np.repeat(shift, size)]
+        if partners is None:
+            ok = partner < row
+            row, partner = row[ok], partner[ok]
+        ok = _overlapping([v[row] for v in bounds], [v[partner] for v in other])
+        # rebound, so the unfiltered arrays are freed while the caller uses the band
+        row, partner = row[ok], partner[ok]
+        yield top, bottom, row, partner
         top = bottom
-
-
-def _range_pairs(
-    lo: np.ndarray, hi: np.ndarray, by_x: np.ndarray, first: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """(row, partner) arrays pairing row first + i with each entry of
-    by_x[lo[i]:hi[i]]; pairs come grouped by row, rows ascending."""
-    counts = hi - lo
-    rows = np.repeat(np.arange(first, first + len(lo)), counts)
-    shift = lo - (np.cumsum(counts) - counts)
-    return rows, by_x[np.arange(len(rows)) + np.repeat(shift, counts)]
 
 
 def _row_intervals(

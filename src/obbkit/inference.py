@@ -17,11 +17,7 @@ import numpy as np
 from .errors import ShapeMismatch
 from .geometry import (
     Quad,
-    _hbb_bounds,
-    _overlapping,
-    _range_pairs,
-    _sweep_bands,
-    _sweep_ranges,
+    _band_pairs,
     polygon_iou_pairs,
     quad_arrays,
     quad_list,
@@ -31,8 +27,6 @@ from .losses import PredictionBatch
 from .targets import FeatureGridSpec
 
 
-# Upper bound on the candidate pairs rotated NMS expands at once (one band of rows).
-NMS_PAIRS_PER_BAND = 1 << 18
 # Batched clipping rounds per NMS band before the undecided rows fall back
 # to one clip of all their pairs.
 _NMS_ROUNDS = 4
@@ -124,21 +118,6 @@ class DetectionSet:
         )
 
 
-def _band_pairs(
-    top: int, bottom: int, lo: np.ndarray, hi: np.ndarray, by_x: np.ndarray,
-    bounds: tuple[np.ndarray, ...], live: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(later, earlier) visit indices of the pairs NMS may have to clip for
-    rows top..bottom-1: same group, HBB overlap, the earlier row live.
-    Pairs come grouped by their later row, in visit order."""
-    later, earlier = _range_pairs(lo[top:bottom], hi[top:bottom], by_x, top)
-    ok = earlier < later
-    ok[ok] = live[earlier[ok]]
-    later, earlier = later[ok], earlier[ok]
-    ok = _overlapping([v[later] for v in bounds], [v[earlier] for v in bounds])
-    return later[ok], earlier[ok]
-
-
 def _nms_keep(
     quads: np.ndarray, groups: np.ndarray, scores: np.ndarray, iou_thresh: float
 ) -> np.ndarray:
@@ -154,13 +133,11 @@ def _nms_keep(
     first argument of :func:`polygon_iou_pairs` only once its earlier row
     is known to be kept. The threshold must lie in [0, 1], rows or not.
 
-    Candidate pairs come from a sweep over the boxes sorted by (group,
-    xmin) (:func:`_sweep_ranges`). Rows are taken in visit-order bands
-    whose summed range sizes stay within NMS_PAIRS_PER_BAND (a band holds
-    at least one row), so the expanded pairs of a band never exceed
-    max(NMS_PAIRS_PER_BAND, largest group). Rows of earlier bands are
-    final when a band starts, and pairs with a suppressed earlier row are
-    dropped. Within a band, each of up to _NMS_ROUNDS rounds clips, in
+    Candidate pairs come band by band, in visit order, from
+    :func:`geometry._band_pairs` (each band expands at most
+    max(PAIRS_PER_BAND, largest group) pairs). Rows of earlier bands are
+    final when a band starts, and a pair with a suppressed earlier row is
+    never clipped. Within a band, each of up to _NMS_ROUNDS rounds clips, in
     one batch, the pairs not yet clipped whose earlier row is kept and
     whose later row is undecided; a row with an IoU above the threshold
     is suppressed, then every undecided row left without an undecided
@@ -176,13 +153,9 @@ def _nms_keep(
     if iou_thresh == 1.0:
         return order
     quads = quads[order]
-    bounds = _hbb_bounds(quads)
-    n = len(order)
-    lo, hi, by_x = _sweep_ranges(bounds[0], bounds[2], groups[order], np.arange(n))
-    kept = np.zeros(n, dtype=bool)
-    live = np.ones(n, dtype=bool)  # kept or undecided
-    for top, bottom in _sweep_bands(lo, hi, NMS_PAIRS_PER_BAND):
-        later, earlier = _band_pairs(top, bottom, lo, hi, by_x, bounds, live)
+    kept = np.zeros(len(order), dtype=bool)
+    live = np.ones(len(order), dtype=bool)  # kept or undecided
+    for top, bottom, later, earlier in _band_pairs(quads, groups[order]):
         _resolve_band(quads, later, earlier, top, bottom, kept, live, iou_thresh)
     return order[kept]
 
@@ -225,10 +198,9 @@ def nms_per_image(dets: DetectionSet, iou_thresh: float) -> DetectionSet:
     order, each image's in visit order. The threshold must lie in [0, 1].
 
     All images go through one :func:`_nms_keep` call whose groups are
-    (image, class) keys, so boxes of different images never meet: one
-    sweep over x finds the candidate pairs, expanded in bands of at most
-    max(NMS_PAIRS_PER_BAND, largest group) pairs and clipped in a few
-    batched rounds once their earlier row is kept.
+    (image, class) keys, so boxes of different images never meet: the
+    candidate pairs come in bands from :func:`geometry._band_pairs` and
+    are clipped in a few batched rounds once their earlier row is kept.
     """
     classes, rank = np.unique(dets.class_id, return_inverse=True)
     keep = _nms_keep(dets.quads, dets.image * len(classes) + rank, dets.score, iou_thresh)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from obbkit import inference
+from obbkit import geometry, inference
 from obbkit.dota import _format_rows, _write_files
 from obbkit.errors import DegenerateQuad, Diverged, ParseError, ShapeMismatch, UnknownCategory
 from obbkit.evaluation import FP, IGNORED, TP, ClassTable, GtIndex
@@ -294,14 +294,14 @@ def nms_keep_oracle(quads, classes, scores, iou_thresh):
     whose earlier row is already suppressed.
 
     The pairs come from a lower-triangle block cut into bands of rows
-    (sized from inference.NMS_PAIRS_PER_BAND, so memory stays bounded);
+    (sized from geometry.PAIRS_PER_BAND, so memory stays bounded);
     band shape never changes the keep list."""
     order = np.argsort(-scores, kind="stable")
     if iou_thresh == 1.0:
         return order
     quads, classes = quads[order], classes[order]
     suppressed = [False] * len(order)
-    band = max(1, inference.NMS_PAIRS_PER_BAND // max(len(order), 1))
+    band = max(1, geometry.PAIRS_PER_BAND // max(len(order), 1))
     for top in range(0, len(order), band):
         bottom = min(top + band, len(order))
         candidates = hbb_overlap(quads[top:bottom], quads[:bottom])

@@ -18,7 +18,7 @@ ROOT = Path(__file__).resolve().parents[1]
         (
             "dota_layers.py",
             ["canonicalize_many", "parse_detections", "parse_annotations", "nms", "iou_pairs",
-             "match_ap", "write", "cli_nms_eval", "match_crowded", "match_column"],
+             "match_ap", "write", "cli_nms_eval", "match_crowded", "match_column", "match_stacked"],
         ),
         (
             "inference_layers.py",
@@ -44,6 +44,8 @@ def test_script_runs_every_case(script, cases, tmp_path):
     assert list(report["cases"]) == cases
     for result in report["cases"].values():
         assert len(result["runs_s"]) == 1
+        if script == "dota_layers.py":
+            assert result["peak_mb"] > 0
         if script == "train_layers.py":
             (faults,) = result["minor_faults"]
             assert isinstance(faults, int) and faults >= 0

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obbkit import evaluation
+from obbkit import geometry
 from obbkit.errors import UnknownCategory, UnknownClass
 from obbkit.evaluation import (
     FP,
@@ -247,7 +247,7 @@ class TestMatchDetections:
     def test_matches_scalar_oracle(self, scene, thresh, band_pairs):
         dets, gt = scene
         # small budgets split the sweep's pair expansion into many bands
-        with mock.patch.object(evaluation, "MATCH_PAIRS_PER_BAND", band_pairs):
+        with mock.patch.object(geometry, "PAIRS_PER_BAND", band_pairs):
             got = match_detections(_ds(dets), gt, thresh)
         for class_id in (1, 2):
             scores, flags = match_flags_oracle(dets, gt, class_id, thresh)

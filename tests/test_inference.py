@@ -1,4 +1,3 @@
-import contextlib
 import math
 import time
 from unittest import mock
@@ -8,12 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from obbkit import inference
+from obbkit import geometry, inference
 from obbkit.errors import ShapeMismatch
 from obbkit.geometry import (
     Point2,
-    _hbb_bounds,
-    _sweep_ranges,
     encode,
     hbb_overlap,
     polygon_iou,
@@ -139,15 +136,41 @@ clustered_dets = st.lists(
 )
 
 
-@contextlib.contextmanager
 def nms_band(pairs):
-    """Set the NMS band size for the duration of the block."""
-    saved = inference.NMS_PAIRS_PER_BAND
-    inference.NMS_PAIRS_PER_BAND = pairs
-    try:
-        yield
-    finally:
-        inference.NMS_PAIRS_PER_BAND = saved
+    """Set the band size of the candidate-pair finder (NMS and matching) for the block."""
+    return mock.patch.object(geometry, "PAIRS_PER_BAND", pairs)
+
+
+def assert_band_pairs(quads, groups, partners, budget):
+    """geometry._band_pairs at the given budget yields consecutive bands
+    that cover every row and expand at most max(budget, largest group)
+    partners each, and its pairs are exactly the same-group pairs of
+    hbb_overlap (earlier partners only when the rows pair with each other)."""
+    sweeps, real = [], geometry._sweep_ranges
+
+    def recording(*args):
+        sweeps.append(real(*args))
+        return sweeps[-1]
+
+    with nms_band(budget), mock.patch.object(geometry, "_sweep_ranges", recording):
+        bands = list(geometry._band_pairs(quads, groups, partners))
+    lo, hi, _ = sweeps[0]
+    expanded = (hi - lo)[len(lo) - len(quads):]  # the rows follow any partners
+    keys = groups if partners is None else partners[1]
+    largest = max(np.unique(keys, return_counts=True)[1], default=0)
+    edges = [0] + [bottom for _, bottom, _, _ in bands]
+    assert [top for top, _, _, _ in bands] == edges[:-1] and edges[-1] == len(quads)
+    for top, bottom, row, partner in bands:
+        assert top < bottom and expanded[top:bottom].sum() <= max(budget, largest)
+        assert ((top <= row) & (row < bottom)).all() and (np.diff(row) >= 0).all()
+    empty = np.zeros(0, dtype=int)
+    row, partner = (np.concatenate([empty] + [band[i] for band in bands]) for i in (2, 3))
+    if partners is None:
+        want = np.tril(hbb_overlap(quads, quads) & (groups[:, None] == groups), -1)
+    else:
+        want = hbb_overlap(quads, partners[0]) & (groups[:, None] == partners[1])
+    order = np.lexsort((partner, row))
+    assert [row[order].tolist(), partner[order].tolist()] == [x.tolist() for x in np.nonzero(want)]
 
 
 def nms_one_image(dets, iou_thresh):
@@ -260,19 +283,10 @@ class TestNmsKeep:
     @settings(max_examples=100, deadline=None)
     @given(jittered_clusters(), st.sampled_from([1, 7, 64, 512]))
     def test_bands_stay_within_the_pair_budget(self, boxes, band_pairs):
-        bands = []
-        real = inference._band_pairs
-
-        def recording(top, bottom, lo, hi, *rest):
-            bands.append((top, bottom, int((hi - lo)[top:bottom].sum())))
-            return real(top, bottom, lo, hi, *rest)
-
-        with nms_band(band_pairs), mock.patch.object(inference, "_band_pairs", recording):
-            inference._nms_keep(*boxes, 0.5)
-        n = len(boxes[0])
-        edges = [0] + [bottom for _, bottom, _ in bands]
-        assert [top for top, _, _ in bands] == edges[:-1] and edges[-1] == n
-        assert all(top < bottom and size <= max(band_pairs, n) for top, bottom, size in bands)
+        quads, classes, _ = boxes
+        # the rows with each other (NMS), and odd rows against even ones (matching)
+        assert_band_pairs(quads, classes, None, band_pairs)
+        assert_band_pairs(quads[1::2], classes[1::2], (quads[::2], classes[::2]), band_pairs)
 
     def test_sweep_ranges_hold_every_overlapping_pair(self):
         # rounded corners, duplicates and zero-width boxes; a zero-width
@@ -282,17 +296,14 @@ class TestNmsKeep:
         quads[::7, :, 0] = quads[::7, :1, 0]
         quads[1::9] = quads[::9][: len(quads[1::9])]
         classes = rng.integers(1, 4, 150)
-        bounds = _hbb_bounds(quads)
         overlap = hbb_overlap(quads, quads) & (classes[:, None] == classes[None, :])
         assert overlap[::7].any()
-        # every row as a partner (NMS), and only some rows (matching)
-        for partners in (np.arange(150), np.flatnonzero(rng.random(150) < 0.4)):
-            lo, hi, by_x = _sweep_ranges(bounds[0], bounds[2], classes, partners)
-            assert sorted(by_x.tolist()) == partners.tolist()
-            for i in range(150):
-                found = set(by_x[lo[i]:hi[i]].tolist())
-                assert set(np.flatnonzero(overlap[i]).tolist()) & set(partners.tolist()) <= found
-                assert (classes[list(found)] == classes[i]).all()
+        some = rng.random(150) < 0.4
+        for band_pairs in (1, 7, 64, 1 << 18):
+            # every row as a partner (NMS), and only some rows against the others (matching)
+            assert_band_pairs(quads, classes, None, band_pairs)
+            partners = (quads[some], classes[some])
+            assert_band_pairs(quads[~some], classes[~some], partners, band_pairs)
 
     @staticmethod
     def counted_keep(monkeypatch, quads, classes, scores, thresh):
