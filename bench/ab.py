@@ -9,8 +9,12 @@ that a slow drift of the host falls on both sides alike. The runner
 prints every pair, how many pairs the head wins on each end-to-end
 metric (the direction comes from the head's ``BENCHMARK.json``), each
 side's median and quartiles, and the median of the per-pair head/base
-ratios. A run that fails, or whose outputs fail perfbench's checks,
-stops the runner with exit 1.
+ratios, and whether the head's median is worse than the base's by more
+than the metric's relative ``bound`` in ``BENCHMARK.json``. A run that
+fails, or whose outputs fail perfbench's checks, stops the runner with
+exit 1. Runs see the caller's environment without
+``PYTHONDONTWRITEBYTECODE``, so both trees keep their compiled bytecode
+and ``setup_s`` does not time a recompile on every run.
 
 Usage::
 
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -45,7 +50,8 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict[str, 
     """The end-to-end metrics of one perfbench run in tree; raises RuntimeError on failure."""
     cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         raise RuntimeError(f"{tree}: exit {done.returncode}: {done.stderr.strip()}")
@@ -56,10 +62,10 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict[str, 
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
-def directions(tree: Path) -> dict[str, str]:
-    """metric name -> "higher" or "lower" from the tree's BENCHMARK.json."""
+def end_to_end(tree: Path) -> dict[str, dict]:
+    """metric name -> its end-to-end entry ("better", "bound") in the tree's BENCHMARK.json."""
     spec = json.loads((tree / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return {m["name"]: m for m in spec["end_to_end"]}
 
 
 def spread(values: list[float]) -> dict[str, float]:
@@ -67,19 +73,24 @@ def spread(values: list[float]) -> dict[str, float]:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict[str, dict]:
+def summarize(pairs: list[dict], metrics: dict[str, dict]) -> dict[str, dict]:
     summary = {}
-    for name, direction in better.items():
+    for name, metric in metrics.items():
         base = [p["base"][name] for p in pairs]
         head = [p["head"][name] for p in pairs]
-        sign = 1.0 if direction == "higher" else -1.0
+        sign = 1.0 if metric["better"] == "higher" else -1.0
+        base_spread, head_spread = spread(base), spread(head)
+        # the head median's relative loss against the base median, > 0 when worse
+        loss = sign * (base_spread["median"] - head_spread["median"]) / base_spread["median"]
         summary[name] = {
-            "better": direction,
+            "better": metric["better"],
             "head_wins": sum(sign * (h - b) > 0 for b, h in zip(base, head)),
             "pairs": len(pairs),
-            "base": spread(base),
-            "head": spread(head),
+            "base": base_spread,
+            "head": head_spread,
             "median_ratio": statistics.median(h / b for b, h in zip(base, head)),
+            "bound": metric["bound"],
+            "worse_beyond_bound": loss > metric["bound"],
         }
     return summary
 
@@ -94,7 +105,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="BENCH_ab.json", help="JSON output path")
     args = parser.parse_args(argv)
     trees = {"base": args.base.resolve(), "head": args.head.resolve()}
-    better = directions(trees["head"])
+    metrics = end_to_end(trees["head"])
 
     pairs = []
     for k, seed in enumerate(parse_seeds(args.seeds)):
@@ -107,16 +118,17 @@ def main(argv=None) -> int:
             return 1
         pairs.append({"seed": seed, "first": order[0], **pair})
         print(f"pair {k + 1} seed {seed} ({order[0]} first): " + "  ".join(
-            f"{name} {pair['base'][name]:.4g} -> {pair['head'][name]:.4g}" for name in better),
+            f"{name} {pair['base'][name]:.4g} -> {pair['head'][name]:.4g}" for name in metrics),
             flush=True)
 
-    summary = summarize(pairs, better)
+    summary = summarize(pairs, metrics)
     for name, s in summary.items():
         print(f"{name} ({s['better']} is better): head wins {s['head_wins']} of {s['pairs']}; "
               f"base median {s['base']['median']:.4g} [q1 {s['base']['q1']:.4g}, "
               f"q3 {s['base']['q3']:.4g}]; head median {s['head']['median']:.4g} "
               f"[q1 {s['head']['q1']:.4g}, q3 {s['head']['q3']:.4g}]; "
-              f"median head/base {s['median_ratio']:.4g}")
+              f"median head/base {s['median_ratio']:.4g}; head median worse than base "
+              f"beyond bound {s['bound']:g}: {'yes' if s['worse_beyond_bound'] else 'no'}")
     report = {"workload": args.workload, "seconds": args.seconds,
               "trees": {side: str(path) for side, path in trees.items()},
               "pairs": pairs, "summary": summary}

@@ -35,9 +35,6 @@ _UNION_TINY = 1e-12
 # Bound on fit_demo's raw parameters (group logits, log offsets); keeps
 # sigmoids strictly inside (0, 1) and exponentials finite in float64.
 _RAW_BOUND = 30.0
-# Entries per row block of the dense focal pass: 256 KiB per float64
-# operand, so the few operands of one block stay in L2 between passes.
-_BLOCK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -131,67 +128,47 @@ def _require_open_unit(scores: np.ndarray) -> None:
         raise NonFiniteScore("scores must lie strictly inside (0, 1)")
 
 
-def _row_blocks(shape: tuple[int, ...], temps: int):
-    """Cut axis 0 of an array of this shape into blocks of whole rows.
-
-    Yields (rows, *buffers) per block of about _BLOCK_ENTRIES entries:
-    the block's slice of axis 0 and `temps` float buffers of the block's
-    shape, allocated once per call and reused by every block.
-    """
-    rows = shape[0]
-    step = max(_BLOCK_ENTRIES // max(math.prod(shape[1:]), 1), 1)
-    buffers = [np.empty((min(step, rows), *shape[1:])) for _ in range(temps)]
-    for start in range(0, rows, step):
-        stop = min(start + step, rows)
-        yield (slice(start, stop), *(b[: stop - start] for b in buffers))
-
-
-def _focal_sum(
-    scores: np.ndarray,
-    pos: np.ndarray,
-    alpha: float,
-    beta: float,
-    normalizer: float = 1.0,
-    *,
-    out: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[float, np.ndarray]:
-    """Unnormalized focal loss and its gradient divided by normalizer.
+def _focal_branch(
+    scores: np.ndarray, pos: np.ndarray, alpha: float, beta: float, normalizer: float = 1.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-entry focal branch values (the loss is minus their sum) and the
+    gradient divided by normalizer, C-contiguous in the shape of scores.
 
     pos holds the flat indices of y = 1. The background branch is
-    evaluated everywhere, one row block at a time, then the positive
-    branch overwrites the entries at pos only. out = (branch, grad), two
-    C-contiguous float arrays of the shape of scores, receives the
-    per-entry branch values and the returned gradient; fresh arrays are
-    used without it. The sum runs in C order whatever the memory layout
-    of scores.
+    evaluated everywhere, then the positive branch overwrites pos.
     """
     scores = np.ascontiguousarray(scores)
-    branch, grad = out if out is not None else (np.empty(scores.shape), np.empty(scores.shape))
-    for rows, om, log_om in _row_blocks(scores.shape, 2):
-        s, g, s_beta = scores[rows], grad[rows], branch[rows]
-        np.subtract(1.0, s, out=om)
-        np.log(om, out=log_om)
-        np.power(s, beta, out=s_beta)
-        # d/ds of -branch, in place:
-        # grad = -alpha * (beta * s ** (beta - 1.0) * log_om - s_beta / om)
-        np.power(s, beta - 1.0, out=g)
-        g *= beta
-        g *= log_om
-        g -= np.divide(s_beta, om, out=om)
-        g *= -alpha
-        g /= normalizer
-        # branch = alpha * s_beta * log_om, in place
-        s_beta *= alpha
-        s_beta *= log_om
+    om = np.subtract(1.0, scores)
+    log_om = np.log(om)
+    branch = np.power(scores, beta)  # s_beta until it is scaled below
+    # d/ds of -branch, in place:
+    # grad = -alpha * (beta * s ** (beta - 1.0) * log_om - s_beta / om)
+    grad = np.power(scores, beta - 1.0)
+    grad *= beta
+    grad *= log_om
+    grad -= np.divide(branch, om, out=om)
+    grad *= -alpha
+    grad /= normalizer
+    # branch = alpha * s_beta * log_om, in place
+    branch *= alpha
+    branch *= log_om
     if pos.size:
         s = scores.flat[pos]
         om_p = 1.0 - s
         log_s = np.log(s)
         om_beta = om_p**beta
         branch.flat[pos] = alpha * om_beta * log_s
-        grad.flat[pos] = (
-            -alpha * (-beta * om_p ** (beta - 1.0) * log_s + om_beta / s) / normalizer
-        )
+        grad.flat[pos] = -alpha * (-beta * om_p ** (beta - 1.0) * log_s + om_beta / s) / normalizer
+    return branch, grad
+
+
+def _focal_sum(
+    scores: np.ndarray, pos: np.ndarray, alpha: float, beta: float, normalizer: float = 1.0
+) -> tuple[float, np.ndarray]:
+    """Unnormalized focal loss and its gradient divided by normalizer; pos
+    holds the flat indices of y = 1. The sum runs in C order whatever the
+    memory layout of scores."""
+    branch, grad = _focal_branch(scores, pos, alpha, beta, normalizer)
     return -float(branch.sum()), grad
 
 
@@ -595,9 +572,9 @@ def _fit_positives(
     def evaluate(logits: np.ndarray, reg: np.ndarray):
         """Loss breakdown, parameter gradients and predictions at one point."""
         scores = _sigmoid(logits)
-        branch, score_grad = np.empty(2), np.empty(2)
-        _focal_sum(scores, np.array([1]), weights.focal_alpha, weights.focal_beta, norm,
-                   out=(branch, score_grad))
+        branch, score_grad = _focal_branch(
+            scores, np.array([1]), weights.focal_alpha, weights.focal_beta, norm
+        )
         cent, ltrb, wh = preds = (_sigmoid(reg[:, 0]), np.exp(reg[:, 1:5]), np.exp(reg[:, 5:]))
         reg_sum, ori_sum, cent_grad, ltrb_grad, wh_grad = _positive_terms(
             *preds, truth, weights, norm

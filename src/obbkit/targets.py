@@ -74,33 +74,14 @@ class TargetMaps:
     grid: np.ndarray
 
     def __post_init__(self):
-        self._seal(copy=True)
-
-    def _seal(self, copy: bool) -> None:
-        """Check every field's shape and make it read-only. With copy, each
-        field becomes a fresh array of its dtype; without, each must already
-        have that dtype and is used as it is."""
+        # each field becomes a fresh read-only array of its dtype
         n = np.shape(self.class_id)[0] if np.ndim(self.class_id) == 1 else -1
         for name, (dtype, tail) in _MAP_LAYOUT.items():
-            arr = getattr(self, name)
-            if copy:
-                arr = np.array(arr, dtype=dtype)
-            elif arr.dtype != dtype:
-                raise TypeError(f"{name} has dtype {arr.dtype}, expected {np.dtype(dtype)}")
+            arr = np.array(getattr(self, name), dtype=dtype)
             if arr.shape != (n, *tail):
                 raise ShapeMismatch(f"{name} has shape {arr.shape}, expected {(n, *tail)}")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-
-    @classmethod
-    def _adopt(cls, *arrays: np.ndarray) -> "TargetMaps":
-        """Maps over arrays that nothing else refers to (just built by this
-        module), checked and made read-only but not copied."""
-        maps = object.__new__(cls)
-        for name, arr in zip(_MAP_LAYOUT, arrays, strict=True):
-            object.__setattr__(maps, name, arr)
-        maps._seal(copy=False)
-        return maps
 
     def __len__(self) -> int:
         return self.class_id.shape[0]
@@ -108,9 +89,7 @@ class TargetMaps:
     @classmethod
     def concatenate(cls, maps: Sequence["TargetMaps"]) -> "TargetMaps":
         """The locations of several maps (for example all levels) in order."""
-        return cls._adopt(
-            *(np.concatenate([getattr(m, name) for m in maps]) for name in _MAP_LAYOUT)
-        )
+        return cls(*(np.concatenate([getattr(m, name) for m in maps]) for name in _MAP_LAYOUT))
 
 
 class LevelRanges:
@@ -129,8 +108,8 @@ class LevelRanges:
             raise ValueError("first range must start at 0")
         if not math.isinf(pairs[-1][1]):
             raise ValueError("last range must extend to infinity")
-        for (lo, hi), (nlo, _) in zip(pairs, pairs[1:]):
-            if hi <= lo or nlo != hi:
+        for i, (lo, hi) in enumerate(pairs):
+            if hi <= lo or (i + 1 < len(pairs) and pairs[i + 1][0] != hi):
                 raise ValueError(f"ranges must be contiguous and increasing, got {pairs}")
         self.pairs = pairs
 
@@ -315,7 +294,7 @@ def _dense(spec: FeatureGridSpec, positives: _Positives) -> TargetMaps:
         dtype, tail = _MAP_LAYOUT[name]
         fields[name] = np.full((x_s.size, *tail), -1 if name == "object_index" else 0, dtype)
         fields[name][positives.loc] = getattr(positives, name)
-    return TargetMaps._adopt(*(fields[name] for name in _MAP_LAYOUT))
+    return TargetMaps(**fields)
 
 
 def assign_targets(

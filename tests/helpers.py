@@ -30,7 +30,6 @@ from obbkit.losses import (
     LossWeights,
     PredictionBatch,
     TotalLossResult,
-    _row_blocks,
     _sigmoid,
     total_loss,
 )
@@ -663,7 +662,7 @@ def dense_assign_oracle(specs, ranges, quads, class_id, difficult, center_radius
         cent = np.zeros(obj_index.size)
         cent[pos] = _centerness(*ltrb[pos].T)
         out.append(
-            TargetMaps._adopt(
+            TargetMaps(
                 obj_class[obj_index], ltrb, obj_wh[obj_index], cent, obj_difficult[obj_index],
                 obj_index, points, np.stack([x_s, y_s], axis=1),
             )
@@ -723,13 +722,12 @@ def fit_demo_dense_oracle(
     """fit_demo with a logit for every (location, class) entry: the dense
     reference that fit_demo's two group logits must match bit for bit.
 
-    The dense class passes run over row blocks in a per-call workspace of
-    logits, trial logits and logit gradients; the scores and their
-    gradients come fresh from _sigmoid and total_loss on every evaluation.
-    The class sum is the math.fsum of the per-entry branch values (exact,
-    rounded once), not total_loss's pairwise sum: fit_demo's count x value
-    sum is exact too, and a sum rounded another way can flip a
-    backtracking test whose two totals differ in the last bit.
+    Every evaluation takes the scores from _sigmoid and their gradients
+    from total_loss over the whole (L, C) logit array. The class sum is
+    the math.fsum of the per-entry branch values (exact, rounded once),
+    not total_loss's pairwise sum: fit_demo's count x value sum is exact
+    too, and a sum rounded another way can flip a backtracking test whose
+    two totals differ in the last bit.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
@@ -745,7 +743,7 @@ def fit_demo_dense_oracle(
 
     n = len(targets)
     onehot = pos * num_classes + targets.class_id[pos] - 1
-    logits, trial_logits, cls_grad = np.zeros((3, n, num_classes))
+    logits = np.zeros((n, num_classes))
     # columns: centerness logit, log ltrb (4), log wh (2)
     reg = np.zeros((pos.size, 7))
 
@@ -778,10 +776,8 @@ def fit_demo_dense_oracle(
     for _ in range(steps):
         if not frozen:
             # chain rule through the sigmoid / exp parameterizations
-            for rows, om in _row_blocks(cls_grad.shape, 1):
-                s = batch.class_scores[rows]
-                g = np.multiply(result.class_score_grad[rows], s, out=cls_grad[rows])
-                g *= np.subtract(1.0, s, out=om)
+            s = batch.class_scores
+            cls_grad = result.class_score_grad * s * (1.0 - s)
             cent = batch.centerness[pos]
             reg_grad = np.concatenate(
                 [
@@ -794,10 +790,7 @@ def fit_demo_dense_oracle(
             trial = min(step_size * 2.0, 1e4)
             accepted = False
             for _try in range(60):
-                for (rows,) in _row_blocks(cls_grad.shape, 0):
-                    t = np.multiply(cls_grad[rows], trial, out=trial_logits[rows])
-                    np.subtract(logits[rows], t, out=t)
-                    np.clip(t, -_RAW_BOUND, _RAW_BOUND, out=t)
+                trial_logits = np.clip(logits - cls_grad * trial, -_RAW_BOUND, _RAW_BOUND)
                 trial_reg = np.clip(reg - trial * reg_grad, -_RAW_BOUND, _RAW_BOUND)
                 cand_batch, cand_result = evaluate(trial_logits, trial_reg)
                 if (
@@ -807,9 +800,7 @@ def fit_demo_dense_oracle(
                     accepted = not (
                         np.array_equal(trial_reg, reg) and np.array_equal(trial_logits, logits)
                     )
-                    # the accepted and trial slots swap roles
-                    logits, trial_logits = trial_logits, logits
-                    reg, batch, result = trial_reg, cand_batch, cand_result
+                    logits, reg, batch, result = trial_logits, trial_reg, cand_batch, cand_result
                     step_size = trial
                     break
                 trial *= 0.5

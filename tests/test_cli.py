@@ -1049,6 +1049,16 @@ class TestConfig:
         assert len(r) == 3
         assert math.isinf(r[2][1])
 
+    def test_empty_last_level_range_rejected(self, scene, capsys):
+        with pytest.raises(ValueError, match="contiguous and increasing"):
+            parse_level_ranges("0:inf,inf:inf")
+        code, out, err = run_cli(
+            capsys, "eval", "--gt", str(scene / "gt"), "--dets", str(scene / "dets"),
+            "--set", "strides=8,16", "--set", "level_ranges=0:inf,inf:inf",
+        )
+        assert (code, out) == (2, "")
+        assert "contiguous and increasing" in err
+
     @pytest.mark.parametrize(
         "key, value",
         [

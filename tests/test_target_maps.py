@@ -57,7 +57,7 @@ def _scene_levels():
 
 
 class TestOwnership:
-    """The constructor copies a caller's arrays; maps built by obbkit adopt theirs."""
+    """Every map copies the arrays it is built from and makes them read-only."""
 
     def test_caller_arrays_are_copied(self):
         ref = target_maps([0, 2, 1], ltrb=np.full((3, 4), 3.0), wh=np.ones((3, 2)))
@@ -76,29 +76,3 @@ class TestOwnership:
                 assert not arr.flags.writeable, name
                 with pytest.raises(ValueError):
                     arr.reshape(-1)[0] = 1
-
-    def test_concatenate_hands_over_the_arrays_it_built(self, monkeypatch):
-        levels = _scene_levels()
-        built = []
-
-        def recording(*args, **kwargs):
-            built.append(concatenate(*args, **kwargs))
-            return built[-1]
-
-        concatenate = np.concatenate
-        monkeypatch.setattr(np, "concatenate", recording)
-        flat = TargetMaps.concatenate(levels)
-        monkeypatch.undo()
-        assert len(built) == len(FIELDS)
-        for name, arr in zip(FIELDS, built):
-            assert getattr(flat, name) is arr, name
-            assert arr.flags.owndata, name
-            assert np.array_equal(arr, np.concatenate([getattr(m, name) for m in levels]))
-
-    def test_adopting_checks_dtype_and_shape(self):
-        ref = target_maps([0, 1], ltrb=np.full((2, 4), 2.0))
-        arrays = [np.array(getattr(ref, name)) for name in FIELDS]
-        with pytest.raises(TypeError, match="class_id"):
-            TargetMaps._adopt(arrays[0].astype(np.int32), *arrays[1:])
-        with pytest.raises(ShapeMismatch, match="points"):
-            TargetMaps._adopt(*arrays[:6], np.zeros((3, 2)), arrays[7])

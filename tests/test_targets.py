@@ -77,6 +77,15 @@ class TestLevelRanges:
         with pytest.raises(ValueError):
             LevelRanges([(0, 64), (65, math.inf)])
 
+    @pytest.mark.parametrize("pairs", [
+        [(0, math.inf), (math.inf, math.inf)],
+        [(0, 64), (64, 64), (64, math.inf)],
+        [(0, 0), (0, math.inf)],
+    ])
+    def test_every_interval_must_be_nonempty(self, pairs):
+        with pytest.raises(ValueError, match="contiguous and increasing"):
+            LevelRanges(pairs)
+
 
 def _brute_force_best_object(specs, ranges, objects, radius_mult):
     """Independent per-location re-derivation of the assignment rule."""

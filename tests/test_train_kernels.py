@@ -1,22 +1,21 @@
 """The training path's kernels against their reference forms, bit for bit.
 
-`_sigmoid`, `_focal_sum` and `assign_targets` are written to do less dense
-work than the expression forms kept in helpers.py; every float they
-produce must be identical to the reference. A seeded two-level `fit_demo`
-run is pinned by the float.hex of every loss component at every step and
-by a hash of its final predictions. `fit_demo` keeps one class logit per
-label group and adds the focal term as count x value per group, exactly
-and rounded once. It is checked on drawn scenes against the dense
-(L, C + 7) fit it replaced (`fit_demo_dense_oracle`), whose class sum is
-the math.fsum of its per-entry values, and its class sum against the
-math.fsum of the dense kernel's branch buffer. The dense focal pass runs
-in row blocks of `losses._BLOCK_ENTRIES` entries; the same properties and
-pins are checked again with tiny blocks, so that every input spans many
-blocks and most end in a ragged one. `assign_targets` scatters each
-level's positives into background maps; it is checked against a build of
-every dense field (`dense_assign_oracle`). The fit-demo command fits
-from the positives alone, with no dense map; it is checked against the
-public `fit_demo` on the concatenated dense maps.
+`_sigmoid` and the focal kernel `_focal_branch` (summed by `_focal_sum`)
+are written with fewer temporaries than the expression forms kept in
+helpers.py, and `assign_targets` builds only the positives before it
+fills the background; every float they produce must be identical to the
+reference. A seeded two-level `fit_demo` run is pinned by the float.hex
+of every loss component at every step and by a hash of its final
+predictions. `fit_demo` keeps one class logit per label group and adds
+the focal term as count x value per group, exactly and rounded once. It
+is checked on drawn scenes against the dense (L, C + 7) fit it replaced
+(`fit_demo_dense_oracle`), whose class sum is the math.fsum of its
+per-entry values, and its class sum against the math.fsum of the focal
+kernel's branch values over the dense maps. `assign_targets` scatters
+each level's positives into background maps; it is checked against a
+build of every dense field (`dense_assign_oracle`). The fit-demo command
+fits from the positives alone, with no dense map; it is checked against
+the public `fit_demo` on the concatenated dense maps.
 """
 
 import hashlib
@@ -34,6 +33,7 @@ from obbkit.losses import (
     LossWeights,
     PredictionBatch,
     _fit_positives,
+    _focal_branch,
     _focal_sum,
     _sigmoid,
     fit_demo,
@@ -55,6 +55,7 @@ from helpers import (
     axis_box,
     dense_assign_oracle,
     fit_demo_dense_oracle,
+    focal_branch_oracle,
     focal_sum_oracle,
     rotated_rect,
     sigmoid_oracle,
@@ -112,8 +113,9 @@ class TestFocalSum:
         st.floats(0.0, 1.0),
         st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 4.0]), st.floats(0.0, 8.0)),
         st.sampled_from(["contiguous", "strided", "transposed"]),
+        st.sampled_from([1.0, 3.0, 31.0, 1e6]),
     )
-    def test_matches_expression_form(self, seed, rows, cols, alpha, beta, layout):
+    def test_matches_expression_form(self, seed, rows, cols, alpha, beta, layout, normalizer):
         rng = np.random.default_rng(seed)
         # scores strictly inside (0, 1), some pressed against either end
         # (fit_demo bounds its logits by 30)
@@ -126,10 +128,11 @@ class TestFocalSum:
         else:
             scores = np.ascontiguousarray(scores[:, :cols])
         pos = np.flatnonzero(rng.random(rows * cols) < rng.uniform(0.0, 0.5))
-        loss, grad = _focal_sum(scores, pos, alpha, beta)
-        ref_loss, ref_grad = focal_sum_oracle(scores, pos, alpha, beta)
+        loss, grad = _focal_sum(scores, pos, alpha, beta, normalizer)
+        ref_loss, _ = focal_sum_oracle(scores, pos, alpha, beta)
+        _, ref_grad = focal_branch_oracle(scores, pos, alpha, beta)
         assert loss.hex() == ref_loss.hex()
-        assert same_bits(grad, ref_grad)
+        assert same_bits(grad, ref_grad / normalizer)
 
     def test_no_positives(self):
         scores = sigmoid_oracle(np.linspace(-5.0, 5.0, 24).reshape(8, 3))
@@ -140,32 +143,13 @@ class TestFocalSum:
         assert same_bits(grad, ref_grad)
 
 
-@pytest.fixture(scope="class", params=[1, 10])
-def tiny_blocks(request):
-    """Row blocks of 1 or 10 entries for every test of the class."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(losses, "_BLOCK_ENTRIES", request.param)
-        yield request.param
-
-
-@pytest.mark.usefixtures("tiny_blocks")
-class TestSigmoidTinyBlocks(TestSigmoid):
-    pass
-
-
-@pytest.mark.usefixtures("tiny_blocks")
-class TestFocalSumTinyBlocks(TestFocalSum):
-    pass
-
-
 def test_full_size_class_pass_matches_oracles():
-    """The perfbench `train` shape, 21,824 locations x 15 classes, over default blocks."""
+    """The perfbench `train` shape, 21,824 locations x 15 classes."""
     rng = np.random.default_rng(15)
     logits = rng.uniform(-30.0, 30.0, (21824, 15))
     logits[rng.random(logits.shape) < 0.01] = 0.0
     scores = _sigmoid(logits)
     assert same_bits(scores, sigmoid_oracle(logits))
-    assert scores.size > 4 * losses._BLOCK_ENTRIES
     pos = np.flatnonzero(rng.random(scores.size) < 0.003)
     loss, grad = _focal_sum(scores, pos, 0.3, 4.0)
     ref_loss, ref_grad = focal_sum_oracle(scores, pos, 0.3, 4.0)
@@ -424,11 +408,6 @@ class TestPinnedFitDemo:
             fit_demo(pinned_scene(), LossWeights(), steps=steps, lr=lr, num_classes=3)
 
 
-@pytest.mark.usefixtures("tiny_blocks")
-class TestPinnedFitDemoTinyBlocks(TestPinnedFitDemo):
-    pass
-
-
 def other_scene(seed: int) -> TargetMaps:
     """Same grid as pinned_scene, other objects: equal-shaped class blocks."""
     rng = np.random.default_rng(seed)
@@ -498,9 +477,9 @@ def fit_scenes(draw):
     return targets, num_classes, steps, lr
 
 
-def counted(run, kernel=_focal_sum):
+def counted(run, kernel=_focal_branch):
     """run()'s result and how many loss evaluations it made (one focal pass
-    each); kernel stands in for _focal_sum during the run."""
+    each); kernel stands in for _focal_branch during the run."""
     calls = []
 
     def counting(*args, **kwargs):
@@ -508,12 +487,14 @@ def counted(run, kernel=_focal_sum):
         return kernel(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(losses, "_focal_sum", counting)
+        mp.setattr(losses, "_focal_branch", counting)
         result = run()
     return result, len(calls)
 
 
-def counted_fit(fit, targets, num_classes, steps, lr, weights=LossWeights(), kernel=_focal_sum):
+def counted_fit(
+    fit, targets, num_classes, steps, lr, weights=LossWeights(), kernel=_focal_branch
+):
     """fit's result and how many loss evaluations it made."""
     return counted(
         lambda: fit(targets, weights, steps=steps, lr=lr, num_classes=num_classes), kernel
@@ -525,10 +506,8 @@ def dense_class_sum(batch: PredictionBatch, targets: TargetMaps) -> float:
     (math.fsum) over the per-entry branch values of the dense kernel."""
     scores = batch.class_scores
     _, onehot = losses._label_positions(targets.class_id, scores.shape[1])
-    branch = np.empty(scores.shape)
     weights = LossWeights()
-    _focal_sum(scores, onehot, weights.focal_alpha, weights.focal_beta,
-               out=(branch, np.empty(scores.shape)))
+    branch, _ = _focal_branch(scores, onehot, weights.focal_alpha, weights.focal_beta)
     return -math.fsum(branch.ravel().tolist())
 
 
@@ -583,9 +562,9 @@ class TestGroupedFitDemo:
         # the only class, no entry has y = 0, so the first step moves
         # nothing and the fit is at its fixed point.
         def no_pull_on_positives(scores, pos, *args, **kwargs):
-            loss, grad = _focal_sum(scores, pos, *args, **kwargs)
+            branch, grad = _focal_branch(scores, pos, *args, **kwargs)
             grad.flat[pos] = 0.0
-            return loss, grad
+            return branch, grad
 
         targets = target_maps([1] * 3, ltrb=np.full((3, 4), 5.0), wh=np.full((3, 2), 2.0))
         weights = LossWeights(reg_weight=0.0, ori_weight=0.0)
