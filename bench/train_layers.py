@@ -13,6 +13,9 @@ Times, as medians over repeated runs on a seeded 1024 x 1024 scene of
   same class scores and positives;
 - ``fit_demo_step``: ``fit_demo`` with one step, that is the initial
   evaluation, the chain rule and the backtracking trials of one step;
+- ``fit_positives``: the fit ``obbkit fit-demo`` runs per image
+  (``losses._fit_positives``) on the scene's positives of all levels,
+  FIT_STEPS steps;
 - ``cli_fit_demo``: ``obbkit fit-demo --steps 8`` on the scene written
   as a DOTA annotation file, in-process;
 - ``cli_assign``: ``obbkit assign`` on the same file at the same image
@@ -26,8 +29,9 @@ or from ./src when it is not importable)::
 
 The script uses only what releases before the lean training path
 already had (``assign_targets``, ``TargetMaps.concatenate``,
-``total_loss``, ``_focal_sum(scores, pos, alpha, beta)``, ``fit_demo``
-and the ``fit-demo`` and ``assign`` commands), so one script gives
+``total_loss``, ``_focal_sum(scores, pos, alpha, beta)``, ``fit_demo``,
+``_fit_positives`` with ``targets._flat_positives`` and
+``cli._image_positives``, and the ``fit-demo`` and ``assign`` commands), so one script gives
 before and after numbers. BLAS is
 limited to one thread unless the environment sets otherwise. The JSON
 output records each case's runs, median and input size, and the minor
@@ -67,8 +71,10 @@ except ImportError:
 from obbkit import cli  # noqa: E402
 from obbkit.config import build_config  # noqa: E402
 from obbkit.dota import parse_dota_annotations  # noqa: E402
-from obbkit.losses import PredictionBatch, _focal_sum, fit_demo, total_loss  # noqa: E402
-from obbkit.targets import TargetMaps, assign_targets, grid_specs  # noqa: E402
+from obbkit.losses import (  # noqa: E402
+    PredictionBatch, _fit_positives, _focal_sum, fit_demo, total_loss,
+)
+from obbkit.targets import TargetMaps, _flat_positives, assign_targets, grid_specs  # noqa: E402
 
 IMAGE_SIZE = 1024
 OBJECTS = 100
@@ -140,6 +146,16 @@ def make_cases(root: Path):
     pos = np.flatnonzero(flat.class_id > 0)
     onehot = pos * num_classes + flat.class_id[pos] - 1
     num_pos = int(pos.size)
+    rows = np.arange(len(gt.class_id))
+    _, _, level_specs, levels = cli._image_positives(gt, rows, cfg, (IMAGE_SIZE, IMAGE_SIZE))
+    n, positives = _flat_positives(level_specs, levels)
+
+    def fit_positives():
+        return _fit_positives(
+            n, positives.class_id, (positives.centerness, positives.ltrb, positives.wh),
+            positives.points, cfg.weights, FIT_STEPS, 0.05, num_classes,
+        )
+
     scene = (f"{IMAGE_SIZE}x{IMAGE_SIZE}, {len(objects)} objects, {len(flat)} locations, "
              f"{num_pos} positives, {num_classes} classes")
     return {
@@ -149,6 +165,7 @@ def make_cases(root: Path):
                                                 cfg.weights.focal_alpha, cfg.weights.focal_beta)),
         "fit_demo_step": (scene, lambda: fit_demo(flat, cfg.weights, steps=1,
                                                   num_classes=num_classes)),
+        "fit_positives": (f"{scene}, {FIT_STEPS} steps", fit_positives),
         "cli_fit_demo": (f"{scene}, fit-demo --steps {FIT_STEPS}", lambda: run_cli(
             ["fit-demo", "--gt", str(gt_dir), "--image-size", f"{IMAGE_SIZE}x{IMAGE_SIZE}",
              "--steps", str(FIT_STEPS)])),

@@ -378,22 +378,21 @@ def _cmd_fit_demo(args) -> int:
             print("no positive locations" if rows.size else "no objects")
             continue
         trajectory, _, _, decoded, fused = fit
-        for step, breakdown in enumerate(trajectory):
-            if step % trace_every == 0 or step == len(trajectory) - 1:
-                print(
-                    f"step {step} total {_fmt(breakdown.total)} cls {_fmt(breakdown.cls_loss)} "
-                    f"reg {_fmt(breakdown.reg_loss)} ori {_fmt(breakdown.ori_loss)}"
-                )
+        last = len(trajectory) - 1
+        print("\n".join(
+            f"step {step} total {_fmt(b.total)} cls {_fmt(b.cls_loss)} reg {_fmt(b.reg_loss)} "
+            f"ori {_fmt(b.ori_loss)}"
+            for step, b in enumerate(trajectory) if step % trace_every == 0 or step == last
+        ))
         objs, picks = _best_positives(pos.object_index, fused)
         ious = polygon_iou_pairs(decoded[picks], gt.quads[rows[objs]])
-        best = dict(zip(objs.tolist(), zip(ious.tolist(), fused[picks].tolist())))
-        for j, class_id in enumerate(gt.class_id[rows].tolist()):
-            name = gt.classes.name_of(class_id)
-            if j not in best:
-                print(f"object {j} {name} unassigned")
-                continue
-            iou, score = best[j]
-            print(f"object {j} {name} iou {_fmt(iou)} score {_fmt(score)}")
+        results = ["unassigned"] * rows.size
+        for j, iou, score in zip(objs.tolist(), ious.tolist(), fused[picks].tolist()):
+            results[j] = f"iou {_fmt(iou)} score {_fmt(score)}"
+        print("\n".join(
+            f"object {j} {gt.classes.name_of(class_id)} {result}"
+            for j, (class_id, result) in enumerate(zip(gt.class_id[rows].tolist(), results))
+        ))
     return 0
 
 

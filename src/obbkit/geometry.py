@@ -549,8 +549,8 @@ def _band_pairs(
     PAIRS_PER_BAND partners in all, so a band expands at most
     max(PAIRS_PER_BAND, largest group) pairs. The ranges come from one
     exact-rank sweep over x (:func:`_sweep_ranges`); the earlier-row
-    filter runs before the HBB test, which gathers row and partner bounds
-    from their own tables.
+    filter runs before the HBB test, which gathers one row and one partner
+    bound column at a time, from their own tables.
     """
     bounds = _hbb_bounds(quads)
     if partners is None:
@@ -575,9 +575,12 @@ def _band_pairs(
         if partners is None:
             ok = partner < row
             row, partner = row[ok], partner[ok]
-        ok = _overlapping([v[row] for v in bounds], [v[partner] for v in other])
-        # rebound, so the unfiltered arrays are freed while the caller uses the band
-        row, partner = row[ok], partner[ok]
+        # _overlapping one column pair at a time (rebound, so earlier arrays are freed)
+        for lower, upper in ((0, 2), (1, 3)):
+            ok = bounds[lower][row] < other[upper][partner]
+            row, partner = row[ok], partner[ok]
+            ok = other[lower][partner] < bounds[upper][row]
+            row, partner = row[ok], partner[ok]
         yield top, bottom, row, partner
         top = bottom
 

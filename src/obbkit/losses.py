@@ -12,6 +12,10 @@ boxes the offsets span. Orientation regression combines a smooth-L1 on
 the (w, h) offsets with a (1 - IoU) term computed on the "inner" boxes
 [|l-w|, |t-h|, |r-w|, |b-h|], a cheap stand-in for the rotated overlap.
 The composite divides all three sums once by the clamped positive count.
+The positive terms are formed channel-major, one row per quantity over
+the P positives, by one kernel that scores the HBB and inner boxes in a
+single offset-IoU call; every value and sum matches a row-by-row
+evaluation bit for bit.
 
 Every operation returns (value, gradient with respect to predictions);
 :func:`grad_check` verifies any of them against central differences and
@@ -138,9 +142,11 @@ def _focal_branch(
     evaluated everywhere, then the positive branch overwrites pos.
     """
     scores = np.ascontiguousarray(scores)
-    om = np.subtract(1.0, scores)
-    log_om = np.log(om)
-    branch = np.power(scores, beta)  # s_beta until it is scaled below
+    # two allocations: 1 - s, its log and the branch values in one block, then the gradient
+    om, log_om, branch = np.empty((3, *scores.shape))
+    np.subtract(1.0, scores, out=om)
+    np.log(om, out=log_om)
+    np.power(scores, beta, out=branch)  # s_beta until it is scaled below
     # d/ds of -branch, in place:
     # grad = -alpha * (beta * s ** (beta - 1.0) * log_om - s_beta / om)
     grad = np.power(scores, beta - 1.0)
@@ -206,23 +212,28 @@ def bce(pred: float, target: float) -> tuple[float, float]:
         raise NonFiniteScore(f"prediction must lie strictly in (0, 1), got {pred}")
     if not (0.0 <= target <= 1.0):
         raise ValueError(f"target must lie in [0, 1], got {target}")
-    loss, grad = _bce_batch(np.float64(pred), np.float64(target))
+    loss, grad = _bce_batch(np.float64(pred), np.float64(target), 1.0 - np.float64(target))
     return float(loss), float(grad)
 
 
-def _bce_batch(pred: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _bce_batch(pred: np.ndarray, target: np.ndarray, target_c: np.ndarray) -> tuple:
+    """Elementwise binary cross entropy and its derivative; target_c is 1 - target."""
     _require_open_unit(pred)
-    vals = -(target * np.log(pred) + (1.0 - target) * np.log(1.0 - pred))
-    grads = (pred - target) / (pred * (1.0 - pred))
+    pred_c = 1.0 - pred
+    vals = -(target * np.log(pred) + target_c * np.log(pred_c))
+    grads = (pred - target) / (pred * pred_c)
     return vals, grads
 
 
 def _smooth_l1_batch(e: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise smooth-L1 of errors e and its derivative."""
-    small = np.abs(e) < delta
-    vals = np.where(small, 0.5 * e * e / delta, np.abs(e) - 0.5 * delta)
-    grad = np.where(small, e / delta, np.sign(e))
-    return vals, grad
+    """Elementwise smooth-L1 of errors e and its derivative; e / delta rounds
+    to at least 1 in size from delta on, so clipped it is sign(e) there.
+    delta = 0 is plain L1 and divides nothing."""
+    if not delta:
+        return np.abs(e), np.sign(e)
+    size = np.abs(e)
+    vals = np.where(size < delta, 0.5 * e * e / delta, size - 0.5 * delta)
+    return vals, np.clip(e / delta, -1.0, 1.0)
 
 
 def smooth_l1(pred, target, delta: float = 1.0) -> tuple[float, np.ndarray]:
@@ -235,81 +246,53 @@ def smooth_l1(pred, target, delta: float = 1.0) -> tuple[float, np.ndarray]:
     return float(vals.sum()), grad
 
 
-def _inner_diff(ltrb: np.ndarray, wh: np.ndarray) -> np.ndarray:
-    """ltrb - [w, h, w, h] (per row); the inner box is its absolute value."""
-    return ltrb - wh[..., [0, 1, 0, 1]]
+def _inner_signed(offsets: np.ndarray) -> np.ndarray:
+    """[l-w, t-h, r-w, b-h] (4, N) of (6, N) rows l t r b w h; the inner box is its abs."""
+    return (offsets[:4].reshape(2, 2, -1) - offsets[4:]).reshape(4, -1)
 
 
 def inner_box(ltrb, wh) -> np.ndarray:
     """Inner-box offsets [|l-w|, |t-h|, |r-w|, |b-h|]."""
-    ltrb, wh = np.asarray(ltrb, dtype=float).reshape(4), np.asarray(wh, dtype=float).reshape(2)
-    return np.abs(_inner_diff(ltrb, wh))
+    offsets = np.append(np.asarray(ltrb, dtype=float).reshape(4), np.asarray(wh, dtype=float))
+    return np.abs(_inner_signed(offsets.reshape(6, 1)))[:, 0]
 
 
-def _offset_iou(
-    pred: np.ndarray, target: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """IoU of boxes given as (L, 4) [l, t, r, b] offsets around shared points.
+def _offset_iou(pred: np.ndarray, target: np.ndarray, area_t: np.ndarray) -> tuple:
+    """IoU (N,) of boxes given as (4, N) rows of l, t, r, b offsets around
+    shared points, target areas area_t (N,), and d IoU / d pred (4, N).
 
     Both boxes contain their anchor point, so the overlap width/height are
-    min(l, l') + min(r, r') and min(t, t') + min(b, b'). Returns per-row
-    IoU and d IoU / d pred; ties in the mins take the gradient from the
-    prediction side.
-    """
-    wi = np.minimum(pred[:, 0], target[:, 0]) + np.minimum(pred[:, 2], target[:, 2])
-    hi = np.minimum(pred[:, 1], target[:, 1]) + np.minimum(pred[:, 3], target[:, 3])
-    inter = wi * hi
-    area_p = (pred[:, 0] + pred[:, 2]) * (pred[:, 1] + pred[:, 3])
-    area_t = (target[:, 0] + target[:, 2]) * (target[:, 1] + target[:, 3])
-    union = area_p + area_t - inter
-
-    active = (pred <= target).astype(float)  # pred coordinate drives the min
-    d_inter = active * np.stack([hi, wi, hi, wi], axis=1)
-    d_area = np.stack(
-        [
-            pred[:, 1] + pred[:, 3],
-            pred[:, 0] + pred[:, 2],
-            pred[:, 1] + pred[:, 3],
-            pred[:, 0] + pred[:, 2],
-        ],
-        axis=1,
-    )
-    safe = union > _UNION_TINY
-    u = np.where(safe, union, 1.0)
-    iou = np.where(safe, inter / u, 0.0)
-    d_union = d_area - d_inter
-    grad = np.where(
-        safe[:, None], (d_inter * u[:, None] - inter[:, None] * d_union) / (u * u)[:, None], 0.0
-    )
-    return iou, grad
+    min(l, l') + min(r, r') and min(t, t') + min(b, b'); ties in the mins
+    take the gradient from the prediction side."""
+    low = np.minimum(pred, target).reshape(2, 2, -1)
+    span = low[0] + low[1]  # overlap width, height
+    inter = span[0] * span[1]
+    sides = pred.reshape(2, 2, -1)
+    size = sides[0] + sides[1]  # predicted width, height
+    union = size[0] * size[1]
+    union += area_t
+    union -= inter
+    # the pred side drives the min: l and r scale with the height, t and b with the width
+    d_inter = np.multiply((pred <= target).reshape(low.shape), span[::-1], out=low)
+    d_union = np.subtract(size[::-1], d_inter)
+    unsafe = ~(union > _UNION_TINY)
+    union[unsafe] = 1.0
+    d_inter *= union
+    d_union *= inter
+    d_inter -= d_union
+    iou = inter / union
+    d_inter /= np.multiply(union, union, out=union)
+    iou[unsafe] = 0.0
+    d_inter[:, :, unsafe] = 0.0
+    return iou, d_inter.reshape(4, -1)
 
 
 def iou_hbb_loss(pred_ltrb, target_ltrb) -> tuple[float, np.ndarray]:
     """1 - IoU of the axis-aligned boxes two ltrb offset vectors span."""
-    p = np.asarray(pred_ltrb, dtype=float).reshape(1, 4)
-    t = np.asarray(target_ltrb, dtype=float).reshape(1, 4)
-    iou, grad = _offset_iou(p, t)
-    return float(1.0 - iou[0]), -grad[0]
-
-
-def _inner_iou(
-    p_ltrb: np.ndarray, p_wh: np.ndarray, t_ltrb: np.ndarray, t_wh: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-row IoU of inner boxes with d(1 - IoU)/d p_ltrb (N, 4) and /d p_wh (N, 2).
-
-    Absolute-value kinks contribute a zero subgradient (sign 0).
-    """
-    diff = _inner_diff(p_ltrb, p_wh)
-    iou, d_iou = _offset_iou(np.abs(diff), np.abs(_inner_diff(t_ltrb, t_wh)))
-    sign = np.sign(diff)
-    d_wh = np.stack(
-        [
-            d_iou[:, 0] * sign[:, 0] + d_iou[:, 2] * sign[:, 2],
-            d_iou[:, 1] * sign[:, 1] + d_iou[:, 3] * sign[:, 3],
-        ],
-        axis=1,
-    )
-    return iou, -d_iou * sign, d_wh
+    p = np.asarray(pred_ltrb, dtype=float).reshape(4, 1)
+    t = np.asarray(target_ltrb, dtype=float).reshape(4, 1)
+    iou, grad = _offset_iou(p, t, (t[0] + t[2]) * (t[1] + t[3]))
+    return float(1.0 - iou[0]), -grad[:, 0]
 
 
 def iou_obb_loss(pred, target) -> tuple[float, np.ndarray]:
@@ -319,10 +302,64 @@ def iou_obb_loss(pred, target) -> tuple[float, np.ndarray]:
     absolute-value kinks contribute a zero subgradient, degenerate inner
     boxes yield loss 1 with the gradient of the surviving smooth branch.
     """
-    p = np.asarray(pred, dtype=float).reshape(1, 6)
-    t = np.asarray(target, dtype=float).reshape(1, 6)
-    iou, d_ltrb, d_wh = _inner_iou(p[:, :4], p[:, 4:], t[:, :4], t[:, 4:])
-    return float(1.0 - iou[0]), np.concatenate([d_ltrb[0], d_wh[0]])
+    p = np.asarray(pred, dtype=float).reshape(6, 1)
+    t = np.abs(_inner_signed(np.asarray(target, dtype=float).reshape(6, 1)))
+    signed = _inner_signed(p)
+    iou, d_iou = _offset_iou(np.abs(signed), t, (t[0] + t[2]) * (t[1] + t[3]))
+    d_iou *= np.sign(signed)  # the zero subgradient at a kink: sign 0
+    return float(1.0 - iou[0]), np.concatenate([-d_iou, d_iou[:2] + d_iou[2:]])[:, 0]
+
+
+def _truth(centerness: np.ndarray, ltrb: np.ndarray, wh: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The target side of :func:`_positive_terms`, formed once: centerness (P,),
+    1 - centerness, offsets l t r b w h (6, P), the HBB and then the inner
+    boxes (4, 2P) and their areas (2P,), from centerness, ltrb (P, 4), wh (P, 2)."""
+    offsets = np.concatenate([ltrb.T, wh.T])
+    boxes = np.concatenate([offsets[:4], np.abs(_inner_signed(offsets))], axis=1)
+    area = (boxes[0] + boxes[2]) * (boxes[1] + boxes[3])
+    return centerness, 1.0 - centerness, offsets, boxes, area
+
+
+def _positive_terms(
+    centerness: np.ndarray, offsets: np.ndarray, truth: tuple, weights: LossWeights, norm: int
+) -> tuple[float, float, np.ndarray]:
+    """reg_sum, ori_sum and the composite's (7, P) gradient, divided by norm,
+    with respect to the predicted centerness (P,) and C-contiguous offsets
+    l t r b w h (6, P) of P positives whose :func:`_truth` is truth.
+
+    One offset-IoU call scores the HBB and the inner boxes side by side.
+    Entries and sums are those of a row-by-row evaluation: the smooth-L1
+    values are summed as row-major (P, 4) and (P, 2) copies."""
+    t_cent, t_cent_c, t_offsets, t_boxes, t_area = truth
+    p = centerness.size
+    grad = np.empty((7, p))
+    bce_vals, grad[0] = _bce_batch(centerness, t_cent, t_cent_c)
+    sl1, sl1_grad = _smooth_l1_batch(offsets - t_offsets, weights.smooth_l1_delta)
+    sl1_ltrb, sl1_wh = sl1[:4].T.copy().sum(), sl1[4:].T.copy().sum()
+    ltrb, wh = grad[1:5], grad[5:]
+    np.multiply(weights.reg_l1_weight, sl1_grad[:4], out=ltrb)
+    np.multiply(weights.ori_l1_weight, sl1_grad[4:], out=wh)
+
+    boxes = np.empty((4, 2 * p))
+    boxes[:, :p] = offsets[:4]
+    signed = _inner_signed(offsets)
+    np.abs(signed, out=boxes[:, p:])
+    iou, d_iou = _offset_iou(boxes, t_boxes, t_area)
+    iou_c = np.subtract(1.0, iou, out=iou)
+    reg_sum = float(bce_vals.sum() + weights.reg_l1_weight * sl1_ltrb + iou_c[:p].sum())
+    ori_sum = float(weights.ori_l1_weight * sl1_wh + iou_c[p:].sum())
+
+    # d(1 - IoU) of the inner boxes: -d_inner * sign, a zero subgradient at a kink
+    ltrb -= d_iou[:, :p]
+    grad[:5] *= weights.reg_weight
+    d_inner = d_iou[:, p:]
+    d_inner *= np.sign(signed)
+    wh += d_inner[:2] + d_inner[2:]
+    wh *= weights.ori_weight
+    d_inner *= weights.ori_weight
+    ltrb -= d_inner
+    grad /= norm
+    return reg_sum, ori_sum, grad
 
 
 @dataclass
@@ -352,37 +389,6 @@ def _label_positions(class_id: np.ndarray, num_classes: int) -> tuple[np.ndarray
     return pos, pos * num_classes + class_id[pos] - 1
 
 
-def _positive_terms(
-    centerness: np.ndarray,
-    ltrb: np.ndarray,
-    wh: np.ndarray,
-    truth: tuple[np.ndarray, np.ndarray, np.ndarray],
-    weights: LossWeights,
-    norm: int,
-) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray]:
-    """reg_sum, ori_sum and the composite's gradients (divided by norm) with
-    respect to the predicted centerness (P,), ltrb (P, 4) and wh (P, 2)
-    of P positive rows; truth holds the rows' target centerness, ltrb, wh."""
-    t_centerness, t_ltrb, t_wh = truth
-    bce_vals, bce_grads = _bce_batch(centerness, t_centerness)
-    sl1_b, sl1_b_grad = _smooth_l1_batch(ltrb - t_ltrb, weights.smooth_l1_delta)
-    iou_h, d_iou_h = _offset_iou(ltrb, t_ltrb)
-    reg_sum = float(bce_vals.sum() + weights.reg_l1_weight * sl1_b.sum() + (1.0 - iou_h).sum())
-
-    sl1_o, sl1_o_grad = _smooth_l1_batch(wh - t_wh, weights.smooth_l1_delta)
-    iou_o, d_ori_ltrb, d_ori_wh = _inner_iou(ltrb, wh, t_ltrb, t_wh)
-    ori_sum = float(weights.ori_l1_weight * sl1_o.sum() + (1.0 - iou_o).sum())
-
-    d_reg_ltrb = weights.reg_l1_weight * sl1_b_grad - d_iou_h
-    return (
-        reg_sum,
-        ori_sum,
-        weights.reg_weight * bce_grads / norm,
-        (weights.reg_weight * d_reg_ltrb + weights.ori_weight * d_ori_ltrb) / norm,
-        weights.ori_weight * (weights.ori_l1_weight * sl1_o_grad + d_ori_wh) / norm,
-    )
-
-
 def total_loss(
     preds: PredictionBatch, targets: TargetMaps, weights: LossWeights
 ) -> TotalLossResult:
@@ -409,10 +415,12 @@ def total_loss(
     wh_grad = np.zeros((n, 2))
     reg_sum = ori_sum = 0.0
     if num_pos:
-        truth = (targets.centerness[pos], targets.ltrb[pos], targets.wh[pos])
-        reg_sum, ori_sum, centerness_grad[pos], ltrb_grad[pos], wh_grad[pos] = _positive_terms(
-            preds.centerness[pos], preds.ltrb[pos], preds.wh[pos], truth, weights, norm
+        truth = _truth(targets.centerness[pos], targets.ltrb[pos], targets.wh[pos])
+        offsets = np.concatenate([preds.ltrb[pos].T, preds.wh[pos].T])
+        reg_sum, ori_sum, grad = _positive_terms(
+            preds.centerness[pos], offsets, truth, weights, norm
         )
+        centerness_grad[pos], ltrb_grad[pos], wh_grad[pos] = grad[0], grad[1:5].T, grad[5:].T
     breakdown = LossBreakdown.of(cls_sum, reg_sum, ori_sum, num_pos, weights)
     return TotalLossResult(breakdown, cls_grad, centerness_grad, ltrb_grad, wh_grad)
 
@@ -566,28 +574,30 @@ def _fit_positives(
         raise ValueError("fit_demo needs at least one positive target")
     # entries per label group: y = 0, y = 1
     counts = (n * num_classes - norm, norm)
-    # the group logits that have entries: both, or only y = 1
-    live = slice(0 if counts[0] else 1, 2)
+    # the parameters with entries: both group logits (or only y = 1's) and the positives'
+    live = slice(0 if counts[0] else 1, None)
+    truth, y1 = _truth(*truth), np.array([1])  # y1: the flat index of the y = 1 group
 
-    def evaluate(logits: np.ndarray, reg: np.ndarray):
-        """Loss breakdown, parameter gradients and predictions at one point."""
+    def evaluate(params: np.ndarray):
+        """Loss breakdown, parameter gradient and predictions at one point."""
+        logits, reg = params[:2], params[2:].reshape(7, norm)
         scores = _sigmoid(logits)
-        branch, score_grad = _focal_branch(
-            scores, np.array([1]), weights.focal_alpha, weights.focal_beta, norm
-        )
-        cent, ltrb, wh = preds = (_sigmoid(reg[:, 0]), np.exp(reg[:, 1:5]), np.exp(reg[:, 5:]))
-        reg_sum, ori_sum, cent_grad, ltrb_grad, wh_grad = _positive_terms(
-            *preds, truth, weights, norm
-        )
+        branch, score_grad = _focal_branch(scores, y1, weights.focal_alpha, weights.focal_beta, norm)
+        cent, offsets = _sigmoid(reg[0]), np.exp(reg[1:])
+        reg_sum, ori_sum, reg_grad = _positive_terms(cent, offsets, truth, weights, norm)
         # chain rule through the sigmoid / exp parameterizations
-        grads = (score_grad * scores * (1.0 - scores), np.concatenate(
-            [(cent_grad * cent * (1.0 - cent))[:, None], ltrb_grad * ltrb, wh_grad * wh], axis=1))
+        grad = np.empty_like(params)
+        grad[:2] = score_grad * scores * (1.0 - scores)
+        chained = grad[2:].reshape(7, norm)
+        np.multiply(reg_grad[0], cent, out=chained[0])
+        chained[0] *= 1.0 - cent
+        np.multiply(reg_grad[1:], offsets, out=chained[1:])
         breakdown = LossBreakdown.of(-_count_sum(counts, branch), reg_sum, ori_sum, norm, weights)
-        return breakdown, grads, (scores, preds)
+        return breakdown, grad, (scores, (cent, offsets))
 
-    # y = 0 and y = 1 group logits; positives' centerness logit, log ltrb, log wh
-    params = (np.zeros(2), np.zeros((norm, 7)))
-    breakdown, grads, preds = evaluate(*params)
+    # y = 0 and y = 1 group logits; positives' centerness logit, log l t r b w h (7, P)
+    params = np.zeros(2 + 7 * norm)
+    breakdown, grad, preds = evaluate(params)
     if not math.isfinite(breakdown.total):
         raise Diverged("loss non-finite at initialization")
     trajectory: list[LossBreakdown] = [breakdown]
@@ -598,16 +608,12 @@ def _fit_positives(
             trial = min(step_size * 2.0, 1e4)
             accepted = False
             for _try in range(60):
-                cand = tuple(
-                    np.clip(p - g * trial, -_RAW_BOUND, _RAW_BOUND) for p, g in zip(params, grads)
-                )
-                result = evaluate(*cand)
+                cand = params - grad * trial
+                np.clip(cand, -_RAW_BOUND, _RAW_BOUND, out=cand)
+                result = evaluate(cand)
                 if math.isfinite(result[0].total) and result[0].total <= breakdown.total:
-                    accepted = not (
-                        np.array_equal(cand[0][live], params[0][live])
-                        and np.array_equal(cand[1], params[1])
-                    )
-                    params, (breakdown, grads, preds) = cand, result
+                    accepted = not np.array_equal(cand[live], params[live])
+                    params, (breakdown, grad, preds) = cand, result
                     step_size = trial
                     break
                 trial *= 0.5
@@ -616,6 +622,7 @@ def _fit_positives(
             frozen = not accepted
         trajectory.append(breakdown)
 
-    scores, (cent, ltrb, wh) = preds
+    scores, (cent, offsets) = preds
+    ltrb, wh = offsets[:4].T, offsets[4:].T
     decoded = quads_from_offsets(points, ltrb, wh)
     return trajectory, scores, (cent, ltrb, wh), decoded, scores[1] * cent

@@ -171,56 +171,63 @@ def centerness(ltrb: Sequence[float]) -> float:
 
 
 def _grid_coords(spec: FeatureGridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Image x of each grid column and image y of each grid row: floor(s/2) + index * s."""
-    half = spec.stride // 2
-    return half + np.arange(spec.width) * spec.stride, half + np.arange(spec.height) * spec.stride
+    """Image x of grid columns and y of rows, floor(s/2) + index * s, as parts of one array."""
+    coords = spec.stride // 2 + spec.stride * np.arange(max(spec.width, spec.height), dtype=float)
+    return coords[: spec.width], coords[: spec.height]
 
 
 def _claim(
-    px: np.ndarray, py: np.ndarray, hbb: np.ndarray, radius: float, lo: float, hi: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row-major indices of the claimed grid locations, ascending, and the
-    index of the object each is assigned to.
+    px: np.ndarray, py: np.ndarray, objects: tuple, radius: float, lo: float, hi: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Row-major indices of the claimed grid locations, ascending, the index
+    of the object each is assigned to, and each location's (4, P) offsets
+    l, t, r, b to that object's HBB and (2, P) image point.
 
-    px (W,) and py (H,) are the grid's image coordinates, hbb (K, 4) the
-    objects' [xmin, ymin, xmax, ymax]. A location is a candidate for an
-    object when it is strictly inside the HBB, within radius of its center
-    on both axes, and its largest offset lies in (lo, hi]; the candidate
-    with the smallest HBB area wins, the first object on exact ties. An
-    object whose area overflows to inf never wins.
+    px (W,) and py (H,) are :func:`_grid_coords`; objects holds the HBB
+    rows xmin ymin xmax ymax cx cy (6, K) of the objects that can win, by
+    area, the first on ties, their search rows (8, K) and their indices
+    (:func:`_assign_positives`). A location is a candidate for an object
+    when it is strictly inside the HBB, within radius of its center on
+    both axes, and its largest offset lies in (lo, hi]; the candidate with
+    the smallest HBB area wins, the first object on exact ties.
     """
-    xmin, ymin, xmax, ymax = hbb.T
+    bounds, queries, index = objects
+    coords = px if px.size >= py.size else py
     # each object's window of grid columns and rows: strictly inside the
     # HBB, and within the radius plus one pixel of slack, so rounding in
-    # the window bounds cannot drop a location that passes the exact test
+    # the window bounds cannot drop a location that passes the exact test.
+    # One search finds every bound: the first coordinate at or past v is
+    # the first one past the float just below v.
     reach = radius + 1.0
-    with np.errstate(over="ignore"):  # huge boxes overflow to inf, as in float arithmetic
-        cx, cy = (xmin + xmax) / 2.0, (ymin + ymax) / 2.0
-        area = (xmax - xmin) * (ymax - ymin)
-        c0 = np.maximum(np.searchsorted(px, xmin, "right"), np.searchsorted(px, cx - reach))
-        c1 = np.minimum(np.searchsorted(px, xmax), np.searchsorted(px, cx + reach, "right"))
-        r0 = np.maximum(np.searchsorted(py, ymin, "right"), np.searchsorted(py, cy - reach))
-        r1 = np.minimum(np.searchsorted(py, ymax), np.searchsorted(py, cy + reach, "right"))
-    ncols = np.maximum(c1 - c0, 0)
-    count = ncols * np.maximum(r1 - r0, 0)
-    k = np.repeat(np.arange(len(hbb)), count)
-    within = np.arange(k.size) - np.repeat(np.cumsum(count) - count, count)
-    row = r0[k] + within // ncols[k]
-    col = c0[k] + within % ncols[k]
+    with np.errstate(over="ignore"):
+        queries = queries + np.array([[0.0], [0.0], [-reach], [-reach], [reach], [reach], [0], [0]])
+    np.nextafter(queries[2:4], -np.inf, out=queries[2:4])
+    found = coords.searchsorted(queries, "right")
+    start = np.maximum(found[:2], found[2:4])  # first column, first row
+    end = np.minimum(np.minimum(found[4:6], found[6:]), [[px.size], [py.size]])
+    span = np.maximum(end - start, 0)
+    count = span[0] * span[1]
+    j = np.repeat(np.arange(index.size), count)
+    down, across = np.divmod(np.arange(j.size) - np.repeat(np.cumsum(count) - count, count),
+                             span[0, j])
+    grid = start.take(j, axis=1)  # column, row
+    grid[0] += across
+    grid[1] += down
 
-    wx, wy = px[col], py[row]
-    near = (np.abs(wx - cx[k]) <= radius) & (np.abs(wy - cy[k]) <= radius)
-    max_off = np.maximum(
-        np.maximum(wx - xmin[k], xmax[k] - wx), np.maximum(wy - ymin[k], ymax[k] - wy)
-    )
-    keep = near & (max_off > lo) & (max_off <= hi) & (area[k] < np.inf)
-    loc, k = row[keep] * px.size + col[keep], k[keep]
-    # per location: smallest area first, then the lowest object index
-    order = np.lexsort((k, area[k], loc))
-    loc, k = loc[order], k[order]
+    point, box = coords[grid], bounds.take(j, axis=1)
+    offsets = np.concatenate([point - box[:2], box[2:4] - point])
+    near = np.abs(point - box[4:]) <= radius
+    max_off = offsets.max(axis=0)
+    keep = np.flatnonzero(near[0] & near[1] & (max_off > lo) & (max_off <= hi))
+    # candidates run by ascending area, then object: a stable sort by
+    # location puts each location's winner first
+    loc = grid[1, keep] * px.size + grid[0, keep]
+    order = np.argsort(loc, kind="stable")
+    loc, keep = loc[order], keep[order]
     first = np.ones(loc.size, dtype=bool)
     first[1:] = loc[1:] != loc[:-1]
-    return loc[first], k[first]
+    keep = keep[first]
+    return loc[first], index[j[keep]], offsets[:, keep], point[:, keep]
 
 
 class _Positives(NamedTuple):
@@ -257,16 +264,23 @@ def _assign_positives(
         raise ValueError("non-finite orientation offsets")
     obj_class = np.asarray(class_id, dtype=int)
     obj_difficult = np.asarray(difficult, dtype=bool)
+    # the objects that can win a location (an area that overflows to inf never wins) for _claim
+    xmin, ymin, xmax, ymax = obj_hbb.T
+    with np.errstate(over="ignore"):  # huge boxes overflow to inf, as in float arithmetic
+        area = (xmax - xmin) * (ymax - ymin)
+        bounds = np.stack([xmin, ymin, xmax, ymax, (xmin + xmax) / 2.0, (ymin + ymax) / 2.0])
+    index = np.argsort(area, kind="stable")
+    index = index[area[index] < np.inf]
+    bounds = bounds.take(index, axis=1)
+    # search rows: xmin ymin, the centers twice, and the floats just below xmax and ymax
+    below = np.nextafter(bounds[2:4], -np.inf)
+    objects = bounds, np.concatenate([bounds[:2], bounds[4:], bounds[4:], below]), index
     out: list[_Positives] = []
     for spec, (lo, hi) in zip(specs, ranges.pairs):
-        px, py = _grid_coords(spec)
-        loc, k = _claim(px, py, obj_hbb, center_radius_mult * spec.stride, lo, hi)
-        y_s, x_s = np.divmod(loc, spec.width)
-        points = np.stack([px[x_s], py[y_s]], axis=1).astype(float)
-        box = obj_hbb[k]
-        ltrb = np.hstack([points - box[:, :2], box[:, 2:] - points])
-        out.append(_Positives(loc, obj_class[k], ltrb, obj_wh[k], _centerness(*ltrb.T),
-                              obj_difficult[k], k, points))
+        radius = center_radius_mult * spec.stride
+        loc, k, ltrb, points = _claim(*_grid_coords(spec), objects, radius, lo, hi)
+        out.append(_Positives(loc, obj_class[k], ltrb.T, obj_wh[k], _centerness(*ltrb),
+                              obj_difficult[k], k, points.T))
     return out
 
 
@@ -288,7 +302,7 @@ def _dense(spec: FeatureGridSpec, positives: _Positives) -> TargetMaps:
     background rows (class 0, object -1, zero regression values)."""
     px, py = _grid_coords(spec)
     y_s, x_s = np.divmod(np.arange(spec.width * spec.height), spec.width)
-    fields = dict(points=np.stack([px[x_s], py[y_s]], axis=1).astype(float),
+    fields = dict(points=np.stack([px[x_s], py[y_s]], axis=1),
                   grid=np.stack([x_s, y_s], axis=1))
     for name in ("class_id", "ltrb", "wh", "centerness", "difficult", "object_index"):
         dtype, tail = _MAP_LAYOUT[name]

@@ -812,3 +812,65 @@ def fit_demo_dense_oracle(
     decoded = quads_from_offsets(targets.points[pos], batch.ltrb[pos], batch.wh[pos])
     fused = (batch.class_scores[pos, targets.class_id[pos] - 1] * batch.centerness[pos]).tolist()
     return FitDemoResult(trajectory, pos.tolist(), decoded, fused, batch)
+
+
+def _offset_iou_oracle(pred, target):
+    """Per-row IoU of (L, 4) [l, t, r, b] offset boxes and d IoU / d pred,
+    row-major; ties in the mins take the gradient from the prediction side."""
+    wi = np.minimum(pred[:, 0], target[:, 0]) + np.minimum(pred[:, 2], target[:, 2])
+    hi = np.minimum(pred[:, 1], target[:, 1]) + np.minimum(pred[:, 3], target[:, 3])
+    inter = wi * hi
+    area_p = (pred[:, 0] + pred[:, 2]) * (pred[:, 1] + pred[:, 3])
+    area_t = (target[:, 0] + target[:, 2]) * (target[:, 1] + target[:, 3])
+    union = area_p + area_t - inter
+    active = (pred <= target).astype(float)
+    d_inter = active * np.stack([hi, wi, hi, wi], axis=1)
+    d_area = np.stack([pred[:, 1] + pred[:, 3], pred[:, 0] + pred[:, 2],
+                       pred[:, 1] + pred[:, 3], pred[:, 0] + pred[:, 2]], axis=1)
+    safe = union > 1e-12
+    u = np.where(safe, union, 1.0)
+    iou = np.where(safe, inter / u, 0.0)
+    d_union = d_area - d_inter
+    grad = np.where(
+        safe[:, None], (d_inter * u[:, None] - inter[:, None] * d_union) / (u * u)[:, None], 0.0
+    )
+    return iou, grad
+
+
+def positive_terms_oracle(centerness, ltrb, wh, truth, weights, norm):
+    """The positive terms of the composite loss row by row: reg_sum, ori_sum
+    and the gradients (divided by norm) with respect to centerness (P,),
+    ltrb (P, 4) and wh (P, 2); truth is the target centerness, ltrb, wh."""
+    t_centerness, t_ltrb, t_wh = truth
+    delta = weights.smooth_l1_delta
+
+    def smooth_l1(e):
+        small = np.abs(e) < delta
+        with np.errstate(divide="ignore", invalid="ignore"):  # delta = 0 selects no quotient
+            return (np.where(small, 0.5 * e * e / delta, np.abs(e) - 0.5 * delta),
+                    np.where(small, e / delta, np.sign(e)))
+
+    bce_vals = -(t_centerness * np.log(centerness)
+                 + (1.0 - t_centerness) * np.log(1.0 - centerness))
+    bce_grads = (centerness - t_centerness) / (centerness * (1.0 - centerness))
+    sl1_b, sl1_b_grad = smooth_l1(ltrb - t_ltrb)
+    iou_h, d_iou_h = _offset_iou_oracle(ltrb, t_ltrb)
+    reg_sum = float(bce_vals.sum() + weights.reg_l1_weight * sl1_b.sum() + (1.0 - iou_h).sum())
+
+    sl1_o, sl1_o_grad = smooth_l1(wh - t_wh)
+    diff = ltrb - wh[:, [0, 1, 0, 1]]
+    iou_o, d_iou = _offset_iou_oracle(np.abs(diff), np.abs(t_ltrb - t_wh[:, [0, 1, 0, 1]]))
+    sign = np.sign(diff)
+    d_ori_wh = np.stack([d_iou[:, 0] * sign[:, 0] + d_iou[:, 2] * sign[:, 2],
+                         d_iou[:, 1] * sign[:, 1] + d_iou[:, 3] * sign[:, 3]], axis=1)
+    d_ori_ltrb = -d_iou * sign
+    ori_sum = float(weights.ori_l1_weight * sl1_o.sum() + (1.0 - iou_o).sum())
+
+    d_reg_ltrb = weights.reg_l1_weight * sl1_b_grad - d_iou_h
+    return (
+        reg_sum,
+        ori_sum,
+        weights.reg_weight * bce_grads / norm,
+        (weights.reg_weight * d_reg_ltrb + weights.ori_weight * d_ori_ltrb) / norm,
+        weights.ori_weight * (weights.ori_l1_weight * sl1_o_grad + d_ori_wh) / norm,
+    )

@@ -28,8 +28,8 @@ ROOT = Path(__file__).resolve().parents[1]
         ),
         (
             "train_layers.py",
-            ["assign_targets", "total_loss", "focal_sum", "fit_demo_step", "cli_fit_demo",
-             "cli_assign"],
+            ["assign_targets", "total_loss", "focal_sum", "fit_demo_step", "fit_positives",
+             "cli_fit_demo", "cli_assign"],
         ),
     ],
 )

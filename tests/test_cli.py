@@ -573,6 +573,25 @@ class TestEvalCommand:
 
 
 class TestFitDemoCommand:
+    def test_plain_l1_prints_no_warning(self, tmp_path):
+        # smooth_l1_delta = 0 is plain L1: nothing is divided by it
+        gt = tmp_path / "gt"
+        gt.mkdir()
+        gt.joinpath("scene.txt").write_text(
+            "28.251289 58.990381 43.251289 33.009619 91.748711 61.009619 "
+            "76.748711 86.990381 plane 0\n"
+        )
+        argv = ["fit-demo", "--gt", str(gt), "--steps", "8", "--set", "strides=8,16",
+                "--set", "level_ranges=0:64,64:inf"]
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "obbkit.cli", *argv, "--set", "smooth_l1_delta=0"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0
+        assert done.stderr == ""
+        assert done.stdout.startswith("# image scene\nstep 0 total ")
+
     def test_three_object_scene_converges(self, tmp_path, capsys):
         gt = tmp_path / "gt"
         gt.mkdir()
