@@ -6,15 +6,18 @@ beside it with ``git worktree add ../obbkit-base REV``. Every pair runs
 ``perfbench/run.py --trace 0`` once in each tree, back to back, on the
 same seed; the side that runs first swaps from one pair to the next, so
 that a slow drift of the host falls on both sides alike. The runner
-prints every pair, how many pairs the head wins on each end-to-end
-metric (the direction comes from the head's ``BENCHMARK.json``), each
-side's median and quartiles, and the median of the per-pair head/base
-ratios, and whether the head's median is worse than the base's by more
-than the metric's relative ``bound`` in ``BENCHMARK.json``. A run that
-fails, or whose outputs fail perfbench's checks, stops the runner with
-exit 1. Runs see the caller's environment without
-``PYTHONDONTWRITEBYTECODE``, so both trees keep their compiled bytecode
-and ``setup_s`` does not time a recompile on every run.
+prints every pair and, per end-to-end metric (the direction comes from
+the head's ``BENCHMARK.json``), how many pairs the head wins, each side's
+median and (inclusive) quartiles, the median of the per-pair head/base
+ratios, whether the head's median is worse than the base's by more than
+the metric's relative ``bound``, and two verdicts: ``gain_shown`` when
+the head wins at least 9 in 10 pairs (a tie is no win) and the medians
+differ by more than the base's quartile spread, ``unresolved`` when the
+base's quartile spread over its median is wider than the bound and not
+every head run beats every base run. A run that fails, or whose outputs
+fail perfbench's checks, stops the runner with exit 1. Runs see the
+caller's environment without ``PYTHONDONTWRITEBYTECODE``, so both trees
+keep their compiled bytecode and ``setup_s`` times no recompile.
 
 Usage::
 
@@ -69,7 +72,8 @@ def end_to_end(tree: Path) -> dict[str, dict]:
 
 
 def spread(values: list[float]) -> dict[str, float]:
-    q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                      if len(values) > 1 else values * 3)
     return {"median": median, "q1": q1, "q3": q3}
 
 
@@ -80,17 +84,22 @@ def summarize(pairs: list[dict], metrics: dict[str, dict]) -> dict[str, dict]:
         head = [p["head"][name] for p in pairs]
         sign = 1.0 if metric["better"] == "higher" else -1.0
         base_spread, head_spread = spread(base), spread(head)
-        # the head median's relative loss against the base median, > 0 when worse
-        loss = sign * (base_spread["median"] - head_spread["median"]) / base_spread["median"]
+        # the head median's gain over the base median, > 0 when better
+        gain = sign * (head_spread["median"] - base_spread["median"])
+        base_iqr = base_spread["q3"] - base_spread["q1"]
+        wins = sum(sign * (h - b) > 0 for b, h in zip(base, head))
+        separated = min(sign * h for h in head) > max(sign * b for b in base)
         summary[name] = {
             "better": metric["better"],
-            "head_wins": sum(sign * (h - b) > 0 for b, h in zip(base, head)),
+            "head_wins": wins,
             "pairs": len(pairs),
             "base": base_spread,
             "head": head_spread,
             "median_ratio": statistics.median(h / b for b, h in zip(base, head)),
             "bound": metric["bound"],
-            "worse_beyond_bound": loss > metric["bound"],
+            "worse_beyond_bound": -gain / base_spread["median"] > metric["bound"],
+            "unresolved": base_iqr / base_spread["median"] > metric["bound"] and not separated,
+            "gain_shown": 10 * wins >= 9 * len(pairs) and gain > base_iqr,
         }
     return summary
 
@@ -122,13 +131,15 @@ def main(argv=None) -> int:
             flush=True)
 
     summary = summarize(pairs, metrics)
+    yes_no = {True: "yes", False: "no"}
     for name, s in summary.items():
         print(f"{name} ({s['better']} is better): head wins {s['head_wins']} of {s['pairs']}; "
               f"base median {s['base']['median']:.4g} [q1 {s['base']['q1']:.4g}, "
               f"q3 {s['base']['q3']:.4g}]; head median {s['head']['median']:.4g} "
               f"[q1 {s['head']['q1']:.4g}, q3 {s['head']['q3']:.4g}]; "
-              f"median head/base {s['median_ratio']:.4g}; head median worse than base "
-              f"beyond bound {s['bound']:g}: {'yes' if s['worse_beyond_bound'] else 'no'}")
+              f"median head/base {s['median_ratio']:.4g}; gain shown: {yes_no[s['gain_shown']]}; "
+              f"unresolved: {yes_no[s['unresolved']]}; head median worse than base "
+              f"beyond bound {s['bound']:g}: {yes_no[s['worse_beyond_bound']]}")
     report = {"workload": args.workload, "seconds": args.seconds,
               "trees": {side: str(path) for side, path in trees.items()},
               "pairs": pairs, "summary": summary}

@@ -30,55 +30,24 @@ image and class, written as DOTA text files):
   random angles) all lie within 3 px of one centre, so every detection's
   horizontal box overlaps every object's.
 
-Usage, from the root of a checkout (obbkit is imported from PYTHONPATH,
-or from ./src when it is not importable)::
+Usage, from the root of a checkout (``bench/harness.py`` describes the
+record of each case and the JSON output)::
 
     python3 bench/dota_layers.py [--repeats 7] [--cases a,b] [--out BENCH_dota.json]
-
-BLAS is limited to one thread unless the environment sets otherwise. The
-untimed warm-up run of each case runs under tracemalloc, whose peak (the
-most memory Python and numpy held at once above the case's start) is
-reported as peak_mb. The JSON output records each case's runs, median,
-peak_mb and input size, plus the Python and numpy versions, the machine,
-and the BLAS thread setting.
 """
 
 from __future__ import annotations
 
-import argparse
-import contextlib
-import io
-import json
 import math
-import os
-import platform
-import statistics
-import sys
-import tempfile
-import time
-import tracemalloc
 from pathlib import Path
 
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-for _var in BLAS_THREAD_VARS:
-    os.environ.setdefault(_var, "1")
+import harness  # before numpy: it sets the BLAS threads and finds obbkit
+import numpy as np
 
-import numpy as np  # noqa: E402  (after the BLAS thread setting)
-
-try:
-    import obbkit
-except ImportError:
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-    import obbkit
-
-from obbkit import cli, geometry, inference  # noqa: E402
-from obbkit.dota import (  # noqa: E402
-    parse_dota_annotations,
-    parse_dota_detections,
-    write_dota_detections,
-)
-from obbkit.evaluation import ClassTable, GtIndex, evaluate  # noqa: E402
-from obbkit.inference import DetectionSet, nms_per_image  # noqa: E402
+from obbkit import geometry, inference
+from obbkit.dota import parse_dota_annotations, parse_dota_detections, write_dota_detections
+from obbkit.evaluation import ClassTable, GtIndex, evaluate
+from obbkit.inference import DetectionSet, nms_per_image
 
 IMAGES = 4
 OBJECTS = 250
@@ -236,15 +205,8 @@ def nms_sweep_pairs(dets) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(a), np.concatenate(b)
 
 
-def run_cli(argv) -> None:
-    with contextlib.redirect_stdout(io.StringIO()):
-        if cli.main(argv) != 0:
-            raise RuntimeError(f"obbkit {' '.join(argv)} failed")
-
-
 def make_cases(root: Path):
-    """name -> (input description, (count, unit) to report per item or None,
-    zero-argument callable)."""
+    """The case table of ``harness.main``, on scenes written under root."""
     n = write_scene(root)
     vertices = scene_vertices(root)
     dets, classes = parse_dota_detections(root / "raw")
@@ -268,9 +230,10 @@ def make_cases(root: Path):
     cases["write"] = ("kept detections", None,
                       lambda: write_dota_detections(kept, classes, root / "written"))
     cases["cli_nms_eval"] = (scene, None, lambda: (
-        run_cli(["nms", "--dets", str(root / "raw"), "--iou", "0.5", "--out", str(root / "kept")]),
-        run_cli(["eval", "--gt", str(root / "gt"), "--dets", str(root / "kept"),
-                 "--json", str(root / "report.json")]),
+        harness.run_cli(["nms", "--dets", str(root / "raw"), "--iou", "0.5",
+                         "--out", str(root / "kept")]),
+        harness.run_cli(["eval", "--gt", str(root / "gt"), "--dets", str(root / "kept"),
+                         "--json", str(root / "report.json")]),
     ))
     cases["match_crowded"] = (
         f"1 image, {len(crowded_dets)} detections vs {len(crowded_gt.image)} ground truth, "
@@ -288,55 +251,5 @@ def make_cases(root: Path):
     return cases
 
 
-def environment():
-    return {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "machine": platform.machine(),
-        "processor": platform.processor(),
-        "cpus": os.cpu_count(),
-        "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
-        "obbkit": str(Path(obbkit.__file__).resolve().parent),
-    }
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--repeats", type=int, default=7, help="timed runs per case (default 7)")
-    parser.add_argument("--cases", help="comma-separated subset of the cases to run")
-    parser.add_argument("--out", default="BENCH_dota.json", help="JSON output path")
-    args = parser.parse_args(argv)
-    with tempfile.TemporaryDirectory() as tmp:
-        cases = make_cases(Path(tmp))
-        names = args.cases.split(",") if args.cases else list(cases)
-        unknown = sorted(set(names) - set(cases))
-        if unknown:
-            parser.error(f"unknown cases {unknown}; choose from {sorted(cases)}")
-        results = {}
-        for name in names:
-            description, per_item, run = cases[name]
-            tracemalloc.start()
-            run()  # untimed warm-up
-            peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
-            tracemalloc.stop()
-            runs = []
-            for _ in range(args.repeats):
-                start = time.perf_counter()
-                run()
-                runs.append(time.perf_counter() - start)
-            median = statistics.median(runs)
-            results[name] = {"input": description, "median_s": median, "runs_s": runs,
-                             "peak_mb": peak_mb}
-            per = ""
-            if per_item:
-                count, unit = per_item
-                results[name][f"per_{unit}_us"] = median / count * 1e6
-                per = f", {median / count * 1e6:.2f} us per {unit}"
-            print(f"{name:20s} median {median:.4f} s  peak {peak_mb:.1f} MB  ({description}{per})",
-                  flush=True)
-    report = {"environment": environment(), "repeats": args.repeats, "cases": results}
-    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
-
-
 if __name__ == "__main__":
-    main()
+    harness.main(__doc__, "BENCH_dota.json", make_cases)

@@ -20,50 +20,28 @@ Times, as medians over repeated runs on seeded inputs:
 - ``ie_fuse`` on detect-shaped features: 5 levels of 64 channels, 128 x
   128 down to 8 x 8, standard-normal inputs and weights scaled by 0.01.
 
-Usage, from the root of a checkout (obbkit is imported from PYTHONPATH,
-or from ./src when it is not importable)::
+Usage, from the root of a checkout (``bench/harness.py`` describes the
+record of each case and the JSON output; each record adds ``outputs``,
+the length of the case's result, such as the number of kept detections)::
 
     python3 bench/inference_layers.py [--repeats 7] [--cases a,b] [--out BENCH_inference.json]
-
-BLAS is limited to one thread unless the environment sets otherwise. The
-JSON output records each case's runs, median and input size, plus the
-Python and numpy versions, the machine, and the BLAS thread setting.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
-import os
-import platform
-import statistics
-import sys
-import time
 from pathlib import Path
 
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-for _var in BLAS_THREAD_VARS:
-    os.environ.setdefault(_var, "1")
+import harness  # before numpy: it sets the BLAS threads and finds obbkit
+import numpy as np
 
-import numpy as np  # noqa: E402  (after the BLAS thread setting)
-
-try:
-    import obbkit  # noqa: F401
-except ImportError:
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
-from obbkit.geometry import canonicalize, canonicalize_many, encode  # noqa: E402
-from obbkit.ie_attention import AttentionWeights, FeatureMap, ie_fuse  # noqa: E402
-from obbkit.inference import (  # noqa: E402
-    NMS_IOU_THRESHOLD,
-    SCORE_THRESHOLD,
-    DetectionSet,
-    nms_per_image,
-    run_inference,
+from obbkit.geometry import canonicalize, canonicalize_many, encode
+from obbkit.ie_attention import AttentionWeights, FeatureMap, ie_fuse
+from obbkit.inference import (
+    NMS_IOU_THRESHOLD, SCORE_THRESHOLD, DetectionSet, nms_per_image, run_inference,
 )
-from obbkit.losses import PredictionBatch  # noqa: E402
-from obbkit.targets import grid_specs  # noqa: E402
+from obbkit.losses import PredictionBatch
+from obbkit.targets import grid_specs
 
 IMAGE_SIZE = 1024
 STRIDES = (8, 16, 32, 64, 128)
@@ -88,8 +66,9 @@ def one_image(name, corners, class_id, score):
     return DetectionSet((name,), np.zeros(n, dtype=int), quads, np.array(class_id), np.array(score))
 
 
-def detect_map(rng):
+def detect_map(seed=1):
     """Sparse maps: about 1,200 candidates from 100 planted objects."""
+    rng = np.random.default_rng(seed)
     specs = grid_specs(IMAGE_SIZE, IMAGE_SIZE, STRIDES)
     heads = []
     for spec in specs:
@@ -127,8 +106,9 @@ def detect_map(rng):
     return [PredictionBatch(*h) for h in heads], specs
 
 
-def dense_map(rng):
+def dense_map(seed=21824):
     """Every (location, class) pair clears the threshold: 327,360 candidates."""
+    rng = np.random.default_rng(seed)
     specs = grid_specs(IMAGE_SIZE, IMAGE_SIZE, STRIDES)
     batches = []
     for spec in specs:
@@ -142,7 +122,8 @@ def dense_map(rng):
     return batches, specs
 
 
-def scattered_boxes(rng):
+def scattered_boxes(seed=2000):
+    rng = np.random.default_rng(seed)
     corners, scores = [], []
     for k in range(2000):
         cx = 25.0 * (k % 50) + rng.uniform(-3, 3)
@@ -153,7 +134,8 @@ def scattered_boxes(rng):
     return one_image("scattered", corners, [1] * 2000, scores)
 
 
-def clustered_boxes(rng):
+def clustered_boxes(seed=200):
+    rng = np.random.default_rng(seed)
     corners, classes, scores = [], [], []
     for k in range(200):
         cx, cy = 60.0 * (k % 20), 60.0 * (k // 20)
@@ -173,8 +155,9 @@ def chained_boxes():
     return one_image("chain", corners, [1] * 2000, [1.0 - k / 2000 for k in range(2000)])
 
 
-def fusion_maps(rng, channels=64, sides=(128, 64, 32, 16, 8)):
+def fusion_maps(seed=64, channels=64, sides=(128, 64, 32, 16, 8)):
     """Per level, (cls, reg, ori) feature maps of side x side locations."""
+    rng = np.random.default_rng(seed)
     return [
         [FeatureMap(channels, side, side, rng.standard_normal((channels, side * side)))
          for _ in range(3)]
@@ -187,72 +170,29 @@ def candidates(batches):
     return int(sum((f >= SCORE_THRESHOLD).sum() for f in fused))
 
 
-def make_cases():
-    """name -> (input description, zero-argument callable returning the output)."""
-    cases = {}
-    batches, specs = detect_map(np.random.default_rng(1))
-    cases["run_inference_detect"] = (
-        f"21,824 locations x 15 classes, {candidates(batches)} candidates",
-        lambda: run_inference(batches, specs),
-    )
-    dense, dense_specs = dense_map(np.random.default_rng(21824))
-    cases["run_inference_dense"] = (
-        f"21,824 locations x 15 classes, {candidates(dense)} candidates, NMS {NMS_IOU_THRESHOLD}",
-        lambda: run_inference(dense, dense_specs),
-    )
-    scattered = scattered_boxes(np.random.default_rng(2000))
-    cases["nms_scattered"] = ("2000 one-class boxes, NMS 0.5", lambda: nms_per_image(scattered, 0.5))
-    clustered = clustered_boxes(np.random.default_rng(200))
-    cases["nms_clustered"] = ("200 clusters of 10 boxes, NMS 0.5", lambda: nms_per_image(clustered, 0.5))
-    chain = chained_boxes()
-    cases["nms_chain"] = ("chain of 2000 one-class boxes, NMS 0.5", lambda: nms_per_image(chain, 0.5))
-    maps = fusion_maps(np.random.default_rng(64))
-    weights = AttentionWeights.seeded(64, 64)
-    cases["ie_fuse_detect"] = (
-        "5 levels x 64 channels, 128^2 down to 8^2",
-        lambda: [ie_fuse(cls, reg, ori, weights) for cls, reg, ori in maps],
-    )
-    return cases
-
-
-def environment():
+def make_cases(root: Path):
+    """The case table of ``harness.main``; the scenes live in memory, so root is unused."""
+    batches, specs = detect_map()
+    dense, dense_specs = dense_map()
+    scattered, clustered, chain = scattered_boxes(), clustered_boxes(), chained_boxes()
+    maps, weights = fusion_maps(), AttentionWeights.seeded(64, 64)
     return {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "machine": platform.machine(),
-        "processor": platform.processor(),
-        "cpus": os.cpu_count(),
-        "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+        "run_inference_detect": (
+            f"21,824 locations x 15 classes, {candidates(batches)} candidates", None,
+            lambda: run_inference(batches, specs)),
+        "run_inference_dense": (
+            f"21,824 locations x 15 classes, {candidates(dense)} candidates, "
+            f"NMS {NMS_IOU_THRESHOLD}", None, lambda: run_inference(dense, dense_specs)),
+        "nms_scattered": ("2000 one-class boxes, NMS 0.5", None,
+                          lambda: nms_per_image(scattered, 0.5)),
+        "nms_clustered": ("200 clusters of 10 boxes, NMS 0.5", None,
+                          lambda: nms_per_image(clustered, 0.5)),
+        "nms_chain": ("chain of 2000 one-class boxes, NMS 0.5", None,
+                      lambda: nms_per_image(chain, 0.5)),
+        "ie_fuse_detect": ("5 levels x 64 channels, 128^2 down to 8^2", None,
+                           lambda: [ie_fuse(cls, reg, ori, weights) for cls, reg, ori in maps]),
     }
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--repeats", type=int, default=7, help="timed runs per case (default 7)")
-    parser.add_argument("--cases", help="comma-separated subset of the cases to run")
-    parser.add_argument("--out", default="BENCH_inference.json", help="JSON output path")
-    args = parser.parse_args(argv)
-    cases = make_cases()
-    names = args.cases.split(",") if args.cases else list(cases)
-    unknown = sorted(set(names) - set(cases))
-    if unknown:
-        parser.error(f"unknown cases {unknown}; choose from {sorted(cases)}")
-    results = {}
-    for name in names:
-        description, run = cases[name]
-        outputs = len(run())  # untimed warm-up
-        runs = []
-        for _ in range(args.repeats):
-            start = time.perf_counter()
-            run()
-            runs.append(time.perf_counter() - start)
-        results[name] = {"input": description, "outputs": outputs,
-                         "median_s": statistics.median(runs), "runs_s": runs}
-        print(f"{name:24s} median {results[name]['median_s']:.4f} s  "
-              f"({description}; {outputs} out)", flush=True)
-    report = {"environment": environment(), "repeats": args.repeats, "cases": results}
-    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
-
-
 if __name__ == "__main__":
-    main()
+    harness.main(__doc__, "BENCH_inference.json", make_cases, outputs=len)

@@ -22,8 +22,8 @@ Times, as medians over repeated runs on a seeded 1024 x 1024 scene of
   size, in-process (the per-level target dump, with its number
   formatting).
 
-Usage, from the root of a checkout (obbkit is imported from PYTHONPATH,
-or from ./src when it is not importable)::
+Usage, from the root of a checkout (``bench/harness.py`` describes the
+record of each case and the JSON output)::
 
     python3 bench/train_layers.py [--repeats 7] [--cases a,b] [--out BENCH_train.json]
 
@@ -31,50 +31,23 @@ The script uses only what releases before the lean training path
 already had (``assign_targets``, ``TargetMaps.concatenate``,
 ``total_loss``, ``_focal_sum(scores, pos, alpha, beta)``, ``fit_demo``,
 ``_fit_positives`` with ``targets._flat_positives`` and
-``cli._image_positives``, and the ``fit-demo`` and ``assign`` commands), so one script gives
-before and after numbers. BLAS is
-limited to one thread unless the environment sets otherwise. The JSON
-output records each case's runs, median and input size, and the minor
-page faults of each run (``ru_minflt`` of the whole process, so memory
-that is handed back to the OS and touched again shows up), plus the
-Python and numpy versions, the machine, and the BLAS thread setting.
+``cli._image_positives``, and the ``fit-demo`` and ``assign`` commands),
+so one script gives before and after numbers.
 """
 
 from __future__ import annotations
 
-import argparse
-import contextlib
-import io
-import json
 import math
-import os
-import platform
-import resource
-import statistics
-import sys
-import tempfile
-import time
 from pathlib import Path
 
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-for _var in BLAS_THREAD_VARS:
-    os.environ.setdefault(_var, "1")
+import harness  # before numpy: it sets the BLAS threads and finds obbkit
+import numpy as np
 
-import numpy as np  # noqa: E402  (after the BLAS thread setting)
-
-try:
-    import obbkit
-except ImportError:
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-    import obbkit
-
-from obbkit import cli  # noqa: E402
-from obbkit.config import build_config  # noqa: E402
-from obbkit.dota import parse_dota_annotations  # noqa: E402
-from obbkit.losses import (  # noqa: E402
-    PredictionBatch, _fit_positives, _focal_sum, fit_demo, total_loss,
-)
-from obbkit.targets import TargetMaps, _flat_positives, assign_targets, grid_specs  # noqa: E402
+from obbkit import cli
+from obbkit.config import build_config
+from obbkit.dota import parse_dota_annotations
+from obbkit.losses import PredictionBatch, _fit_positives, _focal_sum, fit_demo, total_loss
+from obbkit.targets import TargetMaps, _flat_positives, assign_targets, grid_specs
 
 IMAGE_SIZE = 1024
 OBJECTS = 100
@@ -123,14 +96,8 @@ def seeded_predictions(n: int, num_classes: int, seed: int = 12) -> PredictionBa
     )
 
 
-def run_cli(argv) -> None:
-    with contextlib.redirect_stdout(io.StringIO()):
-        if cli.main(argv) != 0:
-            raise RuntimeError(f"obbkit {' '.join(argv)} failed")
-
-
 def make_cases(root: Path):
-    """name -> (input description, zero-argument callable)."""
+    """The case table of ``harness.main``, on a scene written under root."""
     gt_dir = write_scene(root)
     gt = parse_dota_annotations(gt_dir)
     objects = gt.images["S0000"]
@@ -159,63 +126,20 @@ def make_cases(root: Path):
     scene = (f"{IMAGE_SIZE}x{IMAGE_SIZE}, {len(objects)} objects, {len(flat)} locations, "
              f"{num_pos} positives, {num_classes} classes")
     return {
-        "assign_targets": (scene, assign),
-        "total_loss": (scene, lambda: total_loss(preds, flat, cfg.weights)),
-        "focal_sum": (scene, lambda: _focal_sum(preds.class_scores, onehot,
-                                                cfg.weights.focal_alpha, cfg.weights.focal_beta)),
-        "fit_demo_step": (scene, lambda: fit_demo(flat, cfg.weights, steps=1,
-                                                  num_classes=num_classes)),
-        "fit_positives": (f"{scene}, {FIT_STEPS} steps", fit_positives),
-        "cli_fit_demo": (f"{scene}, fit-demo --steps {FIT_STEPS}", lambda: run_cli(
+        "assign_targets": (scene, None, assign),
+        "total_loss": (scene, None, lambda: total_loss(preds, flat, cfg.weights)),
+        "focal_sum": (scene, None, lambda: _focal_sum(
+            preds.class_scores, onehot, cfg.weights.focal_alpha, cfg.weights.focal_beta)),
+        "fit_demo_step": (scene, None, lambda: fit_demo(flat, cfg.weights, steps=1,
+                                                        num_classes=num_classes)),
+        "fit_positives": (f"{scene}, {FIT_STEPS} steps", None, fit_positives),
+        "cli_fit_demo": (f"{scene}, fit-demo --steps {FIT_STEPS}", None, lambda: harness.run_cli(
             ["fit-demo", "--gt", str(gt_dir), "--image-size", f"{IMAGE_SIZE}x{IMAGE_SIZE}",
              "--steps", str(FIT_STEPS)])),
-        "cli_assign": (f"{scene}, assign", lambda: run_cli(
+        "cli_assign": (f"{scene}, assign", None, lambda: harness.run_cli(
             ["assign", "--gt", str(gt_dir), "--image-size", f"{IMAGE_SIZE}x{IMAGE_SIZE}"])),
     }
 
 
-def environment():
-    return {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "machine": platform.machine(),
-        "processor": platform.processor(),
-        "cpus": os.cpu_count(),
-        "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
-        "obbkit": str(Path(obbkit.__file__).resolve().parent),
-    }
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--repeats", type=int, default=7, help="timed runs per case (default 7)")
-    parser.add_argument("--cases", help="comma-separated subset of the cases to run")
-    parser.add_argument("--out", default="BENCH_train.json", help="JSON output path")
-    args = parser.parse_args(argv)
-    with tempfile.TemporaryDirectory() as tmp:
-        cases = make_cases(Path(tmp))
-        names = args.cases.split(",") if args.cases else list(cases)
-        unknown = sorted(set(names) - set(cases))
-        if unknown:
-            parser.error(f"unknown cases {unknown}; choose from {sorted(cases)}")
-        results = {}
-        for name in names:
-            description, run = cases[name]
-            run()  # untimed warm-up
-            runs, faults = [], []
-            for _ in range(args.repeats):
-                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-                start = time.perf_counter()
-                run()
-                runs.append(time.perf_counter() - start)
-                faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-            results[name] = {"input": description, "median_s": statistics.median(runs),
-                             "runs_s": runs, "minor_faults": faults}
-            print(f"{name:16s} median {results[name]['median_s']:.4f} s  "
-                  f"minor faults {statistics.median(faults):g}  ({description})", flush=True)
-    report = {"environment": environment(), "repeats": args.repeats, "cases": results}
-    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
-
-
 if __name__ == "__main__":
-    main()
+    harness.main(__doc__, "BENCH_train.json", make_cases)

@@ -209,13 +209,13 @@ def _cmd_assign(args) -> int:
         for spec, pos in zip(specs, levels):
             y_s, x_s = np.divmod(pos.loc, spec.width)
             values = np.column_stack([pos.ltrb, pos.wh, pos.centerness])
-            for x, y, class_id, fields, difficult in zip(
-                x_s.tolist(), y_s.tolist(), pos.class_id.tolist(), dota._format_rows(values),
-                pos.difficult.tolist(),
-            ):
-                print(f"{spec.level} {x} {y} {class_id} {fields} {int(difficult)}")
-            print(f"# level {spec.level}: {pos.loc.size} positive of "
-                  f"{spec.width * spec.height} locations")
+            print("\n".join([*(
+                f"{spec.level} {x} {y} {class_id} {fields} {int(difficult)}"
+                for x, y, class_id, fields, difficult in zip(
+                    x_s.tolist(), y_s.tolist(), pos.class_id.tolist(),
+                    dota._format_rows(values), pos.difficult.tolist())
+            ), f"# level {spec.level}: {pos.loc.size} positive of "
+               f"{spec.width * spec.height} locations"]))
     return 0
 
 

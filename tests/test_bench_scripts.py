@@ -44,30 +44,42 @@ def test_script_runs_every_case(script, cases, tmp_path):
     report = json.loads(out.read_text())
     assert list(report["cases"]) == cases
     for result in report["cases"].values():
-        assert len(result["runs_s"]) == 1
-        if script == "dota_layers.py":
-            assert result["peak_mb"] > 0
-        if script == "train_layers.py":
-            (faults,) = result["minor_faults"]
-            assert isinstance(faults, int) and faults >= 0
+        # one record shape for every case of every script; inference_layers adds the
+        # length of each case's result as "outputs"
+        per_item = {key for key in result if key.startswith("per_") and key.endswith("_us")}
+        assert set(result) - per_item - {"outputs"} == {
+            "input", "median_s", "runs_s", "peak_mb", "minor_faults"}
+        assert len(per_item) <= 1 and all(result[key] > 0 for key in per_item)
+        (run,) = result["runs_s"]
+        assert result["median_s"] == run > 0
+        assert result["peak_mb"] > 0
+        (faults,) = result["minor_faults"]
+        assert isinstance(faults, int) and faults >= 0
+        assert isinstance(result.get("outputs", 0), int)
 
 
-def _stub_tree(root: Path, images_per_s: float, log: Path, correct: bool = True) -> Path:
+def _stub_tree(root: Path, images_per_s, log: Path, correct: bool = True) -> Path:
     """A source tree whose perfbench/run.py logs its call (its tree's name,
     PYTHONDONTWRITEBYTECODE or "-" when unset, its arguments) and reports
-    fixed metrics."""
+    fixed metrics; images_per_s is one value or a {seed: value} dict."""
     (root / "perfbench").mkdir(parents=True)
     (root / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
-    metrics = {"images_per_s": {"value": images_per_s, "unit": "1/s"},
+    by_seed = {str(k): v for k, v in images_per_s.items()} if isinstance(images_per_s, dict) else {}
+    metrics = {"images_per_s": {"value": None if by_seed else images_per_s, "unit": "1/s"},
                "peak_rss_mb": {"value": 50.0, "unit": "MB"},
                "setup_s": {"value": 0.3, "unit": "s"}}
     result = {"correct": correct, "attempted": 4, "failed": 0 if correct else 1, "metrics": metrics}
     (root / "perfbench" / "run.py").write_text(
-        "import os, sys\n"
+        "import json, os, sys\n"
         "flag = os.environ.get('PYTHONDONTWRITEBYTECODE', '-')\n"
         f"with open({str(log)!r}, 'a') as f:\n"
         f"    f.write({root.name!r} + ' ' + flag + ' ' + ' '.join(sys.argv[1:]) + '\\n')\n"
-        f"print({json.dumps(result)!r})\n"
+        f"result = json.loads({json.dumps(result)!r})\n"
+        f"by_seed = json.loads({json.dumps(by_seed)!r})\n"
+        "seed = sys.argv[sys.argv.index('--seed') + 1]\n"
+        "if seed in by_seed:\n"
+        "    result['metrics']['images_per_s']['value'] = by_seed[seed]\n"
+        "print(json.dumps(result))\n"
     )
     return root
 
@@ -122,6 +134,49 @@ def test_ab_runs_compile_bytecode_and_flag_a_regression_beyond_the_bound(tmp_pat
     lines = {line.split(" ", 1)[0]: line for line in proc.stdout.splitlines()}
     assert lines["images_per_s"].endswith("beyond bound 0.24: yes")
     assert lines["setup_s"].endswith("beyond bound 0.25: no")
+
+
+def _summary(tmp_path, base_speed, head_speed, seeds):
+    log = tmp_path / "calls.log"
+    base = _stub_tree(tmp_path / "base", base_speed, log)
+    head = _stub_tree(tmp_path / "head", head_speed, log)
+    proc, out = _ab(tmp_path, "--base", base, "--head", head, "--workload", "train",
+                    "--seeds", seeds, "--seconds", "1")
+    assert proc.returncode == 0, proc.stderr
+    lines = {line.split(" ", 1)[0]: line for line in proc.stdout.splitlines()}
+    return json.loads(out.read_text())["summary"], lines
+
+
+def test_ab_quartiles_stay_within_the_runs(tmp_path):
+    summary, lines = _summary(tmp_path, {1: 10.0, 2: 20.0}, 30.0, "1,2")
+    speed = summary["images_per_s"]
+    # the exclusive method would give q1 7.5 and q3 22.5, outside the runs
+    assert speed["base"] == {"median": 15.0, "q1": 12.5, "q3": 17.5}
+    # the base spreads by 33% against a bound of 24%, but every head run beats every base
+    # run, and the medians differ by 15 against a base quartile spread of 5
+    assert (speed["unresolved"], speed["gain_shown"]) == (False, True)
+    assert "gain shown: yes; unresolved: no;" in lines["images_per_s"]
+
+
+def test_ab_calls_noise_wider_than_the_bound_unresolved(tmp_path):
+    summary, lines = _summary(tmp_path, {1: 10.0, 2: 20.0}, {1: 15.0, 2: 25.0}, "1,2")
+    speed = summary["images_per_s"]
+    # head 15 does not beat base 20, and the medians differ by no more than the spread
+    assert (speed["head_wins"], speed["unresolved"], speed["gain_shown"]) == (2, True, False)
+    assert "gain shown: no; unresolved: yes;" in lines["images_per_s"]
+    # equal runs on both sides: no spread, no win
+    assert {name: (s["unresolved"], s["gain_shown"]) for name, s in summary.items()
+            if name != "images_per_s"} == {"peak_rss_mb": (False, False),
+                                          "setup_s": (False, False)}
+
+
+@pytest.mark.parametrize("ties, shown", [(1, True), (2, False)])
+def test_ab_shows_a_gain_on_nine_wins_in_ten(tmp_path, ties, shown):
+    head = {seed: 10.0 if seed <= ties else 25.0 for seed in range(1, 11)}
+    summary, _ = _summary(tmp_path, 10.0, head, "1-10")
+    speed = summary["images_per_s"]
+    # a tie counts for neither side
+    assert (speed["head_wins"], speed["gain_shown"]) == (10 - ties, shown)
 
 
 def test_ab_stops_on_a_failed_check(tmp_path):
