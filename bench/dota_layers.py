@@ -28,7 +28,10 @@ image and class, written as DOTA text files):
 - ``match_stacked``: ``evaluate`` at IoU 0.5 on one image whose 300
   ground-truth objects and 3,000 detections (one class, 40 x 20 px at
   random angles) all lie within 3 px of one centre, so every detection's
-  horizontal box overlaps every object's.
+  horizontal box overlaps every object's;
+- ``parse_annotations_lines``: ``parse_dota_annotations`` on a copy of
+  the ground truth without the difficult flag, whose 9-field lines take
+  the line-by-line path instead of the one-loadtxt fast path.
 
 Usage, from the root of a checkout (``bench/harness.py`` describes the
 record of each case and the JSON output)::
@@ -248,6 +251,14 @@ def make_cases(root: Path):
         f"1 image, {len(stacked_dets)} detections vs {len(stacked_gt.image)} ground truth "
         "within 3 px of one centre, one class, IoU 0.5", None,
         lambda: evaluate(stacked_dets, stacked_gt, 0.5))
+    (root / "gt9").mkdir()
+    for f in sorted((root / "gt").glob("*.txt")):
+        lines = [line.rsplit(" ", 1)[0] if len(line.split()) == 10 else line
+                 for line in f.read_text().splitlines()]
+        (root / "gt9" / f.name).write_text("\n".join(lines) + "\n")
+    cases["parse_annotations_lines"] = (
+        f"{IMAGES * OBJECTS} annotation lines of 9 fields in {IMAGES} files", None,
+        lambda: parse_dota_annotations(root / "gt9"))
     return cases
 
 

@@ -70,17 +70,16 @@ def _number_rows(path, width: int) -> tuple[np.ndarray, ParseError | None]:
     """The first `width` numbers of each line of an encode/decode file, as an
     (N, width) array of the lines before the first error, and that error
     (None when every line reads). Further fields on a line are ignored."""
-    path = Path(path)
-    lines = dota._read_lines(path, comments=True)
-    n = next((k for k, (_, tokens) in enumerate(lines) if len(tokens) < width), len(lines))
-    rows, error = dota._leading_floats(lines[:n], 0, width, path)
-    if error is None and n < len(lines):
-        line_no, tokens = lines[n]
+
+    def row(tokens):
         # a short line's numbers are read before its length is checked
-        error = dota._leading_floats(lines[n : n + 1], 0, len(tokens), path)[1] or ParseError(
-            path, line_no, f"expected {width} numbers, got {len(tokens)}"
-        )
-    return rows, error
+        values = dota._numbers(tokens[:width])
+        if len(tokens) < width:
+            raise ValueError(f"expected {width} numbers, got {len(tokens)}")
+        return values
+
+    rows, error = dota._parse_lines(path, row, comments=True)
+    return np.array(rows, dtype=float).reshape(-1, width), error
 
 
 def _derive_image_size(quads: np.ndarray, strides) -> tuple[int, int]:
@@ -225,48 +224,50 @@ def _read_targets_file(path) -> TargetMaps:
     Raises the first error in file order; a line's numbers are read after
     its class id and field count are checked.
     """
-    path = Path(path)
-    lines = dota._read_lines(path, comments=True)
-    class_ids, error = [], None
-    for line_no, tokens in lines:
-        try:
-            class_id = int(tokens[0])
-        except ValueError:
-            error = ParseError(path, line_no, f"expected a class id, got {tokens[0]!r}")
-            break
-        if class_id < 0:
-            error = ParseError(path, line_no, f"class id must be >= 0, got {class_id}")
-            break
-        if len(tokens) != (8 if class_id else 1):
-            error = ParseError(path, line_no, "expected 0 or class_id l t r b w h centerness")
-            break
-        class_ids.append(class_id)
-    n = len(class_ids)
-    values = np.zeros((n, 7))
-    positive = np.flatnonzero(class_ids)
-    values[positive] = dota._float_columns([lines[k] for k in positive.tolist()], 1, 8, path)
+    rows, error = dota._parse_lines(path, _target_row, comments=True)
     if error is not None:
         raise error
+    class_ids = [class_id for class_id, _ in rows]
+    values = np.array([v for _, v in rows], dtype=float).reshape(-1, 7)
+    n = len(rows)
     return TargetMaps(
         class_ids, values[:, :4], values[:, 4:6], values[:, 6], np.zeros(n, bool),
         np.full(n, -1), np.zeros((n, 2)), np.stack([np.arange(n), np.zeros(n, int)], axis=1),
     )
 
 
+def _target_row(tokens: list[str]) -> tuple[int, list[float]]:
+    """Class id and the 7 numbers (zeros for background) of one targets line."""
+    try:
+        class_id = int(tokens[0])
+    except ValueError:
+        raise ValueError(f"expected a class id, got {tokens[0]!r}") from None
+    if class_id < 0:
+        raise ValueError(f"class id must be >= 0, got {class_id}")
+    if len(tokens) != (8 if class_id else 1):
+        raise ValueError("expected 0 or class_id l t r b w h centerness")
+    return class_id, dota._numbers(tokens[1:]) if class_id else [0.0] * 7
+
+
 def _read_preds_file(path) -> PredictionBatch:
-    path = Path(path)
-    lines = dota._read_lines(path, comments=True)
-    if not lines:
-        raise ParseError(path, 1, "no predictions")
-    width = len(lines[0][1])
-    if width < 8:
-        reason = "predictions need centerness, l t r b, w h and class scores"
-        raise ParseError(path, lines[0][0], reason)
-    n = next((k for k, (_, tokens) in enumerate(lines) if len(tokens) != width), len(lines))
-    data = dota._float_columns(lines[:n], 0, width, path)
-    if n < len(lines):
-        line_no, tokens = lines[n]
-        raise ParseError(path, line_no, f"expected {width} fields, got {len(tokens)}")
+    """One location per line, `centerness l t r b w h s1 ... sC`, as wide as the first."""
+    width = 0
+
+    def row(tokens):
+        nonlocal width
+        width = width or len(tokens)
+        if len(tokens) != width:
+            raise ValueError(f"expected {width} fields, got {len(tokens)}")
+        if width < 8:
+            raise ValueError("predictions need centerness, l t r b, w h and class scores")
+        return dota._numbers(tokens)
+
+    rows, error = dota._parse_lines(path, row, comments=True)
+    if error is not None:
+        raise error
+    if not rows:
+        raise ParseError(Path(path), 1, "no predictions")
+    data = np.array(rows, dtype=float)
     return PredictionBatch(
         class_scores=data[:, 7:],
         centerness=data[:, 0],
@@ -339,14 +340,9 @@ def _cmd_eval(args) -> int:
     for name in gt.classes.names:
         print(f"{name:<{name_width}}  {_fmt(report.per_class[name])}")
     print(f"{'mAP':<{name_width}}  {_fmt(report.mean_ap)}")
-    payload = json.dumps(
-        {
-            "per_class": report.per_class,
-            "map": report.mean_ap,
-            "iou_threshold": report.iou_threshold,
-            "mode": report.mode,
-        }
-    )
+    # every field of the report, mean_ap under the name "map"
+    fields = dataclasses.asdict(report).items()
+    payload = json.dumps({("map" if key == "mean_ap" else key): v for key, v in fields})
     if args.json:
         Path(args.json).write_text(payload + "\n")
     else:

@@ -34,6 +34,12 @@ class RunConfig:
             )
         if self.metric_mode not in (MODE_11POINT, MODE_ALLPOINT):
             raise ValueError(f"unknown metric mode {self.metric_mode!r}")
+        if min(self.strides, default=1) < 1:
+            raise ValueError(f"strides must be >= 1, got {min(self.strides)}")
+        if not 0.0 <= self.center_radius_mult < math.inf:
+            raise ValueError(
+                f"center_radius_mult must be finite and >= 0, got {self.center_radius_mult}"
+            )
 
 
 def parse_strides(raw: str) -> tuple[int, ...]:

@@ -12,12 +12,13 @@ Detection results: one file per class ({class}.txt, an optional
 
     image_id score x1 y1 x2 y2 x3 y3 x4 y4
 
-Every text table obbkit reads, these and the CLI's numeric files, goes
-through :func:`_read_lines` and :func:`_float_columns`, which convert
-numbers with np.loadtxt where it reads them as float() does (a well-formed
-detection or annotation file is read by one loadtxt call, with no split
-per line);
-every writer formats numbers through :func:`_format_rows`.
+A well-formed detection or annotation file (ASCII, 10 fields on every
+line, a score in [0, 1] or a 0/1 difficult flag) is read by one
+np.loadtxt call, with no split per line. Every other file, and every
+table of the CLI's own, is read line by line through :func:`_parse_lines`:
+one line function per format checks a line and converts its numbers with
+float() (:func:`_numbers`), and the first line it refuses is the error.
+Every writer formats numbers through :func:`_format_rows`.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from .errors import ObbkitError, ParseError, UnknownCategory
 from .evaluation import ClassTable, GtIndex, check_detection_classes
 from .geometry import canonicalize_many, quad_error
-from .inference import DetectionSet
+from .inference import DetectionSet, _in_unit_interval
 
 _HEADER_PREFIXES = ("imagesource", "gsd")
 
@@ -70,37 +71,31 @@ def _loadtxt(text: str, usecols=None, skiprows: int = 0) -> np.ndarray | None:
         return None
 
 
-def _float_columns(lines: list, lo: int, hi: int, path) -> np.ndarray:
-    """Fields lo:hi of every (line_no, tokens) line as an (N, hi - lo) float array.
-
-    A number reads as Python's float reads it: through :func:`_loadtxt`,
-    or, when that refuses the fields, one float() map. When that map
-    fails too, raises the ParseError of the first token, in file order,
-    that float rejects.
-    """
-    values = _loadtxt("\n".join([" ".join(tokens[lo:hi]) for _, tokens in lines]))
-    if values is not None:
-        return values
-    try:
-        values = list(map(float, [tok for _, tokens in lines for tok in tokens[lo:hi]]))
-    except ValueError:
-        for line_no, tokens in lines:
-            for tok in tokens[lo:hi]:
-                try:
-                    float(tok)
-                except ValueError:
-                    raise ParseError(path, line_no, f"expected a number, got {tok!r}") from None
-        raise
-    return np.array(values, dtype=float).reshape(len(lines), hi - lo)
+def _numbers(tokens) -> list[float]:
+    """float() of each token; the first it refuses raises "expected a number, got 'x'"."""
+    values = []
+    for tok in tokens:
+        try:
+            values.append(float(tok))
+        except ValueError:
+            raise ValueError(f"expected a number, got {tok!r}") from None
+    return values
 
 
-def _leading_floats(lines: list, lo: int, hi: int, path) -> tuple[np.ndarray, ParseError | None]:
-    """:func:`_float_columns` of the lines before the first bad number, and its error (or None)."""
-    try:
-        return _float_columns(lines, lo, hi, path), None
-    except ParseError as exc:
-        before = [line_no for line_no, _ in lines].index(exc.line_no)
-        return _float_columns(lines[:before], lo, hi, path), exc
+def _parse_lines(
+    path, parse_line, *, comments: bool = False, headers: bool = False
+) -> tuple[list, ParseError | None]:
+    """(rows, error): parse_line(tokens) of each kept line of :func:`_read_lines`,
+    in file order, up to the first line it refuses by raising ValueError(reason),
+    and the ParseError of that line (None when every line reads)."""
+    path = Path(path)
+    rows = []
+    for line_no, tokens in _read_lines(path, comments=comments, headers=headers):
+        try:
+            rows.append(parse_line(tokens))
+        except ValueError as exc:
+            return rows, ParseError(path, line_no, str(exc))
+    return rows, None
 
 
 def _canonical_quads(
@@ -135,21 +130,21 @@ def _annotation_table(path) -> tuple[np.ndarray, list[str], list[bool]]:
     table = _well_formed_annotations(Path(path).read_text())
     if table is not None:
         return table
-    lines = _read_lines(path, headers=True)
-    short = next((k for k, (_, t) in enumerate(lines) if len(t) not in (9, 10)), len(lines))
-    flag = next((k for k, (_, t) in enumerate(lines[:short]) if t[9:] not in ([], ["0"], ["1"])),
-                short)
-    # a line's numbers are read before its flag is checked
-    coords = _float_columns(lines[:min(flag + 1, short)], 0, 8, path)
-    if flag < short:
-        line_no, tokens = lines[flag]
-        raise ParseError(path, line_no, f"difficult flag must be 0 or 1, got {tokens[9]!r}")
-    if short < len(lines):
-        line_no, tokens = lines[short]
-        raise ParseError(
-            path, line_no, f"expected 8 coordinates, category and flag, got {len(tokens)} fields"
-        )
-    return coords, [t[8] for _, t in lines], [t[9:] == ["1"] for _, t in lines]
+    rows, error = _parse_lines(path, _annotation_row, headers=True)
+    if error is not None:
+        raise error
+    return (np.array([c for c, _, _ in rows], dtype=float).reshape(-1, 8),
+            [name for _, name, _ in rows], [flag for _, _, flag in rows])
+
+
+def _annotation_row(tokens: list[str]) -> tuple[list[float], str, bool]:
+    """Coordinates, category and difficult flag of one annotation line."""
+    if len(tokens) not in (9, 10):
+        raise ValueError(f"expected 8 coordinates, category and flag, got {len(tokens)} fields")
+    coords = _numbers(tokens[:8])
+    if tokens[9:] not in ([], ["0"], ["1"]):
+        raise ValueError(f"difficult flag must be 0 or 1, got {tokens[9]!r}")
+    return coords, tokens[8], tokens[9:] == ["1"]
 
 
 def _well_formed_annotations(text: str) -> tuple[np.ndarray, list[str], list[bool]] | None:
@@ -225,27 +220,21 @@ def _detection_table(path) -> tuple[np.ndarray, list[str], ParseError | None]:
     fields = text.split()
     table = _loadtxt(text, range(1, 10))
     # loadtxt needs 10 fields on each line, so 10 per line in all means exactly 10 on each
-    if table is not None and len(fields) == 10 * len(table) and _in_unit(table[:, 0]).all():
+    if table is not None and len(fields) == 10 * len(table) and _in_unit_interval(table[:, 0]):
         return table, fields[::10], None
-    lines = _read_lines(path)
-    n = next((k for k, (_, tokens) in enumerate(lines) if len(tokens) != 10), len(lines))
-    table, error = _leading_floats(lines[:n], 1, 10, path)
-    if error is None and n < len(lines):
-        line_no, tokens = lines[n]
-        error = ParseError(
-            path, line_no, f"expected image id, score and 8 coordinates, got {len(tokens)} fields"
-        )
-    outside = np.flatnonzero(~_in_unit(table[:, 0]))
-    if outside.size:
-        k = int(outside[0])
-        error = ParseError(path, lines[k][0], f"score {float(table[k, 0])} outside [0, 1]")
-        table = table[:k]
-    return table, [tokens[0] for _, tokens in lines[: len(table)]], error
+    rows, error = _parse_lines(path, _detection_row)
+    table = np.array([values for _, values in rows], dtype=float).reshape(-1, 9)
+    return table, [image_id for image_id, _ in rows], error
 
 
-def _in_unit(scores: np.ndarray) -> np.ndarray:
-    """Mask of the scores in [0, 1] (NaN is outside)."""
-    return (scores >= 0.0) & (scores <= 1.0)
+def _detection_row(tokens: list[str]) -> tuple[str, list[float]]:
+    """Image id, and score and 8 coordinates, of one detection line."""
+    if len(tokens) != 10:
+        raise ValueError(f"expected image id, score and 8 coordinates, got {len(tokens)} fields")
+    values = _numbers(tokens[1:])
+    if not 0.0 <= values[0] <= 1.0:
+        raise ValueError(f"score {values[0]} outside [0, 1]")
+    return tokens[0], values
 
 
 def parse_dota_detections(

@@ -148,6 +148,8 @@ class APReport:
     mean_ap: float
     iou_threshold: float
     mode: str
+    tp: dict[str, int]  # TP detections per class; ignored ones count in neither tp nor fp
+    fp: dict[str, int]
 
 
 def _match_flags(dets: DetectionSet, gt: GtIndex, iou_thresh: float) -> np.ndarray:
@@ -227,8 +229,9 @@ def match_detections(
 def pr_curve(flags: Sequence[int], scores: Sequence[float], num_gt: int) -> PRCurve:
     """Precision/recall points from score-sorted match flags.
 
-    Ignored detections drop out of the sweep. With zero ground truth
-    the curve is empty (and AP is defined as 0).
+    Ignored detections drop out of the sweep and out of the TP/FP totals.
+    With zero ground truth the curve is empty (and AP is defined as 0),
+    while the totals still count every TP and FP.
     """
     if num_gt < 0:
         raise ValueError("num_gt must be >= 0")
@@ -239,13 +242,14 @@ def pr_curve(flags: Sequence[int], scores: Sequence[float], num_gt: int) -> PRCu
     order = np.argsort(-scores, kind="stable")
     flags = flags[order]
     flags = flags[flags != IGNORED]
+    totals = int(np.count_nonzero(flags == TP)), int(np.count_nonzero(flags == FP))
     if flags.size == 0 or num_gt == 0:
-        return PRCurve(np.empty(0), np.empty(0), num_gt, 0, 0)
+        return PRCurve(np.empty(0), np.empty(0), num_gt, *totals)
     tp_cum = np.cumsum(flags == TP)
     fp_cum = np.cumsum(flags == FP)
     recalls = tp_cum / num_gt
     precisions = tp_cum / np.maximum(tp_cum + fp_cum, 1)
-    return PRCurve(recalls, precisions, num_gt, int(tp_cum[-1]), int(fp_cum[-1]))
+    return PRCurve(recalls, precisions, num_gt, *totals)
 
 
 def average_precision(curve: PRCurve, mode: str = MODE_11POINT) -> float:
@@ -281,20 +285,18 @@ def evaluate(
     iou_threshold: float = 0.5,
     mode: str = MODE_11POINT,
 ) -> APReport:
-    """Per-class AP and mAP at one rotated-IoU threshold.
+    """Per-class AP, TP and FP counts, and mAP at one rotated-IoU threshold.
 
     Classes with no non-difficult ground truth are reported with AP 0
     but excluded from the mAP mean.
     """
     matches = match_detections(dets, gt, iou_threshold)
-    per_class: dict[str, float] = {}
-    aps: list[float] = []
-    for class_id in range(1, len(gt.classes) + 1):
-        m = matches[class_id]
-        curve = pr_curve(m.flags, m.scores, m.num_gt)
-        ap = average_precision(curve, mode)
-        per_class[gt.classes.name_of(class_id)] = ap
-        if m.num_gt > 0:
-            aps.append(ap)
-    mean_ap = float(np.mean(aps)) if aps else 0.0
-    return APReport(per_class, mean_ap, iou_threshold, mode)
+    curves = {gt.classes.name_of(c): pr_curve(m.flags, m.scores, m.num_gt)
+              for c, m in matches.items()}
+    per_class = {name: average_precision(curve, mode) for name, curve in curves.items()}
+    aps = [per_class[name] for name, curve in curves.items() if curve.num_gt > 0]
+    return APReport(
+        per_class, float(np.mean(aps)) if aps else 0.0, iou_threshold, mode,
+        {name: curve.tp_total for name, curve in curves.items()},
+        {name: curve.fp_total for name, curve in curves.items()},
+    )

@@ -141,10 +141,13 @@ def grid_specs(
 
     Cell counts are rounded up so every pixel falls in some cell; power
     of two strides get the conventional pyramid level log2(stride),
-    other strides are numbered by position.
+    other strides are numbered by position. A stride below 1 raises
+    ValueError.
     """
     specs = []
     for i, stride in enumerate(strides):
+        if stride < 1:
+            raise ValueError(f"stride must be >= 1, got {stride}")
         level = int(math.log2(stride)) if stride & (stride - 1) == 0 else i
         specs.append(
             FeatureGridSpec(

@@ -17,7 +17,7 @@ from obbkit import cli
 from obbkit.config import build_config, parse_level_ranges, read_config_file
 from obbkit.dota import parse_dota_annotations, parse_dota_detections, write_dota_detections
 from obbkit.errors import ParseError, UnknownClass
-from obbkit.evaluation import ClassTable, GtIndex
+from obbkit.evaluation import FP, TP, ClassTable, GtIndex, match_detections
 from obbkit.geometry import canonicalize
 from obbkit.inference import Detection, DetectionSet
 from obbkit.losses import LossWeights, fit_demo
@@ -508,6 +508,31 @@ class TestEvalCommand:
         payload = json.loads(out.splitlines()[-1])
         assert abs(payload["map"] - 2 / 3) < 1e-12
 
+    @pytest.mark.parametrize("difficult", ["0", "1"])
+    def test_tp_fp_counts_match_the_flags(self, difficult, scene, capsys):
+        gt_file = scene / "gt" / "P0001.txt"
+        gt_file.write_text(GT_P0001.replace("10 plane 0", f"10 plane {difficult}", 1))
+        code, out, _ = run_cli(
+            capsys, "eval", "--gt", str(scene / "gt"), "--dets", str(scene / "dets")
+        )
+        # the table lines carry AP only; the counts go to the JSON line
+        assert (code, out.splitlines()[:4]) == (0, [
+            "class  ap",
+            "plane  0.848485" if difficult == "0" else "plane  1",
+            "ship   0.545455",
+            "mAP    0.69697" if difficult == "0" else "mAP    0.772727",
+        ])
+        payload = json.loads(out.splitlines()[-1])
+        gt = parse_dota_annotations(scene / "gt")
+        dets, _ = parse_dota_detections(scene / "dets", gt.classes)
+        matches = match_detections(dets, gt, 0.5)
+        for key, flag in (("tp", TP), ("fp", FP)):
+            want = {gt.classes.name_of(c): int(np.sum(m.flags == flag)) for c, m in matches.items()}
+            assert payload[key] == want
+        # an ignored detection counts in neither
+        assert payload["tp"] == {"plane": 2 - int(difficult), "ship": 1}
+        assert payload["fp"] == {"plane": 1 - int(difficult), "ship": 1}
+
     def test_json_file_output(self, scene, capsys, tmp_path):
         json_path = tmp_path / "report.json"
         code, out, _ = run_cli(
@@ -517,6 +542,7 @@ class TestEvalCommand:
         assert code == 0
         payload = json.loads(json_path.read_text())
         assert abs(payload["map"] - 23 / 33) < 1e-12
+        assert (payload["tp"], payload["fp"]) == ({"plane": 2, "ship": 1}, {"plane": 1, "ship": 1})
         assert "per_class" not in out  # table only on stdout
 
     def test_thread_counts_do_not_change_bytes(self, scene, capsys):
@@ -1110,6 +1136,25 @@ class TestConfig:
     def test_strides_ranges_length_mismatch(self):
         with pytest.raises(ValueError):
             build_config({"strides": "8,16"})
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--set", "strides=0,16,32,64,128"], "strides must be >= 1, got 0"),
+            (["--set", "strides=8,16,-32,64,128"], "strides must be >= 1, got -32"),
+            (["--radius-mult", "-1"], "center_radius_mult must be finite and >= 0, got -1.0"),
+            (["--radius-mult", "nan"], "center_radius_mult must be finite and >= 0, got nan"),
+            (["--set", "center_radius_mult=inf"],
+             "center_radius_mult must be finite and >= 0, got inf"),
+        ],
+    )
+    def test_meaningless_setting_is_refused(self, flags, message, scene, capsys):
+        code, out, err = run_cli(capsys, "assign", "--gt", str(scene / "gt"), *flags)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_zero_radius_is_accepted(self, scene, capsys):
+        code, _, _ = run_cli(capsys, "assign", "--gt", str(scene / "gt"), "--radius-mult", "0")
+        assert code == 0
 
 
 # ------------------------------------------------------------------ fuzzing

@@ -272,17 +272,20 @@ class TestPrCurve:
 
     def test_no_detections(self):
         curve = pr_curve([], [], 3)
-        assert curve.recalls.size == 0
+        assert (curve.recalls.size, curve.tp_total, curve.fp_total) == (0, 0, 0)
         assert average_precision(curve, MODE_11POINT) == 0.0
 
     def test_zero_gt_defines_ap_zero(self):
         curve = pr_curve([FP, FP], [0.9, 0.8], 0)
+        # the curve is empty, but the totals still count every detection
+        assert (curve.recalls.size, curve.tp_total, curve.fp_total) == (0, 0, 2)
         assert average_precision(curve, MODE_11POINT) == 0.0
         assert average_precision(curve, MODE_ALLPOINT) == 0.0
 
     def test_ignored_drop_out(self):
         curve = pr_curve([TP, IGNORED, FP], [0.9, 0.8, 0.7], 1)
         assert curve.recalls.size == 2
+        assert (curve.tp_total, curve.fp_total) == (1, 1)
 
 
 class TestAveragePrecision:
@@ -336,6 +339,7 @@ class TestEvaluate:
     def test_fixture_map_both_modes(self):
         dets, gt = fixture_scene()
         report11 = evaluate(_ds(dets), gt, 0.5, MODE_11POINT)
+        assert (report11.tp, report11.fp) == ({"plane": 2, "ship": 1}, {"plane": 1, "ship": 1})
         assert abs(report11.per_class["plane"] - 28 / 33) < 1e-12
         assert abs(report11.per_class["ship"] - 6 / 11) < 1e-12
         assert abs(report11.mean_ap - 23 / 33) < 1e-12
@@ -363,6 +367,7 @@ class TestEvaluate:
         report = evaluate(_ds(dets), gt, 0.5, MODE_11POINT)
         assert report.per_class["ghost"] == 0.0
         assert report.mean_ap == 1.0
+        assert (report.tp, report.fp) == ({"plane": 1, "ghost": 0}, {"plane": 0, "ghost": 0})
 
     def test_duplicating_detections_never_raises_ap(self):
         rng = np.random.default_rng(99)

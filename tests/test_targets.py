@@ -262,3 +262,9 @@ class TestGridSpecs:
     def test_rounds_up(self):
         (spec,) = grid_specs(100, 50, (16,))
         assert (spec.width, spec.height) == (7, 4)
+
+    @pytest.mark.parametrize("strides", [(0,), (8, 0, 32), (-8,)])
+    def test_stride_below_one_is_refused(self, strides):
+        bad = next(s for s in strides if s < 1)
+        with pytest.raises(ValueError, match=f"^stride must be >= 1, got {bad}$"):
+            grid_specs(100, 100, strides)
