@@ -13,7 +13,7 @@ from pathlib import Path
 from .errors import ParseError
 from .evaluation import MODE_11POINT, MODE_ALLPOINT
 from .losses import LossWeights
-from .targets import DEFAULT_CENTER_RADIUS_MULT, LevelRanges
+from .targets import DEFAULT_CENTER_RADIUS_MULT, LevelRanges, check_center_radius_mult
 
 DEFAULT_STRIDES = (8, 16, 32, 64, 128)
 
@@ -36,10 +36,7 @@ class RunConfig:
             raise ValueError(f"unknown metric mode {self.metric_mode!r}")
         if min(self.strides, default=1) < 1:
             raise ValueError(f"strides must be >= 1, got {min(self.strides)}")
-        if not 0.0 <= self.center_radius_mult < math.inf:
-            raise ValueError(
-                f"center_radius_mult must be finite and >= 0, got {self.center_radius_mult}"
-            )
+        check_center_radius_mult(self.center_radius_mult)
 
 
 def parse_strides(raw: str) -> tuple[int, ...]:

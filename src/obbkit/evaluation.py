@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ShapeMismatch, UnknownCategory, UnknownClass
-from .geometry import _band_pairs, polygon_iou_pairs, quad_arrays, quad_list
+from .geometry import _band_pairs, _clip_chunks, polygon_iou_pairs, quad_arrays, quad_list
 from .inference import DetectionSet, check_image_index
 from .targets import GroundTruthObject
 
@@ -158,9 +158,11 @@ def _match_flags(dets: DetectionSet, gt: GtIndex, iou_thresh: float) -> np.ndarr
     Detections are visited in descending score, ties by row. The
     candidate pairs come from :func:`geometry._band_pairs`, with the
     ground truth as partners and (image, class) keys as groups (image -1
-    for a detection whose image has no annotation file). One batched call
-    computes the IoU of every pair of every band; every other pair counts
-    as IoU 0.
+    for a detection whose image has no annotation file); every other
+    pair counts as IoU 0. The pairs are clipped in chunks of
+    PAIRS_PER_CLIP (:func:`geometry._clip_chunks`), and each chunk only
+    updates every detection's best ground truth so far, so the memory
+    held is one band, one chunk and one entry per detection.
     """
     visit = np.argsort(-dets.score, kind="stable")
     gt_image = {image_id: i for i, image_id in enumerate(gt.image_ids)}
@@ -169,19 +171,25 @@ def _match_flags(dets: DetectionSet, gt: GtIndex, iou_thresh: float) -> np.ndarr
     groups = np.concatenate([gt.image, det_image[dets.image[visit]]]) * len(ids) + rank
     n_gt, quads = len(gt.image), dets.quads[visit]
     bands = _band_pairs(quads, groups[n_gt:], (gt.quads, groups[:n_gt]))
-    pairs = [(np.zeros(0, dtype=int),) * 2] + [band[2:] for band in bands]
-    k, g = (np.concatenate(x) for x in zip(*pairs))
-    iou = polygon_iou_pairs(quads[k], gt.quads[g])
+
+    # each detection's best ground truth, the first one on a tie
+    best_iou, best_gt = np.full(len(visit), -np.inf), np.full(len(visit), n_gt)
+    for k, g in _clip_chunks(bands):
+        iou = polygon_iou_pairs(quads[k], gt.quads[g])
+        top = np.lexsort((g, -iou, k))
+        top = top[np.diff(k[top], prepend=-1) != 0]
+        k, g, iou = k[top], g[top], iou[top]
+        # a detection's pairs may straddle two chunks
+        better = (iou > best_iou[k]) | ((iou == best_iou[k]) & (g < best_gt[k]))
+        best_iou[k[better]], best_gt[k[better]] = iou[better], g[better]
 
     flags = np.full(len(visit), FP)
-    # each detection's best ground truth, the first one on a tie
-    best = np.lexsort((g, -iou, k))
-    best = best[np.diff(k[best], prepend=-1) != 0]
-    k, g, hit = k[best], g[best], iou[best] > iou_thresh
+    k = np.flatnonzero(best_iou > iou_thresh)
+    g = best_gt[k]
     hard = gt.difficult[g]
-    flags[k[hit & hard]] = IGNORED
+    flags[k[hard]] = IGNORED
     # k ascends in visit order, so the first claim on a ground truth wins
-    claims = np.flatnonzero(hit & ~hard)
+    claims = np.flatnonzero(~hard)
     _, first = np.unique(g[claims], return_index=True)
     flags[k[claims[first]]] = TP
 

@@ -585,6 +585,26 @@ def _band_pairs(
         top = bottom
 
 
+def _clip_chunks(
+    bands: Iterator[tuple[int, int, np.ndarray, np.ndarray]],
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The (row, partner) pairs of :func:`_band_pairs` bands, in order, as
+    chunks of exactly PAIRS_PER_CLIP pairs (the last one shorter). The
+    pairs left over at the end of a band start the next chunk, so the
+    chunk count is ceil(pairs / PAIRS_PER_CLIP) however the bands fall,
+    and one polygon_iou_pairs call per chunk clips each chunk in one step."""
+    row = partner = np.zeros(0, dtype=int)
+    for _, _, band_row, band_partner in bands:
+        row, partner = np.concatenate([row, band_row]), np.concatenate([partner, band_partner])
+        whole = len(row) - len(row) % PAIRS_PER_CLIP
+        for start in range(0, whole, PAIRS_PER_CLIP):
+            yield row[start:start + PAIRS_PER_CLIP], partner[start:start + PAIRS_PER_CLIP]
+        # copied, so that the band's arrays are freed before the next band's
+        row, partner = row[whole:].copy(), partner[whole:].copy()
+    if len(row):
+        yield row, partner
+
+
 def _row_intervals(
     verts: np.ndarray, ys: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -12,7 +12,11 @@ Forward pass only. The block runs in Gram form. The channel affinities
 gamma * T (Wh F) + F equals M F + F for the mixing matrix
 M = gamma * T Wh. So the HW-sized data is read twice, once for G and once
 for M F, where the direct form makes five passes (Wf F, Wg F, Wh F,
-T @ Wh F and the shortcut sum) and holds four (C, HW) temporaries.
+T @ Wh F and the shortcut sum) and holds four (C, HW) temporaries. Here
+the one (C, HW) buffer is the branch sum F, which becomes the output:
+F + M F is written into it one column chunk at a time, each chunk's
+product a (C, w) temporary of at most ELEMENTS_PER_CHUNK elements, and
+the orientation map is added in place.
 """
 
 from __future__ import annotations
@@ -22,6 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatch
+
+# Elements of the branch sum mixed by one M F product; bounds ie_fuse's one
+# temporary (2 MB in float64, 4,096 columns at 64 channels).
+ELEMENTS_PER_CHUNK = 1 << 18
+# Chunk widths are multiples of this many columns, so that each column sits
+# where it sits in one whole-map product, at the same offset from the
+# BLAS kernel's column tiles and in the same last tile.
+_CHUNK_ALIGN = 64
 
 
 @dataclass
@@ -98,6 +110,25 @@ def _attention_table(f: np.ndarray, weights: AttentionWeights) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _chunk_limit(channels: int) -> int:
+    """Most columns of a channels-row map in one chunk: ELEMENTS_PER_CHUNK //
+    channels rounded down to a multiple of _CHUNK_ALIGN, but at least _CHUNK_ALIGN."""
+    return max(_CHUNK_ALIGN, ELEMENTS_PER_CHUNK // channels // _CHUNK_ALIGN * _CHUNK_ALIGN)
+
+
+def _column_chunks(channels: int, width: int) -> list[slice]:
+    """Column slices of a (channels, width) map, in order, for the M F step.
+
+    The n = ceil(width / _chunk_limit(channels)) slices share one width,
+    the least multiple of _CHUNK_ALIGN that covers the map in n slices
+    (the last may be shorter). A map within the limit is one slice, so
+    one product, as without chunking.
+    """
+    n = -(-width // _chunk_limit(channels))
+    step = -(-width // (n * _CHUNK_ALIGN)) * _CHUNK_ALIGN
+    return [slice(start, start + step) for start in range(0, width, step)]
+
+
 def ie_fuse(
     cls_feat: FeatureMap,
     reg_feat: FeatureMap,
@@ -119,10 +150,11 @@ def ie_fuse(
             f"{cls_feat.channels}-channel features"
         )
     f = cls_feat.values + reg_feat.values
-    if weights.gamma == 0.0:
-        values = f
-    else:
-        values = (weights.gamma * _attention_table(f, weights) @ weights.wh) @ f
-        values += f
-    values += ori_feat.values
-    return FeatureMap(ori_feat.channels, ori_feat.width, ori_feat.height, values)
+    if weights.gamma != 0.0:
+        mixing = weights.gamma * _attention_table(f, weights) @ weights.wh
+        # F + M F in F's own buffer; a chunk's product reads only its own columns
+        for chunk in _column_chunks(*f.shape):
+            part = f[:, chunk]
+            part += mixing @ part
+    f += ori_feat.values
+    return FeatureMap(ori_feat.channels, ori_feat.width, ori_feat.height, f)

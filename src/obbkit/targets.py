@@ -134,6 +134,15 @@ class LevelRanges:
 DEFAULT_CENTER_RADIUS_MULT = 1.5
 
 
+def check_center_radius_mult(value: float, *, finite: bool = True) -> None:
+    """Raise ValueError unless a center-sampling radius multiplier is >= 0,
+    and finite unless finite is False (an infinite radius turns the center
+    test off, so every location inside the HBB is a candidate)."""
+    if not 0.0 <= value or (finite and value == math.inf):
+        bound = "finite and >= 0" if finite else ">= 0"
+        raise ValueError(f"center_radius_mult must be {bound}, got {value}")
+
+
 def grid_specs(
     image_width: float, image_height: float, strides: Sequence[int]
 ) -> list[FeatureGridSpec]:
@@ -261,6 +270,7 @@ def _assign_positives(
     (K,) and difficult (K,). Every location not listed is background."""
     if len(specs) != len(ranges):
         raise ValueError(f"{len(specs)} grid specs but {len(ranges)} level ranges")
+    check_center_radius_mult(center_radius_mult, finite=False)
 
     obj_hbb, obj_wh = encode_many(quads)
     if not np.isfinite(obj_wh).all():
@@ -327,6 +337,8 @@ def assign_targets(
     of the HBB center on both axes, and the location's maximum ltrb offset
     falls in the level's range. When several objects claim a location the
     one with the smallest HBB area wins (first in the list on exact ties).
+    A negative or NaN center_radius_mult raises ValueError; an infinite
+    one drops the center test.
 
     Returns one row-major TargetMaps (y_s outer, x_s inner) per level.
     """

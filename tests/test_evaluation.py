@@ -255,6 +255,72 @@ class TestMatchDetections:
             assert got[class_id].flags.tolist() == flags
 
 
+def stacked_scene():
+    """One image in the manner of the bench match_stacked scene: 40 ground-truth
+    objects (4 difficult) and 400 detections of one class, 40 x 20 px at random
+    angles within 3 px of one centre, so that every pair's horizontal boxes overlap."""
+    rng = np.random.default_rng(23)
+
+    def stack(n):
+        return [rotated_rect(*rng.uniform(509.0, 515.0, 2), 40.0, 20.0, rng.uniform(-90.0, 90.0))
+                for _ in range(n)]
+
+    hard = set(rng.choice(40, 4, replace=False).tolist())
+    objs = [GroundTruthObject(q, 1, i in hard) for i, q in enumerate(stack(40))]
+    dets = [Detection(q, 1, float(s)) for q, s in zip(stack(400), rng.uniform(0.05, 1.0, 400))]
+    return {"A": dets}, GtIndex.from_mapping({"A": objs}, ClassTable(("small-vehicle",)))
+
+
+class TestChunkedMatching:
+    """Matching clips its pairs in chunks of PAIRS_PER_CLIP, carried across
+    bands, and keeps each detection's best ground truth chunk by chunk."""
+
+    @pytest.fixture(scope="class")
+    def scene(self):
+        dets, gt = stacked_scene()
+        one_band = match_detections(_ds(dets), gt, 0.5)[1]
+        return dets, gt, one_band, match_flags_oracle(dets, gt, 1, 0.5)
+
+    @pytest.mark.parametrize("clip_pairs", [300, geometry.PAIRS_PER_CLIP])
+    def test_many_bands_match_one_band(self, scene, clip_pairs):
+        dets, gt, one_band, (scores, flags) = scene
+        bands, clips = [], []
+
+        def counted_bands(*args):
+            for band in geometry._band_pairs(*args):
+                bands.append(len(band[2]))
+                yield band
+
+        def counted_clips(a, b):
+            clips.append(len(a))
+            return geometry.polygon_iou_pairs(a, b)
+
+        with mock.patch.object(geometry, "PAIRS_PER_BAND", 1000), \
+                mock.patch.object(geometry, "PAIRS_PER_CLIP", clip_pairs), \
+                mock.patch("obbkit.evaluation._band_pairs", counted_bands), \
+                mock.patch("obbkit.evaluation.polygon_iou_pairs", counted_clips):
+            got = match_detections(_ds(dets), gt, 0.5)[1]
+        assert len(bands) == 16 and sum(bands) == sum(clips) == 40 * 400
+        assert len(clips) == math.ceil(sum(clips) / clip_pairs)
+        assert set(clips[:-1]) == {clip_pairs}
+        assert got.flags.tolist() == one_band.flags.tolist() == flags
+        assert got.scores.tolist() == scores
+        assert {TP, FP, IGNORED} <= set(flags)
+
+    def test_a_tie_across_chunks_goes_to_the_first_ground_truth(self):
+        # both objects overlap the detection by IoU 1/3; object 1 lies left, so
+        # its pair comes first, in its own chunk, but object 0 is the best match
+        gt = GtIndex.from_mapping(
+            {"A": [GroundTruthObject(axis_box(5, 0, 15, 10), 1),
+                   GroundTruthObject(axis_box(-5, 0, 5, 10), 1, difficult=True)]},
+            ClassTable(("plane",)),
+        )
+        dets = {"A": [Detection(axis_box(0, 0, 10, 10), 1, 0.9)]}
+        with mock.patch.object(geometry, "PAIRS_PER_CLIP", 1):
+            got = match_detections(_ds(dets), gt, 0.3)[1]
+        assert got.flags.tolist() == match_flags_oracle(dets, gt, 1, 0.3)[1] == [TP]
+
+
 class TestPrCurve:
     def test_single_tp(self):
         curve = pr_curve([TP], [0.9], 1)

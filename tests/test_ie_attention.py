@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from obbkit.errors import ShapeMismatch
-from obbkit.ie_attention import AttentionWeights, FeatureMap, _attention_table, ie_fuse
+from obbkit.ie_attention import (
+    ELEMENTS_PER_CHUNK,
+    AttentionWeights,
+    FeatureMap,
+    _attention_table,
+    _chunk_limit,
+    _column_chunks,
+    ie_fuse,
+)
 
 from helpers import ie_fuse_oracle
 
@@ -283,3 +291,65 @@ class TestFeatureMap:
     def test_rejects_bad_shape(self):
         with pytest.raises(ShapeMismatch):
             FeatureMap(2, 3, 4, np.zeros((2, 5)))
+
+
+class TestChunkedMixing:
+    """ie_fuse forms M F + F in the branch sum's buffer, one column chunk of
+    at most ELEMENTS_PER_CHUNK elements at a time."""
+
+    @staticmethod
+    def one_product(cls, reg, ori, weights) -> np.ndarray:
+        """The fusion with M F as one whole-map product: M F + F + ori."""
+        f = cls.values + reg.values
+        values = (weights.gamma * _attention_table(f, weights) @ weights.wh) @ f
+        values += f
+        values += ori.values
+        return values
+
+    @staticmethod
+    def scene(channels, width, seed):
+        rng = np.random.default_rng(seed)
+        maps = [FeatureMap(channels, width, 1, rng.standard_normal((channels, width)))
+                for _ in range(3)]
+        return maps, AttentionWeights.seeded(channels, seed, scale=0.01, gamma=0.7)
+
+    def test_chunks_cover_the_map_within_the_budget(self):
+        for channels in (1, 2, 3, 16, 31, 64, 257, 5000):
+            limit = _chunk_limit(channels)
+            assert limit % 64 == 0
+            assert limit * channels <= ELEMENTS_PER_CHUNK or limit == 64
+            for width in (1, limit - 1, limit, limit + 1, 2 * limit + 1, 4 * limit):
+                chunks = _column_chunks(channels, width)
+                assert len(chunks) == -(-width // limit)
+                assert [c.start for c in chunks] == list(range(0, width, chunks[0].stop))
+                assert chunks[0].stop % 64 == 0 and chunks[0].stop <= limit
+                assert chunks[-1].stop >= width
+
+    @pytest.mark.parametrize("channels", [1, 2, 3, 16, 31, 64, 257])
+    def test_width_sweep(self, channels):
+        limit = _chunk_limit(channels)
+        for width in (1, limit - 1, limit, limit + 1, 2 * limit + 1, 4 * limit):
+            (cls, reg, ori), weights = self.scene(channels, width, channels * 7919 + width)
+            before = [m.values.copy() for m in (cls, reg, ori)]
+            got = ie_fuse(cls, reg, ori, weights).values
+            for m, b in zip((cls, reg, ori), before):
+                assert np.array_equal(m.values, b)
+            if width <= limit:
+                # one chunk is one product, as without chunking
+                assert got.tobytes() == self.one_product(cls, reg, ori, weights).tobytes()
+            merged = cls.values + reg.values
+            mixing = np.abs(_attention_table(merged, weights) @ weights.wh)
+            scale_of = weights.gamma * (mixing @ np.abs(merged))
+            scale_of += np.abs(merged) + np.abs(ori.values)
+            want = ie_fuse_oracle(cls, reg, ori, weights)
+            assert np.all(np.abs(got - want) <= 1e-12 * scale_of)
+            plain = AttentionWeights(weights.wf, weights.wg, weights.wh, 0.0)
+            summed = cls.values + reg.values + ori.values
+            assert ie_fuse(cls, reg, ori, plain).values.tobytes() == summed.tobytes()
+
+    @pytest.mark.parametrize("grid", [128, 64, 32, 16, 8])
+    def test_detect_levels_keep_their_bits(self, grid):
+        # the perfbench detect pyramid: 64 channels over 128^2 .. 8^2 locations
+        (cls, reg, ori), weights = self.scene(64, grid * grid, grid)
+        got = ie_fuse(cls, reg, ori, weights).values
+        assert got.tobytes() == self.one_product(cls, reg, ori, weights).tobytes()

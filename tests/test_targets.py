@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -202,6 +203,25 @@ class TestAssignTargets:
             for lvl, exp in zip(levels, expected):
                 got = np.where(lvl.class_id > 0, lvl.object_index, -1).tolist()
                 assert got == exp
+
+    @pytest.mark.parametrize("radius_mult", [-1.0, math.nan])
+    def test_meaningless_radius_is_refused(self, radius_mult):
+        # RunConfig's check (which also refuses inf), not a silent scene without positives
+        spec = FeatureGridSpec(8, 8, 8, 3)
+        obj = GroundTruthObject(rotated_rect(30, 30, 20, 10, 30), 1)
+        message = f"center_radius_mult must be >= 0, got {radius_mult}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            assign_targets([spec], LevelRanges([(0, math.inf)]), [obj], radius_mult)
+
+    @pytest.mark.parametrize("radius_mult", [0.0, 1.5])
+    def test_zero_and_default_radius_match_brute_force(self, radius_mult):
+        rng = np.random.default_rng(75)
+        specs = [FeatureGridSpec(24, 24, 8, 3)]
+        ranges = LevelRanges([(0, math.inf)])
+        objects = [GroundTruthObject(random_rect(rng, 150, 10, 100), 1) for _ in range(4)]
+        (maps,) = assign_targets(specs, ranges, objects, center_radius_mult=radius_mult)
+        (expected,) = _brute_force_best_object(specs, ranges, objects, radius_mult)
+        assert np.where(maps.class_id > 0, maps.object_index, -1).tolist() == expected
 
     def test_shrinking_radius_never_adds_positives(self):
         rng = np.random.default_rng(73)
