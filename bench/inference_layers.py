@@ -17,6 +17,10 @@ Times, as medians over repeated runs on seeded inputs:
   squares 7 px apart, scored in chain order: each overlaps only its
   neighbours (IoU 0.18, all are kept), but every row waits on the one
   before it, so NMS resolves most of the chain in its fallback pass;
+- ``nms_per_image`` on one image of 10,000 one-class 40 x 20 boxes,
+  axis-aligned, their centres within 3 px of one point on each axis:
+  every pair's horizontal boxes overlap, so NMS expands about 50M pairs
+  to keep one box;
 - ``ie_fuse`` on detect-shaped features: 5 levels of 64 channels, 128 x
   128 down to 8 x 8, standard-normal inputs and weights scaled by 0.01.
 
@@ -155,6 +159,13 @@ def chained_boxes():
     return one_image("chain", corners, [1] * 2000, [1.0 - k / 2000 for k in range(2000)])
 
 
+def stacked_boxes(seed=10000):
+    rng = np.random.default_rng(seed)
+    centres = rng.uniform(509.0, 515.0, (10000, 2)).tolist()
+    corners = [rect_corners(cx, cy, 40.0, 20.0, 0.0) for cx, cy in centres]
+    return one_image("stacked", corners, [1] * 10000, rng.random(10000).tolist())
+
+
 def fusion_maps(seed=64, channels=64, sides=(128, 64, 32, 16, 8)):
     """Per level, (cls, reg, ori) feature maps of side x side locations."""
     rng = np.random.default_rng(seed)
@@ -175,6 +186,7 @@ def make_cases(root: Path):
     batches, specs = detect_map()
     dense, dense_specs = dense_map()
     scattered, clustered, chain = scattered_boxes(), clustered_boxes(), chained_boxes()
+    stacked = stacked_boxes()
     maps, weights = fusion_maps(), AttentionWeights.seeded(64, 64)
     return {
         "run_inference_detect": (
@@ -189,6 +201,8 @@ def make_cases(root: Path):
                           lambda: nms_per_image(clustered, 0.5)),
         "nms_chain": ("chain of 2000 one-class boxes, NMS 0.5", None,
                       lambda: nms_per_image(chain, 0.5)),
+        "nms_stacked": ("10,000 stacked one-class boxes, NMS 0.5", None,
+                        lambda: nms_per_image(stacked, 0.5)),
         "ie_fuse_detect": ("5 levels x 64 channels, 128^2 down to 8^2", None,
                            lambda: [ie_fuse(cls, reg, ori, weights) for cls, reg, ori in maps]),
     }

@@ -27,12 +27,11 @@ record of each case and the JSON output)::
 
     python3 bench/train_layers.py [--repeats 7] [--cases a,b] [--out BENCH_train.json]
 
-The script uses only what releases before the lean training path
-already had (``assign_targets``, ``TargetMaps.concatenate``,
-``total_loss``, ``_focal_sum(scores, pos, alpha, beta)``, ``fit_demo``,
-``_fit_positives`` with ``targets._flat_positives`` and
-``cli._image_positives``, and the ``fit-demo`` and ``assign`` commands),
-so one script gives before and after numbers.
+``fit_positives`` fits the one positive record of
+``cli._image_positives`` (the positives of all levels as a single
+``TargetMaps``), so the script needs a release with that record; the
+releases before it are timed with the script of their own checkout,
+whose cases have the same names and scene.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from obbkit import cli
 from obbkit.config import build_config
 from obbkit.dota import parse_dota_annotations
 from obbkit.losses import PredictionBatch, _fit_positives, _focal_sum, fit_demo, total_loss
-from obbkit.targets import TargetMaps, _flat_positives, assign_targets, grid_specs
+from obbkit.targets import TargetMaps, assign_targets, grid_specs
 
 IMAGE_SIZE = 1024
 OBJECTS = 100
@@ -114,12 +113,11 @@ def make_cases(root: Path):
     onehot = pos * num_classes + flat.class_id[pos] - 1
     num_pos = int(pos.size)
     rows = np.arange(len(gt.class_id))
-    _, _, level_specs, levels = cli._image_positives(gt, rows, cfg, (IMAGE_SIZE, IMAGE_SIZE))
-    n, positives = _flat_positives(level_specs, levels)
+    _, _, _, positives, _ = cli._image_positives(gt, rows, cfg, (IMAGE_SIZE, IMAGE_SIZE))
 
     def fit_positives():
         return _fit_positives(
-            n, positives.class_id, (positives.centerness, positives.ltrb, positives.wh),
+            len(flat), positives.class_id, (positives.centerness, positives.ltrb, positives.wh),
             positives.points, cfg.weights, FIT_STEPS, 0.05, num_classes,
         )
 

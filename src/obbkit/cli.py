@@ -26,9 +26,7 @@ from .geometry import (
 )
 from .inference import nms_per_image
 from .losses import PredictionBatch, _check_fit_args, _fit_positives, grad_check, total_loss
-from .targets import (
-    FeatureGridSpec, TargetMaps, _assign_positives, _flat_positives, _Positives, grid_specs,
-)
+from .targets import FeatureGridSpec, TargetMaps, _assign_positives, grid_specs
 
 _USAGE_EXIT = 1
 _DATA_EXIT = 2
@@ -94,10 +92,10 @@ def _derive_image_size(quads: np.ndarray, strides) -> tuple[int, int]:
 
 
 def _parse_image_size(raw: str) -> tuple[int, int]:
-    w, sep, h = raw.lower().partition("x")
-    if not sep:
-        raise ValueError(f"--image-size expects WxH, got {raw!r}")
-    width, height = int(w), int(h)
+    try:
+        width, height = map(int, raw.lower().split("x"))
+    except ValueError:  # not two parts, or a part that is not an integer
+        raise ValueError(f"--image-size expects WxH, got {raw!r}") from None
     if width < 1 or height < 1:
         raise ValueError(f"--image-size needs a positive width and height, got {raw!r}")
     return width, height
@@ -117,17 +115,19 @@ def _image_rows(gt: GtIndex) -> list[np.ndarray]:
 
 def _image_positives(
     gt: GtIndex, rows: np.ndarray, cfg: RunConfig, size: tuple[int, int] | None
-) -> tuple[int, int, list[FeatureGridSpec], list[_Positives]]:
-    """Width, height, grid specs and per-level positive targets of the
-    objects in rows; the size is derived from their quads when size is None."""
+) -> tuple[int, int, list[FeatureGridSpec], TargetMaps, list[int]]:
+    """Width, height, grid specs, the positive targets of the objects in
+    rows as one TargetMaps (level by level, row-major within a level) and
+    the row where each level starts followed by the row count; the size is
+    derived from their quads when size is None."""
     quads = gt.quads[rows]
     width, height = size or _derive_image_size(quads, cfg.strides)
     specs = grid_specs(width, height, cfg.strides)
-    levels = _assign_positives(
+    positives, starts = _assign_positives(
         specs, cfg.level_ranges, quads, gt.class_id[rows], gt.difficult[rows],
         cfg.center_radius_mult,
     )
-    return width, height, specs, levels
+    return width, height, specs, positives, starts
 
 
 def _best_positives(object_index: np.ndarray, fused: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -203,17 +203,16 @@ def _cmd_assign(args) -> int:
     size = _parse_image_size(args.image_size) if args.image_size else None
     gt = dota.parse_dota_annotations(args.gt)
     for image_id, rows in zip(gt.image_ids, _image_rows(gt)):
-        width, height, specs, levels = _image_positives(gt, rows, cfg, size)
+        width, height, specs, pos, starts = _image_positives(gt, rows, cfg, size)
         print(f"# image {image_id} size {width}x{height}")
-        for spec, pos in zip(specs, levels):
-            y_s, x_s = np.divmod(pos.loc, spec.width)
-            values = np.column_stack([pos.ltrb, pos.wh, pos.centerness])
+        for spec, lo, hi in zip(specs, starts, starts[1:]):
+            values = np.column_stack([pos.ltrb[lo:hi], pos.wh[lo:hi], pos.centerness[lo:hi]])
             print("\n".join([*(
                 f"{spec.level} {x} {y} {class_id} {fields} {int(difficult)}"
-                for x, y, class_id, fields, difficult in zip(
-                    x_s.tolist(), y_s.tolist(), pos.class_id.tolist(),
-                    dota._format_rows(values), pos.difficult.tolist())
-            ), f"# level {spec.level}: {pos.loc.size} positive of "
+                for (x, y), class_id, fields, difficult in zip(
+                    pos.grid[lo:hi].tolist(), pos.class_id[lo:hi].tolist(),
+                    dota._format_rows(values), pos.difficult[lo:hi].tolist())
+            ), f"# level {spec.level}: {hi - lo} positive of "
                f"{spec.width * spec.height} locations"]))
     return 0
 
@@ -361,12 +360,12 @@ def _cmd_fit_demo(args) -> int:
     for image_id, rows in zip(gt.image_ids, _image_rows(gt)):
         fit = None
         if rows.size:
-            _, _, specs, levels = _image_positives(gt, rows, cfg, size)
-            n, pos = _flat_positives(specs, levels)
-            if pos.loc.size:
+            _, _, specs, pos, _ = _image_positives(gt, rows, cfg, size)
+            if len(pos):
                 # fit before the image header, so a numeric failure leaves no header
                 fit = _fit_positives(
-                    n, pos.class_id, (pos.centerness, pos.ltrb, pos.wh), pos.points,
+                    sum(spec.width * spec.height for spec in specs), pos.class_id,
+                    (pos.centerness, pos.ltrb, pos.wh), pos.points,
                     cfg.weights, args.steps, args.lr, len(gt.classes),
                 )
         print(f"# image {image_id}")

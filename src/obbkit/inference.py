@@ -24,7 +24,7 @@ from .geometry import (
     quads_from_offsets,
 )
 from .losses import PredictionBatch
-from .targets import FeatureGridSpec
+from .targets import FeatureGridSpec, _grid_coords
 
 
 # Batched clipping rounds per NMS band before the undecided rows fall back
@@ -253,9 +253,9 @@ def run_inference(
             top = np.flatnonzero(better | (tied & (np.cumsum(tied) <= room)))
             loc, cls, score = loc[top], cls[top], score[top]
         y_s, x_s = np.divmod(loc, spec.width)
-        # each candidate's image point: floor(s/2) + grid index * s
-        points = spec.stride // 2 + np.stack([x_s, y_s], axis=1) * spec.stride
-        quads.append(quads_from_offsets(points.astype(float), batch.ltrb[loc], batch.wh[loc]))
+        px, py = _grid_coords(spec)
+        points = np.stack([px[x_s], py[y_s]], axis=1)
+        quads.append(quads_from_offsets(points, batch.ltrb[loc], batch.wh[loc]))
         classes.append(cls + 1)
         scores.append(score)
     if not quads:

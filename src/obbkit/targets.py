@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -191,9 +190,9 @@ def _grid_coords(spec: FeatureGridSpec) -> tuple[np.ndarray, np.ndarray]:
 def _claim(
     px: np.ndarray, py: np.ndarray, objects: tuple, radius: float, lo: float, hi: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Row-major indices of the claimed grid locations, ascending, the index
-    of the object each is assigned to, and each location's (4, P) offsets
-    l, t, r, b to that object's HBB and (2, P) image point.
+    """The (2, P) grid index x_s, y_s of the claimed locations, in row-major
+    order, the index of the object each is assigned to, and each location's
+    (4, P) offsets l, t, r, b to that object's HBB and (2, P) image point.
 
     px (W,) and py (H,) are :func:`_grid_coords`; objects holds the HBB
     rows xmin ymin xmax ymax cx cy (6, K) of the objects that can win, by
@@ -239,22 +238,7 @@ def _claim(
     first = np.ones(loc.size, dtype=bool)
     first[1:] = loc[1:] != loc[:-1]
     keep = keep[first]
-    return loc[first], index[j[keep]], offsets[:, keep], point[:, keep]
-
-
-class _Positives(NamedTuple):
-    """The positive locations of one level, by ascending row-major index loc
-    (P,), with the :class:`TargetMaps` fields other than grid at each
-    (or of all levels, as :func:`_flat_positives` joins them)."""
-
-    loc: np.ndarray
-    class_id: np.ndarray
-    ltrb: np.ndarray
-    wh: np.ndarray
-    centerness: np.ndarray
-    difficult: np.ndarray
-    object_index: np.ndarray
-    points: np.ndarray
+    return grid[:, keep], index[j[keep]], offsets[:, keep], point[:, keep]
 
 
 def _assign_positives(
@@ -264,10 +248,13 @@ def _assign_positives(
     class_id: np.ndarray,
     difficult: np.ndarray,
     center_radius_mult: float,
-) -> list[_Positives]:
-    """The positives of :func:`assign_targets`, per level, of K objects
-    given as arrays: canonical vertices quads (K, 4, 2), 1-based class_id
-    (K,) and difficult (K,). Every location not listed is background."""
+) -> tuple[TargetMaps, list[int]]:
+    """The positives of :func:`assign_targets` of K objects given as
+    arrays: canonical vertices quads (K, 4, 2), 1-based class_id (K,) and
+    difficult (K,). Returns them as one TargetMaps, level by level and
+    row-major within a level (grid holds each row's x_s, y_s), and the row
+    where each level starts followed by the row count. Every location not
+    listed is background."""
     if len(specs) != len(ranges):
         raise ValueError(f"{len(specs)} grid specs but {len(ranges)} level ranges")
     check_center_radius_mult(center_radius_mult, finite=False)
@@ -288,39 +275,29 @@ def _assign_positives(
     # search rows: xmin ymin, the centers twice, and the floats just below xmax and ymax
     below = np.nextafter(bounds[2:4], -np.inf)
     objects = bounds, np.concatenate([bounds[:2], bounds[4:], bounds[4:], below]), index
-    out: list[_Positives] = []
+    levels, starts = [], [0]
     for spec, (lo, hi) in zip(specs, ranges.pairs):
         radius = center_radius_mult * spec.stride
-        loc, k, ltrb, points = _claim(*_grid_coords(spec), objects, radius, lo, hi)
-        out.append(_Positives(loc, obj_class[k], ltrb.T, obj_wh[k], _centerness(*ltrb),
-                              obj_difficult[k], k, points.T))
-    return out
+        grid, k, ltrb, points = _claim(*_grid_coords(spec), objects, radius, lo, hi)
+        levels.append((obj_class[k], ltrb.T, obj_wh[k], _centerness(*ltrb), obj_difficult[k], k,
+                       points.T, grid.T))
+        starts.append(starts[-1] + k.size)
+    return TargetMaps(*map(np.concatenate, zip(*levels))), starts
 
 
-def _flat_positives(
-    specs: Sequence[FeatureGridSpec], levels: Sequence[_Positives]
-) -> tuple[int, _Positives]:
-    """The location count of all levels, and their positives as one set
-    whose loc counts the locations of the levels in order (the rows of
-    :meth:`TargetMaps.concatenate` of the dense levels)."""
-    n, parts = 0, []
-    for spec, level in zip(specs, levels, strict=True):
-        parts.append(level._replace(loc=level.loc + n))
-        n += spec.width * spec.height
-    return n, _Positives(*(np.concatenate(field) for field in zip(*parts)))
-
-
-def _dense(spec: FeatureGridSpec, positives: _Positives) -> TargetMaps:
-    """One level's row-major TargetMaps: the positives scattered into
-    background rows (class 0, object -1, zero regression values)."""
+def _dense(spec: FeatureGridSpec, positives: TargetMaps, rows: slice) -> TargetMaps:
+    """One level's row-major TargetMaps: the given rows of positives, placed
+    by their grid index, scattered into background rows (class 0, object
+    -1, zero regression values)."""
     px, py = _grid_coords(spec)
     y_s, x_s = np.divmod(np.arange(spec.width * spec.height), spec.width)
     fields = dict(points=np.stack([px[x_s], py[y_s]], axis=1),
                   grid=np.stack([x_s, y_s], axis=1))
+    loc = positives.grid[rows, 1] * spec.width + positives.grid[rows, 0]
     for name in ("class_id", "ltrb", "wh", "centerness", "difficult", "object_index"):
         dtype, tail = _MAP_LAYOUT[name]
         fields[name] = np.full((x_s.size, *tail), -1 if name == "object_index" else 0, dtype)
-        fields[name][positives.loc] = getattr(positives, name)
+        fields[name][loc] = getattr(positives, name)[rows]
     return TargetMaps(**fields)
 
 
@@ -342,7 +319,7 @@ def assign_targets(
 
     Returns one row-major TargetMaps (y_s outer, x_s inner) per level.
     """
-    levels = _assign_positives(
+    positives, starts = _assign_positives(
         specs,
         ranges,
         quad_arrays([obj.quad for obj in objects]),
@@ -350,4 +327,5 @@ def assign_targets(
         np.array([obj.difficult for obj in objects], dtype=bool),
         center_radius_mult,
     )
-    return [_dense(spec, positives) for spec, positives in zip(specs, levels)]
+    return [_dense(spec, positives, slice(lo, hi))
+            for spec, lo, hi in zip(specs, starts, starts[1:])]

@@ -87,7 +87,7 @@ def test_inference_layers_scenes(script):
     assert {name: digest(build()) for name, build in [
         ("detect", inf.detect_map), ("dense", inf.dense_map),
         ("scattered", inf.scattered_boxes), ("clustered", inf.clustered_boxes),
-        ("chain", inf.chained_boxes),
+        ("chain", inf.chained_boxes), ("stacked", inf.stacked_boxes),
         ("fusion", lambda: (inf.fusion_maps(), inf.AttentionWeights.seeded(64, 64))),
     ]} == {
         "detect": "3f56c647280c6d8824f12e448ad0cdf5c02c258cb9df68436d62a82167d28471",
@@ -95,5 +95,6 @@ def test_inference_layers_scenes(script):
         "scattered": "907aa1f840d334a3f7ff7ed326145ae724332e943489642ce4909bc0e3110483",
         "clustered": "446781fb25bd211654791fdd87c3b5d0c4ba7ff2a2f07a6b3b8b27b404be6841",
         "chain": "c77f258c7c08ac09b152586b44386f57c50e1574b6aa6c7fecbeba457ec8ca2d",
+        "stacked": "0f4e41011abdc368a7e9165a863be81a9577a908e88ab90c2ca4320696c03913",
         "fusion": "a444625c349613028ed3905340ffe0f31a2c4b7c1fb87693ca4fbc483ac89439",
     }

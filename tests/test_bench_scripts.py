@@ -25,7 +25,7 @@ ROOT = Path(__file__).resolve().parents[1]
         (
             "inference_layers.py",
             ["run_inference_detect", "run_inference_dense", "nms_scattered", "nms_clustered",
-             "nms_chain", "ie_fuse_detect"],
+             "nms_chain", "nms_stacked", "ie_fuse_detect"],
         ),
         (
             "train_layers.py",

@@ -269,9 +269,13 @@ class TestAssignCommand:
     def test_bad_image_size_without_annotations(self, tmp_path, capsys):
         empty = tmp_path / "gt"
         empty.mkdir()
-        code, out, err = run_cli(capsys, "assign", "--gt", str(empty), "--image-size", "bogus")
-        assert (code, out) == (2, "")
-        assert err == "error: --image-size expects WxH, got 'bogus'\n"
+        for command in ("assign", "fit-demo"):
+            for raw in ("bogus", "1024x1024x3", "x5", "5x", "10.5x10"):
+                code, out, err = run_cli(capsys, command, "--gt", str(empty), "--image-size", raw)
+                assert (code, out) == (2, "")
+                assert err == f"error: --image-size expects WxH, got {raw!r}\n"
+            code, _, _ = run_cli(capsys, command, "--gt", str(empty), "--image-size", " 8 x 8 ")
+            assert code == 0
 
 
 class TestFlagPrecedence:

@@ -45,7 +45,6 @@ from obbkit.targets import (
     LevelRanges,
     TargetMaps,
     _assign_positives,
-    _flat_positives,
     assign_targets,
     grid_specs,
 )
@@ -579,13 +578,19 @@ class TestGroupedFitDemo:
 
 
 def positives_fit(specs, ranges, objects, radius_mult, num_classes, steps, lr):
-    """The fit-demo command's path: per-level positives, flattened over the
-    levels and fitted with no dense map. Returns the flat positives and the
-    fit (trajectory, group scores, predictions, decoded quads, fused scores)."""
-    levels = _assign_positives(specs, ranges, *object_arrays(objects), radius_mult)
-    n, pos = _flat_positives(specs, levels)
-    return pos, _fit_positives(n, pos.class_id, (pos.centerness, pos.ltrb, pos.wh), pos.points,
-                               LossWeights(), steps, lr, num_classes)
+    """The fit-demo command's path: the positives of all levels as one
+    record, fitted with no dense map. Returns the positives' rows in the
+    concatenated dense maps (the level offset + y_s * W + x_s), the
+    positives and the fit (trajectory, group scores, predictions, decoded
+    quads, fused scores)."""
+    pos, starts = _assign_positives(specs, ranges, *object_arrays(objects), radius_mult)
+    sizes = [spec.width * spec.height for spec in specs]
+    per_row = np.diff(starts)
+    offset = np.repeat(np.cumsum([0, *sizes[:-1]]), per_row)
+    width = np.repeat([spec.width for spec in specs], per_row)
+    loc = offset + pos.grid[:, 1] * width + pos.grid[:, 0]
+    return loc, pos, _fit_positives(sum(sizes), pos.class_id, (pos.centerness, pos.ltrb, pos.wh),
+                                    pos.points, LossWeights(), steps, lr, num_classes)
 
 
 @st.composite
@@ -608,14 +613,14 @@ class TestPositivesOnlyFit:
         flat = TargetMaps.concatenate(assign_targets(specs, ranges, objects, radius_mult))
         want, want_evals = counted(lambda: fit_demo(
             flat, LossWeights(), steps=steps, lr=lr, num_classes=num_classes))
-        (pos, fit), got_evals = counted(lambda: positives_fit(
+        (loc, pos, fit), got_evals = counted(lambda: positives_fit(
             specs, ranges, objects, radius_mult, num_classes, steps, lr))
         trajectory, _, _, decoded, fused = fit
         assert [hex_row(b) for b in trajectory] == [hex_row(b) for b in want.trajectory]
         assert [(b.num_pos, b.normalizer) for b in trajectory] == [
             (b.num_pos, b.normalizer) for b in want.trajectory
         ]
-        assert pos.loc.tolist() == want.positive_indices
+        assert loc.tolist() == want.positive_indices
         assert same_bits(pos.object_index, flat.object_index[want.positive_indices])
         assert same_bits(decoded, want.decoded_quads)
         assert [v.hex() for v in fused.tolist()] == [v.hex() for v in want.fused_scores]
