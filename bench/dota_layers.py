@@ -29,6 +29,10 @@ image and class, written as DOTA text files):
   ground-truth objects and 3,000 detections (one class, 40 x 20 px at
   random angles) all lie within 3 px of one centre, so every detection's
   horizontal box overlaps every object's;
+- ``match_wide``: ``evaluate`` at IoU 0.5 on one image whose 10,000
+  ground-truth objects (6 x 4 px) lie on a 10 px grid, with 2,000
+  jittered detections and one detection covering the whole grid, whose
+  candidate pairs outnumber ``geometry.PAIRS_PER_CLIP``;
 - ``parse_annotations_lines``: ``parse_dota_annotations`` on a copy of
   the ground truth without the difficult flag, whose 9-field lines take
   the line-by-line path instead of the one-loadtxt fast path.
@@ -64,6 +68,8 @@ COLUMN_GT = 400
 COLUMN_FALSE_POSITIVES = 400
 STACKED_GT = 300
 STACKED_DETS = 3000
+WIDE_GRID = 100  # ground-truth objects per row and per column
+WIDE_DETS = 2000  # jittered detections, besides the one covering the grid
 
 
 def _rect(rng, cx, cy, length, width, angle):
@@ -147,9 +153,15 @@ def vehicle_scene(seed, n_gt, false_positives, x_range, length, width):
         cx, cy = rng.uniform(lo, hi)
         raw.append(_rect(rng, cx, cy, rng.uniform(*length), rng.uniform(*width),
                          rng.uniform(-90, 90)))
+    return one_image(rng, gt, raw)
+
+
+def one_image(rng, gt, raw):
+    """(dets, gt) of one image and one class from the vertex rows gt and
+    raw, with seeded scores and about 5% of the objects difficult."""
     quads, fault = geometry.canonicalize_many(np.array(gt + raw).reshape(-1, 4, 2))
     if fault.any():
-        raise RuntimeError("a vehicle scene has a quad that canonicalize_many rejects")
+        raise RuntimeError("a scene has a quad that canonicalize_many rejects")
     n_gt, n_det = len(gt), len(raw)
     dets = DetectionSet(("P0000",), np.zeros(n_det, dtype=int), quads[n_gt:],
                         np.ones(n_det, dtype=int), rng.uniform(0.05, 1.0, n_det))
@@ -177,17 +189,27 @@ def stacked_scene(seed: int = 17):
     40 x 20 px at a random angle, centred within 3 px of the image centre;
     returns (dets, gt)."""
     rng = np.random.default_rng(seed)
-    n_gt, n_det = STACKED_GT, STACKED_DETS
     raw = [_rect(rng, *rng.uniform(509.0, 515.0, 2), 40.0, 20.0, rng.uniform(-90.0, 90.0))
-           for _ in range(n_gt + n_det)]
-    quads, fault = geometry.canonicalize_many(np.array(raw).reshape(-1, 4, 2))
-    if fault.any():
-        raise RuntimeError("the stacked scene has a quad that canonicalize_many rejects")
-    dets = DetectionSet(("P0000",), np.zeros(n_det, dtype=int), quads[n_gt:],
-                        np.ones(n_det, dtype=int), rng.uniform(0.05, 1.0, n_det))
-    gt = GtIndex(("P0000",), np.zeros(n_gt, dtype=int), quads[:n_gt], np.ones(n_gt, dtype=int),
-                 rng.random(n_gt) < 0.05, ClassTable(("small-vehicle",)))
-    return dets, gt
+           for _ in range(STACKED_GT + STACKED_DETS)]
+    return one_image(rng, raw[:STACKED_GT], raw[STACKED_GT:])
+
+
+def wide_scene(seed: int = 19):
+    """WIDE_GRID x WIDE_GRID objects of one class, 6 x 4 px at random
+    angles, centred on a 10 px grid; WIDE_DETS detections jittered from
+    objects drawn at random, then one axis-aligned detection covering the
+    whole grid; returns (dets, gt)."""
+    rng = np.random.default_rng(seed)
+    centres = 17.0 + 10.0 * np.indices((WIDE_GRID, WIDE_GRID)).reshape(2, -1).T
+    angles = rng.uniform(-90.0, 90.0, len(centres))
+    gt = [_rect(rng, cx, cy, 6.0, 4.0, angle) for (cx, cy), angle in zip(centres, angles)]
+    raw = []
+    for k in rng.integers(len(gt), size=WIDE_DETS):
+        (cx, cy), angle = centres[k] + rng.normal(0, 0.5, 2), angles[k] + rng.normal(0, 4.0)
+        raw.append(_rect(rng, cx, cy, 6.0 * rng.uniform(0.9, 1.1), 4.0 * rng.uniform(0.9, 1.1),
+                         angle))
+    raw.append(_rect(rng, IMAGE_SIZE / 2, IMAGE_SIZE / 2, IMAGE_SIZE - 8.0, IMAGE_SIZE - 8.0, 0.0))
+    return one_image(rng, gt, raw)
 
 
 def nms_sweep_pairs(dets) -> tuple[np.ndarray, np.ndarray]:
@@ -251,6 +273,11 @@ def make_cases(root: Path):
         f"1 image, {len(stacked_dets)} detections vs {len(stacked_gt.image)} ground truth "
         "within 3 px of one centre, one class, IoU 0.5", None,
         lambda: evaluate(stacked_dets, stacked_gt, 0.5))
+    wide_dets, wide_gt = wide_scene()
+    cases["match_wide"] = (
+        f"1 image, {len(wide_dets)} detections vs {len(wide_gt.image)} ground truth "
+        "on a 10 px grid, one covering them all, one class, IoU 0.5", None,
+        lambda: evaluate(wide_dets, wide_gt, 0.5))
     (root / "gt9").mkdir()
     for f in sorted((root / "gt").glob("*.txt")):
         lines = [line.rsplit(" ", 1)[0] if len(line.split()) == 10 else line

@@ -19,8 +19,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import geometry
 from .errors import ShapeMismatch, UnknownCategory, UnknownClass
-from .geometry import _band_pairs, _clip_chunks, polygon_iou_pairs, quad_arrays, quad_list
+from .geometry import _band_pairs, polygon_iou_pairs, quad_arrays, quad_list
 from .inference import DetectionSet, check_image_index
 from .targets import GroundTruthObject
 
@@ -159,10 +160,13 @@ def _match_flags(dets: DetectionSet, gt: GtIndex, iou_thresh: float) -> np.ndarr
     candidate pairs come from :func:`geometry._band_pairs`, with the
     ground truth as partners and (image, class) keys as groups (image -1
     for a detection whose image has no annotation file); every other
-    pair counts as IoU 0. The pairs are clipped in chunks of
-    PAIRS_PER_CLIP (:func:`geometry._clip_chunks`), and each chunk only
-    updates every detection's best ground truth so far, so the memory
-    held is one band, one chunk and one entry per detection.
+    pair counts as IoU 0. A band's pairs come grouped by detection, and
+    are cut into slices of as many whole detections as fit in
+    PAIRS_PER_CLIP pairs (a detection with more, bounded by its group,
+    is a slice of its own). One polygon_iou_pairs call per slice settles
+    each of its detections: the best IoU, where a NaN IoU never wins, and
+    the lowest object index at that IoU. So the memory held is one band,
+    one slice and one entry per detection.
     """
     visit = np.argsort(-dets.score, kind="stable")
     gt_image = {image_id: i for i, image_id in enumerate(gt.image_ids)}
@@ -174,14 +178,19 @@ def _match_flags(dets: DetectionSet, gt: GtIndex, iou_thresh: float) -> np.ndarr
 
     # each detection's best ground truth, the first one on a tie
     best_iou, best_gt = np.full(len(visit), -np.inf), np.full(len(visit), n_gt)
-    for k, g in _clip_chunks(bands):
-        iou = polygon_iou_pairs(quads[k], gt.quads[g])
-        top = np.lexsort((g, -iou, k))
-        top = top[np.diff(k[top], prepend=-1) != 0]
-        k, g, iou = k[top], g[top], iou[top]
-        # a detection's pairs may straddle two chunks
-        better = (iou > best_iou[k]) | ((iou == best_iou[k]) & (g < best_gt[k]))
-        best_iou[k[better]], best_gt[k[better]] = iou[better], g[better]
+    for _, _, k, g in bands:
+        # slices of whole detections, as many as fit in PAIRS_PER_CLIP pairs, or one
+        heads = np.append(np.flatnonzero(np.diff(k, prepend=-1)), len(k))
+        i = 0
+        while i < len(heads) - 1:
+            budget = heads[i] + geometry.PAIRS_PER_CLIP
+            j = max(i + 1, int(np.searchsorted(heads, budget, side="right")) - 1)
+            starts, pairs = heads[i:j] - heads[i], slice(heads[i], heads[j])
+            iou = polygon_iou_pairs(quads[k[pairs]], gt.quads[g[pairs]])
+            det, top = k[heads[i:j]], np.fmax.reduceat(iou, starts)  # a NaN IoU never wins
+            tied = np.where(iou == np.repeat(top, np.diff(heads[i:j + 1])), g[pairs], n_gt)
+            best_iou[det], best_gt[det] = top, np.minimum.reduceat(tied, starts)
+            i = j
 
     flags = np.full(len(visit), FP)
     k = np.flatnonzero(best_iou > iou_thresh)

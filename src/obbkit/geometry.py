@@ -28,7 +28,8 @@ from .errors import DegenerateQuad
 AREA_TOLERANCE = 1e-6
 # On-edge classification tolerance for half-plane clipping.
 EDGE_EPS = 1e-9
-# Pairs clipped at once by polygon_iou_pairs; bounds its temporaries.
+# Pairs clipped at once by polygon_iou_pairs, and the pair budget of a matching slice
+# (evaluation._match_flags); bounds their temporaries.
 PAIRS_PER_CLIP = 1 << 13
 # Upper bound on the candidate pairs _band_pairs expands at once (one band of rows).
 PAIRS_PER_BAND = 1 << 18
@@ -326,7 +327,8 @@ def quads_from_offsets(points: np.ndarray, ltrb: np.ndarray, wh: np.ndarray) -> 
         raise ValueError("non-finite box in decode")
     if ((xmin > xmax) | (ymin > ymax)).any():
         raise ValueError("inverted box in decode")
-    width, height = xmax - xmin, ymax - ymin
+    with np.errstate(over="ignore"):  # overflow reads inf, as in float arithmetic
+        width, height = xmax - xmin, ymax - ymin
     # the scalar min(max(v, 0.0), extent), NaN and signed zeros included
     w = np.where(wh[:, 0] < 0.0, 0.0, wh[:, 0])
     w = np.where(width < w, width, w)
@@ -583,26 +585,6 @@ def _band_pairs(
             row, partner = row[ok], partner[ok]
         yield top, bottom, row, partner
         top = bottom
-
-
-def _clip_chunks(
-    bands: Iterator[tuple[int, int, np.ndarray, np.ndarray]],
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The (row, partner) pairs of :func:`_band_pairs` bands, in order, as
-    chunks of exactly PAIRS_PER_CLIP pairs (the last one shorter). The
-    pairs left over at the end of a band start the next chunk, so the
-    chunk count is ceil(pairs / PAIRS_PER_CLIP) however the bands fall,
-    and one polygon_iou_pairs call per chunk clips each chunk in one step."""
-    row = partner = np.zeros(0, dtype=int)
-    for _, _, band_row, band_partner in bands:
-        row, partner = np.concatenate([row, band_row]), np.concatenate([partner, band_partner])
-        whole = len(row) - len(row) % PAIRS_PER_CLIP
-        for start in range(0, whole, PAIRS_PER_CLIP):
-            yield row[start:start + PAIRS_PER_CLIP], partner[start:start + PAIRS_PER_CLIP]
-        # copied, so that the band's arrays are freed before the next band's
-        row, partner = row[whole:].copy(), partner[whole:].copy()
-    if len(row):
-        yield row, partner
 
 
 def _row_intervals(

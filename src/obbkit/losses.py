@@ -164,7 +164,8 @@ def _focal_branch(
         log_s = np.log(s)
         om_beta = om_p**beta
         branch.flat[pos] = alpha * om_beta * log_s
-        grad.flat[pos] = -alpha * (-beta * om_p ** (beta - 1.0) * log_s + om_beta / s) / normalizer
+        with np.errstate(over="ignore"):  # a tiny s overflows to inf, as in float arithmetic
+            grad.flat[pos] = -alpha * (-beta * om_p ** (beta - 1.0) * log_s + om_beta / s) / normalizer
     return branch, grad
 
 
@@ -221,7 +222,8 @@ def _bce_batch(pred: np.ndarray, target: np.ndarray, target_c: np.ndarray) -> tu
     _require_open_unit(pred)
     pred_c = 1.0 - pred
     vals = -(target * np.log(pred) + target_c * np.log(pred_c))
-    grads = (pred - target) / (pred * pred_c)
+    with np.errstate(over="ignore"):  # a tiny pred overflows to inf, as in float arithmetic
+        grads = (pred - target) / (pred * pred_c)
     return vals, grads
 
 
@@ -232,7 +234,8 @@ def _smooth_l1_batch(e: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarra
     if not delta:
         return np.abs(e), np.sign(e)
     size = np.abs(e)
-    vals = np.where(size < delta, 0.5 * e * e / delta, size - 0.5 * delta)
+    with np.errstate(over="ignore"):  # the square np.where discards may overflow
+        vals = np.where(size < delta, 0.5 * e * e / delta, size - 0.5 * delta)
     return vals, np.clip(e / delta, -1.0, 1.0)
 
 
@@ -281,7 +284,8 @@ def _offset_iou(pred: np.ndarray, target: np.ndarray, area_t: np.ndarray) -> tup
     d_union *= inter
     d_inter -= d_union
     iou = inter / union
-    d_inter /= np.multiply(union, union, out=union)
+    with np.errstate(over="ignore"):  # a huge union squares to inf, as in float arithmetic
+        d_inter /= np.multiply(union, union, out=union)
     iou[unsafe] = 0.0
     d_inter[:, :, unsafe] = 0.0
     return iou, d_inter.reshape(4, -1)

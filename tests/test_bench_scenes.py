@@ -68,11 +68,12 @@ def test_dota_layers_scenes(script, tmp_path):
         "f3c919263cd5c3ee442a17cb66ab636f47b853eed1d519c8cf1eafec81553049")
     assert {name: digest(build()) for name, build in [
         ("crowded", dota.crowded_scene), ("column", dota.column_scene),
-        ("stacked", dota.stacked_scene),
+        ("stacked", dota.stacked_scene), ("wide", dota.wide_scene),
     ]} == {
         "crowded": "e22868685445a79f5adc90544fe285b257c65d9d82a743fdf271ae323b290a70",
         "column": "6128a4a5feb2892d719edd50bf7bf837e012110414665019b621a21820bf507f",
         "stacked": "93d0412bfe35d0b495951aed6b48391644dd99bb5e123b546284968c2fe753bc",
+        "wide": "ad1ce48e5bb995ee0abe96cfbc5303d3aa9b46fd8ad7bb7071abb80cc7f7a957",
     }
 
 

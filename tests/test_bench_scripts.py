@@ -20,7 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
             "dota_layers.py",
             ["canonicalize_many", "parse_detections", "parse_annotations", "nms", "iou_pairs",
              "match_ap", "write", "cli_nms_eval", "match_crowded", "match_column", "match_stacked",
-             "parse_annotations_lines"],
+             "match_wide", "parse_annotations_lines"],
         ),
         (
             "inference_layers.py",

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from obbkit import cli
@@ -1269,6 +1269,10 @@ _loss_row = st.one_of(
 
 @settings(max_examples=150, deadline=None)
 @given(rows=st.lists(_loss_row, max_size=6))
+# legal extremes whose gradients or discarded branches overflow
+@example(rows=[(_GOOD_TARGETS[1], "0.5 1 1 1 1 0.5 0.5 4.9406564584124654e-324")])
+@example(rows=[(_GOOD_TARGETS[1], "4.9406564584124654e-324 1 1 1 1 0.5 0.5 0.5")])
+@example(rows=[(_GOOD_TARGETS[1], "0.5 1e200 1 1 1 0.5 0.5 0.5")])
 def test_fuzz_loss_readers(rows):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)

@@ -272,8 +272,9 @@ def stacked_scene():
 
 
 class TestChunkedMatching:
-    """Matching clips its pairs in chunks of PAIRS_PER_CLIP, carried across
-    bands, and keeps each detection's best ground truth chunk by chunk."""
+    """Matching cuts each band of pairs into slices of whole detections, at
+    most PAIRS_PER_CLIP pairs unless one detection has more, and settles
+    each detection within its slice."""
 
     @pytest.fixture(scope="class")
     def scene(self):
@@ -281,7 +282,7 @@ class TestChunkedMatching:
         one_band = match_detections(_ds(dets), gt, 0.5)[1]
         return dets, gt, one_band, match_flags_oracle(dets, gt, 1, 0.5)
 
-    @pytest.mark.parametrize("clip_pairs", [300, geometry.PAIRS_PER_CLIP])
+    @pytest.mark.parametrize("clip_pairs", [1, 300, geometry.PAIRS_PER_CLIP])
     def test_many_bands_match_one_band(self, scene, clip_pairs):
         dets, gt, one_band, (scores, flags) = scene
         bands, clips = [], []
@@ -292,7 +293,8 @@ class TestChunkedMatching:
                 yield band
 
         def counted_clips(a, b):
-            clips.append(len(a))
+            # the detections of a call, by their vertices (all distinct in the scene)
+            clips.append((len(a), {row.tobytes() for row in a}))
             return geometry.polygon_iou_pairs(a, b)
 
         with mock.patch.object(geometry, "PAIRS_PER_BAND", 1000), \
@@ -300,16 +302,17 @@ class TestChunkedMatching:
                 mock.patch("obbkit.evaluation._band_pairs", counted_bands), \
                 mock.patch("obbkit.evaluation.polygon_iou_pairs", counted_clips):
             got = match_detections(_ds(dets), gt, 0.5)[1]
-        assert len(bands) == 16 and sum(bands) == sum(clips) == 40 * 400
-        assert len(clips) == math.ceil(sum(clips) / clip_pairs)
-        assert set(clips[:-1]) == {clip_pairs}
+        assert len(bands) == 16 and sum(bands) == sum(n for n, _ in clips) == 40 * 400
+        # no detection reaches two calls, and only a lone detection exceeds the budget
+        assert sum(len(d) for _, d in clips) == len(set().union(*(d for _, d in clips))) == 400
+        assert all(n <= clip_pairs or len(d) == 1 for n, d in clips)
         assert got.flags.tolist() == one_band.flags.tolist() == flags
         assert got.scores.tolist() == scores
         assert {TP, FP, IGNORED} <= set(flags)
 
-    def test_a_tie_across_chunks_goes_to_the_first_ground_truth(self):
+    def test_a_tie_goes_to_the_first_ground_truth(self):
         # both objects overlap the detection by IoU 1/3; object 1 lies left, so
-        # its pair comes first, in its own chunk, but object 0 is the best match
+        # its pair comes first in the slice, but object 0 is the best match
         gt = GtIndex.from_mapping(
             {"A": [GroundTruthObject(axis_box(5, 0, 15, 10), 1),
                    GroundTruthObject(axis_box(-5, 0, 5, 10), 1, difficult=True)]},
@@ -319,6 +322,20 @@ class TestChunkedMatching:
         with mock.patch.object(geometry, "PAIRS_PER_CLIP", 1):
             got = match_detections(_ds(dets), gt, 0.3)[1]
         assert got.flags.tolist() == match_flags_oracle(dets, gt, 1, 0.3)[1] == [TP]
+
+    def test_a_nan_iou_never_wins(self):
+        # object 0's area overflows to nan, so its IoU with either detection is
+        # nan: the first detection takes object 1, the second has no match
+        big = rotated_rect(1e200, 1e200, 4e200, 4e200, 30)
+        gt = GtIndex.from_mapping(
+            {"A": [GroundTruthObject(big, 1), GroundTruthObject(axis_box(0, 0, 10, 10), 1)]},
+            ClassTable(("plane",)),
+        )
+        dets = {"A": [Detection(axis_box(0, 0, 10, 10), 1, 0.9),
+                      Detection(axis_box(100, 100, 110, 110), 1, 0.8)]}
+        assert math.isnan(polygon_iou_oracle(dets["A"][0].quad, big))
+        got = match_detections(_ds(dets), gt, 0.5)[1]
+        assert got.flags.tolist() == match_flags_oracle(dets, gt, 1, 0.5)[1] == [TP, FP]
 
 
 class TestPrCurve:

@@ -355,6 +355,14 @@ class TestQuadsFromOffsets:
         assert math.copysign(1.0, got[0, 3, 0]) == -1.0
         assert got.tobytes() == oracle_rows(*args).tobytes()
 
+    def test_overflowing_width_decodes_quietly(self):
+        # the width 2e308 overflows to inf, as in the scalar decode
+        args = ([(4, 4)], [(1e308, 1, 1e308, 1)], [(0, 1)])
+        got = decode_rows(*args)
+        assert got[0].tolist() == [[-1e308, 4], [1e308, 3], [1e308, 4], [-1e308, 5]]
+        assert got.tobytes() == oracle_rows(*args).tobytes()
+        assert quad_from_offsets(Point2(4, 4), *(col[0] for col in args[1:])) == quad_list(got)[0]
+
     def test_empty(self):
         assert decode_rows(np.zeros((0, 2)), np.zeros((0, 4)), np.zeros((0, 2))).shape == (0, 4, 2)
 

@@ -83,6 +83,10 @@ class TestFocalLoss:
         with pytest.raises(NonFiniteScore):
             focal_loss(np.array([1.5]), np.array([0.7]), 0.3, 4.0, 1.0)
 
+    def test_tiny_positive_score_overflows_the_gradient_quietly(self):
+        value, grad = focal_loss(np.array([5e-324]), np.array([1.0]), 0.3, 4.0, 1.0)
+        assert value == -0.3 * math.log(5e-324) and grad.tolist() == [-math.inf]
+
     def test_beta_zero_alpha_one_is_mean_bce(self):
         rng = np.random.default_rng(8)
         scores = rng.uniform(0.05, 0.95, 25)
@@ -113,6 +117,9 @@ class TestBce:
         with pytest.raises(ValueError):
             bce(0.5, 1.5)
 
+    def test_tiny_pred_overflows_the_gradient_quietly(self):
+        assert bce(5e-324, 1.0) == (-math.log(5e-324), -math.inf)
+
     def test_matches_scalar_formula(self):
         # bce runs on numpy's log, which may differ from math.log in the
         # last bit or two; the gradient uses no log and stays exact
@@ -142,6 +149,11 @@ class TestSmoothL1:
         value, _ = smooth_l1([2.0], [0.0], 1.0)
         assert abs(value - 1.5) < 1e-15
 
+    def test_huge_error_takes_the_linear_branch_quietly(self):
+        # the discarded square of 1e200 overflows
+        value, grad = smooth_l1([1e200, -1e155], [0.0, 0.0], 1.0)
+        assert value == 1e200 and grad.tolist() == [1.0, -1.0]
+
 
 class TestInnerBox:
     def test_zero_orientation_is_identity(self):
@@ -161,6 +173,11 @@ class TestIouLosses:
     def test_hbb_nested(self):
         value, _ = iou_hbb_loss([2, 2, 2, 2], [1, 1, 1, 1])
         assert abs(value - 0.75) < 1e-15
+
+    def test_hbb_huge_union_squares_quietly(self):
+        # the union 2e200 squares to inf, so the gradient is 0
+        value, grad = iou_hbb_loss([1e200, 1, 1, 1], [1, 1, 1, 1])
+        assert value == 1.0 and grad.tolist() == [0.0] * 4
 
     def test_obb_equal_is_zero(self):
         assert iou_obb_loss([3, 2, 3, 2, 1, 1], [3, 2, 3, 2, 1, 1])[0] == 0.0
