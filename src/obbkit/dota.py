@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ObbkitError, ParseError, UnknownCategory
+from .errors import ObbkitError, ParseError
 from .evaluation import ClassTable, GtIndex, check_detection_classes
 from .geometry import canonicalize_many, quad_error
 from .inference import DetectionSet, _in_unit_interval
@@ -193,10 +193,8 @@ def parse_dota_annotations(directory, classes: ClassTable | None = None) -> GtIn
     if classes is None:
         classes = ClassTable(tuple(sorted(set(categories))))
 
-    image_ids = tuple(sorted(f.stem for f in files))
-    index = {image_id: i for i, image_id in enumerate(image_ids)}
-    counts = [len(names) for _, names, _ in tables]
-    image = np.repeat(np.array([index[f.stem] for f in files], dtype=int), counts)
+    image_ids, file_image = np.unique([f.stem for f in files], return_inverse=True)
+    image = np.repeat(file_image, [len(names) for _, names, _ in tables])
     difficult = np.array([d for _, _, flags in tables for d in flags], dtype=bool)
     ids = {name: class_id for class_id, name in enumerate(classes.names, 1)}
     class_id = np.array([ids.get(name, 0) for name in categories], dtype=int)
@@ -205,12 +203,7 @@ def parse_dota_annotations(directory, classes: ClassTable | None = None) -> GtIn
     quads = _canonical_quads(files, [c for c, _, _ in tables], first, headers=True)
     if first is not None:
         classes.id_of(categories[first])
-    return GtIndex(image_ids, image, quads, class_id, difficult, classes)
-
-
-def _class_name_from_filename(path: Path) -> str:
-    stem = path.stem
-    return stem[len("Task1_"):] if stem.startswith("Task1_") else stem
+    return GtIndex(tuple(image_ids.tolist()), image, quads, class_id, difficult, classes)
 
 
 def _detection_table(path) -> tuple[np.ndarray, list[str], ParseError | None]:
@@ -249,48 +242,46 @@ def parse_dota_detections(
     file order, together with the class table (inferred from the
     filenames when not supplied). Duplicate lines are preserved;
     suppression is a separate step. unknown_category chooses between
-    raising and skipping a file whose class is missing from the table;
-    the first error in file order is the one raised.
+    raising and skipping a file whose class is missing from the table.
+    Files are read up to the first error (an unknown class, an unreadable
+    file, a malformed line); one check of the rows read then raises any
+    bad quad on an earlier line, and otherwise that pending error.
     """
     if unknown_category not in ("error", "skip"):
         raise ValueError("unknown_category must be 'error' or 'skip'")
     files = _txt_files(directory)
+    categories = [f.stem.removeprefix("Task1_") for f in files]
     if classes is None:
-        classes = ClassTable(tuple(sorted({_class_name_from_filename(f) for f in files})))
+        classes = ClassTable(tuple(sorted(set(categories))))
 
     tables: list[np.ndarray] = []
     read: list[Path] = []
     names: list[str] = []
     class_ids: list[int] = []
-    try:
-        for f in files:
-            try:
-                class_id = classes.id_of(_class_name_from_filename(f))
-            except UnknownCategory:
-                if unknown_category == "skip":
-                    continue
-                raise
+    error = None
+    for f, category in zip(files, categories):
+        if unknown_category == "skip" and category not in classes.names:
+            continue
+        try:
+            class_id = classes.id_of(category)
             table, file_names, error = _detection_table(f)
-            tables.append(table)
-            read.append(f)
-            names += file_names
-            class_ids += [class_id] * len(table)
-            if error is not None:
-                raise error
-    except (ObbkitError, OSError, ValueError):
-        # a bad quad on an earlier line is the first error in file order
-        _canonical_quads(read, [t[:, 1:] for t in tables])
-        raise
+        except (ObbkitError, OSError, ValueError) as exc:
+            error = exc
+            break
+        tables.append(table)
+        read.append(f)
+        names += file_names
+        class_ids += [class_id] * len(table)
+        if error is not None:
+            break
+    quads = _canonical_quads(read, [t[:, 1:] for t in tables])
+    if error is not None:
+        raise error
     image_ids = tuple(sorted(set(names)))
     index = {image_id: i for i, image_id in enumerate(image_ids)}
-    dets = DetectionSet(
-        image_ids,
-        np.array([index[n] for n in names], dtype=int),
-        _canonical_quads(read, [t[:, 1:] for t in tables]),
-        np.array(class_ids, dtype=int),
-        np.concatenate([np.empty(0), *(t[:, 0] for t in tables)]),
-    )
-    return dets, classes
+    image = np.array([index[n] for n in names], dtype=int)
+    scores = np.concatenate([np.empty(0), *(t[:, 0] for t in tables)])
+    return DetectionSet(image_ids, image, quads, np.array(class_ids, dtype=int), scores), classes
 
 
 def _format_rows(table: np.ndarray) -> list[str]:

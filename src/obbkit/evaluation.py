@@ -153,14 +153,14 @@ class APReport:
     fp: dict[str, int]
 
 
-def _match_flags(dets: DetectionSet, gt: GtIndex, iou_thresh: float) -> np.ndarray:
-    """TP / FP / IGNORED of every detection row.
-
-    Detections are visited in descending score, ties by row. The
-    candidate pairs come from :func:`geometry._band_pairs`, with the
-    ground truth as partners and (image, class) keys as groups (image -1
-    for a detection whose image has no annotation file); every other
-    pair counts as IoU 0. A band's pairs come grouped by detection, and
+def _match_flags(dets: DetectionSet, gt: GtIndex, iou_thresh: float) -> tuple:
+    """(visit, flags): the detection rows in the order they are visited,
+    descending score with ties by image, then by row (the order that
+    :func:`match_detections` reports), and TP / FP / IGNORED of row visit[i]
+    in flags[i]. The candidate pairs come from :func:`geometry._band_pairs`,
+    with the ground truth as partners and (image, class) keys as groups
+    (image -1 for a detection whose image has no annotation file); every
+    other pair counts as IoU 0. A band's pairs come grouped by detection, and
     are cut into slices of as many whole detections as fit in
     PAIRS_PER_CLIP pairs (a detection with more, bounded by its group,
     is a slice of its own). One polygon_iou_pairs call per slice settles
@@ -168,11 +168,12 @@ def _match_flags(dets: DetectionSet, gt: GtIndex, iou_thresh: float) -> np.ndarr
     the lowest object index at that IoU. So the memory held is one band,
     one slice and one entry per detection.
     """
-    visit = np.argsort(-dets.score, kind="stable")
+    visit = np.lexsort((dets.image, -dets.score))
     gt_image = {image_id: i for i, image_id in enumerate(gt.image_ids)}
     det_image = np.array([gt_image.get(i, -1) for i in dets.image_ids], dtype=int)
-    ids, rank = np.unique(np.concatenate([gt.class_id, dets.class_id[visit]]), return_inverse=True)
-    groups = np.concatenate([gt.image, det_image[dets.image[visit]]]) * len(ids) + rank
+    # GtIndex and check_detection_classes hold every class id in 1..len(gt.classes)
+    images = np.concatenate([gt.image, det_image[dets.image[visit]]])
+    groups = images * (len(gt.classes) + 1) + np.concatenate([gt.class_id, dets.class_id[visit]])
     n_gt, quads = len(gt.image), dets.quads[visit]
     bands = _band_pairs(quads, groups[n_gt:], (gt.quads, groups[:n_gt]))
 
@@ -201,10 +202,7 @@ def _match_flags(dets: DetectionSet, gt: GtIndex, iou_thresh: float) -> np.ndarr
     claims = np.flatnonzero(~hard)
     _, first = np.unique(g[claims], return_index=True)
     flags[k[claims[first]]] = TP
-
-    out = np.empty(len(dets), dtype=int)
-    out[visit] = flags
-    return out
+    return visit, flags
 
 
 def check_detection_classes(dets: DetectionSet, classes: ClassTable) -> None:
@@ -228,18 +226,19 @@ def match_detections(
     threshold is a TP if that ground truth is still unmatched, ignored
     if it is difficult, and a FP if it was matched already; a best IoU
     at or below the threshold, or no same-class ground truth, is a FP.
-    The threshold must lie in [0, 1].
+    The threshold must lie in [0, 1]. Each class's rows are taken from
+    the visit order that :func:`_match_flags` returns with the flags.
     """
     if not 0.0 <= iou_thresh <= 1.0:
         raise ValueError(f"match IoU threshold must lie in [0, 1], got {iou_thresh}")
     check_detection_classes(dets, gt.classes)
 
-    flags = _match_flags(dets, gt, iou_thresh)
-    ranked = np.lexsort((np.arange(len(dets)), dets.image, -dets.score))
+    visit, flags = _match_flags(dets, gt, iou_thresh)
+    visit_class = dets.class_id[visit]
     matches = {}
     for c in range(1, len(gt.classes) + 1):
-        sel = ranked[dets.class_id[ranked] == c]
-        matches[c] = ClassMatches(c, dets.score[sel], flags[sel], gt.num_ground_truth(c))
+        sel = visit_class == c
+        matches[c] = ClassMatches(c, dets.score[visit[sel]], flags[sel], gt.num_ground_truth(c))
     return matches
 
 

@@ -228,15 +228,15 @@ def _bce_batch(pred: np.ndarray, target: np.ndarray, target_c: np.ndarray) -> tu
 
 
 def _smooth_l1_batch(e: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise smooth-L1 of errors e and its derivative; e / delta rounds
-    to at least 1 in size from delta on, so clipped it is sign(e) there.
+    """Elementwise smooth-L1 of errors e and its derivative; e clipped to
+    [-delta, delta] is divided, so no quotient leaves [-1, 1] or overflows.
     delta = 0 is plain L1 and divides nothing."""
     if not delta:
         return np.abs(e), np.sign(e)
     size = np.abs(e)
     with np.errstate(over="ignore"):  # the square np.where discards may overflow
         vals = np.where(size < delta, 0.5 * e * e / delta, size - 0.5 * delta)
-    return vals, np.clip(e / delta, -1.0, 1.0)
+    return vals, np.clip(e, -delta, delta) / delta
 
 
 def smooth_l1(pred, target, delta: float = 1.0) -> tuple[float, np.ndarray]:
@@ -260,25 +260,35 @@ def inner_box(ltrb, wh) -> np.ndarray:
     return np.abs(_inner_signed(offsets.reshape(6, 1)))[:, 0]
 
 
+def _area(boxes: np.ndarray) -> np.ndarray:
+    """(l + r)(t + b) of (4, N) rows l, t, r, b; inf past the float range."""
+    with np.errstate(over="ignore"):
+        return (boxes[0] + boxes[2]) * (boxes[1] + boxes[3])
+
+
 def _offset_iou(pred: np.ndarray, target: np.ndarray, area_t: np.ndarray) -> tuple:
     """IoU (N,) of boxes given as (4, N) rows of l, t, r, b offsets around
     shared points, target areas area_t (N,), and d IoU / d pred (4, N).
 
     Both boxes contain their anchor point, so the overlap width/height are
     min(l, l') + min(r, r') and min(t, t') + min(b, b'); ties in the mins
-    take the gradient from the prediction side."""
+    take the gradient from the prediction side. A tiny, NaN or infinite
+    union (its limit) gives IoU 0 and gradient 0."""
     low = np.minimum(pred, target).reshape(2, 2, -1)
-    span = low[0] + low[1]  # overlap width, height
-    inter = span[0] * span[1]
     sides = pred.reshape(2, 2, -1)
-    size = sides[0] + sides[1]  # predicted width, height
-    union = size[0] * size[1]
-    union += area_t
+    with np.errstate(over="ignore"):  # a side or area past the float range is inf
+        span = low[0] + low[1]  # overlap width, height
+        size = sides[0] + sides[1]  # predicted width, height
+        union = size[0] * size[1]
+        union += area_t
+    huge = np.isinf(union)  # zeroed, its columns put no inf into the products below
+    span[:, huge] = size[:, huge] = 0.0
+    inter = span[0] * span[1]
     union -= inter
     # the pred side drives the min: l and r scale with the height, t and b with the width
     d_inter = np.multiply((pred <= target).reshape(low.shape), span[::-1], out=low)
     d_union = np.subtract(size[::-1], d_inter)
-    unsafe = ~(union > _UNION_TINY)
+    unsafe = ~(union > _UNION_TINY) | huge
     union[unsafe] = 1.0
     d_inter *= union
     d_union *= inter
@@ -295,7 +305,7 @@ def iou_hbb_loss(pred_ltrb, target_ltrb) -> tuple[float, np.ndarray]:
     """1 - IoU of the axis-aligned boxes two ltrb offset vectors span."""
     p = np.asarray(pred_ltrb, dtype=float).reshape(4, 1)
     t = np.asarray(target_ltrb, dtype=float).reshape(4, 1)
-    iou, grad = _offset_iou(p, t, (t[0] + t[2]) * (t[1] + t[3]))
+    iou, grad = _offset_iou(p, t, _area(t))
     return float(1.0 - iou[0]), -grad[:, 0]
 
 
@@ -309,7 +319,7 @@ def iou_obb_loss(pred, target) -> tuple[float, np.ndarray]:
     p = np.asarray(pred, dtype=float).reshape(6, 1)
     t = np.abs(_inner_signed(np.asarray(target, dtype=float).reshape(6, 1)))
     signed = _inner_signed(p)
-    iou, d_iou = _offset_iou(np.abs(signed), t, (t[0] + t[2]) * (t[1] + t[3]))
+    iou, d_iou = _offset_iou(np.abs(signed), t, _area(t))
     d_iou *= np.sign(signed)  # the zero subgradient at a kink: sign 0
     return float(1.0 - iou[0]), np.concatenate([-d_iou, d_iou[:2] + d_iou[2:]])[:, 0]
 
@@ -320,8 +330,7 @@ def _truth(centerness: np.ndarray, ltrb: np.ndarray, wh: np.ndarray) -> tuple[np
     boxes (4, 2P) and their areas (2P,), from centerness, ltrb (P, 4), wh (P, 2)."""
     offsets = np.concatenate([ltrb.T, wh.T])
     boxes = np.concatenate([offsets[:4], np.abs(_inner_signed(offsets))], axis=1)
-    area = (boxes[0] + boxes[2]) * (boxes[1] + boxes[3])
-    return centerness, 1.0 - centerness, offsets, boxes, area
+    return centerness, 1.0 - centerness, offsets, boxes, _area(boxes)
 
 
 def _positive_terms(

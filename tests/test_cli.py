@@ -454,6 +454,29 @@ class TestLossCommand:
         assert get(scaled, "reg_loss") == get(base, "reg_loss")
         assert get(scaled, "total") > get(base, "total")
 
+    @pytest.mark.parametrize("options, target, pred, total, reg_loss, ori_loss", [
+        # every error over delta overflows, yet each smooth-L1 gradient is sign(error)
+        (["--set", "smooth_l1_delta=1e-310"], "1 2 1 4 3 1 2 0.4", "0.5 1 1 1 1 0.5 0.5 0.5",
+         "4.01448", "2.72648", "1.275"),
+        # the predicted area, and then the target area, overflows: IoU 0 with gradient 0
+        ([], "1 2 1 4 3 1 2 0.4", "0.5 1e308 1 1 1 0.5 0.5 0.5", "2e+307", "2e+307", "1.225"),
+        ([], "1 1e200 1e200 1e200 1e200 1 2 0.4", "0.5 1 1 1 1 0.5 0.5 0.5",
+         "8e+199", "8e+199", "1.225"),
+    ])
+    def test_overflowing_rows_score_quietly(
+        self, options, target, pred, total, reg_loss, ori_loss, tmp_path, capsys
+    ):
+        # pytest turns an overflow warning into an error
+        targets, preds = tmp_path / "targets.txt", tmp_path / "preds.txt"
+        targets.write_text(target + "\n")
+        preds.write_text(pred + "\n")
+        code, out, err = run_cli(
+            capsys, "loss", "--targets", str(targets), "--preds", str(preds), *options
+        )
+        assert (code, err) == (0, "")
+        assert out == (f"total      {total}\ncls_loss   0.0129965\nreg_loss   {reg_loss}\n"
+                       f"ori_loss   {ori_loss}\nnum_pos    1\nnormalizer 1\n")
+
 
 class TestNmsCommand:
     def test_suppression(self, scene, capsys, tmp_path):

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import math
+import re
 import string
 import tempfile
 from pathlib import Path
@@ -174,6 +175,29 @@ class TestErrorOrder:
         d = _write(tmp_path / "dets", {"a.txt": DEGENERATE + "\n", "z.txt": GOOD + "\n"})
         with pytest.raises(DegenerateQuad):
             parse_dota_detections(d, ClassTable(("a",)))
+
+    @pytest.mark.parametrize("unreadable", ["not utf-8", "a directory"])
+    def test_bad_quad_before_an_unreadable_detection_file(self, tmp_path, unreadable):
+        d = _write(tmp_path / "dets", {"a.txt": DEGENERATE + "\n"})
+        if unreadable == "not utf-8":
+            (d / "b.txt").write_bytes(b"\xff\xfe A 0.5\n")
+        else:
+            (d / "b.txt").mkdir()
+        with pytest.raises(DegenerateQuad, match=rf"^{re.escape(str(d / 'a.txt'))}:1: "):
+            parse_dota_detections(d)
+
+    @pytest.mark.parametrize("unreadable, error", [
+        ("not utf-8", UnicodeDecodeError), ("a directory", IsADirectoryError),
+    ])
+    def test_unreadable_annotation_file_before_a_bad_quad(self, tmp_path, unreadable, error):
+        # an annotation directory is read in full before any quad is checked
+        d = _write(tmp_path / "gt", {"A.txt": "0 0 1 1 2 2 3 3 plane 0\n"})
+        if unreadable == "not utf-8":
+            (d / "B.txt").write_bytes(b"\xff\xfe 0 0 1 0 1 1 0 1 plane 0\n")
+        else:
+            (d / "B.txt").mkdir()
+        with pytest.raises(error):
+            parse_dota_annotations(d)
 
     def test_annotations(self, tmp_path):
         bad = "0 0 1 1 2 2 3 3 plane 0\n"

@@ -154,6 +154,15 @@ class TestSmoothL1:
         value, grad = smooth_l1([1e200, -1e155], [0.0, 0.0], 1.0)
         assert value == 1e200 and grad.tolist() == [1.0, -1.0]
 
+    @pytest.mark.parametrize("error, delta", [
+        (1e308, 0.2), (-1e308, 0.2), (1.0, 1e-310), (-1.0, 5e-324), (math.inf, 1.0),
+    ])
+    def test_error_over_delta_past_the_float_range_clips_quietly(self, error, delta):
+        # error / delta overflows; the gradient is still sign(error)
+        value, grad = smooth_l1([error], [0.0], delta)
+        assert value == abs(error) - 0.5 * delta
+        assert grad.tolist() == [math.copysign(1.0, error)]
+
 
 class TestInnerBox:
     def test_zero_orientation_is_identity(self):
@@ -177,6 +186,29 @@ class TestIouLosses:
     def test_hbb_huge_union_squares_quietly(self):
         # the union 2e200 squares to inf, so the gradient is 0
         value, grad = iou_hbb_loss([1e200, 1, 1, 1], [1, 1, 1, 1])
+        assert value == 1.0 and grad.tolist() == [0.0] * 4
+
+    @pytest.mark.parametrize("pred, target", [
+        ([1e308, 1, 1, 1], [1, 1, 1, 1]),  # the predicted area overflows
+        ([1e308, 1, 1e308, 1], [1, 1, 1, 1]),  # and the predicted width
+        ([1, 1, 1, 1], [1e200, 1e200, 1e200, 1e200]),  # the target area overflows
+        ([1e200] * 4, [1e200] * 4),  # and the overlap with it
+    ])
+    def test_hbb_infinite_union_scores_zero_quietly(self, pred, target):
+        # IoU and gradient take their limit as the union grows: 0
+        value, grad = iou_hbb_loss(pred, target)
+        assert value == 1.0 and grad.tolist() == [0.0] * 4
+
+    def test_obb_infinite_union_scores_zero_quietly(self):
+        # the predicted inner box is 1e308 by 5
+        value, grad = iou_obb_loss([1e308, 3, 1, 3, 0.5, 0.5], [1, 2, 1, 4, 3, 1])
+        assert value == 1.0 and grad.tolist() == [0.0] * 6
+
+    @pytest.mark.parametrize("pred, target", [
+        ([math.nan, 1, 1, 1], [1, 1, 1, 1]), ([1, 1, 1, 1], [math.nan, 1, 1, 1]),
+    ])
+    def test_hbb_nan_union_keeps_a_zero_gradient(self, pred, target):
+        value, grad = iou_hbb_loss(pred, target)
         assert value == 1.0 and grad.tolist() == [0.0] * 4
 
     def test_obb_equal_is_zero(self):
